@@ -35,6 +35,9 @@ CLI_MODES = {
     "full": ("full", True),
 }
 
+# `sweep --param` names: the hallucination config keys, plus `n` for n_neighbors.
+SWEEP_PARAMS = {"n_neighbors": "n_neighbors", "n": "n_neighbors", "sigma": "sigma"}
+
 ABLATION_LADDER = [
     ("s2v", "s2v_baseline", False),
     ("s2v+ep_ei", "ep_ei", False),
@@ -99,19 +102,23 @@ def _load_data(data_dir: str):
     return load_dataset_dir(data_dir, format=fmt), data_dir
 
 
-def _parse_delta_grid(spec: str) -> list[float]:
-    spec = spec.strip()
-    if ":" in spec:
-        start, stop, step = (float(tok) for tok in spec.split(":"))
-        if step <= 0 or stop < start:
-            raise ConfigError("delta grid must ascend with positive step")
-        grid = []
-        d = start
-        while d <= stop + 1e-12:
-            grid.append(round(d, 10))
-            d += step
-        return grid
-    return [float(tok) for tok in spec.split(",") if tok != ""]
+def _parse_delta_grid(spec: str | None) -> list[float]:
+    """`start:stop:step` or comma-separated deltas; None means the default
+    config's grid."""
+    if spec is None:
+        return cfgmod.delta_grid(cfgmod.DEFAULTS)
+    sep = ":" if ":" in spec else ","
+    try:
+        values = [float(tok) for tok in spec.split(sep) if tok != ""]
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse delta grid {spec!r}") from exc
+    if not all(np.isfinite(values)):
+        raise ConfigError(f"delta grid {spec!r} has a non-finite value")
+    if sep == ",":
+        return values
+    if len(values) != 3:
+        raise ConfigError(f"delta range {spec!r} is not start:stop:step")
+    return cfgmod.delta_range(*values)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +298,10 @@ def cmd_sweep(args, argv) -> int:
     ds, data_dir = _load_data(args.data)
     out = _out_dir(args.out)
     grid = cfgmod.delta_grid(cfg)
-    if args.param not in ("n", "sigma"):
-        raise ConfigError(f"unknown sweep parameter {args.param!r}")
+    param = SWEEP_PARAMS.get(args.param)
+    if param is None:
+        raise ConfigError(f"unknown sweep parameter {args.param!r}; expected "
+                          f"one of {', '.join(SWEEP_PARAMS)}")
     tokens = []
     for tok in args.values.split(","):
         tok = tok.strip()
@@ -301,7 +310,7 @@ def cmd_sweep(args, argv) -> int:
             tokens.extend(str(v) for v in range(int(lo), int(hi) + 1))
         elif tok:
             tokens.append(tok)
-    if args.param == "n":
+    if param == "n_neighbors":
         values = [int(float(v)) for v in tokens]
     else:
         values = [float(v) for v in tokens]
@@ -310,15 +319,12 @@ def cmd_sweep(args, argv) -> int:
     for value in values:
         run_cfg = json.loads(json.dumps(cfg))  # deep copy
         mode_name, use_sof = CLI_MODES[args.mode]
-        if args.param == "n":
-            if value == 0:
-                mode_name = "s2v_baseline"  # hallucination disabled
-            else:
-                run_cfg["hallucination"]["n_neighbors"] = value
+        if param == "n_neighbors" and value == 0:
+            mode_name = "s2v_baseline"  # hallucination disabled
+        elif param == "sigma" and value <= 0:
+            raise ConfigError("sigma values must be positive")
         else:
-            if value <= 0:
-                raise ConfigError("sigma values must be positive")
-            run_cfg["hallucination"]["sigma"] = value
+            run_cfg["hallucination"][param] = value
         model, _, _, train_ds = _run_pipeline(ds, run_cfg, mode_name, use_sof,
                                               run_cfg["seed"])
         _, best = _eval_model(model, train_ds, grid)
@@ -365,8 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="model directory; pass twice for paired similarity output")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--delta-grid", default="0:1:0.02",
-                   help="start:stop:step or comma-separated deltas")
+    p.add_argument("--delta-grid",
+                   help="start:stop:step or comma-separated deltas "
+                        "(default: the config default, 0:1:0.02)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="run the five-configuration ablation ladder")
@@ -380,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--param", required=True)
+    p.add_argument("--param", required=True,
+                   help="n_neighbors (alias n) or sigma")
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--mode", choices=tuple(CLI_MODES), default="full")
     p.set_defaults(func=cmd_sweep)

@@ -130,11 +130,20 @@ def train_config(cfg: dict, mode: str | None = None,
                        seed=cfg["seed"] if seed is None else seed, **t)
 
 
+def delta_range(start: float, stop: float, step: float) -> list[float]:
+    """The calibrated-stacking grid start, start + step, ... up to stop
+    inclusive, each value rounded to 10 decimals.  The only grid builder:
+    the config's `eval` section and the CLI's `start:stop:step` both use it."""
+    if step <= 0 or stop < start:
+        raise ConfigError("delta grid must ascend with positive step")
+    grid = []
+    d = start
+    while d <= stop + 1e-12:
+        grid.append(round(d, 10))
+        d += step
+    return grid
+
+
 def delta_grid(cfg: dict) -> list[float]:
     ev = cfg["eval"]
-    grid = []
-    d = ev["delta_start"]
-    while d <= ev["delta_stop"] + 1e-12:
-        grid.append(round(d, 10))
-        d += ev["delta_step"]
-    return grid
+    return delta_range(ev["delta_start"], ev["delta_stop"], ev["delta_step"])

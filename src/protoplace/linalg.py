@@ -209,7 +209,7 @@ def cosine_cross_entropy(
     """Mean cross-entropy of softmax(scale * cos(query, reference)).
 
     Returns (loss, grad_queries, grad_references).  Rows of both inputs must
-    have nonzero norm; gradients are exact.
+    have nonzero norm (FloatingPointError otherwise); gradients are exact.
     """
     if scale <= 0:
         raise ParameterError(f"logit scale must be positive, got {scale}")
@@ -225,7 +225,7 @@ def cosine_cross_entropy(
     qn = np.linalg.norm(q, axis=1)
     rn = np.linalg.norm(r, axis=1)
     if np.any(qn == 0) or np.any(rn == 0):
-        raise ParameterError("zero-norm row in cosine cross-entropy")
+        raise FloatingPointError("zero-norm row in cosine cross-entropy")
     qh = q / qn[:, None]
     rh = r / rn[:, None]
     cos = qh @ rh.T

@@ -7,6 +7,7 @@ prototype-similarity matrices for heat-map emission.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,12 +44,25 @@ def _cosine_scores(features: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
     return fh @ ph.T
 
 
-def _argmax_by_id(scores: np.ndarray, class_ids: np.ndarray) -> np.ndarray:
-    # columns sorted by ascending class id; np.argmax takes the first maximum,
-    # so ties break toward the smallest id
+class _IdScores(NamedTuple):
+    """Cosine scores of feature rows, columns in ascending class-id order.
+
+    np.argmax takes the first maximum, so every prediction made from these
+    columns breaks ties toward the smallest class id.
+    """
+    scores: np.ndarray
+    ids: np.ndarray
+    seen: np.ndarray  # bool per column: scores lowered by the calibration delta
+
+    def predict(self, delta: float) -> np.ndarray:
+        """Class id per row: one subtract and one argmax over the cached scores."""
+        return self.ids[np.argmax(self.scores - delta * self.seen[None, :], axis=1)]
+
+
+def _id_scores(features, prototypes, class_ids, seen_mask) -> _IdScores:
     order = np.argsort(class_ids, kind="stable")
-    best = np.argmax(scores[:, order], axis=1)
-    return class_ids[order][best]
+    return _IdScores(_cosine_scores(features, prototypes)[:, order],
+                     class_ids[order], seen_mask[order])
 
 
 def zsl_predict(prototypes, class_ids, features) -> np.ndarray:
@@ -60,7 +74,8 @@ def zsl_predict(prototypes, class_ids, features) -> np.ndarray:
     if class_ids.shape[0] != prototypes.shape[0]:
         raise ValidationError("one class id per prototype required")
     features = as_matrix(features, "features")
-    return _argmax_by_id(_cosine_scores(features, prototypes), class_ids)
+    seen = np.zeros(class_ids.shape[0], dtype=bool)
+    return _id_scores(features, prototypes, class_ids, seen).predict(0.0)
 
 
 def gzsl_predict(prototypes, class_ids, seen_mask, features, delta: float) -> np.ndarray:
@@ -71,25 +86,40 @@ def gzsl_predict(prototypes, class_ids, seen_mask, features, delta: float) -> np
     if not (class_ids.shape[0] == prototypes.shape[0] == seen_mask.shape[0]):
         raise ValidationError("prototypes, class ids, and seen mask must align")
     features = as_matrix(features, "features")
-    scores = _cosine_scores(features, prototypes) - delta * seen_mask[None, :]
-    return _argmax_by_id(scores, class_ids)
+    return _id_scores(features, prototypes, class_ids, seen_mask).predict(delta)
 
 
-def per_class_accuracy(preds, labels, class_set) -> tuple[float, dict[int, float]]:
-    """Unweighted mean over classes of within-class top-1 accuracy."""
-    preds = np.asarray(preds, dtype=np.int64).ravel()
+class _LabelIndex(NamedTuple):
+    labels: np.ndarray
+    classes: np.ndarray  # ascending, unique
+    pos: np.ndarray      # position of each label in `classes`
+    rows: np.ndarray     # rows per class
+
+
+def _label_index(labels, class_set) -> _LabelIndex:
     labels = np.asarray(labels, dtype=np.int64).ravel()
     classes = np.unique(np.asarray(class_set, dtype=np.int64))
     stray = np.setdiff1d(labels, classes)
     if stray.size:
         raise ValidationError(f"label {stray[0]} outside the evaluated class set")
-    per_class: dict[int, float] = {}
-    for c in classes:
-        mask = labels == c
-        if mask.any():
-            per_class[int(c)] = float(np.mean(preds[mask] == c))
-    mean = float(np.mean(list(per_class.values()))) if per_class else 0.0
-    return mean, per_class
+    pos = np.searchsorted(classes, labels)
+    return _LabelIndex(labels, classes, pos,
+                       np.bincount(pos, minlength=classes.size))
+
+
+def _accuracy(preds: np.ndarray, index: _LabelIndex) -> tuple[float, dict[int, float]]:
+    hits = np.bincount(index.pos[preds == index.labels],
+                       minlength=index.classes.size)
+    tested = index.rows > 0
+    acc = hits[tested] / index.rows[tested]  # equals np.mean of the hit mask
+    mean = float(np.mean(acc)) if acc.size else 0.0
+    return mean, dict(zip(index.classes[tested].tolist(), acc.tolist()))
+
+
+def per_class_accuracy(preds, labels, class_set) -> tuple[float, dict[int, float]]:
+    """Unweighted mean over classes of within-class top-1 accuracy."""
+    preds = np.asarray(preds, dtype=np.int64).ravel()
+    return _accuracy(preds, _label_index(labels, class_set))
 
 
 def harmonic_mean(u: float, s: float) -> float:
@@ -116,11 +146,12 @@ def prototype_similarity(prototypes, class_ids=None) -> SimilarityMatrix:
     return SimilarityMatrix(class_ids=class_ids, matrix=m, zero_norm=zero)
 
 
-def evaluate(model: PrototypeModel, ds: SplitDataset, delta: float) -> EvalReport:
-    """T on test_unseen (unseen prototypes only); U, S via calibrated stacking."""
+def _evaluate_grid(model: PrototypeModel, ds: SplitDataset,
+                   grid: list[float]) -> list[EvalReport]:
+    """One report per delta.  Prototypes are projected and each test split is
+    scored once; a delta only moves the argmax over the cached scores."""
     seen = np.sort(ds.seen_classes)
     unseen = np.sort(ds.unseen_classes)
-    per_class: dict[int, float] = {}
 
     t_acc = None
     if unseen.size and ds.test_unseen_idx.size:
@@ -128,26 +159,38 @@ def evaluate(model: PrototypeModel, ds: SplitDataset, delta: float) -> EvalRepor
         preds = zsl_predict(protos_u, unseen, ds.features[ds.test_unseen_idx])
         t_acc, _ = per_class_accuracy(preds, ds.labels[ds.test_unseen_idx], unseen)
 
-    u_acc = s_acc = None
+    # GZSL splits in per_class update order: test_unseen (U), then test_seen (S)
+    splits: list[tuple[_IdScores, _LabelIndex] | None] = [None, None]
     if seen.size + unseen.size:
         union = np.concatenate([seen, unseen])
         protos = project_prototypes(model, ds.attributes, union)
         mask = np.concatenate([np.ones(seen.size, bool), np.zeros(unseen.size, bool)])
-        if ds.test_unseen_idx.size:
-            preds = gzsl_predict(protos, union, mask,
-                                 ds.features[ds.test_unseen_idx], delta)
-            u_acc, pc = per_class_accuracy(preds, ds.labels[ds.test_unseen_idx], union)
-            per_class.update(pc)
-        if ds.test_seen_idx.size:
-            preds = gzsl_predict(protos, union, mask,
-                                 ds.features[ds.test_seen_idx], delta)
-            s_acc, pc = per_class_accuracy(preds, ds.labels[ds.test_seen_idx], union)
-            per_class.update(pc)
+        for k, idx in enumerate((ds.test_unseen_idx, ds.test_seen_idx)):
+            if idx.size:
+                splits[k] = (_id_scores(ds.features[idx], protos, union, mask),
+                             _label_index(ds.labels[idx], union))
 
-    h = harmonic_mean(u_acc, s_acc) if (u_acc is not None and s_acc is not None) \
-        else None
-    return EvalReport(T=t_acc, U=u_acc, S=s_acc, H=h, delta=float(delta),
-                      per_class=per_class)
+    reports = []
+    for delta in grid:
+        per_class: dict[int, float] = {}
+        accs = []
+        for split in splits:
+            acc = None
+            if split is not None:
+                acc, pc = _accuracy(split[0].predict(delta), split[1])
+                per_class.update(pc)
+            accs.append(acc)
+        u_acc, s_acc = accs
+        h = harmonic_mean(u_acc, s_acc) if (u_acc is not None and s_acc is not None) \
+            else None
+        reports.append(EvalReport(T=t_acc, U=u_acc, S=s_acc, H=h, delta=float(delta),
+                                  per_class=per_class))
+    return reports
+
+
+def evaluate(model: PrototypeModel, ds: SplitDataset, delta: float) -> EvalReport:
+    """T on test_unseen (unseen prototypes only); U, S via calibrated stacking."""
+    return _evaluate_grid(model, ds, [delta])[0]
 
 
 def cs_sweep(
@@ -157,7 +200,7 @@ def cs_sweep(
     grid = [float(d) for d in delta_grid]
     if not grid:
         raise ParameterError("delta grid must be nonempty")
-    reports = [evaluate(model, ds, d) for d in grid]
+    reports = _evaluate_grid(model, ds, grid)
     best_delta = grid[0]
     best_h = -1.0
     for rep in reports:
@@ -166,7 +209,3 @@ def cs_sweep(
             best_h = h
             best_delta = rep.delta
     return reports, best_delta
-
-
-def default_delta_grid() -> list[float]:
-    return [round(0.02 * i, 2) for i in range(51)]

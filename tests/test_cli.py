@@ -5,6 +5,7 @@ import pytest
 
 from protoplace.cli import main
 from protoplace.config import DEFAULTS, load_config
+from protoplace.data import load_dataset_dir, save_dataset
 from protoplace.errors import ConfigError
 
 TINY = {
@@ -124,6 +125,19 @@ class TestTrain:
             assert (outs[0] / "model" / f).read_bytes() == \
                 (outs[1] / "model" / f).read_bytes(), f
 
+    def test_zero_norm_train_row_exits_4(self, workdir, capsys):
+        # a zero feature row reaching the loss is a numeric failure, not a
+        # configuration error
+        tmp_path, cfg = workdir
+        ds = load_dataset_dir(make_data(tmp_path, cfg))
+        ds.features[ds.train_idx] = 0.0
+        zero = tmp_path / "zero_data"
+        save_dataset(ds, zero)
+        rc = run("train", "--config", cfg, "--data", zero,
+                 "--out", tmp_path / "out", "--mode", "s2v")
+        assert rc == 4
+        assert "numeric failure" in capsys.readouterr().err
+
     def test_missing_data_exits_3(self, workdir, capsys):
         tmp_path, cfg = workdir
         rc = run("train", "--config", cfg, "--data", tmp_path / "nope",
@@ -163,6 +177,12 @@ class TestEval:
                    "--delta-grid", "0.3") == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) == 2 and lines[1].startswith("0.3,")
+
+    def test_unparsable_grid_exits_2(self, trained):
+        tmp_path, cfg, data, model = trained
+        for spec in ("0:1", "0.1,x", "1:0:0.1", "nan,0.5", "0:inf:0.1"):
+            assert run("eval", "--model", model, "--data", data,
+                       "--out", tmp_path / "e", "--delta-grid", spec) == 2, spec
 
     def test_two_models_get_paired_files(self, trained):
         tmp_path, cfg, data, model = trained
@@ -240,6 +260,19 @@ class TestSweep:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "value,T,H"
         assert [l.split(",")[0] for l in lines[1:]] == ["0", "1", "2"]
+
+    def test_config_key_name_is_accepted(self, workdir):
+        # README documents `--param n_neighbors`; `n` stays an alias of it
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        outs = []
+        for param in ("n_neighbors", "n"):
+            out = tmp_path / f"sweep_{param}"
+            assert run("sweep", "--config", cfg, "--data", data, "--out", out,
+                       "--param", param, "--values", "0,2", "--mode",
+                       "ep-ei") == 0
+            outs.append((out / "sweep.csv").read_bytes())
+        assert outs[0] == outs[1]
 
     def test_sigma_sweep(self, workdir):
         tmp_path, cfg = workdir

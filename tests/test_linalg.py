@@ -260,6 +260,13 @@ class TestCosineCrossEntropy:
             denom = np.maximum(np.maximum(np.abs(grad), np.abs(num)), 1e-5)
             assert np.max(np.abs(grad - num) / denom) < 1e-4
 
+    def test_zero_norm_row_is_numeric_failure(self):
+        refs = [[1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(FloatingPointError, match="zero-norm"):
+            cosine_cross_entropy([[0.0, 0.0]], refs, [0], 1.0)
+        with pytest.raises(FloatingPointError, match="zero-norm"):
+            cosine_cross_entropy([[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]], [0], 1.0)
+
 
 class TestOptimizer:
     def test_zero_gradient_is_fixed_point(self):

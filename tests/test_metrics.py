@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from protoplace.data import SynthConfig, generate_synthetic
-from protoplace.errors import ParameterError, ValidationError
+from protoplace.config import DEFAULTS, delta_grid, delta_range
+from protoplace.data import AttributeTable, SplitDataset, SynthConfig, \
+    generate_synthetic
+from protoplace.errors import ConfigError, ParameterError, ValidationError
 from protoplace.linalg import MappingNet
 from protoplace.metrics import (
     cs_sweep,
-    default_delta_grid,
     evaluate,
     gzsl_predict,
     harmonic_mean,
@@ -14,7 +15,8 @@ from protoplace.metrics import (
     prototype_similarity,
     zsl_predict,
 )
-from protoplace.prototypes import PrototypeModel, TrainConfig, train_prototypes
+from protoplace.prototypes import PrototypeModel, TrainConfig, project_prototypes, \
+    train_prototypes
 from protoplace.rng import RngStream
 
 
@@ -67,6 +69,21 @@ class TestPerClassAccuracy:
     def test_no_samples(self):
         mean, per = per_class_accuracy([], [], [0, 1])
         assert mean == 0.0 and per == {}
+
+    def test_bitwise_equal_to_mask_loop(self):
+        # per-class hits / rows must equal np.mean of each class's hit mask
+        rng = np.random.default_rng(6)
+        classes = np.array([2, 3, 5, 11, 13, 40])
+        labels = rng.choice(classes[:-1], size=997, p=[0.5, 0.2, 0.15, 0.1, 0.05])
+        preds = np.where(rng.random(997) < 0.37, labels, rng.choice(classes, 997))
+        ref = {}
+        for c in classes:
+            mask = labels == c
+            if mask.any():
+                ref[int(c)] = float(np.mean(preds[mask] == c))
+        mean, per = per_class_accuracy(preds, labels, classes[::-1])
+        assert list(per.items()) == list(ref.items())
+        assert mean == float(np.mean(list(ref.values())))
 
 
 class TestPredictors:
@@ -200,7 +217,7 @@ class TestEvaluate:
     def test_monotone_calibration_response(self):
         # raising delta never helps seen accuracy and never hurts unseen
         ds, model = trained_setup(seed=3)
-        grid = default_delta_grid()
+        grid = delta_grid(DEFAULTS)
         reports, _ = cs_sweep(model, ds, grid)
         for a, b in zip(reports, reports[1:]):
             assert b.S <= a.S + 1e-12
@@ -221,7 +238,159 @@ class TestEvaluate:
             cs_sweep(model, ds, [])
 
     def test_default_grid_shape(self):
-        grid = default_delta_grid()
+        grid = delta_grid(DEFAULTS)
         assert len(grid) == 51
         assert grid[0] == 0.0 and grid[-1] == 1.0
         assert np.allclose(np.diff(grid), 0.02, atol=1e-9)
+
+    def test_evaluate_is_one_delta_sweep(self):
+        ds, model = trained_setup(seed=6)
+        reports, _ = cs_sweep(model, ds, [0.0, 0.3])
+        assert evaluate(model, ds, 0.3) == reports[1]
+
+
+class TestDeltaGrid:
+    def test_default_grid_values(self):
+        # sweep rows print these values, so they must keep their bytes
+        grid = delta_grid(DEFAULTS)
+        assert grid == [round(0.02 * i, 10) for i in range(51)]
+        assert delta_range(0.0, 1.0, 0.02) == grid
+
+    def test_range_is_inclusive(self):
+        assert delta_range(0.0, 0.2, 0.1) == [0.0, 0.1, 0.2]
+        assert delta_range(0.3, 0.3, 0.5) == [0.3]
+
+    def test_bad_range_rejected(self):
+        with pytest.raises(ConfigError):
+            delta_range(0.0, 1.0, 0.0)
+        with pytest.raises(ConfigError):
+            delta_range(1.0, 0.0, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# calibrated-stacking sweep: bitwise parity with per-delta prediction
+
+
+def tie_dataset(test_seen=True, test_unseen=True):
+    """Nine classes with interleaved seen/unseen ids and exact score ties.
+
+    Class 1 (unseen) and class 4 (seen) share an attribute row, as do seen
+    classes 5 and 8, so their prototypes coincide.  Some test rows sit exactly
+    on those prototypes, so the tie decides their prediction; one test row of
+    each split has zero norm.
+    """
+    base = generate_synthetic(SynthConfig(seen_count=6, unseen_count=3,
+                                          attr_dim=4, feat_dim=6,
+                                          train_per_class=4, test_per_class=6,
+                                          noise_scale=0.3, seed=7))
+    # old id k -> new id perm[k]; old 0..5 are seen, 6..8 unseen
+    perm = np.array([0, 2, 3, 4, 5, 8, 1, 6, 7])
+    attrs = np.empty_like(base.attributes.values)
+    attrs[perm] = base.attributes.values
+    attrs[4] = attrs[1]
+    attrs[8] = attrs[5]
+    attributes = AttributeTable(attrs)
+    model = PrototypeModel(net=MappingNet.init(4, 6, rng=RngStream(11)),
+                           config=TrainConfig(epochs=0))
+    protos = project_prototypes(model, attributes, np.arange(9))
+    features = base.features.copy()
+    features[base.test_unseen_idx[0]] = 0.0
+    features[base.test_seen_idx[0]] = 0.0
+    features[base.test_unseen_idx[1:3]] = protos[1]
+    features[base.test_seen_idx[1:3]] = protos[4]
+    features[base.test_seen_idx[3:5]] = protos[8]
+    ds = SplitDataset(
+        features=features, labels=perm[base.labels], attributes=attributes,
+        seen_classes=perm[base.seen_classes],
+        unseen_classes=perm[base.unseen_classes],
+        train_idx=base.train_idx,
+        test_seen_idx=base.test_seen_idx if test_seen else [],
+        test_unseen_idx=base.test_unseen_idx if test_unseen else [],
+    )
+    return ds, model, protos
+
+
+def reference_sweep(model, ds, grid):
+    """The sweep as independent single calls: one gzsl_predict per split and
+    delta, one zsl_predict for T."""
+    seen, unseen = np.sort(ds.seen_classes), np.sort(ds.unseen_classes)
+    union = np.concatenate([seen, unseen])
+    mask = np.concatenate([np.ones(seen.size, bool), np.zeros(unseen.size, bool)])
+    protos = project_prototypes(model, ds.attributes, union)
+    t = None
+    if ds.test_unseen_idx.size:
+        preds = zsl_predict(project_prototypes(model, ds.attributes, unseen),
+                            unseen, ds.features[ds.test_unseen_idx])
+        t, _ = per_class_accuracy(preds, ds.labels[ds.test_unseen_idx], unseen)
+    rows = []
+    for d in grid:
+        accs, per_class = [], {}
+        for idx in (ds.test_unseen_idx, ds.test_seen_idx):
+            acc = None
+            if idx.size:
+                preds = gzsl_predict(protos, union, mask, ds.features[idx], d)
+                acc, pc = per_class_accuracy(preds, ds.labels[idx], union)
+                per_class.update(pc)
+            accs.append(acc)
+        u, s = accs
+        h = harmonic_mean(u, s) if u is not None and s is not None else None
+        rows.append((t, u, s, h, d, list(per_class.items())))
+    hs = [-1.0 if r[3] is None else r[3] for r in rows]
+    return rows, grid[hs.index(max(hs))]
+
+
+class TestSweepParity:
+    GRID = delta_grid(DEFAULTS)
+
+    def assert_parity(self, ds, model):
+        reports, best = cs_sweep(model, ds, self.GRID)
+        ref_rows, ref_best = reference_sweep(model, ds, self.GRID)
+        got = [(r.T, r.U, r.S, r.H, r.delta, list(r.per_class.items()))
+               for r in reports]
+        assert got == ref_rows  # exact float equality, per_class order too
+        assert best == ref_best
+        return reports
+
+    def test_ties_present(self):
+        ds, model, protos = tie_dataset()
+        assert np.array_equal(protos[1], protos[4])
+        assert np.array_equal(protos[5], protos[8])
+        union = np.concatenate([np.sort(ds.seen_classes),
+                                np.sort(ds.unseen_classes)])
+        mask = np.isin(union, ds.seen_classes)
+        # exact ties go to the smaller id, not to the earlier union column
+        on_tie = ds.features[ds.test_unseen_idx[1:3]]
+        assert gzsl_predict(protos[union], union, mask, on_tie, 0.0).tolist() == [1, 1]
+        on_seen_tie = ds.features[ds.test_seen_idx[3:5]]
+        assert gzsl_predict(protos[union], union, mask, on_seen_tie, 0.0).tolist() \
+            == [5, 5]
+        zero = ds.features[ds.test_seen_idx[:1]]
+        assert gzsl_predict(protos[union], union, mask, zero, 0.0).tolist() == [0]
+        assert gzsl_predict(protos[union], union, mask, zero, 0.1).tolist() == [1]
+
+    def test_matches_per_delta_reference(self):
+        ds, model, _ = tie_dataset()
+        reports = self.assert_parity(ds, model)
+        assert all(r.H is not None for r in reports)
+
+    def test_empty_test_seen(self):
+        ds, model, _ = tie_dataset(test_seen=False)
+        reports = self.assert_parity(ds, model)
+        assert all(r.S is None and r.H is None and r.U is not None
+                   for r in reports)
+
+    def test_empty_test_unseen(self):
+        ds, model, _ = tie_dataset(test_unseen=False)
+        reports = self.assert_parity(ds, model)
+        assert all(r.T is None and r.U is None and r.H is None
+                   and r.S is not None for r in reports)
+
+    def test_trained_model_parity(self):
+        ds, model = trained_setup(seed=8)
+        self.assert_parity(ds, model)
+
+    def test_stray_label_rejected(self):
+        ds, model, _ = tie_dataset()
+        ds.labels[ds.test_seen_idx[5]] = 99  # mutated past SplitDataset checks
+        with pytest.raises(ValidationError, match="99"):
+            cs_sweep(model, ds, [0.0, 0.5])
