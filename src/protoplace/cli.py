@@ -10,6 +10,7 @@ Exit codes: 0 ok, 2 configuration, 3 missing input, 4 numeric failure,
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import os
@@ -23,28 +24,26 @@ from . import config as cfgmod
 from .data import generate_synthetic, load_dataset_dir, save_dataset
 from .errors import CapacityError, ConfigError, FormatError, ParameterError, \
     ShapeError, TrainingError, UsageError, ValidationError
-from .metrics import cs_sweep, evaluate, prototype_similarity
+from .metrics import cs_sweep, prototype_similarity
 from .prototypes import PrototypeModel, load_model, project_prototypes, save_model, \
     train_prototypes
 from .refine import load_refiner, refine_features, save_refiner, train_sof
 
-CLI_MODES = {
-    "s2v": ("s2v_baseline", False),
-    "ep": ("ep_only", False),
-    "ep-ei": ("ep_ei", False),
-    "full": ("full", True),
-}
+# Every pipeline: its `--mode` name and its ablation-ladder row name (None
+# where it has none), its training mode, and whether stage one (SOF) refines
+# the features first.  The ladder's rows keep this order.
+PIPELINES = (
+    ("s2v", "s2v", "s2v_baseline", False),
+    ("ep", None, "ep_only", False),
+    ("ep-ei", "s2v+ep_ei", "ep_ei", False),
+    (None, "s2v+sof", "s2v_baseline", True),
+    (None, "s2v+sof+ep", "ep_only", True),
+    ("full", "s2v+sof+ep_ei", "full", True),
+)
+MODES = {name: (mode, sof) for name, _, mode, sof in PIPELINES if name}
 
 # `sweep --param` names: the hallucination config keys, plus `n` for n_neighbors.
 SWEEP_PARAMS = {"n_neighbors": "n_neighbors", "n": "n_neighbors", "sigma": "sigma"}
-
-ABLATION_LADDER = [
-    ("s2v", "s2v_baseline", False),
-    ("s2v+ep_ei", "ep_ei", False),
-    ("s2v+sof", "s2v_baseline", True),
-    ("s2v+sof+ep", "ep_only", True),
-    ("s2v+sof+ep_ei", "full", True),
-]
 
 
 def _out_dir(path: str) -> Path:
@@ -121,6 +120,24 @@ def _parse_delta_grid(spec: str | None) -> list[float]:
     return cfgmod.delta_range(*values)
 
 
+def _parse_sweep_values(spec: str, param: str) -> list:
+    """Comma-separated values and inclusive integer ranges such as `0..8`."""
+    tokens = []
+    try:
+        for tok in spec.split(","):
+            tok = tok.strip()
+            if ".." in tok:
+                lo, hi = tok.split("..")
+                tokens.extend(str(v) for v in range(int(lo), int(hi) + 1))
+            elif tok:
+                tokens.append(tok)
+        if param == "n_neighbors":
+            return [int(float(v)) for v in tokens]
+        return [float(v) for v in tokens]
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse --values {spec!r}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # pipeline helpers shared by train / ablate / sweep
 
@@ -142,6 +159,12 @@ def _eval_model(model: PrototypeModel, eval_ds, grid):
     reports, best_delta = cs_sweep(model, eval_ds, grid)
     best = next(r for r in reports if r.delta == best_delta)
     return reports, best
+
+
+def _best_report(ds, cfg: dict, mode_name: str, use_sof: bool, seed: int, grid):
+    """Train one pipeline and sweep it; its report at the best delta."""
+    model, _, _, train_ds = _run_pipeline(ds, cfg, mode_name, use_sof, seed)
+    return _eval_model(model, train_ds, grid)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +189,7 @@ def cmd_train(args, argv) -> int:
     cfg = cfgmod.load_config(args.config)
     ds, data_dir = _load_data(args.data)
     out = _out_dir(args.out)
-    mode_name, use_sof = CLI_MODES[args.mode]
+    mode_name, use_sof = MODES[args.mode]
     model, refiner, sof_trace, _ = _run_pipeline(ds, cfg, mode_name, use_sof,
                                                  cfg["seed"])
     model_dir = out / "model"
@@ -257,12 +280,12 @@ def cmd_ablate(args, argv) -> int:
     grid = cfgmod.delta_grid(cfg)
     seeds = [cfg["seed"] + i for i in range(args.seeds)]
     rows = []
-    for name, mode_name, use_sof in ABLATION_LADDER:
+    for _, name, mode_name, use_sof in PIPELINES:
+        if name is None:
+            continue
         per_seed = {"T": [], "U": [], "S": [], "H": []}
         for seed in seeds:
-            model, refiner, _, train_ds = _run_pipeline(ds, cfg, mode_name,
-                                                        use_sof, seed)
-            _, best = _eval_model(model, train_ds, grid)
+            best = _best_report(ds, cfg, mode_name, use_sof, seed, grid)
             for key, val in (("T", best.T), ("U", best.U), ("S", best.S),
                              ("H", best.H)):
                 per_seed[key].append(val if val is not None else float("nan"))
@@ -302,32 +325,19 @@ def cmd_sweep(args, argv) -> int:
     if param is None:
         raise ConfigError(f"unknown sweep parameter {args.param!r}; expected "
                           f"one of {', '.join(SWEEP_PARAMS)}")
-    tokens = []
-    for tok in args.values.split(","):
-        tok = tok.strip()
-        if ".." in tok:  # inclusive integer range, e.g. 0..8
-            lo, hi = tok.split("..")
-            tokens.extend(str(v) for v in range(int(lo), int(hi) + 1))
-        elif tok:
-            tokens.append(tok)
-    if param == "n_neighbors":
-        values = [int(float(v)) for v in tokens]
-    else:
-        values = [float(v) for v in tokens]
+    values = _parse_sweep_values(args.values, param)
 
     results = []
     for value in values:
-        run_cfg = json.loads(json.dumps(cfg))  # deep copy
-        mode_name, use_sof = CLI_MODES[args.mode]
+        run_cfg = copy.deepcopy(cfg)
+        mode_name, use_sof = MODES[args.mode]
         if param == "n_neighbors" and value == 0:
             mode_name = "s2v_baseline"  # hallucination disabled
         elif param == "sigma" and value <= 0:
             raise ConfigError("sigma values must be positive")
         else:
             run_cfg["hallucination"][param] = value
-        model, _, _, train_ds = _run_pipeline(ds, run_cfg, mode_name, use_sof,
-                                              run_cfg["seed"])
-        _, best = _eval_model(model, train_ds, grid)
+        best = _best_report(ds, run_cfg, mode_name, use_sof, run_cfg["seed"], grid)
         results.append((value, best.T, best.H))
 
     with open(out / "sweep.csv", "w") as f:
@@ -363,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=tuple(CLI_MODES), default="full")
+    p.add_argument("--mode", choices=tuple(MODES), default="full")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate trained model(s)")
@@ -390,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", required=True,
                    help="n_neighbors (alias n) or sigma")
     p.add_argument("--values", required=True, help="comma-separated values")
-    p.add_argument("--mode", choices=tuple(CLI_MODES), default="full")
+    p.add_argument("--mode", choices=tuple(MODES), default="full")
     p.set_defaults(func=cmd_sweep)
     return parser
 

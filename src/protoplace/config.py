@@ -1,63 +1,39 @@
 """Run configuration: a JSON file of nested sections, strictly validated.
 
 Unknown keys are rejected by name before any work starts; omitted keys take
-the defaults below.  A single seed drives every stage; per-stage streams are
-derived from it with fixed labels.
+the defaults of the section's dataclass, collected in DEFAULTS.  A single seed
+drives every stage; per-stage streams are derived from it with fixed labels.
 """
 from __future__ import annotations
 
 import copy
 import json
+from dataclasses import fields
 from pathlib import Path
 
 from .data import SynthConfig
 from .errors import ConfigError
 from .hallucinate import HalluConfig
-from .prototypes import TRAIN_MODES, TrainConfig
+from .prototypes import TrainConfig, train_config_from
 from .refine import SofConfig
+from .rng import DEFAULT_SEED
+
+
+def _defaults(cls) -> dict:
+    """A section's defaults: its dataclass's, less the fields a section does
+    not set (the top-level seed, the train mode, which only the CLI's --mode
+    picks, and the hallucination section)."""
+    return {f.name: f.default for f in fields(cls)
+            if f.name not in ("seed", "mode", "hallucination")}
+
 
 DEFAULTS: dict = {
-    "seed": 0,
-    "synth": {
-        "seen_count": 40,
-        "unseen_count": 10,
-        "attr_dim": 16,
-        "feat_dim": 32,
-        "train_per_class": 100,
-        "test_per_class": 30,
-        "noise_scale": 0.5,
-    },
-    "sof": {
-        "epochs": 10,
-        "learning_rate": 0.01,
-        "momentum": 0.9,
-        "logit_scale": 10.0,
-        "optimizer": "sgd_momentum",
-        "batch_size": 16,
-    },
-    "train": {
-        "epochs": 30,
-        "episodes_per_epoch": None,
-        "m_classes": 20,
-        "n_samples": 4,
-        "learning_rate": 0.001,
-        "optimizer": "adam",
-        "logit_scale": 5.0,
-        "lambda_real": 0.25,
-        "hidden_dim": None,
-        "mode": "full",
-    },
-    "hallucination": {
-        "sigma": 0.2,
-        "n_neighbors": 4,
-        "alpha1": 5.0,
-        "alpha2": 1.0,
-    },
-    "eval": {
-        "delta_start": 0.0,
-        "delta_stop": 1.0,
-        "delta_step": 0.02,
-    },
+    "seed": DEFAULT_SEED,
+    "synth": _defaults(SynthConfig),
+    "sof": _defaults(SofConfig),
+    "train": _defaults(TrainConfig),
+    "hallucination": _defaults(HalluConfig),
+    "eval": {"delta_start": 0.0, "delta_stop": 1.0, "delta_step": 0.02},
 }
 
 
@@ -96,12 +72,9 @@ def validate_config(cfg: dict) -> None:
     try:
         synth_config(cfg)
         sof_config(cfg)
-        hallu_config(cfg)
         train_config(cfg)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg["train"]["mode"] not in TRAIN_MODES:
-        raise ConfigError(f"unknown train.mode {cfg['train']['mode']!r}")
     ev = cfg["eval"]
     if ev["delta_step"] <= 0 or ev["delta_stop"] < ev["delta_start"]:
         raise ConfigError("eval delta grid must ascend with positive step")
@@ -117,17 +90,11 @@ def sof_config(cfg: dict, seed: int | None = None) -> SofConfig:
     return SofConfig(seed=cfg["seed"] if seed is None else seed, **s)
 
 
-def hallu_config(cfg: dict) -> HalluConfig:
-    return HalluConfig(**cfg["hallucination"])
-
-
-def train_config(cfg: dict, mode: str | None = None,
+def train_config(cfg: dict, mode: str = TrainConfig.mode,
                  seed: int | None = None) -> TrainConfig:
-    t = dict(cfg["train"])
-    if mode is not None:
-        t["mode"] = mode
-    return TrainConfig(hallucination=hallu_config(cfg),
-                       seed=cfg["seed"] if seed is None else seed, **t)
+    return train_config_from({**cfg["train"], "hallucination": cfg["hallucination"],
+                              "mode": mode,
+                              "seed": cfg["seed"] if seed is None else seed})
 
 
 def delta_range(start: float, stop: float, step: float) -> list[float]:

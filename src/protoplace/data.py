@@ -5,8 +5,13 @@ On-disk formats
 ---------------
 * Binary matrices: magic ``LPLF``, two little-endian uint32 (rows, cols),
   then rows*cols little-endian float32, row-major.  Bit-exact round trips.
-* CSV features: header ``id,label,f0..f{C-1}``; CSV attributes: header
-  ``class_id,a0..a{D-1}``.  Floats use 9 significant digits.
+* Labels: a one-column binary matrix next to the features
+  (``features.labels.bin``).  float32 holds every id up to 2**24 exactly;
+  saving an id it cannot hold, or loading a value that is not a nonnegative
+  integer, raises FormatError.
+* CSV features: header ``id,label,f0..f{C-1}``, where the ids are the row
+  numbers 0..n-1 in order; CSV attributes: header ``class_id,a0..a{D-1}``.
+  Floats use 9 significant digits.
 * Split file: five lines ``seen:``, ``unseen:``, ``train:``, ``test_seen:``,
   ``test_unseen:``, each followed by space-separated ids on the same line.
 """
@@ -14,14 +19,14 @@ from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CapacityError, FormatError, ParameterError, ValidationError
 from .linalg import as_matrix, require_finite
-from .rng import RngStream
+from .rng import DEFAULT_SEED, RngStream
 
 MAGIC = b"LPLF"
 SPLIT_KEYS = ("seen", "unseen", "train", "test_seen", "test_unseen")
@@ -203,7 +208,7 @@ class SynthConfig:
     train_per_class: int = 100
     test_per_class: int = 30
     noise_scale: float = 0.5
-    seed: int = 0
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         for name in ("seen_count", "unseen_count", "attr_dim", "feat_dim",
@@ -247,6 +252,9 @@ def read_features_csv(path) -> tuple[np.ndarray, np.ndarray]:
             if len(parts) != c + 2:
                 raise FormatError(f"{path}: row {lineno} has {len(parts)} fields, "
                                   f"expected {c + 2}")
+            if parts[0] != str(len(feats)):
+                raise FormatError(f"{path}: row {lineno} has id {parts[0]!r}, "
+                                  f"expected {len(feats)}")
             try:
                 labels.append(int(parts[1]))
                 feats.append([float(p) for p in parts[2:]])
@@ -323,7 +331,21 @@ def _labels_path(features_path: Path) -> Path:
     return features_path.parent / (features_path.stem + ".labels" + features_path.suffix)
 
 
+def _read_labels(path: Path) -> np.ndarray:
+    raw = load_matrix(path).ravel()
+    bad = ~np.isfinite(raw) | (raw < 0) | (raw != np.floor(raw))
+    if np.any(bad):
+        raise FormatError(f"{path}: label {raw[bad][0]} is not a nonnegative "
+                          "integer")
+    return raw.astype(np.int64)
+
+
 def save_dataset(ds: SplitDataset, out_dir, format: str = "binary") -> dict[str, Path]:
+    if format == "binary":
+        inexact = ds.labels[ds.labels.astype(np.float32) != ds.labels]
+        if inexact.size:
+            raise FormatError(f"label {inexact[0]} has no exact float32 form "
+                              "for the label sidecar")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     split_path = out_dir / "split.txt"
@@ -356,8 +378,7 @@ def load_dataset(features_path, attributes_path, split_path,
     features_path = Path(features_path)
     if format == "binary":
         features = load_matrix(features_path)
-        raw_labels = load_matrix(_labels_path(features_path))
-        labels = raw_labels.ravel().astype(np.int64)
+        labels = _read_labels(_labels_path(features_path))
         attributes = load_matrix(attributes_path)
     elif format == "csv":
         features, labels = read_features_csv(features_path)

@@ -23,7 +23,6 @@ class HalluConfig:
     n_neighbors: int = 4      # size of each class's random neighbor subset
     alpha1: float = 5.0       # Beta shape toward original data
     alpha2: float = 1.0
-    similarity: str = "cosine"
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -32,8 +31,6 @@ class HalluConfig:
             raise ParameterError("n_neighbors must be at least 1")
         if self.alpha1 <= 0 or self.alpha2 <= 0:
             raise ParameterError("Beta shapes must be positive")
-        if self.similarity != "cosine":
-            raise ParameterError(f"unknown similarity {self.similarity!r}")
 
 
 @dataclass
@@ -164,17 +161,3 @@ def hallucinate(
     return interpolate(ep, v_prime, a_prime, cfg, rng, weights=pw,
                        force_beta=force_beta)
 
-
-def dump_debug(hep: HallucinatedEpisode, path) -> None:
-    """Structured-text dump of (weights, v', a', betas) for inspection."""
-    with open(path, "w") as f:
-        f.write("# placeholder hallucination debug dump\n")
-        f.write("betas: " + " ".join(format(b, ".9g") for b in hep.betas) + "\n")
-        f.write("chosen:\n")
-        for row in hep.weights.chosen:
-            f.write("  " + " ".join(str(int(j)) for j in row) + "\n")
-        for name, mat in (("weights", hep.weights.w), ("v_prime", hep.v_prime),
-                          ("a_prime", hep.a_prime)):
-            f.write(f"{name}:\n")
-            for row in np.atleast_2d(mat):
-                f.write("  " + " ".join(format(v, ".9g") for v in row) + "\n")

@@ -31,35 +31,6 @@ def require_finite(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return require_finite(a @ b, "matmul result")
-
-
-def cosine_checked(u, v) -> tuple[float, bool]:
-    """Cosine similarity plus a flag marking a zero-norm input.
-
-    Zero-norm inputs yield (0.0, True) instead of NaN.
-    """
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.shape != v.shape:
-        raise ShapeError(f"vector lengths differ: {u.shape[0]} vs {v.shape[0]}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0, True
-    c = float(np.dot(u, v) / (nu * nv))
-    return min(1.0, max(-1.0, c)), False
-
-
-def cosine(u, v) -> float:
-    return cosine_checked(u, v)[0]
-
-
 def softmax(scores, temperature: float = 1.0) -> np.ndarray:
     """Max-stabilized softmax along the last axis; rows sum to 1."""
     if temperature <= 0:

@@ -8,20 +8,30 @@ are never touched during training.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .data import AttributeTable, Episode, SplitDataset, load_matrix, sample_episode, \
     save_matrix
-from .errors import ParameterError, TrainingError, UsageError, ValidationError
+from .errors import FormatError, ParameterError, TrainingError, UsageError, \
+    ValidationError
 from .hallucinate import HalluConfig, HallucinatedEpisode, hallucinate
-from .linalg import MappingNet, OptimizerState, cosine_cross_entropy, net_backward, \
-    net_forward, optimizer_step
-from .rng import RngStream
+from .linalg import ACTIVATIONS, MappingNet, OptimizerState, cosine_cross_entropy, \
+    net_backward, net_forward, optimizer_step
+from .rng import DEFAULT_SEED, RngStream
 
-TRAIN_MODES = ("s2v_baseline", "ep_only", "ep_ei", "full")
+# What an episode does in each training mode: whether it hallucinates
+# placeholder classes, and the Beta forced on them (None: drawn from
+# Beta(alpha1, alpha2)).  `full` trains as `ep_ei` does, on features refined by
+# stage one.
+_PLACEHOLDERS = {
+    "s2v_baseline": (False, None),
+    "ep_only": (True, 0.0),
+    "ep_ei": (True, None),
+    "full": (True, None),
+}
 
 
 @dataclass
@@ -37,7 +47,7 @@ class TrainConfig:
     hallucination: HalluConfig = field(default_factory=HalluConfig)
     mode: str = "full"
     hidden_dim: int | None = None
-    seed: int = 0
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -48,7 +58,7 @@ class TrainConfig:
             raise ParameterError("learning_rate and logit_scale must be positive")
         if self.lambda_real < 0:
             raise ParameterError("lambda_real must be nonnegative")
-        if self.mode not in TRAIN_MODES:
+        if self.mode not in _PLACEHOLDERS:
             raise ParameterError(f"unknown training mode {self.mode!r}")
 
 
@@ -105,15 +115,15 @@ def train_prototypes(ds: SplitDataset, cfg: TrainConfig) -> PrototypeModel:
     if per_epoch is None:
         per_epoch = max(1, int(np.ceil(ds.train_idx.size / (m * n))))
     opt = OptimizerState(mode=cfg.optimizer, learning_rate=cfg.learning_rate)
+    placeholders, force = _PLACEHOLDERS[cfg.mode]
 
     for epoch in range(cfg.epochs):
         epoch_losses = []
         for _ in range(per_epoch):
             ep = sample_episode(ds, m, n, rng_ep)
-            if cfg.mode == "s2v_baseline":
+            if not placeholders:
                 total, grads = real_loss(model, ep, cfg.logit_scale)
             else:
-                force = 0.0 if cfg.mode == "ep_only" else None
                 hep = hallucinate(ep, cfg.hallucination, rng_hal, force_beta=force)
                 p_loss, p_grads = place_loss(model, hep, cfg.logit_scale)
                 total, grads = p_loss, p_grads
@@ -147,8 +157,41 @@ def project_prototypes(
 # ---------------------------------------------------------------------------
 # persistence
 
+FORMAT_VERSION = 1
+# model.json keys besides the TrainConfig fields, and the optional ones that
+# the CLI's `train` adds through `meta`.
+FORMAT_KEYS = ("format_version", "activation", "loss_trace")
+META_KEYS = ("cli_mode", "used_sof")
+
+
+def _require_fields(values, cls, where: str = "") -> None:
+    if not isinstance(values, dict):
+        raise FormatError(f"'{where}' must be an object")
+    prefix = f"{where}." if where else ""
+    names = {f.name for f in fields(cls)}
+    for what, keys in (("unknown", values.keys() - names),
+                       ("missing", names - values.keys())):
+        if keys:
+            raise FormatError(f"{what} key '{prefix}{min(keys)}'")
+
+
+def train_config_from(values: dict) -> TrainConfig:
+    """The TrainConfig whose fields are exactly the keys of `values`, with
+    `hallucination` a dict of exactly the HalluConfig fields.  Config sections
+    and model.json are both read through it.  A missing or unknown key raises
+    FormatError; a value out of range, ParameterError."""
+    _require_fields(values, TrainConfig)
+    _require_fields(values["hallucination"], HalluConfig, "hallucination")
+    return TrainConfig(**{**values,
+                          "hallucination": HalluConfig(**values["hallucination"])})
+
 
 def save_model(model: PrototypeModel, out_dir, meta: dict | None = None) -> None:
+    """Weights as binary matrices, and model.json: the format version, the
+    activation, the loss trace, every TrainConfig field and `meta`."""
+    meta = meta or {}
+    if not meta.keys() <= set(META_KEYS):
+        raise ParameterError(f"model.json meta keys must be among {META_KEYS}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     net = model.net
@@ -156,63 +199,39 @@ def save_model(model: PrototypeModel, out_dir, meta: dict | None = None) -> None
     save_matrix(out_dir / "net_b1.bin", net.b1[None, :])
     save_matrix(out_dir / "net_w2.bin", net.w2)
     save_matrix(out_dir / "net_b2.bin", net.b2[None, :])
-    cfg = model.config
-    manifest = {
-        "activation": net.activation,
-        "in_dim": net.in_dim,
-        "hidden_dim": net.hidden_dim,
-        "out_dim": net.out_dim,
-        "mode": cfg.mode,
-        "seed": cfg.seed,
-        "epochs": cfg.epochs,
-        "m_classes": cfg.m_classes,
-        "n_samples": cfg.n_samples,
-        "learning_rate": cfg.learning_rate,
-        "optimizer": cfg.optimizer,
-        "logit_scale": cfg.logit_scale,
-        "lambda_real": cfg.lambda_real,
-        "hallucination": {
-            "sigma": cfg.hallucination.sigma,
-            "n_neighbors": cfg.hallucination.n_neighbors,
-            "alpha1": cfg.hallucination.alpha1,
-            "alpha2": cfg.hallucination.alpha2,
-        },
-        "loss_trace": model.loss_trace,
-    }
-    manifest.update(meta or {})
+    manifest = {"format_version": FORMAT_VERSION, "activation": net.activation,
+                "loss_trace": model.loss_trace, **asdict(model.config), **meta}
     (out_dir / "model.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
 
 
 def load_model(in_dir) -> tuple[PrototypeModel, dict]:
+    """The model save_model wrote, and its model.json.  Net shapes come from
+    the weight files.  A model.json that is not JSON, has a format_version
+    other than FORMAT_VERSION, or misses or adds a key raises FormatError."""
     in_dir = Path(in_dir)
-    manifest = json.loads((in_dir / "model.json").read_text())
+    path = in_dir / "model.json"
+    try:
+        manifest = json.loads(path.read_text())
+        if not isinstance(manifest, dict) or \
+                manifest.get("format_version") != FORMAT_VERSION:
+            raise FormatError(f"format_version must be {FORMAT_VERSION}")
+        missing = [k for k in FORMAT_KEYS if k not in manifest]
+        if missing:
+            raise FormatError(f"missing key '{missing[0]}'")
+        cfg = train_config_from({k: v for k, v in manifest.items()
+                                 if k not in FORMAT_KEYS + META_KEYS})
+        if manifest["activation"] not in ACTIVATIONS:
+            raise FormatError(f"unknown activation {manifest['activation']!r}")
+        loss_trace = [float(x) for x in manifest["loss_trace"]]
+    except (ValueError, TypeError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     net = MappingNet(
         w1=load_matrix(in_dir / "net_w1.bin"),
         b1=load_matrix(in_dir / "net_b1.bin").ravel(),
         w2=load_matrix(in_dir / "net_w2.bin"),
         b2=load_matrix(in_dir / "net_b2.bin").ravel(),
-        activation=manifest.get("activation", "relu"),
+        activation=manifest["activation"],
     )
-    hal = manifest.get("hallucination", {})
-    cfg = TrainConfig(
-        epochs=manifest.get("epochs", 0),
-        m_classes=manifest.get("m_classes", 20),
-        n_samples=manifest.get("n_samples", 4),
-        learning_rate=manifest.get("learning_rate", 1e-3),
-        optimizer=manifest.get("optimizer", "adam"),
-        logit_scale=manifest.get("logit_scale", 5.0),
-        lambda_real=manifest.get("lambda_real", 0.25),
-        hallucination=HalluConfig(
-            sigma=hal.get("sigma", 0.2),
-            n_neighbors=hal.get("n_neighbors", 4),
-            alpha1=hal.get("alpha1", 5.0),
-            alpha2=hal.get("alpha2", 1.0),
-        ),
-        mode=manifest.get("mode", "full"),
-        seed=manifest.get("seed", 0),
-    )
-    model = PrototypeModel(net=net, config=cfg,
-                           loss_trace=list(manifest.get("loss_trace", [])))
-    return model, manifest
+    return PrototypeModel(net=net, config=cfg, loss_trace=loss_trace), manifest

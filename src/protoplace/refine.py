@@ -16,7 +16,7 @@ import numpy as np
 from .data import AttributeTable, SplitDataset, load_matrix, save_matrix
 from .errors import ParameterError, ShapeError, TrainingError, ValidationError
 from .linalg import OptimizerState, as_matrix, cosine_cross_entropy, optimizer_step
-from .rng import RngStream
+from .rng import DEFAULT_SEED, RngStream
 
 
 @dataclass
@@ -41,7 +41,7 @@ class SofConfig:
     optimizer: str = "sgd_momentum"
     momentum: float = 0.9
     batch_size: int = 16
-    seed: int = 0
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.epochs < 0:

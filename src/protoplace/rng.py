@@ -13,6 +13,9 @@ import numpy as np
 
 from .errors import ParameterError
 
+# The seed of a run whose config names none.
+DEFAULT_SEED = 0
+
 
 class RngStream:
     """Seeded random stream; equal seeds give equal draw sequences on any platform."""

@@ -5,7 +5,8 @@ import pytest
 
 from protoplace.cli import main
 from protoplace.config import DEFAULTS, load_config
-from protoplace.data import load_dataset_dir, save_dataset
+from protoplace.data import load_dataset_dir, load_matrix, save_dataset, \
+    save_matrix
 from protoplace.errors import ConfigError
 
 TINY = {
@@ -69,6 +70,18 @@ class TestConfig:
     def test_out_of_range_value_exits_2(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"hallucination": {"sigma": -1.0}}))
+        assert run("synth", "--config", p, "--out", tmp_path / "d") == 2
+
+    def test_train_mode_is_not_a_config_key(self, tmp_path):
+        # the mode comes from --mode only
+        p = tmp_path / "mode.json"
+        p.write_text(json.dumps({"train": {"mode": "s2v_baseline"}}))
+        with pytest.raises(ConfigError, match="train.mode"):
+            load_config(p)
+
+    def test_wrong_value_type_exits_2(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"train": {"epochs": "3"}}))
         assert run("synth", "--config", p, "--out", tmp_path / "d") == 2
 
 
@@ -207,6 +220,28 @@ class TestEval:
         for f in ("sweep.csv", "report.csv", "similarity_seen.csv"):
             assert (e1 / f).read_bytes() == (e2 / f).read_bytes(), f
 
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.pop("lambda_real"),
+        lambda m: m.update(bogus=1),
+        lambda m: m.pop("format_version"),
+    ], ids=["missing key", "unknown key", "no version"])
+    def test_malformed_model_json_exits_5(self, trained, edit, capsys):
+        tmp_path, cfg, data, model = trained
+        manifest = json.loads((model / "model.json").read_text())
+        edit(manifest)
+        (model / "model.json").write_text(json.dumps(manifest))
+        rc = run("eval", "--model", model, "--data", data, "--out", tmp_path / "e")
+        assert rc == 5
+        assert "model.json" in capsys.readouterr().err
+
+    def test_non_integral_label_exits_5(self, trained):
+        tmp_path, cfg, data, model = trained
+        labels = load_matrix(data / "features.labels.bin")
+        labels[-1, 0] += 0.7  # an unseen test row: truncation would hide it
+        save_matrix(data / "features.labels.bin", labels)
+        rc = run("eval", "--model", model, "--data", data, "--out", tmp_path / "e")
+        assert rc == 5
+
     def test_missing_model_exits_3(self, trained):
         tmp_path, cfg, data, model = trained
         rc = run("eval", "--model", tmp_path / "ghost", "--data", data,
@@ -283,6 +318,15 @@ class TestSweep:
                    "ep-ei") == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert [l.split(",")[0] for l in lines[1:]] == ["0.1", "0.5"]
+
+    @pytest.mark.parametrize("values", ["x", "1..2..3", "a..3"])
+    def test_unparsable_values_exit_2(self, workdir, values, capsys):
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        rc = run("sweep", "--config", cfg, "--data", data, "--out",
+                 tmp_path / "s", "--param", "n", "--values", values)
+        assert rc == 2
+        assert "--values" in capsys.readouterr().err
 
     def test_unknown_param_exits_2(self, workdir):
         tmp_path, cfg = workdir

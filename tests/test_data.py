@@ -130,6 +130,37 @@ class TestDatasetIO:
             load_dataset(paths["features"], paths["attributes"], paths["split"],
                          format="csv")
 
+    @pytest.mark.parametrize("bad_id", ["999", "abc", "1", ""])
+    def test_features_csv_ids_are_row_numbers(self, tmp_path, bad_id):
+        paths = save_dataset(tiny_dataset(), tmp_path, format="csv")
+        lines = paths["features"].read_text().splitlines()
+        lines[1] = bad_id + "," + lines[1].split(",", 1)[1]
+        paths["features"].write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="row 2 has id"):
+            load_dataset(paths["features"], paths["attributes"], paths["split"],
+                         format="csv")
+
+    def test_label_past_float32_precision_rejected_on_save(self, tmp_path):
+        ds = tiny_dataset()
+        # float32 rounds 2**24 + 1 to 2**24; the dataset checks run at
+        # construction only, so the label is set afterwards
+        ds.labels[3] = 2**24 + 1
+        with pytest.raises(FormatError, match="16777217"):
+            save_dataset(ds, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("row,bad", [(3, 2.7), (2, 1.5), (2, -1.0),
+                                         (2, float("nan")), (2, float("inf"))])
+    def test_label_that_is_not_a_class_id_rejected_on_load(self, tmp_path, row,
+                                                           bad):
+        ds = tiny_dataset()
+        save_dataset(ds, tmp_path)
+        labels = ds.labels.astype(np.float64)
+        labels[row] = bad
+        save_matrix(tmp_path / "features.labels.bin", labels[:, None])
+        with pytest.raises(FormatError, match="not a nonnegative integer"):
+            load_dataset_dir(tmp_path)
+
 
 class TestValidation:
     def test_overlapping_splits_rejected(self):

@@ -8,7 +8,6 @@ from protoplace.errors import ParameterError
 from protoplace.hallucinate import (
     HalluConfig,
     class_centroids,
-    dump_debug,
     hallucinate,
     interpolate,
     propagate,
@@ -236,14 +235,6 @@ class TestHallucinate:
                 assert np.linalg.norm(a @ coeff - b) < 1e-9
                 assert np.all(coeff > -1e-9)
                 assert abs(coeff.sum() - 1.0) < 1e-9
-
-    def test_debug_dump(self, tmp_path):
-        ep = random_episode(14, m=4)
-        hep = hallucinate(ep, HalluConfig(n_neighbors=2), RngStream(1))
-        path = tmp_path / "debug.txt"
-        dump_debug(hep, path)
-        text = path.read_text()
-        assert "betas:" in text and "weights:" in text
 
 
 class TestHalluConfig:

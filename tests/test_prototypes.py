@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from protoplace.data import AttributeTable, SplitDataset, SynthConfig, \
     generate_synthetic, sample_episode
-from protoplace.errors import ParameterError, TrainingError, UsageError, \
-    ValidationError
+from protoplace.errors import FormatError, ParameterError, TrainingError, \
+    UsageError, ValidationError
 from protoplace.hallucinate import HalluConfig, hallucinate
 from protoplace.linalg import MappingNet, net_forward
 from protoplace.prototypes import PrototypeModel, TrainConfig, load_model, \
@@ -233,6 +234,44 @@ class TestModelIO:
         p2 = project_prototypes(loaded, ds.attributes, ds.unseen_classes)
         # float32 storage bounds the round-trip drift
         assert np.max(np.abs(p1 - p2)) < 1e-5
+
+    def test_round_trip_keeps_every_config_field(self, tmp_path):
+        ds = bench(seed=18)
+        model = train_prototypes(ds, small_cfg(hidden_dim=7, episodes_per_epoch=3,
+                                               lambda_real=0.5, seed=4))
+        save_model(model, tmp_path)
+        loaded, _ = load_model(tmp_path)
+        assert loaded.config == model.config
+        assert loaded.net.hidden_dim == 7
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.pop("lambda_real"),
+        lambda m: m.pop("hallucination"),
+        lambda m: m["hallucination"].pop("alpha1"),
+        lambda m: m.update(temperature=1.0),
+        lambda m: m["hallucination"].update(similarity="cosine"),
+        lambda m: m.pop("format_version"),
+        lambda m: m.update(format_version=2),
+        lambda m: m.pop("loss_trace"),
+        lambda m: m.update(epochs="two"),
+        lambda m: m.update(activation="tanh"),
+    ], ids=["missing", "missing section", "missing in section", "unknown",
+            "unknown in section", "no version", "other version",
+            "no loss trace", "wrong type", "unknown activation"])
+    def test_model_json_is_strict(self, tmp_path, edit):
+        model = train_prototypes(bench(seed=19), small_cfg())
+        save_model(model, tmp_path)
+        path = tmp_path / "model.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="model.json"):
+            load_model(tmp_path)
+
+    def test_unknown_meta_key_rejected(self, tmp_path):
+        model = PrototypeModel(net=MappingNet.init(4, 6), config=small_cfg())
+        with pytest.raises(ParameterError):
+            save_model(model, tmp_path, meta={"note": "x"})
 
 
 class TestTrainConfig:
