@@ -13,7 +13,6 @@ import argparse
 import copy
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -48,9 +47,6 @@ SWEEP_PARAMS = {"n_neighbors": "n_neighbors", "n": "n_neighbors", "sigma": "sigm
 
 def _out_dir(path: str) -> Path:
     p = Path(path)
-    root = os.environ.get("PROTOPLACE_OUT_ROOT")
-    if root and not p.is_absolute():
-        p = Path(root) / p
     p.mkdir(parents=True, exist_ok=True)
     return p
 
@@ -131,11 +127,14 @@ def _parse_sweep_values(spec: str, param: str) -> list:
                 tokens.extend(str(v) for v in range(int(lo), int(hi) + 1))
             elif tok:
                 tokens.append(tok)
-        if param == "n_neighbors":
-            return [int(float(v)) for v in tokens]
-        return [float(v) for v in tokens]
+        values = [float(v) for v in tokens]
     except ValueError as exc:
         raise ConfigError(f"cannot parse --values {spec!r}: {exc}") from exc
+    if param != "n_neighbors":
+        return values
+    if not all(v.is_integer() for v in values):
+        raise ConfigError(f"--values {spec!r}: n_neighbors takes whole numbers")
+    return [int(v) for v in values]
 
 
 # ---------------------------------------------------------------------------

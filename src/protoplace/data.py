@@ -10,7 +10,8 @@ On-disk formats
   saving an id it cannot hold, or loading a value that is not a nonnegative
   integer, raises FormatError.
 * CSV features: header ``id,label,f0..f{C-1}``, where the ids are the row
-  numbers 0..n-1 in order; CSV attributes: header ``class_id,a0..a{D-1}``.
+  numbers 0..n-1 in order; CSV attributes: header ``class_id,a0..a{D-1}``,
+  where the class ids are 0..L-1 in order.
   Floats use 9 significant digits.
 * Split file: five lines ``seen:``, ``unseen:``, ``train:``, ``test_seen:``,
   ``test_unseen:``, each followed by space-separated ids on the same line.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import struct
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -170,12 +172,13 @@ class SplitDataset:
     def attr_dim(self) -> int:
         return self.attributes.dim
 
-    def train_indices_by_class(self) -> dict[int, np.ndarray]:
-        out: dict[int, np.ndarray] = {}
+    @cached_property
+    def train_pools(self) -> dict[int, np.ndarray]:
+        """Each seen class's ascending train indices, by ascending class id;
+        built once, on first use, so the index fields must not change after."""
         labels = self.labels[self.train_idx]
-        for c in self.seen_classes:
-            out[int(c)] = np.sort(self.train_idx[labels == c])
-        return out
+        return {int(c): np.sort(self.train_idx[labels == c])
+                for c in self.seen_classes}
 
 
 @dataclass(frozen=True)
@@ -286,6 +289,9 @@ def read_attributes_csv(path) -> np.ndarray:
             if len(parts) != d + 1:
                 raise FormatError(f"{path}: row {lineno} has {len(parts)} fields, "
                                   f"expected {d + 1}")
+            if parts[0] != str(len(rows)):
+                raise FormatError(f"{path}: row {lineno} has class_id "
+                                  f"{parts[0]!r}, expected {len(rows)}")
             try:
                 rows.append([float(p) for p in parts[1:]])
             except ValueError as exc:
@@ -415,10 +421,9 @@ def load_dataset_dir(data_dir, format: str = "binary") -> SplitDataset:
 
 def sample_episode(ds: SplitDataset, m: int, n: int, rng: RngStream) -> Episode:
     """M distinct seen classes, N train samples each, both without replacement."""
-    by_class = ds.train_indices_by_class()
-    eligible = np.asarray(
-        [c for c in sorted(by_class) if by_class[c].size >= n], dtype=np.int64
-    )
+    pools = ds.train_pools
+    eligible = np.asarray([c for c, pool in pools.items() if pool.size >= n],
+                          dtype=np.int64)
     if m > eligible.size:
         raise CapacityError(
             f"requested {m} classes with at least {n} train samples, "
@@ -427,7 +432,7 @@ def sample_episode(ds: SplitDataset, m: int, n: int, rng: RngStream) -> Episode:
     class_ids = eligible[rng.choice_without_replacement(eligible.size, m)]
     sample_idx = np.empty((m, n), dtype=np.int64)
     for row, c in enumerate(class_ids):
-        pool = by_class[int(c)]
+        pool = pools[int(c)]
         sample_idx[row] = pool[rng.choice_without_replacement(pool.size, n)]
     visual = ds.features[sample_idx.ravel()]
     semantic = ds.attributes.rows(class_ids)

@@ -56,11 +56,9 @@ def class_centroids(ep: Episode) -> np.ndarray:
 
 def _offdiag_softmax(sim: np.ndarray, sigma: float) -> np.ndarray:
     m = sim.shape[0]
+    off = ~np.eye(m, dtype=bool)
     w = np.zeros((m, m))
-    idx = np.arange(m)
-    for i in range(m):
-        mask = idx != i
-        w[i, mask] = softmax(sim[i, mask], sigma)
+    w[off] = softmax(sim[off].reshape(m, m - 1), sigma).ravel()
     return w
 
 
@@ -79,15 +77,14 @@ def propagation_weights(
     w_a = _offdiag_softmax(sim_a, cfg.sigma)
     w = (w_v + w_a) / 2.0
 
-    idx = np.arange(m)
-    chosen = np.empty((m, cfg.n_neighbors), dtype=np.int64)
+    # one draw per row over its m - 1 other classes: draw k is class k + (k >= row)
+    rows = np.arange(m)[:, None]
+    pick = np.stack([rng.choice_without_replacement(m - 1, cfg.n_neighbors)
+                     for _ in range(m)])
+    chosen = np.sort(pick + (pick >= rows), axis=1)
     masked = np.zeros_like(w)
-    for i in range(m):
-        others = idx[idx != i]
-        pick = others[rng.choice_without_replacement(m - 1, cfg.n_neighbors)]
-        chosen[i] = np.sort(pick)
-        masked[i, chosen[i]] = w[i, chosen[i]]
-        masked[i] /= masked[i].sum()
+    masked[rows, chosen] = w[rows, chosen]
+    masked /= masked.sum(axis=1, keepdims=True)
     return PropagationWeights(w=masked, chosen=chosen)
 
 
@@ -127,20 +124,13 @@ def interpolate(
             [beta_sample(rng, cfg.alpha1, cfg.alpha2) for _ in range(m)]
         )
 
-    visual = np.empty_like(ep.visual)
-    semantic = np.empty_like(ep.semantic)
-    v3 = ep.visual.reshape(m, n, -1)
-    for i in range(m):
-        b = betas[i]
-        if b == 1.0:  # exact endpoints stay bitwise equal to their source
-            visual.reshape(m, n, -1)[i] = v3[i]
-            semantic[i] = ep.semantic[i]
-        elif b == 0.0:
-            visual.reshape(m, n, -1)[i] = v_prime[i]
-            semantic[i] = a_prime[i]
-        else:
-            visual.reshape(m, n, -1)[i] = b * v3[i] + (1.0 - b) * v_prime[i]
-            semantic[i] = b * ep.semantic[i] + (1.0 - b) * a_prime[i]
+    # per class b * x + (1 - b) * x'; exactly x at b = 1, x' at b = 0 (but for
+    # the sign of a zero)
+    b = betas[:, None, None]
+    visual = (b * ep.visual.reshape(m, n, -1)
+              + (1.0 - b) * v_prime[:, None, :]).reshape(ep.visual.shape)
+    b = betas[:, None]
+    semantic = b * ep.semantic + (1.0 - b) * a_prime
     if weights is None:
         weights = PropagationWeights(
             w=np.zeros((m, m)), chosen=np.empty((m, 0), dtype=np.int64)

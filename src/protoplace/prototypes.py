@@ -52,6 +52,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ParameterError("epochs must be nonnegative")
+        if self.episodes_per_epoch is not None and self.episodes_per_epoch < 1:
+            raise ParameterError("episodes_per_epoch must be at least 1")
         if self.m_classes < 1 or self.n_samples < 1:
             raise ParameterError("episode sizes must be positive")
         if self.learning_rate <= 0 or self.logit_scale <= 0:

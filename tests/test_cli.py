@@ -151,6 +151,19 @@ class TestTrain:
         assert rc == 4
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_zero_episodes_per_epoch_exits_2(self, workdir, capsys):
+        # no episode would run, leaving a NaN final loss
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        bad = tmp_path / "zero_episodes.json"
+        bad.write_text(json.dumps({**TINY, "train": {**TINY["train"],
+                                                     "episodes_per_epoch": 0}}))
+        rc = run("train", "--config", bad, "--data", data,
+                 "--out", tmp_path / "out", "--mode", "s2v")
+        assert rc == 2
+        assert "episodes_per_epoch" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_missing_data_exits_3(self, workdir, capsys):
         tmp_path, cfg = workdir
         rc = run("train", "--config", cfg, "--data", tmp_path / "nope",
@@ -327,6 +340,30 @@ class TestSweep:
                  tmp_path / "s", "--param", "n", "--values", values)
         assert rc == 2
         assert "--values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", ["2.5", "1,2.5", "inf"])
+    def test_fractional_neighbor_count_exits_2(self, workdir, values, capsys):
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        rc = run("sweep", "--config", cfg, "--data", data, "--out",
+                 tmp_path / "s", "--param", "n", "--values", values)
+        assert rc == 2
+        assert "whole number" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "sweep.csv").exists()
+
+    def test_whole_neighbor_counts_keep_their_output(self, workdir):
+        # `2.0` is the whole number 2: same sweep rows as `2`
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        outs = []
+        for values in ("1..2", "1,2.0"):
+            out = tmp_path / f"sweep_{values}"
+            assert run("sweep", "--config", cfg, "--data", data, "--out", out,
+                       "--param", "n", "--values", values, "--mode",
+                       "ep-ei") == 0
+            outs.append((out / "sweep.csv").read_bytes())
+        assert outs[0] == outs[1]
+        assert outs[0].decode().splitlines()[1].startswith("1,")
 
     def test_unknown_param_exits_2(self, workdir):
         tmp_path, cfg = workdir

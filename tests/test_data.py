@@ -140,6 +140,21 @@ class TestDatasetIO:
             load_dataset(paths["features"], paths["attributes"], paths["split"],
                          format="csv")
 
+    @pytest.mark.parametrize("edit", ["abc", "swap"])
+    def test_attributes_csv_class_ids_are_row_numbers(self, tmp_path, edit):
+        paths = save_dataset(tiny_dataset(), tmp_path, format="csv")
+        lines = paths["attributes"].read_text().splitlines()
+        rows = [line.split(",", 1) for line in lines[1:]]
+        if edit == "abc":
+            rows[0][0] = "abc"
+        else:  # ids 1, 0, 2 on rows 0, 1, 2
+            rows[0][0], rows[1][0] = rows[1][0], rows[0][0]
+        lines[1:] = [",".join(r) for r in rows]
+        paths["attributes"].write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="row 2 has class_id"):
+            load_dataset(paths["features"], paths["attributes"], paths["split"],
+                         format="csv")
+
     def test_label_past_float32_precision_rejected_on_save(self, tmp_path):
         ds = tiny_dataset()
         # float32 rounds 2**24 + 1 to 2**24; the dataset checks run at
@@ -219,6 +234,43 @@ class TestSampleEpisode:
     def test_capacity_error_states_deficit(self, bench):
         with pytest.raises(CapacityError, match="short by 2"):
             sample_episode(bench, bench.seen_classes.size + 2, 4, RngStream(0))
+
+    def test_matches_pools_rebuilt_per_episode(self, bench):
+        # reference: every seen class's pool rebuilt on each call, same draws
+        def reference(ds, m, n, rng):
+            labels = ds.labels[ds.train_idx]
+            pools = {int(c): np.sort(ds.train_idx[labels == c])
+                     for c in ds.seen_classes}
+            eligible = np.asarray([c for c in sorted(pools)
+                                   if pools[c].size >= n], dtype=np.int64)
+            class_ids = eligible[rng.choice_without_replacement(eligible.size, m)]
+            sample_idx = np.stack([
+                pools[int(c)][rng.choice_without_replacement(pools[int(c)].size, n)]
+                for c in class_ids])
+            return class_ids, sample_idx
+
+        rng, ref_rng = RngStream(5), RngStream(5)
+        for m, n in [(20, 4), (40, 100), (1, 1), (7, 3)] * 3:
+            ep = sample_episode(bench, m, n, rng)
+            class_ids, sample_idx = reference(bench, m, n, ref_rng)
+            assert ep.class_ids.tobytes() == class_ids.tobytes()
+            assert ep.sample_idx.tobytes() == sample_idx.tobytes()
+            assert ep.visual.tobytes() == bench.features[sample_idx.ravel()].tobytes()
+
+    def test_pools_built_once(self):
+        ds = generate_synthetic(SynthConfig(seen_count=5, unseen_count=2,
+                                            attr_dim=3, feat_dim=4,
+                                            train_per_class=4, test_per_class=2,
+                                            noise_scale=0.1, seed=8))
+        pools = ds.train_pools
+        sample_episode(ds, 3, 2, RngStream(0))
+        assert ds.train_pools is pools
+        assert list(pools) == ds.seen_classes.tolist()
+        for c, pool in pools.items():
+            assert np.all(np.diff(pool) > 0)
+            assert np.all(ds.labels[pool] == c)
+            assert np.isin(pool, ds.train_idx).all()
+        assert sum(pool.size for pool in pools.values()) == ds.train_idx.size
 
     def test_coverage_over_many_draws(self):
         ds = generate_synthetic(SynthConfig(seen_count=5, unseen_count=2,

@@ -13,7 +13,8 @@ from protoplace.hallucinate import (
     propagate,
     propagation_weights,
 )
-from protoplace.rng import RngStream
+from protoplace.linalg import pairwise_cosine, softmax
+from protoplace.rng import RngStream, beta_sample
 
 
 def make_episode(visual_classes, semantic, n=1):
@@ -235,6 +236,105 @@ class TestHallucinate:
                 assert np.linalg.norm(a @ coeff - b) < 1e-9
                 assert np.all(coeff > -1e-9)
                 assert abs(coeff.sum() - 1.0) < 1e-9
+
+
+# Reference forms: one Python loop per row or class, with the same RNG draws
+# in the same order.  The package's whole-matrix forms must equal them bit
+# for bit.
+
+
+def reference_propagation_weights(ep, cfg, rng):
+    m = ep.m_classes
+    idx = np.arange(m)
+
+    def offdiag_softmax(sim):
+        w = np.zeros((m, m))
+        for i in range(m):
+            mask = idx != i
+            w[i, mask] = softmax(sim[i, mask], cfg.sigma)
+        return w
+
+    w = (offdiag_softmax(pairwise_cosine(class_centroids(ep)))
+         + offdiag_softmax(pairwise_cosine(ep.semantic))) / 2.0
+    chosen = np.empty((m, cfg.n_neighbors), dtype=np.int64)
+    masked = np.zeros_like(w)
+    for i in range(m):
+        others = idx[idx != i]
+        pick = others[rng.choice_without_replacement(m - 1, cfg.n_neighbors)]
+        chosen[i] = np.sort(pick)
+        masked[i, chosen[i]] = w[i, chosen[i]]
+        masked[i] /= masked[i].sum()
+    return masked, chosen
+
+
+def reference_interpolate(ep, v_prime, a_prime, cfg, rng, force_beta):
+    m, n = ep.m_classes, ep.n_samples
+    if force_beta is not None:
+        betas = np.full(m, float(force_beta))
+    else:
+        betas = np.asarray(
+            [beta_sample(rng, cfg.alpha1, cfg.alpha2) for _ in range(m)]
+        )
+    visual = np.empty_like(ep.visual)
+    semantic = np.empty_like(ep.semantic)
+    v3 = ep.visual.reshape(m, n, -1)
+    for i in range(m):
+        b = betas[i]
+        if b == 1.0:
+            visual.reshape(m, n, -1)[i] = v3[i]
+            semantic[i] = ep.semantic[i]
+        elif b == 0.0:
+            visual.reshape(m, n, -1)[i] = v_prime[i]
+            semantic[i] = a_prime[i]
+        else:
+            visual.reshape(m, n, -1)[i] = b * v3[i] + (1.0 - b) * v_prime[i]
+            semantic[i] = b * ep.semantic[i] + (1.0 - b) * a_prime[i]
+    return visual, semantic, betas
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+MS = (2, 3, 5, 8, 20)
+
+
+class TestReferenceParity:
+    @pytest.mark.parametrize("m", MS)
+    @pytest.mark.parametrize("sigma", (1e-3, 0.2, 1e6))
+    def test_propagation_weights(self, m, sigma):
+        for seed in range(4):
+            ep = random_episode(100 + seed, m=m, n=3)
+            for n_neighbors in sorted({1, (m + 1) // 2, m - 1}):
+                cfg = HalluConfig(sigma=sigma, n_neighbors=n_neighbors)
+                rng, ref_rng = RngStream(seed), RngStream(seed)
+                for _ in range(3):  # later draws continue the same stream
+                    # at sigma = 1e-3 a row's chosen weights can all underflow
+                    # to 0; both forms then divide 0 by 0 into the same NaNs
+                    with np.errstate(invalid="ignore"):
+                        pw = propagation_weights(ep, cfg, rng)
+                        w, chosen = reference_propagation_weights(ep, cfg,
+                                                                  ref_rng)
+                    assert same_bytes(pw.w, w)
+                    assert same_bytes(pw.chosen, chosen)
+
+    @pytest.mark.parametrize("m", MS)
+    @pytest.mark.parametrize("force_beta", (None, 0.0, 0.5, 1.0))
+    def test_interpolate(self, m, force_beta):
+        cfg = HalluConfig(n_neighbors=min(2, m - 1))
+        for seed in range(4):
+            ep = random_episode(200 + seed, m=m, n=3)
+            v_prime, a_prime = propagate(
+                ep, propagation_weights(ep, cfg, RngStream(seed)))
+            rng, ref_rng = RngStream(seed), RngStream(seed)
+            for _ in range(3):
+                hep = interpolate(ep, v_prime, a_prime, cfg, rng,
+                                  force_beta=force_beta)
+                visual, semantic, betas = reference_interpolate(
+                    ep, v_prime, a_prime, cfg, ref_rng, force_beta)
+                assert same_bytes(hep.visual, visual)
+                assert same_bytes(hep.semantic, semantic)
+                assert same_bytes(hep.betas, betas)
 
 
 class TestHalluConfig:
