@@ -18,6 +18,7 @@ On-disk formats
 """
 from __future__ import annotations
 
+import itertools
 import struct
 import warnings
 from dataclasses import dataclass
@@ -26,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CapacityError, FormatError, ParameterError, ValidationError
+from .errors import CapacityError, FormatError, ParameterError, ValidationError, \
+    require_ints
 from .linalg import as_matrix, require_finite
 from .rng import DEFAULT_SEED, RngStream
 
@@ -180,6 +182,15 @@ class SplitDataset:
         return {int(c): np.sort(self.train_idx[labels == c])
                 for c in self.seen_classes}
 
+    @cached_property
+    def _packed_pools(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """train_pools as arrays aligned with seen_classes: each pool's size,
+        its start in the concatenation, and the pools concatenated."""
+        pools = list(self.train_pools.values())
+        sizes = np.asarray([pool.size for pool in pools], dtype=np.int64)
+        flat = np.concatenate(pools) if pools else np.empty(0, dtype=np.int64)
+        return sizes, np.cumsum(sizes) - sizes, flat
+
 
 @dataclass(frozen=True)
 class Episode:
@@ -214,8 +225,10 @@ class SynthConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        for name in ("seen_count", "unseen_count", "attr_dim", "feat_dim",
-                     "train_per_class", "test_per_class"):
+        counts = ("seen_count", "unseen_count", "attr_dim", "feat_dim",
+                  "train_per_class", "test_per_class")
+        require_ints(self, *counts, "seed")
+        for name in counts:
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be at least 1")
         if self.noise_scale < 0:
@@ -420,20 +433,27 @@ def load_dataset_dir(data_dir, format: str = "binary") -> SplitDataset:
 
 
 def sample_episode(ds: SplitDataset, m: int, n: int, rng: RngStream) -> Episode:
-    """M distinct seen classes, N train samples each, both without replacement."""
-    pools = ds.train_pools
-    eligible = np.asarray([c for c, pool in pools.items() if pool.size >= n],
-                          dtype=np.int64)
+    """M distinct seen classes, N train samples each, both without replacement.
+
+    The classes are one draw; the samples are one batched draw per run of
+    consecutive chosen classes with equal pool sizes, which equals one draw
+    per class in row order (see RngStream.choices_without_replacement)."""
+    sizes, starts, flat = ds._packed_pools
+    eligible = np.flatnonzero(sizes >= n)
     if m > eligible.size:
         raise CapacityError(
             f"requested {m} classes with at least {n} train samples, "
             f"only {eligible.size} available (short by {m - eligible.size})"
         )
-    class_ids = eligible[rng.choice_without_replacement(eligible.size, m)]
-    sample_idx = np.empty((m, n), dtype=np.int64)
-    for row, c in enumerate(class_ids):
-        pool = pools[int(c)]
-        sample_idx[row] = pool[rng.choice_without_replacement(pool.size, n)]
+    chosen = eligible[rng.choice_without_replacement(eligible.size, m)]
+    class_ids = ds.seen_classes[chosen]
+    picks = np.empty((m, n), dtype=np.int64)
+    lo = 0
+    for size, run in itertools.groupby(sizes[chosen].tolist()):
+        hi = lo + sum(1 for _ in run)
+        picks[lo:hi] = rng.choices_without_replacement(hi - lo, size, n)
+        lo = hi
+    sample_idx = flat[starts[chosen][:, None] + picks]
     visual = ds.features[sample_idx.ravel()]
     semantic = ds.attributes.rows(class_ids)
     local = np.repeat(np.arange(m, dtype=np.int64), n)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of the
+config dataclasses."""
+import numbers
 
 
 class ShapeError(ValueError):
@@ -31,3 +33,13 @@ class UsageError(RuntimeError):
 
 class TrainingError(RuntimeError):
     """Training diverged (non-finite loss)."""
+
+
+def require_ints(obj, *names: str) -> None:
+    """ParameterError unless each named field of `obj` is an integer or None;
+    a float (even 2.0) or a bool is rejected, not truncated."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and (isinstance(value, bool)
+                                  or not isinstance(value, numbers.Integral)):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Episode
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, require_ints
 from .linalg import pairwise_cosine, softmax
 from .rng import RngStream, beta_sample
 
@@ -25,6 +25,7 @@ class HalluConfig:
     alpha2: float = 1.0
 
     def __post_init__(self):
+        require_ints(self, "n_neighbors")
         if self.sigma <= 0:
             raise ParameterError("sigma must be positive")
         if self.n_neighbors < 1:
@@ -62,10 +63,30 @@ def _offdiag_softmax(sim: np.ndarray, sigma: float) -> np.ndarray:
     return w
 
 
+def _log_space_rows(sim_v, sim_a, rows, chosen, sigma) -> np.ndarray:
+    """The listed rows of the masked, renormalised weights, computed in log
+    space: over each row's chosen neighbours, the softmax of
+    logaddexp(log w_v, log w_a) (the halving cancels).  Equal to the
+    direct form up to rounding, and finite where every chosen weight of the
+    direct form underflows to 0."""
+    def chosen_log_weights(sim):
+        z = sim[rows] / sigma
+        z[np.arange(rows.size), rows] = -np.inf  # no self-neighbour
+        z -= z.max(axis=1, keepdims=True)
+        z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+        return np.take_along_axis(z, chosen[rows], axis=1)
+
+    return softmax(np.logaddexp(chosen_log_weights(sim_v),
+                                chosen_log_weights(sim_a)))
+
+
 def propagation_weights(
     ep: Episode, cfg: HalluConfig, rng: RngStream
 ) -> PropagationWeights:
-    """Harmonized softmax neighbor weights, masked to a random subset per row."""
+    """Harmonized softmax neighbor weights, masked to a random subset per row.
+
+    A row whose chosen weights all underflow to 0 (small sigma) is computed
+    in log space instead of dividing 0 by 0."""
     m = ep.m_classes
     if cfg.n_neighbors > m - 1:
         raise ParameterError(
@@ -79,12 +100,17 @@ def propagation_weights(
 
     # one draw per row over its m - 1 other classes: draw k is class k + (k >= row)
     rows = np.arange(m)[:, None]
-    pick = np.stack([rng.choice_without_replacement(m - 1, cfg.n_neighbors)
-                     for _ in range(m)])
+    pick = rng.choices_without_replacement(m, m - 1, cfg.n_neighbors)
     chosen = np.sort(pick + (pick >= rows), axis=1)
     masked = np.zeros_like(w)
     masked[rows, chosen] = w[rows, chosen]
-    masked /= masked.sum(axis=1, keepdims=True)
+    total = masked.sum(axis=1, keepdims=True)
+    zero = np.flatnonzero(total == 0)
+    total[zero] = 1.0
+    masked /= total
+    if zero.size:
+        masked[zero[:, None], chosen[zero]] = _log_space_rows(
+            sim_v, sim_a, zero, chosen, cfg.sigma)
     return PropagationWeights(w=masked, chosen=chosen)
 
 
@@ -120,9 +146,7 @@ def interpolate(
             raise ParameterError("forced beta must lie in [0, 1]")
         betas = np.full(m, float(force_beta))
     else:
-        betas = np.asarray(
-            [beta_sample(rng, cfg.alpha1, cfg.alpha2) for _ in range(m)]
-        )
+        betas = beta_sample(rng, cfg.alpha1, cfg.alpha2, size=m)
 
     # per class b * x + (1 - b) * x'; exactly x at b = 1, x' at b = 0 (but for
     # the sign of a zero)

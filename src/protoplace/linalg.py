@@ -210,9 +210,10 @@ def cosine_cross_entropy(
     gl = np.exp(logp)
     gl[idx, t] -= 1.0
     gl *= scale / b  # d loss / d cos
-    row_dot = (gl * cos).sum(axis=1, keepdims=True)
+    gl_cos = gl * cos
+    row_dot = gl_cos.sum(axis=1, keepdims=True)
     gq = (gl @ rh - row_dot * qh) / qn[:, None]
-    col_dot = (gl * cos).sum(axis=0)[:, None]
+    col_dot = gl_cos.sum(axis=0)[:, None]
     gr = (gl.T @ qh - col_dot * rh) / rn[:, None]
     return loss, gq, gr
 
@@ -245,6 +246,14 @@ class OptimizerState:
             raise ParameterError("adam epsilon must be positive")
 
 
+def _buffer(state: OptimizerState, key: str, like: np.ndarray) -> np.ndarray:
+    """The state's buffer `key`, made as zeros shaped like `like` on first use."""
+    buf = state.buffers.get(key)
+    if buf is None:
+        buf = state.buffers[key] = np.zeros_like(like)
+    return buf
+
+
 def optimizer_step(
     state: OptimizerState, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]
 ) -> dict[str, np.ndarray]:
@@ -260,13 +269,13 @@ def optimizer_step(
     for name, p in params.items():
         g = np.asarray(grads[name], dtype=np.float64)
         if state.mode == "sgd_momentum":
-            v = state.buffers.setdefault(f"v_{name}", np.zeros_like(p))
+            v = _buffer(state, f"v_{name}", p)
             v *= state.momentum
             v -= lr * g
             p += v
         else:
-            m = state.buffers.setdefault(f"m_{name}", np.zeros_like(p))
-            v = state.buffers.setdefault(f"v_{name}", np.zeros_like(p))
+            m = _buffer(state, f"m_{name}", p)
+            v = _buffer(state, f"v_{name}", p)
             b1, b2 = state.adam_beta1, state.adam_beta2
             m *= b1
             m += (1.0 - b1) * g

@@ -16,7 +16,7 @@ import numpy as np
 from .data import AttributeTable, Episode, SplitDataset, load_matrix, sample_episode, \
     save_matrix
 from .errors import FormatError, ParameterError, TrainingError, UsageError, \
-    ValidationError
+    ValidationError, require_ints
 from .hallucinate import HalluConfig, HallucinatedEpisode, hallucinate
 from .linalg import ACTIVATIONS, MappingNet, OptimizerState, cosine_cross_entropy, \
     net_backward, net_forward, optimizer_step
@@ -50,6 +50,8 @@ class TrainConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        require_ints(self, "epochs", "episodes_per_epoch", "m_classes", "n_samples",
+                     "hidden_dim", "seed")
         if self.epochs < 0:
             raise ParameterError("epochs must be nonnegative")
         if self.episodes_per_epoch is not None and self.episodes_per_epoch < 1:

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import AttributeTable, SplitDataset, load_matrix, save_matrix
-from .errors import ParameterError, ShapeError, TrainingError, ValidationError
+from .errors import ParameterError, ShapeError, TrainingError, ValidationError, \
+    require_ints
 from .linalg import OptimizerState, as_matrix, cosine_cross_entropy, optimizer_step
 from .rng import DEFAULT_SEED, RngStream
 
@@ -44,12 +45,22 @@ class SofConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        require_ints(self, "epochs", "batch_size", "seed")
         if self.epochs < 0:
             raise ParameterError("epochs must be nonnegative")
         if self.learning_rate <= 0 or self.logit_scale <= 0:
             raise ParameterError("learning_rate and logit_scale must be positive")
         if self.batch_size < 1:
             raise ParameterError("batch_size must be at least 1")
+
+
+def _seen_targets(labels, seen: np.ndarray) -> np.ndarray:
+    """Each label's position among the ascending seen-class ids."""
+    labels = np.asarray(labels, dtype=np.int64).ravel()
+    stray = labels[~np.isin(labels, seen)]
+    if stray.size:
+        raise ValidationError(f"label {stray[0]} is not a seen class")
+    return np.searchsorted(seen, labels)
 
 
 def sof_loss(
@@ -64,14 +75,8 @@ def sof_loss(
     Returns the mean loss and its exact gradient w.r.t. refined_sem.
     """
     seen = np.unique(np.asarray(seen_classes, dtype=np.int64))
-    pos = {int(c): i for i, c in enumerate(seen)}
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    try:
-        targets = np.asarray([pos[int(y)] for y in labels], dtype=np.int64)
-    except KeyError as exc:
-        raise ValidationError(f"label {exc.args[0]} is not a seen class") from exc
-    seen_attrs = attributes.rows(seen)
-    loss, grad_sem, _ = cosine_cross_entropy(refined_sem, seen_attrs, targets,
+    loss, grad_sem, _ = cosine_cross_entropy(refined_sem, attributes.rows(seen),
+                                             _seen_targets(labels, seen),
                                              logit_scale)
     return loss, grad_sem
 
@@ -92,8 +97,11 @@ def train_sof(ds: SplitDataset, cfg: SofConfig) -> tuple[RefinerParams, list[flo
     if cfg.epochs == 0:
         return params, []
 
+    # the loss of sof_loss, with each train row's target and the seen-class
+    # attributes looked up once, not per batch
     x_all = ds.features[ds.train_idx]
-    y_all = ds.labels[ds.train_idx]
+    t_all = _seen_targets(ds.labels[ds.train_idx], ds.seen_classes)
+    seen_attrs = ds.attributes.rows(ds.seen_classes)
     opt = OptimizerState(mode=cfg.optimizer, learning_rate=cfg.learning_rate,
                          momentum=cfg.momentum)
     tensors = {"f_lin": params.f_lin, "w_proj": params.w_proj}
@@ -107,8 +115,8 @@ def train_sof(ds: SplitDataset, cfg: SofConfig) -> tuple[RefinerParams, list[flo
             xb = x_all[take]
             refined = xb @ params.f_lin
             sem = refined @ params.w_proj
-            loss, g_sem = sof_loss(sem, y_all[take], ds.attributes,
-                                   ds.seen_classes, cfg.logit_scale)
+            loss, g_sem, _ = cosine_cross_entropy(sem, seen_attrs, t_all[take],
+                                                  cfg.logit_scale)
             if not np.isfinite(loss):
                 raise TrainingError(f"refinement loss diverged at epoch {epoch}")
             g_wp = refined.T @ g_sem

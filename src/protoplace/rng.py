@@ -51,22 +51,41 @@ class RngStream:
             raise ParameterError(f"cannot draw {k} of {n} items without replacement")
         return self._gen.permutation(n)[:k]
 
-    def gamma(self, shape: float, size=None):
-        if shape <= 0:
+    def choices_without_replacement(self, rows: int, n: int, k: int) -> np.ndarray:
+        """(rows, k) draws; row i equals the i-th of `rows` successive
+        choice_without_replacement(n, k) calls, bit for bit, and the stream
+        ends in the same state: `permuted` shuffles the rows in order with
+        the shuffle `permutation` uses."""
+        if k > n:
+            raise ParameterError(f"cannot draw {k} of {n} items without replacement")
+        out = np.arange(n)[None].repeat(rows, axis=0)
+        return self._gen.permuted(out, axis=1, out=out)[:, :k]
+
+    def gamma(self, shape, size=None):
+        """Gamma draw(s); `shape` may be an array of positive shapes, drawn
+        in order."""
+        if np.any(np.asarray(shape) <= 0):
             raise ParameterError(f"gamma shape must be positive, got {shape}")
         return self._gen.standard_gamma(shape, size)
 
 
 def beta_sample(rng: RngStream, alpha1: float, alpha2: float, size=None):
-    """Beta(alpha1, alpha2) draw(s) in [0, 1] via the ratio of two Gamma draws."""
+    """Beta(alpha1, alpha2) draw(s) in [0, 1] via the ratio of two Gamma draws.
+
+    Each Beta draws its two Gammas back to back, so `size=m` gives the same
+    m values, bit for bit, as m scalar calls, and leaves the stream in the
+    same state."""
     if alpha1 <= 0 or alpha2 <= 0:
         raise ParameterError(
             f"Beta shape parameters must be positive, got ({alpha1}, {alpha2})"
         )
-    x = rng.gamma(alpha1, size)
-    y = rng.gamma(alpha2, size)
-    total = x + y
     if size is None:
+        x, y = rng.gamma(alpha1), rng.gamma(alpha2)
+        total = x + y
         return float(x / total) if total > 0 else 0.5
-    out = np.where(total > 0, x / np.where(total > 0, total, 1.0), 0.5)
-    return out
+    shapes = np.empty((*np.broadcast_shapes(size), 2))
+    shapes[...] = (alpha1, alpha2)
+    xy = rng.gamma(shapes)
+    x, y = xy[..., 0], xy[..., 1]
+    total = x + y
+    return np.where(total > 0, x / np.where(total > 0, total, 1.0), 0.5)

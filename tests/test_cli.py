@@ -32,6 +32,18 @@ TINY = {
 }
 
 
+# Every config key that takes a whole number.
+INTEGER_KEYS = [
+    "seed",
+    "synth.seen_count", "synth.unseen_count", "synth.attr_dim", "synth.feat_dim",
+    "synth.train_per_class", "synth.test_per_class",
+    "sof.epochs", "sof.batch_size",
+    "train.epochs", "train.episodes_per_epoch", "train.m_classes",
+    "train.n_samples", "train.hidden_dim",
+    "hallucination.n_neighbors",
+]
+
+
 @pytest.fixture
 def workdir(tmp_path):
     cfg_path = tmp_path / "config.json"
@@ -83,6 +95,18 @@ class TestConfig:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"train": {"epochs": "3"}}))
         assert run("synth", "--config", p, "--out", tmp_path / "d") == 2
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, True], ids=["1.5", "2.0", "true"])
+    @pytest.mark.parametrize("key", INTEGER_KEYS)
+    def test_integer_key_rejects_non_integer(self, tmp_path, capsys, key, value):
+        # neither truncated (seed 1.5 -> 1) nor left to fail in training
+        section, _, name = key.rpartition(".")
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({section: {name: value}} if section
+                                else {name: value}))
+        assert run("synth", "--config", p, "--out", tmp_path / "d") == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
 
 class TestSynth:
@@ -331,6 +355,19 @@ class TestSweep:
                    "ep-ei") == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert [l.split(",")[0] for l in lines[1:]] == ["0.1", "0.5"]
+
+    def test_small_sigma_trains(self, workdir):
+        # at sigma 1e-4 every chosen neighbour's weight underflows to 0 in
+        # some rows; those rows come from log space, not from 0 / 0
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        out = tmp_path / "sweep_small"
+        assert run("sweep", "--config", cfg, "--data", data, "--out", out,
+                   "--param", "sigma", "--values", "0.0001", "--mode",
+                   "ep-ei") == 0
+        value, t, h = (out / "sweep.csv").read_text().splitlines()[1].split(",")
+        assert value == "0.0001"
+        assert 0.0 <= float(t) <= 1.0 and 0.0 <= float(h) <= 1.0
 
     @pytest.mark.parametrize("values", ["x", "1..2..3", "a..3"])
     def test_unparsable_values_exit_2(self, workdir, values, capsys):

@@ -203,6 +203,20 @@ class TestValidation:
         assert np.allclose(np.linalg.norm(table.values, axis=1), 1.0, atol=1e-12)
 
 
+def reference_episode(ds, m, n, rng):
+    """sample_episode with every seen class's pool rebuilt on each call and
+    one draw per chosen class, in row order."""
+    labels = ds.labels[ds.train_idx]
+    pools = {int(c): np.sort(ds.train_idx[labels == c]) for c in ds.seen_classes}
+    eligible = np.asarray([c for c in sorted(pools) if pools[c].size >= n],
+                          dtype=np.int64)
+    class_ids = eligible[rng.choice_without_replacement(eligible.size, m)]
+    sample_idx = np.stack([
+        pools[int(c)][rng.choice_without_replacement(pools[int(c)].size, n)]
+        for c in class_ids])
+    return class_ids, sample_idx
+
+
 class TestSampleEpisode:
     @pytest.fixture(scope="class")
     @staticmethod
@@ -236,26 +250,42 @@ class TestSampleEpisode:
             sample_episode(bench, bench.seen_classes.size + 2, 4, RngStream(0))
 
     def test_matches_pools_rebuilt_per_episode(self, bench):
-        # reference: every seen class's pool rebuilt on each call, same draws
-        def reference(ds, m, n, rng):
-            labels = ds.labels[ds.train_idx]
-            pools = {int(c): np.sort(ds.train_idx[labels == c])
-                     for c in ds.seen_classes}
-            eligible = np.asarray([c for c in sorted(pools)
-                                   if pools[c].size >= n], dtype=np.int64)
-            class_ids = eligible[rng.choice_without_replacement(eligible.size, m)]
-            sample_idx = np.stack([
-                pools[int(c)][rng.choice_without_replacement(pools[int(c)].size, n)]
-                for c in class_ids])
-            return class_ids, sample_idx
-
         rng, ref_rng = RngStream(5), RngStream(5)
         for m, n in [(20, 4), (40, 100), (1, 1), (7, 3)] * 3:
             ep = sample_episode(bench, m, n, rng)
-            class_ids, sample_idx = reference(bench, m, n, ref_rng)
+            class_ids, sample_idx = reference_episode(bench, m, n, ref_rng)
             assert ep.class_ids.tobytes() == class_ids.tobytes()
             assert ep.sample_idx.tobytes() == sample_idx.tobytes()
             assert ep.visual.tobytes() == bench.features[sample_idx.ravel()].tobytes()
+
+    def test_unequal_pools_match_reference(self):
+        # pool sizes 3, 5 and 8 in blocks and alone, so the chosen rows hold
+        # runs of equal sizes between rows of other sizes; the batched draws
+        # per run must equal one draw per class
+        sizes = [8, 8, 8, 5, 5, 3, 8, 3, 3, 3, 5, 8]
+        ds = generate_synthetic(SynthConfig(seen_count=len(sizes), unseen_count=2,
+                                            attr_dim=3, feat_dim=4,
+                                            train_per_class=8, test_per_class=1,
+                                            noise_scale=0.1, seed=3))
+        labels = ds.labels[ds.train_idx]
+        keep = np.concatenate([ds.train_idx[labels == c][:k]
+                               for c, k in enumerate(sizes)])
+        ds = SplitDataset(ds.features, ds.labels, ds.attributes, ds.seen_classes,
+                          ds.unseen_classes, keep, ds.test_seen_idx,
+                          ds.test_unseen_idx)
+        rng, ref_rng = RngStream(11), RngStream(11)
+        longest_run = size_changes = 0
+        for m, n in [(12, 3), (9, 2), (6, 1), (8, 5), (4, 8)] * 4:
+            ep = sample_episode(ds, m, n, rng)
+            class_ids, sample_idx = reference_episode(ds, m, n, ref_rng)
+            assert ep.class_ids.tobytes() == class_ids.tobytes()
+            assert ep.sample_idx.tobytes() == sample_idx.tobytes()
+            row_sizes = np.asarray(sizes)[class_ids]
+            change = np.flatnonzero(np.diff(row_sizes, prepend=-1, append=-1))
+            longest_run = max(longest_run, int(np.diff(change).max()))
+            size_changes += change.size - 2
+        assert rng.uniform() == ref_rng.uniform()  # same stream state after
+        assert longest_run >= 3 and size_changes > 0
 
     def test_pools_built_once(self):
         ds = generate_synthetic(SynthConfig(seen_count=5, unseen_count=2,

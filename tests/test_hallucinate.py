@@ -7,6 +7,8 @@ from protoplace.data import Episode, SynthConfig, generate_synthetic, sample_epi
 from protoplace.errors import ParameterError
 from protoplace.hallucinate import (
     HalluConfig,
+    _log_space_rows,
+    _offdiag_softmax,
     class_centroids,
     hallucinate,
     interpolate,
@@ -124,6 +126,47 @@ class TestPropagationWeights:
             top2 = np.sort(row)[-2:].sum()
             assert top2 > 1.0 - 1e-6
             assert np.max(row) > 0.5 - 1e-6
+
+
+class TestUnderflowRows:
+    """At small sigma every chosen neighbour's weight can underflow to 0; such
+    a row is computed in log space instead of as 0 / 0."""
+
+    @pytest.mark.parametrize("sigma", (1e-4, 1e-3, 1e-2))
+    def test_rows_finite_normalised_on_chosen(self, sigma):
+        underflowed = 0
+        for seed in range(20):
+            ep = random_episode(300 + seed, m=8)
+            cfg = HalluConfig(sigma=sigma, n_neighbors=2)
+            with np.errstate(invalid="raise", divide="raise"):  # no 0 / 0
+                pw = propagation_weights(ep, cfg, RngStream(seed))
+            assert np.all(np.isfinite(pw.w))
+            assert np.max(np.abs(pw.w.sum(axis=1) - 1.0)) < 1e-12
+            on_chosen = np.zeros_like(pw.w, dtype=bool)
+            np.put_along_axis(on_chosen, pw.chosen, True, axis=1)
+            assert np.all(pw.w[~on_chosen] == 0.0)
+            assert np.all(pw.w >= 0.0)
+            w = (_offdiag_softmax(pairwise_cosine(class_centroids(ep)), sigma)
+                 + _offdiag_softmax(pairwise_cosine(ep.semantic), sigma))
+            underflowed += int(np.any(
+                np.take_along_axis(w, pw.chosen, axis=1).sum(axis=1) == 0))
+        if sigma <= 1e-3:
+            assert underflowed  # the case under test occurs
+
+    def test_log_space_matches_direct_rows(self):
+        # at moderate sigma nothing underflows; the log-space formula then
+        # agrees with the direct rows to rounding
+        for seed in range(10):
+            ep = random_episode(400 + seed, m=8)
+            for sigma in (0.05, 0.2, 1.0, 10.0):
+                cfg = HalluConfig(sigma=sigma, n_neighbors=3)
+                pw = propagation_weights(ep, cfg, RngStream(seed))
+                rows = np.arange(8)
+                log_rows = _log_space_rows(pairwise_cosine(class_centroids(ep)),
+                                           pairwise_cosine(ep.semantic), rows,
+                                           pw.chosen, sigma)
+                direct = np.take_along_axis(pw.w, pw.chosen, axis=1)
+                assert np.max(np.abs(log_rows - direct)) < 1e-12
 
 
 class TestPropagate:
@@ -254,16 +297,22 @@ def reference_propagation_weights(ep, cfg, rng):
             w[i, mask] = softmax(sim[i, mask], cfg.sigma)
         return w
 
-    w = (offdiag_softmax(pairwise_cosine(class_centroids(ep)))
-         + offdiag_softmax(pairwise_cosine(ep.semantic))) / 2.0
+    sim_v = pairwise_cosine(class_centroids(ep))
+    sim_a = pairwise_cosine(ep.semantic)
+    w = (offdiag_softmax(sim_v) + offdiag_softmax(sim_a)) / 2.0
     chosen = np.empty((m, cfg.n_neighbors), dtype=np.int64)
     masked = np.zeros_like(w)
     for i in range(m):
         others = idx[idx != i]
         pick = others[rng.choice_without_replacement(m - 1, cfg.n_neighbors)]
         chosen[i] = np.sort(pick)
-        masked[i, chosen[i]] = w[i, chosen[i]]
-        masked[i] /= masked[i].sum()
+        total = w[i, chosen[i]].sum()
+        if total == 0:  # every chosen weight underflowed: the log-space row
+            masked[i, chosen[i]] = _log_space_rows(sim_v, sim_a, np.array([i]),
+                                                   chosen, cfg.sigma)[0]
+        else:
+            masked[i, chosen[i]] = w[i, chosen[i]]
+            masked[i] /= masked[i].sum()
     return masked, chosen
 
 
@@ -310,11 +359,9 @@ class TestReferenceParity:
                 rng, ref_rng = RngStream(seed), RngStream(seed)
                 for _ in range(3):  # later draws continue the same stream
                     # at sigma = 1e-3 a row's chosen weights can all underflow
-                    # to 0; both forms then divide 0 by 0 into the same NaNs
-                    with np.errstate(invalid="ignore"):
-                        pw = propagation_weights(ep, cfg, rng)
-                        w, chosen = reference_propagation_weights(ep, cfg,
-                                                                  ref_rng)
+                    # to 0; both forms then take that row from log space
+                    pw = propagation_weights(ep, cfg, rng)
+                    w, chosen = reference_propagation_weights(ep, cfg, ref_rng)
                     assert same_bytes(pw.w, w)
                     assert same_bytes(pw.chosen, chosen)
 

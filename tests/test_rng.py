@@ -68,3 +68,33 @@ def test_choice_without_replacement():
     assert sorted(pick.tolist()) == list(range(10))
     with pytest.raises(ParameterError):
         rng.choice_without_replacement(3, 4)
+    with pytest.raises(ParameterError):
+        rng.choices_without_replacement(2, 3, 4)
+
+
+# The batched draws below equal successive single draws bit for bit and
+# leave the stream in the same state; training's episodes depend on that, so
+# a numpy release that changes either fails here first.
+
+
+@pytest.mark.parametrize("rows,n,k", [(2, 1, 1), (5, 4, 1), (20, 19, 4), (8, 7, 7)])
+def test_batched_choices_equal_successive_choices(rows, n, k):
+    for seed in range(20):
+        batched, single = RngStream(seed), RngStream(seed)
+        picks = batched.choices_without_replacement(rows, n, k)
+        expected = np.stack([single.choice_without_replacement(n, k)
+                             for _ in range(rows)])
+        assert picks.dtype == expected.dtype
+        assert picks.tobytes() == expected.tobytes()
+        assert batched.uniform() == single.uniform()
+
+
+@pytest.mark.parametrize("a1,a2", [(5.0, 1.0), (0.3, 0.4), (1.0, 1.0)])
+def test_beta_size_equals_scalar_draws(a1, a2):
+    for seed in range(20):
+        batched, single = RngStream(seed), RngStream(seed)
+        draws = beta_sample(batched, a1, a2, size=7)
+        expected = np.asarray([beta_sample(single, a1, a2) for _ in range(7)])
+        assert draws.shape == (7,)
+        assert draws.tobytes() == expected.tobytes()
+        assert batched.uniform() == single.uniform()

@@ -1,0 +1,129 @@
+"""Check that two source trees of protoplace write byte-identical outputs.
+
+    python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC [--work DIR]
+
+PARENT_SRC and CHANGE_SRC are checkouts of this repository (or their `src`
+directories).  For each of three configurations (the criterion-8 config of
+tests/test_acceptance.py and the benchmark-sized config of
+perfbench/workloads.py at config seeds 0 and 1) the same CLI steps run once
+with each tree: `synth`, `train` in every mode, one `eval` of the four
+models, `ablate --seeds 2`, one `sweep` over n_neighbors and one `sweep` per
+sigma value.  Every step runs in its own process with PYTHONPATH set to the
+tree's `src` and one BLAS thread, from the same relative paths, so that its
+standard output and exit code (kept as `<step>.stdout` and `<step>.exit`)
+are compared too.
+
+Every file that differs, or exists on one side only, is listed.
+`manifest.json` files are skipped: they hold times and the command line.
+Exit status 0: no file differs; 1: some file differs.  Standard library
+only; the CLI processes need numpy.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import SHORT, TINY  # noqa: E402  (stdlib-only module)
+
+MODES = ("s2v", "ep", "ep-ei", "full")
+# The sigma values swept, one `sweep` each: at 1e-4 and 1e-3 every chosen
+# neighbour weight of some rows underflows to 0.
+SIGMAS = ("0.0001", "0.001", "0.05", "0.2", "1")
+# Per configuration: its overrides of the defaults and the n_neighbors values
+# swept (the criterion-8 episodes have 4 classes, so at most 3 neighbours).
+CONFIGS = {
+    "criterion8": (TINY, "0..3"),
+    "bench-seed0": ({**SHORT, "seed": 0}, "0,2,4,8"),
+    "bench-seed1": ({**SHORT, "seed": 1}, "0,2,4,8"),
+}
+SKIPPED = {"manifest.json"}
+
+
+def src_dir(tree: str) -> Path:
+    path = Path(tree).resolve()
+    for candidate in (path / "src", path):
+        if (candidate / "protoplace" / "cli.py").is_file():
+            return candidate
+    raise SystemExit(f"compare_outputs: no protoplace sources under {path}")
+
+
+def steps(n_values: str) -> list[tuple[str, list[str]]]:
+    """(step name, CLI arguments) in run order; paths are relative."""
+    cfg = ["--config", "config.json"]
+    data = ["--data", "data"]
+    out = [("synth", ["synth", *cfg, "--out", "data"])]
+    out += [(f"train_{mode}", ["train", *cfg, *data, "--out", f"train_{mode}",
+                               "--mode", mode]) for mode in MODES]
+    models = [arg for mode in MODES for arg in ("--model", f"train_{mode}/model")]
+    out.append(("eval", ["eval", *models, *data, "--out", "eval"]))
+    out.append(("ablate", ["ablate", *cfg, *data, "--out", "ablate", "--seeds", "2"]))
+    out.append(("sweep_n", ["sweep", *cfg, *data, "--out", "sweep_n",
+                            "--param", "n_neighbors", "--values", n_values]))
+    out += [(f"sweep_sigma_{v}", ["sweep", *cfg, *data, "--out", f"sweep_sigma_{v}",
+                                  "--param", "sigma", "--values", v])
+            for v in SIGMAS]
+    return out
+
+
+def run_tree(src: Path, work: Path, config: dict, n_values: str) -> None:
+    work.mkdir(parents=True)
+    (work / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True))
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    for name, argv in steps(n_values):
+        proc = subprocess.run([sys.executable, "-m", "protoplace.cli", *argv],
+                              cwd=work, env=env, capture_output=True, text=True)
+        (work / f"{name}.stdout").write_text(proc.stdout)
+        (work / f"{name}.exit").write_text(f"{proc.returncode}\n")
+
+
+def differing(a: Path, b: Path) -> list[str]:
+    """Relative paths, below a and b, of files that differ or exist once."""
+    def files(root: Path) -> set[str]:
+        return {str(p.relative_to(root)) for p in root.rglob("*")
+                if p.is_file() and p.name not in SKIPPED}
+    in_a, in_b = files(a), files(b)
+    out = [f"{rel}  (parent only)" for rel in sorted(in_a - in_b)]
+    out += [f"{rel}  (change only)" for rel in sorted(in_b - in_a)]
+    out += [rel for rel in sorted(in_a & in_b)
+            if (a / rel).read_bytes() != (b / rel).read_bytes()]
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--work", help="a new directory to keep the outputs "
+                                       "in (default: a temporary one, removed "
+                                       "after)")
+    args = parser.parse_args(argv)
+    trees = {"parent": src_dir(args.parent), "change": src_dir(args.change)}
+    work = Path(args.work) if args.work else Path(tempfile.mkdtemp(prefix="cmp-"))
+    diffs = []
+    try:
+        for label, (config, n_values) in CONFIGS.items():
+            for side, src in trees.items():
+                run_tree(src, work / side / label, config, n_values)
+            found = differing(work / "parent" / label, work / "change" / label)
+            print(f"{label}: {len(found)} differing file(s)")
+            diffs += [f"{label}/{rel}" for rel in found]
+    finally:
+        if not args.work:
+            shutil.rmtree(work, ignore_errors=True)
+    for rel in diffs:
+        print(f"  differs: {rel}")
+    print("identical" if not diffs else f"{len(diffs)} differing file(s)")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
