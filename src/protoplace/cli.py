@@ -332,8 +332,6 @@ def cmd_sweep(args, argv) -> int:
         mode_name, use_sof = MODES[args.mode]
         if param == "n_neighbors" and value == 0:
             mode_name = "s2v_baseline"  # hallucination disabled
-        elif param == "sigma" and value <= 0:
-            raise ConfigError("sigma values must be positive")
         else:
             run_cfg["hallucination"][param] = value
         best = _best_report(ds, run_cfg, mode_name, use_sof, run_cfg["seed"], grid)

@@ -26,8 +26,9 @@ class HalluConfig:
 
     def __post_init__(self):
         require_ints(self, "n_neighbors")
-        if self.sigma <= 0:
-            raise ParameterError("sigma must be positive")
+        if not self.sigma >= 1.0 / np.finfo(np.float64).max:  # sim / sigma finite
+            raise ParameterError(f"sigma must be at least 1 / the largest float "
+                                 f"(about 5.6e-309), got {self.sigma!r}")
         if self.n_neighbors < 1:
             raise ParameterError("n_neighbors must be at least 1")
         if self.alpha1 <= 0 or self.alpha2 <= 0:

@@ -136,86 +136,84 @@ class ForwardCache:
     hidden: np.ndarray
 
 
-def net_forward(net: MappingNet, x) -> tuple[np.ndarray, ForwardCache]:
-    x = as_matrix(x, "network input")
+def net_forward(net: MappingNet, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Checks only x's column count; project_prototypes checks the output for
+    non-finite values, the training loops their loss."""
     if x.shape[1] != net.in_dim:
         raise ShapeError(f"input has {x.shape[1]} columns, network expects {net.in_dim}")
     pre = x @ net.w1.T + net.b1
     hidden = np.maximum(pre, 0.0) if net.activation == "relu" else pre
     out = hidden @ net.w2.T + net.b2
-    require_finite(out, "network output")
     return out, ForwardCache(net=net, x=x, pre=pre, hidden=hidden)
 
 
 def net_backward(
-    net: MappingNet, cache: ForwardCache, out_grad
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Exact gradients of the forward map for a given output gradient."""
+    net: MappingNet, cache: ForwardCache, g: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Exact parameter gradients of the forward map for the output gradient g.
+    Checks only that the cache is net's; the products check g's shape."""
     if cache.net is not net:
         raise UsageError("forward cache does not belong to this network")
-    g = as_matrix(out_grad, "output gradient")
-    if g.shape != (cache.x.shape[0], net.out_dim):
-        raise UsageError(
-            f"output gradient shape {g.shape} does not match cached forward "
-            f"({cache.x.shape[0]}, {net.out_dim})"
-        )
     gw2 = g.T @ cache.hidden
     gb2 = g.sum(axis=0)
     gh = g @ net.w2
     if net.activation == "relu":
-        gh = gh * (cache.pre > 0)
+        gh *= cache.pre > 0
     gw1 = gh.T @ cache.x
     gb1 = gh.sum(axis=0)
-    gx = gh @ net.w1
-    return {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2}, gx
+    return {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2}
 
 
 # ---------------------------------------------------------------------------
 # cosine cross-entropy (shared by the refinement and prototype losses)
 
 
-def cosine_cross_entropy(
-    queries, references, targets, scale: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean cross-entropy of softmax(scale * cos(query, reference)).
+def unit_rows(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r's rows scaled to norm 1, their norms): the checked references of
+    cosine_cross_entropy.  FloatingPointError on a zero-norm row."""
+    rn = np.sqrt(np.add.reduce(r * r, axis=1))  # np.linalg.norm(r, axis=1)
+    if not rn.all():
+        raise FloatingPointError("zero-norm row in cosine cross-entropy")
+    return r / rn[:, None], rn
 
-    Returns (loss, grad_queries, grad_references).  Rows of both inputs must
-    have nonzero norm (FloatingPointError otherwise); gradients are exact.
-    """
-    if scale <= 0:
-        raise ParameterError(f"logit scale must be positive, got {scale}")
-    q = as_matrix(queries, "queries")
-    r = as_matrix(references, "references")
-    if q.shape[1] != r.shape[1]:
-        raise ShapeError(f"dimension mismatch: {q.shape[1]} vs {r.shape[1]}")
-    t = np.asarray(targets, dtype=np.int64).ravel()
-    if t.shape[0] != q.shape[0]:
+
+def cosine_cross_entropy(
+    q: np.ndarray, refs: tuple[np.ndarray, np.ndarray], targets: np.ndarray,
+    scale: float, wrt: str,
+) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of softmax(scale * cos(query, reference)), and its
+    exact gradient w.r.t. `wrt`: the queries q or the references, given as
+    unit_rows(references).  Checks one target per query, each in range (no
+    wrap-around), and each query's norm (FloatingPointError if 0); the
+    callers' configs check the scale."""
+    if wrt not in ("queries", "references"):
+        raise ParameterError(f"cannot take the gradient w.r.t. {wrt!r}")
+    rh, rn = refs
+    b = q.shape[0]
+    if targets.shape != (b,):
         raise ShapeError("one target per query row required")
-    if t.size and (t.min() < 0 or t.max() >= r.shape[0]):
-        raise ParameterError("target index out of range")
-    qn = np.linalg.norm(q, axis=1)
-    rn = np.linalg.norm(r, axis=1)
-    if np.any(qn == 0) or np.any(rn == 0):
+    qn = np.sqrt(np.add.reduce(q * q, axis=1))  # np.linalg.norm(q, axis=1)
+    if not qn.all():
         raise FloatingPointError("zero-norm row in cosine cross-entropy")
     qh = q / qn[:, None]
-    rh = r / rn[:, None]
     cos = qh @ rh.T
-    logits = scale * cos
-    z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    logp = z - lse[:, None]
-    b = q.shape[0]
-    idx = np.arange(b)
-    loss = float(-logp[idx, t].mean())
+    try:  # the flat index of each row's target entry
+        at = np.ravel_multi_index((np.arange(b), targets), cos.shape)
+    except ValueError:
+        raise ParameterError("target index out of range") from None
+    logp = scale * cos
+    logp -= logp.max(axis=1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    loss = -float(np.add.reduce(logp.ravel()[at])) / b
     gl = np.exp(logp)
-    gl[idx, t] -= 1.0
+    gl.ravel()[at] -= 1.0
     gl *= scale / b  # d loss / d cos
     gl_cos = gl * cos
-    row_dot = gl_cos.sum(axis=1, keepdims=True)
-    gq = (gl @ rh - row_dot * qh) / qn[:, None]
+    if wrt == "queries":
+        row_dot = gl_cos.sum(axis=1, keepdims=True)
+        return loss, (gl @ rh - row_dot * qh) / qn[:, None]
     col_dot = gl_cos.sum(axis=0)[:, None]
-    gr = (gl.T @ qh - col_dot * rh) / rn[:, None]
-    return loss, gq, gr
+    return loss, (gl.T @ qh - col_dot * rh) / rn[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +255,10 @@ def _buffer(state: OptimizerState, key: str, like: np.ndarray) -> np.ndarray:
 def optimizer_step(
     state: OptimizerState, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]
 ) -> dict[str, np.ndarray]:
-    """One in-place update of every parameter; increments step_count by 1."""
+    """One in-place update of every parameter; increments step_count by 1.
+    Checks only the gradients' shapes, before any parameter moves."""
     for name, p in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
+        g = grads[name]
         if g.shape != p.shape:
             raise ShapeError(
                 f"gradient shape {g.shape} does not match parameter {name} {p.shape}"
@@ -267,7 +266,7 @@ def optimizer_step(
     state.step_count += 1
     lr = state.learning_rate
     for name, p in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
+        g = grads[name]
         if state.mode == "sgd_momentum":
             v = _buffer(state, f"v_{name}", p)
             v *= state.momentum

@@ -19,7 +19,7 @@ from .errors import FormatError, ParameterError, TrainingError, UsageError, \
     ValidationError, require_ints
 from .hallucinate import HalluConfig, HallucinatedEpisode, hallucinate
 from .linalg import ACTIVATIONS, MappingNet, OptimizerState, cosine_cross_entropy, \
-    net_backward, net_forward, optimizer_step
+    net_backward, net_forward, optimizer_step, require_finite, unit_rows
 from .rng import DEFAULT_SEED, RngStream
 
 # What an episode does in each training mode: whether it hallucinates
@@ -78,10 +78,9 @@ def _proto_loss(
     local_labels: np.ndarray, logit_scale: float
 ) -> tuple[float, dict[str, np.ndarray]]:
     prototypes, cache = net_forward(net, semantic)
-    loss, _, g_proto = cosine_cross_entropy(visual, prototypes, local_labels,
-                                            logit_scale)
-    grads, _ = net_backward(net, cache, g_proto)
-    return loss, grads
+    loss, g_proto = cosine_cross_entropy(visual, unit_rows(prototypes), local_labels,
+                                         logit_scale, wrt="references")
+    return loss, net_backward(net, cache, g_proto)
 
 
 def place_loss(
@@ -155,7 +154,7 @@ def project_prototypes(
         bad = ids[(ids < 0) | (ids >= attributes.num_classes)][0]
         raise ValidationError(f"unknown class id {bad}")
     out, _ = net_forward(model.net, attributes.rows(ids))
-    return out
+    return require_finite(out, "network output")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ import numpy as np
 from .data import AttributeTable, SplitDataset, load_matrix, save_matrix
 from .errors import ParameterError, ShapeError, TrainingError, ValidationError, \
     require_ints
-from .linalg import OptimizerState, as_matrix, cosine_cross_entropy, optimizer_step
+from .linalg import OptimizerState, as_matrix, cosine_cross_entropy, optimizer_step, \
+    unit_rows
 from .rng import DEFAULT_SEED, RngStream
 
 
@@ -75,10 +76,10 @@ def sof_loss(
     Returns the mean loss and its exact gradient w.r.t. refined_sem.
     """
     seen = np.unique(np.asarray(seen_classes, dtype=np.int64))
-    loss, grad_sem, _ = cosine_cross_entropy(refined_sem, attributes.rows(seen),
-                                             _seen_targets(labels, seen),
-                                             logit_scale)
-    return loss, grad_sem
+    return cosine_cross_entropy(as_matrix(refined_sem, "refined features"),
+                                unit_rows(attributes.rows(seen)),
+                                _seen_targets(labels, seen), logit_scale,
+                                wrt="queries")
 
 
 def train_sof(ds: SplitDataset, cfg: SofConfig) -> tuple[RefinerParams, list[float]]:
@@ -97,11 +98,11 @@ def train_sof(ds: SplitDataset, cfg: SofConfig) -> tuple[RefinerParams, list[flo
     if cfg.epochs == 0:
         return params, []
 
-    # the loss of sof_loss, with each train row's target and the seen-class
-    # attributes looked up once, not per batch
+    # the loss of sof_loss, with each train row's target and the unit rows of
+    # the seen-class attributes made and checked once, not per batch
     x_all = ds.features[ds.train_idx]
     t_all = _seen_targets(ds.labels[ds.train_idx], ds.seen_classes)
-    seen_attrs = ds.attributes.rows(ds.seen_classes)
+    seen_attrs = unit_rows(ds.attributes.rows(ds.seen_classes))
     opt = OptimizerState(mode=cfg.optimizer, learning_rate=cfg.learning_rate,
                          momentum=cfg.momentum)
     tensors = {"f_lin": params.f_lin, "w_proj": params.w_proj}
@@ -115,8 +116,8 @@ def train_sof(ds: SplitDataset, cfg: SofConfig) -> tuple[RefinerParams, list[flo
             xb = x_all[take]
             refined = xb @ params.f_lin
             sem = refined @ params.w_proj
-            loss, g_sem, _ = cosine_cross_entropy(sem, seen_attrs, t_all[take],
-                                                  cfg.logit_scale)
+            loss, g_sem = cosine_cross_entropy(sem, seen_attrs, t_all[take],
+                                               cfg.logit_scale, wrt="queries")
             if not np.isfinite(loss):
                 raise TrainingError(f"refinement loss diverged at epoch {epoch}")
             g_wp = refined.T @ g_sem

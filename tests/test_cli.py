@@ -175,6 +175,21 @@ class TestTrain:
         assert rc == 4
         assert "numeric failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,mode", [("train", "s2v"), ("train", "full"),
+                                              ("sof", "full")])
+    def test_divergence_exits_4(self, workdir, capsys, section, mode):
+        # a learning rate of 1e300 overflows the weights within a few steps;
+        # the training loop's loss check reports it as a numeric failure
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        bad = tmp_path / "diverge.json"
+        bad.write_text(json.dumps({**TINY, section: {**TINY[section],
+                                                     "learning_rate": 1e300}}))
+        rc = run("train", "--config", bad, "--data", data,
+                 "--out", tmp_path / "out", "--mode", mode)
+        assert rc == 4
+        assert "numeric failure" in capsys.readouterr().err
+
     def test_zero_episodes_per_epoch_exits_2(self, workdir, capsys):
         # no episode would run, leaving a NaN final loss
         tmp_path, cfg = workdir
@@ -368,6 +383,32 @@ class TestSweep:
         value, t, h = (out / "sweep.csv").read_text().splitlines()[1].split(",")
         assert value == "0.0001"
         assert 0.0 <= float(t) <= 1.0 and 0.0 <= float(h) <= 1.0
+
+    def test_subnormal_sigma_exits_2(self, workdir, capsys):
+        # below 1 / the largest float, similarities / sigma overflow to inf
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        out = tmp_path / "sweep_tiny"
+        rc = run("sweep", "--config", cfg, "--data", data, "--out", out,
+                 "--param", "sigma", "--values", "0.1,1e-310", "--mode", "ep-ei")
+        assert rc == 2
+        assert "sigma must be at least" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+        bad = tmp_path / "tiny_sigma.json"
+        bad.write_text(json.dumps({**TINY, "hallucination": {
+            **TINY["hallucination"], "sigma": 1e-310}}))
+        rc = run("train", "--config", bad, "--data", data,
+                 "--out", tmp_path / "out", "--mode", "ep-ei")
+        assert rc == 2
+        assert "sigma must be at least" in capsys.readouterr().err
+
+    def test_smallest_normal_sigma_trains(self, workdir):
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        assert run("sweep", "--config", cfg, "--data", data, "--out",
+                   tmp_path / "s", "--param", "sigma", "--values", "1e-308",
+                   "--mode", "ep-ei") == 0
 
     @pytest.mark.parametrize("values", ["x", "1..2..3", "a..3"])
     def test_unparsable_values_exit_2(self, workdir, values, capsys):

@@ -7,12 +7,14 @@ from protoplace.errors import ParameterError, ShapeError, UsageError
 from protoplace.linalg import (
     MappingNet,
     OptimizerState,
+    as_matrix,
     cosine_cross_entropy,
     net_backward,
     net_forward,
     optimizer_step,
     pairwise_cosine,
     softmax,
+    unit_rows,
 )
 from protoplace.rng import RngStream
 
@@ -157,17 +159,8 @@ class TestNetBackward:
         net = random_net(rng)
         x = rng.normal(size=(3, 4))
         _, cache = net_forward(net, x)
-        grads, gx = net_backward(net, cache, np.zeros((3, 3)))
+        grads = net_backward(net, cache, np.zeros((3, 3)))
         assert all(np.all(g == 0) for g in grads.values())
-        assert np.all(gx == 0)
-
-    def test_identity_sum_loss_input_grad(self):
-        net = MappingNet(w1=np.eye(3), b1=np.zeros(3), w2=np.eye(3),
-                         b2=np.zeros(3), activation="identity")
-        x = np.random.default_rng(9).normal(size=(4, 3))
-        _, cache = net_forward(net, x)
-        _, gx = net_backward(net, cache, np.ones((4, 3)))
-        assert np.allclose(gx, 1.0, atol=0)
 
     @pytest.mark.parametrize("trial", range(20))
     def test_finite_differences(self, trial):
@@ -178,7 +171,7 @@ class TestNetBackward:
         weights = rng.normal(size=(5, 2))  # fixed scalarization of the output
 
         out, cache = net_forward(net, x)
-        analytic, _ = net_backward(net, cache, weights)
+        analytic = net_backward(net, cache, weights)
 
         def loss():
             y, _ = net_forward(net, x)
@@ -199,8 +192,9 @@ class TestNetBackward:
 class TestCosineCrossEntropy:
     def test_hand_two_class(self):
         # query aligned with its class, orthogonal to the other, scale 1
-        refs = np.array([[1.0, 0.0], [0.0, 1.0]])
-        loss, _, _ = cosine_cross_entropy([[1.0, 0.0]], refs, [0], 1.0)
+        refs = unit_rows(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        loss, _ = cosine_cross_entropy(np.array([[1.0, 0.0]]), refs, np.array([0]),
+                                       1.0, wrt="queries")
         assert loss == pytest.approx(-math.log(math.e / (math.e + 1)), abs=1e-12)
 
     @pytest.mark.parametrize("trial", range(10))
@@ -210,10 +204,11 @@ class TestCosineCrossEntropy:
         r = rng.normal(size=(5, 3))
         t = rng.integers(0, 5, size=4)
         scale = float(rng.uniform(1, 12))
-        _, gq, gr = cosine_cross_entropy(q, r, t, scale)
+        _, gq = cosine_cross_entropy(q, unit_rows(r), t, scale, wrt="queries")
+        _, gr = cosine_cross_entropy(q, unit_rows(r), t, scale, wrt="references")
 
         def loss_at(qq, rr):
-            return cosine_cross_entropy(qq, rr, t, scale)[0]
+            return cosine_cross_entropy(qq, unit_rows(rr), t, scale, wrt="queries")[0]
 
         step = 1e-6
         for arr, grad in ((q, gq), (r, gr)):
@@ -233,11 +228,98 @@ class TestCosineCrossEntropy:
             assert np.max(np.abs(grad - num) / denom) < 1e-4
 
     def test_zero_norm_row_is_numeric_failure(self):
-        refs = [[1.0, 0.0], [0.0, 1.0]]
+        refs = unit_rows(np.array([[1.0, 0.0], [0.0, 1.0]]))
         with pytest.raises(FloatingPointError, match="zero-norm"):
-            cosine_cross_entropy([[0.0, 0.0]], refs, [0], 1.0)
+            cosine_cross_entropy(np.array([[0.0, 0.0]]), refs, np.array([0]), 1.0,
+                                 wrt="queries")
         with pytest.raises(FloatingPointError, match="zero-norm"):
-            cosine_cross_entropy([[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]], [0], 1.0)
+            unit_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("wrt", ["queries", "references"])
+    @pytest.mark.parametrize("bad", [-1, -3, 3, 7])
+    def test_target_out_of_range_raises(self, wrt, bad):
+        # a negative target must not wrap around to the last references
+        rng = np.random.default_rng(11)
+        refs = unit_rows(rng.normal(size=(3, 4)))
+        with pytest.raises(ParameterError, match="out of range"):
+            cosine_cross_entropy(rng.normal(size=(2, 4)), refs, np.array([0, bad]),
+                                 5.0, wrt=wrt)
+
+    def test_one_target_per_query(self):
+        refs = unit_rows(np.eye(3))
+        with pytest.raises(ShapeError):
+            cosine_cross_entropy(np.eye(3)[:2], refs, np.array([0]), 5.0,
+                                 wrt="queries")
+
+    def test_unknown_gradient_rejected(self):
+        with pytest.raises(ParameterError, match="gradient"):
+            cosine_cross_entropy(np.eye(2), unit_rows(np.eye(2)), np.array([0, 1]),
+                                 1.0, wrt="both")
+
+
+def reference_cosine_cross_entropy(queries, references, targets, scale):
+    """The three-output form the one-sided loss replaced: the loss and both
+    gradients, every input checked and the references normalised per call."""
+    q = as_matrix(queries, "queries")
+    r = as_matrix(references, "references")
+    t = np.asarray(targets, dtype=np.int64).ravel()
+    if t.size and (t.min() < 0 or t.max() >= r.shape[0]):
+        raise ParameterError("target index out of range")
+    qn = np.linalg.norm(q, axis=1)
+    rn = np.linalg.norm(r, axis=1)
+    if np.any(qn == 0) or np.any(rn == 0):
+        raise FloatingPointError("zero-norm row in cosine cross-entropy")
+    qh = q / qn[:, None]
+    rh = r / rn[:, None]
+    cos = qh @ rh.T
+    logits = scale * cos
+    z = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1))
+    logp = z - lse[:, None]
+    b = q.shape[0]
+    idx = np.arange(b)
+    loss = float(-logp[idx, t].mean())
+    gl = np.exp(logp)
+    gl[idx, t] -= 1.0
+    gl *= scale / b
+    gl_cos = gl * cos
+    row_dot = gl_cos.sum(axis=1, keepdims=True)
+    gq = (gl @ rh - row_dot * qh) / qn[:, None]
+    col_dot = gl_cos.sum(axis=0)[:, None]
+    gr = (gl.T @ qh - col_dot * rh) / rn[:, None]
+    return loss, gq, gr
+
+
+class TestGradientParity:
+    """Each one-sided gradient equals the reference form's, bit for bit."""
+
+    # (queries, references, dimension, logit scale): a SOF batch against the
+    # seen-class attributes, an episode's samples against its prototypes
+    SHAPES = {"sof": (16, 40, 16, 10.0), "episode": (80, 20, 32, 5.0)}
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_bitwise(self, shape, seed):
+        b, k, d, scale = self.SHAPES[shape]
+        rng = np.random.default_rng(seed)
+        q = rng.normal(size=(b, d))
+        r = rng.normal(size=(k, d))
+        t = rng.integers(0, k, size=b)
+        loss, gq, gr = reference_cosine_cross_entropy(q, r, t, scale)
+        refs = unit_rows(r)
+        for wrt, expected in (("queries", gq), ("references", gr)):
+            got_loss, got = cosine_cross_entropy(q, refs, t, scale, wrt=wrt)
+            assert np.float64(got_loss).tobytes() == np.float64(loss).tobytes()
+            assert got.tobytes() == expected.tobytes(), wrt
+
+    def test_unit_rows_match_numpy_norm(self):
+        rng = np.random.default_rng(3)
+        for shape in ((1, 1), (5, 3), (80, 32), (40, 16)):
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-100, 100, size=shape)
+            norms = np.linalg.norm(x, axis=1)
+            unit, got = unit_rows(x)
+            assert got.tobytes() == norms.tobytes()
+            assert unit.tobytes() == (x / norms[:, None]).tobytes()
 
 
 class TestOptimizer:

@@ -6,8 +6,11 @@ import pytest
 from protoplace.data import AttributeTable, SplitDataset, SynthConfig, \
     generate_synthetic
 from protoplace.errors import ParameterError, ShapeError, ValidationError
+from protoplace.linalg import OptimizerState, optimizer_step
 from protoplace.refine import RefinerParams, SofConfig, load_refiner, \
     refine_features, save_refiner, sof_loss, train_sof
+from protoplace.rng import RngStream
+from test_linalg import reference_cosine_cross_entropy
 
 
 def orthogonal_attrs(num, dim):
@@ -103,6 +106,52 @@ class TestTrainSof:
         p2, t2 = train_sof(poisoned, SofConfig(epochs=3, seed=0))
         assert np.array_equal(p1.f_lin, p2.f_lin)
         assert t1 == t2
+
+
+def reference_train_sof(ds, cfg):
+    """train_sof with the seen-class attributes looked up, normalised and
+    checked in every batch, through the reference loss."""
+    c, d = ds.feat_dim, ds.attr_dim
+    rng = RngStream(cfg.seed).derive("sof")
+    f_lin = np.eye(c)
+    w_proj = rng.uniform(-1.0 / np.sqrt(c), 1.0 / np.sqrt(c), (c, d))
+    x_all = ds.features[ds.train_idx]
+    t_all = np.searchsorted(ds.seen_classes, ds.labels[ds.train_idx])
+    opt = OptimizerState(mode=cfg.optimizer, learning_rate=cfg.learning_rate,
+                         momentum=cfg.momentum)
+    trace = []
+    n = x_all.shape[0]
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        losses = []
+        for start in range(0, n, cfg.batch_size):
+            take = order[start:start + cfg.batch_size]
+            xb = x_all[take]
+            refined = xb @ f_lin
+            sem = refined @ w_proj
+            loss, g_sem, _ = reference_cosine_cross_entropy(
+                sem, ds.attributes.rows(ds.seen_classes), t_all[take],
+                cfg.logit_scale)
+            g_wp = refined.T @ g_sem
+            g_f = xb.T @ (g_sem @ w_proj.T)
+            optimizer_step(opt, {"f_lin": f_lin, "w_proj": w_proj},
+                           {"f_lin": g_f, "w_proj": g_wp})
+            losses.append(loss)
+        trace.append(float(np.mean(losses)))
+    return f_lin, w_proj, trace
+
+
+class TestReferenceParity:
+    @pytest.mark.parametrize("optimizer", ["sgd_momentum", "adam"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_train_sof_matches_per_batch_reference(self, seed, optimizer):
+        ds = small_bench(seed=seed, noise=0.3)
+        cfg = SofConfig(epochs=3, batch_size=5, seed=seed, optimizer=optimizer)
+        params, trace = train_sof(ds, cfg)
+        f_lin, w_proj, ref_trace = reference_train_sof(ds, cfg)
+        assert params.f_lin.tobytes() == f_lin.tobytes()
+        assert params.w_proj.tobytes() == w_proj.tobytes()
+        assert np.array(trace).tobytes() == np.array(ref_trace).tobytes()
 
 
 class TestRefineFeatures:

@@ -35,8 +35,9 @@ from workloads import SHORT, TINY  # noqa: E402  (stdlib-only module)
 
 MODES = ("s2v", "ep", "ep-ei", "full")
 # The sigma values swept, one `sweep` each: at 1e-4 and 1e-3 every chosen
-# neighbour weight of some rows underflows to 0.
-SIGMAS = ("0.0001", "0.001", "0.05", "0.2", "1")
+# neighbour weight of some rows underflows to 0; 1e-310 is below the smallest
+# sigma accepted, 1e-308 just above it.
+SIGMAS = ("1e-310", "1e-308", "0.0001", "0.001", "0.05", "0.2", "1")
 # Per configuration: its overrides of the defaults and the n_neighbors values
 # swept (the criterion-8 episodes have 4 classes, so at most 3 neighbours).
 CONFIGS = {
