@@ -10,7 +10,6 @@ Exit codes: 0 ok, 2 configuration, 3 missing input, 4 numeric failure,
 from __future__ import annotations
 
 import argparse
-import copy
 import hashlib
 import json
 import sys
@@ -59,7 +58,8 @@ def _fingerprint(paths) -> str:
     return h.hexdigest()
 
 
-def _dataset_fingerprint(data_dir: Path) -> str:
+def _dataset_fingerprint(data_dir) -> str:
+    data_dir = Path(data_dir)
     files = sorted(data_dir.glob("*.bin")) + sorted(data_dir.glob("*.csv")) + \
         sorted(data_dir.glob("split.txt"))
     return _fingerprint(files)
@@ -87,16 +87,6 @@ def _num(x) -> str:
     return "" if x is None else f"{x:.9g}"
 
 
-def _load_data(data_dir: str):
-    data_dir = Path(data_dir)
-    if not data_dir.is_dir():
-        raise FileNotFoundError(f"dataset directory {data_dir} does not exist")
-    fmt = "binary" if (data_dir / "features.bin").exists() else "csv"
-    if fmt == "csv" and not (data_dir / "features.csv").exists():
-        raise FileNotFoundError(f"no dataset files under {data_dir}")
-    return load_dataset_dir(data_dir, format=fmt), data_dir
-
-
 def _parse_delta_grid(spec: str | None) -> list[float]:
     """`start:stop:step` or comma-separated deltas; None means the default
     config's grid."""
@@ -107,13 +97,13 @@ def _parse_delta_grid(spec: str | None) -> list[float]:
         values = [float(tok) for tok in spec.split(sep) if tok != ""]
     except ValueError as exc:
         raise ConfigError(f"cannot parse delta grid {spec!r}") from exc
+    if sep == ":":
+        if len(values) != 3:
+            raise ConfigError(f"delta range {spec!r} is not start:stop:step")
+        return cfgmod.delta_range(*values)
     if not all(np.isfinite(values)):
         raise ConfigError(f"delta grid {spec!r} has a non-finite value")
-    if sep == ",":
-        return values
-    if len(values) != 3:
-        raise ConfigError(f"delta range {spec!r} is not start:stop:step")
-    return cfgmod.delta_range(*values)
+    return values
 
 
 def _parse_sweep_values(spec: str, param: str) -> list:
@@ -141,16 +131,24 @@ def _parse_sweep_values(spec: str, param: str) -> list:
 # pipeline helpers shared by train / ablate / sweep
 
 
-def _run_pipeline(ds, cfg: dict, mode_name: str, use_sof: bool, seed: int):
-    """Train one model (optionally behind the refiner); returns artifacts."""
+def _pipeline_configs(cfg: dict, mode_name: str, use_sof: bool, seed: int):
+    """The (SofConfig or None, TrainConfig) of one pipeline run.  Commands
+    build those of every run before the first trains, so a bad value fails
+    before any work."""
+    sof_cfg = cfgmod.sof_config(cfg, seed=seed) if use_sof else None
+    return sof_cfg, cfgmod.train_config(cfg, mode=mode_name, seed=seed)
+
+
+def _run_pipeline(ds, sof_cfg, train_cfg):
+    """Train one model, behind the refiner when sof_cfg is given; returns
+    artifacts."""
     refiner = None
     sof_trace: list[float] = []
     train_ds = ds
-    if use_sof:
-        refiner, sof_trace = train_sof(ds, cfgmod.sof_config(cfg, seed=seed))
+    if sof_cfg is not None:
+        refiner, sof_trace = train_sof(ds, sof_cfg)
         train_ds = refine_features(ds, refiner)
-    tcfg = cfgmod.train_config(cfg, mode=mode_name, seed=seed)
-    model = train_prototypes(train_ds, tcfg)
+    model = train_prototypes(train_ds, train_cfg)
     return model, refiner, sof_trace, train_ds
 
 
@@ -160,9 +158,9 @@ def _eval_model(model: PrototypeModel, eval_ds, grid):
     return reports, best
 
 
-def _best_report(ds, cfg: dict, mode_name: str, use_sof: bool, seed: int, grid):
+def _best_report(ds, configs, grid):
     """Train one pipeline and sweep it; its report at the best delta."""
-    model, _, _, train_ds = _run_pipeline(ds, cfg, mode_name, use_sof, seed)
+    model, _, _, train_ds = _run_pipeline(ds, *configs)
     return _eval_model(model, train_ds, grid)[1]
 
 
@@ -186,19 +184,19 @@ def cmd_synth(args, argv) -> int:
 def cmd_train(args, argv) -> int:
     started = time.time()
     cfg = cfgmod.load_config(args.config)
-    ds, data_dir = _load_data(args.data)
+    ds = load_dataset_dir(args.data)
     out = _out_dir(args.out)
-    mode_name, use_sof = MODES[args.mode]
-    model, refiner, sof_trace, _ = _run_pipeline(ds, cfg, mode_name, use_sof,
-                                                 cfg["seed"])
+    configs = _pipeline_configs(cfg, *MODES[args.mode], cfg["seed"])
+    model, refiner, sof_trace, _ = _run_pipeline(ds, *configs)
     model_dir = out / "model"
-    save_model(model, model_dir, meta={"cli_mode": args.mode, "used_sof": use_sof})
+    save_model(model, model_dir,
+               meta={"cli_mode": args.mode, "used_sof": refiner is not None})
     if refiner is not None:
         save_refiner(refiner, model_dir,
                      meta={"seed": cfg["seed"], "loss_trace": sof_trace})
     outputs = {"model": model_dir}
     metrics = {"final_loss": model.loss_trace[-1] if model.loss_trace else None,
-               "dataset_fingerprint": _dataset_fingerprint(data_dir)}
+               "dataset_fingerprint": _dataset_fingerprint(args.data)}
     _write_manifest(out, argv, cfg, cfg["seed"], outputs, metrics, started)
     print(f"trained mode={args.mode} -> {model_dir}")
     return 0
@@ -222,7 +220,7 @@ def _write_report_files(out: Path, label: str, reports, best, model, eval_ds) ->
         if ids.size == 0:
             continue
         protos = project_prototypes(model, eval_ds.attributes, ids)
-        sim = prototype_similarity(protos, ids)
+        sim = prototype_similarity(protos)
         with open(out / f"similarity_{block}{suffix}.csv", "w") as f:
             f.write("class_id," + ",".join(str(int(i)) for i in ids) + "\n")
             for i, row in zip(ids, sim.matrix):
@@ -231,7 +229,7 @@ def _write_report_files(out: Path, label: str, reports, best, model, eval_ds) ->
 
 def cmd_eval(args, argv) -> int:
     started = time.time()
-    ds, data_dir = _load_data(args.data)
+    ds = load_dataset_dir(args.data)
     out = _out_dir(args.out)
     grid = _parse_delta_grid(args.delta_grid)
     if not grid:
@@ -266,7 +264,7 @@ def cmd_eval(args, argv) -> int:
         outputs[key] = model_dir
         print(f"{key}: T={_pct(best.T)} U={_pct(best.U)} S={_pct(best.S)} "
               f"H={_pct(best.H)} at delta={best.delta:g}")
-    metrics["dataset_fingerprint"] = _dataset_fingerprint(data_dir)
+    metrics["dataset_fingerprint"] = _dataset_fingerprint(args.data)
     _write_manifest(out, argv, {"delta_grid": grid}, None, outputs, metrics, started)
     return 0
 
@@ -274,17 +272,18 @@ def cmd_eval(args, argv) -> int:
 def cmd_ablate(args, argv) -> int:
     started = time.time()
     cfg = cfgmod.load_config(args.config)
-    ds, data_dir = _load_data(args.data)
+    ds = load_dataset_dir(args.data)
     out = _out_dir(args.out)
     grid = cfgmod.delta_grid(cfg)
     seeds = [cfg["seed"] + i for i in range(args.seeds)]
+    ladder = [(name, [_pipeline_configs(cfg, mode_name, use_sof, seed)
+                      for seed in seeds])
+              for _, name, mode_name, use_sof in PIPELINES if name is not None]
     rows = []
-    for _, name, mode_name, use_sof in PIPELINES:
-        if name is None:
-            continue
+    for name, runs in ladder:
         per_seed = {"T": [], "U": [], "S": [], "H": []}
-        for seed in seeds:
-            best = _best_report(ds, cfg, mode_name, use_sof, seed, grid)
+        for configs in runs:
+            best = _best_report(ds, configs, grid)
             for key, val in (("T", best.T), ("U", best.U), ("S", best.S),
                              ("H", best.H)):
                 per_seed[key].append(val if val is not None else float("nan"))
@@ -307,7 +306,7 @@ def cmd_ablate(args, argv) -> int:
             f.write(f"{name:<16}{cells}\n")
     metrics = {name: {k: stats[k][0] for k in ("T", "U", "S", "H")}
                for name, stats in rows}
-    metrics["dataset_fingerprint"] = _dataset_fingerprint(data_dir)
+    metrics["dataset_fingerprint"] = _dataset_fingerprint(args.data)
     _write_manifest(out, argv, cfg, cfg["seed"],
                     {"table": out / "ablation.csv"}, metrics, started)
     print((out / "ablation.txt").read_text())
@@ -317,7 +316,7 @@ def cmd_ablate(args, argv) -> int:
 def cmd_sweep(args, argv) -> int:
     started = time.time()
     cfg = cfgmod.load_config(args.config)
-    ds, data_dir = _load_data(args.data)
+    ds = load_dataset_dir(args.data)
     out = _out_dir(args.out)
     grid = cfgmod.delta_grid(cfg)
     param = SWEEP_PARAMS.get(args.param)
@@ -325,16 +324,18 @@ def cmd_sweep(args, argv) -> int:
         raise ConfigError(f"unknown sweep parameter {args.param!r}; expected "
                           f"one of {', '.join(SWEEP_PARAMS)}")
     values = _parse_sweep_values(args.values, param)
+    mode_name, use_sof = MODES[args.mode]
+    runs = []
+    for value in values:
+        if param == "n_neighbors" and value == 0:  # hallucination disabled
+            runs.append(_pipeline_configs(cfg, "s2v_baseline", use_sof, cfg["seed"]))
+        else:
+            run_cfg = {**cfg, "hallucination": {**cfg["hallucination"], param: value}}
+            runs.append(_pipeline_configs(run_cfg, mode_name, use_sof, cfg["seed"]))
 
     results = []
-    for value in values:
-        run_cfg = copy.deepcopy(cfg)
-        mode_name, use_sof = MODES[args.mode]
-        if param == "n_neighbors" and value == 0:
-            mode_name = "s2v_baseline"  # hallucination disabled
-        else:
-            run_cfg["hallucination"][param] = value
-        best = _best_report(ds, run_cfg, mode_name, use_sof, run_cfg["seed"], grid)
+    for value, configs in zip(values, runs):
+        best = _best_report(ds, configs, grid)
         results.append((value, best.T, best.H))
 
     with open(out / "sweep.csv", "w") as f:
@@ -342,7 +343,7 @@ def cmd_sweep(args, argv) -> int:
         for value, t, h in results:
             f.write(f"{value:g},{t:.9g},{h:.9g}\n")
     metrics = {str(v): {"T": t, "H": h} for v, t, h in results}
-    metrics["dataset_fingerprint"] = _dataset_fingerprint(data_dir)
+    metrics["dataset_fingerprint"] = _dataset_fingerprint(args.data)
     _write_manifest(out, argv, cfg, cfg["seed"], {"sweep": out / "sweep.csv"},
                     metrics, started)
     print(f"swept {args.param} over {values} -> {out / 'sweep.csv'}")

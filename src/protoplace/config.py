@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import copy
 import json
+import math
+import numbers
 from dataclasses import fields
 from pathlib import Path
 
@@ -68,16 +70,18 @@ def load_config(path) -> dict:
 
 
 def validate_config(cfg: dict) -> None:
-    """Instantiate every typed sub-config so range errors surface up front."""
+    """Instantiate every typed sub-config so range errors surface up front,
+    and check the eval section's delta range.  The train section is built in
+    s2v_baseline mode, which hallucinates nothing: the n_neighbors bound of
+    the other modes is checked where a command builds its mode's config."""
     try:
         synth_config(cfg)
         sof_config(cfg)
-        train_config(cfg)
+        train_config(cfg, mode="s2v_baseline")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     ev = cfg["eval"]
-    if ev["delta_step"] <= 0 or ev["delta_stop"] < ev["delta_start"]:
-        raise ConfigError("eval delta grid must ascend with positive step")
+    check_delta_range(ev["delta_start"], ev["delta_stop"], ev["delta_step"])
 
 
 def synth_config(cfg: dict) -> SynthConfig:
@@ -97,12 +101,23 @@ def train_config(cfg: dict, mode: str = TrainConfig.mode,
                               "seed": cfg["seed"] if seed is None else seed})
 
 
+def check_delta_range(start, stop, step) -> None:
+    """ConfigError unless start, stop and step are finite real numbers (not
+    bools), step > 0 and stop >= start: the rule of every delta range."""
+    for name, value in (("start", start), ("stop", stop), ("step", step)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                or not -math.inf < value < math.inf:
+            raise ConfigError(f"delta grid {name} must be a finite number, "
+                              f"got {value!r}")
+    if step <= 0 or stop < start:
+        raise ConfigError("delta grid must ascend with positive step")
+
+
 def delta_range(start: float, stop: float, step: float) -> list[float]:
     """The calibrated-stacking grid start, start + step, ... up to stop
     inclusive, each value rounded to 10 decimals.  The only grid builder:
     the config's `eval` section and the CLI's `start:stop:step` both use it."""
-    if step <= 0 or stop < start:
-        raise ConfigError("delta grid must ascend with positive step")
+    check_delta_range(start, stop, step)
     grid = []
     d = start
     while d <= stop + 1e-12:

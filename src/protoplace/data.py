@@ -175,20 +175,15 @@ class SplitDataset:
         return self.attributes.dim
 
     @cached_property
-    def train_pools(self) -> dict[int, np.ndarray]:
-        """Each seen class's ascending train indices, by ascending class id;
-        built once, on first use, so the index fields must not change after."""
+    def train_pools(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each seen class's ascending train indices, concatenated in ascending
+        class-id order, as (sizes, starts, flat): each pool's size and its
+        start in flat, aligned with seen_classes.  Built once, on first use,
+        so the index fields must not change after."""
         labels = self.labels[self.train_idx]
-        return {int(c): np.sort(self.train_idx[labels == c])
-                for c in self.seen_classes}
-
-    @cached_property
-    def _packed_pools(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """train_pools as arrays aligned with seen_classes: each pool's size,
-        its start in the concatenation, and the pools concatenated."""
-        pools = list(self.train_pools.values())
-        sizes = np.asarray([pool.size for pool in pools], dtype=np.int64)
-        flat = np.concatenate(pools) if pools else np.empty(0, dtype=np.int64)
+        flat = self.train_idx[np.lexsort((self.train_idx, labels))]
+        sizes = np.bincount(np.searchsorted(self.seen_classes, labels),
+                            minlength=self.seen_classes.size)
         return sizes, np.cumsum(sizes) - sizes, flat
 
 
@@ -417,15 +412,16 @@ def load_dataset(features_path, attributes_path, split_path,
     )
 
 
-def load_dataset_dir(data_dir, format: str = "binary") -> SplitDataset:
+def load_dataset_dir(data_dir) -> SplitDataset:
+    """The dataset save_dataset wrote to data_dir: binary if features.bin is
+    there, else CSV.  FileNotFoundError if it holds neither or is missing."""
     data_dir = Path(data_dir)
-    ext = "bin" if format == "binary" else "csv"
-    return load_dataset(
-        data_dir / f"features.{ext}",
-        data_dir / f"attributes.{ext}",
-        data_dir / "split.txt",
-        format=format,
-    )
+    for format, ext in (("binary", "bin"), ("csv", "csv")):
+        features_path = data_dir / f"features.{ext}"
+        if features_path.exists():
+            return load_dataset(features_path, data_dir / f"attributes.{ext}",
+                                data_dir / "split.txt", format=format)
+    raise FileNotFoundError(f"no dataset files under {data_dir}")
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +434,7 @@ def sample_episode(ds: SplitDataset, m: int, n: int, rng: RngStream) -> Episode:
     The classes are one draw; the samples are one batched draw per run of
     consecutive chosen classes with equal pool sizes, which equals one draw
     per class in row order (see RngStream.choices_without_replacement)."""
-    sizes, starts, flat = ds._packed_pools
+    sizes, starts, flat = ds.train_pools
     eligible = np.flatnonzero(sizes >= n)
     if m > eligible.size:
         raise CapacityError(

@@ -87,12 +87,9 @@ def propagation_weights(
     """Harmonized softmax neighbor weights, masked to a random subset per row.
 
     A row whose chosen weights all underflow to 0 (small sigma) is computed
-    in log space instead of dividing 0 by 0."""
+    in log space instead of dividing 0 by 0.  n_neighbors > M - 1 fails in
+    the neighbour draw (ParameterError)."""
     m = ep.m_classes
-    if cfg.n_neighbors > m - 1:
-        raise ParameterError(
-            f"n_neighbors = {cfg.n_neighbors} exceeds the {m - 1} available neighbors"
-        )
     sim_v = pairwise_cosine(class_centroids(ep))
     sim_a = pairwise_cosine(ep.semantic)
     w_v = _offdiag_softmax(sim_v, cfg.sigma)

@@ -41,14 +41,29 @@ def softmax(scores, temperature: float = 1.0) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def unit_rows(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r's rows scaled to norm 1, their norms).  FloatingPointError on a
+    zero-norm row: the cosine cross-entropy has no value there."""
+    rn = np.sqrt(np.add.reduce(r * r, axis=1))  # np.linalg.norm(r, axis=1)
+    if not rn.all():
+        raise FloatingPointError("zero-norm row in cosine cross-entropy")
+    return r / rn[:, None], rn
+
+
+def unit_rows_or_zero(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x's rows scaled to norm 1, their norms), with each zero-norm row left
+    at 0, so that its cosine with any row is 0."""
+    norms = np.sqrt(np.add.reduce(x * x, axis=1))  # np.linalg.norm(x, axis=1)
+    zero = norms == 0
+    xh = x / np.where(zero, 1.0, norms)[:, None]
+    xh[zero] = 0.0
+    return xh, norms
+
+
 def pairwise_cosine(x) -> np.ndarray:
     """Row-wise cosine similarity matrix; zero-norm rows score 0 everywhere."""
-    x = as_matrix(x, "pairwise input")
-    norms = np.linalg.norm(x, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    xh = x / safe[:, None]
-    xh[norms == 0] = 0.0
-    sim = xh @ xh.T
+    xh, _ = unit_rows_or_zero(as_matrix(x, "pairwise input"))
+    sim = xh @ xh.T  # one operand times its own transpose: numpy's a @ a.T path
     return np.clip((sim + sim.T) / 2.0, -1.0, 1.0)
 
 
@@ -168,15 +183,6 @@ def net_backward(
 # cosine cross-entropy (shared by the refinement and prototype losses)
 
 
-def unit_rows(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(r's rows scaled to norm 1, their norms): the checked references of
-    cosine_cross_entropy.  FloatingPointError on a zero-norm row."""
-    rn = np.sqrt(np.add.reduce(r * r, axis=1))  # np.linalg.norm(r, axis=1)
-    if not rn.all():
-        raise FloatingPointError("zero-norm row in cosine cross-entropy")
-    return r / rn[:, None], rn
-
-
 def cosine_cross_entropy(
     q: np.ndarray, refs: tuple[np.ndarray, np.ndarray], targets: np.ndarray,
     scale: float, wrt: str,
@@ -192,10 +198,7 @@ def cosine_cross_entropy(
     b = q.shape[0]
     if targets.shape != (b,):
         raise ShapeError("one target per query row required")
-    qn = np.sqrt(np.add.reduce(q * q, axis=1))  # np.linalg.norm(q, axis=1)
-    if not qn.all():
-        raise FloatingPointError("zero-norm row in cosine cross-entropy")
-    qh = q / qn[:, None]
+    qh, qn = unit_rows(q)
     cos = qh @ rh.T
     try:  # the flat index of each row's target entry
         at = np.ravel_multi_index((np.arange(b), targets), cos.shape)
@@ -220,28 +223,23 @@ def cosine_cross_entropy(
 # optimizers
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class OptimizerState:
+    """SofConfig and TrainConfig check the learning rate and momentum; the
+    mode is checked here, as optimizer_step runs Adam for any other mode."""
+
     mode: str
     learning_rate: float
     momentum: float = 0.9
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     step_count: int = 0
     buffers: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.mode not in OPTIMIZER_MODES:
             raise ParameterError(f"unknown optimizer mode {self.mode!r}")
-        if self.learning_rate <= 0:
-            raise ParameterError("learning rate must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ParameterError("momentum must be in [0, 1)")
-        if not (0.0 < self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
-            raise ParameterError("adam betas must be in (0, 1)")
-        if self.adam_eps <= 0:
-            raise ParameterError("adam epsilon must be positive")
 
 
 def _buffer(state: OptimizerState, key: str, like: np.ndarray) -> np.ndarray:
@@ -275,7 +273,7 @@ def optimizer_step(
         else:
             m = _buffer(state, f"m_{name}", p)
             v = _buffer(state, f"v_{name}", p)
-            b1, b2 = state.adam_beta1, state.adam_beta2
+            b1, b2 = ADAM_BETA1, ADAM_BETA2
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
@@ -283,5 +281,5 @@ def optimizer_step(
             t = state.step_count
             mhat = m / (1.0 - b1**t)
             vhat = v / (1.0 - b2**t)
-            p -= lr * mhat / (np.sqrt(vhat) + state.adam_eps)
+            p -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     return params

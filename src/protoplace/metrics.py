@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import SplitDataset
 from .errors import ParameterError, ValidationError
-from .linalg import as_matrix
+from .linalg import as_matrix, unit_rows_or_zero
 from .prototypes import PrototypeModel, project_prototypes
 
 
@@ -29,19 +29,8 @@ class EvalReport:
 
 @dataclass
 class SimilarityMatrix:
-    class_ids: np.ndarray
     matrix: np.ndarray
     zero_norm: np.ndarray  # bool flags per prototype
-
-
-def _cosine_scores(features: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
-    fn = np.linalg.norm(features, axis=1)
-    pn = np.linalg.norm(prototypes, axis=1)
-    fh = features / np.where(fn > 0, fn, 1.0)[:, None]
-    ph = prototypes / np.where(pn > 0, pn, 1.0)[:, None]
-    fh[fn == 0] = 0.0
-    ph[pn == 0] = 0.0
-    return fh @ ph.T
 
 
 class _IdScores(NamedTuple):
@@ -61,8 +50,8 @@ class _IdScores(NamedTuple):
 
 def _id_scores(features, prototypes, class_ids, seen_mask) -> _IdScores:
     order = np.argsort(class_ids, kind="stable")
-    return _IdScores(_cosine_scores(features, prototypes)[:, order],
-                     class_ids[order], seen_mask[order])
+    scores = unit_rows_or_zero(features)[0] @ unit_rows_or_zero(prototypes)[0].T
+    return _IdScores(scores[:, order], class_ids[order], seen_mask[order])
 
 
 def zsl_predict(prototypes, class_ids, features) -> np.ndarray:
@@ -128,22 +117,17 @@ def harmonic_mean(u: float, s: float) -> float:
     return 2.0 * u * s / (u + s)
 
 
-def prototype_similarity(prototypes, class_ids=None) -> SimilarityMatrix:
+def prototype_similarity(prototypes) -> SimilarityMatrix:
     """Pairwise cosine matrix; symmetric, unit diagonal for nonzero prototypes."""
     prototypes = as_matrix(prototypes, "prototypes")
     if prototypes.shape[0] == 0:
         raise ParameterError("at least one prototype required")
-    if class_ids is None:
-        class_ids = np.arange(prototypes.shape[0], dtype=np.int64)
-    class_ids = np.asarray(class_ids, dtype=np.int64).ravel()
-    norms = np.linalg.norm(prototypes, axis=1)
+    ph, norms = unit_rows_or_zero(prototypes)
     zero = norms == 0
-    ph = prototypes / np.where(zero, 1.0, norms)[:, None]
-    ph[zero] = 0.0
     m = ph @ ph.T
     m = (m + m.T) / 2.0
     np.fill_diagonal(m, np.where(zero, 0.0, 1.0))
-    return SimilarityMatrix(class_ids=class_ids, matrix=m, zero_norm=zero)
+    return SimilarityMatrix(matrix=m, zero_norm=zero)
 
 
 def _evaluate_grid(model: PrototypeModel, ds: SplitDataset,

@@ -15,11 +15,11 @@ import numpy as np
 
 from .data import AttributeTable, Episode, SplitDataset, load_matrix, sample_episode, \
     save_matrix
-from .errors import FormatError, ParameterError, TrainingError, UsageError, \
-    ValidationError, require_ints
+from .errors import FormatError, ParameterError, TrainingError, UsageError, require_ints
 from .hallucinate import HalluConfig, HallucinatedEpisode, hallucinate
-from .linalg import ACTIVATIONS, MappingNet, OptimizerState, cosine_cross_entropy, \
-    net_backward, net_forward, optimizer_step, require_finite, unit_rows
+from .linalg import ACTIVATIONS, OPTIMIZER_MODES, MappingNet, OptimizerState, \
+    cosine_cross_entropy, net_backward, net_forward, optimizer_step, require_finite, \
+    unit_rows
 from .rng import DEFAULT_SEED, RngStream
 
 # What an episode does in each training mode: whether it hallucinates
@@ -60,10 +60,16 @@ class TrainConfig:
             raise ParameterError("episode sizes must be positive")
         if self.learning_rate <= 0 or self.logit_scale <= 0:
             raise ParameterError("learning_rate and logit_scale must be positive")
+        if self.optimizer not in OPTIMIZER_MODES:
+            raise ParameterError(f"unknown optimizer {self.optimizer!r}")
         if self.lambda_real < 0:
             raise ParameterError("lambda_real must be nonnegative")
         if self.mode not in _PLACEHOLDERS:
             raise ParameterError(f"unknown training mode {self.mode!r}")
+        n, m = self.hallucination.n_neighbors, self.m_classes
+        if _PLACEHOLDERS[self.mode][0] and n > m - 1:
+            raise ParameterError(f"n_neighbors = {n} exceeds an episode's {m - 1} "
+                                 f"other classes (m_classes = {m})")
 
 
 @dataclass
@@ -101,6 +107,7 @@ def real_loss(
                        logit_scale)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence: the loss check reports it
 def train_prototypes(ds: SplitDataset, cfg: TrainConfig) -> PrototypeModel:
     if cfg.mode == "full" and not ds.refined:
         raise UsageError("mode 'full' expects a dataset refined by stage one")
@@ -150,9 +157,6 @@ def project_prototypes(
     ids = np.asarray(class_ids, dtype=np.int64).ravel()
     if ids.size == 0:
         raise ParameterError("class_ids must be nonempty")
-    if ids.min() < 0 or ids.max() >= attributes.num_classes:
-        bad = ids[(ids < 0) | (ids >= attributes.num_classes)][0]
-        raise ValidationError(f"unknown class id {bad}")
     out, _ = net_forward(model.net, attributes.rows(ids))
     return require_finite(out, "network output")
 

@@ -16,8 +16,8 @@ import numpy as np
 from .data import AttributeTable, SplitDataset, load_matrix, save_matrix
 from .errors import ParameterError, ShapeError, TrainingError, ValidationError, \
     require_ints
-from .linalg import OptimizerState, as_matrix, cosine_cross_entropy, optimizer_step, \
-    unit_rows
+from .linalg import OPTIMIZER_MODES, OptimizerState, as_matrix, cosine_cross_entropy, \
+    optimizer_step, unit_rows
 from .rng import DEFAULT_SEED, RngStream
 
 
@@ -51,6 +51,10 @@ class SofConfig:
             raise ParameterError("epochs must be nonnegative")
         if self.learning_rate <= 0 or self.logit_scale <= 0:
             raise ParameterError("learning_rate and logit_scale must be positive")
+        if self.optimizer not in OPTIMIZER_MODES:
+            raise ParameterError(f"unknown optimizer {self.optimizer!r}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ParameterError("momentum must be in [0, 1)")
         if self.batch_size < 1:
             raise ParameterError("batch_size must be at least 1")
 
@@ -82,6 +86,7 @@ def sof_loss(
                                 wrt="queries")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence: the loss check reports it
 def train_sof(ds: SplitDataset, cfg: SofConfig) -> tuple[RefinerParams, list[float]]:
     """Minimize the semantic alignment loss over train minibatches.
 

@@ -40,9 +40,6 @@ class RngStream:
     def normal(self, size=None):
         return self._gen.standard_normal(size)
 
-    def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high, size)
-
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
@@ -74,11 +71,7 @@ def beta_sample(rng: RngStream, alpha1: float, alpha2: float, size=None):
 
     Each Beta draws its two Gammas back to back, so `size=m` gives the same
     m values, bit for bit, as m scalar calls, and leaves the stream in the
-    same state."""
-    if alpha1 <= 0 or alpha2 <= 0:
-        raise ParameterError(
-            f"Beta shape parameters must be positive, got ({alpha1}, {alpha2})"
-        )
+    same state.  RngStream.gamma checks the shapes."""
     if size is None:
         x, y = rng.gamma(alpha1), rng.gamma(alpha2)
         total = x + y

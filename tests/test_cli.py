@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from protoplace import cli
 from protoplace.cli import main
 from protoplace.config import DEFAULTS, load_config
 from protoplace.data import load_dataset_dir, load_matrix, save_dataset, \
@@ -61,6 +63,25 @@ def make_data(tmp_path, cfg_path):
     return data
 
 
+def write_config(path, **sections):
+    """TINY with the given sections' keys overridden, written to path."""
+    path.write_text(json.dumps({**TINY, **{name: {**TINY.get(name, {}), **keys}
+                                           for name, keys in sections.items()}}))
+    return path
+
+
+@pytest.fixture
+def training_calls(monkeypatch):
+    """The number of calls the CLI makes to train_sof and train_prototypes."""
+    calls = {"train_sof": 0, "train_prototypes": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
 class TestConfig:
     def test_defaults_round_trip(self, tmp_path):
         p = tmp_path / "empty.json"
@@ -107,6 +128,73 @@ class TestConfig:
         assert run("synth", "--config", p, "--out", tmp_path / "d") == 2
         assert "must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("delta_step", float("nan")), ("delta_start", float("nan")),
+        ("delta_stop", float("inf")), ("delta_step", "0.1"), ("delta_step", True),
+        ("delta_start", None),
+    ], ids=["step NaN", "start NaN", "stop Infinity", "step string", "step true",
+            "start null"])
+    def test_eval_numbers_checked_at_load(self, tmp_path, key, value):
+        # NaN and Infinity are what Python's json module reads and writes for
+        # the non-finite floats
+        p = write_config(tmp_path / "bad.json", eval={key: value})
+        with pytest.raises(ConfigError, match="delta grid"):
+            load_config(p)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("train", "optimizer", "sgd"), ("sof", "optimizer", "rmsprop"),
+        ("sof", "momentum", 1.5),
+    ])
+    def test_optimizer_settings_checked_at_load(self, tmp_path, section, key,
+                                                value):
+        p = write_config(tmp_path / "bad.json", **{section: {key: value}})
+        with pytest.raises(ConfigError, match=key):
+            load_config(p)
+
+
+class TestRunConfigsBuiltFirst:
+    """Each command builds the configs of all its runs before the first one
+    trains, so a bad value exits 2 before any work."""
+
+    @pytest.mark.parametrize("sections,argv", [
+        ({"eval": {"delta_step": float("nan")}}, ["train", "--mode", "s2v"]),
+        ({"sof": {"optimizer": "rmsprop"}}, ["train", "--mode", "s2v"]),
+        ({"sof": {"momentum": 1.5}}, ["train", "--mode", "s2v"]),
+        ({"train": {"optimizer": "sgd"}}, ["train", "--mode", "full"]),
+        ({"train": {"m_classes": 5}, "hallucination": {"n_neighbors": 5}},
+         ["train", "--mode", "full"]),
+        ({"train": {"m_classes": 5}, "hallucination": {"n_neighbors": 5}},
+         ["ablate", "--seeds", "1"]),
+        ({}, ["sweep", "--param", "sigma", "--values", "0.1,1e-310",
+              "--mode", "full"]),
+        ({}, ["sweep", "--param", "n", "--values", "1,4", "--mode", "ep"]),
+    ], ids=["eval NaN", "sof optimizer", "sof momentum", "train optimizer",
+            "train neighbours", "ablate neighbours", "sweep sigma",
+            "sweep neighbours"])
+    def test_bad_value_exits_2_before_training(self, workdir, training_calls,
+                                               capsys, sections, argv):
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        bad = write_config(tmp_path / "bad.json", **sections)
+        rc = run(argv[0], "--config", bad, "--data", data,
+                 "--out", tmp_path / "out", *argv[1:])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert training_calls == {"train_sof": 0, "train_prototypes": 0}
+
+    def test_neighbours_unbounded_where_nothing_hallucinates(self, workdir,
+                                                             training_calls):
+        # `train --mode s2v` and a sweep's n_neighbors = 0 run (s2v_baseline,
+        # with the config's own n_neighbors) never draw neighbours
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        big = write_config(tmp_path / "big.json", hallucination={"n_neighbors": 9})
+        assert run("train", "--config", big, "--data", data,
+                   "--out", tmp_path / "t", "--mode", "s2v") == 0
+        assert run("sweep", "--config", big, "--data", data, "--out", tmp_path / "s",
+                   "--param", "n", "--values", "0,3", "--mode", "ep-ei") == 0
+        assert training_calls == {"train_sof": 0, "train_prototypes": 3}
 
 
 class TestSynth:
@@ -190,6 +278,23 @@ class TestTrain:
         assert rc == 4
         assert "numeric failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,mode", [("train", "s2v"), ("train", "full"),
+                                              ("sof", "full")])
+    def test_divergence_prints_no_warnings(self, workdir, capsys, section, mode):
+        # one "numeric failure" line names the stage and epoch; numpy's
+        # overflow and invalid-value warnings on the way are not printed
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        bad = write_config(tmp_path / "diverge.json",
+                           **{section: {"learning_rate": 1e300}})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run("train", "--config", bad, "--data", data,
+                     "--out", tmp_path / "out", "--mode", mode)
+        assert rc == 4
+        assert "loss diverged at epoch 0" in capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+
     def test_zero_episodes_per_epoch_exits_2(self, workdir, capsys):
         # no episode would run, leaving a NaN final loss
         tmp_path, cfg = workdir
@@ -202,6 +307,16 @@ class TestTrain:
         assert rc == 2
         assert "episodes_per_epoch" in capsys.readouterr().err
         assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_dir_without_dataset_files_exits_3(self, workdir, capsys):
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        for name in ("features.bin", "features.labels.bin"):
+            (data / name).unlink()
+        rc = run("train", "--config", cfg, "--data", data,
+                 "--out", tmp_path / "out", "--mode", "s2v")
+        assert rc == 3
+        assert "no dataset files" in capsys.readouterr().err
 
     def test_missing_data_exits_3(self, workdir, capsys):
         tmp_path, cfg = workdir
@@ -285,6 +400,18 @@ class TestEval:
         rc = run("eval", "--model", model, "--data", data, "--out", tmp_path / "e")
         assert rc == 5
         assert "model.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["sgd", "rmsprop"])
+    def test_model_json_with_unknown_optimizer_exits_5(self, trained, value,
+                                                       capsys):
+        # model.json is read through TrainConfig, which checks the optimizer
+        tmp_path, cfg, data, model = trained
+        manifest = json.loads((model / "model.json").read_text())
+        manifest["optimizer"] = value
+        (model / "model.json").write_text(json.dumps(manifest))
+        rc = run("eval", "--model", model, "--data", data, "--out", tmp_path / "e")
+        assert rc == 5
+        assert "optimizer" in capsys.readouterr().err
 
     def test_non_integral_label_exits_5(self, trained):
         tmp_path, cfg, data, model = trained

@@ -176,6 +176,23 @@ class TestDatasetIO:
         with pytest.raises(FormatError, match="not a nonnegative integer"):
             load_dataset_dir(tmp_path)
 
+    def test_dir_format_is_detected(self, tmp_path):
+        for format in ("binary", "csv"):
+            paths = save_dataset(tiny_dataset(), tmp_path / format, format=format)
+            loaded = load_dataset_dir(tmp_path / format)
+            ref = load_dataset(paths["features"], paths["attributes"],
+                               paths["split"], format=format)
+            assert loaded.features.tobytes() == ref.features.tobytes()
+            assert loaded.labels.tobytes() == ref.labels.tobytes()
+            assert loaded.attributes.values.tobytes() == \
+                ref.attributes.values.tobytes()
+
+    def test_dir_without_dataset_files(self, tmp_path):
+        (tmp_path / "split.txt").write_text("seen:\n")
+        for path in (tmp_path, tmp_path / "nope"):
+            with pytest.raises(FileNotFoundError, match="no dataset files"):
+                load_dataset_dir(path)
+
 
 class TestValidation:
     def test_overlapping_splits_rejected(self):
@@ -295,12 +312,38 @@ class TestSampleEpisode:
         pools = ds.train_pools
         sample_episode(ds, 3, 2, RngStream(0))
         assert ds.train_pools is pools
-        assert list(pools) == ds.seen_classes.tolist()
-        for c, pool in pools.items():
+        sizes, starts, flat = pools
+        assert sizes.size == starts.size == ds.seen_classes.size
+        for c, size, start in zip(ds.seen_classes, sizes, starts):
+            pool = flat[start:start + size]
             assert np.all(np.diff(pool) > 0)
             assert np.all(ds.labels[pool] == c)
             assert np.isin(pool, ds.train_idx).all()
-        assert sum(pool.size for pool in pools.values()) == ds.train_idx.size
+        assert sizes.sum() == flat.size == ds.train_idx.size
+
+    def test_packed_pools_match_per_class_sort(self):
+        # unequal pools (one empty) from a shuffled train index: the packed
+        # pools equal each seen class's np.sort-ed indices, concatenated in
+        # class-id order
+        ds = generate_synthetic(SynthConfig(seen_count=6, unseen_count=2,
+                                            attr_dim=3, feat_dim=4,
+                                            train_per_class=9, test_per_class=1,
+                                            noise_scale=0.1, seed=4))
+        labels = ds.labels[ds.train_idx]
+        keep = np.concatenate([ds.train_idx[labels == c][:k]
+                               for c, k in enumerate([9, 2, 0, 7, 1, 5])])
+        keep = keep[RngStream(2).permutation(keep.size)]
+        ds = SplitDataset(ds.features, ds.labels, ds.attributes, ds.seen_classes,
+                          ds.unseen_classes, keep, ds.test_seen_idx,
+                          ds.test_unseen_idx)
+        labels = ds.labels[ds.train_idx]
+        pools = [np.sort(ds.train_idx[labels == c]) for c in ds.seen_classes]
+        ref_sizes = np.asarray([pool.size for pool in pools], dtype=np.int64)
+        sizes, starts, flat = ds.train_pools
+        assert sizes.tobytes() == ref_sizes.tobytes()
+        assert starts.tobytes() == (np.cumsum(ref_sizes) - ref_sizes).tobytes()
+        assert flat.tobytes() == np.concatenate(pools).tobytes()
+        assert sizes.dtype == starts.dtype == flat.dtype == np.int64
 
     def test_coverage_over_many_draws(self):
         ds = generate_synthetic(SynthConfig(seen_count=5, unseen_count=2,

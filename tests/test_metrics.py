@@ -5,6 +5,7 @@ from protoplace.config import DEFAULTS, delta_grid, delta_range
 from protoplace.data import AttributeTable, SplitDataset, SynthConfig, \
     generate_synthetic
 from protoplace.errors import ConfigError, ParameterError, ValidationError
+from protoplace import metrics
 from protoplace.linalg import MappingNet
 from protoplace.metrics import (
     cs_sweep,
@@ -144,6 +145,50 @@ class TestPredictors:
             zsl_predict(np.eye(3), [0, 1], np.eye(3))
         with pytest.raises(ParameterError):
             zsl_predict(np.zeros((0, 3)), [], np.eye(3))
+
+
+def reference_unit_rows_or_zero(x):
+    """The zero-safe row normalisation the metrics module wrote inline before
+    linalg.unit_rows_or_zero."""
+    norms = np.linalg.norm(x, axis=1)
+    xh = x / np.where(norms > 0, norms, 1.0)[:, None]
+    xh[norms == 0] = 0.0
+    return xh, norms
+
+
+class TestCosineParity:
+    """Scores and similarity matrices equal the inline forms they replaced,
+    bit for bit, zero-norm rows included."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sweep_scores(self, seed):
+        rng = np.random.default_rng(seed)
+        features = rng.normal(size=(30, 8)) * 10.0 ** rng.integers(-50, 50, (30, 1))
+        features[[0, 7]] = 0.0
+        features[7] = -0.0
+        protos = rng.normal(size=(9, 8))
+        protos[4] = 0.0
+        ids = rng.permutation(9)
+        mask = rng.uniform(size=9) < 0.5
+        fh, _ = reference_unit_rows_or_zero(features)
+        ph, _ = reference_unit_rows_or_zero(protos)
+        order = np.argsort(ids, kind="stable")
+        got = metrics._id_scores(features, protos, ids, mask)
+        assert got.scores.tobytes() == (fh @ ph.T)[:, order].tobytes()
+        assert got.ids.tolist() == ids[order].tolist()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_prototype_similarity(self, seed):
+        rng = np.random.default_rng(10 + seed)
+        protos = rng.normal(size=(12, 6)) * 10.0 ** rng.integers(-50, 50, (12, 1))
+        protos[[2, 9]] = 0.0
+        ph, norms = reference_unit_rows_or_zero(protos)
+        m = ph @ ph.T
+        m = (m + m.T) / 2.0
+        np.fill_diagonal(m, np.where(norms == 0, 0.0, 1.0))
+        sim = prototype_similarity(protos)
+        assert sim.matrix.tobytes() == m.tobytes()
+        assert sim.zero_norm.tolist() == (norms == 0).tolist()
 
 
 class TestSimilarityMatrix:

@@ -282,3 +282,22 @@ class TestTrainConfig:
             TrainConfig(m_classes=0)
         with pytest.raises(ParameterError):
             TrainConfig(lambda_real=-0.5)
+
+    @pytest.mark.parametrize("setting", [
+        {"learning_rate": -1.0}, {"optimizer": "sgd"}, {"optimizer": "rmsprop"},
+    ], ids=str)
+    def test_optimizer_settings_checked(self, setting):
+        with pytest.raises(ParameterError):
+            TrainConfig(**setting)
+
+    @pytest.mark.parametrize("mode", ["ep_only", "ep_ei", "full"])
+    def test_neighbours_bounded_where_hallucinating(self, mode):
+        # an episode of m classes has m - 1 neighbours per class
+        with pytest.raises(ParameterError, match="n_neighbors = 5"):
+            TrainConfig(m_classes=5, hallucination=HalluConfig(n_neighbors=5),
+                        mode=mode)
+        TrainConfig(m_classes=5, hallucination=HalluConfig(n_neighbors=4), mode=mode)
+
+    def test_neighbours_unbounded_without_hallucination(self):
+        TrainConfig(m_classes=5, hallucination=HalluConfig(n_neighbors=9),
+                    mode="s2v_baseline")

@@ -223,3 +223,18 @@ class TestSofConfig:
             SofConfig(learning_rate=0.0)
         with pytest.raises(ParameterError):
             SofConfig(batch_size=0)
+
+    @pytest.mark.parametrize("setting", [
+        {"learning_rate": -1.0}, {"optimizer": "rmsprop"}, {"optimizer": "adamw"},
+        {"momentum": 1.0}, {"momentum": 1.5}, {"momentum": -0.1},
+        {"momentum": float("nan")},
+    ], ids=str)
+    def test_optimizer_settings_checked(self, setting):
+        # the one check of these values; OptimizerState repeats none of them
+        with pytest.raises(ParameterError):
+            SofConfig(**setting)
+
+    def test_optimizer_settings_in_range(self):
+        for optimizer in ("sgd_momentum", "adam"):
+            for momentum in (0.0, 0.5, 0.999):
+                SofConfig(optimizer=optimizer, momentum=momentum)
