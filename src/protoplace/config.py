@@ -101,9 +101,17 @@ def train_config(cfg: dict, mode: str = TrainConfig.mode,
                               "seed": cfg["seed"] if seed is None else seed})
 
 
+# The most deltas a delta range may hold; each costs the sweep one pass over
+# the scores.
+MAX_DELTAS = 100_000
+
+
 def check_delta_range(start, stop, step) -> None:
     """ConfigError unless start, stop and step are finite real numbers (not
-    bools), step > 0 and stop >= start: the rule of every delta range."""
+    bools), step > 0, stop >= start, the range holds at most MAX_DELTAS deltas
+    ((stop - start) / step < MAX_DELTAS) and step is at least the spacing of
+    the floats at the range's ends, so that each step moves a delta: the rule
+    of every delta range, checked before any grid is built."""
     for name, value in (("start", start), ("stop", stop), ("step", step)):
         if isinstance(value, bool) or not isinstance(value, numbers.Real) \
                 or not -math.inf < value < math.inf:
@@ -111,6 +119,12 @@ def check_delta_range(start, stop, step) -> None:
                               f"got {value!r}")
     if step <= 0 or stop < start:
         raise ConfigError("delta grid must ascend with positive step")
+    if not (stop - start) / step < MAX_DELTAS:
+        raise ConfigError(f"delta grid {start}:{stop}:{step} holds more than "
+                          f"{MAX_DELTAS} deltas")
+    if step < math.ulp(max(abs(start), abs(stop))):
+        raise ConfigError(f"delta grid step {step} is below the spacing of the "
+                          f"floats at {start}:{stop}")
 
 
 def delta_range(start: float, stop: float, step: float) -> list[float]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -187,8 +187,17 @@ class SplitDataset:
         return sizes, np.cumsum(sizes) - sizes, flat
 
 
+class Stackable:
+    """Mixin of the episode dataclasses.  A block of E episodes carries a
+    leading axis of length E on every array field; `block[i]` is its i-th
+    episode, with views of the block's arrays."""
+
+    def __getitem__(self, i: int):
+        return type(self)(*(getattr(self, f.name)[i] for f in fields(self)))
+
+
 @dataclass(frozen=True)
-class Episode:
+class Episode(Stackable):
     """One training batch: M seen classes with N aligned samples each."""
 
     class_ids: np.ndarray   # (M,)
@@ -199,11 +208,11 @@ class Episode:
 
     @property
     def m_classes(self) -> int:
-        return self.class_ids.shape[0]
+        return self.class_ids.shape[-1]
 
     @property
     def n_samples(self) -> int:
-        return self.sample_idx.shape[1]
+        return self.sample_idx.shape[-1]
 
 
 @dataclass
@@ -226,7 +235,7 @@ class SynthConfig:
         for name in counts:
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be at least 1")
-        if self.noise_scale < 0:
+        if not self.noise_scale >= 0:  # NaN fails too
             raise ParameterError("noise_scale must be nonnegative")
         if self.feat_dim < self.attr_dim:
             warnings.warn("feat_dim < attr_dim: the semantic space does not embed "
@@ -428,12 +437,16 @@ def load_dataset_dir(data_dir) -> SplitDataset:
 # episodic sampling
 
 
-def sample_episode(ds: SplitDataset, m: int, n: int, rng: RngStream) -> Episode:
+def sample_episode(ds: SplitDataset, m: int, n: int, rng: RngStream,
+                   episodes: int | None = None) -> Episode:
     """M distinct seen classes, N train samples each, both without replacement.
+    With `episodes`, a block of that many episodes (see Stackable), equal to
+    as many successive calls, bit for bit, with the same draws.
 
-    The classes are one draw; the samples are one batched draw per run of
-    consecutive chosen classes with equal pool sizes, which equals one draw
-    per class in row order (see RngStream.choices_without_replacement)."""
+    Each episode's classes are one draw; its samples are one batched draw per
+    run of consecutive chosen classes with equal pool sizes, which equals one
+    draw per class in row order (see RngStream.choices_without_replacement).
+    Only the draws run per episode: the gathers run once per block."""
     sizes, starts, flat = ds.train_pools
     eligible = np.flatnonzero(sizes >= n)
     if m > eligible.size:
@@ -441,20 +454,24 @@ def sample_episode(ds: SplitDataset, m: int, n: int, rng: RngStream) -> Episode:
             f"requested {m} classes with at least {n} train samples, "
             f"only {eligible.size} available (short by {m - eligible.size})"
         )
-    chosen = eligible[rng.choice_without_replacement(eligible.size, m)]
+    e = 1 if episodes is None else episodes
+    chosen = np.empty((e, m), dtype=np.int64)
+    picks = np.empty((e, m, n), dtype=np.int64)
+    for i in range(e):
+        chosen[i] = eligible[rng.choice_without_replacement(eligible.size, m)]
+        lo = 0
+        for size, run in itertools.groupby(sizes[chosen[i]].tolist()):
+            hi = lo + sum(1 for _ in run)
+            picks[i, lo:hi] = rng.choices_without_replacement(hi - lo, size, n)
+            lo = hi
     class_ids = ds.seen_classes[chosen]
-    picks = np.empty((m, n), dtype=np.int64)
-    lo = 0
-    for size, run in itertools.groupby(sizes[chosen].tolist()):
-        hi = lo + sum(1 for _ in run)
-        picks[lo:hi] = rng.choices_without_replacement(hi - lo, size, n)
-        lo = hi
-    sample_idx = flat[starts[chosen][:, None] + picks]
-    visual = ds.features[sample_idx.ravel()]
-    semantic = ds.attributes.rows(class_ids)
-    local = np.repeat(np.arange(m, dtype=np.int64), n)
-    return Episode(class_ids=class_ids, sample_idx=sample_idx, visual=visual,
-                   semantic=semantic, local_labels=local)
+    sample_idx = flat[starts[chosen][..., None] + picks]
+    visual = ds.features[sample_idx.reshape(e, m * n)]
+    semantic = ds.attributes.rows(class_ids).reshape(e, m, -1)
+    local = np.broadcast_to(np.repeat(np.arange(m, dtype=np.int64), n), (e, m * n))
+    block = Episode(class_ids=class_ids, sample_idx=sample_idx, visual=visual,
+                    semantic=semantic, local_labels=local)
+    return block[0] if episodes is None else block
 
 
 # ---------------------------------------------------------------------------

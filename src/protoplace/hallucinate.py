@@ -3,7 +3,9 @@
 Two steps per episode: propagation blends class embeddings with softmax
 neighbor weights shared between the visual and semantic graphs, then
 interpolation mixes each class back toward its original data with a
-Beta-drawn coefficient.
+Beta-drawn coefficient.  Each step also takes a block of episodes (see
+data.Stackable) and then runs once for the whole block: only the draws from
+the hallucination stream run episode by episode, in `placeholder_draws`.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Episode
+from .data import Episode, Stackable
 from .errors import ParameterError, ShapeError, require_ints
 from .linalg import pairwise_cosine, softmax
 from .rng import RngStream, beta_sample
@@ -31,18 +33,18 @@ class HalluConfig:
                                  f"(about 5.6e-309), got {self.sigma!r}")
         if self.n_neighbors < 1:
             raise ParameterError("n_neighbors must be at least 1")
-        if self.alpha1 <= 0 or self.alpha2 <= 0:
+        if not (self.alpha1 > 0 and self.alpha2 > 0):  # NaN fails too
             raise ParameterError("Beta shapes must be positive")
 
 
 @dataclass
-class PropagationWeights:
+class PropagationWeights(Stackable):
     w: np.ndarray        # (M, M); zero diagonal, rows sum to 1 over chosen
     chosen: np.ndarray   # (M, n) neighbor indices per row
 
 
 @dataclass
-class HallucinatedEpisode:
+class HallucinatedEpisode(Stackable):
     visual: np.ndarray     # (M*N, C) mixed samples
     semantic: np.ndarray   # (M, D) mixed class attributes
     betas: np.ndarray      # (M,) in [0, 1]
@@ -52,15 +54,18 @@ class HallucinatedEpisode:
 
 
 def class_centroids(ep: Episode) -> np.ndarray:
-    m, n = ep.m_classes, ep.n_samples
-    return ep.visual.reshape(m, n, -1).mean(axis=1)
+    v = ep.visual
+    return v.reshape(*v.shape[:-2], ep.m_classes, ep.n_samples, -1).mean(axis=-2)
 
 
 def _offdiag_softmax(sim: np.ndarray, sigma: float) -> np.ndarray:
-    m = sim.shape[0]
+    """Each row's softmax over its M - 1 off-diagonal entries, of each (M, M)
+    matrix of sim; 0 on the diagonal."""
+    m = sim.shape[-1]
     off = ~np.eye(m, dtype=bool)
-    w = np.zeros((m, m))
-    w[off] = softmax(sim[off].reshape(m, m - 1), sigma).ravel()
+    w = np.zeros(sim.shape)
+    rows = softmax(sim[..., off].reshape(-1, m - 1), sigma)  # a 2-D view
+    w[..., off] = rows.reshape(*sim.shape[:-2], -1)
     return w
 
 
@@ -69,47 +74,79 @@ def _log_space_rows(sim_v, sim_a, rows, chosen, sigma) -> np.ndarray:
     space: over each row's chosen neighbours, the softmax of
     logaddexp(log w_v, log w_a) (the halving cancels).  Equal to the
     direct form up to rounding, and finite where every chosen weight of the
-    direct form underflows to 0."""
+    direct form underflows to 0.  `rows` index the rows of all the (M, M)
+    matrices of sim_v and sim_a in order, episode by episode."""
+    m = sim_v.shape[-1]
+    chosen = chosen.reshape(-1, chosen.shape[-1])[rows]
+
     def chosen_log_weights(sim):
-        z = sim[rows] / sigma
-        z[np.arange(rows.size), rows] = -np.inf  # no self-neighbour
+        z = sim.reshape(-1, m)[rows] / sigma
+        z[np.arange(rows.size), rows % m] = -np.inf  # no self-neighbour
         z -= z.max(axis=1, keepdims=True)
         z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
-        return np.take_along_axis(z, chosen[rows], axis=1)
+        return np.take_along_axis(z, chosen, axis=1)
 
     return softmax(np.logaddexp(chosen_log_weights(sim_v),
                                 chosen_log_weights(sim_a)))
 
 
+def placeholder_draws(
+    rng: RngStream, cfg: HalluConfig, shape: tuple[int, ...],
+    force_beta: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbour picks (..., M, n_neighbors) and Betas (..., M) of the
+    episodes whose class ids have shape `shape`: (M,) for one episode, (E, M)
+    for a block.  Each episode draws its neighbours, then its Betas, in
+    episode order; a forced Beta draws nothing.  Neighbour k of row i is
+    class k + (k >= i), one of the row's M - 1 other classes.
+    ParameterError if n_neighbors > M - 1 or the forced Beta is outside
+    [0, 1]."""
+    m, k = shape[-1], cfg.n_neighbors
+    rows = int(np.prod(shape))
+    if force_beta is not None:
+        if not 0.0 <= force_beta <= 1.0:
+            raise ParameterError("forced beta must lie in [0, 1]")
+        # no Beta draws between the episodes' neighbour draws: one batched draw
+        picks = rng.choices_without_replacement(rows, m - 1, k)
+        betas = np.full(rows, float(force_beta))
+    else:
+        picks = np.empty((rows, k), dtype=np.int64)
+        betas = np.empty(rows)
+        for lo in range(0, rows, m):
+            picks[lo:lo + m] = rng.choices_without_replacement(m, m - 1, k)
+            betas[lo:lo + m] = beta_sample(rng, cfg.alpha1, cfg.alpha2, size=m)
+    return picks.reshape(*shape, k), betas.reshape(shape)
+
+
 def propagation_weights(
-    ep: Episode, cfg: HalluConfig, rng: RngStream
+    ep: Episode, cfg: HalluConfig, picks: np.ndarray
 ) -> PropagationWeights:
-    """Harmonized softmax neighbor weights, masked to a random subset per row.
+    """Harmonized softmax neighbor weights, masked per row to the neighbours
+    of `picks` (see placeholder_draws).
 
     A row whose chosen weights all underflow to 0 (small sigma) is computed
-    in log space instead of dividing 0 by 0.  n_neighbors > M - 1 fails in
-    the neighbour draw (ParameterError)."""
+    in log space instead of dividing 0 by 0."""
     m = ep.m_classes
     sim_v = pairwise_cosine(class_centroids(ep))
     sim_a = pairwise_cosine(ep.semantic)
-    w_v = _offdiag_softmax(sim_v, cfg.sigma)
-    w_a = _offdiag_softmax(sim_a, cfg.sigma)
-    w = (w_v + w_a) / 2.0
+    w = (_offdiag_softmax(sim_v, cfg.sigma) + _offdiag_softmax(sim_a, cfg.sigma)) / 2.0
+    chosen = np.sort(picks + (picks >= np.arange(m)[:, None]), axis=-1)
 
-    # one draw per row over its m - 1 other classes: draw k is class k + (k >= row)
-    rows = np.arange(m)[:, None]
-    pick = rng.choices_without_replacement(m, m - 1, cfg.n_neighbors)
-    chosen = np.sort(pick + (pick >= rows), axis=1)
-    masked = np.zeros_like(w)
-    masked[rows, chosen] = w[rows, chosen]
+    # every (episode, row) is a row of 2-D views, whose row sums add in the
+    # order of one episode's (tests/test_stacking.py)
+    w_rows = w.reshape(-1, m)
+    c_rows = chosen.reshape(-1, chosen.shape[-1])
+    rows = np.arange(w_rows.shape[0])[:, None]
+    masked = np.zeros_like(w_rows)
+    masked[rows, c_rows] = w_rows[rows, c_rows]
     total = masked.sum(axis=1, keepdims=True)
     zero = np.flatnonzero(total == 0)
     total[zero] = 1.0
     masked /= total
     if zero.size:
-        masked[zero[:, None], chosen[zero]] = _log_space_rows(
+        masked[zero[:, None], c_rows[zero]] = _log_space_rows(
             sim_v, sim_a, zero, chosen, cfg.sigma)
-    return PropagationWeights(w=masked, chosen=chosen)
+    return PropagationWeights(w=masked.reshape(w.shape), chosen=chosen)
 
 
 def propagate(ep: Episode, pw: PropagationWeights) -> tuple[np.ndarray, np.ndarray]:
@@ -118,44 +155,35 @@ def propagate(ep: Episode, pw: PropagationWeights) -> tuple[np.ndarray, np.ndarr
     The identical weight matrix drives both spaces (synchronized hallucination).
     """
     m = ep.m_classes
-    if pw.w.shape != (m, m):
+    if pw.w.shape != (*ep.class_ids.shape, m):
         raise ShapeError(f"weight matrix {pw.w.shape} does not match episode M = {m}")
-    centroids = class_centroids(ep)
-    v_prime = pw.w @ centroids
-    a_prime = pw.w @ ep.semantic
-    return v_prime, a_prime
+    return pw.w @ class_centroids(ep), pw.w @ ep.semantic
 
 
 def interpolate(
     ep: Episode,
     v_prime: np.ndarray,
     a_prime: np.ndarray,
-    cfg: HalluConfig,
-    rng: RngStream,
+    betas: np.ndarray,
     weights: PropagationWeights | None = None,
-    force_beta: float | None = None,
 ) -> HallucinatedEpisode:
-    """Mix each class (one Beta draw per class) toward its elementary hallucination."""
+    """Mix each class toward its elementary hallucination by its Beta."""
     m, n = ep.m_classes, ep.n_samples
-    if v_prime.shape != (m, ep.visual.shape[1]) or a_prime.shape != ep.semantic.shape:
+    lead = ep.class_ids.shape[:-1]
+    if v_prime.shape != (*lead, m, ep.visual.shape[-1]) \
+            or a_prime.shape != ep.semantic.shape or betas.shape != (*lead, m):
         raise ShapeError("elementary hallucination shapes do not match the episode")
-    if force_beta is not None:
-        if not 0.0 <= force_beta <= 1.0:
-            raise ParameterError("forced beta must lie in [0, 1]")
-        betas = np.full(m, float(force_beta))
-    else:
-        betas = beta_sample(rng, cfg.alpha1, cfg.alpha2, size=m)
 
     # per class b * x + (1 - b) * x'; exactly x at b = 1, x' at b = 0 (but for
     # the sign of a zero)
-    b = betas[:, None, None]
-    visual = (b * ep.visual.reshape(m, n, -1)
-              + (1.0 - b) * v_prime[:, None, :]).reshape(ep.visual.shape)
-    b = betas[:, None]
+    b = betas[..., None, None]
+    visual = (b * ep.visual.reshape(*lead, m, n, -1)
+              + (1.0 - b) * v_prime[..., None, :]).reshape(ep.visual.shape)
+    b = betas[..., None]
     semantic = b * ep.semantic + (1.0 - b) * a_prime
     if weights is None:
         weights = PropagationWeights(
-            w=np.zeros((m, m)), chosen=np.empty((m, 0), dtype=np.int64)
+            w=np.zeros((*lead, m, m)), chosen=np.empty((*lead, m, 0), dtype=np.int64)
         )
     return HallucinatedEpisode(visual=visual, semantic=semantic, betas=betas,
                                v_prime=v_prime, a_prime=a_prime, weights=weights)
@@ -167,9 +195,9 @@ def hallucinate(
     rng: RngStream,
     force_beta: float | None = None,
 ) -> HallucinatedEpisode:
-    """Full pipeline: neighbor weights -> propagation -> interpolation."""
-    pw = propagation_weights(ep, cfg, rng)
+    """Full pipeline: neighbor weights -> propagation -> interpolation, for
+    one episode or a block (each episode as if hallucinated alone)."""
+    picks, betas = placeholder_draws(rng, cfg, ep.class_ids.shape, force_beta)
+    pw = propagation_weights(ep, cfg, picks)
     v_prime, a_prime = propagate(ep, pw)
-    return interpolate(ep, v_prime, a_prime, cfg, rng, weights=pw,
-                       force_beta=force_beta)
-
+    return interpolate(ep, v_prime, a_prime, betas, weights=pw)

@@ -61,10 +61,16 @@ def unit_rows_or_zero(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pairwise_cosine(x) -> np.ndarray:
-    """Row-wise cosine similarity matrix; zero-norm rows score 0 everywhere."""
-    xh, _ = unit_rows_or_zero(as_matrix(x, "pairwise input"))
-    sim = xh @ xh.T  # one operand times its own transpose: numpy's a @ a.T path
-    return np.clip((sim + sim.T) / 2.0, -1.0, 1.0)
+    """Row-wise cosine similarity matrix of x, or of each matrix of a stack x
+    of shape (..., m, d); zero-norm rows score 0 everywhere."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim < 2:
+        raise ShapeError(f"pairwise input must be at least 2-D, got shape {x.shape}")
+    xh, _ = unit_rows_or_zero(x.reshape(-1, x.shape[-1]))  # norms of a 2-D view
+    xh = xh.reshape(x.shape)
+    # one operand times its own transpose: numpy's a @ a.T path, per matrix
+    sim = xh @ np.swapaxes(xh, -1, -2)
+    return np.clip((sim + np.swapaxes(sim, -1, -2)) / 2.0, -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ class SofConfig:
         require_ints(self, "epochs", "batch_size", "seed")
         if self.epochs < 0:
             raise ParameterError("epochs must be nonnegative")
-        if self.learning_rate <= 0 or self.logit_scale <= 0:
+        if not (self.learning_rate > 0 and self.logit_scale > 0):  # NaN fails too
             raise ParameterError("learning_rate and logit_scale must be positive")
         if self.optimizer not in OPTIMIZER_MODES:
             raise ParameterError(f"unknown optimizer {self.optimizer!r}")

@@ -45,6 +45,14 @@ INTEGER_KEYS = [
     "hallucination.n_neighbors",
 ]
 
+# Every float config key whose rule is a range, besides the eval section's.
+FLOAT_KEYS = [
+    "synth.noise_scale",
+    "sof.learning_rate", "sof.logit_scale", "sof.momentum",
+    "train.learning_rate", "train.logit_scale", "train.lambda_real",
+    "hallucination.sigma", "hallucination.alpha1", "hallucination.alpha2",
+]
+
 
 @pytest.fixture
 def workdir(tmp_path):
@@ -127,6 +135,17 @@ class TestConfig:
                                 else {name: value}))
         assert run("synth", "--config", p, "--out", tmp_path / "d") == 2
         assert "must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_float_key_rejects_nan(self, tmp_path, capsys, key):
+        # NaN fails every comparison, so only a rule that NaN must pass (not
+        # one that it must fail) rejects it
+        section, _, name = key.rpartition(".")
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({section: {name: float("nan")}}))
+        assert run("synth", "--config", p, "--out", tmp_path / "d") == 2
+        assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("key,value", [

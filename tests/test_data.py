@@ -275,6 +275,25 @@ class TestSampleEpisode:
             assert ep.sample_idx.tobytes() == sample_idx.tobytes()
             assert ep.visual.tobytes() == bench.features[sample_idx.ravel()].tobytes()
 
+    def test_block_matches_successive_episodes(self, bench):
+        # a block of episodes equals as many successive single draws, on one
+        # continuing stream; a block of one too
+        rng, ref_rng = RngStream(6), RngStream(6)
+        for m, n, size in [(20, 4, 8), (7, 3, 5), (40, 100, 2), (1, 1, 1)]:
+            block = sample_episode(bench, m, n, rng, episodes=size)
+            assert block.visual.shape == (size, m * n, bench.feat_dim)
+            for i in range(size):
+                class_ids, sample_idx = reference_episode(bench, m, n, ref_rng)
+                ep = block[i]
+                assert ep.class_ids.tobytes() == class_ids.tobytes()
+                assert ep.sample_idx.tobytes() == sample_idx.tobytes()
+                assert ep.visual.tobytes() == \
+                    bench.features[sample_idx.ravel()].tobytes()
+                assert ep.semantic.tobytes() == \
+                    bench.attributes.rows(class_ids).tobytes()
+                assert ep.local_labels.tolist() == np.repeat(np.arange(m), n).tolist()
+        assert rng.uniform() == ref_rng.uniform()
+
     def test_unequal_pools_match_reference(self):
         # pool sizes 3, 5 and 8 in blocks and alone, so the chosen rows hold
         # runs of equal sizes between rows of other sizes; the batched draws

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from protoplace.hallucinate import (
     propagation_weights,
 )
 from protoplace.linalg import pairwise_cosine, softmax
+from protoplace.prototypes import EPISODE_BLOCK
 from protoplace.rng import RngStream, beta_sample
 
 
@@ -40,10 +42,17 @@ def random_episode(seed, m=5, n=3, c=6, d=4):
     return sample_episode(ds, m, n, RngStream(seed))
 
 
+def drawn_weights(ep, cfg, rng):
+    """propagation_weights on one neighbour draw from rng."""
+    m = ep.m_classes
+    return propagation_weights(
+        ep, cfg, rng.choices_without_replacement(m, m - 1, cfg.n_neighbors))
+
+
 class TestPropagationWeights:
     def test_two_classes_single_neighbor(self):
         ep = make_episode([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
-        pw = propagation_weights(ep, HalluConfig(n_neighbors=1), RngStream(0))
+        pw = drawn_weights(ep, HalluConfig(n_neighbors=1), RngStream(0))
         assert np.allclose(pw.w, [[0.0, 1.0], [1.0, 0.0]], atol=0)
 
     def test_equidistant_neighbors_split_evenly(self):
@@ -51,13 +60,13 @@ class TestPropagationWeights:
         visual = [[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
         semantic = [[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
         ep = make_episode(visual, semantic)
-        pw = propagation_weights(ep, HalluConfig(n_neighbors=2), RngStream(0))
+        pw = drawn_weights(ep, HalluConfig(n_neighbors=2), RngStream(0))
         assert np.allclose(pw.w[0], [0.0, 0.5, 0.5], atol=1e-12)
 
     def test_matches_scalar_recomputation(self):
         ep = random_episode(1, m=5)
         cfg = HalluConfig(sigma=0.2, n_neighbors=3)
-        pw = propagation_weights(ep, cfg, RngStream(2))
+        pw = drawn_weights(ep, cfg, RngStream(2))
 
         centroids = class_centroids(ep)
 
@@ -87,7 +96,7 @@ class TestPropagationWeights:
     def test_rows_are_probability_vectors(self):
         for seed in range(10):
             ep = random_episode(seed, m=6)
-            pw = propagation_weights(ep, HalluConfig(n_neighbors=3),
+            pw = drawn_weights(ep, HalluConfig(n_neighbors=3),
                                      RngStream(seed))
             assert np.all(np.diag(pw.w) == 0.0)
             assert np.all(pw.w >= 0.0)
@@ -101,26 +110,26 @@ class TestPropagationWeights:
     def test_too_many_neighbors_rejected(self):
         ep = random_episode(3, m=4)
         with pytest.raises(ParameterError):
-            propagation_weights(ep, HalluConfig(n_neighbors=4), RngStream(0))
+            hallucinate(ep, HalluConfig(n_neighbors=4), RngStream(0))
 
     def test_space_swap_leaves_weights_unchanged(self):
         # harmonization is the mean of the two spaces' weights
         ep = random_episode(4, m=5, n=1, c=4, d=4)
         swapped = make_episode(list(ep.semantic), class_centroids(ep))
-        pw1 = propagation_weights(ep, HalluConfig(n_neighbors=2), RngStream(7))
-        pw2 = propagation_weights(swapped, HalluConfig(n_neighbors=2), RngStream(7))
+        pw1 = drawn_weights(ep, HalluConfig(n_neighbors=2), RngStream(7))
+        pw2 = drawn_weights(swapped, HalluConfig(n_neighbors=2), RngStream(7))
         assert np.allclose(pw1.w, pw2.w, atol=1e-15)
 
     def test_sigma_limits(self):
         ep = random_episode(5, m=5)
         # huge sigma: near-uniform over all neighbors
-        pw = propagation_weights(ep, HalluConfig(sigma=1e6, n_neighbors=4),
+        pw = drawn_weights(ep, HalluConfig(sigma=1e6, n_neighbors=4),
                                  RngStream(0))
         off = pw.w[pw.w > 0]
         assert np.max(np.abs(off - 0.25)) < 1e-5
         # tiny sigma: each space contributes a one-hot row, so after
         # harmonization the mass sits on at most two neighbors
-        pw = propagation_weights(ep, HalluConfig(sigma=1e-3, n_neighbors=4),
+        pw = drawn_weights(ep, HalluConfig(sigma=1e-3, n_neighbors=4),
                                  RngStream(0))
         for row in pw.w:
             top2 = np.sort(row)[-2:].sum()
@@ -139,7 +148,7 @@ class TestUnderflowRows:
             ep = random_episode(300 + seed, m=8)
             cfg = HalluConfig(sigma=sigma, n_neighbors=2)
             with np.errstate(invalid="raise", divide="raise"):  # no 0 / 0
-                pw = propagation_weights(ep, cfg, RngStream(seed))
+                pw = drawn_weights(ep, cfg, RngStream(seed))
             assert np.all(np.isfinite(pw.w))
             assert np.max(np.abs(pw.w.sum(axis=1) - 1.0)) < 1e-12
             on_chosen = np.zeros_like(pw.w, dtype=bool)
@@ -160,7 +169,7 @@ class TestUnderflowRows:
             ep = random_episode(400 + seed, m=8)
             for sigma in (0.05, 0.2, 1.0, 10.0):
                 cfg = HalluConfig(sigma=sigma, n_neighbors=3)
-                pw = propagation_weights(ep, cfg, RngStream(seed))
+                pw = drawn_weights(ep, cfg, RngStream(seed))
                 rows = np.arange(8)
                 log_rows = _log_space_rows(pairwise_cosine(class_centroids(ep)),
                                            pairwise_cosine(ep.semantic), rows,
@@ -172,7 +181,7 @@ class TestUnderflowRows:
 class TestPropagate:
     def test_single_neighbor_copies_it(self):
         ep = random_episode(6, m=4)
-        pw = propagation_weights(ep, HalluConfig(n_neighbors=1), RngStream(1))
+        pw = drawn_weights(ep, HalluConfig(n_neighbors=1), RngStream(1))
         v_prime, a_prime = propagate(ep, pw)
         centroids = class_centroids(ep)
         for i in range(4):
@@ -182,7 +191,7 @@ class TestPropagate:
 
     def test_uniform_weights_give_plain_mean(self):
         ep = random_episode(7, m=5)
-        pw = propagation_weights(ep, HalluConfig(sigma=1e6, n_neighbors=3),
+        pw = drawn_weights(ep, HalluConfig(sigma=1e6, n_neighbors=3),
                                  RngStream(2))
         v_prime, _ = propagate(ep, pw)
         centroids = class_centroids(ep)
@@ -194,7 +203,7 @@ class TestPropagate:
         # barycentric coordinates over the chosen centroids, via least squares
         for seed in range(5):
             ep = random_episode(20 + seed, m=6)
-            pw = propagation_weights(ep, HalluConfig(n_neighbors=3),
+            pw = drawn_weights(ep, HalluConfig(n_neighbors=3),
                                      RngStream(seed))
             v_prime, _ = propagate(ep, pw)
             centroids = class_centroids(ep)
@@ -227,10 +236,9 @@ class TestInterpolate:
 
     def test_midpoint(self):
         ep = random_episode(10, m=4, n=2)
-        pw = propagation_weights(ep, HalluConfig(n_neighbors=2), RngStream(5))
+        pw = drawn_weights(ep, HalluConfig(n_neighbors=2), RngStream(5))
         v_prime, a_prime = propagate(ep, pw)
-        hep = interpolate(ep, v_prime, a_prime, HalluConfig(n_neighbors=2),
-                          RngStream(5), force_beta=0.5)
+        hep = interpolate(ep, v_prime, a_prime, np.full(4, 0.5))
         v3 = ep.visual.reshape(4, 2, -1)
         for i in range(4):
             expected = 0.5 * v3[i] + 0.5 * v_prime[i]
@@ -360,7 +368,7 @@ class TestReferenceParity:
                 for _ in range(3):  # later draws continue the same stream
                     # at sigma = 1e-3 a row's chosen weights can all underflow
                     # to 0; both forms then take that row from log space
-                    pw = propagation_weights(ep, cfg, rng)
+                    pw = drawn_weights(ep, cfg, rng)
                     w, chosen = reference_propagation_weights(ep, cfg, ref_rng)
                     assert same_bytes(pw.w, w)
                     assert same_bytes(pw.chosen, chosen)
@@ -372,11 +380,12 @@ class TestReferenceParity:
         for seed in range(4):
             ep = random_episode(200 + seed, m=m, n=3)
             v_prime, a_prime = propagate(
-                ep, propagation_weights(ep, cfg, RngStream(seed)))
+                ep, drawn_weights(ep, cfg, RngStream(seed)))
             rng, ref_rng = RngStream(seed), RngStream(seed)
             for _ in range(3):
-                hep = interpolate(ep, v_prime, a_prime, cfg, rng,
-                                  force_beta=force_beta)
+                betas = (np.full(m, force_beta) if force_beta is not None
+                         else beta_sample(rng, cfg.alpha1, cfg.alpha2, size=m))
+                hep = interpolate(ep, v_prime, a_prime, betas)
                 visual, semantic, betas = reference_interpolate(
                     ep, v_prime, a_prime, cfg, ref_rng, force_beta)
                 assert same_bytes(hep.visual, visual)
@@ -392,3 +401,62 @@ class TestHalluConfig:
             HalluConfig(n_neighbors=0)
         with pytest.raises(ParameterError):
             HalluConfig(alpha1=-1.0)
+
+
+class TestBlockParity:
+    """A block of episodes, sampled and hallucinated with one call each,
+    equals the same episodes drawn one at a time through the reference forms,
+    bit for bit, and leaves both streams where those draws leave them."""
+
+    @pytest.mark.parametrize("force_beta", (None, 0.0, 1.0))
+    @pytest.mark.parametrize("sigma", (1e-4, 0.2))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_block_equals_sequential(self, seed, sigma, force_beta):
+        ds = generate_synthetic(SynthConfig(seen_count=12, unseen_count=2,
+                                            attr_dim=4, feat_dim=6,
+                                            train_per_class=5, test_per_class=1,
+                                            noise_scale=0.4, seed=seed))
+        m, n = 8, 3
+        cfg = HalluConfig(sigma=sigma, n_neighbors=2)
+        rng_ep, rng_hal = RngStream(seed).derive("e"), RngStream(seed).derive("h")
+        ref_ep, ref_hal = RngStream(seed).derive("e"), RngStream(seed).derive("h")
+        log_space_rows = 0
+        # two whole blocks, then a partial last one, on continuing streams
+        for size in (EPISODE_BLOCK, EPISODE_BLOCK, 3):
+            block = sample_episode(ds, m, n, rng_ep, episodes=size)
+            h_block = hallucinate(block, cfg, rng_hal, force_beta=force_beta)
+            for i in range(size):
+                ep = sample_episode(ds, m, n, ref_ep)
+                w, chosen = reference_propagation_weights(ep, cfg, ref_hal)
+                v_prime, a_prime = w @ class_centroids(ep), w @ ep.semantic
+                visual, semantic, betas = reference_interpolate(
+                    ep, v_prime, a_prime, cfg, ref_hal, force_beta)
+                for f in dataclasses.fields(ep):
+                    assert same_bytes(getattr(block[i], f.name),
+                                      getattr(ep, f.name)), f.name
+                hep = h_block[i]
+                for got, want in ((hep.weights.w, w), (hep.weights.chosen, chosen),
+                                  (hep.v_prime, v_prime), (hep.a_prime, a_prime),
+                                  (hep.visual, visual), (hep.semantic, semantic),
+                                  (hep.betas, betas)):
+                    assert same_bytes(got, want)
+                direct = (_offdiag_softmax(pairwise_cosine(class_centroids(ep)), sigma)
+                          + _offdiag_softmax(pairwise_cosine(ep.semantic), sigma))
+                log_space_rows += int(np.sum(
+                    np.take_along_axis(direct, chosen, axis=1).sum(axis=1) == 0))
+        assert rng_ep.uniform() == ref_ep.uniform()
+        assert rng_hal.uniform() == ref_hal.uniform()
+        if sigma == 1e-4:
+            assert log_space_rows  # the log-space rows are among those compared
+
+    def test_single_episode_is_block_of_one(self):
+        ep = random_episode(500, m=6)
+        block = Episode(*(getattr(ep, f.name)[None]
+                          for f in dataclasses.fields(ep)))
+        cfg = HalluConfig(n_neighbors=3)
+        single = hallucinate(ep, cfg, RngStream(1))
+        stacked = hallucinate(block, cfg, RngStream(1))[0]
+        assert single.visual.shape == ep.visual.shape
+        for f in ("visual", "semantic", "betas", "v_prime", "a_prime"):
+            assert same_bytes(getattr(single, f), getattr(stacked, f))
+        assert same_bytes(single.weights.w, stacked.weights.w)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from protoplace.config import DEFAULTS, delta_grid, delta_range
+from protoplace.config import DEFAULTS, MAX_DELTAS, check_delta_range, \
+    delta_grid, delta_range
 from protoplace.data import AttributeTable, SplitDataset, SynthConfig, \
     generate_synthetic
 from protoplace.errors import ConfigError, ParameterError, ValidationError
@@ -310,6 +311,23 @@ class TestDeltaGrid:
             delta_range(0.0, 1.0, 0.0)
         with pytest.raises(ConfigError):
             delta_range(1.0, 0.0, 0.1)
+
+    def test_length_bounded_before_building(self):
+        # the length is checked from start, stop and step, so a tiny step
+        # fails at once instead of building the grid
+        assert len(delta_range(0.0, MAX_DELTAS - 1.0, 1.0)) == MAX_DELTAS
+        for start, stop, step in ((0.0, float(MAX_DELTAS), 1.0),
+                                  (0.0, 1.0, 1e-6), (0.0, 1.0, 1e-300),
+                                  (-1e308, 1e308, 1.0)):
+            with pytest.raises(ConfigError, match=f"more than {MAX_DELTAS}"):
+                check_delta_range(start, stop, step)
+
+    def test_step_below_float_spacing_rejected(self):
+        # at 1e16 the floats are 2 apart, so `d += 1.0` would never move d
+        # and the grid would never end
+        with pytest.raises(ConfigError, match="spacing"):
+            check_delta_range(1e16, 1e16, 1.0)
+        assert delta_range(1e16, 1e16 + 4.0, 2.0) == [1e16, 1e16 + 2.0, 1e16 + 4.0]
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,45 @@ class TestLosses:
             assert np.array_equal(pg[k], rg[k])
 
 
+def reference_train(ds, cfg):
+    """train_prototypes one episode at a time: each episode sampled, then
+    hallucinated, just before its optimizer step."""
+    from protoplace.linalg import OptimizerState, optimizer_step
+    rng = RngStream(cfg.seed)
+    net = MappingNet.init(ds.attr_dim, ds.feat_dim, cfg.hidden_dim,
+                          rng.derive("init"))
+    model = PrototypeModel(net=net, config=cfg)
+    rng_ep, rng_hal = rng.derive("episodes"), rng.derive("hallucination")
+    opt = OptimizerState(mode=cfg.optimizer, learning_rate=cfg.learning_rate)
+    placeholders, force = prototypes_mod._PLACEHOLDERS[cfg.mode]
+    for _ in range(cfg.epochs):
+        losses = []
+        for _ in range(cfg.episodes_per_epoch):
+            ep = sample_episode(ds, cfg.m_classes, cfg.n_samples, rng_ep)
+            total, grads = real_loss(model, ep, cfg.logit_scale)
+            if placeholders:
+                hep = hallucinate(ep, cfg.hallucination, rng_hal, force_beta=force)
+                p_loss, p_grads = place_loss(model, hep, cfg.logit_scale)
+                total = p_loss + cfg.lambda_real * total
+                grads = {k: p_grads[k] + cfg.lambda_real * grads[k] for k in grads}
+            optimizer_step(opt, net.params(), grads)
+            losses.append(total)
+        model.loss_trace.append(float(np.mean(losses)))
+    return model
+
+
 class TestTrainPrototypes:
+    @pytest.mark.parametrize("mode", ("s2v_baseline", "ep_only", "ep_ei"))
+    @pytest.mark.parametrize("per_epoch", (1, prototypes_mod.EPISODE_BLOCK, 11))
+    def test_blocks_equal_episode_at_a_time(self, mode, per_epoch):
+        # whole and partial blocks of episodes train the same net, bit for bit
+        ds = bench(seed=2)
+        cfg = small_cfg(epochs=3, episodes_per_epoch=per_epoch, mode=mode)
+        got, want = train_prototypes(ds, cfg), reference_train(ds, cfg)
+        assert got.loss_trace == want.loss_trace
+        for name, p in got.net.params().items():
+            assert p.tobytes() == want.net.params()[name].tobytes(), name
+
     def test_loss_descends_on_easy_data(self):
         ds = bench(seed=5, noise=0.1, per=10)
         cfg = small_cfg(epochs=10, episodes_per_epoch=10, learning_rate=5e-3,
