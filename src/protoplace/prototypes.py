@@ -35,9 +35,9 @@ _PLACEHOLDERS = {
 
 # Episodes sampled and hallucinated per call (data.Stackable): none of it
 # depends on the weights, so a block runs as one numpy call per step.  A
-# fixed size bounds the memory whatever episodes_per_epoch is; whole-epoch
-# blocks of 50 episodes raised the benchmark's peak RSS by 16.5%, blocks of
-# 8 by 1.4%.
+# fixed size bounds the memory whatever episodes_per_epoch is.  On the
+# train-full benchmark, whole-epoch blocks of 50 episodes raised peak RSS by
+# 12.5%, past its 10% bound, and blocks of 8 by 0.3%.
 EPISODE_BLOCK = 8
 
 
