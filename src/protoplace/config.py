@@ -71,17 +71,17 @@ def load_config(path) -> dict:
 
 def validate_config(cfg: dict) -> None:
     """Instantiate every typed sub-config so range errors surface up front,
-    and check the eval section's delta range.  The train section is built in
-    s2v_baseline mode, which hallucinates nothing: the n_neighbors bound of
-    the other modes is checked where a command builds its mode's config."""
+    and build the eval section's delta grid, which checks its range.  The
+    train section is built in s2v_baseline mode, which hallucinates nothing:
+    the n_neighbors bound of the other modes is checked where a command
+    builds its mode's config."""
     try:
         synth_config(cfg)
         sof_config(cfg)
         train_config(cfg, mode="s2v_baseline")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    ev = cfg["eval"]
-    check_delta_range(ev["delta_start"], ev["delta_stop"], ev["delta_step"])
+    delta_grid(cfg)
 
 
 def synth_config(cfg: dict) -> SynthConfig:
@@ -106,12 +106,18 @@ def train_config(cfg: dict, mode: str = TrainConfig.mode,
 MAX_DELTAS = 100_000
 
 
-def check_delta_range(start, stop, step) -> None:
-    """ConfigError unless start, stop and step are finite real numbers (not
-    bools), step > 0, stop >= start, the range holds at most MAX_DELTAS deltas
-    ((stop - start) / step < MAX_DELTAS) and step is at least the spacing of
-    the floats at the range's ends, so that each step moves a delta: the rule
-    of every delta range, checked before any grid is built."""
+def delta_range(start: float, stop: float, step: float) -> list[float]:
+    """The calibrated-stacking grid start, start + step, ... up to stop
+    inclusive, each value rounded to 10 decimals.  The only grid builder:
+    the config's `eval` section and the CLI's `start:stop:step` both use it.
+
+    ConfigError unless start, stop and step are finite real numbers (not
+    bools), step > 0 and stop >= start, and the grid holds at most
+    MAX_DELTAS deltas.  The walk runs while d <= end = stop + 1e-12, so a
+    range with (end - start) / step >= MAX_DELTAS fails before any grid is
+    built.  Rounding can still make a step move d by less than `step`, or
+    not at all where `step` is below the float spacing, so the walk itself
+    stops past MAX_DELTAS deltas too."""
     for name, value in (("start", start), ("stop", stop), ("step", step)):
         if isinstance(value, bool) or not isinstance(value, numbers.Real) \
                 or not -math.inf < value < math.inf:
@@ -119,22 +125,15 @@ def check_delta_range(start, stop, step) -> None:
                               f"got {value!r}")
     if step <= 0 or stop < start:
         raise ConfigError("delta grid must ascend with positive step")
-    if not (stop - start) / step < MAX_DELTAS:
-        raise ConfigError(f"delta grid {start}:{stop}:{step} holds more than "
-                          f"{MAX_DELTAS} deltas")
-    if step < math.ulp(max(abs(start), abs(stop))):
-        raise ConfigError(f"delta grid step {step} is below the spacing of the "
-                          f"floats at {start}:{stop}")
-
-
-def delta_range(start: float, stop: float, step: float) -> list[float]:
-    """The calibrated-stacking grid start, start + step, ... up to stop
-    inclusive, each value rounded to 10 decimals.  The only grid builder:
-    the config's `eval` section and the CLI's `start:stop:step` both use it."""
-    check_delta_range(start, stop, step)
+    end = stop + 1e-12
+    too_long = f"delta grid {start}:{stop}:{step} holds more than {MAX_DELTAS} deltas"
+    if not (end - start) / step < MAX_DELTAS:
+        raise ConfigError(too_long)
     grid = []
     d = start
-    while d <= stop + 1e-12:
+    while d <= end:
+        if len(grid) == MAX_DELTAS:
+            raise ConfigError(too_long)
         grid.append(round(d, 10))
         d += step
     return grid

@@ -103,17 +103,13 @@ def placeholder_draws(
     [0, 1]."""
     m, k = shape[-1], cfg.n_neighbors
     rows = int(np.prod(shape))
-    if force_beta is not None:
-        if not 0.0 <= force_beta <= 1.0:
-            raise ParameterError("forced beta must lie in [0, 1]")
-        # no Beta draws between the episodes' neighbour draws: one batched draw
-        picks = rng.choices_without_replacement(rows, m - 1, k)
-        betas = np.full(rows, float(force_beta))
-    else:
-        picks = np.empty((rows, k), dtype=np.int64)
-        betas = np.empty(rows)
-        for lo in range(0, rows, m):
-            picks[lo:lo + m] = rng.choices_without_replacement(m, m - 1, k)
+    if force_beta is not None and not 0.0 <= force_beta <= 1.0:
+        raise ParameterError("forced beta must lie in [0, 1]")
+    picks = np.empty((rows, k), dtype=np.int64)
+    betas = np.empty(rows) if force_beta is None else np.full(rows, float(force_beta))
+    for lo in range(0, rows, m):
+        picks[lo:lo + m] = rng.choices_without_replacement(m, m - 1, k)
+        if force_beta is None:
             betas[lo:lo + m] = beta_sample(rng, cfg.alpha1, cfg.alpha2, size=m)
     return picks.reshape(*shape, k), betas.reshape(shape)
 

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from protoplace.config import DEFAULTS, MAX_DELTAS, check_delta_range, \
-    delta_grid, delta_range
+from protoplace.config import DEFAULTS, MAX_DELTAS, delta_grid, delta_range
 from protoplace.data import AttributeTable, SplitDataset, SynthConfig, \
     generate_synthetic
 from protoplace.errors import ConfigError, ParameterError, ValidationError
@@ -313,20 +312,31 @@ class TestDeltaGrid:
             delta_range(1.0, 0.0, 0.1)
 
     def test_length_bounded_before_building(self):
-        # the length is checked from start, stop and step, so a tiny step
-        # fails at once instead of building the grid
+        # the length is checked from start, stop + 1e-12 (the end the walk
+        # uses) and step, so a tiny step fails at once instead of building
+        # the grid
         assert len(delta_range(0.0, MAX_DELTAS - 1.0, 1.0)) == MAX_DELTAS
         for start, stop, step in ((0.0, float(MAX_DELTAS), 1.0),
                                   (0.0, 1.0, 1e-6), (0.0, 1.0, 1e-300),
-                                  (-1e308, 1e308, 1.0)):
+                                  (-1e308, 1e308, 1.0), (0.0, 0.0, 1e-20)):
             with pytest.raises(ConfigError, match=f"more than {MAX_DELTAS}"):
-                check_delta_range(start, stop, step)
+                delta_range(start, stop, step)
 
-    def test_step_below_float_spacing_rejected(self):
-        # at 1e16 the floats are 2 apart, so `d += 1.0` would never move d
-        # and the grid would never end
-        with pytest.raises(ConfigError, match="spacing"):
-            check_delta_range(1e16, 1e16, 1.0)
+    def test_walk_bounded_where_rounding_shortens_steps(self):
+        # near 1.0 the floats are u = 2**-52 apart, so each `d += 1.25 * u`
+        # moves d by u: the range reads as 83,603 steps, but the walk would
+        # take about 104,505
+        u = 2.0 ** -52
+        start, stop, step = 1.0, 1.0 + 100_000 * u, 1.25 * u
+        assert (stop + 1e-12 - start) / step < MAX_DELTAS
+        # at 1e16 the floats are 2 apart, so `d += 1.0` never moves d; the
+        # step 2**-52 is the spacing just below 2.0, but the walk runs past
+        # 2.0 to 2.0 + 1e-12, where 2.0 + step rounds back to 2.0
+        x = 2.0 - u
+        for start, stop, step in ((start, stop, step), (1e16, 1e16, 1.0),
+                                  (x, x, u)):
+            with pytest.raises(ConfigError, match=f"more than {MAX_DELTAS}"):
+                delta_range(start, stop, step)
         assert delta_range(1e16, 1e16 + 4.0, 2.0) == [1e16, 1e16 + 2.0, 1e16 + 4.0]
 
 
