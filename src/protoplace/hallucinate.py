@@ -16,7 +16,7 @@ import numpy as np
 from .data import Episode, Stackable
 from .errors import ParameterError, ShapeError, require_ints
 from .linalg import pairwise_cosine, softmax
-from .rng import RngStream, beta_sample
+from .rng import RngStream, beta_sample, check_beta_shapes
 
 
 @dataclass
@@ -33,8 +33,7 @@ class HalluConfig:
                                  f"(about 5.6e-309), got {self.sigma!r}")
         if self.n_neighbors < 1:
             raise ParameterError("n_neighbors must be at least 1")
-        if not (self.alpha1 > 0 and self.alpha2 > 0):  # NaN fails too
-            raise ParameterError("Beta shapes must be positive")
+        check_beta_shapes(self.alpha1, self.alpha2)
 
 
 @dataclass

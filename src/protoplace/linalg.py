@@ -42,12 +42,14 @@ def softmax(scores, temperature: float = 1.0) -> np.ndarray:
 
 
 def unit_rows(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(r's rows scaled to norm 1, their norms).  FloatingPointError on a
-    zero-norm row: the cosine cross-entropy has no value there."""
-    rn = np.sqrt(np.add.reduce(r * r, axis=1))  # np.linalg.norm(r, axis=1)
+    """(r's rows scaled to norm 1, their norms), for a matrix or a stack of
+    them (..., k).  FloatingPointError on a zero-norm row: the cosine
+    cross-entropy has no value there."""
+    rows = r.reshape(-1, r.shape[-1])  # norms of a 2-D view
+    rn = np.sqrt(np.add.reduce(rows * rows, axis=1))  # np.linalg.norm(., axis=1)
     if not rn.all():
         raise FloatingPointError("zero-norm row in cosine cross-entropy")
-    return r / rn[:, None], rn
+    return (rows / rn[:, None]).reshape(r.shape), rn.reshape(r.shape[:-1])
 
 
 def unit_rows_or_zero(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,12 +76,50 @@ def pairwise_cosine(x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# flat parameter vectors
+
+
+class FlatParams:
+    """Mixin of the parameter dataclasses: the arrays named in PARAMS are
+    views of one contiguous float64 vector `flat`, in that order, so that a
+    gradient is one vector of the same layout and an optimizer step is one
+    update.  Call `_pack` once the arrays are checked."""
+
+    PARAMS: tuple[str, ...] = ()
+
+    def _pack(self) -> None:
+        arrays = [getattr(self, name) for name in self.PARAMS]
+        self.flat = np.concatenate([a.ravel() for a in arrays])
+        ends = np.cumsum([a.size for a in arrays]).tolist()
+        self._slots = [(name, slice(hi - a.size, hi), a.shape)
+                       for name, a, hi in zip(self.PARAMS, arrays, ends)]
+        for name, view in self.views(self.flat).items():
+            setattr(self, name, view)
+
+    def params(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in self.PARAMS}
+
+    def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's view of the last axis of vec, a vector of the
+        flat layout or a stack of them (..., flat.size): shaped
+        (..., *parameter shape), writable in place."""
+        lead = vec.shape[:-1]
+        # each splits only the last, contiguous axis: always a view
+        return {name: vec[..., cols].reshape(*lead, *shape)
+                for name, cols, shape in self._slots}
+
+
+# ---------------------------------------------------------------------------
 # two-layer mapping network
 
 
 @dataclass
-class MappingNet:
-    """out = W2 * act(W1 * x + b1) + b2, applied row-wise."""
+class MappingNet(FlatParams):
+    """out = W2 * act(W1 * x + b1) + b2, applied row-wise.  The weights and
+    biases are views of `flat` (see FlatParams); the net keeps its own copy
+    of the arrays it is given."""
+
+    PARAMS = ("w1", "b1", "w2", "b2")
 
     w1: np.ndarray  # hidden x in
     b1: np.ndarray  # hidden
@@ -103,6 +143,7 @@ class MappingNet:
             raise ShapeError("output dimensions disagree between w2, b2")
         for name, p in self.params().items():
             require_finite(p, f"parameter {name}")
+        self._pack()
 
     @property
     def in_dim(self) -> int:
@@ -115,9 +156,6 @@ class MappingNet:
     @property
     def out_dim(self) -> int:
         return self.w2.shape[0]
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
     @classmethod
     def init(
@@ -158,71 +196,93 @@ class ForwardCache:
 
 
 def net_forward(net: MappingNet, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Checks only x's column count; project_prototypes checks the output for
-    non-finite values, the training loops their loss."""
-    if x.shape[1] != net.in_dim:
-        raise ShapeError(f"input has {x.shape[1]} columns, network expects {net.in_dim}")
+    """The net applied to the rows of x (b, in), or of each matrix of a stack
+    x (..., b, in).  Checks only x's column count; project_prototypes checks
+    the output for non-finite values, the training loops their loss."""
+    if x.shape[-1] != net.in_dim:
+        raise ShapeError(f"input has {x.shape[-1]} columns, network expects {net.in_dim}")
     pre = x @ net.w1.T + net.b1
     hidden = np.maximum(pre, 0.0) if net.activation == "relu" else pre
     out = hidden @ net.w2.T + net.b2
     return out, ForwardCache(net=net, x=x, pre=pre, hidden=hidden)
 
 
-def net_backward(
-    net: MappingNet, cache: ForwardCache, g: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Exact parameter gradients of the forward map for the output gradient g.
-    Checks only that the cache is net's; the products check g's shape."""
+def net_backward(net: MappingNet, cache: ForwardCache, g: np.ndarray) -> np.ndarray:
+    """Exact parameter gradients of the forward map for the output gradient
+    g, as a vector of net.flat's layout, or one per matrix of a stacked
+    forward pass (..., net.flat.size).  Checks only that the cache is net's;
+    the products check g's shape."""
     if cache.net is not net:
         raise UsageError("forward cache does not belong to this network")
-    gw2 = g.T @ cache.hidden
-    gb2 = g.sum(axis=0)
+    out = np.empty((*g.shape[:-2], net.flat.size))
+    grads = net.views(out)
+    # column sums of each (b, k) matrix add its rows in order, as a 2-D
+    # operand's do (tests/test_stacking.py)
+    np.matmul(np.swapaxes(g, -1, -2), cache.hidden, out=grads["w2"])
+    np.add.reduce(g, axis=-2, out=grads["b2"])
     gh = g @ net.w2
     if net.activation == "relu":
         gh *= cache.pre > 0
-    gw1 = gh.T @ cache.x
-    gb1 = gh.sum(axis=0)
-    return {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2}
+    np.matmul(np.swapaxes(gh, -1, -2), cache.x, out=grads["w1"])
+    np.add.reduce(gh, axis=-2, out=grads["b1"])
+    return out
 
 
 # ---------------------------------------------------------------------------
 # cosine cross-entropy (shared by the refinement and prototype losses)
 
 
-def cosine_cross_entropy(
-    q: np.ndarray, refs: tuple[np.ndarray, np.ndarray], targets: np.ndarray,
-    scale: float, wrt: str,
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy of softmax(scale * cos(query, reference)), and its
-    exact gradient w.r.t. `wrt`: the queries q or the references, given as
-    unit_rows(references).  Checks one target per query, each in range (no
-    wrap-around), and each query's norm (FloatingPointError if 0); the
-    callers' configs check the scale."""
-    if wrt not in ("queries", "references"):
-        raise ParameterError(f"cannot take the gradient w.r.t. {wrt!r}")
-    rh, rn = refs
-    b = q.shape[0]
-    if targets.shape != (b,):
+def target_indices(targets, k: int) -> np.ndarray:
+    """The flat index of each query's target entry in the scores of its
+    queries against k references: for targets (b,), in a (b, k) score
+    matrix, and for a stack of target vectors (..., b), in the whole score
+    stack (..., b, k), row-major.  The `at` of cosine_cross_entropy.
+    ParameterError if a target is outside [0, k) (no wrap-around)."""
+    targets = np.asarray(targets)
+    if targets.ndim < 1:
         raise ShapeError("one target per query row required")
-    qh, qn = unit_rows(q)
-    cos = qh @ rh.T
-    try:  # the flat index of each row's target entry
-        at = np.ravel_multi_index((np.arange(b), targets), cos.shape)
+    try:
+        return np.ravel_multi_index((*np.indices(targets.shape, sparse=True), targets),
+                                    (*targets.shape, k))
     except ValueError:
         raise ParameterError("target index out of range") from None
+
+
+def cosine_cross_entropy(
+    queries: tuple[np.ndarray, np.ndarray], refs: tuple[np.ndarray, np.ndarray],
+    at: np.ndarray, scale: float, wrt: str,
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean cross-entropy of softmax(scale * cos(query, reference)), and its
+    exact gradient w.r.t. `wrt`: the queries or the references.  Both come
+    as unit_rows pairs, of a (b, d) and a (k, d) matrix or of stacks of S
+    such matrices (S, b, d) and (S, k, d); `at` (b,) or (S, b) are the
+    target_indices of their targets.  A stack gives S losses and S
+    gradients, each equal to its own matrix's bit for bit.  Checks one
+    target index per query; the callers' configs check the scale."""
+    if wrt not in ("queries", "references"):
+        raise ParameterError(f"cannot take the gradient w.r.t. {wrt!r}")
+    qh, qn = queries
+    rh, rn = refs
+    b, k = qh.shape[-2], rh.shape[-2]
+    cos = qh @ np.swapaxes(rh, -1, -2)
+    lead = cos.shape[:-2]
+    if at.shape != (*lead, b):
+        raise ShapeError("one target per query row required")
     logp = scale * cos
-    logp -= logp.max(axis=1, keepdims=True)
-    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
-    loss = -float(np.add.reduce(logp.ravel()[at])) / b
+    rows = logp.reshape(-1, k)  # row sums of a 2-D view (tests/test_stacking.py)
+    rows -= rows.max(axis=1, keepdims=True)
+    rows -= np.log(np.exp(rows).sum(axis=1, keepdims=True))
+    # a C-contiguous gather (..., b): each of its rows sums as a 1-D one
+    loss = -np.add.reduce(logp.ravel().take(at), axis=-1) / b
     gl = np.exp(logp)
     gl.ravel()[at] -= 1.0
     gl *= scale / b  # d loss / d cos
     gl_cos = gl * cos
     if wrt == "queries":
-        row_dot = gl_cos.sum(axis=1, keepdims=True)
-        return loss, (gl @ rh - row_dot * qh) / qn[:, None]
-    col_dot = gl_cos.sum(axis=0)[:, None]
-    return loss, (gl.T @ qh - col_dot * rh) / rn[:, None]
+        row_dot = gl_cos.reshape(-1, k).sum(axis=1, keepdims=True).reshape(*lead, b, 1)
+        return loss, (gl @ rh - row_dot * qh) / qn[..., None]
+    col_dot = gl_cos.sum(axis=-2)[..., None]
+    return loss, (np.swapaxes(gl, -1, -2) @ qh - col_dot * rh) / rn[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -235,57 +295,50 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 @dataclass
 class OptimizerState:
     """SofConfig and TrainConfig check the learning rate and momentum; the
-    mode is checked here, as optimizer_step runs Adam for any other mode."""
+    mode is checked here, as optimizer_step runs Adam for any other mode.
+    The moment buffers are made on the first step, shaped like the
+    parameters."""
 
     mode: str
     learning_rate: float
     momentum: float = 0.9
     step_count: int = 0
-    buffers: dict = field(default_factory=dict)
+    m: np.ndarray | None = field(default=None, repr=False)
+    v: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.mode not in OPTIMIZER_MODES:
             raise ParameterError(f"unknown optimizer mode {self.mode!r}")
 
 
-def _buffer(state: OptimizerState, key: str, like: np.ndarray) -> np.ndarray:
-    """The state's buffer `key`, made as zeros shaped like `like` on first use."""
-    buf = state.buffers.get(key)
-    if buf is None:
-        buf = state.buffers[key] = np.zeros_like(like)
-    return buf
-
-
-def optimizer_step(
-    state: OptimizerState, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]
-) -> dict[str, np.ndarray]:
-    """One in-place update of every parameter; increments step_count by 1.
-    Checks only the gradients' shapes, before any parameter moves."""
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ShapeError(
-                f"gradient shape {g.shape} does not match parameter {name} {p.shape}"
-            )
+def optimizer_step(state: OptimizerState, params: np.ndarray,
+                   grad: np.ndarray) -> np.ndarray:
+    """One in-place update of the parameter vector `params` (a FlatParams
+    `flat`) by its gradient; increments step_count by 1.  Checks only the
+    gradient's shape, before the parameters move."""
+    if grad.shape != params.shape:
+        raise ShapeError(f"gradient shape {grad.shape} does not match "
+                         f"parameters {params.shape}")
     state.step_count += 1
     lr = state.learning_rate
-    for name, p in params.items():
-        g = grads[name]
-        if state.mode == "sgd_momentum":
-            v = _buffer(state, f"v_{name}", p)
-            v *= state.momentum
-            v -= lr * g
-            p += v
-        else:
-            m = _buffer(state, f"m_{name}", p)
-            v = _buffer(state, f"v_{name}", p)
-            b1, b2 = ADAM_BETA1, ADAM_BETA2
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            t = state.step_count
-            mhat = m / (1.0 - b1**t)
-            vhat = v / (1.0 - b2**t)
-            p -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    if state.v is None:
+        state.v = np.zeros_like(params)
+    v = state.v
+    if state.mode == "sgd_momentum":
+        v *= state.momentum
+        v -= lr * grad
+        params += v
+        return params
+    if state.m is None:
+        state.m = np.zeros_like(params)
+    m = state.m
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * grad * grad
+    t = state.step_count
+    mhat = m / (1.0 - b1**t)
+    vhat = v / (1.0 - b2**t)
+    params -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     return params

@@ -19,7 +19,7 @@ from .errors import FormatError, ParameterError, TrainingError, UsageError, requ
 from .hallucinate import HalluConfig, HallucinatedEpisode, hallucinate
 from .linalg import ACTIVATIONS, OPTIMIZER_MODES, MappingNet, OptimizerState, \
     cosine_cross_entropy, net_backward, net_forward, optimizer_step, require_finite, \
-    unit_rows
+    target_indices, unit_rows
 from .rng import DEFAULT_SEED, RngStream
 
 # What an episode does in each training mode: whether it hallucinates
@@ -86,14 +86,37 @@ class PrototypeModel:
     loss_trace: list[float] = field(default_factory=list)
 
 
-def _proto_loss(
-    net: MappingNet, semantic: np.ndarray, visual: np.ndarray,
-    local_labels: np.ndarray, logit_scale: float
-) -> tuple[float, dict[str, np.ndarray]]:
+def stacked_loss(
+    net: MappingNet, semantic: np.ndarray, queries: tuple[np.ndarray, np.ndarray],
+    at: np.ndarray, logit_scale: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The losses (S,) and flat gradients (S, net.flat.size) of S stacked
+    classification passes through one net: the samples of each pass, given
+    as their unit rows `queries` (S, M*N, C), against the prototypes the net
+    projects from the pass's class semantics (S, M, D).  `at` (S, M*N) are
+    the target_indices of the samples' local labels.  Each pass's loss and
+    gradient equal those of the pass run alone, bit for bit."""
     prototypes, cache = net_forward(net, semantic)
-    loss, g_proto = cosine_cross_entropy(visual, unit_rows(prototypes), local_labels,
-                                         logit_scale, wrt="references")
-    return loss, net_backward(net, cache, g_proto)
+    losses, g_proto = cosine_cross_entropy(queries, unit_rows(prototypes), at,
+                                           logit_scale, wrt="references")
+    return losses, net_backward(net, cache, g_proto)
+
+
+def _single_pass(
+    net: MappingNet, semantic: np.ndarray, visual: np.ndarray, local_labels,
+    logit_scale: float
+) -> tuple[float, dict[str, np.ndarray]]:
+    """stacked_loss for a stack of one: the loss and the gradient by name."""
+    losses, grads = stacked_loss(net, semantic[None], unit_rows(visual[None]),
+                                 target_indices(local_labels[None], semantic.shape[0]),
+                                 logit_scale)
+    return float(losses[0]), net.views(grads[0])
+
+
+def class_major_labels(m: int, n: int) -> np.ndarray:
+    """The local label of each of an episode's M*N samples: N of class 0,
+    then N of class 1, and so on, as sample_episode lays them out."""
+    return np.repeat(np.arange(m, dtype=np.int64), n)
 
 
 def place_loss(
@@ -102,20 +125,24 @@ def place_loss(
     """Classification of hallucinated samples against hallucinated prototypes."""
     m = hep.semantic.shape[0]
     n = hep.visual.shape[0] // m
-    local = np.repeat(np.arange(m, dtype=np.int64), n)
-    return _proto_loss(model.net, hep.semantic, hep.visual, local, logit_scale)
+    return _single_pass(model.net, hep.semantic, hep.visual,
+                        class_major_labels(m, n), logit_scale)
 
 
 def real_loss(
     model: PrototypeModel, ep: Episode, logit_scale: float
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Classification of the episode's real samples against real prototypes."""
-    return _proto_loss(model.net, ep.semantic, ep.visual, ep.local_labels,
-                       logit_scale)
+    return _single_pass(model.net, ep.semantic, ep.visual, ep.local_labels,
+                        logit_scale)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence: the loss check reports it
 def train_prototypes(ds: SplitDataset, cfg: TrainConfig) -> PrototypeModel:
+    """Each step is one stacked_loss call over the episode's placeholder and
+    real passes, combined as loss p + lambda_real * r and gradient
+    gp + lambda_real * gr, then one optimizer step on the flat parameters.
+    A mode without placeholders, or lambda_real = 0, stacks one pass."""
     if cfg.mode == "full" and not ds.refined:
         raise UsageError("mode 'full' expects a dataset refined by stage one")
     rng = RngStream(cfg.seed)
@@ -133,30 +160,35 @@ def train_prototypes(ds: SplitDataset, cfg: TrainConfig) -> PrototypeModel:
         per_epoch = max(1, int(np.ceil(ds.train_idx.size / (m * n))))
     opt = OptimizerState(mode=cfg.optimizer, learning_rate=cfg.learning_rate)
     placeholders, force = _PLACEHOLDERS[cfg.mode]
+    lam = cfg.lambda_real
+    real_pass = not placeholders or lam > 0
+    depth = placeholders + real_pass
+    # every pass labels its samples class-major, as sample_episode does
+    at = target_indices(np.broadcast_to(class_major_labels(m, n), (depth, m * n)), m)
 
     for epoch in range(cfg.epochs):
         epoch_losses = []
         for done in range(0, per_epoch, EPISODE_BLOCK):
             size = min(EPISODE_BLOCK, per_epoch - done)
             block = sample_episode(ds, m, n, rng_ep, episodes=size)
+            # the block's passes stacked on axis 1, placeholder first
+            passes = [block] if real_pass else []
             if placeholders:
-                h_block = hallucinate(block, cfg.hallucination, rng_hal,
-                                      force_beta=force)
+                passes.insert(0, hallucinate(block, cfg.hallucination, rng_hal,
+                                             force_beta=force))
+            semantic = np.stack([p.semantic for p in passes], axis=1)
+            qh, qn = unit_rows(np.stack([p.visual for p in passes], axis=1))
             for i in range(size):
-                ep = block[i]
-                if not placeholders:
-                    total, grads = real_loss(model, ep, cfg.logit_scale)
-                else:
-                    p_loss, p_grads = place_loss(model, h_block[i], cfg.logit_scale)
-                    total, grads = p_loss, p_grads
-                    if cfg.lambda_real > 0:
-                        r_loss, r_grads = real_loss(model, ep, cfg.logit_scale)
-                        total = total + cfg.lambda_real * r_loss
-                        grads = {k: p_grads[k] + cfg.lambda_real * r_grads[k]
-                                 for k in p_grads}
+                losses, grads = stacked_loss(net, semantic[i], (qh[i], qn[i]), at,
+                                             cfg.logit_scale)
+                total = losses[0]
+                if depth == 2:
+                    total = total + lam * losses[1]
+                    grads[1] *= lam
+                    grads[0] += grads[1]
                 if not np.isfinite(total):
                     raise TrainingError(f"prototype loss diverged at epoch {epoch}")
-                optimizer_step(opt, net.params(), grads)
+                optimizer_step(opt, net.flat, grads[0])
                 epoch_losses.append(total)
         model.loss_trace.append(float(np.mean(epoch_losses)))
     return model

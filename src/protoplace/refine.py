@@ -16,13 +16,17 @@ import numpy as np
 from .data import AttributeTable, SplitDataset, load_matrix, save_matrix
 from .errors import ParameterError, ShapeError, TrainingError, ValidationError, \
     require_ints
-from .linalg import OPTIMIZER_MODES, OptimizerState, as_matrix, cosine_cross_entropy, \
-    optimizer_step, unit_rows
+from .linalg import OPTIMIZER_MODES, FlatParams, OptimizerState, as_matrix, \
+    cosine_cross_entropy, optimizer_step, target_indices, unit_rows
 from .rng import DEFAULT_SEED, RngStream
 
 
 @dataclass
-class RefinerParams:
+class RefinerParams(FlatParams):
+    """The two matrices are views of `flat` (see FlatParams)."""
+
+    PARAMS = ("f_lin", "w_proj")
+
     f_lin: np.ndarray   # C x C, applied as x @ f_lin
     w_proj: np.ndarray  # C x D
 
@@ -33,6 +37,7 @@ class RefinerParams:
             raise ShapeError("f_lin must be square")
         if self.w_proj.shape[0] != self.f_lin.shape[0]:
             raise ShapeError("w_proj rows must match the feature dimension")
+        self._pack()
 
 
 @dataclass
@@ -80,10 +85,12 @@ def sof_loss(
     Returns the mean loss and its exact gradient w.r.t. refined_sem.
     """
     seen = np.unique(np.asarray(seen_classes, dtype=np.int64))
-    return cosine_cross_entropy(as_matrix(refined_sem, "refined features"),
-                                unit_rows(attributes.rows(seen)),
-                                _seen_targets(labels, seen), logit_scale,
-                                wrt="queries")
+    loss, grad = cosine_cross_entropy(
+        unit_rows(as_matrix(refined_sem, "refined features")),
+        unit_rows(attributes.rows(seen)),
+        target_indices(_seen_targets(labels, seen), seen.size), logit_scale,
+        wrt="queries")
+    return float(loss), grad
 
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence: the loss check reports it
@@ -108,27 +115,32 @@ def train_sof(ds: SplitDataset, cfg: SofConfig) -> tuple[RefinerParams, list[flo
     x_all = ds.features[ds.train_idx]
     t_all = _seen_targets(ds.labels[ds.train_idx], ds.seen_classes)
     seen_attrs = unit_rows(ds.attributes.rows(ds.seen_classes))
+    k = ds.seen_classes.size
     opt = OptimizerState(mode=cfg.optimizer, learning_rate=cfg.learning_rate,
                          momentum=cfg.momentum)
-    tensors = {"f_lin": params.f_lin, "w_proj": params.w_proj}
+    grad = np.empty_like(params.flat)
+    g_views = params.views(grad)
     trace: list[float] = []
     n = x_all.shape[0]
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
+        # each batch's target indices: the epoch's, less the rows before it
+        at_epoch = target_indices(t_all[order], k)
         losses = []
         for start in range(0, n, cfg.batch_size):
             take = order[start:start + cfg.batch_size]
             xb = x_all[take]
             refined = xb @ params.f_lin
             sem = refined @ params.w_proj
-            loss, g_sem = cosine_cross_entropy(sem, seen_attrs, t_all[take],
-                                               cfg.logit_scale, wrt="queries")
+            loss, g_sem = cosine_cross_entropy(
+                unit_rows(sem), seen_attrs,
+                at_epoch[start:start + cfg.batch_size] - start * k,
+                cfg.logit_scale, wrt="queries")
             if not np.isfinite(loss):
                 raise TrainingError(f"refinement loss diverged at epoch {epoch}")
-            g_wp = refined.T @ g_sem
-            g_refined = g_sem @ params.w_proj.T
-            g_f = xb.T @ g_refined
-            optimizer_step(opt, tensors, {"f_lin": g_f, "w_proj": g_wp})
+            np.matmul(refined.T, g_sem, out=g_views["w_proj"])
+            np.matmul(xb.T, g_sem @ params.w_proj.T, out=g_views["f_lin"])
+            optimizer_step(opt, params.flat, grad)
             losses.append(loss)
         trace.append(float(np.mean(losses)))
     return params, trace

@@ -16,6 +16,11 @@ from .errors import ParameterError
 # The seed of a run whose config names none.
 DEFAULT_SEED = 0
 
+# The largest Beta shape accepted.  A Beta is the ratio x / (x + y) of two
+# Gamma draws, each about its shape: above this bound two shapes can overflow
+# the sum to inf (Betas of 0), and an infinite one gives inf / inf.
+MAX_BETA_SHAPE = 1e300
+
 
 class RngStream:
     """Seeded random stream; equal seeds give equal draw sequences on any platform."""
@@ -66,12 +71,20 @@ class RngStream:
         return self._gen.standard_gamma(shape, size)
 
 
+def check_beta_shapes(alpha1: float, alpha2: float) -> None:
+    """ParameterError unless each shape is in (0, MAX_BETA_SHAPE] (NaN is not)."""
+    if not (0 < alpha1 <= MAX_BETA_SHAPE and 0 < alpha2 <= MAX_BETA_SHAPE):
+        raise ParameterError(f"Beta shapes must be positive and at most "
+                             f"{MAX_BETA_SHAPE:g}, got {alpha1!r}, {alpha2!r}")
+
+
 def beta_sample(rng: RngStream, alpha1: float, alpha2: float, size=None):
     """Beta(alpha1, alpha2) draw(s) in [0, 1] via the ratio of two Gamma draws.
 
     Each Beta draws its two Gammas back to back, so `size=m` gives the same
     m values, bit for bit, as m scalar calls, and leaves the stream in the
-    same state.  RngStream.gamma checks the shapes."""
+    same state.  Checks the shapes with check_beta_shapes."""
+    check_beta_shapes(alpha1, alpha2)
     if size is None:
         x, y = rng.gamma(alpha1), rng.gamma(alpha2)
         total = x + y

@@ -148,6 +148,20 @@ class TestConfig:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("value", [float("inf"), 1.5e300, 1e308],
+                             ids=["Infinity", "1.5e300", "1e308"])
+    @pytest.mark.parametrize("name", ["alpha1", "alpha2"])
+    def test_beta_shape_bounded(self, tmp_path, capsys, name, value):
+        # an infinite shape makes every Beta inf / inf, and two shapes near
+        # the largest float overflow the Gamma sum: a configuration error,
+        # not a divergence (exit 4) or Betas of 0 (exit 0)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({**TINY, "hallucination": {"n_neighbors": 2,
+                                                           name: value}}))
+        assert run("synth", "--config", p, "--out", tmp_path / "d") == 2
+        assert "Beta shapes" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize("key,value", [
         ("delta_step", float("nan")), ("delta_start", float("nan")),
         ("delta_stop", float("inf")), ("delta_step", "0.1"), ("delta_step", True),

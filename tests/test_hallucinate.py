@@ -18,7 +18,7 @@ from protoplace.hallucinate import (
 )
 from protoplace.linalg import pairwise_cosine, softmax
 from protoplace.prototypes import EPISODE_BLOCK
-from protoplace.rng import RngStream, beta_sample
+from protoplace.rng import MAX_BETA_SHAPE, RngStream, beta_sample
 
 
 def make_episode(visual_classes, semantic, n=1):
@@ -401,6 +401,13 @@ class TestHalluConfig:
             HalluConfig(n_neighbors=0)
         with pytest.raises(ParameterError):
             HalluConfig(alpha1=-1.0)
+
+    @pytest.mark.parametrize("shape", [np.inf, np.nan, 1.5 * MAX_BETA_SHAPE])
+    @pytest.mark.parametrize("name", ["alpha1", "alpha2"])
+    def test_beta_shapes_finite_and_bounded(self, name, shape):
+        with pytest.raises(ParameterError, match="Beta shapes"):
+            HalluConfig(**{name: shape})
+        HalluConfig(**{name: MAX_BETA_SHAPE})
 
 
 class TestBlockParity:

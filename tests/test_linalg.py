@@ -14,6 +14,7 @@ from protoplace.linalg import (
     optimizer_step,
     pairwise_cosine,
     softmax,
+    target_indices,
     unit_rows,
     unit_rows_or_zero,
 )
@@ -161,7 +162,8 @@ class TestNetBackward:
         x = rng.normal(size=(3, 4))
         _, cache = net_forward(net, x)
         grads = net_backward(net, cache, np.zeros((3, 3)))
-        assert all(np.all(g == 0) for g in grads.values())
+        assert grads.shape == net.flat.shape
+        assert np.all(grads == 0)
 
     @pytest.mark.parametrize("trial", range(20))
     def test_finite_differences(self, trial):
@@ -172,7 +174,7 @@ class TestNetBackward:
         weights = rng.normal(size=(5, 2))  # fixed scalarization of the output
 
         out, cache = net_forward(net, x)
-        analytic = net_backward(net, cache, weights)
+        analytic = net.views(net_backward(net, cache, weights))
 
         def loss():
             y, _ = net_forward(net, x)
@@ -190,12 +192,19 @@ class TestNetBackward:
             net_backward(net_b, cache, np.zeros((2, 3)))
 
 
+def cce(q, refs, targets, scale, wrt):
+    """cosine_cross_entropy of raw queries and class targets."""
+    return cosine_cross_entropy(unit_rows(q), refs,
+                                target_indices(targets, refs[0].shape[0]), scale,
+                                wrt=wrt)
+
+
 class TestCosineCrossEntropy:
     def test_hand_two_class(self):
         # query aligned with its class, orthogonal to the other, scale 1
         refs = unit_rows(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        loss, _ = cosine_cross_entropy(np.array([[1.0, 0.0]]), refs, np.array([0]),
-                                       1.0, wrt="queries")
+        loss, _ = cce(np.array([[1.0, 0.0]]), refs, np.array([0]), 1.0,
+                      wrt="queries")
         assert loss == pytest.approx(-math.log(math.e / (math.e + 1)), abs=1e-12)
 
     @pytest.mark.parametrize("trial", range(10))
@@ -205,11 +214,11 @@ class TestCosineCrossEntropy:
         r = rng.normal(size=(5, 3))
         t = rng.integers(0, 5, size=4)
         scale = float(rng.uniform(1, 12))
-        _, gq = cosine_cross_entropy(q, unit_rows(r), t, scale, wrt="queries")
-        _, gr = cosine_cross_entropy(q, unit_rows(r), t, scale, wrt="references")
+        _, gq = cce(q, unit_rows(r), t, scale, wrt="queries")
+        _, gr = cce(q, unit_rows(r), t, scale, wrt="references")
 
         def loss_at(qq, rr):
-            return cosine_cross_entropy(qq, unit_rows(rr), t, scale, wrt="queries")[0]
+            return cce(qq, unit_rows(rr), t, scale, wrt="queries")[0]
 
         step = 1e-6
         for arr, grad in ((q, gq), (r, gr)):
@@ -231,8 +240,7 @@ class TestCosineCrossEntropy:
     def test_zero_norm_row_is_numeric_failure(self):
         refs = unit_rows(np.array([[1.0, 0.0], [0.0, 1.0]]))
         with pytest.raises(FloatingPointError, match="zero-norm"):
-            cosine_cross_entropy(np.array([[0.0, 0.0]]), refs, np.array([0]), 1.0,
-                                 wrt="queries")
+            cce(np.array([[0.0, 0.0]]), refs, np.array([0]), 1.0, wrt="queries")
         with pytest.raises(FloatingPointError, match="zero-norm"):
             unit_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
@@ -243,19 +251,18 @@ class TestCosineCrossEntropy:
         rng = np.random.default_rng(11)
         refs = unit_rows(rng.normal(size=(3, 4)))
         with pytest.raises(ParameterError, match="out of range"):
-            cosine_cross_entropy(rng.normal(size=(2, 4)), refs, np.array([0, bad]),
-                                 5.0, wrt=wrt)
+            cce(rng.normal(size=(2, 4)), refs, np.array([0, bad]), 5.0, wrt=wrt)
 
     def test_one_target_per_query(self):
         refs = unit_rows(np.eye(3))
         with pytest.raises(ShapeError):
-            cosine_cross_entropy(np.eye(3)[:2], refs, np.array([0]), 5.0,
-                                 wrt="queries")
+            cce(np.eye(3)[:2], refs, np.array([0]), 5.0, wrt="queries")
+        with pytest.raises(ShapeError):
+            target_indices(np.array(0), 3)
 
     def test_unknown_gradient_rejected(self):
         with pytest.raises(ParameterError, match="gradient"):
-            cosine_cross_entropy(np.eye(2), unit_rows(np.eye(2)), np.array([0, 1]),
-                                 1.0, wrt="both")
+            cce(np.eye(2), unit_rows(np.eye(2)), np.array([0, 1]), 1.0, wrt="both")
 
 
 def reference_cosine_cross_entropy(queries, references, targets, scale):
@@ -309,7 +316,7 @@ class TestGradientParity:
         loss, gq, gr = reference_cosine_cross_entropy(q, r, t, scale)
         refs = unit_rows(r)
         for wrt, expected in (("queries", gq), ("references", gr)):
-            got_loss, got = cosine_cross_entropy(q, refs, t, scale, wrt=wrt)
+            got_loss, got = cce(q, refs, t, scale, wrt=wrt)
             assert np.float64(got_loss).tobytes() == np.float64(loss).tobytes()
             assert got.tobytes() == expected.tobytes(), wrt
 
@@ -374,7 +381,7 @@ class TestUnitRowsParity:
         r = rng.normal(size=(12, 16))
         t = rng.integers(0, 12, size=40)
         loss, gq, _ = reference_cosine_cross_entropy(q, r, t, 10.0)
-        got_loss, got = cosine_cross_entropy(q, unit_rows(r), t, 10.0, wrt="queries")
+        got_loss, got = cce(q, unit_rows(r), t, 10.0, wrt="queries")
         assert np.float64(got_loss).tobytes() == np.float64(loss).tobytes()
         assert got.tobytes() == gq.tobytes()
 
@@ -382,16 +389,16 @@ class TestUnitRowsParity:
 class TestOptimizer:
     def test_zero_gradient_is_fixed_point(self):
         state = OptimizerState(mode="sgd_momentum", learning_rate=0.1)
-        p = {"x": np.array([1.0, -2.0])}
-        optimizer_step(state, p, {"x": np.zeros(2)})
-        assert np.array_equal(p["x"], [1.0, -2.0])
+        p = np.array([1.0, -2.0])
+        optimizer_step(state, p, np.zeros(2))
+        assert np.array_equal(p, [1.0, -2.0])
         assert state.step_count == 1
 
     def test_plain_descent_step(self):
         state = OptimizerState(mode="sgd_momentum", learning_rate=0.1, momentum=0.0)
-        p = {"x": np.array([0.0])}
-        optimizer_step(state, p, {"x": np.array([1.0])})
-        assert p["x"][0] == pytest.approx(-0.1, abs=1e-15)
+        p = np.array([0.0])
+        optimizer_step(state, p, np.array([1.0]))
+        assert p[0] == pytest.approx(-0.1, abs=1e-15)
 
     def test_adam_matches_hand_trace(self):
         # three Adam steps on f(x) = x^2 from x = 1, stepped by hand
@@ -408,16 +415,18 @@ class TestOptimizer:
             trace.append(x_ref)
 
         state = OptimizerState(mode="adam", learning_rate=lr)
-        p = {"x": np.array([1.0])}
+        p = np.array([1.0])
         for t in range(3):
-            optimizer_step(state, p, {"x": np.array([2 * p["x"][0]])})
-            assert abs(p["x"][0] - trace[t]) < 1e-12
+            optimizer_step(state, p, np.array([2 * p[0]]))
+            assert abs(p[0] - trace[t]) < 1e-12
         assert state.step_count == 3
 
     def test_shape_mismatch(self):
         state = OptimizerState(mode="adam", learning_rate=0.1)
+        p = np.zeros(2)
         with pytest.raises(ShapeError):
-            optimizer_step(state, {"x": np.zeros(2)}, {"x": np.zeros(3)})
+            optimizer_step(state, p, np.zeros(3))
+        assert state.step_count == 0 and np.array_equal(p, [0.0, 0.0])
 
     def test_parameter_validation(self):
         # the learning rate and momentum are checked by SofConfig and TrainConfig
@@ -435,3 +444,27 @@ class TestMappingNetInit:
         with pytest.raises(ShapeError):
             MappingNet(w1=np.zeros((3, 2)), b1=np.zeros(4), w2=np.zeros((2, 3)),
                        b2=np.zeros(2))
+
+
+class TestFlatParams:
+    def test_parameters_are_views_of_one_vector(self):
+        # an optimizer step on `flat` must move the arrays the forward reads
+        rng = np.random.default_rng(12)
+        arrays = dict(w1=rng.normal(size=(5, 4)), b1=rng.normal(size=5),
+                      w2=rng.normal(size=(3, 5)), b2=rng.normal(size=3))
+        net = MappingNet(**arrays)
+        assert net.flat.shape == (5 * 4 + 5 + 3 * 5 + 3,)
+        assert np.array_equal(net.flat, np.concatenate([a.ravel() for a in arrays.values()]))
+        net.flat += 1.0
+        for name, p in net.params().items():
+            assert np.shares_memory(p, net.flat)
+            assert np.array_equal(p, arrays[name] + 1.0), name
+
+    def test_views_of_a_stack_write_through(self):
+        net = random_net(np.random.default_rng(13))
+        stack = np.zeros((2, net.flat.size))
+        views = net.views(stack)
+        for name, p in net.params().items():
+            assert views[name].shape == (2, *p.shape)
+            views[name][1] = p
+        assert np.array_equal(stack[1], net.flat) and not stack[0].any()

@@ -12,6 +12,7 @@ from protoplace.hallucinate import HalluConfig, hallucinate
 from protoplace.linalg import MappingNet, net_forward
 from protoplace.prototypes import PrototypeModel, TrainConfig, load_model, \
     place_loss, project_prototypes, real_loss, save_model, train_prototypes
+from protoplace.refine import SofConfig, refine_features, train_sof
 from protoplace.rng import RngStream
 import protoplace.prototypes as prototypes_mod
 
@@ -111,8 +112,10 @@ class TestLosses:
 
 
 def reference_train(ds, cfg):
-    """train_prototypes one episode at a time: each episode sampled, then
-    hallucinated, just before its optimizer step."""
+    """train_prototypes one episode and one pass at a time: each episode
+    sampled, then hallucinated, just before its optimizer step; its
+    placeholder and real losses from separate place_loss and real_loss calls,
+    their gradients merged name by name and only the result flattened."""
     from protoplace.linalg import OptimizerState, optimizer_step
     rng = RngStream(cfg.seed)
     net = MappingNet.init(ds.attr_dim, ds.feat_dim, cfg.hidden_dim,
@@ -125,29 +128,59 @@ def reference_train(ds, cfg):
         losses = []
         for _ in range(cfg.episodes_per_epoch):
             ep = sample_episode(ds, cfg.m_classes, cfg.n_samples, rng_ep)
-            total, grads = real_loss(model, ep, cfg.logit_scale)
             if placeholders:
                 hep = hallucinate(ep, cfg.hallucination, rng_hal, force_beta=force)
-                p_loss, p_grads = place_loss(model, hep, cfg.logit_scale)
-                total = p_loss + cfg.lambda_real * total
-                grads = {k: p_grads[k] + cfg.lambda_real * grads[k] for k in grads}
-            optimizer_step(opt, net.params(), grads)
+                total, grads = place_loss(model, hep, cfg.logit_scale)
+                if cfg.lambda_real > 0:
+                    r_loss, r_grads = real_loss(model, ep, cfg.logit_scale)
+                    total = total + cfg.lambda_real * r_loss
+                    grads = {k: grads[k] + cfg.lambda_real * r_grads[k]
+                             for k in grads}
+            else:
+                total, grads = real_loss(model, ep, cfg.logit_scale)
+            optimizer_step(opt, net.flat,
+                           np.concatenate([grads[k].ravel() for k in net.params()]))
             losses.append(total)
         model.loss_trace.append(float(np.mean(losses)))
     return model
 
 
+def refined_bench(seed):
+    ds = bench(seed=seed)
+    return refine_features(ds, train_sof(ds, SofConfig(epochs=1, seed=seed))[0])
+
+
+# (mode, lambda_real) of each parity run: every mode at the default weight,
+# and the hallucinating modes with the real term off (a stack of one pass)
+PARITY_RUNS = {
+    **{mode: (mode, 0.25) for mode in ("s2v_baseline", "ep_only", "ep_ei", "full")},
+    **{f"{mode}-lambda0": (mode, 0.0) for mode in ("ep_only", "ep_ei", "full")},
+}
+
+
 class TestTrainPrototypes:
-    @pytest.mark.parametrize("mode", ("s2v_baseline", "ep_only", "ep_ei"))
+    @pytest.mark.parametrize("run", list(PARITY_RUNS))
     @pytest.mark.parametrize("per_epoch", (1, prototypes_mod.EPISODE_BLOCK, 11))
-    def test_blocks_equal_episode_at_a_time(self, mode, per_epoch):
-        # whole and partial blocks of episodes train the same net, bit for bit
-        ds = bench(seed=2)
-        cfg = small_cfg(epochs=3, episodes_per_epoch=per_epoch, mode=mode)
+    def test_blocks_equal_episode_at_a_time(self, run, per_epoch):
+        # whole and partial blocks of episodes, each step one stacked pass,
+        # train the same net as separate passes, bit for bit
+        mode, lambda_real = PARITY_RUNS[run]
+        ds = refined_bench(2) if mode == "full" else bench(seed=2)
+        cfg = small_cfg(epochs=3, episodes_per_epoch=per_epoch, mode=mode,
+                        lambda_real=lambda_real)
         got, want = train_prototypes(ds, cfg), reference_train(ds, cfg)
         assert got.loss_trace == want.loss_trace
-        for name, p in got.net.params().items():
-            assert p.tobytes() == want.net.params()[name].tobytes(), name
+        assert got.net.flat.tobytes() == want.net.flat.tobytes()
+
+    def test_placeholder_and_real_passes_share_labels(self):
+        # the stacked step's one target vector serves both passes
+        ds = bench(seed=3)
+        block = sample_episode(ds, 4, 2, RngStream(3), episodes=5)
+        labels = prototypes_mod.class_major_labels(4, 2)
+        for i in range(5):
+            assert np.array_equal(block[i].local_labels, labels)
+        single = sample_episode(ds, 4, 2, RngStream(3))
+        assert np.array_equal(single.local_labels, labels)
 
     def test_loss_descends_on_easy_data(self):
         ds = bench(seed=5, noise=0.1, per=10)
@@ -204,22 +237,26 @@ class TestTrainPrototypes:
 
     def test_lambda_zero_skips_real_term(self, monkeypatch):
         ds = bench(seed=11)
+        depths = []
+        step = prototypes_mod.stacked_loss
 
-        def boom(*a, **k):
-            raise AssertionError("real_loss should not be called")
+        def one_pass_only(net, semantic, *args, **kw):
+            depths.append(semantic.shape[0])
+            return step(net, semantic, *args, **kw)
 
-        monkeypatch.setattr(prototypes_mod, "real_loss", boom)
+        monkeypatch.setattr(prototypes_mod, "stacked_loss", one_pass_only)
         model = train_prototypes(ds, small_cfg(mode="ep_ei", lambda_real=0.0))
         assert model.loss_trace
+        assert depths and set(depths) == {1}
 
     def test_divergence_raises_training_error(self, monkeypatch):
         ds = bench(seed=12)
 
-        def bad_loss(model, hep, scale):
-            return float("nan"), {k: np.zeros_like(v)
-                                  for k, v in model.net.params().items()}
+        def bad_loss(net, semantic, *args, **kw):
+            return np.full(semantic.shape[0], np.nan), \
+                np.zeros((semantic.shape[0], net.flat.size))
 
-        monkeypatch.setattr(prototypes_mod, "place_loss", bad_loss)
+        monkeypatch.setattr(prototypes_mod, "stacked_loss", bad_loss)
         with pytest.raises(TrainingError, match="epoch 0"):
             train_prototypes(ds, small_cfg(mode="ep_ei", lambda_real=0.0))
 

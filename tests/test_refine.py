@@ -110,11 +110,13 @@ class TestTrainSof:
 
 def reference_train_sof(ds, cfg):
     """train_sof with the seen-class attributes looked up, normalised and
-    checked in every batch, through the reference loss."""
+    checked in every batch, through the reference loss; each gradient made
+    per matrix and only then flattened."""
     c, d = ds.feat_dim, ds.attr_dim
     rng = RngStream(cfg.seed).derive("sof")
-    f_lin = np.eye(c)
-    w_proj = rng.uniform(-1.0 / np.sqrt(c), 1.0 / np.sqrt(c), (c, d))
+    w_init = rng.uniform(-1.0 / np.sqrt(c), 1.0 / np.sqrt(c), (c, d))
+    flat = np.concatenate([np.eye(c).ravel(), w_init.ravel()])
+    f_lin, w_proj = flat[:c * c].reshape(c, c), flat[c * c:].reshape(c, d)
     x_all = ds.features[ds.train_idx]
     t_all = np.searchsorted(ds.seen_classes, ds.labels[ds.train_idx])
     opt = OptimizerState(mode=cfg.optimizer, learning_rate=cfg.learning_rate,
@@ -134,8 +136,7 @@ def reference_train_sof(ds, cfg):
                 cfg.logit_scale)
             g_wp = refined.T @ g_sem
             g_f = xb.T @ (g_sem @ w_proj.T)
-            optimizer_step(opt, {"f_lin": f_lin, "w_proj": w_proj},
-                           {"f_lin": g_f, "w_proj": g_wp})
+            optimizer_step(opt, flat, np.concatenate([g_f.ravel(), g_wp.ravel()]))
             losses.append(loss)
         trace.append(float(np.mean(losses)))
     return f_lin, w_proj, trace

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from protoplace.errors import ParameterError
-from protoplace.rng import RngStream, beta_sample
+from protoplace.rng import MAX_BETA_SHAPE, RngStream, beta_sample
 
 
 def test_equal_seeds_give_equal_sequences():
@@ -60,6 +62,23 @@ def test_beta_rejects_bad_shapes():
         beta_sample(rng, 0.0, 1.0)
     with pytest.raises(ParameterError):
         beta_sample(rng, 1.0, -2.0)
+
+
+@pytest.mark.parametrize("a1,a2", [(math.inf, 1.0), (1.0, math.inf),
+                                   (1e308, 1e308), (1.5 * MAX_BETA_SHAPE, 1.0)])
+def test_beta_rejects_shapes_above_bound(a1, a2):
+    # an infinite shape gives inf / inf = NaN, and two huge shapes overflow
+    # the Gamma sum to inf, which gave Betas of 0 where Beta(a, a) is ~0.5
+    for size in (None, 3):
+        with pytest.raises(ParameterError, match="Beta shapes"):
+            beta_sample(RngStream(0), a1, a2, size=size)
+
+
+def test_beta_at_shape_bound_is_finite():
+    draws = beta_sample(RngStream(0), MAX_BETA_SHAPE, MAX_BETA_SHAPE, size=5)
+    assert np.all(np.abs(draws - 0.5) < 1e-9)
+    draws = beta_sample(RngStream(0), MAX_BETA_SHAPE, 1.0, size=5)
+    assert np.all(draws == 1.0)
 
 
 def test_choice_without_replacement():

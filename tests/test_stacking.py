@@ -1,10 +1,13 @@
-"""numpy behaviour that the episode blocks rely on.
+"""numpy behaviour that the episode blocks and the stacked training step
+rely on.
 
 Training samples and hallucinates its episodes in blocks (see
 data.Stackable): each hallucination step is one numpy call on arrays with a
-leading episode axis, and the trained nets stay byte-identical to one episode
-at a time only while the stacked calls below equal their per-episode forms
-bit for bit.  A numpy release that changes one fails here first.
+leading episode axis.  Each training step then runs the placeholder and the
+real pass as one stack (prototypes.stacked_loss).  The trained nets stay
+byte-identical to one episode and one pass at a time only while the stacked
+calls below equal their per-slice forms bit for bit.  A numpy release that
+changes one fails here first.
 
 Reductions go through 2-D views.  The order in which numpy adds a row depends
 on the operand's memory layout: along a contiguous axis it sums pairwise, in
@@ -17,6 +20,8 @@ equal the per-episode ones.
 """
 import numpy as np
 import pytest
+
+from protoplace.linalg import cosine_cross_entropy, target_indices, unit_rows
 
 # (episodes, classes, columns): the default episodes (20 classes, 16-dim
 # attributes, 32-dim features), smaller ones, and a block of one
@@ -61,3 +66,71 @@ def test_class_means_equal_per_episode_means(e, m, d):
         means = v.reshape(e, m, n, d).mean(axis=2)
         for i in range(e):
             assert same_bytes(means[i], v[i].reshape(m, n, d).mean(axis=1))
+
+
+# The stacked training step: S passes (1 or 2) of the default episodes, 20
+# classes of 4 samples, 16-dim attributes, 32-dim features and hidden units.
+# (rows, columns) of its operands: per-class gradients (20, 32) and scores
+# (80, 20); smaller ones too.
+STEP_SHAPES = [(s, b, k) for s in (1, 2) for b, k in ((20, 32), (80, 20), (8, 4))]
+
+
+@pytest.mark.parametrize("s,b,k", STEP_SHAPES)
+def test_column_sums_equal_per_slice_sums(s, b, k):
+    # net_backward's bias gradients and the reference gradient's column dots
+    rng = np.random.default_rng(s * 1000 + b * 10 + k)
+    a = rng.normal(size=(s, b, k)) * np.exp(5.0 * rng.normal(size=(s, b, k)))
+    sums = a.sum(axis=-2)
+    # as net_backward writes them: into rows of a wider flat buffer
+    flat = np.empty((s, k + 3))
+    np.add.reduce(a, axis=-2, out=flat[:, 1:k + 1])
+    for i in range(s):
+        assert same_bytes(sums[i], a[i].sum(axis=0))
+        assert same_bytes(flat[i, 1:k + 1], a[i].sum(axis=0))
+
+
+@pytest.mark.parametrize("s,b,k", STEP_SHAPES)
+def test_taken_targets_sum_as_a_1d_gather(s, b, k):
+    # the loss: each pass's target entries gathered from the whole score
+    # stack by flat index, then summed per pass
+    rng = np.random.default_rng(s * 1000 + b * 10 + k)
+    logp = np.log(rng.random((s, b, k)))
+    targets = rng.integers(0, k, size=b)
+    at = target_indices(np.broadcast_to(targets, (s, b)), k)
+    taken = logp.ravel().take(at)
+    sums = np.add.reduce(taken, axis=-1)
+    one = target_indices(targets, k)
+    for i in range(s):
+        assert same_bytes(taken[i], logp[i].ravel()[one])
+        assert same_bytes(sums[i], np.add.reduce(logp[i].ravel()[one]))
+
+
+@pytest.mark.parametrize("s,b,k", STEP_SHAPES)
+def test_stacked_weight_products_equal_per_slice_products(s, b, k):
+    # net_forward: a stack of inputs times one transposed weight matrix
+    rng = np.random.default_rng(s * 1000 + b * 10 + k)
+    x = rng.normal(size=(s, b, k))
+    w = rng.normal(size=(2 * k + 1, k))
+    xw = x @ w.T
+    for i in range(s):
+        assert same_bytes(xw[i], x[i] @ w.T)
+
+
+@pytest.mark.parametrize("wrt", ["queries", "references"])
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("seed", range(3))
+def test_stacked_cross_entropy_equals_per_slice_calls(seed, s, wrt):
+    # an episode's samples against its prototypes, per pass
+    rng = np.random.default_rng(seed)
+    b, k, d = 80, 20, 32
+    q = unit_rows(rng.normal(size=(s, b, d)))
+    r = unit_rows(rng.normal(size=(s, k, d)))
+    labels = np.repeat(np.arange(k), b // k)
+    at = target_indices(np.broadcast_to(labels, (s, b)), k)
+    losses, grads = cosine_cross_entropy(q, r, at, 5.0, wrt=wrt)
+    assert losses.shape == (s,) and grads.shape == (s, b if wrt == "queries" else k, d)
+    for i in range(s):
+        loss, grad = cosine_cross_entropy((q[0][i], q[1][i]), (r[0][i], r[1][i]),
+                                          target_indices(labels, k), 5.0, wrt=wrt)
+        assert same_bytes(losses[i], loss)
+        assert same_bytes(grads[i], grad)
