@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CapacityError, FormatError, ParameterError, ValidationError, \
     require_ints
-from .linalg import as_matrix, require_finite
+from .linalg import FlatParams, as_matrix, require_finite
 from .rng import DEFAULT_SEED, RngStream
 
 MAGIC = b"LPLF"
@@ -62,6 +62,20 @@ def load_matrix(path) -> np.ndarray:
         )
     a = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(rows, cols)
     return a
+
+
+def save_params(params: FlatParams, out_dir: Path, prefix: str) -> None:
+    """Each array named in params.PARAMS as the binary matrix
+    `{prefix}_{name}.bin` in out_dir; a vector as a one-row matrix."""
+    for name, a in params.params().items():
+        save_matrix(out_dir / f"{prefix}_{name}.bin", np.atleast_2d(a))
+
+
+def load_params(cls: type[FlatParams], in_dir: Path,
+                prefix: str) -> dict[str, np.ndarray]:
+    """The matrices save_params wrote for a `cls`, by parameter name; the
+    constructor of cls checks their shapes."""
+    return {name: load_matrix(in_dir / f"{prefix}_{name}.bin") for name in cls.PARAMS}
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +249,8 @@ class SynthConfig:
         for name in counts:
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be at least 1")
-        if not self.noise_scale >= 0:  # NaN fails too
-            raise ParameterError("noise_scale must be nonnegative")
+        if not 0 <= self.noise_scale < np.inf:  # NaN fails too
+            raise ParameterError("noise_scale must be nonnegative and finite")
         if self.feat_dim < self.attr_dim:
             warnings.warn("feat_dim < attr_dim: the semantic space does not embed "
                           "injectively into the visual space", stacklevel=2)
@@ -250,70 +264,62 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def write_features_csv(path, features, labels) -> None:
-    features = as_matrix(features, "features")
-    c = features.shape[1]
+def _write_table(path, head: tuple[str, ...], prefix: str, values, ints=()) -> None:
+    """A CSV table: the header `head`, then `prefix`0..`prefix`{C-1}; row i
+    is i, then its entry of each integer column in `ints`, then its C
+    values."""
+    values = as_matrix(values, "table")
     with open(path, "w") as f:
-        f.write("id,label," + ",".join(f"f{j}" for j in range(c)) + "\n")
-        for i in range(features.shape[0]):
-            vals = ",".join(_fmt(v) for v in features[i])
-            f.write(f"{i},{int(labels[i])},{vals}\n")
+        f.write(",".join(head) + "," +
+                ",".join(f"{prefix}{j}" for j in range(values.shape[1])) + "\n")
+        for i in range(values.shape[0]):
+            lead = ",".join([str(i), *(str(int(col[i])) for col in ints)])
+            f.write(lead + "," + ",".join(_fmt(v) for v in values[i]) + "\n")
+
+
+def _read_table(path, head: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The float columns (n, C) and integer columns (n, len(head) - 1) of a
+    table _write_table wrote: the header must start with `head`, every row
+    must have the header's field count, and the ids must count 0..n-1."""
+    k = len(head)
+    with open(path) as f:
+        header = f.readline().rstrip("\n").split(",")
+        if tuple(header[:k]) != head:
+            raise FormatError(f"{path}: header must start with {','.join(head)}")
+        c = len(header) - k
+        ints, rows = [], []
+        for lineno, line in enumerate(f, start=2):
+            parts = line.rstrip("\n").split(",")
+            if len(parts) != c + k:
+                raise FormatError(f"{path}: row {lineno} has {len(parts)} fields, "
+                                  f"expected {c + k}")
+            if parts[0] != str(len(rows)):
+                raise FormatError(f"{path}: row {lineno} has {head[0]} "
+                                  f"{parts[0]!r}, expected {len(rows)}")
+            try:
+                ints.append([int(p) for p in parts[1:k]])
+                rows.append([float(p) for p in parts[k:]])
+            except ValueError as exc:
+                raise FormatError(f"{path}: row {lineno}: {exc}") from exc
+    return (np.asarray(rows, dtype=np.float64).reshape(len(rows), c),
+            np.asarray(ints, dtype=np.int64).reshape(len(rows), k - 1))
+
+
+def write_features_csv(path, features, labels) -> None:
+    _write_table(path, ("id", "label"), "f", features, [labels])
 
 
 def read_features_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path) as f:
-        header = f.readline().rstrip("\n").split(",")
-        if header[:2] != ["id", "label"]:
-            raise FormatError(f"{path}: header must start with id,label")
-        c = len(header) - 2
-        feats, labels = [], []
-        for lineno, line in enumerate(f, start=2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != c + 2:
-                raise FormatError(f"{path}: row {lineno} has {len(parts)} fields, "
-                                  f"expected {c + 2}")
-            if parts[0] != str(len(feats)):
-                raise FormatError(f"{path}: row {lineno} has id {parts[0]!r}, "
-                                  f"expected {len(feats)}")
-            try:
-                labels.append(int(parts[1]))
-                feats.append([float(p) for p in parts[2:]])
-            except ValueError as exc:
-                raise FormatError(f"{path}: row {lineno}: {exc}") from exc
-    return np.asarray(feats, dtype=np.float64).reshape(len(feats), c), np.asarray(
-        labels, dtype=np.int64
-    )
+    features, ints = _read_table(path, ("id", "label"))
+    return features, ints[:, 0]
 
 
 def write_attributes_csv(path, values) -> None:
-    values = as_matrix(values, "attributes")
-    d = values.shape[1]
-    with open(path, "w") as f:
-        f.write("class_id," + ",".join(f"a{j}" for j in range(d)) + "\n")
-        for k in range(values.shape[0]):
-            f.write(f"{k}," + ",".join(_fmt(v) for v in values[k]) + "\n")
+    _write_table(path, ("class_id",), "a", values)
 
 
 def read_attributes_csv(path) -> np.ndarray:
-    with open(path) as f:
-        header = f.readline().rstrip("\n").split(",")
-        if header[:1] != ["class_id"]:
-            raise FormatError(f"{path}: header must start with class_id")
-        d = len(header) - 1
-        rows = []
-        for lineno, line in enumerate(f, start=2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != d + 1:
-                raise FormatError(f"{path}: row {lineno} has {len(parts)} fields, "
-                                  f"expected {d + 1}")
-            if parts[0] != str(len(rows)):
-                raise FormatError(f"{path}: row {lineno} has class_id "
-                                  f"{parts[0]!r}, expected {len(rows)}")
-            try:
-                rows.append([float(p) for p in parts[1:]])
-            except ValueError as exc:
-                raise FormatError(f"{path}: row {lineno}: {exc}") from exc
-    return np.asarray(rows, dtype=np.float64).reshape(len(rows), d)
+    return _read_table(path, ("class_id",))[0]
 
 
 def write_split(path, splits: dict[str, np.ndarray]) -> None:
@@ -437,6 +443,12 @@ def load_dataset_dir(data_dir) -> SplitDataset:
 # episodic sampling
 
 
+def class_major_labels(m: int, n: int) -> np.ndarray:
+    """The local label of each of an episode's M*N samples: N of class 0,
+    then N of class 1, and so on, as sample_episode lays them out."""
+    return np.repeat(np.arange(m, dtype=np.int64), n)
+
+
 def sample_episode(ds: SplitDataset, m: int, n: int, rng: RngStream,
                    episodes: int | None = None) -> Episode:
     """M distinct seen classes, N train samples each, both without replacement.
@@ -468,7 +480,7 @@ def sample_episode(ds: SplitDataset, m: int, n: int, rng: RngStream,
     sample_idx = flat[starts[chosen][..., None] + picks]
     visual = ds.features[sample_idx.reshape(e, m * n)]
     semantic = ds.attributes.rows(class_ids).reshape(e, m, -1)
-    local = np.broadcast_to(np.repeat(np.arange(m, dtype=np.int64), n), (e, m * n))
+    local = np.broadcast_to(class_major_labels(m, n), (e, m * n))
     block = Episode(class_ids=class_ids, sample_idx=sample_idx, visual=visual,
                     semantic=semantic, local_labels=local)
     return block[0] if episodes is None else block

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Episode, Stackable
 from .errors import ParameterError, ShapeError, require_ints
-from .linalg import pairwise_cosine, softmax
+from .linalg import log_softmax_rows, pairwise_cosine, softmax
 from .rng import RngStream, beta_sample, check_beta_shapes
 
 
@@ -81,9 +81,7 @@ def _log_space_rows(sim_v, sim_a, rows, chosen, sigma) -> np.ndarray:
     def chosen_log_weights(sim):
         z = sim.reshape(-1, m)[rows] / sigma
         z[np.arange(rows.size), rows % m] = -np.inf  # no self-neighbour
-        z -= z.max(axis=1, keepdims=True)
-        z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
-        return np.take_along_axis(z, chosen, axis=1)
+        return np.take_along_axis(log_softmax_rows(z), chosen, axis=1)
 
     return softmax(np.logaddexp(chosen_log_weights(sim_v),
                                 chosen_log_weights(sim_a)))
@@ -160,7 +158,7 @@ def interpolate(
     v_prime: np.ndarray,
     a_prime: np.ndarray,
     betas: np.ndarray,
-    weights: PropagationWeights | None = None,
+    weights: PropagationWeights,
 ) -> HallucinatedEpisode:
     """Mix each class toward its elementary hallucination by its Beta."""
     m, n = ep.m_classes, ep.n_samples
@@ -176,10 +174,6 @@ def interpolate(
               + (1.0 - b) * v_prime[..., None, :]).reshape(ep.visual.shape)
     b = betas[..., None]
     semantic = b * ep.semantic + (1.0 - b) * a_prime
-    if weights is None:
-        weights = PropagationWeights(
-            w=np.zeros((*lead, m, m)), chosen=np.empty((*lead, m, 0), dtype=np.int64)
-        )
     return HallucinatedEpisode(visual=visual, semantic=semantic, betas=betas,
                                v_prime=v_prime, a_prime=a_prime, weights=weights)
 

@@ -41,6 +41,14 @@ def softmax(scores, temperature: float = 1.0) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def log_softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Each row of the 2-D z, in place, less its maximum and then the log of
+    its sum of exps: the row's log-softmax.  Returns z."""
+    z -= z.max(axis=1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return z
+
+
 def unit_rows(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(r's rows scaled to norm 1, their norms), for a matrix or a stack of
     them (..., k).  FloatingPointError on a zero-norm row: the cosine
@@ -269,9 +277,7 @@ def cosine_cross_entropy(
     if at.shape != (*lead, b):
         raise ShapeError("one target per query row required")
     logp = scale * cos
-    rows = logp.reshape(-1, k)  # row sums of a 2-D view (tests/test_stacking.py)
-    rows -= rows.max(axis=1, keepdims=True)
-    rows -= np.log(np.exp(rows).sum(axis=1, keepdims=True))
+    log_softmax_rows(logp.reshape(-1, k))  # a 2-D view (tests/test_stacking.py)
     # a C-contiguous gather (..., b): each of its rows sums as a 1-D one
     loss = -np.add.reduce(logp.ravel().take(at), axis=-1) / b
     gl = np.exp(logp)

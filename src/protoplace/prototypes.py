@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import AttributeTable, Episode, SplitDataset, load_matrix, sample_episode, \
-    save_matrix
+from .data import AttributeTable, Episode, SplitDataset, class_major_labels, \
+    load_params, sample_episode, save_params
 from .errors import FormatError, ParameterError, TrainingError, UsageError, require_ints
 from .hallucinate import HalluConfig, HallucinatedEpisode, hallucinate
 from .linalg import ACTIVATIONS, OPTIMIZER_MODES, MappingNet, OptimizerState, \
@@ -65,12 +65,14 @@ class TrainConfig:
             raise ParameterError("episodes_per_epoch must be at least 1")
         if self.m_classes < 1 or self.n_samples < 1:
             raise ParameterError("episode sizes must be positive")
-        if not (self.learning_rate > 0 and self.logit_scale > 0):  # NaN fails too
-            raise ParameterError("learning_rate and logit_scale must be positive")
+        # NaN fails too
+        if not (0 < self.learning_rate < np.inf and 0 < self.logit_scale < np.inf):
+            raise ParameterError("learning_rate and logit_scale must be positive "
+                                 "and finite")
         if self.optimizer not in OPTIMIZER_MODES:
             raise ParameterError(f"unknown optimizer {self.optimizer!r}")
-        if not self.lambda_real >= 0:
-            raise ParameterError("lambda_real must be nonnegative")
+        if not 0 <= self.lambda_real < np.inf:
+            raise ParameterError("lambda_real must be nonnegative and finite")
         if self.mode not in _PLACEHOLDERS:
             raise ParameterError(f"unknown training mode {self.mode!r}")
         n, m = self.hallucination.n_neighbors, self.m_classes
@@ -111,12 +113,6 @@ def _single_pass(
                                  target_indices(local_labels[None], semantic.shape[0]),
                                  logit_scale)
     return float(losses[0]), net.views(grads[0])
-
-
-def class_major_labels(m: int, n: int) -> np.ndarray:
-    """The local label of each of an episode's M*N samples: N of class 0,
-    then N of class 1, and so on, as sample_episode lays them out."""
-    return np.repeat(np.arange(m, dtype=np.int64), n)
 
 
 def place_loss(
@@ -245,12 +241,8 @@ def save_model(model: PrototypeModel, out_dir, meta: dict | None = None) -> None
         raise ParameterError(f"model.json meta keys must be among {META_KEYS}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    net = model.net
-    save_matrix(out_dir / "net_w1.bin", net.w1)
-    save_matrix(out_dir / "net_b1.bin", net.b1[None, :])
-    save_matrix(out_dir / "net_w2.bin", net.w2)
-    save_matrix(out_dir / "net_b2.bin", net.b2[None, :])
-    manifest = {"format_version": FORMAT_VERSION, "activation": net.activation,
+    save_params(model.net, out_dir, "net")
+    manifest = {"format_version": FORMAT_VERSION, "activation": model.net.activation,
                 "loss_trace": model.loss_trace, **asdict(model.config), **meta}
     (out_dir / "model.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -278,11 +270,6 @@ def load_model(in_dir) -> tuple[PrototypeModel, dict]:
         loss_trace = [float(x) for x in manifest["loss_trace"]]
     except (ValueError, TypeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    net = MappingNet(
-        w1=load_matrix(in_dir / "net_w1.bin"),
-        b1=load_matrix(in_dir / "net_b1.bin").ravel(),
-        w2=load_matrix(in_dir / "net_w2.bin"),
-        b2=load_matrix(in_dir / "net_b2.bin").ravel(),
-        activation=manifest["activation"],
-    )
+    net = MappingNet(**load_params(MappingNet, in_dir, "net"),
+                     activation=manifest["activation"])
     return PrototypeModel(net=net, config=cfg, loss_trace=loss_trace), manifest

@@ -8,12 +8,12 @@ refined features.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import AttributeTable, SplitDataset, load_matrix, save_matrix
+from .data import AttributeTable, SplitDataset, load_params, save_params
 from .errors import ParameterError, ShapeError, TrainingError, ValidationError, \
     require_ints
 from .linalg import OPTIMIZER_MODES, FlatParams, OptimizerState, as_matrix, \
@@ -54,8 +54,10 @@ class SofConfig:
         require_ints(self, "epochs", "batch_size", "seed")
         if self.epochs < 0:
             raise ParameterError("epochs must be nonnegative")
-        if not (self.learning_rate > 0 and self.logit_scale > 0):  # NaN fails too
-            raise ParameterError("learning_rate and logit_scale must be positive")
+        # NaN fails too
+        if not (0 < self.learning_rate < np.inf and 0 < self.logit_scale < np.inf):
+            raise ParameterError("learning_rate and logit_scale must be positive "
+                                 "and finite")
         if self.optimizer not in OPTIMIZER_MODES:
             raise ParameterError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 <= self.momentum < 1.0:
@@ -153,24 +155,13 @@ def refine_features(ds: SplitDataset, params: RefinerParams) -> SplitDataset:
             f"refiner is {params.f_lin.shape[0]}-dimensional, features are "
             f"{ds.feat_dim}-dimensional"
         )
-    return SplitDataset(
-        features=ds.features @ params.f_lin,
-        labels=ds.labels,
-        attributes=ds.attributes,
-        seen_classes=ds.seen_classes,
-        unseen_classes=ds.unseen_classes,
-        train_idx=ds.train_idx,
-        test_seen_idx=ds.test_seen_idx,
-        test_unseen_idx=ds.test_unseen_idx,
-        refined=True,
-    )
+    return replace(ds, features=ds.features @ params.f_lin, refined=True)
 
 
 def save_refiner(params: RefinerParams, out_dir, meta: dict | None = None) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_matrix(out_dir / "refiner_f_lin.bin", params.f_lin)
-    save_matrix(out_dir / "refiner_w_proj.bin", params.w_proj)
+    save_params(params, out_dir, "refiner")
     manifest = {"f_lin_shape": list(params.f_lin.shape),
                 "w_proj_shape": list(params.w_proj.shape)}
     manifest.update(meta or {})
@@ -179,8 +170,4 @@ def save_refiner(params: RefinerParams, out_dir, meta: dict | None = None) -> No
 
 
 def load_refiner(in_dir) -> RefinerParams:
-    in_dir = Path(in_dir)
-    return RefinerParams(
-        f_lin=load_matrix(in_dir / "refiner_f_lin.bin"),
-        w_proj=load_matrix(in_dir / "refiner_w_proj.bin"),
-    )
+    return RefinerParams(**load_params(RefinerParams, Path(in_dir), "refiner"))

@@ -148,6 +148,19 @@ class TestConfig:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("key", [
+        "synth.noise_scale", "sof.learning_rate", "sof.logit_scale",
+        "train.learning_rate", "train.logit_scale", "train.lambda_real",
+    ])
+    def test_float_key_rejects_infinity(self, tmp_path, capsys, key):
+        # a lower bound alone admits Infinity, which then ends as a divergence
+        # (exit 4), not as a configuration error
+        section, _, name = key.rpartition(".")
+        p = write_config(tmp_path / "bad.json", **{section: {name: float("inf")}})
+        assert run("synth", "--config", p, "--out", tmp_path / "d") == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize("value", [float("inf"), 1.5e300, 1e308],
                              ids=["Infinity", "1.5e300", "1e308"])
     @pytest.mark.parametrize("name", ["alpha1", "alpha2"])

@@ -238,7 +238,7 @@ class TestInterpolate:
         ep = random_episode(10, m=4, n=2)
         pw = drawn_weights(ep, HalluConfig(n_neighbors=2), RngStream(5))
         v_prime, a_prime = propagate(ep, pw)
-        hep = interpolate(ep, v_prime, a_prime, np.full(4, 0.5))
+        hep = interpolate(ep, v_prime, a_prime, np.full(4, 0.5), pw)
         v3 = ep.visual.reshape(4, 2, -1)
         for i in range(4):
             expected = 0.5 * v3[i] + 0.5 * v_prime[i]
@@ -379,13 +379,13 @@ class TestReferenceParity:
         cfg = HalluConfig(n_neighbors=min(2, m - 1))
         for seed in range(4):
             ep = random_episode(200 + seed, m=m, n=3)
-            v_prime, a_prime = propagate(
-                ep, drawn_weights(ep, cfg, RngStream(seed)))
+            pw = drawn_weights(ep, cfg, RngStream(seed))
+            v_prime, a_prime = propagate(ep, pw)
             rng, ref_rng = RngStream(seed), RngStream(seed)
             for _ in range(3):
                 betas = (np.full(m, force_beta) if force_beta is not None
                          else beta_sample(rng, cfg.alpha1, cfg.alpha2, size=m))
-                hep = interpolate(ep, v_prime, a_prime, betas)
+                hep = interpolate(ep, v_prime, a_prime, betas, pw)
                 visual, semantic, betas = reference_interpolate(
                     ep, v_prime, a_prime, cfg, ref_rng, force_beta)
                 assert same_bytes(hep.visual, visual)

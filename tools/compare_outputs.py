@@ -8,10 +8,12 @@ tests/test_acceptance.py and the benchmark-sized config of
 perfbench/workloads.py at config seeds 0 and 1) the same CLI steps run once
 with each tree: `synth`, `train` in every mode, one `eval` of the four
 models, `ablate --seeds 2`, one `sweep` over n_neighbors and one `sweep` per
-sigma value.  Every step runs in its own process with PYTHONPATH set to the
-tree's `src` and one BLAS thread, from the same relative paths, so that its
-standard output and exit code (kept as `<step>.stdout` and `<step>.exit`)
-are compared too.
+sigma value; then a CSV leg, which checks the CSV table reader and writer:
+`synth --format csv`, `train --mode full` on that data and its `eval`.
+Every step runs in its own process with PYTHONPATH set to the tree's `src`
+and one BLAS thread, from the same relative paths, so that its standard
+output and exit code (kept as `<step>.stdout` and `<step>.exit`) are
+compared too.
 
 Every file that differs, or exists on one side only, is listed.
 `manifest.json` files are skipped: they hold times and the command line.
@@ -71,6 +73,11 @@ def steps(n_values: str) -> list[tuple[str, list[str]]]:
     out += [(f"sweep_sigma_{v}", ["sweep", *cfg, *data, "--out", f"sweep_sigma_{v}",
                                   "--param", "sigma", "--values", v])
             for v in SIGMAS]
+    out += [("synth_csv", ["synth", *cfg, "--out", "data_csv", "--format", "csv"]),
+            ("train_csv", ["train", *cfg, "--data", "data_csv", "--out", "train_csv",
+                           "--mode", "full"]),
+            ("eval_csv", ["eval", "--model", "train_csv/model", "--data", "data_csv",
+                          "--out", "eval_csv"])]
     return out
 
 
