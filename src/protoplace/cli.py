@@ -94,7 +94,7 @@ def _parse_delta_grid(spec: str | None) -> list[float]:
         return cfgmod.delta_grid(cfgmod.DEFAULTS)
     sep = ":" if ":" in spec else ","
     try:
-        values = [float(tok) for tok in spec.split(sep) if tok != ""]
+        values = [float(tok) for tok in spec.split(sep)]  # "" raises too
     except ValueError as exc:
         raise ConfigError(f"cannot parse delta grid {spec!r}") from exc
     if sep == ":":
@@ -115,9 +115,9 @@ def _parse_sweep_values(spec: str, param: str) -> list:
             if ".." in tok:
                 lo, hi = tok.split("..")
                 tokens.extend(str(v) for v in range(int(lo), int(hi) + 1))
-            elif tok:
+            else:
                 tokens.append(tok)
-        values = [float(v) for v in tokens]
+        values = [float(v) for v in tokens]  # an empty value raises
     except ValueError as exc:
         raise ConfigError(f"cannot parse --values {spec!r}: {exc}") from exc
     if param != "n_neighbors":
@@ -232,8 +232,6 @@ def cmd_eval(args, argv) -> int:
     ds = load_dataset_dir(args.data)
     out = _out_dir(args.out)
     grid = _parse_delta_grid(args.delta_grid)
-    if not grid:
-        raise ConfigError("delta grid is empty")
     model_dirs = [Path(m) for m in args.model]
     if len(model_dirs) == 1:
         labels = [""]

@@ -46,6 +46,55 @@ class _IdScores(NamedTuple):
         return self.ids[np.argmax(self.scores - delta * self.seen[None, :], axis=1)]
 
 
+class _TopScores(NamedTuple):
+    """A split's calibrated-stacking prediction in O(rows) work per delta.
+
+    x -> fl(x - delta) is monotone, so the best seen column after the
+    subtraction is the first top seen column `js` (score `m`), unless another
+    seen score rounds to fl(m - delta) as well; the best unseen column `ju`
+    (score `u`) does not move.  So a row predicts js where fl(m - delta) > u,
+    or equals u with js before ju, and ju otherwise: exactly the argmax of
+    _IdScores.predict.  The rows where a merge could decide are scored in
+    full: those with a second seen score within 4 spacings of |m| + the
+    largest |delta| (exact ties included), no seen column or a NaN seen
+    score."""
+    top_seen: np.ndarray    # m per row
+    top_unseen: np.ndarray  # u per row
+    seen_first: np.ndarray  # js < ju: the seen column wins a tie with u
+    seen_id: np.ndarray     # ids[js]
+    unseen_id: np.ndarray   # ids[ju]
+    unsure: np.ndarray      # positions of the rows scored in full
+    full: _IdScores         # those rows' scores
+
+    def predict(self, delta: float) -> np.ndarray:
+        shifted = self.top_seen - delta
+        seen_wins = (shifted > self.top_unseen) | (
+            (shifted == self.top_unseen) & self.seen_first)
+        preds = np.where(seen_wins, self.seen_id, self.unseen_id)
+        if self.unsure.size:
+            preds[self.unsure] = self.full.predict(delta)
+        return preds
+
+
+@np.errstate(invalid="ignore")  # no seen column: the gap -inf - -inf is NaN
+def _top_scores(scores: _IdScores, reach: float) -> _TopScores:
+    """The top seen and top unseen column per row of `scores`, for deltas of
+    magnitude at most `reach` (a NaN reach scores every row in full)."""
+    every = np.arange(scores.scores.shape[0])
+    masked = np.full(scores.scores.shape, -np.inf)
+    np.copyto(masked, scores.scores, where=scores.seen)
+    js = np.argmax(masked, axis=1)
+    m = masked[every, js]
+    masked[every, js] = -np.inf
+    gap = m - np.max(masked, axis=1)
+    masked.fill(-np.inf)
+    np.copyto(masked, scores.scores, where=~scores.seen)
+    ju = np.argmax(masked, axis=1)
+    unsure = np.flatnonzero(~(gap > 4 * np.spacing(np.abs(m) + reach)))
+    return _TopScores(m, masked[every, ju], js < ju, scores.ids[js], scores.ids[ju],
+                      unsure, scores._replace(scores=scores.scores[unsure]))
+
+
 def _id_scores(features, prototypes, class_ids, seen_mask) -> _IdScores:
     order = np.argsort(class_ids, kind="stable")
     scores = unit_rows_or_zero(features)[0] @ unit_rows_or_zero(prototypes)[0].T
@@ -138,7 +187,7 @@ def cs_sweep(
     (the first of a tie).  T is the ZSL accuracy on test_unseen against the
     unseen prototypes alone; U and S come from calibrated stacking over all
     prototypes.  Prototypes are projected and each test split is scored
-    once; a delta only moves the argmax over the cached scores."""
+    once; a delta then costs O(rows) work per split (_TopScores)."""
     grid = [float(d) for d in delta_grid]
     if not grid:
         raise ParameterError("delta grid must be nonempty")
@@ -154,14 +203,17 @@ def cs_sweep(
         t_acc = _accuracy(scores.predict(0.0), index)[0]
 
     # the GZSL splits: test_unseen (U), then test_seen (S)
-    splits: list[tuple[_IdScores, _LabelIndex] | None] = [None, None]
+    splits: list[tuple[_TopScores, _LabelIndex] | None] = [None, None]
     if seen.size + unseen.size:
         union = np.concatenate([seen, unseen])
         protos = project_prototypes(model, ds.attributes, union)
         mask = np.concatenate([np.ones(seen.size, bool), np.zeros(unseen.size, bool)])
+        reach = float(np.max(np.abs(grid)))
         for k, idx in enumerate((test_u, test_s)):
             if idx.size:
-                splits[k] = _split(ds.features[idx], ds.labels[idx], protos, union, mask)
+                scores, index = _split(ds.features[idx], ds.labels[idx], protos,
+                                       union, mask)
+                splits[k] = (_top_scores(scores, reach), index)
 
     reports = []
     best_delta, best_h = grid[0], -1.0

@@ -406,7 +406,9 @@ class TestEval:
 
     def test_unparsable_grid_exits_2(self, trained):
         tmp_path, cfg, data, model = trained
-        for spec in ("0:1", "0.1,x", "1:0:0.1", "nan,0.5", "0:inf:0.1"):
+        for spec in ("0:1", "0.1,x", "1:0:0.1", "nan,0.5", "0:inf:0.1",
+                     # empty tokens
+                     "0,,0.5", "0,0.5,", ":0:1:0.1", "0:1:0.1:"):
             assert run("eval", "--model", model, "--data", data,
                        "--out", tmp_path / "e", "--delta-grid", spec) == 2, spec
 
@@ -583,7 +585,7 @@ class TestSweep:
                    tmp_path / "s", "--param", "sigma", "--values", "1e-308",
                    "--mode", "ep-ei") == 0
 
-    @pytest.mark.parametrize("values", ["x", "1..2..3", "a..3"])
+    @pytest.mark.parametrize("values", ["x", "1..2..3", "a..3", "1,,2", "0..2,"])
     def test_unparsable_values_exit_2(self, workdir, values, capsys):
         tmp_path, cfg = workdir
         data = make_data(tmp_path, cfg)

@@ -459,3 +459,103 @@ class TestSweepParity:
         ds.labels[ds.test_seen_idx[5]] = 99  # mutated past SplitDataset checks
         with pytest.raises(ValidationError, match="99"):
             cs_sweep(model, ds, [0.0, 0.5])
+
+    def test_wide_grid_parity(self):
+        # negative and huge deltas: at 1e20 every seen score rounds to -1e20
+        ds, model, _ = tie_dataset()
+        grid = [-0.5, 0.0, 0.37, 2.0, 1e6, 1e20]
+        reports, best = cs_sweep(model, ds, grid)
+        ref_rows, ref_best = reference_sweep(model, ds, grid)
+        assert [(r.T, r.U, r.S, r.H, r.delta) for r in reports] == ref_rows
+        assert best == ref_best
+
+
+# ---------------------------------------------------------------------------
+# the O(rows) calibrated-stacking shortcut against the full-row argmax
+
+
+def planted_scores(rng, rows, classes, grid):
+    """Cosine-like scores, each row with one planted case between two random
+    columns a and b: none, an exact tie, a near-tie 1-7 spacings apart (which
+    a large delta merges), b = fl(s_a - delta) for a grid delta (a seen and an
+    unseen score tie after the subtraction), scores on a coarse lattice (many
+    exact ties), or a zero row (a zero-norm feature)."""
+    s = rng.uniform(-1.0, 1.0, (rows, classes))
+    if classes < 2:
+        return s
+    every = np.arange(rows)
+    a = rng.integers(0, classes, rows)
+    b = (a + rng.integers(1, classes, rows)) % classes
+    sa = s[every, a]
+    kind = rng.integers(0, 6, rows)
+    steps = rng.integers(1, 8, rows) * rng.choice([-1, 1], rows)
+    planted = {1: sa, 2: sa + steps * np.spacing(sa), 3: sa - rng.choice(grid, rows)}
+    for k, value in planted.items():
+        s[every[kind == k], b[kind == k]] = value[kind == k]
+    s[kind == 4] = np.round(s[kind == 4] * 4) / 4
+    s[kind == 5] = 0.0
+    return s
+
+
+class TestTopScores:
+    GRIDS = ([0.0], [-0.5, 0.0, 0.37, 2.0], delta_grid(DEFAULTS),
+             [-0.5, 0.98, 1e20], [0.0, 1e6])
+
+    @staticmethod
+    def id_scores(scores, seen, rng):
+        ids = rng.permutation(scores.shape[1])
+        order = np.argsort(ids)
+        return metrics._IdScores(scores[:, order], ids[order], seen[order])
+
+    def test_matches_full_argmax(self):
+        rng = np.random.default_rng(11)
+        rows_seen = mismatches = naive_mismatches = 0
+        for case in range(400):
+            grid = self.GRIDS[case % len(self.GRIDS)]
+            rows = (0, 1, 200, 700)[case % 4]
+            classes = int(rng.integers(1, 10))
+            # no seen column, all seen, or a random mix
+            seen = rng.uniform(size=classes) < (0.0, 1.0, 0.5, 0.3)[case // 4 % 4]
+            scores = self.id_scores(planted_scores(rng, rows, classes, grid), seen, rng)
+            top = metrics._top_scores(scores, float(np.max(np.abs(grid))))
+            naive = top._replace(unsure=np.empty(0, np.int64))
+            for delta in grid:
+                full = scores.predict(delta)
+                mismatches += int(np.sum(top.predict(delta) != full))
+                naive_mismatches += int(np.sum(naive.predict(delta) != full))
+            rows_seen += rows
+        assert rows_seen >= 90_000
+        assert mismatches == 0
+        # the planted merges and ties do defeat top-seen-versus-top-unseen
+        assert naive_mismatches > 0
+
+    def test_hand_built_merge(self):
+        # fl(a - 0.98) == fl(0.1 - 0.98): the first seen column wins the tie
+        a = 0.1 - 2 * np.spacing(0.1)
+        assert a < 0.1 and a - 0.98 == 0.1 - 0.98 > -0.95
+        scores = metrics._IdScores(np.array([[a, 0.1, -0.95]]), np.arange(3),
+                                   np.array([True, True, False]))
+        assert scores.predict(0.98).tolist() == [0]
+        top = metrics._top_scores(scores, 0.98)
+        assert top.unsure.tolist() == [0]
+        assert top.predict(0.98).tolist() == [0]
+        naive = top._replace(unsure=np.empty(0, np.int64))
+        assert naive.predict(0.98).tolist() == [1]
+
+    def test_clear_rows_skip_the_full_argmax(self):
+        # one seen column and well-separated scores: no row is scored in full
+        scores = metrics._IdScores(np.array([[0.5, 0.2, -0.3], [0.1, 0.9, 0.4]]),
+                                   np.arange(3), np.array([False, True, True]))
+        top = metrics._top_scores(scores, 1.0)
+        assert top.unsure.size == 0
+        for delta in (-0.5, 0.0, 0.3, 0.5, 0.6, 2.0):
+            assert top.predict(delta).tolist() == scores.predict(delta).tolist()
+
+    @pytest.mark.parametrize("reach", [np.inf, np.nan])
+    def test_non_finite_reach_scores_every_row_in_full(self, reach):
+        scores = metrics._IdScores(np.array([[0.5, 0.2], [0.1, 0.9]]),
+                                   np.arange(2), np.array([True, False]))
+        top = metrics._top_scores(scores, reach)
+        assert top.unsure.tolist() == [0, 1]
+        for delta in (0.0, 0.3, 0.5):
+            assert top.predict(delta).tolist() == scores.predict(delta).tolist()

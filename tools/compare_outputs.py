@@ -7,8 +7,9 @@ directories).  For each of three configurations (the criterion-8 config of
 tests/test_acceptance.py and the benchmark-sized config of
 perfbench/workloads.py at config seeds 0 and 1) the same CLI steps run once
 with each tree: `synth`, `train` in every mode, one `eval` of the four
-models, `ablate --seeds 2`, one `sweep` over n_neighbors and one `sweep` per
-sigma value; then a CSV leg, which checks the CSV table reader and writer:
+models on the config's grid and one on a comma grid, `ablate --seeds 2`,
+one `sweep` over n_neighbors and one `sweep` per sigma value; then a CSV
+leg, which checks the CSV table reader and writer:
 `synth --format csv`, `train --mode full` on that data and its `eval`.
 Every step runs in its own process with PYTHONPATH set to the tree's `src`
 and one BLAS thread, from the same relative paths, so that its standard
@@ -48,6 +49,12 @@ CONFIGS = {
     "bench-seed1": ({**SHORT, "seed": 1}, "0,2,4,8"),
 }
 SKIPPED = {"manifest.json"}
+# The comma grid of the second `eval`: negative, off-lattice and huge deltas.
+# The largest delta sets how close two seen scores of a row may lie before
+# the sweep scores that row over all classes (metrics._TopScores): at 1e6 no
+# row of these configurations is that close, at 1e13 about one row in ten of
+# the benchmark-sized ones is, so both paths run.
+EVAL_GRID = "-0.5,0,0.37,2,1e6,1e13"
 
 
 def src_dir(tree: str) -> Path:
@@ -67,6 +74,8 @@ def steps(n_values: str) -> list[tuple[str, list[str]]]:
                                "--mode", mode]) for mode in MODES]
     models = [arg for mode in MODES for arg in ("--model", f"train_{mode}/model")]
     out.append(("eval", ["eval", *models, *data, "--out", "eval"]))
+    out.append(("eval_grid", ["eval", *models, *data, "--out", "eval_grid",
+                              f"--delta-grid={EVAL_GRID}"]))
     out.append(("ablate", ["ablate", *cfg, *data, "--out", "ablate", "--seeds", "2"]))
     out.append(("sweep_n", ["sweep", *cfg, *data, "--out", "sweep_n",
                             "--param", "n_neighbors", "--values", n_values]))
