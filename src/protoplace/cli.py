@@ -128,40 +128,23 @@ def _parse_sweep_values(spec: str, param: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# pipeline helpers shared by train / ablate / sweep
+# pipeline helpers shared by train / ablate / sweep.  Commands build the
+# configs of all their runs before the first trains, so a bad value fails
+# before any work; load_config has built the SofConfig of the config's seed.
 
 
-def _pipeline_configs(cfg: dict, mode_name: str, use_sof: bool, seed: int):
-    """The (SofConfig or None, TrainConfig) of one pipeline run.  Commands
-    build those of every run before the first trains, so a bad value fails
-    before any work."""
-    sof_cfg = cfgmod.sof_config(cfg, seed=seed) if use_sof else None
-    return sof_cfg, cfgmod.train_config(cfg, mode=mode_name, seed=seed)
-
-
-def _run_pipeline(ds, sof_cfg, train_cfg):
-    """Train one model, behind the refiner when sof_cfg is given; returns
-    artifacts."""
-    refiner = None
-    sof_trace: list[float] = []
-    train_ds = ds
-    if sof_cfg is not None:
-        refiner, sof_trace = train_sof(ds, sof_cfg)
-        train_ds = refine_features(ds, refiner)
-    model = train_prototypes(train_ds, train_cfg)
-    return model, refiner, sof_trace, train_ds
+def _stage_one(ds, sof_cfg):
+    """Stage one (SOF): the refiner, its loss trace and the dataset with
+    refined features.  It reads only the dataset, the `sof` section and the
+    seed, so `ablate` and `sweep` run it once per seed, not once per model."""
+    refiner, trace = train_sof(ds, sof_cfg)
+    return refiner, trace, refine_features(ds, refiner)
 
 
 def _eval_model(model: PrototypeModel, eval_ds, grid):
     reports, best_delta = cs_sweep(model, eval_ds, grid)
     best = next(r for r in reports if r.delta == best_delta)
     return reports, best
-
-
-def _best_report(ds, configs, grid):
-    """Train one pipeline and sweep it; its report at the best delta."""
-    model, _, _, train_ds = _run_pipeline(ds, *configs)
-    return _eval_model(model, train_ds, grid)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +169,14 @@ def cmd_train(args, argv) -> int:
     cfg = cfgmod.load_config(args.config)
     ds = load_dataset_dir(args.data)
     out = _out_dir(args.out)
-    configs = _pipeline_configs(cfg, *MODES[args.mode], cfg["seed"])
-    model, refiner, sof_trace, _ = _run_pipeline(ds, *configs)
+    mode_name, use_sof = MODES[args.mode]
+    train_cfg = cfgmod.train_config(cfg, mode=mode_name)
+    refiner, sof_trace, train_ds = (_stage_one(ds, cfgmod.sof_config(cfg)) if use_sof
+                                    else (None, None, ds))
+    model = train_prototypes(train_ds, train_cfg)
     model_dir = out / "model"
-    save_model(model, model_dir,
-               meta={"cli_mode": args.mode, "used_sof": refiner is not None})
-    if refiner is not None:
+    save_model(model, model_dir, meta={"cli_mode": args.mode, "used_sof": use_sof})
+    if use_sof:
         save_refiner(refiner, model_dir,
                      meta={"seed": cfg["seed"], "loss_trace": sof_trace})
     outputs = {"model": model_dir}
@@ -252,7 +237,7 @@ def cmd_eval(args, argv) -> int:
                 f"{ds.attr_dim}->{ds.feat_dim}"
             )
         eval_ds = ds
-        if (model_dir / "refiner.json").exists():
+        if manifest.get("used_sof"):
             eval_ds = refine_features(ds, load_refiner(model_dir))
         reports, best = _eval_model(model, eval_ds, grid)
         _write_report_files(out, label, reports, best, model, eval_ds)
@@ -270,23 +255,30 @@ def cmd_eval(args, argv) -> int:
 def cmd_ablate(args, argv) -> int:
     started = time.time()
     cfg = cfgmod.load_config(args.config)
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     ds = load_dataset_dir(args.data)
     out = _out_dir(args.out)
     grid = cfgmod.delta_grid(cfg)
-    seeds = [cfg["seed"] + i for i in range(args.seeds)]
-    ladder = [(name, [_pipeline_configs(cfg, mode_name, use_sof, seed)
-                      for seed in seeds])
+    ladder = [(name, mode_name, use_sof)
               for _, name, mode_name, use_sof in PIPELINES if name is not None]
-    rows = []
-    for name, runs in ladder:
-        per_seed = {"T": [], "U": [], "S": [], "H": []}
-        for configs in runs:
-            best = _best_report(ds, configs, grid)
-            for key, val in (("T", best.T), ("U", best.U), ("S", best.S),
-                             ("H", best.H)):
-                per_seed[key].append(val if val is not None else float("nan"))
-        rows.append((name, {k: (float(np.mean(v)), float(np.std(v)))
-                            for k, v in per_seed.items()}))
+    # per seed: its stage-one config and the training config of every row;
+    # a seed past 2**64 - 1 fails here
+    runs = [(cfgmod.sof_config(cfg, seed=seed),
+             [cfgmod.train_config(cfg, mode=mode_name, seed=seed)
+              for _, mode_name, _ in ladder])
+            for seed in range(cfg["seed"], cfg["seed"] + args.seeds)]
+    per_seed = {name: {"T": [], "U": [], "S": [], "H": []} for name, _, _ in ladder}
+    for sof_cfg, train_cfgs in runs:
+        refined_ds = _stage_one(ds, sof_cfg)[2]
+        for (name, _, use_sof), train_cfg in zip(ladder, train_cfgs):
+            train_ds = refined_ds if use_sof else ds
+            best = _eval_model(train_prototypes(train_ds, train_cfg), train_ds, grid)[1]
+            for key, values in per_seed[name].items():
+                val = getattr(best, key)
+                values.append(float("nan") if val is None else val)
+    rows = [(name, {k: (float(np.mean(v)), float(np.std(v))) for k, v in stats.items()})
+            for name, stats in per_seed.items()]
 
     with open(out / "ablation.csv", "w") as f:
         f.write("config,T,U,S,H\n")
@@ -323,23 +315,24 @@ def cmd_sweep(args, argv) -> int:
                           f"one of {', '.join(SWEEP_PARAMS)}")
     values = _parse_sweep_values(args.values, param)
     mode_name, use_sof = MODES[args.mode]
-    runs = []
+    train_cfgs = []
     for value in values:
         if param == "n_neighbors" and value == 0:  # hallucination disabled
-            runs.append(_pipeline_configs(cfg, "s2v_baseline", use_sof, cfg["seed"]))
+            train_cfgs.append(cfgmod.train_config(cfg, mode="s2v_baseline"))
         else:
             run_cfg = {**cfg, "hallucination": {**cfg["hallucination"], param: value}}
-            runs.append(_pipeline_configs(run_cfg, mode_name, use_sof, cfg["seed"]))
+            train_cfgs.append(cfgmod.train_config(run_cfg, mode=mode_name))
 
+    train_ds = _stage_one(ds, cfgmod.sof_config(cfg))[2] if use_sof else ds
     results = []
-    for value, configs in zip(values, runs):
-        best = _best_report(ds, configs, grid)
+    for value, train_cfg in zip(values, train_cfgs):
+        best = _eval_model(train_prototypes(train_ds, train_cfg), train_ds, grid)[1]
         results.append((value, best.T, best.H))
 
     with open(out / "sweep.csv", "w") as f:
         f.write("value,T,H\n")
         for value, t, h in results:
-            f.write(f"{value:g},{t:.9g},{h:.9g}\n")
+            f.write(f"{value:g},{_num(t)},{_num(h)}\n")
     metrics = {str(v): {"T": t, "H": h} for v, t, h in results}
     metrics["dataset_fingerprint"] = _dataset_fingerprint(args.data)
     _write_manifest(out, argv, cfg, cfg["seed"], {"sweep": out / "sweep.csv"},

@@ -9,12 +9,11 @@ from __future__ import annotations
 import copy
 import json
 import math
-import numbers
 from dataclasses import fields
 from pathlib import Path
 
 from .data import SynthConfig
-from .errors import ConfigError
+from .errors import ConfigError, require_real
 from .hallucinate import HalluConfig
 from .prototypes import TrainConfig, train_config_from
 from .refine import SofConfig
@@ -70,18 +69,18 @@ def load_config(path) -> dict:
 
 
 def validate_config(cfg: dict) -> None:
-    """Instantiate every typed sub-config so range errors surface up front,
-    and build the eval section's delta grid, which checks its range.  The
-    train section is built in s2v_baseline mode, which hallucinates nothing:
-    the n_neighbors bound of the other modes is checked where a command
-    builds its mode's config."""
+    """Instantiate every typed sub-config and build the eval section's delta
+    grid, which checks its range, so errors surface up front.  The train
+    section is built in s2v_baseline mode, which hallucinates nothing: the
+    n_neighbors bound of the other modes is checked where a command builds
+    its mode's config."""
     try:
         synth_config(cfg)
         sof_config(cfg)
         train_config(cfg, mode="s2v_baseline")
+        delta_grid(cfg)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    delta_grid(cfg)
 
 
 def synth_config(cfg: dict) -> SynthConfig:
@@ -111,16 +110,17 @@ def delta_range(start: float, stop: float, step: float) -> list[float]:
     inclusive, each value rounded to 10 decimals.  The only grid builder:
     the config's `eval` section and the CLI's `start:stop:step` both use it.
 
-    ConfigError unless start, stop and step are finite real numbers (not
-    bools), step > 0 and stop >= start, and the grid holds at most
-    MAX_DELTAS deltas.  The walk runs while d <= end = stop + 1e-12, so a
-    range with (end - start) / step >= MAX_DELTAS fails before any grid is
-    built.  Rounding can still make a step move d by less than `step`, or
-    not at all where `step` is below the float spacing, so the walk itself
-    stops past MAX_DELTAS deltas too."""
+    ParameterError (errors.require_real) unless start, stop and step are
+    real numbers; ConfigError unless they are finite, step > 0 and
+    stop >= start, and the grid holds at most MAX_DELTAS deltas.  The walk
+    runs while d <= end = stop + 1e-12, so a range with
+    (end - start) / step >= MAX_DELTAS fails before any grid is built.
+    Rounding can still make a step move d by less than `step`, or not at
+    all where `step` is below the float spacing, so the walk itself stops
+    past MAX_DELTAS deltas too."""
     for name, value in (("start", start), ("stop", stop), ("step", step)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                or not -math.inf < value < math.inf:
+        require_real(f"delta grid {name}", value)
+        if not -math.inf < value < math.inf:
             raise ConfigError(f"delta grid {name} must be a finite number, "
                               f"got {value!r}")
     if step <= 0 or stop < start:

@@ -14,7 +14,8 @@ On-disk formats
   where the class ids are 0..L-1 in order.
   Floats use 9 significant digits.
 * Split file: five lines ``seen:``, ``unseen:``, ``train:``, ``test_seen:``,
-  ``test_unseen:``, each followed by space-separated ids on the same line.
+  ``test_unseen:``, each followed by space-separated ids on the same line;
+  a missing, unknown or repeated section raises FormatError.
 """
 from __future__ import annotations
 
@@ -28,9 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapacityError, FormatError, ParameterError, ValidationError, \
-    require_ints
+    require_ints, require_real
 from .linalg import FlatParams, as_matrix, require_finite
-from .rng import DEFAULT_SEED, RngStream
+from .rng import DEFAULT_SEED, RngStream, check_seed
 
 MAGIC = b"LPLF"
 SPLIT_KEYS = ("seen", "unseen", "train", "test_seen", "test_unseen")
@@ -246,6 +247,8 @@ class SynthConfig:
         counts = ("seen_count", "unseen_count", "attr_dim", "feat_dim",
                   "train_per_class", "test_per_class")
         require_ints(self, *counts, "seed")
+        check_seed(self.seed)
+        require_real("noise_scale", self.noise_scale)
         for name in counts:
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be at least 1")
@@ -340,6 +343,8 @@ def read_split(path) -> dict[str, np.ndarray]:
             key = key.strip()
             if key not in SPLIT_KEYS:
                 raise FormatError(f"{path}: line {lineno}: unknown section {key!r}")
+            if key in out:
+                raise FormatError(f"{path}: line {lineno}: repeated section {key!r}")
             try:
                 out[key] = np.asarray(
                     [int(tok) for tok in rest.split()], dtype=np.int64

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer check of the
-config dataclasses."""
+"""Exception types shared across the package, and the integer and real-number
+checks of the config dataclasses."""
 import numbers
 
 
@@ -43,3 +43,11 @@ def require_ints(obj, *names: str) -> None:
         if value is not None and (isinstance(value, bool)
                                   or not isinstance(value, numbers.Integral)):
             raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
+def require_real(name: str, value) -> None:
+    """ParameterError unless `value` is a real number: an int or a float, NaN
+    and the infinities included, since each caller states its own range.  A
+    bool is rejected, though Python counts it as an int, and so is a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Episode, Stackable
-from .errors import ParameterError, ShapeError, require_ints
+from .errors import ParameterError, ShapeError, require_ints, require_real
 from .linalg import log_softmax_rows, pairwise_cosine, softmax
 from .rng import RngStream, beta_sample, check_beta_shapes
 
@@ -28,6 +28,8 @@ class HalluConfig:
 
     def __post_init__(self):
         require_ints(self, "n_neighbors")
+        for name in ("sigma", "alpha1", "alpha2"):
+            require_real(name, getattr(self, name))
         if not self.sigma >= 1.0 / np.finfo(np.float64).max:  # sim / sigma finite
             raise ParameterError(f"sigma must be at least 1 / the largest float "
                                  f"(about 5.6e-309), got {self.sigma!r}")

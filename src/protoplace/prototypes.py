@@ -15,12 +15,13 @@ import numpy as np
 
 from .data import AttributeTable, Episode, SplitDataset, class_major_labels, \
     load_params, sample_episode, save_params
-from .errors import FormatError, ParameterError, TrainingError, UsageError, require_ints
+from .errors import FormatError, ParameterError, TrainingError, UsageError, \
+    require_ints, require_real
 from .hallucinate import HalluConfig, HallucinatedEpisode, hallucinate
 from .linalg import ACTIVATIONS, OPTIMIZER_MODES, MappingNet, OptimizerState, \
     cosine_cross_entropy, net_backward, net_forward, optimizer_step, require_finite, \
     target_indices, unit_rows
-from .rng import DEFAULT_SEED, RngStream
+from .rng import DEFAULT_SEED, RngStream, check_seed
 
 # What an episode does in each training mode: whether it hallucinates
 # placeholder classes, and the Beta forced on them (None: drawn from
@@ -59,6 +60,9 @@ class TrainConfig:
     def __post_init__(self):
         require_ints(self, "epochs", "episodes_per_epoch", "m_classes", "n_samples",
                      "hidden_dim", "seed")
+        check_seed(self.seed)
+        for name in ("learning_rate", "logit_scale", "lambda_real"):
+            require_real(name, getattr(self, name))
         if self.epochs < 0:
             raise ParameterError("epochs must be nonnegative")
         if self.episodes_per_epoch is not None and self.episodes_per_epoch < 1:
@@ -252,7 +256,8 @@ def save_model(model: PrototypeModel, out_dir, meta: dict | None = None) -> None
 def load_model(in_dir) -> tuple[PrototypeModel, dict]:
     """The model save_model wrote, and its model.json.  Net shapes come from
     the weight files.  A model.json that is not JSON, has a format_version
-    other than FORMAT_VERSION, or misses or adds a key raises FormatError."""
+    other than FORMAT_VERSION, misses or adds a key, or records a used_sof
+    that is not a bool raises FormatError."""
     in_dir = Path(in_dir)
     path = in_dir / "model.json"
     try:
@@ -267,6 +272,8 @@ def load_model(in_dir) -> tuple[PrototypeModel, dict]:
                                  if k not in FORMAT_KEYS + META_KEYS})
         if manifest["activation"] not in ACTIVATIONS:
             raise FormatError(f"unknown activation {manifest['activation']!r}")
+        if not isinstance(manifest.get("used_sof", False), bool):
+            raise FormatError("used_sof must be true or false")
         loss_trace = [float(x) for x in manifest["loss_trace"]]
     except (ValueError, TypeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc

@@ -15,10 +15,10 @@ import numpy as np
 
 from .data import AttributeTable, SplitDataset, load_params, save_params
 from .errors import ParameterError, ShapeError, TrainingError, ValidationError, \
-    require_ints
+    require_ints, require_real
 from .linalg import OPTIMIZER_MODES, FlatParams, OptimizerState, as_matrix, \
     cosine_cross_entropy, optimizer_step, target_indices, unit_rows
-from .rng import DEFAULT_SEED, RngStream
+from .rng import DEFAULT_SEED, RngStream, check_seed
 
 
 @dataclass
@@ -52,6 +52,9 @@ class SofConfig:
 
     def __post_init__(self):
         require_ints(self, "epochs", "batch_size", "seed")
+        check_seed(self.seed)
+        for name in ("learning_rate", "logit_scale", "momentum"):
+            require_real(name, getattr(self, name))
         if self.epochs < 0:
             raise ParameterError("epochs must be nonnegative")
         # NaN fails too
@@ -170,4 +173,10 @@ def save_refiner(params: RefinerParams, out_dir, meta: dict | None = None) -> No
 
 
 def load_refiner(in_dir) -> RefinerParams:
-    return RefinerParams(**load_params(RefinerParams, Path(in_dir), "refiner"))
+    """The refiner save_refiner wrote.  FileNotFoundError where refiner.json
+    is missing, as where a weight file is: a model whose model.json records
+    used_sof is incomplete without it."""
+    in_dir = Path(in_dir)
+    if not (in_dir / "refiner.json").is_file():
+        raise FileNotFoundError(f"no refiner.json under {in_dir}")
+    return RefinerParams(**load_params(RefinerParams, in_dir, "refiner"))

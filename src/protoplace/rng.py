@@ -27,8 +27,7 @@ class RngStream:
 
     def __init__(self, seed: int):
         seed = int(seed)
-        if not 0 <= seed < 2**64:
-            raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        check_seed(seed)
         self.seed = seed
         self._gen = np.random.Generator(np.random.PCG64(seed))
 
@@ -69,6 +68,13 @@ class RngStream:
         if np.any(np.asarray(shape) <= 0):
             raise ParameterError(f"gamma shape must be positive, got {shape}")
         return self._gen.standard_gamma(shape, size)
+
+
+def check_seed(seed: int) -> None:
+    """ParameterError unless `seed` is a 64-bit unsigned integer.  The configs
+    with a seed check it when built, so a bad seed fails before any work."""
+    if not 0 <= seed < 2**64:
+        raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
 def check_beta_shapes(alpha1: float, alpha2: float) -> None:

@@ -72,9 +72,11 @@ def make_data(tmp_path, cfg_path):
 
 
 def write_config(path, **sections):
-    """TINY with the given sections' keys overridden, written to path."""
-    path.write_text(json.dumps({**TINY, **{name: {**TINY.get(name, {}), **keys}
-                                           for name, keys in sections.items()}}))
+    """TINY with the given sections' keys (or top-level values) overridden,
+    written to path."""
+    path.write_text(json.dumps({**TINY, **{
+        name: {**TINY.get(name, {}), **keys} if isinstance(keys, dict) else keys
+        for name, keys in sections.items()}}))
     return path
 
 
@@ -148,6 +150,16 @@ class TestConfig:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_float_key_rejects_bool(self, tmp_path, capsys, key):
+        # Python counts true as the int 1, which every range rule but the
+        # momentum's admits
+        section, _, name = key.rpartition(".")
+        p = write_config(tmp_path / "bad.json", **{section: {name: True}})
+        assert run("synth", "--config", p, "--out", tmp_path / "d") == 2
+        assert "must be a real number" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize("key", [
         "synth.noise_scale", "sof.learning_rate", "sof.logit_scale",
         "train.learning_rate", "train.logit_scale", "train.lambda_real",
@@ -215,9 +227,20 @@ class TestRunConfigsBuiltFirst:
         ({}, ["sweep", "--param", "sigma", "--values", "0.1,1e-310",
               "--mode", "full"]),
         ({}, ["sweep", "--param", "n", "--values", "1,4", "--mode", "ep"]),
+        ({"train": {"learning_rate": True}}, ["train", "--mode", "full"]),
+        ({"train": {"lambda_real": True}}, ["train", "--mode", "full"]),
+        ({"hallucination": {"sigma": True}}, ["train", "--mode", "full"]),
+        ({"synth": {"noise_scale": True}}, ["train", "--mode", "full"]),
+        ({}, ["ablate", "--seeds", "0"]),
+        ({}, ["ablate", "--seeds", "-3"]),
+        # the second seed is 2**64: rejected with the configs, not after the
+        # first seed's runs
+        ({"seed": 2**64 - 1}, ["ablate", "--seeds", "2"]),
     ], ids=["eval NaN", "sof optimizer", "sof momentum", "train optimizer",
             "train neighbours", "ablate neighbours", "sweep sigma",
-            "sweep neighbours"])
+            "sweep neighbours", "learning_rate true", "lambda_real true",
+            "sigma true", "noise_scale true", "ablate no seeds",
+            "ablate negative seeds", "ablate seed past 64 bits"])
     def test_bad_value_exits_2_before_training(self, workdir, training_calls,
                                                capsys, sections, argv):
         tmp_path, cfg = workdir
@@ -241,6 +264,26 @@ class TestRunConfigsBuiltFirst:
         assert run("sweep", "--config", big, "--data", data, "--out", tmp_path / "s",
                    "--param", "n", "--values", "0,3", "--mode", "ep-ei") == 0
         assert training_calls == {"train_sof": 0, "train_prototypes": 3}
+
+
+class TestStageOnePerSeed:
+    """Stage one reads only the data, the `sof` section and the seed, so
+    each seed trains one refiner, whatever the number of its models."""
+
+    def test_ablate_refines_once_per_seed(self, workdir, training_calls):
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        assert run("ablate", "--config", cfg, "--data", data,
+                   "--out", tmp_path / "a", "--seeds", "2") == 0
+        # 5 ladder rows per seed, 3 of them behind the refiner
+        assert training_calls == {"train_sof": 2, "train_prototypes": 10}
+
+    def test_sweep_refines_once(self, workdir, training_calls):
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        assert run("sweep", "--config", cfg, "--data", data, "--out", tmp_path / "s",
+                   "--param", "n", "--values", "1,2,3", "--mode", "full") == 0
+        assert training_calls == {"train_sof": 1, "train_prototypes": 3}
 
 
 class TestSynth:
@@ -439,7 +482,8 @@ class TestEval:
         lambda m: m.pop("lambda_real"),
         lambda m: m.update(bogus=1),
         lambda m: m.pop("format_version"),
-    ], ids=["missing key", "unknown key", "no version"])
+        lambda m: m.update(used_sof="yes"),
+    ], ids=["missing key", "unknown key", "no version", "used_sof string"])
     def test_malformed_model_json_exits_5(self, trained, edit, capsys):
         tmp_path, cfg, data, model = trained
         manifest = json.loads((model / "model.json").read_text())
@@ -468,6 +512,20 @@ class TestEval:
         save_matrix(data / "features.labels.bin", labels)
         rc = run("eval", "--model", model, "--data", data, "--out", tmp_path / "e")
         assert rc == 5
+
+    def test_sof_model_without_refiner_exits_3(self, workdir, capsys):
+        # model.json records used_sof, so scoring unrefined features would
+        # report another model's numbers
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        out = tmp_path / "run_full"
+        assert run("train", "--config", cfg, "--data", data, "--out", out,
+                   "--mode", "full") == 0
+        (out / "model" / "refiner.json").unlink()
+        rc = run("eval", "--model", out / "model", "--data", data,
+                 "--out", tmp_path / "e")
+        assert rc == 3
+        assert "refiner.json" in capsys.readouterr().err
 
     def test_missing_model_exits_3(self, trained):
         tmp_path, cfg, data, model = trained
@@ -617,6 +675,20 @@ class TestSweep:
             outs.append((out / "sweep.csv").read_bytes())
         assert outs[0] == outs[1]
         assert outs[0].decode().splitlines()[1].startswith("1,")
+
+    def test_no_unseen_test_rows_leaves_cells_empty(self, workdir):
+        # with no unseen test row T and H are undefined: empty cells, as in
+        # eval's report.csv
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        split = data / "split.txt"
+        split.write_text("".join("test_unseen:\n" if line.startswith("test_unseen:")
+                                 else line for line in
+                                 split.read_text().splitlines(keepends=True)))
+        out = tmp_path / "s"
+        assert run("sweep", "--config", cfg, "--data", data, "--out", out,
+                   "--param", "n", "--values", "0,2", "--mode", "ep-ei") == 0
+        assert (out / "sweep.csv").read_text() == "value,T,H\n0,,\n2,,\n"
 
     def test_unknown_param_exits_2(self, workdir):
         tmp_path, cfg = workdir

@@ -107,6 +107,18 @@ class TestDatasetIO:
             load_dataset(paths["features"], paths["attributes"], paths["split"],
                          format="csv")
 
+    @pytest.mark.parametrize("extra", ["unseen: 2\n", "seen: 0\n"],
+                             ids=["same ids", "other ids"])
+    def test_repeated_split_section_rejected(self, tmp_path, extra):
+        # neither copy silently wins
+        ds = tiny_dataset()
+        paths = save_dataset(ds, tmp_path, format="csv")
+        with open(paths["split"], "a") as f:
+            f.write(extra)
+        with pytest.raises(FormatError, match="repeated section"):
+            load_dataset(paths["features"], paths["attributes"], paths["split"],
+                         format="csv")
+
     def test_empty_test_unseen_round_trips(self, tmp_path):
         ds = tiny_dataset()
         ds2 = SplitDataset(

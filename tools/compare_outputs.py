@@ -13,10 +13,15 @@ leg, which checks the CSV table reader and writer:
 `synth --format csv`, `train --mode full` on that data and its `eval`.
 Every step runs in its own process with PYTHONPATH set to the tree's `src`
 and one BLAS thread, from the same relative paths, so that its standard
-output and exit code (kept as `<step>.stdout` and `<step>.exit`) are
-compared too.
+output, standard error and exit code (kept as `<step>.stdout`,
+`<step>.stderr` and `<step>.exit`) are compared too.  In the standard error
+the tree's `src` path reads `SRC`, so a warning's source line compares
+equal across checkouts.
 
-Every file that differs, or exists on one side only, is listed.
+Every file that differs, or exists on one side only, is listed, and so is
+every step that exits non-zero under both trees: equal outputs of a step
+that failed on both sides (an expected configuration error, or a broken
+command line) are not hidden inside `identical`.
 `manifest.json` files are skipped: they hold times and the command line.
 Exit status 0: no file differs; 1: some file differs.  Standard library
 only; the CLI processes need numpy.
@@ -99,6 +104,7 @@ def run_tree(src: Path, work: Path, config: dict, n_values: str) -> None:
         proc = subprocess.run([sys.executable, "-m", "protoplace.cli", *argv],
                               cwd=work, env=env, capture_output=True, text=True)
         (work / f"{name}.stdout").write_text(proc.stdout)
+        (work / f"{name}.stderr").write_text(proc.stderr.replace(str(src), "SRC"))
         (work / f"{name}.exit").write_text(f"{proc.returncode}\n")
 
 
@@ -115,6 +121,16 @@ def differing(a: Path, b: Path) -> list[str]:
     return out
 
 
+def failed_on_both(a: Path, b: Path, n_values: str) -> list[str]:
+    """Each step that exits non-zero under both trees, with its exit codes."""
+    out = []
+    for name, _ in steps(n_values):
+        codes = [(root / f"{name}.exit").read_text().strip() for root in (a, b)]
+        if "0" not in codes:
+            out.append(f"{name} (exit {' / '.join(dict.fromkeys(codes))})")
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
@@ -126,19 +142,25 @@ def main(argv=None) -> int:
     trees = {"parent": src_dir(args.parent), "change": src_dir(args.change)}
     work = Path(args.work) if args.work else Path(tempfile.mkdtemp(prefix="cmp-"))
     diffs = []
+    failed = 0
     try:
         for label, (config, n_values) in CONFIGS.items():
             for side, src in trees.items():
                 run_tree(src, work / side / label, config, n_values)
-            found = differing(work / "parent" / label, work / "change" / label)
+            a, b = work / "parent" / label, work / "change" / label
+            found = differing(a, b)
             print(f"{label}: {len(found)} differing file(s)")
+            for step in failed_on_both(a, b, n_values):
+                print(f"  failed on both sides: {step}")
+                failed += 1
             diffs += [f"{label}/{rel}" for rel in found]
     finally:
         if not args.work:
             shutil.rmtree(work, ignore_errors=True)
     for rel in diffs:
         print(f"  differs: {rel}")
-    print("identical" if not diffs else f"{len(diffs)} differing file(s)")
+    summary = "identical" if not diffs else f"{len(diffs)} differing file(s)"
+    print(f"{summary}; {failed} step(s) failed on both sides" if failed else summary)
     return 1 if diffs else 0
 
 
