@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Subcommands: synth, train, eval, ablate, sweep.  Every command writes a
-manifest.json into its output directory before exiting 0; re-running a
-command with the same arguments reproduces its metric files byte for byte.
+Subcommands: synth, train, eval, ablate, sweep.  Each command returns what
+its run records, and `main` writes that as manifest.json into the output
+directory before exiting 0; re-running a command with the same arguments
+reproduces its metric files byte for byte.
 
 Exit codes: 0 ok, 2 configuration, 3 missing input, 4 numeric failure,
 5 shape mismatch.
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 import time
 from pathlib import Path
@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .data import generate_synthetic, load_dataset_dir, save_dataset
+from .data import generate_synthetic, load_dataset_dir, save_dataset, write_csv, \
+    write_json
 from .errors import CapacityError, ConfigError, FormatError, ParameterError, \
     ShapeError, TrainingError, UsageError, ValidationError
 from .metrics import cs_sweep, prototype_similarity
@@ -50,41 +51,18 @@ def _out_dir(path: str) -> Path:
     return p
 
 
-def _fingerprint(paths) -> str:
+def _dataset_fingerprint(data_dir) -> str:
+    """sha256 over the name and bytes of each dataset file, in path order."""
+    d = Path(data_dir)
     h = hashlib.sha256()
-    for p in sorted(Path(p) for p in paths):
+    for p in sorted([*d.glob("*.bin"), *d.glob("*.csv"), *d.glob("split.txt")]):
         h.update(p.name.encode())
         h.update(p.read_bytes())
     return h.hexdigest()
 
 
-def _dataset_fingerprint(data_dir) -> str:
-    data_dir = Path(data_dir)
-    files = sorted(data_dir.glob("*.bin")) + sorted(data_dir.glob("*.csv")) + \
-        sorted(data_dir.glob("split.txt"))
-    return _fingerprint(files)
-
-
-def _write_manifest(out_dir: Path, argv, cfg, seed, outputs, metrics, started) -> None:
-    manifest = {
-        "command": ["protoplace"] + list(argv),
-        "config": cfg,
-        "seed": seed,
-        "outputs": {k: str(v) for k, v in outputs.items()},
-        "metrics": metrics,
-        "duration_seconds": round(time.time() - started, 3),
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
-
-
 def _pct(x) -> str:
     return "--" if x is None else f"{100.0 * x:.1f}"
-
-
-def _num(x) -> str:
-    return "" if x is None else f"{x:.9g}"
 
 
 def _parse_delta_grid(spec: str | None) -> list[float]:
@@ -113,8 +91,10 @@ def _parse_sweep_values(spec: str, param: str) -> list:
         for tok in spec.split(","):
             tok = tok.strip()
             if ".." in tok:
-                lo, hi = tok.split("..")
-                tokens.extend(str(v) for v in range(int(lo), int(hi) + 1))
+                lo, hi = (int(v) for v in tok.split(".."))
+                if hi < lo:
+                    raise ValueError(f"range {tok!r} ends below its start")
+                tokens.extend(str(v) for v in range(lo, hi + 1))
             else:
                 tokens.append(tok)
         values = [float(v) for v in tokens]  # an empty value raises
@@ -148,24 +128,21 @@ def _eval_model(model: PrototypeModel, eval_ds, grid):
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands.  Each returns what its manifest records: the output directory,
+# the config, the seed, the outputs by name and the metrics.
 
 
-def cmd_synth(args, argv) -> int:
-    started = time.time()
+def cmd_synth(args):
     cfg = cfgmod.load_config(args.config)
     out = _out_dir(args.out)
     ds = generate_synthetic(cfgmod.synth_config(cfg))
     paths = save_dataset(ds, out, format=args.format)
-    _write_manifest(out, argv, cfg, cfg["seed"], paths,
-                    {"samples": int(ds.features.shape[0]),
-                     "fingerprint": _dataset_fingerprint(out)}, started)
     print(f"wrote {ds.features.shape[0]} samples to {out}")
-    return 0
+    return out, cfg, cfg["seed"], paths, {"samples": int(ds.features.shape[0]),
+                                          "fingerprint": _dataset_fingerprint(out)}
 
 
-def cmd_train(args, argv) -> int:
-    started = time.time()
+def cmd_train(args):
     cfg = cfgmod.load_config(args.config)
     ds = load_dataset_dir(args.data)
     out = _out_dir(args.out)
@@ -179,24 +156,17 @@ def cmd_train(args, argv) -> int:
     if use_sof:
         save_refiner(refiner, model_dir,
                      meta={"seed": cfg["seed"], "loss_trace": sof_trace})
-    outputs = {"model": model_dir}
-    metrics = {"final_loss": model.loss_trace[-1] if model.loss_trace else None,
-               "dataset_fingerprint": _dataset_fingerprint(args.data)}
-    _write_manifest(out, argv, cfg, cfg["seed"], outputs, metrics, started)
     print(f"trained mode={args.mode} -> {model_dir}")
-    return 0
+    return out, cfg, cfg["seed"], {"model": model_dir}, \
+        {"final_loss": model.loss_trace[-1] if model.loss_trace else None}
 
 
 def _write_report_files(out: Path, label: str, reports, best, model, eval_ds) -> None:
     suffix = f"_{label}" if label else ""
-    with open(out / f"sweep{suffix}.csv", "w") as f:
-        f.write("delta,U,S,H\n")
-        for r in reports:
-            f.write(f"{r.delta:.6g},{_num(r.U)},{_num(r.S)},{_num(r.H)}\n")
-    with open(out / f"report{suffix}.csv", "w") as f:
-        f.write("T,U,S,H,delta\n")
-        f.write(f"{_num(best.T)},{_num(best.U)},{_num(best.S)},{_num(best.H)},"
-                f"{best.delta:.6g}\n")
+    write_csv(out / f"sweep{suffix}.csv", ("delta", "U", "S", "H"),
+              ([f"{r.delta:.6g}", r.U, r.S, r.H] for r in reports))
+    write_csv(out / f"report{suffix}.csv", ("T", "U", "S", "H", "delta"),
+              [[best.T, best.U, best.S, best.H, f"{best.delta:.6g}"]])
     with open(out / f"report{suffix}.txt", "w") as f:
         f.write(f"T = {_pct(best.T)}  U = {_pct(best.U)}  S = {_pct(best.S)}  "
                 f"H = {_pct(best.H)}  (delta = {best.delta:g})\n")
@@ -206,14 +176,12 @@ def _write_report_files(out: Path, label: str, reports, best, model, eval_ds) ->
             continue
         protos = project_prototypes(model, eval_ds.attributes, ids)
         sim = prototype_similarity(protos)
-        with open(out / f"similarity_{block}{suffix}.csv", "w") as f:
-            f.write("class_id," + ",".join(str(int(i)) for i in ids) + "\n")
-            for i, row in zip(ids, sim.matrix):
-                f.write(f"{int(i)}," + ",".join(f"{v:.9g}" for v in row) + "\n")
+        write_csv(out / f"similarity_{block}{suffix}.csv",
+                  ["class_id", *(str(int(i)) for i in ids)],
+                  ([str(int(i)), *row] for i, row in zip(ids, sim.matrix)))
 
 
-def cmd_eval(args, argv) -> int:
-    started = time.time()
+def cmd_eval(args):
     ds = load_dataset_dir(args.data)
     out = _out_dir(args.out)
     grid = _parse_delta_grid(args.delta_grid)
@@ -247,13 +215,10 @@ def cmd_eval(args, argv) -> int:
         outputs[key] = model_dir
         print(f"{key}: T={_pct(best.T)} U={_pct(best.U)} S={_pct(best.S)} "
               f"H={_pct(best.H)} at delta={best.delta:g}")
-    metrics["dataset_fingerprint"] = _dataset_fingerprint(args.data)
-    _write_manifest(out, argv, {"delta_grid": grid}, None, outputs, metrics, started)
-    return 0
+    return out, {"delta_grid": grid}, None, outputs, metrics
 
 
-def cmd_ablate(args, argv) -> int:
-    started = time.time()
+def cmd_ablate(args):
     cfg = cfgmod.load_config(args.config)
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
@@ -280,12 +245,10 @@ def cmd_ablate(args, argv) -> int:
     rows = [(name, {k: (float(np.mean(v)), float(np.std(v))) for k, v in stats.items()})
             for name, stats in per_seed.items()]
 
-    with open(out / "ablation.csv", "w") as f:
-        f.write("config,T,U,S,H\n")
-        for name, stats in rows:
-            cells = ",".join(f"{m:.4f}±{s:.4f}" for m, s in
-                             (stats[k] for k in ("T", "U", "S", "H")))
-            f.write(f"{name},{cells}\n")
+    write_csv(out / "ablation.csv", ("config", "T", "U", "S", "H"),
+              ([name, *(f"{m:.4f}±{s:.4f}" for m, s in
+                        (stats[k] for k in ("T", "U", "S", "H")))]
+               for name, stats in rows))
     with open(out / "ablation.txt", "w") as f:
         f.write(f"{'config':<16}{'T':>14}{'U':>14}{'S':>14}{'H':>14}\n")
         for name, stats in rows:
@@ -296,15 +259,11 @@ def cmd_ablate(args, argv) -> int:
             f.write(f"{name:<16}{cells}\n")
     metrics = {name: {k: stats[k][0] for k in ("T", "U", "S", "H")}
                for name, stats in rows}
-    metrics["dataset_fingerprint"] = _dataset_fingerprint(args.data)
-    _write_manifest(out, argv, cfg, cfg["seed"],
-                    {"table": out / "ablation.csv"}, metrics, started)
     print((out / "ablation.txt").read_text())
-    return 0
+    return out, cfg, cfg["seed"], {"table": out / "ablation.csv"}, metrics
 
 
-def cmd_sweep(args, argv) -> int:
-    started = time.time()
+def cmd_sweep(args):
     cfg = cfgmod.load_config(args.config)
     ds = load_dataset_dir(args.data)
     out = _out_dir(args.out)
@@ -329,16 +288,11 @@ def cmd_sweep(args, argv) -> int:
         best = _eval_model(train_prototypes(train_ds, train_cfg), train_ds, grid)[1]
         results.append((value, best.T, best.H))
 
-    with open(out / "sweep.csv", "w") as f:
-        f.write("value,T,H\n")
-        for value, t, h in results:
-            f.write(f"{value:g},{_num(t)},{_num(h)}\n")
-    metrics = {str(v): {"T": t, "H": h} for v, t, h in results}
-    metrics["dataset_fingerprint"] = _dataset_fingerprint(args.data)
-    _write_manifest(out, argv, cfg, cfg["seed"], {"sweep": out / "sweep.csv"},
-                    metrics, started)
+    write_csv(out / "sweep.csv", ("value", "T", "H"),
+              ([f"{value:g}", t, h] for value, t, h in results))
     print(f"swept {args.param} over {values} -> {out / 'sweep.csv'}")
-    return 0
+    return out, cfg, cfg["seed"], {"sweep": out / "sweep.csv"}, \
+        {str(v): {"T": t, "H": h} for v, t, h in results}
 
 
 # ---------------------------------------------------------------------------
@@ -351,55 +305,64 @@ def build_parser() -> argparse.ArgumentParser:
                     "recognition on embedding-level benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the arguments several commands share, one parent parser each
+    config, data, out = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    for parent, flag in zip((config, data, out), ("--config", "--data", "--out")):
+        parent.add_argument(flag, required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic benchmark dataset")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("synth", parents=[config, out],
+                       help="generate a synthetic benchmark dataset")
     p.add_argument("--format", choices=("binary", "csv"), default="binary")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train a prototype model")
-    p.add_argument("--config", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("train", parents=[config, data, out],
+                       help="train a prototype model")
     p.add_argument("--mode", choices=tuple(MODES), default="full")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate trained model(s)")
+    ev = cfgmod.DEFAULTS["eval"]
+    p = sub.add_parser("eval", parents=[data, out], help="evaluate trained model(s)")
     p.add_argument("--model", action="append", required=True,
                    help="model directory; pass twice for paired similarity output")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--delta-grid",
-                   help="start:stop:step or comma-separated deltas "
-                        "(default: the config default, 0:1:0.02)")
+                   help="start:stop:step or comma-separated deltas (default: the "
+                        f"config default, {ev['delta_start']:g}:{ev['delta_stop']:g}:"
+                        f"{ev['delta_step']:g})")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate", help="run the five-configuration ablation ladder")
-    p.add_argument("--config", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("ablate", parents=[config, data, out],
+                       help="run the five-configuration ablation ladder")
     p.add_argument("--seeds", type=int, default=5)
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("sweep", help="sweep a hallucination hyper-parameter")
-    p.add_argument("--config", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("sweep", parents=[config, data, out],
+                       help="sweep a hallucination hyper-parameter")
     p.add_argument("--param", required=True,
                    help="n_neighbors (alias n) or sigma")
-    p.add_argument("--values", required=True, help="comma-separated values")
+    p.add_argument("--values", required=True,
+                   help="comma-separated values and inclusive integer ranges "
+                        "a..b, such as 0..8")
     p.add_argument("--mode", choices=tuple(MODES), default="full")
     p.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command, then write its manifest.json: the command line, what
+    the command returned, the dataset fingerprint of a command that reads
+    --data, and the wall time.  A command that fails writes none."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args, argv)
+        out, cfg, seed, outputs, metrics = args.func(args)
+        if "data" in args:
+            metrics["dataset_fingerprint"] = _dataset_fingerprint(args.data)
+        write_json(out / "manifest.json", {
+            "command": ["protoplace", *argv], "config": cfg, "seed": seed,
+            "outputs": {k: str(v) for k, v in outputs.items()}, "metrics": metrics,
+            "duration_seconds": round(time.time() - started, 3)})
+        return 0
     except (ConfigError, ParameterError, CapacityError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

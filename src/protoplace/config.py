@@ -7,12 +7,10 @@ drives every stage; per-stage streams are derived from it with fixed labels.
 from __future__ import annotations
 
 import copy
-import json
 import math
 from dataclasses import fields
-from pathlib import Path
 
-from .data import SynthConfig
+from .data import SynthConfig, read_json
 from .errors import ConfigError, require_real
 from .hallucinate import HalluConfig
 from .prototypes import TrainConfig, train_config_from
@@ -56,10 +54,10 @@ def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
 def load_config(path) -> dict:
     """Parse, validate, and materialize every default."""
     try:
-        user = json.loads(Path(path).read_text())
+        user = read_json(path)
     except FileNotFoundError:
         raise
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # not JSON, or a repeated key
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")

@@ -12,7 +12,8 @@ On-disk formats
 * CSV features: header ``id,label,f0..f{C-1}``, where the ids are the row
   numbers 0..n-1 in order; CSV attributes: header ``class_id,a0..a{D-1}``,
   where the class ids are 0..L-1 in order.
-  Floats use 9 significant digits.
+  Floats use 9 significant digits; a row holds no '_' or space.  Integers,
+  here and in the split file, must read as str(int) writes them.
 * Split file: five lines ``seen:``, ``unseen:``, ``train:``, ``test_seen:``,
   ``test_unseen:``, each followed by space-separated ids on the same line;
   a missing, unknown or repeated section raises FormatError.
@@ -20,6 +21,8 @@ On-disk formats
 from __future__ import annotations
 
 import itertools
+import json
+import re
 import struct
 import warnings
 from dataclasses import dataclass, fields
@@ -263,8 +266,54 @@ class SynthConfig:
 # CSV / split-file formats
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
+def format_number(x) -> str:
+    """A number to 9 significant digits; None as an empty cell."""
+    return "" if x is None else format(float(x), ".9g")
+
+
+def write_csv(path, header, rows) -> None:
+    """A CSV file: the header cells, then one line per row.  A string cell is
+    written as it is, any other (a number or None) through format_number."""
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(c if isinstance(c, str) else format_number(c)
+                             for c in row) + "\n")
+
+
+def write_json(path, record) -> None:
+    """A JSON record (manifest.json, model.json, refiner.json): keys sorted,
+    two-space indent, one trailing newline."""
+    Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+
+
+def _unique_keys(pairs) -> dict:
+    record = {}
+    for key, value in pairs:
+        if key in record:
+            raise FormatError(f"repeated key {key!r}")
+        record[key] = value
+    return record
+
+
+def read_json(path):
+    """The JSON value in a file; a repeated key in any object raises
+    FormatError rather than keeping its last value."""
+    return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+
+
+# Integers as str(int) writes them (no '+', 0 prefix, '_' or space), one
+# per line.  One pass checks a split line of thousands of ids.
+_INTS = re.compile(r"(?:0|-?[1-9][0-9]*)(?:\n(?:0|-?[1-9][0-9]*))*|")
+
+
+def _ints(tokens: list[str]) -> np.ndarray:
+    """The tokens, split out of one line, as int64; ValueError unless each
+    matches _INTS, and OverflowError past int64."""
+    if not _INTS.fullmatch("\n".join(tokens)):
+        bad = next(t for t in tokens if not _INTS.fullmatch(t))
+        raise ValueError(f"integer {bad!r} is not written as {int(bad)}")
+    return np.array(tokens, dtype=np.int64)
 
 
 def _write_table(path, head: tuple[str, ...], prefix: str, values, ints=()) -> None:
@@ -272,18 +321,16 @@ def _write_table(path, head: tuple[str, ...], prefix: str, values, ints=()) -> N
     is i, then its entry of each integer column in `ints`, then its C
     values."""
     values = as_matrix(values, "table")
-    with open(path, "w") as f:
-        f.write(",".join(head) + "," +
-                ",".join(f"{prefix}{j}" for j in range(values.shape[1])) + "\n")
-        for i in range(values.shape[0]):
-            lead = ",".join([str(i), *(str(int(col[i])) for col in ints)])
-            f.write(lead + "," + ",".join(_fmt(v) for v in values[i]) + "\n")
+    write_csv(path, [*head, *(f"{prefix}{j}" for j in range(values.shape[1]))],
+              ([str(i), *(str(int(col[i])) for col in ints), *values[i]]
+               for i in range(values.shape[0])))
 
 
 def _read_table(path, head: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The float columns (n, C) and integer columns (n, len(head) - 1) of a
     table _write_table wrote: the header must start with `head`, every row
-    must have the header's field count, and the ids must count 0..n-1."""
+    must have the header's field count and no '_' or space, and the ids must
+    count 0..n-1."""
     k = len(head)
     with open(path) as f:
         header = f.readline().rstrip("\n").split(",")
@@ -292,7 +339,10 @@ def _read_table(path, head: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
         c = len(header) - k
         ints, rows = [], []
         for lineno, line in enumerate(f, start=2):
-            parts = line.rstrip("\n").split(",")
+            line = line.rstrip("\n")
+            if "_" in line or line != "".join(line.split()):  # float() reads both
+                raise FormatError(f"{path}: row {lineno} holds '_' or a space")
+            parts = line.split(",")
             if len(parts) != c + k:
                 raise FormatError(f"{path}: row {lineno} has {len(parts)} fields, "
                                   f"expected {c + k}")
@@ -300,9 +350,9 @@ def _read_table(path, head: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
                 raise FormatError(f"{path}: row {lineno} has {head[0]} "
                                   f"{parts[0]!r}, expected {len(rows)}")
             try:
-                ints.append([int(p) for p in parts[1:k]])
+                ints.append(_ints(parts[1:k]))
                 rows.append([float(p) for p in parts[k:]])
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise FormatError(f"{path}: row {lineno}: {exc}") from exc
     return (np.asarray(rows, dtype=np.float64).reshape(len(rows), c),
             np.asarray(ints, dtype=np.int64).reshape(len(rows), k - 1))
@@ -346,10 +396,8 @@ def read_split(path) -> dict[str, np.ndarray]:
             if key in out:
                 raise FormatError(f"{path}: line {lineno}: repeated section {key!r}")
             try:
-                out[key] = np.asarray(
-                    [int(tok) for tok in rest.split()], dtype=np.int64
-                )
-            except ValueError as exc:
+                out[key] = _ints(rest.split())
+            except (ValueError, OverflowError) as exc:
                 raise FormatError(f"{path}: line {lineno}: {exc}") from exc
     missing = [k for k in SPLIT_KEYS if k not in out]
     if missing:
@@ -508,36 +556,23 @@ def generate_synthetic(cfg: SynthConfig) -> SplitDataset:
     g = rng.derive("mixing").normal((cfg.attr_dim, cfg.feat_dim)) / np.sqrt(cfg.attr_dim)
     means = attrs @ g
 
-    seen = np.arange(cfg.seen_count, dtype=np.int64)
-    unseen = np.arange(cfg.seen_count, L, dtype=np.int64)
-    total = cfg.seen_count * (cfg.train_per_class + cfg.test_per_class) + \
-        cfg.unseen_count * cfg.test_per_class
-    noise = rng.derive("noise").normal((total, cfg.feat_dim))
-
-    features = np.empty((total, cfg.feat_dim))
-    labels = np.empty(total, dtype=np.int64)
-    train_idx, test_seen_idx, test_unseen_idx = [], [], []
-    row = 0
-    for k in range(L):
-        count = (cfg.train_per_class + cfg.test_per_class) if k < cfg.seen_count \
-            else cfg.test_per_class
-        block = np.arange(row, row + count)
-        features[block] = means[k] + cfg.noise_scale * noise[block]
-        labels[block] = k
-        if k < cfg.seen_count:
-            train_idx.extend(block[: cfg.train_per_class])
-            test_seen_idx.extend(block[cfg.train_per_class:])
-        else:
-            test_unseen_idx.extend(block)
-        row += count
+    per_seen = cfg.train_per_class + cfg.test_per_class
+    labels = np.repeat(np.arange(L, dtype=np.int64),
+                       np.where(np.arange(L) < cfg.seen_count, per_seen,
+                                cfg.test_per_class))
+    noise = rng.derive("noise").normal((labels.size, cfg.feat_dim))
+    features = means[labels] + cfg.noise_scale * noise
+    # the seen classes' rows come first, train rows first in each class
+    is_seen = labels < cfg.seen_count
+    train = is_seen & (np.arange(labels.size) % per_seen < cfg.train_per_class)
 
     return SplitDataset(
         features=features,
         labels=labels,
         attributes=AttributeTable(attrs),
-        seen_classes=seen,
-        unseen_classes=unseen,
-        train_idx=np.asarray(train_idx, dtype=np.int64),
-        test_seen_idx=np.asarray(test_seen_idx, dtype=np.int64),
-        test_unseen_idx=np.asarray(test_unseen_idx, dtype=np.int64),
+        seen_classes=np.arange(cfg.seen_count),
+        unseen_classes=np.arange(cfg.seen_count, L),
+        train_idx=np.flatnonzero(train),
+        test_seen_idx=np.flatnonzero(is_seen & ~train),
+        test_unseen_idx=np.flatnonzero(~is_seen),
     )

@@ -7,14 +7,13 @@ are never touched during training.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .data import AttributeTable, Episode, SplitDataset, class_major_labels, \
-    load_params, sample_episode, save_params
+    load_params, read_json, sample_episode, save_params, write_json
 from .errors import FormatError, ParameterError, TrainingError, UsageError, \
     require_ints, require_real
 from .hallucinate import HalluConfig, HallucinatedEpisode, hallucinate
@@ -69,6 +68,8 @@ class TrainConfig:
             raise ParameterError("episodes_per_epoch must be at least 1")
         if self.m_classes < 1 or self.n_samples < 1:
             raise ParameterError("episode sizes must be positive")
+        if self.hidden_dim is not None and self.hidden_dim < 1:
+            raise ParameterError("hidden_dim must be at least 1")
         # NaN fails too
         if not (0 < self.learning_rate < np.inf and 0 < self.logit_scale < np.inf):
             raise ParameterError("learning_rate and logit_scale must be positive "
@@ -246,24 +247,24 @@ def save_model(model: PrototypeModel, out_dir, meta: dict | None = None) -> None
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_params(model.net, out_dir, "net")
-    manifest = {"format_version": FORMAT_VERSION, "activation": model.net.activation,
-                "loss_trace": model.loss_trace, **asdict(model.config), **meta}
-    (out_dir / "model.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out_dir / "model.json", {
+        "format_version": FORMAT_VERSION, "activation": model.net.activation,
+        "loss_trace": model.loss_trace, **asdict(model.config), **meta})
 
 
 def load_model(in_dir) -> tuple[PrototypeModel, dict]:
     """The model save_model wrote, and its model.json.  Net shapes come from
-    the weight files.  A model.json that is not JSON, has a format_version
-    other than FORMAT_VERSION, misses or adds a key, or records a used_sof
-    that is not a bool raises FormatError."""
+    the weight files.  A model.json that is not JSON, repeats a key, has a
+    format_version other than the integer FORMAT_VERSION, misses or adds a
+    key, records a used_sof that is not a bool or a loss_trace that is not a
+    list of real numbers raises FormatError."""
     in_dir = Path(in_dir)
     path = in_dir / "model.json"
     try:
-        manifest = json.loads(path.read_text())
+        manifest = read_json(path)
         if not isinstance(manifest, dict) or \
-                manifest.get("format_version") != FORMAT_VERSION:
+                type(manifest.get("format_version")) is not int or \
+                manifest["format_version"] != FORMAT_VERSION:
             raise FormatError(f"format_version must be {FORMAT_VERSION}")
         missing = [k for k in FORMAT_KEYS if k not in manifest]
         if missing:
@@ -274,6 +275,10 @@ def load_model(in_dir) -> tuple[PrototypeModel, dict]:
             raise FormatError(f"unknown activation {manifest['activation']!r}")
         if not isinstance(manifest.get("used_sof", False), bool):
             raise FormatError("used_sof must be true or false")
+        if not isinstance(manifest["loss_trace"], list):
+            raise FormatError("loss_trace must be a list")
+        for x in manifest["loss_trace"]:
+            require_real("loss_trace entry", x)
         loss_trace = [float(x) for x in manifest["loss_trace"]]
     except (ValueError, TypeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc

@@ -7,13 +7,12 @@ refined features.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import AttributeTable, SplitDataset, load_params, save_params
+from .data import AttributeTable, SplitDataset, load_params, save_params, write_json
 from .errors import ParameterError, ShapeError, TrainingError, ValidationError, \
     require_ints, require_real
 from .linalg import OPTIMIZER_MODES, FlatParams, OptimizerState, as_matrix, \
@@ -165,11 +164,9 @@ def save_refiner(params: RefinerParams, out_dir, meta: dict | None = None) -> No
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_params(params, out_dir, "refiner")
-    manifest = {"f_lin_shape": list(params.f_lin.shape),
-                "w_proj_shape": list(params.w_proj.shape)}
-    manifest.update(meta or {})
-    (out_dir / "refiner.json").write_text(json.dumps(manifest, indent=2,
-                                                     sort_keys=True) + "\n")
+    write_json(out_dir / "refiner.json", {"f_lin_shape": list(params.f_lin.shape),
+                                          "w_proj_shape": list(params.w_proj.shape),
+                                          **(meta or {})})
 
 
 def load_refiner(in_dir) -> RefinerParams:

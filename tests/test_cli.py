@@ -110,6 +110,17 @@ class TestConfig:
         assert run("synth", "--config", p, "--out", tmp_path / "d") == 2
         assert "sigmaa" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ['{"seed": 1, "seed": 2}',
+                                      '{"train": {"epochs": 1, "epochs": 1}}'],
+                             ids=["top level", "in a section"])
+    def test_repeated_key_exits_2(self, tmp_path, capsys, text):
+        # neither copy silently wins, even where both agree
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert run("synth", "--config", p, "--out", tmp_path / "d") == 2
+        assert "repeated key" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_out_of_range_value_exits_2(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"hallucination": {"sigma": -1.0}}))
@@ -236,11 +247,17 @@ class TestRunConfigsBuiltFirst:
         # the second seed is 2**64: rejected with the configs, not after the
         # first seed's runs
         ({"seed": 2**64 - 1}, ["ablate", "--seeds", "2"]),
+        # a range ending below its start holds no value, not an empty sweep
+        ({}, ["sweep", "--param", "n", "--values", "5..2", "--mode", "full"]),
+        # a hidden layer of no units: 1/sqrt(0) or a negative size in training
+        ({"train": {"hidden_dim": 0}}, ["train", "--mode", "full"]),
+        ({"train": {"hidden_dim": -1}}, ["train", "--mode", "full"]),
     ], ids=["eval NaN", "sof optimizer", "sof momentum", "train optimizer",
             "train neighbours", "ablate neighbours", "sweep sigma",
             "sweep neighbours", "learning_rate true", "lambda_real true",
             "sigma true", "noise_scale true", "ablate no seeds",
-            "ablate negative seeds", "ablate seed past 64 bits"])
+            "ablate negative seeds", "ablate seed past 64 bits",
+            "sweep descending range", "hidden_dim 0", "hidden_dim -1"])
     def test_bad_value_exits_2_before_training(self, workdir, training_calls,
                                                capsys, sections, argv):
         tmp_path, cfg = workdir
@@ -483,7 +500,16 @@ class TestEval:
         lambda m: m.update(bogus=1),
         lambda m: m.pop("format_version"),
         lambda m: m.update(used_sof="yes"),
-    ], ids=["missing key", "unknown key", "no version", "used_sof string"])
+        # neither coerced to the version 1 nor to a loss trace of floats
+        lambda m: m.update(format_version=True),
+        lambda m: m.update(format_version=1.0),
+        lambda m: m.update(loss_trace="123"),
+        lambda m: m.update(loss_trace=[True, False]),
+        lambda m: m.update(loss_trace=["1.5", "nan"]),
+        lambda m: m.update(loss_trace={"1": 2}),
+    ], ids=["missing key", "unknown key", "no version", "used_sof string",
+            "version true", "version 1.0", "trace string", "trace bools",
+            "trace strings", "trace object"])
     def test_malformed_model_json_exits_5(self, trained, edit, capsys):
         tmp_path, cfg, data, model = trained
         manifest = json.loads((model / "model.json").read_text())
@@ -492,6 +518,16 @@ class TestEval:
         rc = run("eval", "--model", model, "--data", data, "--out", tmp_path / "e")
         assert rc == 5
         assert "model.json" in capsys.readouterr().err
+
+    def test_model_json_repeated_key_exits_5(self, trained, capsys):
+        # json.loads keeps the last of two equal keys; the reader rejects them
+        tmp_path, cfg, data, model = trained
+        text = (model / "model.json").read_text()
+        (model / "model.json").write_text(text.replace(
+            '"seed": 0', '"seed": 0, "seed": 1', 1))
+        rc = run("eval", "--model", model, "--data", data, "--out", tmp_path / "e")
+        assert rc == 5
+        assert "repeated key 'seed'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["sgd", "rmsprop"])
     def test_model_json_with_unknown_optimizer_exits_5(self, trained, value,

@@ -119,6 +119,36 @@ class TestDatasetIO:
             load_dataset(paths["features"], paths["attributes"], paths["split"],
                          format="csv")
 
+    @pytest.mark.parametrize("ids", ["+0 1", "00 1", "-0 1", "0 0_1",
+                                     "0 99999999999999999999"])
+    def test_split_ids_read_as_written(self, tmp_path, ids):
+        # int() also reads a sign, leading zeros and '_': each of the first
+        # four lines is 0 1 to it; the last id overflows int64
+        paths = save_dataset(tiny_dataset(), tmp_path, format="csv")
+        lines = paths["split"].read_text().splitlines()
+        assert lines[0] == "seen: 0 1"
+        lines[0] = f"seen: {ids}"
+        paths["split"].write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="line 1"):
+            load_dataset_dir(tmp_path)
+
+    @pytest.mark.parametrize("column,token", [
+        (1, "+0"), (1, "00"), (1, "0_0"), (1, " 0"), (1, "99999999999999999999"),
+        (2, "1_0"), (2, " 1"), (2, "1 "),
+    ], ids=["label +0", "label 00", "label 0_0", "label space", "label past int64",
+            "float 1_0", "float leading space", "float trailing space"])
+    def test_csv_tokens_read_as_written(self, tmp_path, column, token):
+        # int() and float() read these too, as the label 0 or a feature
+        paths = save_dataset(tiny_dataset(), tmp_path, format="csv")
+        lines = paths["features"].read_text().splitlines()
+        parts = lines[1].split(",")
+        assert parts[:3] == ["0", "0", "1"]
+        parts[column] = token
+        lines[1] = ",".join(parts)
+        paths["features"].write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="row 2"):
+            load_dataset_dir(tmp_path)
+
     def test_empty_test_unseen_round_trips(self, tmp_path):
         ds = tiny_dataset()
         ds2 = SplitDataset(

@@ -22,7 +22,8 @@ Every file that differs, or exists on one side only, is listed, and so is
 every step that exits non-zero under both trees: equal outputs of a step
 that failed on both sides (an expected configuration error, or a broken
 command line) are not hidden inside `identical`.
-`manifest.json` files are skipped: they hold times and the command line.
+Each `manifest.json` is compared as parsed JSON without its
+`duration_seconds`, the one field that holds a wall time.
 Exit status 0: no file differs; 1: some file differs.  Standard library
 only; the CLI processes need numpy.
 """
@@ -53,7 +54,6 @@ CONFIGS = {
     "bench-seed0": ({**SHORT, "seed": 0}, "0,2,4,8"),
     "bench-seed1": ({**SHORT, "seed": 1}, "0,2,4,8"),
 }
-SKIPPED = {"manifest.json"}
 # The comma grid of the second `eval`: negative, off-lattice and huge deltas.
 # The largest delta sets how close two seen scores of a row may lie before
 # the sweep scores that row over all classes (metrics._TopScores): at 1e6 no
@@ -108,16 +108,26 @@ def run_tree(src: Path, work: Path, config: dict, n_values: str) -> None:
         (work / f"{name}.exit").write_text(f"{proc.returncode}\n")
 
 
+def content(path: Path):
+    """What is compared of a file: its bytes, or for a manifest.json the
+    parsed record less duration_seconds (NaN kept as the text "NaN", so
+    that it equals itself)."""
+    if path.name != "manifest.json":
+        return path.read_bytes()
+    record = json.loads(path.read_text(), parse_constant=str)
+    record.pop("duration_seconds", None)
+    return record
+
+
 def differing(a: Path, b: Path) -> list[str]:
     """Relative paths, below a and b, of files that differ or exist once."""
     def files(root: Path) -> set[str]:
-        return {str(p.relative_to(root)) for p in root.rglob("*")
-                if p.is_file() and p.name not in SKIPPED}
+        return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
     in_a, in_b = files(a), files(b)
     out = [f"{rel}  (parent only)" for rel in sorted(in_a - in_b)]
     out += [f"{rel}  (change only)" for rel in sorted(in_b - in_a)]
     out += [rel for rel in sorted(in_a & in_b)
-            if (a / rel).read_bytes() != (b / rel).read_bytes()]
+            if content(a / rel) != content(b / rel)]
     return out
 
 
