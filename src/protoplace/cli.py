@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .data import generate_synthetic, load_dataset_dir, save_dataset, write_csv, \
-    write_json
+from .data import episode_classes, generate_synthetic, load_dataset_dir, read_floats, \
+    read_ints, save_dataset, write_csv, write_json
 from .errors import CapacityError, ConfigError, FormatError, ParameterError, \
     ShapeError, TrainingError, UsageError, ValidationError
 from .metrics import cs_sweep, prototype_similarity
@@ -66,13 +66,13 @@ def _pct(x) -> str:
 
 
 def _parse_delta_grid(spec: str | None) -> list[float]:
-    """`start:stop:step` or comma-separated deltas; None means the default
-    config's grid."""
+    """`start:stop:step` or comma-separated deltas, each read by
+    data.read_floats; None means the default config's grid."""
     if spec is None:
         return cfgmod.delta_grid(cfgmod.DEFAULTS)
     sep = ":" if ":" in spec else ","
     try:
-        values = [float(tok) for tok in spec.split(sep)]  # "" raises too
+        values = read_floats(spec.split(sep))  # "" raises too
     except ValueError as exc:
         raise ConfigError(f"cannot parse delta grid {spec!r}") from exc
     if sep == ":":
@@ -85,21 +85,23 @@ def _parse_delta_grid(spec: str | None) -> list[float]:
 
 
 def _parse_sweep_values(spec: str, param: str) -> list:
-    """Comma-separated values and inclusive integer ranges such as `0..8`."""
+    """Comma-separated values, each read by data.read_floats, and inclusive
+    ranges such as `0..8`, whose ends data.read_ints reads; none twice."""
     tokens = []
     try:
         for tok in spec.split(","):
-            tok = tok.strip()
             if ".." in tok:
-                lo, hi = (int(v) for v in tok.split(".."))
+                lo, hi = read_ints(tok.split("..")).tolist()
                 if hi < lo:
                     raise ValueError(f"range {tok!r} ends below its start")
                 tokens.extend(str(v) for v in range(lo, hi + 1))
             else:
                 tokens.append(tok)
-        values = [float(v) for v in tokens]  # an empty value raises
-    except ValueError as exc:
+        values = read_floats(tokens)  # an empty value raises
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot parse --values {spec!r}: {exc}") from exc
+    if len(set(values)) < len(values):
+        raise ConfigError(f"--values {spec!r} names a value twice")
     if param != "n_neighbors":
         return values
     if not all(v.is_integer() for v in values):
@@ -109,7 +111,8 @@ def _parse_sweep_values(spec: str, param: str) -> list:
 
 # ---------------------------------------------------------------------------
 # pipeline helpers shared by train / ablate / sweep.  Commands build the
-# configs of all their runs before the first trains, so a bad value fails
+# configs of all their runs, and check that the data holds their episodes
+# (data.episode_classes), before the first trains, so a bad value fails
 # before any work; load_config has built the SofConfig of the config's seed.
 
 
@@ -148,6 +151,7 @@ def cmd_train(args):
     out = _out_dir(args.out)
     mode_name, use_sof = MODES[args.mode]
     train_cfg = cfgmod.train_config(cfg, mode=mode_name)
+    episode_classes(ds, cfg["train"]["m_classes"], cfg["train"]["n_samples"])
     refiner, sof_trace, train_ds = (_stage_one(ds, cfgmod.sof_config(cfg)) if use_sof
                                     else (None, None, ds))
     model = train_prototypes(train_ds, train_cfg)
@@ -233,6 +237,7 @@ def cmd_ablate(args):
              [cfgmod.train_config(cfg, mode=mode_name, seed=seed)
               for _, mode_name, _ in ladder])
             for seed in range(cfg["seed"], cfg["seed"] + args.seeds)]
+    episode_classes(ds, cfg["train"]["m_classes"], cfg["train"]["n_samples"])
     per_seed = {name: {"T": [], "U": [], "S": [], "H": []} for name, _, _ in ladder}
     for sof_cfg, train_cfgs in runs:
         refined_ds = _stage_one(ds, sof_cfg)[2]
@@ -281,6 +286,7 @@ def cmd_sweep(args):
         else:
             run_cfg = {**cfg, "hallucination": {**cfg["hallucination"], param: value}}
             train_cfgs.append(cfgmod.train_config(run_cfg, mode=mode_name))
+    episode_classes(ds, cfg["train"]["m_classes"], cfg["train"]["n_samples"])
 
     train_ds = _stage_one(ds, cfgmod.sof_config(cfg))[2] if use_sof else ds
     results = []

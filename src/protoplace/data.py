@@ -111,11 +111,8 @@ class AttributeTable:
         return self.values.shape[1]
 
     def rows(self, class_ids) -> np.ndarray:
-        ids = np.asarray(class_ids, dtype=np.int64).ravel()
-        if ids.size and (ids.min() < 0 or ids.max() >= self.num_classes):
-            bad = ids[(ids < 0) | (ids >= self.num_classes)][0]
-            raise ValidationError(f"class id {bad} outside attribute table")
-        return self.values[ids]
+        """The rows of ids in [0, num_classes), which SplitDataset.validate bounds."""
+        return self.values[np.asarray(class_ids, dtype=np.int64).ravel()]
 
 
 @dataclass
@@ -307,13 +304,24 @@ def read_json(path):
 _INTS = re.compile(r"(?:0|-?[1-9][0-9]*)(?:\n(?:0|-?[1-9][0-9]*))*|")
 
 
-def _ints(tokens: list[str]) -> np.ndarray:
+def read_ints(tokens: list[str]) -> np.ndarray:
     """The tokens, split out of one line, as int64; ValueError unless each
     matches _INTS, and OverflowError past int64."""
     if not _INTS.fullmatch("\n".join(tokens)):
-        bad = next(t for t in tokens if not _INTS.fullmatch(t))
+        bad = next(t for t in tokens if not t or not _INTS.fullmatch(t))
         raise ValueError(f"integer {bad!r} is not written as {int(bad)}")
     return np.array(tokens, dtype=np.int64)
+
+
+def read_floats(tokens: list[str]) -> list[float]:
+    """The tokens, split out of one line, as floats; ValueError where float()
+    cannot read one, or where one holds '_' or whitespace, which float()
+    reads past: "1_0" is not read as 10, nor " 1" as 1."""
+    text = ",".join(tokens)  # one pass over the line
+    if "_" in text or text != "".join(text.split()):
+        bad = next(t for t in tokens if "_" in t or t != "".join(t.split()))
+        raise ValueError(f"number {bad!r} holds '_' or a space")
+    return [float(t) for t in tokens]
 
 
 def _write_table(path, head: tuple[str, ...], prefix: str, values, ints=()) -> None:
@@ -329,8 +337,8 @@ def _write_table(path, head: tuple[str, ...], prefix: str, values, ints=()) -> N
 def _read_table(path, head: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The float columns (n, C) and integer columns (n, len(head) - 1) of a
     table _write_table wrote: the header must start with `head`, every row
-    must have the header's field count and no '_' or space, and the ids must
-    count 0..n-1."""
+    must have the header's field count, its numbers must read through
+    read_ints and read_floats, and the ids must count 0..n-1."""
     k = len(head)
     with open(path) as f:
         header = f.readline().rstrip("\n").split(",")
@@ -339,10 +347,7 @@ def _read_table(path, head: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
         c = len(header) - k
         ints, rows = [], []
         for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if "_" in line or line != "".join(line.split()):  # float() reads both
-                raise FormatError(f"{path}: row {lineno} holds '_' or a space")
-            parts = line.split(",")
+            parts = line.rstrip("\n").split(",")
             if len(parts) != c + k:
                 raise FormatError(f"{path}: row {lineno} has {len(parts)} fields, "
                                   f"expected {c + k}")
@@ -350,8 +355,8 @@ def _read_table(path, head: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
                 raise FormatError(f"{path}: row {lineno} has {head[0]} "
                                   f"{parts[0]!r}, expected {len(rows)}")
             try:
-                ints.append(_ints(parts[1:k]))
-                rows.append([float(p) for p in parts[k:]])
+                ints.append(read_ints(parts[1:k]))
+                rows.append(read_floats(parts[k:]))
             except (ValueError, OverflowError) as exc:
                 raise FormatError(f"{path}: row {lineno}: {exc}") from exc
     return (np.asarray(rows, dtype=np.float64).reshape(len(rows), c),
@@ -396,7 +401,7 @@ def read_split(path) -> dict[str, np.ndarray]:
             if key in out:
                 raise FormatError(f"{path}: line {lineno}: repeated section {key!r}")
             try:
-                out[key] = _ints(rest.split())
+                out[key] = read_ints(rest.split())
             except (ValueError, OverflowError) as exc:
                 raise FormatError(f"{path}: line {lineno}: {exc}") from exc
     missing = [k for k in SPLIT_KEYS if k not in out]
@@ -502,6 +507,18 @@ def class_major_labels(m: int, n: int) -> np.ndarray:
     return np.repeat(np.arange(m, dtype=np.int64), n)
 
 
+def episode_classes(ds: SplitDataset, m: int, n: int) -> np.ndarray:
+    """The positions, among ds.seen_classes, of the classes with at least n
+    train samples: the classes an episode of m classes and n samples each
+    draws from.  CapacityError if they are fewer than m."""
+    eligible = np.flatnonzero(ds.train_pools[0] >= n)
+    if m > eligible.size:
+        raise CapacityError(f"requested {m} classes with at least {n} train samples, "
+                            f"only {eligible.size} available (short by "
+                            f"{m - eligible.size})")
+    return eligible
+
+
 def sample_episode(ds: SplitDataset, m: int, n: int, rng: RngStream,
                    episodes: int | None = None) -> Episode:
     """M distinct seen classes, N train samples each, both without replacement.
@@ -513,12 +530,7 @@ def sample_episode(ds: SplitDataset, m: int, n: int, rng: RngStream,
     draw per class in row order (see RngStream.choices_without_replacement).
     Only the draws run per episode: the gathers run once per block."""
     sizes, starts, flat = ds.train_pools
-    eligible = np.flatnonzero(sizes >= n)
-    if m > eligible.size:
-        raise CapacityError(
-            f"requested {m} classes with at least {n} train samples, "
-            f"only {eligible.size} available (short by {m - eligible.size})"
-        )
+    eligible = episode_classes(ds, m, n)
     e = 1 if episodes is None else episodes
     chosen = np.empty((e, m), dtype=np.int64)
     picks = np.empty((e, m, n), dtype=np.int64)

@@ -97,13 +97,11 @@ def placeholder_draws(
     episodes whose class ids have shape `shape`: (M,) for one episode, (E, M)
     for a block.  Each episode draws its neighbours, then its Betas, in
     episode order; a forced Beta draws nothing.  Neighbour k of row i is
-    class k + (k >= i), one of the row's M - 1 other classes.
-    ParameterError if n_neighbors > M - 1 or the forced Beta is outside
-    [0, 1]."""
+    class k + (k >= i), one of the row's M - 1 other classes: TrainConfig
+    bounds n_neighbors by M - 1, and the forced Beta comes from
+    prototypes._PLACEHOLDERS."""
     m, k = shape[-1], cfg.n_neighbors
     rows = int(np.prod(shape))
-    if force_beta is not None and not 0.0 <= force_beta <= 1.0:
-        raise ParameterError("forced beta must lie in [0, 1]")
     picks = np.empty((rows, k), dtype=np.int64)
     betas = np.empty(rows) if force_beta is None else np.full(rows, float(force_beta))
     for lo in range(0, rows, m):

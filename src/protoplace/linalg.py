@@ -11,8 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, UsageError
-from .rng import RngStream
+from .errors import ParameterError, ShapeError, UsageError, require_ints, \
+    require_real
+from .rng import RngStream, check_seed
 
 ACTIVATIONS = ("relu", "identity")
 OPTIMIZER_MODES = ("sgd_momentum", "adam")
@@ -32,9 +33,8 @@ def require_finite(a: np.ndarray, what: str) -> np.ndarray:
 
 
 def softmax(scores, temperature: float = 1.0) -> np.ndarray:
-    """Max-stabilized softmax along the last axis; rows sum to 1."""
-    if temperature <= 0:
-        raise ParameterError(f"temperature must be positive, got {temperature}")
+    """Max-stabilized softmax along the last axis; rows sum to 1.  HalluConfig
+    checks the one temperature other than 1, sigma."""
     s = np.asarray(scores, dtype=np.float64) / temperature
     s = s - np.max(s, axis=-1, keepdims=True)
     e = np.exp(s)
@@ -205,10 +205,8 @@ class ForwardCache:
 
 def net_forward(net: MappingNet, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """The net applied to the rows of x (b, in), or of each matrix of a stack
-    x (..., b, in).  Checks only x's column count; project_prototypes checks
-    the output for non-finite values, the training loops their loss."""
-    if x.shape[-1] != net.in_dim:
-        raise ShapeError(f"input has {x.shape[-1]} columns, network expects {net.in_dim}")
+    x (..., b, in), in = net.in_dim (`eval` checks a loaded model's); the
+    callers check the output for non-finite values."""
     pre = x @ net.w1.T + net.b1
     hidden = np.maximum(pre, 0.0) if net.activation == "relu" else pre
     out = hidden @ net.w2.T + net.b2
@@ -298,12 +296,31 @@ def cosine_cross_entropy(
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
+def check_stage_config(cfg) -> None:
+    """The rules SofConfig and TrainConfig share, with one message each:
+    ParameterError unless cfg.epochs is an integer >= 0, cfg.learning_rate
+    and cfg.logit_scale are positive and finite, cfg.optimizer is one of
+    OPTIMIZER_MODES and cfg.seed is a 64-bit unsigned integer."""
+    require_ints(cfg, "epochs", "seed")
+    check_seed(cfg.seed)
+    for name in ("learning_rate", "logit_scale"):
+        require_real(name, getattr(cfg, name))
+    if cfg.epochs < 0:
+        raise ParameterError("epochs must be nonnegative")
+    # NaN fails too
+    if not (0 < cfg.learning_rate < np.inf and 0 < cfg.logit_scale < np.inf):
+        raise ParameterError("learning_rate and logit_scale must be positive "
+                             "and finite")
+    if cfg.optimizer not in OPTIMIZER_MODES:
+        raise ParameterError(f"unknown optimizer {cfg.optimizer!r}")
+
+
 @dataclass
 class OptimizerState:
-    """SofConfig and TrainConfig check the learning rate and momentum; the
-    mode is checked here, as optimizer_step runs Adam for any other mode.
-    The moment buffers are made on the first step, shaped like the
-    parameters."""
+    """The optimizer of a training stage: its config checked the mode and the
+    learning rate (check_stage_config), and SofConfig the momentum, the one
+    TrainConfig leaves at its default.  The moment buffers are made on the
+    first step, shaped like the parameters."""
 
     mode: str
     learning_rate: float
@@ -311,10 +328,6 @@ class OptimizerState:
     step_count: int = 0
     m: np.ndarray | None = field(default=None, repr=False)
     v: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.mode not in OPTIMIZER_MODES:
-            raise ParameterError(f"unknown optimizer mode {self.mode!r}")
 
 
 def optimizer_step(state: OptimizerState, params: np.ndarray,

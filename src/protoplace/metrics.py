@@ -131,9 +131,6 @@ class _LabelIndex(NamedTuple):
 def _label_index(labels, class_set) -> _LabelIndex:
     labels = np.asarray(labels, dtype=np.int64).ravel()
     classes = np.unique(np.asarray(class_set, dtype=np.int64))
-    stray = np.setdiff1d(labels, classes)
-    if stray.size:
-        raise ValidationError(f"label {stray[0]} outside the evaluated class set")
     pos = np.searchsorted(classes, labels)
     return _LabelIndex(labels, classes, pos,
                        np.bincount(pos, minlength=classes.size))
@@ -150,8 +147,12 @@ def _accuracy(preds: np.ndarray, index: _LabelIndex) -> tuple[float, np.ndarray]
 
 
 def per_class_accuracy(preds, labels, class_set) -> tuple[float, dict[int, float]]:
-    """Unweighted mean over classes of within-class top-1 accuracy."""
+    """Unweighted mean over classes of within-class top-1 accuracy.
+    ValidationError if a label is outside class_set."""
     preds = np.asarray(preds, dtype=np.int64).ravel()
+    stray = np.setdiff1d(labels, class_set)
+    if stray.size:
+        raise ValidationError(f"label {stray[0]} outside the evaluated class set")
     index = _label_index(labels, class_set)
     mean, acc = _accuracy(preds, index)
     return mean, dict(zip(index.classes[index.rows > 0].tolist(), acc.tolist()))
@@ -166,10 +167,7 @@ def harmonic_mean(u: float, s: float) -> float:
 def prototype_similarity(prototypes) -> SimilarityMatrix:
     """Pairwise cosine matrix; symmetric, with a diagonal of 1 for nonzero
     prototypes and 0 for zero-norm ones (their row scores 0 everywhere)."""
-    prototypes = as_matrix(prototypes, "prototypes")
-    if prototypes.shape[0] == 0:
-        raise ParameterError("at least one prototype required")
-    m = pairwise_cosine(prototypes)
+    m = pairwise_cosine(as_matrix(prototypes, "prototypes"))
     np.fill_diagonal(m, np.diagonal(m) != 0)
     return SimilarityMatrix(matrix=m)
 
@@ -187,10 +185,9 @@ def cs_sweep(
     (the first of a tie).  T is the ZSL accuracy on test_unseen against the
     unseen prototypes alone; U and S come from calibrated stacking over all
     prototypes.  Prototypes are projected and each test split is scored
-    once; a delta then costs O(rows) work per split (_TopScores)."""
+    once; a delta then costs O(rows) work per split (_TopScores).  The grid
+    is nonempty, and each test label in its split's class set."""
     grid = [float(d) for d in delta_grid]
-    if not grid:
-        raise ParameterError("delta grid must be nonempty")
     seen = np.sort(ds.seen_classes)
     unseen = np.sort(ds.unseen_classes)
     test_u, test_s = ds.test_unseen_idx, ds.test_seen_idx

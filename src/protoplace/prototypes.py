@@ -17,10 +17,10 @@ from .data import AttributeTable, Episode, SplitDataset, class_major_labels, \
 from .errors import FormatError, ParameterError, TrainingError, UsageError, \
     require_ints, require_real
 from .hallucinate import HalluConfig, HallucinatedEpisode, hallucinate
-from .linalg import ACTIVATIONS, OPTIMIZER_MODES, MappingNet, OptimizerState, \
+from .linalg import ACTIVATIONS, MappingNet, OptimizerState, check_stage_config, \
     cosine_cross_entropy, net_backward, net_forward, optimizer_step, require_finite, \
     target_indices, unit_rows
-from .rng import DEFAULT_SEED, RngStream, check_seed
+from .rng import DEFAULT_SEED, RngStream
 
 # What an episode does in each training mode: whether it hallucinates
 # placeholder classes, and the Beta forced on them (None: drawn from
@@ -57,25 +57,15 @@ class TrainConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        require_ints(self, "epochs", "episodes_per_epoch", "m_classes", "n_samples",
-                     "hidden_dim", "seed")
-        check_seed(self.seed)
-        for name in ("learning_rate", "logit_scale", "lambda_real"):
-            require_real(name, getattr(self, name))
-        if self.epochs < 0:
-            raise ParameterError("epochs must be nonnegative")
+        check_stage_config(self)
+        require_ints(self, "episodes_per_epoch", "m_classes", "n_samples", "hidden_dim")
+        require_real("lambda_real", self.lambda_real)
         if self.episodes_per_epoch is not None and self.episodes_per_epoch < 1:
             raise ParameterError("episodes_per_epoch must be at least 1")
         if self.m_classes < 1 or self.n_samples < 1:
             raise ParameterError("episode sizes must be positive")
         if self.hidden_dim is not None and self.hidden_dim < 1:
             raise ParameterError("hidden_dim must be at least 1")
-        # NaN fails too
-        if not (0 < self.learning_rate < np.inf and 0 < self.logit_scale < np.inf):
-            raise ParameterError("learning_rate and logit_scale must be positive "
-                                 "and finite")
-        if self.optimizer not in OPTIMIZER_MODES:
-            raise ParameterError(f"unknown optimizer {self.optimizer!r}")
         if not 0 <= self.lambda_real < np.inf:
             raise ParameterError("lambda_real must be nonnegative and finite")
         if self.mode not in _PLACEHOLDERS:
@@ -199,10 +189,7 @@ def project_prototypes(
     model: PrototypeModel, attributes: AttributeTable, class_ids
 ) -> np.ndarray:
     """Visual-space prototype for each requested class id (row-aligned)."""
-    ids = np.asarray(class_ids, dtype=np.int64).ravel()
-    if ids.size == 0:
-        raise ParameterError("class_ids must be nonempty")
-    out, _ = net_forward(model.net, attributes.rows(ids))
+    out, _ = net_forward(model.net, attributes.rows(class_ids))
     return require_finite(out, "network output")
 
 
@@ -240,16 +227,14 @@ def train_config_from(values: dict) -> TrainConfig:
 
 def save_model(model: PrototypeModel, out_dir, meta: dict | None = None) -> None:
     """Weights as binary matrices, and model.json: the format version, the
-    activation, the loss trace, every TrainConfig field and `meta`."""
-    meta = meta or {}
-    if not meta.keys() <= set(META_KEYS):
-        raise ParameterError(f"model.json meta keys must be among {META_KEYS}")
+    activation, the loss trace, every TrainConfig field and `meta`, whose
+    keys are among META_KEYS (load_model rejects any other)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_params(model.net, out_dir, "net")
     write_json(out_dir / "model.json", {
         "format_version": FORMAT_VERSION, "activation": model.net.activation,
-        "loss_trace": model.loss_trace, **asdict(model.config), **meta})
+        "loss_trace": model.loss_trace, **asdict(model.config), **(meta or {})})
 
 
 def load_model(in_dir) -> tuple[PrototypeModel, dict]:

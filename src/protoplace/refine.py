@@ -15,9 +15,9 @@ import numpy as np
 from .data import AttributeTable, SplitDataset, load_params, save_params, write_json
 from .errors import ParameterError, ShapeError, TrainingError, ValidationError, \
     require_ints, require_real
-from .linalg import OPTIMIZER_MODES, FlatParams, OptimizerState, as_matrix, \
+from .linalg import FlatParams, OptimizerState, as_matrix, check_stage_config, \
     cosine_cross_entropy, optimizer_step, target_indices, unit_rows
-from .rng import DEFAULT_SEED, RngStream, check_seed
+from .rng import DEFAULT_SEED, RngStream
 
 
 @dataclass
@@ -50,31 +50,13 @@ class SofConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        require_ints(self, "epochs", "batch_size", "seed")
-        check_seed(self.seed)
-        for name in ("learning_rate", "logit_scale", "momentum"):
-            require_real(name, getattr(self, name))
-        if self.epochs < 0:
-            raise ParameterError("epochs must be nonnegative")
-        # NaN fails too
-        if not (0 < self.learning_rate < np.inf and 0 < self.logit_scale < np.inf):
-            raise ParameterError("learning_rate and logit_scale must be positive "
-                                 "and finite")
-        if self.optimizer not in OPTIMIZER_MODES:
-            raise ParameterError(f"unknown optimizer {self.optimizer!r}")
+        check_stage_config(self)
+        require_ints(self, "batch_size")
+        require_real("momentum", self.momentum)
         if not 0.0 <= self.momentum < 1.0:
             raise ParameterError("momentum must be in [0, 1)")
         if self.batch_size < 1:
             raise ParameterError("batch_size must be at least 1")
-
-
-def _seen_targets(labels, seen: np.ndarray) -> np.ndarray:
-    """Each label's position among the ascending seen-class ids."""
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    stray = labels[~np.isin(labels, seen)]
-    if stray.size:
-        raise ValidationError(f"label {stray[0]} is not a seen class")
-    return np.searchsorted(seen, labels)
 
 
 def sof_loss(
@@ -89,10 +71,14 @@ def sof_loss(
     Returns the mean loss and its exact gradient w.r.t. refined_sem.
     """
     seen = np.unique(np.asarray(seen_classes, dtype=np.int64))
+    labels = np.asarray(labels, dtype=np.int64).ravel()
+    stray = labels[~np.isin(labels, seen)]
+    if stray.size:
+        raise ValidationError(f"label {stray[0]} is not a seen class")
     loss, grad = cosine_cross_entropy(
         unit_rows(as_matrix(refined_sem, "refined features")),
         unit_rows(attributes.rows(seen)),
-        target_indices(_seen_targets(labels, seen), seen.size), logit_scale,
+        target_indices(np.searchsorted(seen, labels), seen.size), logit_scale,
         wrt="queries")
     return float(loss), grad
 
@@ -115,9 +101,10 @@ def train_sof(ds: SplitDataset, cfg: SofConfig) -> tuple[RefinerParams, list[flo
         return params, []
 
     # the loss of sof_loss, with each train row's target and the unit rows of
-    # the seen-class attributes made and checked once, not per batch
+    # the seen-class attributes made once, not per batch; every train label
+    # is a seen class (SplitDataset.validate)
     x_all = ds.features[ds.train_idx]
-    t_all = _seen_targets(ds.labels[ds.train_idx], ds.seen_classes)
+    t_all = np.searchsorted(ds.seen_classes, ds.labels[ds.train_idx])
     seen_attrs = unit_rows(ds.attributes.rows(ds.seen_classes))
     k = ds.seen_classes.size
     opt = OptimizerState(mode=cfg.optimizer, learning_rate=cfg.learning_rate,

@@ -26,10 +26,8 @@ class RngStream:
     """Seeded random stream; equal seeds give equal draw sequences on any platform."""
 
     def __init__(self, seed: int):
-        seed = int(seed)
-        check_seed(seed)
-        self.seed = seed
-        self._gen = np.random.Generator(np.random.PCG64(seed))
+        self.seed = int(seed)
+        self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def derive(self, label: str) -> "RngStream":
         """Child stream keyed by (seed, label), stable across runs."""
@@ -48,8 +46,6 @@ class RngStream:
         return self._gen.permutation(n)
 
     def choice_without_replacement(self, n: int, k: int) -> np.ndarray:
-        if k > n:
-            raise ParameterError(f"cannot draw {k} of {n} items without replacement")
         return self._gen.permutation(n)[:k]
 
     def choices_without_replacement(self, rows: int, n: int, k: int) -> np.ndarray:
@@ -57,22 +53,19 @@ class RngStream:
         choice_without_replacement(n, k) calls, bit for bit, and the stream
         ends in the same state: `permuted` shuffles the rows in order with
         the shuffle `permutation` uses."""
-        if k > n:
-            raise ParameterError(f"cannot draw {k} of {n} items without replacement")
         out = np.arange(n)[None].repeat(rows, axis=0)
         return self._gen.permuted(out, axis=1, out=out)[:, :k]
 
     def gamma(self, shape, size=None):
         """Gamma draw(s); `shape` may be an array of positive shapes, drawn
         in order."""
-        if np.any(np.asarray(shape) <= 0):
-            raise ParameterError(f"gamma shape must be positive, got {shape}")
         return self._gen.standard_gamma(shape, size)
 
 
 def check_seed(seed: int) -> None:
     """ParameterError unless `seed` is a 64-bit unsigned integer.  The configs
-    with a seed check it when built, so a bad seed fails before any work."""
+    with a seed check it when built, so a bad seed fails before any work;
+    RngStream takes it unchecked, and `derive` makes 64-bit seeds only."""
     if not 0 <= seed < 2**64:
         raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
@@ -89,8 +82,7 @@ def beta_sample(rng: RngStream, alpha1: float, alpha2: float, size=None):
 
     Each Beta draws its two Gammas back to back, so `size=m` gives the same
     m values, bit for bit, as m scalar calls, and leaves the stream in the
-    same state.  Checks the shapes with check_beta_shapes."""
-    check_beta_shapes(alpha1, alpha2)
+    same state.  HalluConfig checks the shapes (check_beta_shapes)."""
     if size is None:
         x, y = rng.gamma(alpha1), rng.gamma(alpha2)
         total = x + y

@@ -247,17 +247,29 @@ class TestRunConfigsBuiltFirst:
         # the second seed is 2**64: rejected with the configs, not after the
         # first seed's runs
         ({"seed": 2**64 - 1}, ["ablate", "--seeds", "2"]),
+        ({"seed": -1}, ["train", "--mode", "full"]),
         # a range ending below its start holds no value, not an empty sweep
         ({}, ["sweep", "--param", "n", "--values", "5..2", "--mode", "full"]),
         # a hidden layer of no units: 1/sqrt(0) or a negative size in training
         ({"train": {"hidden_dim": 0}}, ["train", "--mode", "full"]),
         ({"train": {"hidden_dim": -1}}, ["train", "--mode", "full"]),
+        # the 8 seen classes cannot fill an episode of 9: rejected before
+        # stage one, not after it
+        ({"train": {"m_classes": 9}}, ["train", "--mode", "full"]),
+        ({"train": {"m_classes": 9}}, ["ablate", "--seeds", "3"]),
+        ({"train": {"m_classes": 9}}, ["sweep", "--param", "n", "--values", "1,2",
+                                       "--mode", "full"]),
+        # a repeated value would train twice and keep one manifest entry
+        ({}, ["sweep", "--param", "n", "--values", "1,1..2", "--mode", "ep"]),
+        ({}, ["sweep", "--param", "sigma", "--values", "0.1,1e-1", "--mode", "ep"]),
     ], ids=["eval NaN", "sof optimizer", "sof momentum", "train optimizer",
             "train neighbours", "ablate neighbours", "sweep sigma",
             "sweep neighbours", "learning_rate true", "lambda_real true",
             "sigma true", "noise_scale true", "ablate no seeds",
-            "ablate negative seeds", "ablate seed past 64 bits",
-            "sweep descending range", "hidden_dim 0", "hidden_dim -1"])
+            "ablate negative seeds", "ablate seed past 64 bits", "seed -1",
+            "sweep descending range", "hidden_dim 0", "hidden_dim -1",
+            "train capacity", "ablate capacity", "sweep capacity",
+            "sweep repeated n", "sweep repeated sigma"])
     def test_bad_value_exits_2_before_training(self, workdir, training_calls,
                                                capsys, sections, argv):
         tmp_path, cfg = workdir
@@ -456,6 +468,21 @@ class TestEval:
         assert (out / "similarity_seen.csv").exists()
         assert (out / "similarity_unseen.csv").exists()
 
+    def test_no_unseen_class_writes_no_unseen_files(self, trained):
+        # an empty class set is skipped, not projected: no T, no unseen
+        # similarity file
+        tmp_path, cfg, data, model = trained
+        split = data / "split.txt"
+        split.write_text("".join(f"{line.split(':')[0]}:\n"
+                                 if line.startswith(("unseen:", "test_unseen:"))
+                                 else line for line in
+                                 split.read_text().splitlines(keepends=True)))
+        out = tmp_path / "eval"
+        assert run("eval", "--model", model, "--data", data, "--out", out) == 0
+        assert (out / "report.csv").read_text().splitlines()[1].startswith(",,")
+        assert (out / "similarity_seen.csv").exists()
+        assert not (out / "similarity_unseen.csv").exists()
+
     def test_singleton_grid(self, trained):
         tmp_path, cfg, data, model = trained
         out = tmp_path / "eval1"
@@ -467,8 +494,10 @@ class TestEval:
     def test_unparsable_grid_exits_2(self, trained):
         tmp_path, cfg, data, model = trained
         for spec in ("0:1", "0.1,x", "1:0:0.1", "nan,0.5", "0:inf:0.1",
-                     # empty tokens
-                     "0,,0.5", "0,0.5,", ":0:1:0.1", "0:1:0.1:"):
+                     # empty tokens, and no delta at all
+                     "0,,0.5", "0,0.5,", ":0:1:0.1", "0:1:0.1:", "",
+                     # float() reads '_' and surrounding spaces: 0_5 as 5
+                     "0_5,1", "0:1_0:0.5", " 1 ,2", "0:1:0.5 "):
             assert run("eval", "--model", model, "--data", data,
                        "--out", tmp_path / "e", "--delta-grid", spec) == 2, spec
 
@@ -679,7 +708,10 @@ class TestSweep:
                    tmp_path / "s", "--param", "sigma", "--values", "1e-308",
                    "--mode", "ep-ei") == 0
 
-    @pytest.mark.parametrize("values", ["x", "1..2..3", "a..3", "1,,2", "0..2,"])
+    @pytest.mark.parametrize("values", [
+        "x", "1..2..3", "a..3", "1,,2", "0..2,", "..2",
+        # int() and float() read '_', a sign and spaces: 1_0..1_1 as 10..11
+        "1_0..1_1", "+1..2", "1..02", " 1 ,2", "1, 2", "1_0"])
     def test_unparsable_values_exit_2(self, workdir, values, capsys):
         tmp_path, cfg = workdir
         data = make_data(tmp_path, cfg)

@@ -253,6 +253,20 @@ class TestValidation:
                          unseen_classes=[1, 2], train_idx=[0, 2],
                          test_seen_idx=[1], test_unseen_idx=[3])
 
+    @pytest.mark.parametrize("train,test_seen,test_unseen", [
+        ([0, 3], [1], []), ([0, 2], [3], []), ([0, 2], [], [1]),
+    ], ids=["unseen in train", "unseen in test_seen", "seen in test_unseen"])
+    def test_label_outside_its_split_class_set_rejected(self, train, test_seen,
+                                                        test_unseen):
+        # the one check of the labels that stage one and the sweep index by
+        # class set; samples 0-2 are of seen classes, sample 3 of unseen 2
+        ds = tiny_dataset()
+        with pytest.raises(ValidationError, match="outside its class set"):
+            SplitDataset(features=ds.features, labels=ds.labels,
+                         attributes=ds.attributes, seen_classes=[0, 1],
+                         unseen_classes=[2], train_idx=train,
+                         test_seen_idx=test_seen, test_unseen_idx=test_unseen)
+
     def test_zero_norm_attribute_row_rejected(self):
         with pytest.raises(ValidationError):
             AttributeTable([[1.0, 0.0], [0.0, 0.0]])

@@ -107,11 +107,6 @@ class TestPropagationWeights:
                 outside = outside[outside != i]
                 assert np.all(pw.w[i, outside] == 0.0)
 
-    def test_too_many_neighbors_rejected(self):
-        ep = random_episode(3, m=4)
-        with pytest.raises(ParameterError):
-            hallucinate(ep, HalluConfig(n_neighbors=4), RngStream(0))
-
     def test_space_swap_leaves_weights_unchanged(self):
         # harmonization is the mean of the two spaces' weights
         ep = random_episode(4, m=5, n=1, c=4, d=4)
@@ -249,12 +244,6 @@ class TestInterpolate:
         ep = random_episode(11, m=6)
         hep = hallucinate(ep, HalluConfig(n_neighbors=3), RngStream(6))
         assert np.all(hep.betas >= 0.0) and np.all(hep.betas <= 1.0)
-
-    def test_bad_forced_beta(self):
-        ep = random_episode(12, m=3)
-        with pytest.raises(ParameterError):
-            hallucinate(ep, HalluConfig(n_neighbors=2), RngStream(0),
-                        force_beta=1.5)
 
 
 class TestHallucinate:

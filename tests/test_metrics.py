@@ -271,11 +271,6 @@ class TestEvaluate:
         reports2, best2 = cs_sweep(model, ds, [0.1, 0.1])
         assert best2 == 0.1 and reports2[0].H == reports2[1].H
 
-    def test_empty_grid_rejected(self):
-        ds, model = trained_setup(seed=5)
-        with pytest.raises(ParameterError):
-            cs_sweep(model, ds, [])
-
     def test_default_grid_shape(self):
         grid = delta_grid(DEFAULTS)
         assert len(grid) == 51
@@ -453,12 +448,6 @@ class TestSweepParity:
     def test_trained_model_parity(self):
         ds, model = trained_setup(seed=8)
         self.assert_parity(ds, model)
-
-    def test_stray_label_rejected(self):
-        ds, model, _ = tie_dataset()
-        ds.labels[ds.test_seen_idx[5]] = 99  # mutated past SplitDataset checks
-        with pytest.raises(ValidationError, match="99"):
-            cs_sweep(model, ds, [0.0, 0.5])
 
     def test_wide_grid_parity(self):
         # negative and huge deltas: at 1e20 every seen score rounds to -1e20

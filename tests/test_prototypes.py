@@ -7,7 +7,7 @@ import pytest
 from protoplace.data import AttributeTable, SplitDataset, SynthConfig, \
     generate_synthetic, sample_episode
 from protoplace.errors import FormatError, ParameterError, TrainingError, \
-    UsageError, ValidationError
+    UsageError
 from protoplace.hallucinate import HalluConfig, hallucinate
 from protoplace.linalg import MappingNet, net_forward
 from protoplace.prototypes import PrototypeModel, TrainConfig, load_model, \
@@ -287,14 +287,6 @@ class TestProjectPrototypes:
         assert np.array_equal(protos[0], protos[1])
         assert not np.array_equal(protos[0], protos[2])
 
-    def test_unknown_class_id(self):
-        ds = bench(seed=16)
-        model = fresh_model(ds)
-        with pytest.raises(ValidationError, match="99"):
-            project_prototypes(model, ds.attributes, [0, 99])
-        with pytest.raises(ParameterError):
-            project_prototypes(model, ds.attributes, [])
-
 
 class TestModelIO:
     def test_round_trip_preserves_predictions(self, tmp_path):
@@ -342,11 +334,6 @@ class TestModelIO:
         path.write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match="model.json"):
             load_model(tmp_path)
-
-    def test_unknown_meta_key_rejected(self, tmp_path):
-        model = PrototypeModel(net=MappingNet.init(4, 6), config=small_cfg())
-        with pytest.raises(ParameterError):
-            save_model(model, tmp_path, meta={"note": "x"})
 
 
 class TestTrainConfig:

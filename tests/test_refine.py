@@ -107,6 +107,40 @@ class TestTrainSof:
         assert np.array_equal(p1.f_lin, p2.f_lin)
         assert t1 == t2
 
+    @pytest.mark.parametrize("before", [0, 2])
+    def test_parameter_gradient_matches_finite_differences(self, before):
+        # with sgd_momentum, momentum 0 and learning rate 1 a full-batch step
+        # moves the parameters by minus the gradient of sof_loss over the
+        # train rows w.r.t. f_lin and w_proj.  The first step starts from
+        # f_lin = I, where x @ f_lin equals x; after two steps it does not.
+        ds = small_bench(seed=4, noise=0.3)
+        x, labels = ds.features[ds.train_idx], ds.labels[ds.train_idx]
+
+        def cfg(epochs):
+            return SofConfig(epochs=epochs, batch_size=x.shape[0], learning_rate=1.0,
+                             optimizer="sgd_momentum", momentum=0.0, seed=4)
+
+        params, _ = train_sof(ds, cfg(before))
+        grad = params.flat - train_sof(ds, cfg(before + 1))[0].flat
+
+        def loss():
+            sem = x @ params.f_lin @ params.w_proj
+            return sof_loss(sem, labels, ds.attributes, ds.seen_classes, 10.0)[0]
+
+        step = 1e-5
+        num = np.zeros_like(grad)
+        for i in range(grad.size):
+            orig = params.flat[i]
+            params.flat[i] = orig + step
+            hi = loss()
+            params.flat[i] = orig - step
+            lo = loss()
+            params.flat[i] = orig
+            num[i] = (hi - lo) / (2 * step)
+        # criterion 3's bound
+        denom = np.maximum(np.maximum(np.abs(grad), np.abs(num)), 1e-5)
+        assert np.max(np.abs(grad - num) / denom) < 1e-4
+
 
 def reference_train_sof(ds, cfg):
     """train_sof with the seen-class attributes looked up, normalised and

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from protoplace.errors import ParameterError
-from protoplace.rng import MAX_BETA_SHAPE, RngStream, beta_sample
+from protoplace.rng import MAX_BETA_SHAPE, RngStream, beta_sample, \
+    check_beta_shapes, check_seed
 
 
 def test_equal_seeds_give_equal_sequences():
@@ -29,10 +30,12 @@ def test_derive_is_deterministic_and_label_sensitive():
 
 
 def test_seed_range_validated():
+    # the configs' check; RngStream takes any seed they pass
     with pytest.raises(ParameterError):
-        RngStream(-1)
+        check_seed(-1)
     with pytest.raises(ParameterError):
-        RngStream(2**64)
+        check_seed(2**64)
+    check_seed(2**64 - 1)
 
 
 def test_beta_sequence_reproducible():
@@ -57,11 +60,11 @@ def test_beta_empirical_mean(a1, a2):
 
 
 def test_beta_rejects_bad_shapes():
-    rng = RngStream(0)
+    # HalluConfig's check; beta_sample draws from the shapes it passed
     with pytest.raises(ParameterError):
-        beta_sample(rng, 0.0, 1.0)
+        check_beta_shapes(0.0, 1.0)
     with pytest.raises(ParameterError):
-        beta_sample(rng, 1.0, -2.0)
+        check_beta_shapes(1.0, -2.0)
 
 
 @pytest.mark.parametrize("a1,a2", [(math.inf, 1.0), (1.0, math.inf),
@@ -69,9 +72,8 @@ def test_beta_rejects_bad_shapes():
 def test_beta_rejects_shapes_above_bound(a1, a2):
     # an infinite shape gives inf / inf = NaN, and two huge shapes overflow
     # the Gamma sum to inf, which gave Betas of 0 where Beta(a, a) is ~0.5
-    for size in (None, 3):
-        with pytest.raises(ParameterError, match="Beta shapes"):
-            beta_sample(RngStream(0), a1, a2, size=size)
+    with pytest.raises(ParameterError, match="Beta shapes"):
+        check_beta_shapes(a1, a2)
 
 
 def test_beta_at_shape_bound_is_finite():
@@ -85,10 +87,6 @@ def test_choice_without_replacement():
     rng = RngStream(5)
     pick = rng.choice_without_replacement(10, 10)
     assert sorted(pick.tolist()) == list(range(10))
-    with pytest.raises(ParameterError):
-        rng.choice_without_replacement(3, 4)
-    with pytest.raises(ParameterError):
-        rng.choices_without_replacement(2, 3, 4)
 
 
 # The batched draws below equal successive single draws bit for bit and

@@ -10,7 +10,17 @@ with each tree: `synth`, `train` in every mode, one `eval` of the four
 models on the config's grid and one on a comma grid, `ablate --seeds 2`,
 one `sweep` over n_neighbors and one `sweep` per sigma value; then a CSV
 leg, which checks the CSV table reader and writer:
-`synth --format csv`, `train --mode full` on that data and its `eval`.
+`synth --format csv`, `train --mode full` on that data and its `eval`;
+then an error leg, whose steps each break one rule that the program checks
+where the input enters, and so are expected to fail on both sides:
+`error_train_optimizer` and `error_sof_optimizer` (an unknown optimizer),
+`error_alpha1` (a Beta shape of 0), `error_neighbours` (n_neighbors above
+m_classes - 1), `error_seed` (seed -1), `error_capacity` and
+`error_capacity_ablate` (more classes per episode than the data has),
+`error_delta_grid` (an empty `--delta-grid=`) and `error_eval_dims` (`eval`
+of a model on the data of `synth_other`, whose dimensions differ).  The
+sweep at sigma 1e-310, below the smallest sigma accepted, is an expected
+failure too.
 Every step runs in its own process with PYTHONPATH set to the tree's `src`
 and one BLAS thread, from the same relative paths, so that its standard
 output, standard error and exit code (kept as `<step>.stdout`,
@@ -19,13 +29,14 @@ the tree's `src` path reads `SRC`, so a warning's source line compares
 equal across checkouts.
 
 Every file that differs, or exists on one side only, is listed, and so is
-every step that exits non-zero under both trees: equal outputs of a step
-that failed on both sides (an expected configuration error, or a broken
-command line) are not hidden inside `identical`.
+every other step that exits non-zero under both trees: equal outputs of
+a step that failed on both sides (a broken command line) are not hidden
+inside `identical`.  An expected failure that exits 0 on
+either side is listed too: the rule it breaks went unchecked.
 Each `manifest.json` is compared as parsed JSON without its
 `duration_seconds`, the one field that holds a wall time.
-Exit status 0: no file differs; 1: some file differs.  Standard library
-only; the CLI processes need numpy.
+Exit status 0: no file differs and every expected failure failed; 1
+otherwise.  Standard library only; the CLI processes need numpy.
 """
 from __future__ import annotations
 
@@ -60,6 +71,28 @@ CONFIGS = {
 # row of these configurations is that close, at 1e13 about one row in ten of
 # the benchmark-sized ones is, so both paths run.
 EVAL_GRID = "-0.5,0,0.37,2,1e6,1e13"
+# The error leg's steps that read a config: per step, its overrides of the
+# configuration's config, written to `<step>.json`, and the command.
+ERRORS = {
+    "error_train_optimizer": ({"train": {"optimizer": "sgd"}},
+                              ["train", "--mode", "full"]),
+    "error_sof_optimizer": ({"sof": {"optimizer": "rmsprop"}},
+                            ["train", "--mode", "full"]),
+    "error_alpha1": ({"hallucination": {"alpha1": 0}}, ["train", "--mode", "full"]),
+    "error_neighbours": ({"train": {"m_classes": 3},
+                          "hallucination": {"n_neighbors": 3}},
+                         ["train", "--mode", "ep-ei"]),
+    "error_seed": ({"seed": -1}, ["train", "--mode", "full"]),
+    "error_capacity": ({"train": {"m_classes": 1000}}, ["train", "--mode", "full"]),
+    "error_capacity_ablate": ({"train": {"m_classes": 1000}},
+                              ["ablate", "--seeds", "2"]),
+}
+# The dataset that `error_eval_dims` evaluates the full model on: dimensions
+# that neither configuration has.
+OTHER_SYNTH = {"seen_count": 4, "unseen_count": 2, "attr_dim": 5, "feat_dim": 7,
+               "train_per_class": 4, "test_per_class": 2}
+EXPECTED_FAILURES = ("sweep_sigma_1e-310", *ERRORS, "error_delta_grid",
+                     "error_eval_dims")
 
 
 def src_dir(tree: str) -> Path:
@@ -68,6 +101,12 @@ def src_dir(tree: str) -> Path:
         if (candidate / "protoplace" / "cli.py").is_file():
             return candidate
     raise SystemExit(f"compare_outputs: no protoplace sources under {path}")
+
+
+def with_overrides(config: dict, overrides: dict) -> dict:
+    """config with the keys of each section in overrides replaced."""
+    return {**config, **{k: {**config.get(k, {}), **v} if isinstance(v, dict) else v
+                         for k, v in overrides.items()}}
 
 
 def steps(n_values: str) -> list[tuple[str, list[str]]]:
@@ -92,12 +131,25 @@ def steps(n_values: str) -> list[tuple[str, list[str]]]:
                            "--mode", "full"]),
             ("eval_csv", ["eval", "--model", "train_csv/model", "--data", "data_csv",
                           "--out", "eval_csv"])]
+    out += [(name, [argv[0], "--config", f"{name}.json", *data, "--out", name,
+                    *argv[1:]]) for name, (_, argv) in ERRORS.items()]
+    full = ["--model", "train_full/model"]
+    out += [("error_delta_grid", ["eval", *full, *data, "--out", "error_delta_grid",
+                                  "--delta-grid="]),
+            ("synth_other", ["synth", "--config", "other.json", "--out", "data_other"]),
+            ("error_eval_dims", ["eval", *full, "--data", "data_other",
+                                 "--out", "error_eval_dims"])]
     return out
 
 
 def run_tree(src: Path, work: Path, config: dict, n_values: str) -> None:
     work.mkdir(parents=True)
-    (work / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True))
+    configs = {"config": config,
+               "other": with_overrides(config, {"synth": OTHER_SYNTH}),
+               **{name: with_overrides(config, overrides)
+                  for name, (overrides, _) in ERRORS.items()}}
+    for name, record in configs.items():
+        (work / f"{name}.json").write_text(json.dumps(record, indent=2, sort_keys=True))
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     for name, argv in steps(n_values):
@@ -131,14 +183,18 @@ def differing(a: Path, b: Path) -> list[str]:
     return out
 
 
-def failed_on_both(a: Path, b: Path, n_values: str) -> list[str]:
-    """Each step that exits non-zero under both trees, with its exit codes."""
-    out = []
+def unexpected_exits(a: Path, b: Path, n_values: str) -> tuple[list[str], list[str]]:
+    """The steps that exit non-zero under both trees, and the expected
+    failures that exit 0 under either, with their exit codes."""
+    failed, passed = [], []
     for name, _ in steps(n_values):
         codes = [(root / f"{name}.exit").read_text().strip() for root in (a, b)]
-        if "0" not in codes:
-            out.append(f"{name} (exit {' / '.join(dict.fromkeys(codes))})")
-    return out
+        step = f"{name} (exit {' / '.join(dict.fromkeys(codes))})"
+        if name in EXPECTED_FAILURES and "0" in codes:
+            passed.append(step)
+        elif name not in EXPECTED_FAILURES and "0" not in codes:
+            failed.append(step)
+    return failed, passed
 
 
 def main(argv=None) -> int:
@@ -152,17 +208,23 @@ def main(argv=None) -> int:
     trees = {"parent": src_dir(args.parent), "change": src_dir(args.change)}
     work = Path(args.work) if args.work else Path(tempfile.mkdtemp(prefix="cmp-"))
     diffs = []
-    failed = 0
+    failed = unfailed = 0
     try:
         for label, (config, n_values) in CONFIGS.items():
             for side, src in trees.items():
                 run_tree(src, work / side / label, config, n_values)
             a, b = work / "parent" / label, work / "change" / label
             found = differing(a, b)
-            print(f"{label}: {len(found)} differing file(s)")
-            for step in failed_on_both(a, b, n_values):
+            failed_steps, passed_steps = unexpected_exits(a, b, n_values)
+            print(f"{label}: {len(found)} differing file(s); "
+                  f"{len(EXPECTED_FAILURES) - len(passed_steps)} of "
+                  f"{len(EXPECTED_FAILURES)} expected failures failed")
+            for step in failed_steps:
                 print(f"  failed on both sides: {step}")
-                failed += 1
+            for step in passed_steps:
+                print(f"  expected failure did not fail: {step}")
+            failed += len(failed_steps)
+            unfailed += len(passed_steps)
             diffs += [f"{label}/{rel}" for rel in found]
     finally:
         if not args.work:
@@ -170,8 +232,10 @@ def main(argv=None) -> int:
     for rel in diffs:
         print(f"  differs: {rel}")
     summary = "identical" if not diffs else f"{len(diffs)} differing file(s)"
+    if unfailed:
+        summary += f"; {unfailed} expected failure(s) did not fail"
     print(f"{summary}; {failed} step(s) failed on both sides" if failed else summary)
-    return 1 if diffs else 0
+    return 1 if diffs or unfailed else 0
 
 
 if __name__ == "__main__":
