@@ -11,7 +11,6 @@ Exit codes: 0 ok, 2 configuration, 3 missing input, 4 numeric failure,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 import time
 from pathlib import Path
@@ -19,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .data import episode_classes, generate_synthetic, load_dataset_dir, read_floats, \
-    read_ints, save_dataset, write_csv, write_json
+from .data import dataset_fingerprint, episode_classes, generate_synthetic, \
+    load_dataset_dir, read_floats, read_ints, save_dataset, write_csv, write_json
 from .errors import CapacityError, ConfigError, FormatError, ParameterError, \
     ShapeError, TrainingError, UsageError, ValidationError
 from .metrics import cs_sweep, prototype_similarity
@@ -49,16 +48,6 @@ def _out_dir(path: str) -> Path:
     p = Path(path)
     p.mkdir(parents=True, exist_ok=True)
     return p
-
-
-def _dataset_fingerprint(data_dir) -> str:
-    """sha256 over the name and bytes of each dataset file, in path order."""
-    d = Path(data_dir)
-    h = hashlib.sha256()
-    for p in sorted([*d.glob("*.bin"), *d.glob("*.csv"), *d.glob("split.txt")]):
-        h.update(p.name.encode())
-        h.update(p.read_bytes())
-    return h.hexdigest()
 
 
 def _pct(x) -> str:
@@ -142,7 +131,7 @@ def cmd_synth(args):
     paths = save_dataset(ds, out, format=args.format)
     print(f"wrote {ds.features.shape[0]} samples to {out}")
     return out, cfg, cfg["seed"], paths, {"samples": int(ds.features.shape[0]),
-                                          "fingerprint": _dataset_fingerprint(out)}
+                                          "fingerprint": dataset_fingerprint(out)}
 
 
 def cmd_train(args):
@@ -363,7 +352,7 @@ def main(argv=None) -> int:
     try:
         out, cfg, seed, outputs, metrics = args.func(args)
         if "data" in args:
-            metrics["dataset_fingerprint"] = _dataset_fingerprint(args.data)
+            metrics["dataset_fingerprint"] = dataset_fingerprint(args.data)
         write_json(out / "manifest.json", {
             "command": ["protoplace", *argv], "config": cfg, "seed": seed,
             "outputs": {k: str(v) for k, v in outputs.items()}, "metrics": metrics,

@@ -1,14 +1,13 @@
 """Dataset containers, file formats, episodic sampling, and the synthetic
 attribute-conditioned benchmark.
 
-On-disk formats
----------------
+On-disk formats (DATASET_FILES names each format's files)
+---------------------------------------------------------
 * Binary matrices: magic ``LPLF``, two little-endian uint32 (rows, cols),
   then rows*cols little-endian float32, row-major.  Bit-exact round trips.
-* Labels: a one-column binary matrix next to the features
-  (``features.labels.bin``).  float32 holds every id up to 2**24 exactly;
-  saving an id it cannot hold, or loading a value that is not a nonnegative
-  integer, raises FormatError.
+* Labels: a one-column binary matrix beside the binary features.  float32
+  holds every id up to 2**24 exactly; saving an id it cannot hold, or
+  loading a value that is not a nonnegative integer, raises FormatError.
 * CSV features: header ``id,label,f0..f{C-1}``, where the ids are the row
   numbers 0..n-1 in order; CSV attributes: header ``class_id,a0..a{D-1}``,
   where the class ids are 0..L-1 in order.
@@ -20,6 +19,7 @@ On-disk formats
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import re
@@ -363,23 +363,6 @@ def _read_table(path, head: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
             np.asarray(ints, dtype=np.int64).reshape(len(rows), k - 1))
 
 
-def write_features_csv(path, features, labels) -> None:
-    _write_table(path, ("id", "label"), "f", features, [labels])
-
-
-def read_features_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    features, ints = _read_table(path, ("id", "label"))
-    return features, ints[:, 0]
-
-
-def write_attributes_csv(path, values) -> None:
-    _write_table(path, ("class_id",), "a", values)
-
-
-def read_attributes_csv(path) -> np.ndarray:
-    return _read_table(path, ("class_id",))[0]
-
-
 def write_split(path, splits: dict[str, np.ndarray]) -> None:
     with open(path, "w") as f:
         for key in SPLIT_KEYS:
@@ -414,8 +397,37 @@ def read_split(path) -> dict[str, np.ndarray]:
 # dataset save / load
 
 
-def _labels_path(features_path: Path) -> Path:
-    return features_path.parent / (features_path.stem + ".labels" + features_path.suffix)
+# Each format's dataset files by role: the attributes, the features, the
+# labels (binary only: the CSV features hold them) and the split.
+# save_dataset writes them, load_dataset_dir reads them and
+# dataset_fingerprint hashes them; no other module of the package names them.
+DATASET_FILES = {
+    "binary": {"attributes": "attributes.bin", "features": "features.bin",
+               "labels": "features.labels.bin", "split": "split.txt"},
+    "csv": {"attributes": "attributes.csv", "features": "features.csv",
+            "split": "split.txt"},
+}
+
+
+def dataset_files(data_dir) -> tuple[str, dict[str, Path]]:
+    """The format of the dataset in data_dir and the paths of its files by
+    role: binary if features.bin is there, else CSV.  FileNotFoundError if
+    data_dir holds neither or is missing."""
+    data_dir = Path(data_dir)
+    for format, names in DATASET_FILES.items():
+        if (data_dir / names["features"]).exists():
+            return format, {role: data_dir / name for role, name in names.items()}
+    raise FileNotFoundError(f"no dataset files under {data_dir}")
+
+
+def dataset_fingerprint(data_dir) -> str:
+    """sha256 over the name and bytes of each file load_dataset_dir reads
+    from data_dir, in name order: other files there do not count."""
+    h = hashlib.sha256()
+    for path in sorted(dataset_files(data_dir)[1].values()):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 def _read_labels(path: Path) -> np.ndarray:
@@ -428,6 +440,8 @@ def _read_labels(path: Path) -> np.ndarray:
 
 
 def save_dataset(ds: SplitDataset, out_dir, format: str = "binary") -> dict[str, Path]:
+    """The dataset as the files DATASET_FILES[format] names in out_dir; the
+    paths of its features, attributes and split files."""
     if format == "binary":
         inexact = ds.labels[ds.labels.astype(np.float32) != ds.labels]
         if inexact.size:
@@ -435,8 +449,8 @@ def save_dataset(ds: SplitDataset, out_dir, format: str = "binary") -> dict[str,
                               "for the label sidecar")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    split_path = out_dir / "split.txt"
-    write_split(split_path, {
+    paths = {role: out_dir / name for role, name in DATASET_FILES[format].items()}
+    write_split(paths["split"], {
         "seen": ds.seen_classes,
         "unseen": ds.unseen_classes,
         "train": ds.train_idx,
@@ -444,35 +458,28 @@ def save_dataset(ds: SplitDataset, out_dir, format: str = "binary") -> dict[str,
         "test_unseen": ds.test_unseen_idx,
     })
     if format == "binary":
-        features_path = out_dir / "features.bin"
-        attributes_path = out_dir / "attributes.bin"
-        save_matrix(features_path, ds.features)
-        save_matrix(_labels_path(features_path), ds.labels.astype(np.float64)[:, None])
-        save_matrix(attributes_path, ds.attributes.values)
-    elif format == "csv":
-        features_path = out_dir / "features.csv"
-        attributes_path = out_dir / "attributes.csv"
-        write_features_csv(features_path, ds.features, ds.labels)
-        write_attributes_csv(attributes_path, ds.attributes.values)
+        save_matrix(paths["features"], ds.features)
+        save_matrix(paths["labels"], ds.labels.astype(np.float64)[:, None])
+        save_matrix(paths["attributes"], ds.attributes.values)
     else:
-        raise ParameterError(f"unknown format {format!r}")
-    return {"features": features_path, "attributes": attributes_path,
-            "split": split_path}
+        _write_table(paths["features"], ("id", "label"), "f", ds.features, [ds.labels])
+        _write_table(paths["attributes"], ("class_id",), "a", ds.attributes.values)
+    return {role: paths[role] for role in ("features", "attributes", "split")}
 
 
-def load_dataset(features_path, attributes_path, split_path,
-                 format: str = "binary") -> SplitDataset:
-    features_path = Path(features_path)
+def load_dataset_dir(data_dir) -> SplitDataset:
+    """The dataset save_dataset wrote to data_dir, in the format
+    dataset_files finds there."""
+    format, paths = dataset_files(data_dir)
     if format == "binary":
-        features = load_matrix(features_path)
-        labels = _read_labels(_labels_path(features_path))
-        attributes = load_matrix(attributes_path)
-    elif format == "csv":
-        features, labels = read_features_csv(features_path)
-        attributes = read_attributes_csv(attributes_path)
+        features = load_matrix(paths["features"])
+        labels = _read_labels(paths["labels"])
+        attributes = load_matrix(paths["attributes"])
     else:
-        raise ParameterError(f"unknown format {format!r}")
-    splits = read_split(split_path)
+        features, ints = _read_table(paths["features"], ("id", "label"))
+        labels = ints[:, 0]
+        attributes = _read_table(paths["attributes"], ("class_id",))[0]
+    splits = read_split(paths["split"])
     return SplitDataset(
         features=features,
         labels=labels,
@@ -483,18 +490,6 @@ def load_dataset(features_path, attributes_path, split_path,
         test_seen_idx=splits["test_seen"],
         test_unseen_idx=splits["test_unseen"],
     )
-
-
-def load_dataset_dir(data_dir) -> SplitDataset:
-    """The dataset save_dataset wrote to data_dir: binary if features.bin is
-    there, else CSV.  FileNotFoundError if it holds neither or is missing."""
-    data_dir = Path(data_dir)
-    for format, ext in (("binary", "bin"), ("csv", "csv")):
-        features_path = data_dir / f"features.{ext}"
-        if features_path.exists():
-            return load_dataset(features_path, data_dir / f"attributes.{ext}",
-                                data_dir / "split.txt", format=format)
-    raise FileNotFoundError(f"no dataset files under {data_dir}")
 
 
 # ---------------------------------------------------------------------------

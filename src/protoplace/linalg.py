@@ -11,11 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, UsageError, require_ints, \
-    require_real
+from .errors import ParameterError, ShapeError, require_ints, require_real
 from .rng import RngStream, check_seed
 
-ACTIVATIONS = ("relu", "identity")
 OPTIMIZER_MODES = ("sgd_momentum", "adam")
 
 
@@ -123,7 +121,7 @@ class FlatParams:
 
 @dataclass
 class MappingNet(FlatParams):
-    """out = W2 * act(W1 * x + b1) + b2, applied row-wise.  The weights and
+    """out = W2 * relu(W1 * x + b1) + b2, applied row-wise.  The weights and
     biases are views of `flat` (see FlatParams); the net keeps its own copy
     of the arrays it is given."""
 
@@ -133,15 +131,12 @@ class MappingNet(FlatParams):
     b1: np.ndarray  # hidden
     w2: np.ndarray  # out x hidden
     b2: np.ndarray  # out
-    activation: str = "relu"
 
     def __post_init__(self):
         self.w1 = as_matrix(self.w1, "w1")
         self.w2 = as_matrix(self.w2, "w2")
         self.b1 = np.asarray(self.b1, dtype=np.float64).ravel()
         self.b2 = np.asarray(self.b2, dtype=np.float64).ravel()
-        if self.activation not in ACTIVATIONS:
-            raise ParameterError(f"unknown activation {self.activation!r}")
         hidden = self.w1.shape[0]
         if hidden < 1:
             raise ShapeError("hidden width must be at least 1")
@@ -172,7 +167,6 @@ class MappingNet(FlatParams):
         out_dim: int,
         hidden_dim: int | None = None,
         rng: RngStream | None = None,
-        activation: str = "relu",
     ) -> "MappingNet":
         """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights and biases.
 
@@ -191,13 +185,11 @@ class MappingNet(FlatParams):
             b1=rng.uniform(-s1, s1, hidden),
             w2=rng.uniform(-s2, s2, (out_dim, hidden)),
             b2=rng.uniform(-s2, s2, out_dim),
-            activation=activation,
         )
 
 
 @dataclass
 class ForwardCache:
-    net: MappingNet
     x: np.ndarray
     pre: np.ndarray
     hidden: np.ndarray
@@ -208,18 +200,16 @@ def net_forward(net: MappingNet, x: np.ndarray) -> tuple[np.ndarray, ForwardCach
     x (..., b, in), in = net.in_dim (`eval` checks a loaded model's); the
     callers check the output for non-finite values."""
     pre = x @ net.w1.T + net.b1
-    hidden = np.maximum(pre, 0.0) if net.activation == "relu" else pre
+    hidden = np.maximum(pre, 0.0)
     out = hidden @ net.w2.T + net.b2
-    return out, ForwardCache(net=net, x=x, pre=pre, hidden=hidden)
+    return out, ForwardCache(x=x, pre=pre, hidden=hidden)
 
 
 def net_backward(net: MappingNet, cache: ForwardCache, g: np.ndarray) -> np.ndarray:
     """Exact parameter gradients of the forward map for the output gradient
     g, as a vector of net.flat's layout, or one per matrix of a stacked
-    forward pass (..., net.flat.size).  Checks only that the cache is net's;
-    the products check g's shape."""
-    if cache.net is not net:
-        raise UsageError("forward cache does not belong to this network")
+    forward pass (..., net.flat.size).  `cache` is the one net_forward
+    returned for net; the products check g's shape."""
     out = np.empty((*g.shape[:-2], net.flat.size))
     grads = net.views(out)
     # column sums of each (b, k) matrix add its rows in order, as a 2-D
@@ -227,8 +217,7 @@ def net_backward(net: MappingNet, cache: ForwardCache, g: np.ndarray) -> np.ndar
     np.matmul(np.swapaxes(g, -1, -2), cache.hidden, out=grads["w2"])
     np.add.reduce(g, axis=-2, out=grads["b2"])
     gh = g @ net.w2
-    if net.activation == "relu":
-        gh *= cache.pre > 0
+    gh *= cache.pre > 0
     np.matmul(np.swapaxes(gh, -1, -2), cache.x, out=grads["w1"])
     np.add.reduce(gh, axis=-2, out=grads["b1"])
     return out

@@ -17,7 +17,7 @@ from .data import AttributeTable, Episode, SplitDataset, class_major_labels, \
 from .errors import FormatError, ParameterError, TrainingError, UsageError, \
     require_ints, require_real
 from .hallucinate import HalluConfig, HallucinatedEpisode, hallucinate
-from .linalg import ACTIVATIONS, MappingNet, OptimizerState, check_stage_config, \
+from .linalg import MappingNet, OptimizerState, check_stage_config, \
     cosine_cross_entropy, net_backward, net_forward, optimizer_step, require_finite, \
     target_indices, unit_rows
 from .rng import DEFAULT_SEED, RngStream
@@ -197,6 +197,8 @@ def project_prototypes(
 # persistence
 
 FORMAT_VERSION = 1
+# model.json records MappingNet's hidden activation, which is always ReLU.
+ACTIVATION = "relu"
 # model.json keys besides the TrainConfig fields, and the optional ones that
 # the CLI's `train` adds through `meta`.
 FORMAT_KEYS = ("format_version", "activation", "loss_trace")
@@ -227,22 +229,23 @@ def train_config_from(values: dict) -> TrainConfig:
 
 def save_model(model: PrototypeModel, out_dir, meta: dict | None = None) -> None:
     """Weights as binary matrices, and model.json: the format version, the
-    activation, the loss trace, every TrainConfig field and `meta`, whose
+    ACTIVATION, the loss trace, every TrainConfig field and `meta`, whose
     keys are among META_KEYS (load_model rejects any other)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_params(model.net, out_dir, "net")
     write_json(out_dir / "model.json", {
-        "format_version": FORMAT_VERSION, "activation": model.net.activation,
+        "format_version": FORMAT_VERSION, "activation": ACTIVATION,
         "loss_trace": model.loss_trace, **asdict(model.config), **(meta or {})})
 
 
 def load_model(in_dir) -> tuple[PrototypeModel, dict]:
     """The model save_model wrote, and its model.json.  Net shapes come from
     the weight files.  A model.json that is not JSON, repeats a key, has a
-    format_version other than the integer FORMAT_VERSION, misses or adds a
-    key, records a used_sof that is not a bool or a loss_trace that is not a
-    list of real numbers raises FormatError."""
+    format_version other than the integer FORMAT_VERSION or an activation
+    other than ACTIVATION, misses or adds a key, records a used_sof that is
+    not a bool or a loss_trace that is not a list of real numbers raises
+    FormatError."""
     in_dir = Path(in_dir)
     path = in_dir / "model.json"
     try:
@@ -256,8 +259,8 @@ def load_model(in_dir) -> tuple[PrototypeModel, dict]:
             raise FormatError(f"missing key '{missing[0]}'")
         cfg = train_config_from({k: v for k, v in manifest.items()
                                  if k not in FORMAT_KEYS + META_KEYS})
-        if manifest["activation"] not in ACTIVATIONS:
-            raise FormatError(f"unknown activation {manifest['activation']!r}")
+        if manifest["activation"] != ACTIVATION:
+            raise FormatError(f"activation must be {ACTIVATION!r}")
         if not isinstance(manifest.get("used_sof", False), bool):
             raise FormatError("used_sof must be true or false")
         if not isinstance(manifest["loss_trace"], list):
@@ -267,6 +270,5 @@ def load_model(in_dir) -> tuple[PrototypeModel, dict]:
         loss_trace = [float(x) for x in manifest["loss_trace"]]
     except (ValueError, TypeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    net = MappingNet(**load_params(MappingNet, in_dir, "net"),
-                     activation=manifest["activation"])
+    net = MappingNet(**load_params(MappingNet, in_dir, "net"))
     return PrototypeModel(net=net, config=cfg, loss_trace=loss_trace), manifest

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import AttributeTable, SplitDataset, load_params, save_params, write_json
-from .errors import ParameterError, ShapeError, TrainingError, ValidationError, \
-    require_ints, require_real
+from .data import AttributeTable, SplitDataset, load_params, read_json, save_params, \
+    write_json
+from .errors import FormatError, ParameterError, ShapeError, TrainingError, \
+    ValidationError, require_ints, require_real
 from .linalg import FlatParams, OptimizerState, as_matrix, check_stage_config, \
     cosine_cross_entropy, optimizer_step, target_indices, unit_rows
 from .rng import DEFAULT_SEED, RngStream
@@ -69,8 +70,14 @@ def sof_loss(
     """Cosine cross-entropy of projected features against seen-class attributes.
 
     Returns the mean loss and its exact gradient w.r.t. refined_sem.
+    ValidationError unless every seen class has an attribute row and every
+    label is a seen class.
     """
     seen = np.unique(np.asarray(seen_classes, dtype=np.int64))
+    if seen.size and (seen[0] < 0 or seen[-1] >= attributes.num_classes):
+        bad = seen[0] if seen[0] < 0 else seen[-1]
+        raise ValidationError(f"seen class {bad} has no attribute row "
+                              f"(L = {attributes.num_classes})")
     labels = np.asarray(labels, dtype=np.int64).ravel()
     stray = labels[~np.isin(labels, seen)]
     if stray.size:
@@ -159,8 +166,22 @@ def save_refiner(params: RefinerParams, out_dir, meta: dict | None = None) -> No
 def load_refiner(in_dir) -> RefinerParams:
     """The refiner save_refiner wrote.  FileNotFoundError where refiner.json
     is missing, as where a weight file is: a model whose model.json records
-    used_sof is incomplete without it."""
+    used_sof is incomplete without it.  FormatError where refiner.json is
+    not JSON, repeats a key, or records an f_lin_shape or w_proj_shape that
+    is not its weight file's shape, as a list of integers."""
     in_dir = Path(in_dir)
-    if not (in_dir / "refiner.json").is_file():
+    path = in_dir / "refiner.json"
+    if not path.is_file():
         raise FileNotFoundError(f"no refiner.json under {in_dir}")
-    return RefinerParams(**load_params(RefinerParams, in_dir, "refiner"))
+    try:
+        record = read_json(path)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    params = RefinerParams(**load_params(RefinerParams, in_dir, "refiner"))
+    for name in RefinerParams.PARAMS:
+        key, shape = f"{name}_shape", list(getattr(params, name).shape)
+        value = record.get(key) if isinstance(record, dict) else None
+        if value != shape or any(type(v) is not int for v in value):
+            raise FormatError(f"{path}: {key} must be {shape}, the shape of "
+                              "the weights")
+    return params

@@ -592,6 +592,39 @@ class TestEval:
         assert rc == 3
         assert "refiner.json" in capsys.readouterr().err
 
+    def test_sof_model_with_malformed_refiner_json_exits_5(self, workdir, capsys):
+        # test_refine.py checks each malformed record; here, the exit code
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        out = tmp_path / "run_full"
+        assert run("train", "--config", cfg, "--data", data, "--out", out,
+                   "--mode", "full") == 0
+        (out / "model" / "refiner.json").write_text("not json at all")
+        rc = run("eval", "--model", out / "model", "--data", data,
+                 "--out", tmp_path / "e")
+        assert rc == 5
+        assert "refiner.json" in capsys.readouterr().err
+
+    def test_eval_into_data_dir_keeps_fingerprint(self, trained):
+        # the eval's own CSV files beside the dataset are not dataset files
+        tmp_path, cfg, data, model = trained
+        synth = json.loads((data / "manifest.json").read_text())
+        train = json.loads((model.parent / "manifest.json").read_text())
+        assert run("eval", "--model", model, "--data", data, "--out", data) == 0
+        assert (data / "sweep.csv").exists()
+        ev = json.loads((data / "manifest.json").read_text())
+        assert ev["metrics"]["dataset_fingerprint"] == \
+            train["metrics"]["dataset_fingerprint"] == synth["metrics"]["fingerprint"]
+
+    def test_stray_file_beside_dataset_not_fingerprinted(self, trained):
+        tmp_path, cfg, data, model = trained
+        synth = json.loads((data / "manifest.json").read_text())
+        (data / "notes.csv").write_text("note\nkept beside the data\n")
+        out = tmp_path / "e"
+        assert run("eval", "--model", model, "--data", data, "--out", out) == 0
+        ev = json.loads((out / "manifest.json").read_text())
+        assert ev["metrics"]["dataset_fingerprint"] == synth["metrics"]["fingerprint"]
+
     def test_missing_model_exits_3(self, trained):
         tmp_path, cfg, data, model = trained
         rc = run("eval", "--model", tmp_path / "ghost", "--data", data,

@@ -6,7 +6,7 @@ from protoplace.data import (
     SplitDataset,
     SynthConfig,
     generate_synthetic,
-    load_dataset,
+    dataset_files,
     load_dataset_dir,
     load_matrix,
     sample_episode,
@@ -70,8 +70,7 @@ class TestDatasetIO:
     def test_csv_fixture_counts(self, tmp_path):
         ds = tiny_dataset()
         paths = save_dataset(ds, tmp_path, format="csv")
-        loaded = load_dataset(paths["features"], paths["attributes"],
-                              paths["split"], format="csv")
+        loaded = load_dataset_dir(tmp_path)
         assert loaded.train_idx.size == 2
         assert loaded.test_seen_idx.size == 1
         assert loaded.test_unseen_idx.size == 1
@@ -94,8 +93,7 @@ class TestDatasetIO:
         ds = tiny_dataset()
         ds.features[0, 0] = 0.123456789123
         paths = save_dataset(ds, tmp_path, format="csv")
-        loaded = load_dataset(paths["features"], paths["attributes"],
-                              paths["split"], format="csv")
+        loaded = load_dataset_dir(tmp_path)
         assert np.max(np.abs(loaded.features - ds.features)) < 1e-7
 
     def test_split_naming_out_of_range_class(self, tmp_path):
@@ -104,8 +102,7 @@ class TestDatasetIO:
         split = paths["split"].read_text().replace("unseen: 2", "unseen: 3")
         paths["split"].write_text(split)
         with pytest.raises(ValidationError, match="3"):
-            load_dataset(paths["features"], paths["attributes"], paths["split"],
-                         format="csv")
+            load_dataset_dir(tmp_path)
 
     @pytest.mark.parametrize("extra", ["unseen: 2\n", "seen: 0\n"],
                              ids=["same ids", "other ids"])
@@ -116,8 +113,7 @@ class TestDatasetIO:
         with open(paths["split"], "a") as f:
             f.write(extra)
         with pytest.raises(FormatError, match="repeated section"):
-            load_dataset(paths["features"], paths["attributes"], paths["split"],
-                         format="csv")
+            load_dataset_dir(tmp_path)
 
     @pytest.mark.parametrize("ids", ["+0 1", "00 1", "-0 1", "0 0_1",
                                      "0 99999999999999999999"])
@@ -158,8 +154,7 @@ class TestDatasetIO:
             test_unseen_idx=[],
         )
         paths = save_dataset(ds2, tmp_path, format="csv")
-        loaded = load_dataset(paths["features"], paths["attributes"],
-                              paths["split"], format="csv")
+        loaded = load_dataset_dir(tmp_path)
         assert loaded.test_unseen_idx.size == 0
 
     def test_malformed_row_names_location(self, tmp_path):
@@ -169,8 +164,7 @@ class TestDatasetIO:
         lines[2] = lines[2] + ",999"
         paths["features"].write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match="row 3"):
-            load_dataset(paths["features"], paths["attributes"], paths["split"],
-                         format="csv")
+            load_dataset_dir(tmp_path)
 
     @pytest.mark.parametrize("bad_id", ["999", "abc", "1", ""])
     def test_features_csv_ids_are_row_numbers(self, tmp_path, bad_id):
@@ -179,8 +173,7 @@ class TestDatasetIO:
         lines[1] = bad_id + "," + lines[1].split(",", 1)[1]
         paths["features"].write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match="row 2 has id"):
-            load_dataset(paths["features"], paths["attributes"], paths["split"],
-                         format="csv")
+            load_dataset_dir(tmp_path)
 
     @pytest.mark.parametrize("edit", ["abc", "swap"])
     def test_attributes_csv_class_ids_are_row_numbers(self, tmp_path, edit):
@@ -194,8 +187,7 @@ class TestDatasetIO:
         lines[1:] = [",".join(r) for r in rows]
         paths["attributes"].write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match="row 2 has class_id"):
-            load_dataset(paths["features"], paths["attributes"], paths["split"],
-                         format="csv")
+            load_dataset_dir(tmp_path)
 
     def test_label_past_float32_precision_rejected_on_save(self, tmp_path):
         ds = tiny_dataset()
@@ -219,15 +211,18 @@ class TestDatasetIO:
             load_dataset_dir(tmp_path)
 
     def test_dir_format_is_detected(self, tmp_path):
+        ds = tiny_dataset()
         for format in ("binary", "csv"):
-            paths = save_dataset(tiny_dataset(), tmp_path / format, format=format)
+            save_dataset(ds, tmp_path / format, format=format)
+            assert dataset_files(tmp_path / format)[0] == format
             loaded = load_dataset_dir(tmp_path / format)
-            ref = load_dataset(paths["features"], paths["attributes"],
-                               paths["split"], format=format)
-            assert loaded.features.tobytes() == ref.features.tobytes()
-            assert loaded.labels.tobytes() == ref.labels.tobytes()
-            assert loaded.attributes.values.tobytes() == \
-                ref.attributes.values.tobytes()
+            assert np.array_equal(loaded.labels, ds.labels)
+            assert np.max(np.abs(loaded.features - ds.features)) < 1e-7
+            assert np.max(np.abs(loaded.attributes.values
+                                 - ds.attributes.values)) < 1e-7
+        # beside a binary dataset, CSV files are not read
+        save_dataset(ds, tmp_path / "binary", format="csv")
+        assert dataset_files(tmp_path / "binary")[0] == "binary"
 
     def test_dir_without_dataset_files(self, tmp_path):
         (tmp_path / "split.txt").write_text("seen:\n")

@@ -56,10 +56,11 @@ class TestLosses:
         assert all(np.max(np.abs(g)) < 1e-12 for g in grads.values())
 
     def test_hand_two_class_orthogonal(self):
-        # identity-ish net mapping attributes straight through to visual space
+        # identity weights map the nonnegative attributes straight through
+        # the relu to visual space
         attrs = np.eye(2)
         net = MappingNet(w1=np.eye(2), b1=np.zeros(2), w2=np.eye(2),
-                         b2=np.zeros(2), activation="identity")
+                         b2=np.zeros(2))
         model = PrototypeModel(net=net, config=small_cfg())
         from protoplace.data import Episode
         ep = Episode(class_ids=np.array([0, 1]),
@@ -322,9 +323,11 @@ class TestModelIO:
         lambda m: m.pop("loss_trace"),
         lambda m: m.update(epochs="two"),
         lambda m: m.update(activation="tanh"),
+        lambda m: m.update(activation="identity"),
     ], ids=["missing", "missing section", "missing in section", "unknown",
             "unknown in section", "no version", "other version",
-            "no loss trace", "wrong type", "unknown activation"])
+            "no loss trace", "wrong type", "unknown activation",
+            "identity activation"])
     def test_model_json_is_strict(self, tmp_path, edit):
         model = train_prototypes(bench(seed=19), small_cfg())
         save_model(model, tmp_path)

@@ -5,7 +5,8 @@ import pytest
 
 from protoplace.data import AttributeTable, SplitDataset, SynthConfig, \
     generate_synthetic
-from protoplace.errors import ParameterError, ShapeError, ValidationError
+from protoplace.errors import FormatError, ParameterError, ShapeError, \
+    ValidationError
 from protoplace.linalg import OptimizerState, optimizer_step
 from protoplace.refine import RefinerParams, SofConfig, load_refiner, \
     refine_features, save_refiner, sof_loss, train_sof
@@ -34,6 +35,14 @@ class TestSofLoss:
         attrs = orthogonal_attrs(3, 3)
         with pytest.raises(ValidationError, match="2"):
             sof_loss(np.eye(3), [0, 1, 2], attrs, [0, 1], 10.0)
+
+    @pytest.mark.parametrize("seen,bad", [([-1, 0], "-1"), ([0, 5], "5")],
+                             ids=["negative", "past the table"])
+    def test_seen_class_without_attribute_row_rejected(self, seen, bad):
+        # -1 would index the last row, class 2's; 5 is past the table
+        attrs = AttributeTable(np.eye(3))
+        with pytest.raises(ValidationError, match=f"seen class {bad} "):
+            sof_loss(np.eye(3)[:1], [seen[0]], attrs, seen, 10.0)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -244,6 +253,24 @@ class TestRefinerIO:
         assert np.array_equal(loaded.f_lin, params.f_lin.astype(np.float32))
         assert np.array_equal(loaded.w_proj, params.w_proj.astype(np.float32))
         assert (tmp_path / "refiner.json").exists()
+
+    @pytest.mark.parametrize("text", [
+        "not json at all",
+        "[6, 6]",
+        '{"f_lin_shape": [6, 6], "w_proj_shape": [6, 4], "seed": 0, "seed": 1}',
+        '{"f_lin_shape": [6, 6]}',
+        '{"f_lin_shape": [6, 6], "w_proj_shape": [6, 5]}',
+        '{"f_lin_shape": [6.0, 6], "w_proj_shape": [6, 4]}',
+        '{"f_lin_shape": [6, 6], "w_proj_shape": [6, 4, 1]}',
+    ], ids=["not json", "not an object", "repeated key", "missing shape",
+            "other shape", "float dimension", "extra dimension"])
+    def test_record_checked_against_weights(self, tmp_path, text):
+        params, _ = train_sof(small_bench(seed=10, noise=0.2), SofConfig(epochs=0))
+        assert (params.f_lin.shape, params.w_proj.shape) == ((6, 6), (6, 4))
+        save_refiner(params, tmp_path)
+        (tmp_path / "refiner.json").write_text(text)
+        with pytest.raises(FormatError, match="refiner.json"):
+            load_refiner(tmp_path)
 
     def test_non_square_rejected(self):
         with pytest.raises(ShapeError):

@@ -17,8 +17,9 @@ where the input enters, and so are expected to fail on both sides:
 `error_alpha1` (a Beta shape of 0), `error_neighbours` (n_neighbors above
 m_classes - 1), `error_seed` (seed -1), `error_capacity` and
 `error_capacity_ablate` (more classes per episode than the data has),
-`error_delta_grid` (an empty `--delta-grid=`) and `error_eval_dims` (`eval`
-of a model on the data of `synth_other`, whose dimensions differ).  The
+`error_delta_grid` (an empty `--delta-grid=`), `error_eval_dims` (`eval`
+of a model on the data of `synth_other`, whose dimensions differ) and
+`error_no_dataset` (`eval` whose `--data` is an empty directory).  The
 sweep at sigma 1e-310, below the smallest sigma accepted, is an expected
 failure too.
 Every step runs in its own process with PYTHONPATH set to the tree's `src`
@@ -92,7 +93,7 @@ ERRORS = {
 OTHER_SYNTH = {"seen_count": 4, "unseen_count": 2, "attr_dim": 5, "feat_dim": 7,
                "train_per_class": 4, "test_per_class": 2}
 EXPECTED_FAILURES = ("sweep_sigma_1e-310", *ERRORS, "error_delta_grid",
-                     "error_eval_dims")
+                     "error_eval_dims", "error_no_dataset")
 
 
 def src_dir(tree: str) -> Path:
@@ -138,12 +139,15 @@ def steps(n_values: str) -> list[tuple[str, list[str]]]:
                                   "--delta-grid="]),
             ("synth_other", ["synth", "--config", "other.json", "--out", "data_other"]),
             ("error_eval_dims", ["eval", *full, "--data", "data_other",
-                                 "--out", "error_eval_dims"])]
+                                 "--out", "error_eval_dims"]),
+            ("error_no_dataset", ["eval", *full, "--data", "data_empty",
+                                  "--out", "error_no_dataset"])]
     return out
 
 
 def run_tree(src: Path, work: Path, config: dict, n_values: str) -> None:
     work.mkdir(parents=True)
+    (work / "data_empty").mkdir()  # the --data of error_no_dataset
     configs = {"config": config,
                "other": with_overrides(config, {"synth": OTHER_SYNTH}),
                **{name: with_overrides(config, overrides)
