@@ -23,8 +23,8 @@ from .data import dataset_fingerprint, episode_classes, generate_synthetic, \
 from .errors import CapacityError, ConfigError, FormatError, ParameterError, \
     ShapeError, TrainingError, UsageError, ValidationError
 from .metrics import cs_sweep, prototype_similarity
-from .prototypes import PrototypeModel, load_model, project_prototypes, save_model, \
-    train_prototypes
+from .prototypes import _PLACEHOLDERS, PrototypeModel, load_model, project_prototypes, \
+    save_model, train_prototypes
 from .refine import load_refiner, refine_features, save_refiner, train_sof
 
 # Every pipeline: its `--mode` name and its ablation-ladder row name (None
@@ -268,6 +268,9 @@ def cmd_sweep(args):
                           f"one of {', '.join(SWEEP_PARAMS)}")
     values = _parse_sweep_values(args.values, param)
     mode_name, use_sof = MODES[args.mode]
+    if not _PLACEHOLDERS[mode_name][0]:
+        raise ConfigError(f"--mode {args.mode} never hallucinates, so no run would "
+                          f"use {args.param}")
     train_cfgs = []
     for value in values:
         if param == "n_neighbors" and value == 0:  # hallucination disabled

@@ -1,6 +1,6 @@
 """Dense float64 numerics: matrix helpers, cosine / softmax primitives, a
-two-layer mapping network with hand-derived gradients, and first-order
-optimizers.
+two-layer mapping network with hand-derived gradients, first-order
+optimizers and the epoch loop of both training stages.
 
 Everything here is 64-bit; file formats downcast to 32-bit only at the I/O
 boundary (see data.py).
@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, require_ints, require_real
+from .errors import ParameterError, ShapeError, TrainingError, require_ints, \
+    require_real
 from .rng import RngStream, check_seed
 
 OPTIMIZER_MODES = ("sgd_momentum", "adam")
@@ -350,3 +351,20 @@ def optimizer_step(state: OptimizerState, params: np.ndarray,
     vhat = v / (1.0 - b2**t)
     params -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     return params
+
+
+@np.errstate(over="ignore", invalid="ignore")  # divergence: the loss check reports it
+def fit(opt: OptimizerState, params: np.ndarray, epochs: int, epoch_steps,
+        stage: str) -> list[float]:
+    """Both stages' epoch loop: one optimizer_step on `params` per (loss, gradient
+    at the current weights) that `epoch_steps()` yields; returns epoch mean losses."""
+    trace: list[float] = []
+    for epoch in range(epochs):
+        losses = []
+        for loss, grad in epoch_steps():
+            if not np.isfinite(loss):
+                raise TrainingError(f"{stage} loss diverged at epoch {epoch}")
+            optimizer_step(opt, params, grad)
+            losses.append(loss)
+        trace.append(float(np.mean(losses)))
+    return trace

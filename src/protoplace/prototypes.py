@@ -14,11 +14,11 @@ import numpy as np
 
 from .data import AttributeTable, Episode, SplitDataset, class_major_labels, \
     load_params, read_json, sample_episode, save_params, write_json
-from .errors import FormatError, ParameterError, TrainingError, UsageError, \
-    require_ints, require_real
+from .errors import FormatError, ParameterError, UsageError, require_ints, \
+    require_real
 from .hallucinate import HalluConfig, HallucinatedEpisode, hallucinate
 from .linalg import MappingNet, OptimizerState, check_stage_config, \
-    cosine_cross_entropy, net_backward, net_forward, optimizer_step, require_finite, \
+    cosine_cross_entropy, fit, net_backward, net_forward, require_finite, \
     target_indices, unit_rows
 from .rng import DEFAULT_SEED, RngStream
 
@@ -128,7 +128,6 @@ def real_loss(
                         logit_scale)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # divergence: the loss check reports it
 def train_prototypes(ds: SplitDataset, cfg: TrainConfig) -> PrototypeModel:
     """Each step is one stacked_loss call over the episode's placeholder and
     real passes, combined as loss p + lambda_real * r and gradient
@@ -139,9 +138,6 @@ def train_prototypes(ds: SplitDataset, cfg: TrainConfig) -> PrototypeModel:
     rng = RngStream(cfg.seed)
     net = MappingNet.init(ds.attr_dim, ds.feat_dim, cfg.hidden_dim,
                           rng.derive("init"))
-    model = PrototypeModel(net=net, config=cfg)
-    if cfg.epochs == 0:
-        return model
 
     rng_ep = rng.derive("episodes")
     rng_hal = rng.derive("hallucination")
@@ -157,8 +153,7 @@ def train_prototypes(ds: SplitDataset, cfg: TrainConfig) -> PrototypeModel:
     # every pass labels its samples class-major, as sample_episode does
     at = target_indices(np.broadcast_to(class_major_labels(m, n), (depth, m * n)), m)
 
-    for epoch in range(cfg.epochs):
-        epoch_losses = []
+    def epoch_steps():
         for done in range(0, per_epoch, EPISODE_BLOCK):
             size = min(EPISODE_BLOCK, per_epoch - done)
             block = sample_episode(ds, m, n, rng_ep, episodes=size)
@@ -177,12 +172,9 @@ def train_prototypes(ds: SplitDataset, cfg: TrainConfig) -> PrototypeModel:
                     total = total + lam * losses[1]
                     grads[1] *= lam
                     grads[0] += grads[1]
-                if not np.isfinite(total):
-                    raise TrainingError(f"prototype loss diverged at epoch {epoch}")
-                optimizer_step(opt, net.flat, grads[0])
-                epoch_losses.append(total)
-        model.loss_trace.append(float(np.mean(epoch_losses)))
-    return model
+                yield total, grads[0]
+    return PrototypeModel(net=net, config=cfg, loss_trace=fit(
+        opt, net.flat, cfg.epochs, epoch_steps, "prototype"))
 
 
 def project_prototypes(

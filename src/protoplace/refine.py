@@ -14,10 +14,10 @@ import numpy as np
 
 from .data import AttributeTable, SplitDataset, load_params, read_json, save_params, \
     write_json
-from .errors import FormatError, ParameterError, ShapeError, TrainingError, \
-    ValidationError, require_ints, require_real
+from .errors import FormatError, ParameterError, ShapeError, ValidationError, \
+    require_ints, require_real
 from .linalg import FlatParams, OptimizerState, as_matrix, check_stage_config, \
-    cosine_cross_entropy, optimizer_step, target_indices, unit_rows
+    cosine_cross_entropy, fit, target_indices, unit_rows
 from .rng import DEFAULT_SEED, RngStream
 
 
@@ -90,7 +90,6 @@ def sof_loss(
     return float(loss), grad
 
 
-@np.errstate(over="ignore", invalid="ignore")  # divergence: the loss check reports it
 def train_sof(ds: SplitDataset, cfg: SofConfig) -> tuple[RefinerParams, list[float]]:
     """Minimize the semantic alignment loss over train minibatches.
 
@@ -104,8 +103,6 @@ def train_sof(ds: SplitDataset, cfg: SofConfig) -> tuple[RefinerParams, list[flo
         f_lin=np.eye(c),
         w_proj=rng.uniform(-1.0 / np.sqrt(c), 1.0 / np.sqrt(c), (c, d)),
     )
-    if cfg.epochs == 0:
-        return params, []
 
     # the loss of sof_loss, with each train row's target and the unit rows of
     # the seen-class attributes made once, not per batch; every train label
@@ -118,13 +115,12 @@ def train_sof(ds: SplitDataset, cfg: SofConfig) -> tuple[RefinerParams, list[flo
                          momentum=cfg.momentum)
     grad = np.empty_like(params.flat)
     g_views = params.views(grad)
-    trace: list[float] = []
     n = x_all.shape[0]
-    for epoch in range(cfg.epochs):
+
+    def epoch_steps():
         order = rng.permutation(n)
         # each batch's target indices: the epoch's, less the rows before it
         at_epoch = target_indices(t_all[order], k)
-        losses = []
         for start in range(0, n, cfg.batch_size):
             take = order[start:start + cfg.batch_size]
             xb = x_all[take]
@@ -134,14 +130,10 @@ def train_sof(ds: SplitDataset, cfg: SofConfig) -> tuple[RefinerParams, list[flo
                 unit_rows(sem), seen_attrs,
                 at_epoch[start:start + cfg.batch_size] - start * k,
                 cfg.logit_scale, wrt="queries")
-            if not np.isfinite(loss):
-                raise TrainingError(f"refinement loss diverged at epoch {epoch}")
             np.matmul(refined.T, g_sem, out=g_views["w_proj"])
             np.matmul(xb.T, g_sem @ params.w_proj.T, out=g_views["f_lin"])
-            optimizer_step(opt, params.flat, grad)
-            losses.append(loss)
-        trace.append(float(np.mean(losses)))
-    return params, trace
+            yield loss, grad
+    return params, fit(opt, params.flat, cfg.epochs, epoch_steps, "refinement")
 
 
 def refine_features(ds: SplitDataset, params: RefinerParams) -> SplitDataset:

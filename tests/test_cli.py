@@ -262,6 +262,8 @@ class TestRunConfigsBuiltFirst:
         # a repeated value would train twice and keep one manifest entry
         ({}, ["sweep", "--param", "n", "--values", "1,1..2", "--mode", "ep"]),
         ({}, ["sweep", "--param", "sigma", "--values", "0.1,1e-1", "--mode", "ep"]),
+        # s2v never hallucinates: every run would ignore the swept value
+        ({}, ["sweep", "--param", "sigma", "--values", "0.05,0.2,1", "--mode", "s2v"]),
     ], ids=["eval NaN", "sof optimizer", "sof momentum", "train optimizer",
             "train neighbours", "ablate neighbours", "sweep sigma",
             "sweep neighbours", "learning_rate true", "lambda_real true",
@@ -269,7 +271,7 @@ class TestRunConfigsBuiltFirst:
             "ablate negative seeds", "ablate seed past 64 bits", "seed -1",
             "sweep descending range", "hidden_dim 0", "hidden_dim -1",
             "train capacity", "ablate capacity", "sweep capacity",
-            "sweep repeated n", "sweep repeated sigma"])
+            "sweep repeated n", "sweep repeated sigma", "sweep s2v"])
     def test_bad_value_exits_2_before_training(self, workdir, training_calls,
                                                capsys, sections, argv):
         tmp_path, cfg = workdir
@@ -401,6 +403,7 @@ class TestTrain:
     def test_divergence_prints_no_warnings(self, workdir, capsys, section, mode):
         # one "numeric failure" line names the stage and epoch; numpy's
         # overflow and invalid-value warnings on the way are not printed
+        stage = {"sof": "refinement", "train": "prototype"}[section]
         tmp_path, cfg = workdir
         data = make_data(tmp_path, cfg)
         bad = write_config(tmp_path / "diverge.json",
@@ -410,7 +413,7 @@ class TestTrain:
             rc = run("train", "--config", bad, "--data", data,
                      "--out", tmp_path / "out", "--mode", mode)
         assert rc == 4
-        assert "loss diverged at epoch 0" in capsys.readouterr().err
+        assert f"{stage} loss diverged at epoch 0" in capsys.readouterr().err
         assert [str(w.message) for w in caught] == []
 
     def test_zero_episodes_per_epoch_exits_2(self, workdir, capsys):

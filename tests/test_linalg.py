@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from protoplace.errors import ParameterError, ShapeError
+from protoplace.errors import ParameterError, ShapeError, TrainingError
 from protoplace.linalg import (
     MappingNet,
     OptimizerState,
     as_matrix,
     cosine_cross_entropy,
+    fit,
     net_backward,
     net_forward,
     optimizer_step,
@@ -418,6 +419,62 @@ class TestOptimizer:
                     cls(**setting)
                 messages.append(str(info.value))
             assert messages[0] == messages[1], setting
+
+
+class TestFit:
+    """The epoch loop of both training stages, driven by stub step generators."""
+
+    def test_zero_epochs_returns_empty_trace(self):
+        calls = []
+
+        def epoch_steps():
+            calls.append(None)
+            return iter(())
+
+        state = OptimizerState(mode="sgd_momentum", learning_rate=0.1)
+        p = np.array([1.0])
+        assert fit(state, p, 0, epoch_steps, "stub") == []
+        assert calls == [] and state.step_count == 0 and p[0] == 1.0
+
+    def test_trace_is_each_epochs_mean_loss(self):
+        # each loss is read off the weights as they are when it is drawn: one
+        # plain descent step of size 1 on a unit gradient lowers p by 1
+        counts = iter([3, 1, 2])
+
+        def epoch_steps():
+            for _ in range(next(counts)):
+                yield float(p[0]), np.ones(1)
+
+        state = OptimizerState(mode="sgd_momentum", learning_rate=1.0, momentum=0.0)
+        p = np.array([0.0])
+        assert fit(state, p, 3, epoch_steps, "stub") == [-1.0, -3.0, -4.5]
+        assert state.step_count == 6 and p[0] == -6.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_loss_stops_before_its_step(self, bad):
+        g0, g1 = np.array([1.0, -2.0]), np.array([0.5, 3.0])
+        epochs = []
+
+        def epoch_steps():
+            epochs.append(None)
+            yield 1.0, g0
+            if len(epochs) == 2:
+                yield bad, np.full(2, np.nan)
+            yield 2.0, g1
+
+        state = OptimizerState(mode="adam", learning_rate=0.1)
+        p = np.array([0.3, -0.7])
+        with pytest.raises(TrainingError, match=r"^stub loss diverged at epoch 1$"):
+            fit(state, p, 3, epoch_steps, "stub")
+        # the three finite steps, taken by hand
+        ref_state = OptimizerState(mode="adam", learning_rate=0.1)
+        ref = np.array([0.3, -0.7])
+        for g in (g0, g1, g0):
+            optimizer_step(ref_state, ref, g)
+        assert p.tobytes() == ref.tobytes()
+        assert state.step_count == ref_state.step_count == 3
+        assert state.m.tobytes() == ref_state.m.tobytes()
+        assert state.v.tobytes() == ref_state.v.tobytes()
 
 
 class TestMappingNetInit:

@@ -17,11 +17,13 @@ where the input enters, and so are expected to fail on both sides:
 `error_alpha1` (a Beta shape of 0), `error_neighbours` (n_neighbors above
 m_classes - 1), `error_seed` (seed -1), `error_capacity` and
 `error_capacity_ablate` (more classes per episode than the data has),
-`error_delta_grid` (an empty `--delta-grid=`), `error_eval_dims` (`eval`
-of a model on the data of `synth_other`, whose dimensions differ) and
-`error_no_dataset` (`eval` whose `--data` is an empty directory).  The
-sweep at sigma 1e-310, below the smallest sigma accepted, is an expected
-failure too.
+`error_sof_diverges` and `error_train_diverges` (a learning rate of 1e300,
+whose loss diverges in stage one or stage two: numeric failures, whose
+messages name the stage), `error_delta_grid` (an empty `--delta-grid=`),
+`error_eval_dims` (`eval` of a model on the data of `synth_other`, whose
+dimensions differ) and `error_no_dataset` (`eval` whose `--data` is an
+empty directory).  The sweep at sigma 1e-310, below the smallest sigma
+accepted, is an expected failure too: 13 per configuration.
 Every step runs in its own process with PYTHONPATH set to the tree's `src`
 and one BLAS thread, from the same relative paths, so that its standard
 output, standard error and exit code (kept as `<step>.stdout`,
@@ -87,6 +89,10 @@ ERRORS = {
     "error_capacity": ({"train": {"m_classes": 1000}}, ["train", "--mode", "full"]),
     "error_capacity_ablate": ({"train": {"m_classes": 1000}},
                               ["ablate", "--seeds", "2"]),
+    "error_sof_diverges": ({"sof": {"learning_rate": 1e300}},
+                           ["train", "--mode", "full"]),
+    "error_train_diverges": ({"train": {"learning_rate": 1e300}},
+                             ["train", "--mode", "s2v"]),
 }
 # The dataset that `error_eval_dims` evaluates the full model on: dimensions
 # that neither configuration has.
