@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: synth, train, eval, ablate, sweep.  Each command returns what
-its run records, and `main` writes that as manifest.json into the output
-directory before exiting 0; re-running a command with the same arguments
-reproduces its metric files byte for byte.
+Subcommands: synth, train, eval, ablate, sweep.  `main` opens the inputs a
+command names (the config, the --data dataset and the --out directory), runs
+the command on them, and writes what the command returns as manifest.json
+into the output directory before exiting 0; re-running a command with the
+same arguments reproduces its metric files byte for byte.
 
 Exit codes: 0 ok, 2 configuration, 3 missing input, 4 numeric failure,
 5 shape mismatch.
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -42,12 +44,6 @@ MODES = {name: (mode, sof) for name, _, mode, sof in PIPELINES if name}
 
 # `sweep --param` names: the hallucination config keys, plus `n` for n_neighbors.
 SWEEP_PARAMS = {"n_neighbors": "n_neighbors", "n": "n_neighbors", "sigma": "sigma"}
-
-
-def _out_dir(path: str) -> Path:
-    p = Path(path)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
 
 
 def _pct(x) -> str:
@@ -99,18 +95,30 @@ def _parse_sweep_values(spec: str, param: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# pipeline helpers shared by train / ablate / sweep.  Commands build the
-# configs of all their runs, and check that the data holds their episodes
-# (data.episode_classes), before the first trains, so a bad value fails
-# before any work; load_config has built the SofConfig of the config's seed.
+# pipeline helpers shared by train / ablate / sweep.  Each command builds all
+# its runs' configs (dataclasses.replace checks each) before the first trains,
+# so a bad value fails before any work.
 
 
-def _stage_one(ds, sof_cfg):
-    """Stage one (SOF): the refiner, its loss trace and the dataset with
-    refined features.  It reads only the dataset, the `sof` section and the
-    seed, so `ablate` and `sweep` run it once per seed, not once per model."""
-    refiner, trace = train_sof(ds, sof_cfg)
-    return refiner, trace, refine_features(ds, refiner)
+def _train_runs(ds, runs):
+    """Train each run, a (SofConfig or None, TrainConfig) pair, in order, and
+    yield its training data, its stage one ((refiner, loss trace) or None)
+    and its model, once the data is checked to hold every run's episodes.
+    Stage one reads only the dataset, the `sof` section and the seed, so it
+    trains once per stretch of runs with equal SofConfigs (runs without stage
+    one between them included)."""
+    for m, n in dict.fromkeys((t.m_classes, t.n_samples) for _, t in runs):
+        episode_classes(ds, m, n)
+    done = stage_one = refined = None
+    for sof_cfg, train_cfg in runs:
+        if sof_cfg is not None and sof_cfg != done:
+            refiner, trace = train_sof(ds, sof_cfg)
+            done, stage_one, refined = sof_cfg, (refiner, trace), \
+                refine_features(ds, refiner)
+        if sof_cfg is None:
+            yield ds, None, train_prototypes(ds, train_cfg)
+        else:
+            yield refined, stage_one, train_prototypes(refined, train_cfg)
 
 
 def _eval_model(model: PrototypeModel, eval_ds, grid):
@@ -120,37 +128,32 @@ def _eval_model(model: PrototypeModel, eval_ds, grid):
 
 
 # ---------------------------------------------------------------------------
-# commands.  Each returns what its manifest records: the output directory,
-# the config, the seed, the outputs by name and the metrics.
+# commands.  Each takes the arguments and the inputs main opened (the config,
+# the dataset, each None where the command names none, and the output
+# directory), and returns what its manifest records: the config, the outputs
+# by name and the metrics.
 
 
-def cmd_synth(args):
-    cfg = cfgmod.load_config(args.config)
-    out = _out_dir(args.out)
-    ds = generate_synthetic(cfgmod.synth_config(cfg))
+def cmd_synth(args, cfg, _, out):
+    ds = generate_synthetic(cfg.synth)
     paths = save_dataset(ds, out, format=args.format)
     print(f"wrote {ds.features.shape[0]} samples to {out}")
-    return out, cfg, cfg["seed"], paths, {"samples": int(ds.features.shape[0]),
-                                          "fingerprint": dataset_fingerprint(out)}
+    return cfg.record, paths, {"samples": int(ds.features.shape[0]),
+                               "fingerprint": dataset_fingerprint(out)}
 
 
-def cmd_train(args):
-    cfg = cfgmod.load_config(args.config)
-    ds = load_dataset_dir(args.data)
-    out = _out_dir(args.out)
+def cmd_train(args, cfg, ds, out):
     mode_name, use_sof = MODES[args.mode]
-    train_cfg = cfgmod.train_config(cfg, mode=mode_name)
-    episode_classes(ds, cfg["train"]["m_classes"], cfg["train"]["n_samples"])
-    refiner, sof_trace, train_ds = (_stage_one(ds, cfgmod.sof_config(cfg)) if use_sof
-                                    else (None, None, ds))
-    model = train_prototypes(train_ds, train_cfg)
+    run = (cfg.sof if use_sof else None, replace(cfg.train, mode=mode_name))
+    [(_, stage_one, model)] = _train_runs(ds, [run])
     model_dir = out / "model"
     save_model(model, model_dir, meta={"cli_mode": args.mode, "used_sof": use_sof})
     if use_sof:
+        refiner, sof_trace = stage_one
         save_refiner(refiner, model_dir,
-                     meta={"seed": cfg["seed"], "loss_trace": sof_trace})
+                     meta={"seed": cfg.sof.seed, "loss_trace": sof_trace})
     print(f"trained mode={args.mode} -> {model_dir}")
-    return out, cfg, cfg["seed"], {"model": model_dir}, \
+    return cfg.record, {"model": model_dir}, \
         {"final_loss": model.loss_trace[-1] if model.loss_trace else None}
 
 
@@ -174,9 +177,7 @@ def _write_report_files(out: Path, label: str, reports, best, model, eval_ds) ->
                   ([str(int(i)), *row] for i, row in zip(ids, sim.matrix)))
 
 
-def cmd_eval(args):
-    ds = load_dataset_dir(args.data)
-    out = _out_dir(args.out)
+def cmd_eval(args, _, ds, out):
     grid = _parse_delta_grid(args.delta_grid)
     model_dirs = [Path(m) for m in args.model]
     if len(model_dirs) == 1:
@@ -208,34 +209,27 @@ def cmd_eval(args):
         outputs[key] = model_dir
         print(f"{key}: T={_pct(best.T)} U={_pct(best.U)} S={_pct(best.S)} "
               f"H={_pct(best.H)} at delta={best.delta:g}")
-    return out, {"delta_grid": grid}, None, outputs, metrics
+    return {"delta_grid": grid}, outputs, metrics
 
 
-def cmd_ablate(args):
-    cfg = cfgmod.load_config(args.config)
+def cmd_ablate(args, cfg, ds, out):
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
-    ds = load_dataset_dir(args.data)
-    out = _out_dir(args.out)
-    grid = cfgmod.delta_grid(cfg)
     ladder = [(name, mode_name, use_sof)
               for _, name, mode_name, use_sof in PIPELINES if name is not None]
-    # per seed: its stage-one config and the training config of every row;
-    # a seed past 2**64 - 1 fails here
-    runs = [(cfgmod.sof_config(cfg, seed=seed),
-             [cfgmod.train_config(cfg, mode=mode_name, seed=seed)
-              for _, mode_name, _ in ladder])
-            for seed in range(cfg["seed"], cfg["seed"] + args.seeds)]
-    episode_classes(ds, cfg["train"]["m_classes"], cfg["train"]["n_samples"])
+    # every ladder row of every seed, seed by seed; a seed past 2**64 - 1
+    # fails here
+    runs = [(replace(cfg.sof, seed=seed) if use_sof else None,
+             replace(cfg.train, mode=mode_name, seed=seed))
+            for seed in range(cfg.sof.seed, cfg.sof.seed + args.seeds)
+            for _, mode_name, use_sof in ladder]
     per_seed = {name: {"T": [], "U": [], "S": [], "H": []} for name, _, _ in ladder}
-    for sof_cfg, train_cfgs in runs:
-        refined_ds = _stage_one(ds, sof_cfg)[2]
-        for (name, _, use_sof), train_cfg in zip(ladder, train_cfgs):
-            train_ds = refined_ds if use_sof else ds
-            best = _eval_model(train_prototypes(train_ds, train_cfg), train_ds, grid)[1]
-            for key, values in per_seed[name].items():
-                val = getattr(best, key)
-                values.append(float("nan") if val is None else val)
+    for (name, _, _), (train_ds, _, model) in zip(ladder * args.seeds,
+                                                  _train_runs(ds, runs)):
+        best = _eval_model(model, train_ds, cfg.grid)[1]
+        for key, values in per_seed[name].items():
+            val = getattr(best, key)
+            values.append(float("nan") if val is None else val)
     rows = [(name, {k: (float(np.mean(v)), float(np.std(v))) for k, v in stats.items()})
             for name, stats in per_seed.items()]
 
@@ -254,14 +248,10 @@ def cmd_ablate(args):
     metrics = {name: {k: stats[k][0] for k in ("T", "U", "S", "H")}
                for name, stats in rows}
     print((out / "ablation.txt").read_text())
-    return out, cfg, cfg["seed"], {"table": out / "ablation.csv"}, metrics
+    return cfg.record, {"table": out / "ablation.csv"}, metrics
 
 
-def cmd_sweep(args):
-    cfg = cfgmod.load_config(args.config)
-    ds = load_dataset_dir(args.data)
-    out = _out_dir(args.out)
-    grid = cfgmod.delta_grid(cfg)
+def cmd_sweep(args, cfg, ds, out):
     param = SWEEP_PARAMS.get(args.param)
     if param is None:
         raise ConfigError(f"unknown sweep parameter {args.param!r}; expected "
@@ -271,25 +261,21 @@ def cmd_sweep(args):
     if not _PLACEHOLDERS[mode_name][0]:
         raise ConfigError(f"--mode {args.mode} never hallucinates, so no run would "
                           f"use {args.param}")
-    train_cfgs = []
-    for value in values:
-        if param == "n_neighbors" and value == 0:  # hallucination disabled
-            train_cfgs.append(cfgmod.train_config(cfg, mode="s2v_baseline"))
-        else:
-            run_cfg = {**cfg, "hallucination": {**cfg["hallucination"], param: value}}
-            train_cfgs.append(cfgmod.train_config(run_cfg, mode=mode_name))
-    episode_classes(ds, cfg["train"]["m_classes"], cfg["train"]["n_samples"])
-
-    train_ds = _stage_one(ds, cfgmod.sof_config(cfg))[2] if use_sof else ds
+    # n_neighbors = 0 disables hallucination: the config's s2v_baseline run
+    runs = [(cfg.sof if use_sof else None,
+             cfg.train if param == "n_neighbors" and value == 0 else
+             replace(cfg.train, mode=mode_name, hallucination=replace(
+                 cfg.train.hallucination, **{param: value})))
+            for value in values]
     results = []
-    for value, train_cfg in zip(values, train_cfgs):
-        best = _eval_model(train_prototypes(train_ds, train_cfg), train_ds, grid)[1]
+    for value, (train_ds, _, model) in zip(values, _train_runs(ds, runs)):
+        best = _eval_model(model, train_ds, cfg.grid)[1]
         results.append((value, best.T, best.H))
 
     write_csv(out / "sweep.csv", ("value", "T", "H"),
               ([f"{value:g}", t, h] for value, t, h in results))
     print(f"swept {args.param} over {values} -> {out / 'sweep.csv'}")
-    return out, cfg, cfg["seed"], {"sweep": out / "sweep.csv"}, \
+    return cfg.record, {"sweep": out / "sweep.csv"}, \
         {str(v): {"T": t, "H": h} for v, t, h in results}
 
 
@@ -346,18 +332,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command, then write its manifest.json: the command line, what
-    the command returned, the dataset fingerprint of a command that reads
-    --data, and the wall time.  A command that fails writes none."""
+    """Open the inputs the command names (the config, then --data, then
+    --out), run the command on them, then write its manifest.json: the
+    command line, what the command returned, the config's seed, the dataset
+    fingerprint of a command that reads --data, and the wall time.  A command
+    that fails writes none."""
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     started = time.time()
     try:
-        out, cfg, seed, outputs, metrics = args.func(args)
-        if "data" in args:
+        cfg = cfgmod.load_config(args.config) if "config" in args else None
+        ds = load_dataset_dir(args.data) if "data" in args else None
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        record, outputs, metrics = args.func(args, cfg, ds, out)
+        if ds is not None:
             metrics["dataset_fingerprint"] = dataset_fingerprint(args.data)
         write_json(out / "manifest.json", {
-            "command": ["protoplace", *argv], "config": cfg, "seed": seed,
+            "command": ["protoplace", *argv], "config": record,
+            "seed": cfg.record["seed"] if cfg else None,
             "outputs": {k: str(v) for k, v in outputs.items()}, "metrics": metrics,
             "duration_seconds": round(time.time() - started, 3)})
         return 0

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 from .data import SynthConfig, read_json
 from .errors import ConfigError, require_real
@@ -51,8 +51,22 @@ def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
     return out
 
 
-def load_config(path) -> dict:
-    """Parse, validate, and materialize every default."""
+@dataclass(frozen=True)
+class RunConfig:
+    """A loaded config: `record`, the merged dict that manifests record, and
+    its typed sections.  `train` is in s2v_baseline mode, which hallucinates
+    nothing; dataclasses.replace, which checks again, gives a run its mode,
+    seed or hallucination value, and so the n_neighbors bound of its mode."""
+    record: dict
+    synth: SynthConfig
+    sof: SofConfig
+    train: TrainConfig
+    grid: list[float]
+
+
+def load_config(path) -> RunConfig:
+    """Parse, validate, and materialize every default; each typed section
+    and the delta grid is built once, here, so errors surface up front."""
     try:
         user = read_json(path)
     except FileNotFoundError:
@@ -61,41 +75,19 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
-    cfg = _merge(DEFAULTS, user)
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: dict) -> None:
-    """Instantiate every typed sub-config and build the eval section's delta
-    grid, which checks its range, so errors surface up front.  The train
-    section is built in s2v_baseline mode, which hallucinates nothing: the
-    n_neighbors bound of the other modes is checked where a command builds
-    its mode's config."""
+    record = _merge(DEFAULTS, user)
+    seed = record["seed"]
     try:
-        synth_config(cfg)
-        sof_config(cfg)
-        train_config(cfg, mode="s2v_baseline")
-        delta_grid(cfg)
+        return RunConfig(
+            record=record,
+            synth=SynthConfig(seed=seed, **record["synth"]),
+            sof=SofConfig(seed=seed, **record["sof"]),
+            train=train_config_from({**record["train"], "mode": "s2v_baseline",
+                                     "hallucination": record["hallucination"],
+                                     "seed": seed}),
+            grid=delta_grid(record))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def synth_config(cfg: dict) -> SynthConfig:
-    s = cfg["synth"]
-    return SynthConfig(seed=cfg["seed"], **s)
-
-
-def sof_config(cfg: dict, seed: int | None = None) -> SofConfig:
-    s = cfg["sof"]
-    return SofConfig(seed=cfg["seed"] if seed is None else seed, **s)
-
-
-def train_config(cfg: dict, mode: str = TrainConfig.mode,
-                 seed: int | None = None) -> TrainConfig:
-    return train_config_from({**cfg["train"], "hallucination": cfg["hallucination"],
-                              "mode": mode,
-                              "seed": cfg["seed"] if seed is None else seed})
 
 
 # The most deltas a delta range may hold; each costs the sweep one pass over

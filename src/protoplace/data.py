@@ -13,6 +13,9 @@ On-disk formats (DATASET_FILES names each format's files)
   where the class ids are 0..L-1 in order.
   Floats use 9 significant digits; a row holds no '_' or space.  Integers,
   here and in the split file, must read as str(int) writes them.
+* A dataset directory holds one format's files: features of both formats
+  there raise FormatError, and save_dataset will not write one format over
+  the other.
 * Split file: five lines ``seen:``, ``unseen:``, ``train:``, ``test_seen:``,
   ``test_unseen:``, each followed by space-separated ids on the same line;
   a missing, unknown or repeated section raises FormatError.
@@ -31,8 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CapacityError, FormatError, ParameterError, ValidationError, \
-    require_ints, require_real
+from .errors import CapacityError, ConfigError, FormatError, ParameterError, \
+    ValidationError, require_ints, require_real
 from .linalg import FlatParams, as_matrix, require_finite
 from .rng import DEFAULT_SEED, RngStream, check_seed
 
@@ -409,15 +412,27 @@ DATASET_FILES = {
 }
 
 
+def _formats_in(data_dir: Path) -> list[str]:
+    """The formats whose features file is in data_dir: a directory holds one
+    dataset, in one format."""
+    return [format for format, names in DATASET_FILES.items()
+            if (data_dir / names["features"]).exists()]
+
+
 def dataset_files(data_dir) -> tuple[str, dict[str, Path]]:
     """The format of the dataset in data_dir and the paths of its files by
-    role: binary if features.bin is there, else CSV.  FileNotFoundError if
-    data_dir holds neither or is missing."""
+    role: the format whose features file is there.  FileNotFoundError if
+    data_dir holds neither or is missing; FormatError if it holds both, whose
+    files would mix."""
     data_dir = Path(data_dir)
-    for format, names in DATASET_FILES.items():
-        if (data_dir / names["features"]).exists():
-            return format, {role: data_dir / name for role, name in names.items()}
-    raise FileNotFoundError(f"no dataset files under {data_dir}")
+    found = _formats_in(data_dir)
+    if not found:
+        raise FileNotFoundError(f"no dataset files under {data_dir}")
+    if len(found) > 1:
+        raise FormatError(f"{data_dir} holds the features of more than one dataset "
+                          f"format ({', '.join(found)})")
+    names = DATASET_FILES[found[0]]
+    return found[0], {role: data_dir / name for role, name in names.items()}
 
 
 def dataset_fingerprint(data_dir) -> str:
@@ -441,13 +456,19 @@ def _read_labels(path: Path) -> np.ndarray:
 
 def save_dataset(ds: SplitDataset, out_dir, format: str = "binary") -> dict[str, Path]:
     """The dataset as the files DATASET_FILES[format] names in out_dir; the
-    paths of its features, attributes and split files."""
+    paths of its features, attributes and split files.  ConfigError, before
+    any file is written, where out_dir holds a dataset of the other format:
+    the two would mix (dataset_files)."""
+    out_dir = Path(out_dir)
+    other = [f for f in _formats_in(out_dir) if f != format]
+    if other:
+        raise ConfigError(f"{out_dir} holds a {other[0]} dataset; writing a "
+                          f"{format} one there would mix the two")
     if format == "binary":
         inexact = ds.labels[ds.labels.astype(np.float32) != ds.labels]
         if inexact.size:
             raise FormatError(f"label {inexact[0]} has no exact float32 form "
                               "for the label sidecar")
-    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {role: out_dir / name for role, name in DATASET_FILES[format].items()}
     write_split(paths["split"], {

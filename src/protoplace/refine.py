@@ -17,7 +17,7 @@ from .data import AttributeTable, SplitDataset, load_params, read_json, save_par
 from .errors import FormatError, ParameterError, ShapeError, ValidationError, \
     require_ints, require_real
 from .linalg import FlatParams, OptimizerState, as_matrix, check_stage_config, \
-    cosine_cross_entropy, fit, target_indices, unit_rows
+    cosine_cross_entropy, fit, require_finite, target_indices, unit_rows
 from .rng import DEFAULT_SEED, RngStream
 
 
@@ -37,6 +37,8 @@ class RefinerParams(FlatParams):
             raise ShapeError("f_lin must be square")
         if self.w_proj.shape[0] != self.f_lin.shape[0]:
             raise ShapeError("w_proj rows must match the feature dimension")
+        for name, p in self.params().items():
+            require_finite(p, f"parameter {name}")
         self._pack()
 
 

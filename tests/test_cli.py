@@ -6,10 +6,12 @@ import pytest
 
 from protoplace import cli
 from protoplace.cli import main
-from protoplace.config import DEFAULTS, load_config
-from protoplace.data import load_dataset_dir, load_matrix, save_dataset, \
-    save_matrix
+from protoplace.config import DEFAULTS, delta_grid, load_config
+from protoplace.data import SynthConfig, load_dataset_dir, load_matrix, \
+    save_dataset, save_matrix
 from protoplace.errors import ConfigError
+from protoplace.prototypes import TrainConfig
+from protoplace.refine import SofConfig
 
 TINY = {
     "seed": 0,
@@ -96,7 +98,17 @@ class TestConfig:
     def test_defaults_round_trip(self, tmp_path):
         p = tmp_path / "empty.json"
         p.write_text("{}")
-        assert load_config(p) == DEFAULTS
+        assert load_config(p).record == DEFAULTS
+
+    def test_typed_sections_of_the_defaults(self, tmp_path):
+        # each section is built once, at load; train in s2v_baseline mode
+        p = tmp_path / "empty.json"
+        p.write_text("{}")
+        cfg = load_config(p)
+        assert cfg.synth == SynthConfig()
+        assert cfg.sof == SofConfig()
+        assert cfg.train == TrainConfig(mode="s2v_baseline")
+        assert cfg.grid == delta_grid(DEFAULTS)
 
     def test_unknown_key_named(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -299,22 +311,22 @@ class TestRunConfigsBuiltFirst:
 
 class TestStageOnePerSeed:
     """Stage one reads only the data, the `sof` section and the seed, so
-    each seed trains one refiner, whatever the number of its models."""
+    each seed trains one refiner, whatever the number of its models, and a
+    mode without stage one trains none."""
 
-    def test_ablate_refines_once_per_seed(self, workdir, training_calls):
-        tmp_path, cfg = workdir
-        data = make_data(tmp_path, cfg)
-        assert run("ablate", "--config", cfg, "--data", data,
-                   "--out", tmp_path / "a", "--seeds", "2") == 0
+    @pytest.mark.parametrize("argv,calls", [
         # 5 ladder rows per seed, 3 of them behind the refiner
-        assert training_calls == {"train_sof": 2, "train_prototypes": 10}
-
-    def test_sweep_refines_once(self, workdir, training_calls):
+        (["ablate", "--seeds", "2"], (2, 10)),
+        (["sweep", "--param", "n", "--values", "1,2,3", "--mode", "full"], (1, 3)),
+        (["train", "--mode", "full"], (1, 1)),
+        (["train", "--mode", "s2v"], (0, 1)),
+    ], ids=["ablate", "sweep", "train-full", "train-s2v"])
+    def test_refiners_trained(self, workdir, training_calls, argv, calls):
         tmp_path, cfg = workdir
         data = make_data(tmp_path, cfg)
-        assert run("sweep", "--config", cfg, "--data", data, "--out", tmp_path / "s",
-                   "--param", "n", "--values", "1,2,3", "--mode", "full") == 0
-        assert training_calls == {"train_sof": 1, "train_prototypes": 3}
+        assert run(argv[0], "--config", cfg, "--data", data,
+                   "--out", tmp_path / "out", *argv[1:]) == 0
+        assert training_calls == dict(zip(("train_sof", "train_prototypes"), calls))
 
 
 class TestSynth:
@@ -338,6 +350,22 @@ class TestSynth:
         m1 = json.loads((d1 / "manifest.json").read_text())
         m2 = json.loads((d2 / "manifest.json").read_text())
         assert m1["metrics"]["fingerprint"] == m2["metrics"]["fingerprint"]
+
+
+    @pytest.mark.parametrize("first,second", [("binary", "csv"), ("csv", "binary")])
+    def test_other_format_over_a_dataset_exits_2(self, workdir, capsys, first,
+                                                 second):
+        # the reader would mix the first dataset's features with the second's
+        # split; nothing of the second is written
+        tmp_path, cfg = workdir
+        data = tmp_path / "data"
+        assert run("synth", "--config", cfg, "--out", data, "--format", first) == 0
+        before = {p.name: p.read_bytes() for p in data.iterdir()}
+        other = write_config(tmp_path / "seed1.json", seed=1)
+        assert run("synth", "--config", other, "--out", data,
+                   "--format", second) == 2
+        assert "would mix" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in data.iterdir()} == before
 
 
 class TestTrain:
@@ -438,6 +466,17 @@ class TestTrain:
                  "--out", tmp_path / "out", "--mode", "s2v")
         assert rc == 3
         assert "no dataset files" in capsys.readouterr().err
+
+    def test_dir_with_both_formats_exits_5(self, workdir, capsys):
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        csv = tmp_path / "csv"
+        assert run("synth", "--config", cfg, "--out", csv, "--format", "csv") == 0
+        (data / "features.csv").write_bytes((csv / "features.csv").read_bytes())
+        rc = run("train", "--config", cfg, "--data", data,
+                 "--out", tmp_path / "out", "--mode", "s2v")
+        assert rc == 5
+        assert "more than one dataset format" in capsys.readouterr().err
 
     def test_missing_data_exits_3(self, workdir, capsys):
         tmp_path, cfg = workdir
@@ -607,6 +646,23 @@ class TestEval:
                  "--out", tmp_path / "e")
         assert rc == 5
         assert "refiner.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["f_lin", "w_proj"])
+    def test_non_finite_refiner_weight_exits_4(self, workdir, capsys, name):
+        # named as the parameter it is, not left to fail (or pass) later
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        out = tmp_path / "run_full"
+        assert run("train", "--config", cfg, "--data", data, "--out", out,
+                   "--mode", "full") == 0
+        path = out / "model" / f"refiner_{name}.bin"
+        weights = load_matrix(path)
+        weights[0, 0] = np.nan
+        save_matrix(path, weights)
+        rc = run("eval", "--model", out / "model", "--data", data,
+                 "--out", tmp_path / "e")
+        assert rc == 4
+        assert f"non-finite values in parameter {name}" in capsys.readouterr().err
 
     def test_eval_into_data_dir_keeps_fingerprint(self, trained):
         # the eval's own CSV files beside the dataset are not dataset files

@@ -7,14 +7,15 @@ from protoplace.data import (
     SynthConfig,
     generate_synthetic,
     dataset_files,
+    dataset_fingerprint,
     load_dataset_dir,
     load_matrix,
     sample_episode,
     save_dataset,
     save_matrix,
 )
-from protoplace.errors import CapacityError, FormatError, ParameterError, \
-    ValidationError
+from protoplace.errors import CapacityError, ConfigError, FormatError, \
+    ParameterError, ValidationError
 from protoplace.rng import RngStream
 
 
@@ -220,9 +221,23 @@ class TestDatasetIO:
             assert np.max(np.abs(loaded.features - ds.features)) < 1e-7
             assert np.max(np.abs(loaded.attributes.values
                                  - ds.attributes.values)) < 1e-7
-        # beside a binary dataset, CSV files are not read
-        save_dataset(ds, tmp_path / "binary", format="csv")
+        # beside a binary dataset no CSV one is written: the reader would mix
+        # one's features with the other's split file
+        before = sorted((tmp_path / "binary").iterdir())
+        with pytest.raises(ConfigError, match="would mix"):
+            save_dataset(ds, tmp_path / "binary", format="csv")
+        assert sorted((tmp_path / "binary").iterdir()) == before
         assert dataset_files(tmp_path / "binary")[0] == "binary"
+
+    def test_dir_with_both_formats_rejected(self, tmp_path):
+        # and one holding both is read as neither, nor fingerprinted as a mix
+        for format in ("binary", "csv"):
+            save_dataset(tiny_dataset(), tmp_path / format, format=format)
+        (tmp_path / "binary" / "features.csv").write_bytes(
+            (tmp_path / "csv" / "features.csv").read_bytes())
+        for read in (load_dataset_dir, dataset_fingerprint):
+            with pytest.raises(FormatError, match="more than one dataset format"):
+                read(tmp_path / "binary")
 
     def test_dir_without_dataset_files(self, tmp_path):
         (tmp_path / "split.txt").write_text("seen:\n")

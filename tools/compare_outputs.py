@@ -19,11 +19,13 @@ m_classes - 1), `error_seed` (seed -1), `error_capacity` and
 `error_capacity_ablate` (more classes per episode than the data has),
 `error_sof_diverges` and `error_train_diverges` (a learning rate of 1e300,
 whose loss diverges in stage one or stage two: numeric failures, whose
-messages name the stage), `error_delta_grid` (an empty `--delta-grid=`),
-`error_eval_dims` (`eval` of a model on the data of `synth_other`, whose
-dimensions differ) and `error_no_dataset` (`eval` whose `--data` is an
-empty directory).  The sweep at sigma 1e-310, below the smallest sigma
-accepted, is an expected failure too: 13 per configuration.
+messages name the stage), `error_ablate_seeds` (`ablate --seeds 0`),
+`error_sweep_param` (`sweep --param beta`), `error_missing_config` (`train`
+whose `--config` does not exist), `error_delta_grid` (an empty
+`--delta-grid=`), `error_eval_dims` (`eval` of a model on the data of
+`synth_other`, whose dimensions differ) and `error_no_dataset` (`eval` whose
+`--data` is an empty directory).  The sweep at sigma 1e-310, below the
+smallest sigma accepted, is an expected failure too: 16 per configuration.
 Every step runs in its own process with PYTHONPATH set to the tree's `src`
 and one BLAS thread, from the same relative paths, so that its standard
 output, standard error and exit code (kept as `<step>.stdout`,
@@ -93,13 +95,15 @@ ERRORS = {
                            ["train", "--mode", "full"]),
     "error_train_diverges": ({"train": {"learning_rate": 1e300}},
                              ["train", "--mode", "s2v"]),
+    "error_ablate_seeds": ({}, ["ablate", "--seeds", "0"]),
+    "error_sweep_param": ({}, ["sweep", "--param", "beta", "--values", "1"]),
 }
 # The dataset that `error_eval_dims` evaluates the full model on: dimensions
 # that neither configuration has.
 OTHER_SYNTH = {"seen_count": 4, "unseen_count": 2, "attr_dim": 5, "feat_dim": 7,
                "train_per_class": 4, "test_per_class": 2}
-EXPECTED_FAILURES = ("sweep_sigma_1e-310", *ERRORS, "error_delta_grid",
-                     "error_eval_dims", "error_no_dataset")
+EXPECTED_FAILURES = ("sweep_sigma_1e-310", *ERRORS, "error_missing_config",
+                     "error_delta_grid", "error_eval_dims", "error_no_dataset")
 
 
 def src_dir(tree: str) -> Path:
@@ -141,7 +145,10 @@ def steps(n_values: str) -> list[tuple[str, list[str]]]:
     out += [(name, [argv[0], "--config", f"{name}.json", *data, "--out", name,
                     *argv[1:]]) for name, (_, argv) in ERRORS.items()]
     full = ["--model", "train_full/model"]
-    out += [("error_delta_grid", ["eval", *full, *data, "--out", "error_delta_grid",
+    out += [("error_missing_config", ["train", "--config", "missing.json", *data,
+                                      "--out", "error_missing_config",
+                                      "--mode", "full"]),
+            ("error_delta_grid", ["eval", *full, *data, "--out", "error_delta_grid",
                                   "--delta-grid="]),
             ("synth_other", ["synth", "--config", "other.json", "--out", "data_other"]),
             ("error_eval_dims", ["eval", *full, "--data", "data_other",
