@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Subcommands: synth, train, eval, ablate, sweep.  `main` opens the inputs a
-command names (the config, the --data dataset and the --out directory), runs
-the command on them, and writes what the command returns as manifest.json
-into the output directory before exiting 0; re-running a command with the
-same arguments reproduces its metric files byte for byte.
+command names (the config, the --data dataset and the --out directory; `eval`
+opens its --model directories itself), runs the command on them, and writes
+what the command returns as manifest.json into the output directory before
+exiting 0; re-running a command with the same arguments reproduces its
+metric files byte for byte.
 
 Exit codes: 0 ok, 2 configuration, 3 missing input, 4 numeric failure,
 5 shape mismatch.
@@ -23,7 +24,7 @@ from . import config as cfgmod
 from .data import dataset_fingerprint, episode_classes, generate_synthetic, \
     load_dataset_dir, read_floats, read_ints, save_dataset, write_csv, write_json
 from .errors import CapacityError, ConfigError, FormatError, ParameterError, \
-    ShapeError, TrainingError, UsageError, ValidationError
+    ShapeError, TrainingError, ValidationError
 from .metrics import cs_sweep, prototype_similarity
 from .prototypes import _PLACEHOLDERS, PrototypeModel, load_model, project_prototypes, \
     save_model, train_prototypes
@@ -31,7 +32,9 @@ from .refine import load_refiner, refine_features, save_refiner, train_sof
 
 # Every pipeline: its `--mode` name and its ablation-ladder row name (None
 # where it has none), its training mode, and whether stage one (SOF) refines
-# the features first.  The ladder's rows keep this order.
+# the features first.  The ladder's rows keep this order.  `train` records
+# the `--mode` name in model.json, and `eval` refines the features exactly
+# when that pipeline has stage one.
 PIPELINES = (
     ("s2v", "s2v", "s2v_baseline", False),
     ("ep", None, "ep_only", False),
@@ -71,7 +74,9 @@ def _parse_delta_grid(spec: str | None) -> list[float]:
 
 def _parse_sweep_values(spec: str, param: str) -> list:
     """Comma-separated values, each read by data.read_floats, and inclusive
-    ranges such as `0..8`, whose ends data.read_ints reads; none twice."""
+    ranges such as `0..8`, whose ends data.read_ints reads; none twice.  A
+    range that would take the values past config.MAX_SWEEP_VALUES fails
+    before it is expanded."""
     tokens = []
     try:
         for tok in spec.split(","):
@@ -79,6 +84,9 @@ def _parse_sweep_values(spec: str, param: str) -> list:
                 lo, hi = read_ints(tok.split("..")).tolist()
                 if hi < lo:
                     raise ValueError(f"range {tok!r} ends below its start")
+                if len(tokens) + hi - lo + 1 > cfgmod.MAX_SWEEP_VALUES:
+                    raise ValueError(f"range {tok!r} takes the sweep past "
+                                     f"{cfgmod.MAX_SWEEP_VALUES} values")
                 tokens.extend(str(v) for v in range(lo, hi + 1))
             else:
                 tokens.append(tok)
@@ -150,8 +158,7 @@ def cmd_train(args, cfg, ds, out):
     save_model(model, model_dir, meta={"cli_mode": args.mode, "used_sof": use_sof})
     if use_sof:
         refiner, sof_trace = stage_one
-        save_refiner(refiner, model_dir,
-                     meta={"seed": cfg.sof.seed, "loss_trace": sof_trace})
+        save_refiner(refiner, model_dir, seed=cfg.sof.seed, loss_trace=sof_trace)
     print(f"trained mode={args.mode} -> {model_dir}")
     return cfg.record, {"model": model_dir}, \
         {"final_loss": model.loss_trace[-1] if model.loss_trace else None}
@@ -192,15 +199,19 @@ def cmd_eval(args, _, ds, out):
     for model_dir, label in zip(model_dirs, labels):
         if not (model_dir / "model.json").exists():
             raise FileNotFoundError(f"no trained model under {model_dir}")
-        model, manifest = load_model(model_dir)
+        model, record = load_model(model_dir)
+        name = record.get("cli_mode")
+        pipeline = MODES.get(name) if isinstance(name, str) else None
+        if pipeline is None or (record["mode"], record.get("used_sof")) != pipeline:
+            raise FormatError(f"{model_dir / 'model.json'}: cli_mode {name!r}, mode "
+                              "and used_sof name no pipeline of "
+                              f"{', '.join(MODES)}")
         if model.net.out_dim != ds.feat_dim or model.net.in_dim != ds.attr_dim:
             raise ShapeError(
                 f"model maps {model.net.in_dim}->{model.net.out_dim}, dataset is "
                 f"{ds.attr_dim}->{ds.feat_dim}"
             )
-        eval_ds = ds
-        if manifest.get("used_sof"):
-            eval_ds = refine_features(ds, load_refiner(model_dir))
+        eval_ds = refine_features(ds, load_refiner(model_dir)) if pipeline[1] else ds
         reports, best = _eval_model(model, eval_ds, grid)
         _write_report_files(out, label, reports, best, model, eval_ds)
         key = label or "model"
@@ -223,30 +234,31 @@ def cmd_ablate(args, cfg, ds, out):
              replace(cfg.train, mode=mode_name, seed=seed))
             for seed in range(cfg.sof.seed, cfg.sof.seed + args.seeds)
             for _, mode_name, use_sof in ladder]
-    per_seed = {name: {"T": [], "U": [], "S": [], "H": []} for name, _, _ in ladder}
+    keys = ("T", "U", "S", "H")
+    per_seed = {name: {k: [] for k in keys} for name, _, _ in ladder}
     for (name, _, _), (train_ds, _, model) in zip(ladder * args.seeds,
                                                   _train_runs(ds, runs)):
         best = _eval_model(model, train_ds, cfg.grid)[1]
         for key, values in per_seed[name].items():
-            val = getattr(best, key)
-            values.append(float("nan") if val is None else val)
-    rows = [(name, {k: (float(np.mean(v)), float(np.std(v))) for k, v in stats.items()})
-            for name, stats in per_seed.items()]
+            values.append(getattr(best, key))
+    # per row, each metric's (mean, standard deviation) over the seeds; None
+    # where a seed leaves the metric undefined (a split without test rows)
+    rows = {name: [None if None in v else (float(np.mean(v)), float(np.std(v)))
+                   for v in stats.values()]
+            for name, stats in per_seed.items()}
 
-    write_csv(out / "ablation.csv", ("config", "T", "U", "S", "H"),
-              ([name, *(f"{m:.4f}±{s:.4f}" for m, s in
-                        (stats[k] for k in ("T", "U", "S", "H")))]
-               for name, stats in rows))
+    write_csv(out / "ablation.csv", ("config", *keys),
+              ([name, *("" if st is None else f"{st[0]:.4f}±{st[1]:.4f}"
+                        for st in row)]
+               for name, row in rows.items()))
     with open(out / "ablation.txt", "w") as f:
         f.write(f"{'config':<16}{'T':>14}{'U':>14}{'S':>14}{'H':>14}\n")
-        for name, stats in rows:
-            cells = "".join(
-                f"{100 * m:>8.1f}±{100 * s:<4.1f}"
-                for m, s in (stats[k] for k in ("T", "U", "S", "H"))
-            )
+        for name, row in rows.items():
+            cells = "".join(f"{'--':>8}{'':5}" if st is None else
+                            f"{100 * st[0]:>8.1f}±{100 * st[1]:<4.1f}" for st in row)
             f.write(f"{name:<16}{cells}\n")
-    metrics = {name: {k: stats[k][0] for k in ("T", "U", "S", "H")}
-               for name, stats in rows}
+    metrics = {name: {k: None if st is None else st[0] for k, st in zip(keys, row)}
+               for name, row in rows.items()}
     print((out / "ablation.txt").read_text())
     return cfg.record, {"table": out / "ablation.csv"}, metrics
 
@@ -363,7 +375,7 @@ def main(argv=None) -> int:
     except (TrainingError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-    except (ShapeError, ValidationError, FormatError, UsageError) as exc:
+    except (ShapeError, ValidationError, FormatError) as exc:
         print(f"shape/validation error: {exc}", file=sys.stderr)
         return 5
 

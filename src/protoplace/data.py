@@ -18,7 +18,8 @@ On-disk formats (DATASET_FILES names each format's files)
   the other.
 * Split file: five lines ``seen:``, ``unseen:``, ``train:``, ``test_seen:``,
   ``test_unseen:``, each followed by space-separated ids on the same line;
-  a missing, unknown or repeated section raises FormatError.
+  a missing, unknown or repeated section, or a line without its colon,
+  raises FormatError.
 """
 from __future__ import annotations
 
@@ -130,7 +131,6 @@ class SplitDataset:
     train_idx: np.ndarray
     test_seen_idx: np.ndarray
     test_unseen_idx: np.ndarray
-    refined: bool = False
 
     def __post_init__(self):
         self.features = as_matrix(self.features, "features")
@@ -216,13 +216,12 @@ class Stackable:
 
 @dataclass(frozen=True)
 class Episode(Stackable):
-    """One training batch: M seen classes with N aligned samples each."""
+    """One training batch: M seen classes with N samples each, class-major."""
 
     class_ids: np.ndarray   # (M,)
     sample_idx: np.ndarray  # (M, N)
     visual: np.ndarray      # (M*N, C), class-major
     semantic: np.ndarray    # (M, D)
-    local_labels: np.ndarray  # (M*N,) in 0..M-1
 
     @property
     def m_classes(self) -> int:
@@ -283,8 +282,10 @@ def write_csv(path, header, rows) -> None:
 
 def write_json(path, record) -> None:
     """A JSON record (manifest.json, model.json, refiner.json): keys sorted,
-    two-space indent, one trailing newline."""
-    Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    two-space indent, one trailing newline.  ValueError where it holds NaN or
+    an infinity, which are not JSON."""
+    Path(path).write_text(json.dumps(record, indent=2, sort_keys=True,
+                                     allow_nan=False) + "\n")
 
 
 def _unique_keys(pairs) -> dict:
@@ -300,6 +301,19 @@ def read_json(path):
     """The JSON value in a file; a repeated key in any object raises
     FormatError rather than keeping its last value."""
     return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+
+
+def require_keys(record, names, where: str = "") -> None:
+    """FormatError unless `record` is a JSON object whose keys are exactly
+    `names`; `where` names the object inside its file."""
+    if not isinstance(record, dict):
+        raise FormatError(f"'{where}' must be an object" if where
+                          else "the record must be an object")
+    prefix = f"{where}." if where else ""
+    for what, keys in (("unknown", record.keys() - set(names)),
+                       ("missing", set(names) - record.keys())):
+        if keys:
+            raise FormatError(f"{what} key '{prefix}{min(keys)}'")
 
 
 # Integers as str(int) writes them (no '+', 0 prefix, '_' or space), one
@@ -380,8 +394,11 @@ def read_split(path) -> dict[str, np.ndarray]:
             line = line.strip()
             if not line:
                 continue
-            key, _, rest = line.partition(":")
+            key, colon, rest = line.partition(":")
             key = key.strip()
+            if not colon:
+                raise FormatError(f"{path}: line {lineno}: no ':' after the "
+                                  "section name")
             if key not in SPLIT_KEYS:
                 raise FormatError(f"{path}: line {lineno}: unknown section {key!r}")
             if key in out:
@@ -561,9 +578,8 @@ def sample_episode(ds: SplitDataset, m: int, n: int, rng: RngStream,
     sample_idx = flat[starts[chosen][..., None] + picks]
     visual = ds.features[sample_idx.reshape(e, m * n)]
     semantic = ds.attributes.rows(class_ids).reshape(e, m, -1)
-    local = np.broadcast_to(class_major_labels(m, n), (e, m * n))
     block = Episode(class_ids=class_ids, sample_idx=sample_idx, visual=visual,
-                    semantic=semantic, local_labels=local)
+                    semantic=semantic)
     return block[0] if episodes is None else block
 
 

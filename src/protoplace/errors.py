@@ -27,10 +27,6 @@ class ConfigError(ValueError):
     """A run configuration is malformed or names unknown keys."""
 
 
-class UsageError(RuntimeError):
-    """An API was called out of order or with mismatched state."""
-
-
 class TrainingError(RuntimeError):
     """Training diverged (non-finite loss)."""
 
@@ -51,3 +47,12 @@ def require_real(name: str, value) -> None:
     bool is rejected, though Python counts it as an int, and so is a string."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ParameterError(f"{name} must be a real number, got {value!r}")
+
+
+def require_trace(name: str, value) -> None:
+    """ParameterError unless `value` is a list of real numbers (require_real),
+    as model.json and refiner.json record a loss trace."""
+    if not isinstance(value, list):
+        raise ParameterError(f"{name} must be a list, got {value!r}")
+    for x in value:
+        require_real(f"{name} entry", x)

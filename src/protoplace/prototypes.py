@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from .data import AttributeTable, Episode, SplitDataset, class_major_labels, \
-    load_params, read_json, sample_episode, save_params, write_json
-from .errors import FormatError, ParameterError, UsageError, require_ints, \
-    require_real
+    load_params, read_json, require_keys, sample_episode, save_params, write_json
+from .errors import FormatError, ParameterError, require_ints, require_real, \
+    require_trace
 from .hallucinate import HalluConfig, HallucinatedEpisode, hallucinate
 from .linalg import MappingNet, OptimizerState, check_stage_config, \
     cosine_cross_entropy, fit, net_backward, net_forward, require_finite, \
@@ -100,12 +100,13 @@ def stacked_loss(
 
 
 def _single_pass(
-    net: MappingNet, semantic: np.ndarray, visual: np.ndarray, local_labels,
-    logit_scale: float
+    net: MappingNet, semantic: np.ndarray, visual: np.ndarray, logit_scale: float
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """stacked_loss for a stack of one: the loss and the gradient by name."""
-    losses, grads = stacked_loss(net, semantic[None], unit_rows(visual[None]),
-                                 target_indices(local_labels[None], semantic.shape[0]),
+    """stacked_loss for a stack of one, the samples class-major: the loss and
+    the gradient by name."""
+    m = semantic.shape[0]
+    at = target_indices(class_major_labels(m, visual.shape[0] // m)[None], m)
+    losses, grads = stacked_loss(net, semantic[None], unit_rows(visual[None]), at,
                                  logit_scale)
     return float(losses[0]), net.views(grads[0])
 
@@ -114,18 +115,14 @@ def place_loss(
     model: PrototypeModel, hep: HallucinatedEpisode, logit_scale: float
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Classification of hallucinated samples against hallucinated prototypes."""
-    m = hep.semantic.shape[0]
-    n = hep.visual.shape[0] // m
-    return _single_pass(model.net, hep.semantic, hep.visual,
-                        class_major_labels(m, n), logit_scale)
+    return _single_pass(model.net, hep.semantic, hep.visual, logit_scale)
 
 
 def real_loss(
     model: PrototypeModel, ep: Episode, logit_scale: float
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Classification of the episode's real samples against real prototypes."""
-    return _single_pass(model.net, ep.semantic, ep.visual, ep.local_labels,
-                        logit_scale)
+    return _single_pass(model.net, ep.semantic, ep.visual, logit_scale)
 
 
 def train_prototypes(ds: SplitDataset, cfg: TrainConfig) -> PrototypeModel:
@@ -133,8 +130,6 @@ def train_prototypes(ds: SplitDataset, cfg: TrainConfig) -> PrototypeModel:
     real passes, combined as loss p + lambda_real * r and gradient
     gp + lambda_real * gr, then one optimizer step on the flat parameters.
     A mode without placeholders, or lambda_real = 0, stacks one pass."""
-    if cfg.mode == "full" and not ds.refined:
-        raise UsageError("mode 'full' expects a dataset refined by stage one")
     rng = RngStream(cfg.seed)
     net = MappingNet.init(ds.attr_dim, ds.feat_dim, cfg.hidden_dim,
                           rng.derive("init"))
@@ -197,24 +192,14 @@ FORMAT_KEYS = ("format_version", "activation", "loss_trace")
 META_KEYS = ("cli_mode", "used_sof")
 
 
-def _require_fields(values, cls, where: str = "") -> None:
-    if not isinstance(values, dict):
-        raise FormatError(f"'{where}' must be an object")
-    prefix = f"{where}." if where else ""
-    names = {f.name for f in fields(cls)}
-    for what, keys in (("unknown", values.keys() - names),
-                       ("missing", names - values.keys())):
-        if keys:
-            raise FormatError(f"{what} key '{prefix}{min(keys)}'")
-
-
 def train_config_from(values: dict) -> TrainConfig:
     """The TrainConfig whose fields are exactly the keys of `values`, with
     `hallucination` a dict of exactly the HalluConfig fields.  Config sections
     and model.json are both read through it.  A missing or unknown key raises
     FormatError; a value out of range, ParameterError."""
-    _require_fields(values, TrainConfig)
-    _require_fields(values["hallucination"], HalluConfig, "hallucination")
+    require_keys(values, [f.name for f in fields(TrainConfig)])
+    require_keys(values["hallucination"], [f.name for f in fields(HalluConfig)],
+                 "hallucination")
     return TrainConfig(**{**values,
                           "hallucination": HalluConfig(**values["hallucination"])})
 
@@ -255,10 +240,7 @@ def load_model(in_dir) -> tuple[PrototypeModel, dict]:
             raise FormatError(f"activation must be {ACTIVATION!r}")
         if not isinstance(manifest.get("used_sof", False), bool):
             raise FormatError("used_sof must be true or false")
-        if not isinstance(manifest["loss_trace"], list):
-            raise FormatError("loss_trace must be a list")
-        for x in manifest["loss_trace"]:
-            require_real("loss_trace entry", x)
+        require_trace("loss_trace", manifest["loss_trace"])
         loss_trace = [float(x) for x in manifest["loss_trace"]]
     except (ValueError, TypeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc

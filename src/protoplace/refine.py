@@ -12,13 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import AttributeTable, SplitDataset, load_params, read_json, save_params, \
-    write_json
+from .data import AttributeTable, SplitDataset, load_params, read_json, \
+    require_keys, save_params, write_json
 from .errors import FormatError, ParameterError, ShapeError, ValidationError, \
-    require_ints, require_real
+    require_ints, require_real, require_trace
 from .linalg import FlatParams, OptimizerState, as_matrix, check_stage_config, \
     cosine_cross_entropy, fit, require_finite, target_indices, unit_rows
-from .rng import DEFAULT_SEED, RngStream
+from .rng import DEFAULT_SEED, RngStream, check_seed
 
 
 @dataclass
@@ -145,36 +145,52 @@ def refine_features(ds: SplitDataset, params: RefinerParams) -> SplitDataset:
             f"refiner is {params.f_lin.shape[0]}-dimensional, features are "
             f"{ds.feat_dim}-dimensional"
         )
-    return replace(ds, features=ds.features @ params.f_lin, refined=True)
+    return replace(ds, features=ds.features @ params.f_lin)
 
 
-def save_refiner(params: RefinerParams, out_dir, meta: dict | None = None) -> None:
+# refiner.json's keys: the shape of each weight file, and stage one's seed
+# and loss trace.
+REFINER_KEYS = ("f_lin_shape", "w_proj_shape", "seed", "loss_trace")
+
+
+def save_refiner(params: RefinerParams, out_dir, seed: int,
+                 loss_trace: list[float]) -> None:
+    """The weights as binary matrices, and refiner.json: their shapes, and the
+    seed and loss trace of the stage one that trained them."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_params(params, out_dir, "refiner")
     write_json(out_dir / "refiner.json", {"f_lin_shape": list(params.f_lin.shape),
                                           "w_proj_shape": list(params.w_proj.shape),
-                                          **(meta or {})})
+                                          "seed": seed, "loss_trace": loss_trace})
 
 
 def load_refiner(in_dir) -> RefinerParams:
     """The refiner save_refiner wrote.  FileNotFoundError where refiner.json
-    is missing, as where a weight file is: a model whose model.json records
-    used_sof is incomplete without it.  FormatError where refiner.json is
-    not JSON, repeats a key, or records an f_lin_shape or w_proj_shape that
-    is not its weight file's shape, as a list of integers."""
+    is missing, as where a weight file is: a model whose pipeline runs stage
+    one is incomplete without it.  FormatError where refiner.json is not
+    JSON, repeats a key, misses or adds a key of REFINER_KEYS, records a seed
+    that is not a 64-bit unsigned integer or a loss_trace that is not a list
+    of real numbers, or records an f_lin_shape or w_proj_shape that is not
+    its weight file's shape, as a list of integers."""
     in_dir = Path(in_dir)
     path = in_dir / "refiner.json"
     if not path.is_file():
         raise FileNotFoundError(f"no refiner.json under {in_dir}")
     try:
         record = read_json(path)
+        require_keys(record, REFINER_KEYS)
+        seed = record["seed"]
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise FormatError(f"seed must be an integer, got {seed!r}")
+        check_seed(seed)
+        require_trace("loss_trace", record["loss_trace"])
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     params = RefinerParams(**load_params(RefinerParams, in_dir, "refiner"))
     for name in RefinerParams.PARAMS:
         key, shape = f"{name}_shape", list(getattr(params, name).shape)
-        value = record.get(key) if isinstance(record, dict) else None
+        value = record[key]
         if value != shape or any(type(v) is not int for v in value):
             raise FormatError(f"{path}: {key} must be {shape}, the shape of "
                               "the weights")

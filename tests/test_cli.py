@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from protoplace import cli
+from protoplace import config as cfgmod
 from protoplace.cli import main
 from protoplace.config import DEFAULTS, delta_grid, load_config
 from protoplace.data import SynthConfig, load_dataset_dir, load_matrix, \
@@ -578,9 +579,19 @@ class TestEval:
         lambda m: m.update(loss_trace=[True, False]),
         lambda m: m.update(loss_trace=["1.5", "nan"]),
         lambda m: m.update(loss_trace={"1": 2}),
+        # cli_mode names the pipeline, whose mode and stage one the record
+        # repeats; this s2v model is neither `full` nor `ep`
+        lambda m: m.update(cli_mode="full"),
+        lambda m: m.update(cli_mode="ep"),
+        lambda m: m.pop("cli_mode"),
+        lambda m: m.update(cli_mode=["s2v"]),
+        lambda m: m.update(cli_mode="s2v_baseline"),
+        lambda m: m.pop("used_sof"),
     ], ids=["missing key", "unknown key", "no version", "used_sof string",
             "version true", "version 1.0", "trace string", "trace bools",
-            "trace strings", "trace object"])
+            "trace strings", "trace object", "cli_mode full", "cli_mode ep",
+            "no cli_mode", "cli_mode list", "cli_mode training mode",
+            "no used_sof"])
     def test_malformed_model_json_exits_5(self, trained, edit, capsys):
         tmp_path, cfg, data, model = trained
         manifest = json.loads((model / "model.json").read_text())
@@ -633,6 +644,27 @@ class TestEval:
                  "--out", tmp_path / "e")
         assert rc == 3
         assert "refiner.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        {"used_sof": False},
+        {"used_sof": False, "cli_mode": "ep-ei"},
+        {"cli_mode": "s2v"},
+    ], ids=["used_sof false", "ep-ei without stage one", "s2v"])
+    def test_full_model_recorded_as_other_pipeline_exits_5(self, workdir, capsys,
+                                                           edit):
+        # the weights are the full model's: scoring them on unrefined
+        # features would report numbers of no pipeline
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        out = tmp_path / "run_full"
+        assert run("train", "--config", cfg, "--data", data, "--out", out,
+                   "--mode", "full") == 0
+        path = out / "model" / "model.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        rc = run("eval", "--model", out / "model", "--data", data,
+                 "--out", tmp_path / "e")
+        assert rc == 5
+        assert "model.json" in capsys.readouterr().err
 
     def test_sof_model_with_malformed_refiner_json_exits_5(self, workdir, capsys):
         # test_refine.py checks each malformed record; here, the exit code
@@ -726,6 +758,30 @@ class TestAblate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["metrics"]) == set(names) | {"dataset_fingerprint"}
 
+    def test_no_seen_test_rows_leaves_cells_empty(self, workdir):
+        # with no seen test row S and H are undefined: empty cells, as in
+        # eval's report.csv, `--` in the table and null in the manifest
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        split = data / "split.txt"
+        split.write_text("".join("test_seen:\n" if line.startswith("test_seen:")
+                                 else line for line in
+                                 split.read_text().splitlines(keepends=True)))
+        out = tmp_path / "ablation"
+        assert run("ablate", "--config", cfg, "--data", data, "--out", out,
+                   "--seeds", "1") == 0
+        for line in (out / "ablation.csv").read_text().splitlines()[1:]:
+            _, t, u, s, h = line.split(",")
+            assert t and u and s == h == "", line
+        for line in (out / "ablation.txt").read_text().splitlines()[1:]:
+            assert line.split()[-2:] == ["--", "--"], line
+        manifest = json.loads((out / "manifest.json").read_text(),
+                              parse_constant=pytest.fail)
+        for name, metrics in manifest["metrics"].items():
+            if name != "dataset_fingerprint":
+                assert metrics["S"] is None and metrics["H"] is None
+                assert 0.0 <= metrics["T"] <= 1.0
+
 
 class TestSweep:
     def test_neighbor_sweep_with_range_and_zero(self, workdir):
@@ -811,6 +867,17 @@ class TestSweep:
                  tmp_path / "s", "--param", "n", "--values", values)
         assert rc == 2
         assert "--values" in capsys.readouterr().err
+
+    def test_range_past_the_bound_exits_2_unexpanded(self):
+        # the values are counted before a range is expanded, so a huge range
+        # costs nothing (it comes last: a parser that expands first fails on
+        # the small ones); a sweep of exactly the bound is expanded
+        bound = cfgmod.MAX_SWEEP_VALUES
+        assert len(cli._parse_sweep_values(f"1..{bound}", "sigma")) == bound
+        for spec in (f"0..{bound}", f"0,1..{bound}", "0..999999999999999999"):
+            with pytest.raises(ConfigError, match=f"{bound} values") as info:
+                cli._parse_sweep_values(spec, "n_neighbors")
+            assert repr(spec.split(",")[-1]) in str(info.value)
 
     @pytest.mark.parametrize("values", ["2.5", "1,2.5", "inf"])
     def test_fractional_neighbor_count_exits_2(self, workdir, values, capsys):

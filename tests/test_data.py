@@ -13,6 +13,7 @@ from protoplace.data import (
     sample_episode,
     save_dataset,
     save_matrix,
+    write_json,
 )
 from protoplace.errors import CapacityError, ConfigError, FormatError, \
     ParameterError, ValidationError
@@ -67,6 +68,16 @@ class TestBinaryFormat:
             load_matrix(p)
 
 
+class TestJsonRecord:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_number_refused(self, tmp_path, value):
+        # json.dumps writes NaN and Infinity by default, which are not JSON
+        path = tmp_path / "record.json"
+        with pytest.raises(ValueError):
+            write_json(path, {"metrics": {"H": value}})
+        assert not path.exists()
+
+
 class TestDatasetIO:
     def test_csv_fixture_counts(self, tmp_path):
         ds = tiny_dataset()
@@ -114,6 +125,17 @@ class TestDatasetIO:
         with open(paths["split"], "a") as f:
             f.write(extra)
         with pytest.raises(FormatError, match="repeated section"):
+            load_dataset_dir(tmp_path)
+
+    @pytest.mark.parametrize("line", ["test_seen", "test_seen 1"])
+    def test_split_line_without_colon_rejected(self, tmp_path, line):
+        # not read as an empty section, nor as a section named `test_seen 1`
+        paths = save_dataset(tiny_dataset(), tmp_path, format="csv")
+        lines = paths["split"].read_text().splitlines()
+        assert lines[3] == "test_seen: 1"
+        lines[3] = line
+        paths["split"].write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="line 4: no ':'"):
             load_dataset_dir(tmp_path)
 
     @pytest.mark.parametrize("ids", ["+0 1", "00 1", "-0 1", "0 0_1",
@@ -357,7 +379,6 @@ class TestSampleEpisode:
                     bench.features[sample_idx.ravel()].tobytes()
                 assert ep.semantic.tobytes() == \
                     bench.attributes.rows(class_ids).tobytes()
-                assert ep.local_labels.tolist() == np.repeat(np.arange(m), n).tolist()
         assert rng.uniform() == ref_rng.uniform()
 
     def test_unequal_pools_match_reference(self):

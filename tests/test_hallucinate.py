@@ -30,7 +30,6 @@ def make_episode(visual_classes, semantic, n=1):
         sample_idx=np.arange(m * n, dtype=np.int64).reshape(m, n),
         visual=np.asarray(visual, dtype=np.float64),
         semantic=np.asarray(semantic, dtype=np.float64),
-        local_labels=np.repeat(np.arange(m, dtype=np.int64), n),
     )
 
 

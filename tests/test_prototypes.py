@@ -6,8 +6,7 @@ import pytest
 
 from protoplace.data import AttributeTable, SplitDataset, SynthConfig, \
     generate_synthetic, sample_episode
-from protoplace.errors import FormatError, ParameterError, TrainingError, \
-    UsageError
+from protoplace.errors import FormatError, ParameterError, TrainingError
 from protoplace.hallucinate import HalluConfig, hallucinate
 from protoplace.linalg import MappingNet, net_forward
 from protoplace.prototypes import PrototypeModel, TrainConfig, load_model, \
@@ -65,8 +64,7 @@ class TestLosses:
         from protoplace.data import Episode
         ep = Episode(class_ids=np.array([0, 1]),
                      sample_idx=np.array([[0], [1]]),
-                     visual=attrs.copy(), semantic=attrs.copy(),
-                     local_labels=np.array([0, 1]))
+                     visual=attrs.copy(), semantic=attrs.copy())
         loss, _ = real_loss(model, ep, 1.0)
         assert loss == pytest.approx(-math.log(math.e / (math.e + 1)), abs=1e-12)
 
@@ -173,16 +171,6 @@ class TestTrainPrototypes:
         assert got.loss_trace == want.loss_trace
         assert got.net.flat.tobytes() == want.net.flat.tobytes()
 
-    def test_placeholder_and_real_passes_share_labels(self):
-        # the stacked step's one target vector serves both passes
-        ds = bench(seed=3)
-        block = sample_episode(ds, 4, 2, RngStream(3), episodes=5)
-        labels = prototypes_mod.class_major_labels(4, 2)
-        for i in range(5):
-            assert np.array_equal(block[i].local_labels, labels)
-        single = sample_episode(ds, 4, 2, RngStream(3))
-        assert np.array_equal(single.local_labels, labels)
-
     def test_loss_descends_on_easy_data(self):
         ds = bench(seed=5, noise=0.1, per=10)
         cfg = small_cfg(epochs=10, episodes_per_epoch=10, learning_rate=5e-3,
@@ -198,11 +186,6 @@ class TestTrainPrototypes:
                               RngStream(0).derive("init"))
         assert np.array_equal(model.net.w1, ref.w1)
         assert model.loss_trace == []
-
-    def test_full_mode_requires_refined_dataset(self):
-        ds = bench(seed=7)
-        with pytest.raises(UsageError):
-            train_prototypes(ds, small_cfg(mode="full"))
 
     def test_deterministic(self):
         ds = bench(seed=8)

@@ -204,7 +204,6 @@ class TestRefineFeatures:
         params, _ = train_sof(ds, SofConfig(epochs=2))
         out = refine_features(ds, params)
         assert np.max(np.abs(out.features - ds.features @ params.f_lin)) == 0.0
-        assert out.refined
 
     def test_identity_refiner_is_noop(self):
         ds = small_bench(seed=8, noise=0.4)
@@ -246,28 +245,56 @@ class TestRefineFeatures:
 class TestRefinerIO:
     def test_round_trip(self, tmp_path):
         ds = small_bench(seed=10, noise=0.2)
-        params, _ = train_sof(ds, SofConfig(epochs=2))
-        save_refiner(params, tmp_path, meta={"note": "t"})
+        params, trace = train_sof(ds, SofConfig(epochs=2))
+        save_refiner(params, tmp_path, seed=0, loss_trace=trace)
         loaded = load_refiner(tmp_path)
         # on-disk matrices are float32, so round-trip equality holds after a cast
         assert np.array_equal(loaded.f_lin, params.f_lin.astype(np.float32))
         assert np.array_equal(loaded.w_proj, params.w_proj.astype(np.float32))
         assert (tmp_path / "refiner.json").exists()
 
+    # each record below breaks one rule; the rest of it is valid
+    VALID = '"seed": 0, "loss_trace": [1.5, 2]'
+
     @pytest.mark.parametrize("text", [
         "not json at all",
         "[6, 6]",
-        '{"f_lin_shape": [6, 6], "w_proj_shape": [6, 4], "seed": 0, "seed": 1}',
-        '{"f_lin_shape": [6, 6]}',
-        '{"f_lin_shape": [6, 6], "w_proj_shape": [6, 5]}',
-        '{"f_lin_shape": [6.0, 6], "w_proj_shape": [6, 4]}',
-        '{"f_lin_shape": [6, 6], "w_proj_shape": [6, 4, 1]}',
+        '{"f_lin_shape": [6, 6], "w_proj_shape": [6, 4], "seed": 0, "seed": 1, '
+        '"loss_trace": []}',
+        '{"f_lin_shape": [6, 6], ' + VALID + '}',
+        '{"f_lin_shape": [6, 6], "w_proj_shape": [6, 5], ' + VALID + '}',
+        '{"f_lin_shape": [6.0, 6], "w_proj_shape": [6, 4], ' + VALID + '}',
+        '{"f_lin_shape": [6, 6], "w_proj_shape": [6, 4, 1], ' + VALID + '}',
+        '{"f_lin_shape": [6, 6], "w_proj_shape": [6, 4], ' + VALID
+        + ', "junk": [1]}',
+        '{"f_lin_shape": [6, 6], "w_proj_shape": [6, 4], "loss_trace": []}',
+        '{"f_lin_shape": [6, 6], "w_proj_shape": [6, 4], "seed": 0}',
+        '{"f_lin_shape": [6, 6], "w_proj_shape": [6, 4], "seed": -5, '
+        '"loss_trace": []}',
+        '{"f_lin_shape": [6, 6], "w_proj_shape": [6, 4], "seed": 18446744073709551616, '
+        '"loss_trace": []}',
+        '{"f_lin_shape": [6, 6], "w_proj_shape": [6, 4], "seed": true, '
+        '"loss_trace": []}',
+        '{"f_lin_shape": [6, 6], "w_proj_shape": [6, 4], "seed": 0.0, '
+        '"loss_trace": []}',
+        '{"f_lin_shape": [6, 6], "w_proj_shape": [6, 4], "seed": 0, '
+        '"loss_trace": "oops"}',
+        '{"f_lin_shape": [6, 6], "w_proj_shape": [6, 4], "seed": 0, '
+        '"loss_trace": [true]}',
+        '{"f_lin_shape": [6, 6], "w_proj_shape": [6, 4], "seed": 0, '
+        '"loss_trace": ["1.5"]}',
     ], ids=["not json", "not an object", "repeated key", "missing shape",
-            "other shape", "float dimension", "extra dimension"])
+            "other shape", "float dimension", "extra dimension", "unknown key",
+            "missing seed", "missing trace", "negative seed", "seed past 64 bits",
+            "seed true", "seed float", "trace string", "trace bools",
+            "trace strings"])
     def test_record_checked_against_weights(self, tmp_path, text):
         params, _ = train_sof(small_bench(seed=10, noise=0.2), SofConfig(epochs=0))
         assert (params.f_lin.shape, params.w_proj.shape) == ((6, 6), (6, 4))
-        save_refiner(params, tmp_path)
+        save_refiner(params, tmp_path, seed=0, loss_trace=[])
+        (tmp_path / "refiner.json").write_text(
+            '{"f_lin_shape": [6, 6], "w_proj_shape": [6, 4], ' + self.VALID + '}')
+        load_refiner(tmp_path)  # the valid record the cases edit
         (tmp_path / "refiner.json").write_text(text)
         with pytest.raises(FormatError, match="refiner.json"):
             load_refiner(tmp_path)

@@ -23,9 +23,11 @@ messages name the stage), `error_ablate_seeds` (`ablate --seeds 0`),
 `error_sweep_param` (`sweep --param beta`), `error_missing_config` (`train`
 whose `--config` does not exist), `error_delta_grid` (an empty
 `--delta-grid=`), `error_eval_dims` (`eval` of a model on the data of
-`synth_other`, whose dimensions differ) and `error_no_dataset` (`eval` whose
-`--data` is an empty directory).  The sweep at sigma 1e-310, below the
-smallest sigma accepted, is an expected failure too: 16 per configuration.
+`synth_other`, whose dimensions differ), `error_no_dataset` (`eval` whose
+`--data` is an empty directory) and `error_eval_no_model` (`eval --model
+train_full`, the run directory, which holds no model.json).  The sweep at
+sigma 1e-310, below the smallest sigma accepted, is an expected failure too:
+17 per configuration.
 Every step runs in its own process with PYTHONPATH set to the tree's `src`
 and one BLAS thread, from the same relative paths, so that its standard
 output, standard error and exit code (kept as `<step>.stdout`,
@@ -103,7 +105,8 @@ ERRORS = {
 OTHER_SYNTH = {"seen_count": 4, "unseen_count": 2, "attr_dim": 5, "feat_dim": 7,
                "train_per_class": 4, "test_per_class": 2}
 EXPECTED_FAILURES = ("sweep_sigma_1e-310", *ERRORS, "error_missing_config",
-                     "error_delta_grid", "error_eval_dims", "error_no_dataset")
+                     "error_delta_grid", "error_eval_dims", "error_no_dataset",
+                     "error_eval_no_model")
 
 
 def src_dir(tree: str) -> Path:
@@ -154,7 +157,9 @@ def steps(n_values: str) -> list[tuple[str, list[str]]]:
             ("error_eval_dims", ["eval", *full, "--data", "data_other",
                                  "--out", "error_eval_dims"]),
             ("error_no_dataset", ["eval", *full, "--data", "data_empty",
-                                  "--out", "error_no_dataset"])]
+                                  "--out", "error_no_dataset"]),
+            ("error_eval_no_model", ["eval", "--model", "train_full", *data,
+                                     "--out", "error_eval_no_model"])]
     return out
 
 
