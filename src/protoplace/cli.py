@@ -26,24 +26,9 @@ from .data import dataset_fingerprint, episode_classes, generate_synthetic, \
 from .errors import CapacityError, ConfigError, FormatError, ParameterError, \
     ShapeError, TrainingError, ValidationError
 from .metrics import cs_sweep, prototype_similarity
-from .prototypes import _PLACEHOLDERS, PrototypeModel, load_model, project_prototypes, \
-    save_model, train_prototypes
+from .prototypes import MODES, PIPELINES, PLACEHOLDERS, PrototypeModel, load_model, \
+    project_prototypes, save_model, train_prototypes
 from .refine import load_refiner, refine_features, save_refiner, train_sof
-
-# Every pipeline: its `--mode` name and its ablation-ladder row name (None
-# where it has none), its training mode, and whether stage one (SOF) refines
-# the features first.  The ladder's rows keep this order.  `train` records
-# the `--mode` name in model.json, and `eval` refines the features exactly
-# when that pipeline has stage one.
-PIPELINES = (
-    ("s2v", "s2v", "s2v_baseline", False),
-    ("ep", None, "ep_only", False),
-    ("ep-ei", "s2v+ep_ei", "ep_ei", False),
-    (None, "s2v+sof", "s2v_baseline", True),
-    (None, "s2v+sof+ep", "ep_only", True),
-    ("full", "s2v+sof+ep_ei", "full", True),
-)
-MODES = {name: (mode, sof) for name, _, mode, sof in PIPELINES if name}
 
 # `sweep --param` names: the hallucination config keys, plus `n` for n_neighbors.
 SWEEP_PARAMS = {"n_neighbors": "n_neighbors", "n": "n_neighbors", "sigma": "sigma"}
@@ -155,7 +140,7 @@ def cmd_train(args, cfg, ds, out):
     run = (cfg.sof if use_sof else None, replace(cfg.train, mode=mode_name))
     [(_, stage_one, model)] = _train_runs(ds, [run])
     model_dir = out / "model"
-    save_model(model, model_dir, meta={"cli_mode": args.mode, "used_sof": use_sof})
+    save_model(model, model_dir, args.mode)
     if use_sof:
         refiner, sof_trace = stage_one
         save_refiner(refiner, model_dir, seed=cfg.sof.seed, loss_trace=sof_trace)
@@ -173,8 +158,8 @@ def _write_report_files(out: Path, label: str, reports, best, model, eval_ds) ->
     with open(out / f"report{suffix}.txt", "w") as f:
         f.write(f"T = {_pct(best.T)}  U = {_pct(best.U)}  S = {_pct(best.S)}  "
                 f"H = {_pct(best.H)}  (delta = {best.delta:g})\n")
-    for block, ids in (("seen", np.sort(eval_ds.seen_classes)),
-                       ("unseen", np.sort(eval_ds.unseen_classes))):
+    for block, ids in (("seen", eval_ds.seen_classes),
+                       ("unseen", eval_ds.unseen_classes)):
         if ids.size == 0:
             continue
         protos = project_prototypes(model, eval_ds.attributes, ids)
@@ -200,18 +185,13 @@ def cmd_eval(args, _, ds, out):
         if not (model_dir / "model.json").exists():
             raise FileNotFoundError(f"no trained model under {model_dir}")
         model, record = load_model(model_dir)
-        name = record.get("cli_mode")
-        pipeline = MODES.get(name) if isinstance(name, str) else None
-        if pipeline is None or (record["mode"], record.get("used_sof")) != pipeline:
-            raise FormatError(f"{model_dir / 'model.json'}: cli_mode {name!r}, mode "
-                              "and used_sof name no pipeline of "
-                              f"{', '.join(MODES)}")
         if model.net.out_dim != ds.feat_dim or model.net.in_dim != ds.attr_dim:
             raise ShapeError(
                 f"model maps {model.net.in_dim}->{model.net.out_dim}, dataset is "
                 f"{ds.attr_dim}->{ds.feat_dim}"
             )
-        eval_ds = refine_features(ds, load_refiner(model_dir)) if pipeline[1] else ds
+        eval_ds = refine_features(ds, load_refiner(model_dir)) if record["used_sof"] \
+            else ds
         reports, best = _eval_model(model, eval_ds, grid)
         _write_report_files(out, label, reports, best, model, eval_ds)
         key = label or "model"
@@ -252,7 +232,9 @@ def cmd_ablate(args, cfg, ds, out):
                         for st in row)]
                for name, row in rows.items()))
     with open(out / "ablation.txt", "w") as f:
-        f.write(f"{'config':<16}{'T':>14}{'U':>14}{'S':>14}{'H':>14}\n")
+        # a cell is 13 characters, its mean the first 8: each name ends
+        # where its column's means end
+        f.write(f"{'config':<16}{'T':>8}{'U':>13}{'S':>13}{'H':>13}\n")
         for name, row in rows.items():
             cells = "".join(f"{'--':>8}{'':5}" if st is None else
                             f"{100 * st[0]:>8.1f}±{100 * st[1]:<4.1f}" for st in row)
@@ -270,7 +252,7 @@ def cmd_sweep(args, cfg, ds, out):
                           f"one of {', '.join(SWEEP_PARAMS)}")
     values = _parse_sweep_values(args.values, param)
     mode_name, use_sof = MODES[args.mode]
-    if not _PLACEHOLDERS[mode_name][0]:
+    if not PLACEHOLDERS[mode_name][0]:
         raise ConfigError(f"--mode {args.mode} never hallucinates, so no run would "
                           f"use {args.param}")
     # n_neighbors = 0 disables hallucination: the config's s2v_baseline run

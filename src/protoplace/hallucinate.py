@@ -99,7 +99,7 @@ def placeholder_draws(
     episode order; a forced Beta draws nothing.  Neighbour k of row i is
     class k + (k >= i), one of the row's M - 1 other classes: TrainConfig
     bounds n_neighbors by M - 1, and the forced Beta comes from
-    prototypes._PLACEHOLDERS."""
+    prototypes.PLACEHOLDERS."""
     m, k = shape[-1], cfg.n_neighbors
     rows = int(np.prod(shape))
     picks = np.empty((rows, k), dtype=np.int64)

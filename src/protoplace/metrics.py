@@ -188,8 +188,7 @@ def cs_sweep(
     once; a delta then costs O(rows) work per split (_TopScores).  The grid
     is nonempty, and each test label in its split's class set."""
     grid = [float(d) for d in delta_grid]
-    seen = np.sort(ds.seen_classes)
-    unseen = np.sort(ds.unseen_classes)
+    seen, unseen = ds.seen_classes, ds.unseen_classes
     test_u, test_s = ds.test_unseen_idx, ds.test_seen_idx
 
     t_acc = None

@@ -26,12 +26,27 @@ from .rng import DEFAULT_SEED, RngStream
 # placeholder classes, and the Beta forced on them (None: drawn from
 # Beta(alpha1, alpha2)).  `full` trains as `ep_ei` does, on features refined by
 # stage one.
-_PLACEHOLDERS = {
+PLACEHOLDERS = {
     "s2v_baseline": (False, None),
     "ep_only": (True, 0.0),
     "ep_ei": (True, None),
     "full": (True, None),
 }
+
+# Every pipeline: its `--mode` name and its ablation-ladder row name (None
+# where it has none), its training mode, and whether stage one (SOF) refines
+# the features first.  The ladder's rows keep this order.  model.json records
+# the `--mode` name and whether stage one ran, and load_model holds both to
+# this table.
+PIPELINES = (
+    ("s2v", "s2v", "s2v_baseline", False),
+    ("ep", None, "ep_only", False),
+    ("ep-ei", "s2v+ep_ei", "ep_ei", False),
+    (None, "s2v+sof", "s2v_baseline", True),
+    (None, "s2v+sof+ep", "ep_only", True),
+    ("full", "s2v+sof+ep_ei", "full", True),
+)
+MODES = {name: (mode, sof) for name, _, mode, sof in PIPELINES if name}
 
 # Episodes sampled and hallucinated per call (data.Stackable): none of it
 # depends on the weights, so a block runs as one numpy call per step.  A
@@ -68,10 +83,10 @@ class TrainConfig:
             raise ParameterError("hidden_dim must be at least 1")
         if not 0 <= self.lambda_real < np.inf:
             raise ParameterError("lambda_real must be nonnegative and finite")
-        if self.mode not in _PLACEHOLDERS:
+        if self.mode not in PLACEHOLDERS:
             raise ParameterError(f"unknown training mode {self.mode!r}")
         n, m = self.hallucination.n_neighbors, self.m_classes
-        if _PLACEHOLDERS[self.mode][0] and n > m - 1:
+        if PLACEHOLDERS[self.mode][0] and n > m - 1:
             raise ParameterError(f"n_neighbors = {n} exceeds an episode's {m - 1} "
                                  f"other classes (m_classes = {m})")
 
@@ -99,30 +114,21 @@ def stacked_loss(
     return losses, net_backward(net, cache, g_proto)
 
 
-def _single_pass(
-    net: MappingNet, semantic: np.ndarray, visual: np.ndarray, logit_scale: float
-) -> tuple[float, dict[str, np.ndarray]]:
-    """stacked_loss for a stack of one, the samples class-major: the loss and
-    the gradient by name."""
-    m = semantic.shape[0]
-    at = target_indices(class_major_labels(m, visual.shape[0] // m)[None], m)
-    losses, grads = stacked_loss(net, semantic[None], unit_rows(visual[None]), at,
-                                 logit_scale)
-    return float(losses[0]), net.views(grads[0])
-
-
 def place_loss(
-    model: PrototypeModel, hep: HallucinatedEpisode, logit_scale: float
+    model: PrototypeModel, x: HallucinatedEpisode | Episode, logit_scale: float
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Classification of hallucinated samples against hallucinated prototypes."""
-    return _single_pass(model.net, hep.semantic, hep.visual, logit_scale)
+    """Classification of an episode's samples against its prototypes, the
+    placeholder pass (a HallucinatedEpisode) or the real one (an Episode):
+    stacked_loss for a stack of one, the samples class-major.  The loss and
+    the gradient by name."""
+    m = x.semantic.shape[0]
+    at = target_indices(class_major_labels(m, x.visual.shape[0] // m)[None], m)
+    losses, grads = stacked_loss(model.net, x.semantic[None],
+                                 unit_rows(x.visual[None]), at, logit_scale)
+    return float(losses[0]), model.net.views(grads[0])
 
 
-def real_loss(
-    model: PrototypeModel, ep: Episode, logit_scale: float
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Classification of the episode's real samples against real prototypes."""
-    return _single_pass(model.net, ep.semantic, ep.visual, logit_scale)
+real_loss = place_loss
 
 
 def train_prototypes(ds: SplitDataset, cfg: TrainConfig) -> PrototypeModel:
@@ -141,7 +147,7 @@ def train_prototypes(ds: SplitDataset, cfg: TrainConfig) -> PrototypeModel:
     if per_epoch is None:
         per_epoch = max(1, int(np.ceil(ds.train_idx.size / (m * n))))
     opt = OptimizerState(mode=cfg.optimizer, learning_rate=cfg.learning_rate)
-    placeholders, force = _PLACEHOLDERS[cfg.mode]
+    placeholders, force = PLACEHOLDERS[cfg.mode]
     lam = cfg.lambda_real
     real_pass = not placeholders or lam > 0
     depth = placeholders + real_pass
@@ -186,10 +192,8 @@ def project_prototypes(
 FORMAT_VERSION = 1
 # model.json records MappingNet's hidden activation, which is always ReLU.
 ACTIVATION = "relu"
-# model.json keys besides the TrainConfig fields, and the optional ones that
-# the CLI's `train` adds through `meta`.
-FORMAT_KEYS = ("format_version", "activation", "loss_trace")
-META_KEYS = ("cli_mode", "used_sof")
+# model.json keys besides the TrainConfig fields.
+FORMAT_KEYS = ("format_version", "activation", "loss_trace", "cli_mode", "used_sof")
 
 
 def train_config_from(values: dict) -> TrainConfig:
@@ -204,25 +208,27 @@ def train_config_from(values: dict) -> TrainConfig:
                           "hallucination": HalluConfig(**values["hallucination"])})
 
 
-def save_model(model: PrototypeModel, out_dir, meta: dict | None = None) -> None:
+def save_model(model: PrototypeModel, out_dir, cli_mode: str) -> None:
     """Weights as binary matrices, and model.json: the format version, the
-    ACTIVATION, the loss trace, every TrainConfig field and `meta`, whose
-    keys are among META_KEYS (load_model rejects any other)."""
+    ACTIVATION, the loss trace, the pipeline `cli_mode` (a key of MODES),
+    whether it runs stage one (`used_sof`) and every TrainConfig field."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_params(model.net, out_dir, "net")
     write_json(out_dir / "model.json", {
         "format_version": FORMAT_VERSION, "activation": ACTIVATION,
-        "loss_trace": model.loss_trace, **asdict(model.config), **(meta or {})})
+        "loss_trace": model.loss_trace, "cli_mode": cli_mode,
+        "used_sof": MODES[cli_mode][1], **asdict(model.config)})
 
 
 def load_model(in_dir) -> tuple[PrototypeModel, dict]:
     """The model save_model wrote, and its model.json.  Net shapes come from
     the weight files.  A model.json that is not JSON, repeats a key, has a
     format_version other than the integer FORMAT_VERSION or an activation
-    other than ACTIVATION, misses or adds a key, records a used_sof that is
-    not a bool or a loss_trace that is not a list of real numbers raises
-    FormatError."""
+    other than ACTIVATION, misses or adds a key, records a cli_mode that
+    names no pipeline of MODES, a mode or used_sof other than that
+    pipeline's (used_sof by identity: 1 is not true) or a loss_trace that is
+    not a list of real numbers raises FormatError."""
     in_dir = Path(in_dir)
     path = in_dir / "model.json"
     try:
@@ -235,11 +241,15 @@ def load_model(in_dir) -> tuple[PrototypeModel, dict]:
         if missing:
             raise FormatError(f"missing key '{missing[0]}'")
         cfg = train_config_from({k: v for k, v in manifest.items()
-                                 if k not in FORMAT_KEYS + META_KEYS})
+                                 if k not in FORMAT_KEYS})
         if manifest["activation"] != ACTIVATION:
             raise FormatError(f"activation must be {ACTIVATION!r}")
-        if not isinstance(manifest.get("used_sof", False), bool):
-            raise FormatError("used_sof must be true or false")
+        name = manifest["cli_mode"]
+        pipeline = MODES.get(name) if isinstance(name, str) else None
+        if pipeline is None or pipeline[0] != cfg.mode or \
+                pipeline[1] is not manifest["used_sof"]:
+            raise FormatError(f"cli_mode {name!r}, mode and used_sof name no "
+                              f"pipeline of {', '.join(MODES)}")
         require_trace("loss_trace", manifest["loss_trace"])
         loss_trace = [float(x) for x in manifest["loss_trace"]]
     except (ValueError, TypeError) as exc:

@@ -7,7 +7,8 @@ refined features.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -139,13 +140,17 @@ def train_sof(ds: SplitDataset, cfg: SofConfig) -> tuple[RefinerParams, list[flo
 
 
 def refine_features(ds: SplitDataset, params: RefinerParams) -> SplitDataset:
-    """New dataset with features mapped through the refiner; everything else shared."""
+    """A shallow copy of ds whose features are mapped through the refiner and
+    checked finite: the unchanged split, and its train_pools once built, are
+    shared, not validated or built again."""
     if params.f_lin.shape[0] != ds.feat_dim:
         raise ShapeError(
             f"refiner is {params.f_lin.shape[0]}-dimensional, features are "
             f"{ds.feat_dim}-dimensional"
         )
-    return replace(ds, features=ds.features @ params.f_lin)
+    out = copy.copy(ds)
+    out.features = require_finite(ds.features @ params.f_lin, "features")
+    return out
 
 
 # refiner.json's keys: the shape of each weight file, and stage one's seed

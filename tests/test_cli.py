@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -757,6 +758,28 @@ class TestAblate:
         assert (out / "ablation.txt").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["metrics"]) == set(names) | {"dataset_fingerprint"}
+
+    @pytest.mark.parametrize("empty_test_seen", [False, True],
+                             ids=["every cell", "S and H undefined"])
+    def test_table_names_end_over_their_means(self, workdir, empty_test_seen):
+        # each header name ends in the column where its values' means (or
+        # their `--`) end
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        if empty_test_seen:
+            split = data / "split.txt"
+            split.write_text("".join(
+                "test_seen:\n" if line.startswith("test_seen:") else line
+                for line in split.read_text().splitlines(keepends=True)))
+        out = tmp_path / "ablation"
+        assert run("ablate", "--config", cfg, "--data", data, "--out", out,
+                   "--seeds", "1") == 0
+        header, *lines = (out / "ablation.txt").read_text().splitlines()
+        ends = [m.end() for m in re.finditer(r"\S+", header)]
+        assert header.split() == ["config", "T", "U", "S", "H"]
+        for line in lines:
+            assert [m.end() for m in re.finditer(r"[\d.]+(?=±)|--", line)] \
+                == ends[1:], line
 
     def test_no_seen_test_rows_leaves_cells_empty(self, workdir):
         # with no seen test row S and H are undefined: empty cells, as in

@@ -122,7 +122,7 @@ def reference_train(ds, cfg):
     model = PrototypeModel(net=net, config=cfg)
     rng_ep, rng_hal = rng.derive("episodes"), rng.derive("hallucination")
     opt = OptimizerState(mode=cfg.optimizer, learning_rate=cfg.learning_rate)
-    placeholders, force = prototypes_mod._PLACEHOLDERS[cfg.mode]
+    placeholders, force = prototypes_mod.PLACEHOLDERS[cfg.mode]
     for _ in range(cfg.epochs):
         losses = []
         for _ in range(cfg.episodes_per_epoch):
@@ -276,7 +276,7 @@ class TestModelIO:
     def test_round_trip_preserves_predictions(self, tmp_path):
         ds = bench(seed=17)
         model = train_prototypes(ds, small_cfg(mode="ep_ei"))
-        save_model(model, tmp_path)
+        save_model(model, tmp_path, "ep-ei")
         loaded, manifest = load_model(tmp_path)
         assert manifest["mode"] == "ep_ei"
         assert loaded.config.m_classes == model.config.m_classes
@@ -290,7 +290,7 @@ class TestModelIO:
         ds = bench(seed=18)
         model = train_prototypes(ds, small_cfg(hidden_dim=7, episodes_per_epoch=3,
                                                lambda_real=0.5, seed=4))
-        save_model(model, tmp_path)
+        save_model(model, tmp_path, "ep-ei")
         loaded, _ = load_model(tmp_path)
         assert loaded.config == model.config
         assert loaded.net.hidden_dim == 7
@@ -307,13 +307,20 @@ class TestModelIO:
         lambda m: m.update(epochs="two"),
         lambda m: m.update(activation="tanh"),
         lambda m: m.update(activation="identity"),
+        # cli_mode names the pipeline, whose mode and stage one the record
+        # repeats; this ep_ei model is not `full`, and 1 is not true
+        lambda m: m.update(cli_mode="full"),
+        lambda m: m.update(used_sof=1),
+        lambda m: m.pop("cli_mode"),
+        lambda m: m.pop("used_sof"),
     ], ids=["missing", "missing section", "missing in section", "unknown",
             "unknown in section", "no version", "other version",
             "no loss trace", "wrong type", "unknown activation",
-            "identity activation"])
+            "identity activation", "cli_mode full", "used_sof 1", "no cli_mode",
+            "no used_sof"])
     def test_model_json_is_strict(self, tmp_path, edit):
         model = train_prototypes(bench(seed=19), small_cfg())
-        save_model(model, tmp_path)
+        save_model(model, tmp_path, "ep-ei")
         path = tmp_path / "model.json"
         manifest = json.loads(path.read_text())
         edit(manifest)

@@ -225,6 +225,28 @@ class TestRefineFeatures:
         with pytest.raises(ShapeError):
             refine_features(ds, params)
 
+    def test_keeps_split_and_train_pools_without_validating(self, monkeypatch):
+        # the split is the source's, already checked: refining neither
+        # validates it again nor rebuilds the episode pools
+        ds = small_bench(seed=10, noise=0.1)
+        pools = ds.train_pools
+
+        def validate(self):
+            raise AssertionError("split validated again")
+        monkeypatch.setattr(SplitDataset, "validate", validate)
+        params = RefinerParams(f_lin=2.0 * np.eye(6), w_proj=np.zeros((6, 4)))
+        out = refine_features(ds, params)
+        assert out.train_pools is pools
+        assert np.array_equal(out.features, 2.0 * ds.features)
+
+    def test_non_finite_product_raises(self):
+        ds = small_bench(seed=11)
+        ds.features[0, 0] = 10.0
+        params = RefinerParams(f_lin=1e308 * np.eye(6), w_proj=np.zeros((6, 4)))
+        with np.errstate(over="ignore"), \
+                pytest.raises(FloatingPointError, match="non-finite values in features"):
+            refine_features(ds, params)
+
     def test_reduces_normalized_intra_class_scatter(self):
         # refinement should tighten classes relative to the global spread
         ds = small_bench(seed=13, noise=0.5)

@@ -24,10 +24,12 @@ messages name the stage), `error_ablate_seeds` (`ablate --seeds 0`),
 whose `--config` does not exist), `error_delta_grid` (an empty
 `--delta-grid=`), `error_eval_dims` (`eval` of a model on the data of
 `synth_other`, whose dimensions differ), `error_no_dataset` (`eval` whose
-`--data` is an empty directory) and `error_eval_no_model` (`eval --model
-train_full`, the run directory, which holds no model.json).  The sweep at
-sigma 1e-310, below the smallest sigma accepted, is an expected failure too:
-17 per configuration.
+`--data` is an empty directory), `error_eval_no_model` (`eval --model
+train_full`, the run directory, which holds no model.json) and
+`error_eval_other_pipeline` (`eval` of a copy of the full model whose
+model.json records `"used_sof": false`, a pipeline that does not exist).
+The sweep at sigma 1e-310, below the smallest sigma accepted, is an
+expected failure too: 18 per configuration.
 Every step runs in its own process with PYTHONPATH set to the tree's `src`
 and one BLAS thread, from the same relative paths, so that its standard
 output, standard error and exit code (kept as `<step>.stdout`,
@@ -106,7 +108,10 @@ OTHER_SYNTH = {"seen_count": 4, "unseen_count": 2, "attr_dim": 5, "feat_dim": 7,
                "train_per_class": 4, "test_per_class": 2}
 EXPECTED_FAILURES = ("sweep_sigma_1e-310", *ERRORS, "error_missing_config",
                      "error_delta_grid", "error_eval_dims", "error_no_dataset",
-                     "error_eval_no_model")
+                     "error_eval_no_model", "error_eval_other_pipeline")
+# The model that `error_eval_other_pipeline` evaluates, copied from train_full
+# just before that step runs.
+OTHER_PIPELINE = "model_other_pipeline"
 
 
 def src_dir(tree: str) -> Path:
@@ -159,8 +164,22 @@ def steps(n_values: str) -> list[tuple[str, list[str]]]:
             ("error_no_dataset", ["eval", *full, "--data", "data_empty",
                                   "--out", "error_no_dataset"]),
             ("error_eval_no_model", ["eval", "--model", "train_full", *data,
-                                     "--out", "error_eval_no_model"])]
+                                     "--out", "error_eval_no_model"]),
+            ("error_eval_other_pipeline", ["eval", "--model", OTHER_PIPELINE, *data,
+                                           "--out", "error_eval_other_pipeline"])]
     return out
+
+
+def copy_full_model_as_other_pipeline(work: Path) -> None:
+    """Copy train_full's model to OTHER_PIPELINE, its model.json changed to
+    record that stage one did not run; nothing where train_full wrote no
+    model, so that the step fails on a missing model instead."""
+    model = work / "train_full" / "model"
+    if model.is_dir():
+        shutil.copytree(model, work / OTHER_PIPELINE)
+        path = work / OTHER_PIPELINE / "model.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    "used_sof": False}))
 
 
 def run_tree(src: Path, work: Path, config: dict, n_values: str) -> None:
@@ -175,6 +194,8 @@ def run_tree(src: Path, work: Path, config: dict, n_values: str) -> None:
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     for name, argv in steps(n_values):
+        if name == "error_eval_other_pipeline":
+            copy_full_model_as_other_pipeline(work)
         proc = subprocess.run([sys.executable, "-m", "protoplace.cli", *argv],
                               cwd=work, env=env, capture_output=True, text=True)
         (work / f"{name}.stdout").write_text(proc.stdout)
