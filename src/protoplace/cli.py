@@ -233,12 +233,14 @@ def cmd_ablate(args, cfg, ds, out):
                for name, row in rows.items()))
     with open(out / "ablation.txt", "w") as f:
         # a cell is 13 characters, its mean the first 8: each name ends
-        # where its column's means end
+        # where its column's means end; only the cells before the last are
+        # padded, so no line ends in a space
         f.write(f"{'config':<16}{'T':>8}{'U':>13}{'S':>13}{'H':>13}\n")
         for name, row in rows.items():
-            cells = "".join(f"{'--':>8}{'':5}" if st is None else
-                            f"{100 * st[0]:>8.1f}±{100 * st[1]:<4.1f}" for st in row)
-            f.write(f"{name:<16}{cells}\n")
+            cells = [f"{'--':>8}" if st is None else
+                     f"{100 * st[0]:>8.1f}±{100 * st[1]:.1f}" for st in row]
+            f.write(f"{name:<16}{''.join(c.ljust(13) for c in cells[:-1])}"
+                    f"{cells[-1]}\n")
     metrics = {name: {k: None if st is None else st[0] for k, st in zip(keys, row)}
                for name, row in rows.items()}
     print((out / "ablation.txt").read_text())

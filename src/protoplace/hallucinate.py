@@ -16,7 +16,7 @@ import numpy as np
 from .data import Episode, Stackable
 from .errors import ParameterError, ShapeError, require_ints, require_real
 from .linalg import log_softmax_rows, pairwise_cosine, softmax
-from .rng import RngStream, beta_sample, check_beta_shapes
+from .rng import RngStream, check_beta_shapes, gamma_ratio
 
 
 @dataclass
@@ -63,11 +63,12 @@ def _offdiag_softmax(sim: np.ndarray, sigma: float) -> np.ndarray:
     """Each row's softmax over its M - 1 off-diagonal entries, of each (M, M)
     matrix of sim; 0 on the diagonal."""
     m = sim.shape[-1]
-    off = ~np.eye(m, dtype=bool)
-    w = np.zeros(sim.shape)
-    rows = softmax(sim[..., off].reshape(-1, m - 1), sigma)  # a 2-D view
+    # the off-diagonal entries of a flattened (M, M) matrix, row by row
+    off = np.flatnonzero(~np.eye(m, dtype=bool))
+    w = np.zeros((*sim.shape[:-2], m * m))
+    rows = softmax(sim.reshape(-1, m * m)[:, off].reshape(-1, m - 1), sigma)  # 2-D
     w[..., off] = rows.reshape(*sim.shape[:-2], -1)
-    return w
+    return w.reshape(sim.shape)
 
 
 def _log_space_rows(sim_v, sim_a, rows, chosen, sigma) -> np.ndarray:
@@ -95,19 +96,24 @@ def placeholder_draws(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The neighbour picks (..., M, n_neighbors) and Betas (..., M) of the
     episodes whose class ids have shape `shape`: (M,) for one episode, (E, M)
-    for a block.  Each episode draws its neighbours, then its Betas, in
-    episode order; a forced Beta draws nothing.  Neighbour k of row i is
-    class k + (k >= i), one of the row's M - 1 other classes: TrainConfig
-    bounds n_neighbors by M - 1, and the forced Beta comes from
-    prototypes.PLACEHOLDERS."""
+    for a block.  Each episode draws its neighbours, then the Gamma pairs of
+    its Betas, in episode order, as rng.beta_sample(..., size=M) would; the
+    block's Betas are then formed at once.  A forced Beta draws nothing.
+    Neighbour k of row i is class k + (k >= i), one of the row's M - 1 other
+    classes: TrainConfig bounds n_neighbors by M - 1, and the forced Beta
+    comes from prototypes.PLACEHOLDERS."""
     m, k = shape[-1], cfg.n_neighbors
     rows = int(np.prod(shape))
+    draw = force_beta is None
     picks = np.empty((rows, k), dtype=np.int64)
-    betas = np.empty(rows) if force_beta is None else np.full(rows, float(force_beta))
+    shapes = np.empty((m, 2))
+    shapes[...] = (cfg.alpha1, cfg.alpha2)
+    xy = np.empty((rows, 2))
     for lo in range(0, rows, m):
         picks[lo:lo + m] = rng.choices_without_replacement(m, m - 1, k)
-        if force_beta is None:
-            betas[lo:lo + m] = beta_sample(rng, cfg.alpha1, cfg.alpha2, size=m)
+        if draw:
+            rng.gamma(shapes, out=xy[lo:lo + m])
+    betas = gamma_ratio(xy) if draw else np.full(rows, float(force_beta))
     return picks.reshape(*shape, k), betas.reshape(shape)
 
 

@@ -7,6 +7,7 @@ boundary (see data.py).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,8 +79,8 @@ def pairwise_cosine(x) -> np.ndarray:
     xh, _ = unit_rows_or_zero(x.reshape(-1, x.shape[-1]))  # norms of a 2-D view
     xh = xh.reshape(x.shape)
     # one operand times its own transpose: numpy's a @ a.T path, per matrix
-    sim = xh @ np.swapaxes(xh, -1, -2)
-    return np.clip((sim + np.swapaxes(sim, -1, -2)) / 2.0, -1.0, 1.0)
+    sim = xh @ xh.swapaxes(-1, -2)
+    return np.clip((sim + sim.swapaxes(-1, -2)) / 2.0, -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -206,20 +207,24 @@ def net_forward(net: MappingNet, x: np.ndarray) -> tuple[np.ndarray, ForwardCach
     return out, ForwardCache(x=x, pre=pre, hidden=hidden)
 
 
-def net_backward(net: MappingNet, cache: ForwardCache, g: np.ndarray) -> np.ndarray:
+def net_backward(net: MappingNet, cache: ForwardCache, g: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Exact parameter gradients of the forward map for the output gradient
     g, as a vector of net.flat's layout, or one per matrix of a stacked
-    forward pass (..., net.flat.size).  `cache` is the one net_forward
-    returned for net; the products check g's shape."""
-    out = np.empty((*g.shape[:-2], net.flat.size))
+    forward pass (..., net.flat.size), written into `out` when given (a
+    C-contiguous float64 array of that shape, which a training run reuses
+    from step to step).  `cache` is the one net_forward returned for net;
+    the products check g's shape."""
+    if out is None:
+        out = np.empty((*g.shape[:-2], net.flat.size))
     grads = net.views(out)
     # column sums of each (b, k) matrix add its rows in order, as a 2-D
     # operand's do (tests/test_stacking.py)
-    np.matmul(np.swapaxes(g, -1, -2), cache.hidden, out=grads["w2"])
+    np.matmul(g.swapaxes(-1, -2), cache.hidden, out=grads["w2"])
     np.add.reduce(g, axis=-2, out=grads["b2"])
     gh = g @ net.w2
     gh *= cache.pre > 0
-    np.matmul(np.swapaxes(gh, -1, -2), cache.x, out=grads["w1"])
+    np.matmul(gh.swapaxes(-1, -2), cache.x, out=grads["w1"])
     np.add.reduce(gh, axis=-2, out=grads["b1"])
     return out
 
@@ -260,7 +265,7 @@ def cosine_cross_entropy(
     qh, qn = queries
     rh, rn = refs
     b, k = qh.shape[-2], rh.shape[-2]
-    cos = qh @ np.swapaxes(rh, -1, -2)
+    cos = qh @ rh.swapaxes(-1, -2)
     lead = cos.shape[:-2]
     if at.shape != (*lead, b):
         raise ShapeError("one target per query row required")
@@ -276,7 +281,7 @@ def cosine_cross_entropy(
         row_dot = gl_cos.reshape(-1, k).sum(axis=1, keepdims=True).reshape(*lead, b, 1)
         return loss, (gl @ rh - row_dot * qh) / qn[..., None]
     col_dot = gl_cos.sum(axis=-2)[..., None]
-    return loss, (np.swapaxes(gl, -1, -2) @ qh - col_dot * rh) / rn[..., None]
+    return loss, (gl.swapaxes(-1, -2) @ qh - col_dot * rh) / rn[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +314,10 @@ def check_stage_config(cfg) -> None:
 class OptimizerState:
     """The optimizer of a training stage: its config checked the mode and the
     learning rate (check_stage_config), and SofConfig the momentum, the one
-    TrainConfig leaves at its default.  The moment buffers are made on the
-    first step, shaped like the parameters."""
+    TrainConfig leaves at its default.  The moment buffers (`m` for Adam
+    only) and the scratch rows the step computes in (one for SGD-momentum,
+    two for Adam) are made on the first step, shaped like the parameters,
+    and reused by every later one."""
 
     mode: str
     learning_rate: float
@@ -318,38 +325,52 @@ class OptimizerState:
     step_count: int = 0
     m: np.ndarray | None = field(default=None, repr=False)
     v: np.ndarray | None = field(default=None, repr=False)
+    scratch: np.ndarray | None = field(default=None, repr=False)
 
 
 def optimizer_step(state: OptimizerState, params: np.ndarray,
                    grad: np.ndarray) -> np.ndarray:
     """One in-place update of the parameter vector `params` (a FlatParams
     `flat`) by its gradient; increments step_count by 1.  Checks only the
-    gradient's shape, before the parameters move."""
+    gradient's shape, before the parameters move.
+
+    Every temporary is a row of state.scratch, so a step after the first
+    allocates no parameter-sized array.  The operations, and their order, are
+    those of the textbook expressions in the comments, so the results equal
+    theirs bit for bit (tests/test_linalg.py)."""
     if grad.shape != params.shape:
         raise ShapeError(f"gradient shape {grad.shape} does not match "
                          f"parameters {params.shape}")
     state.step_count += 1
     lr = state.learning_rate
+    adam = state.mode == "adam"
     if state.v is None:
         state.v = np.zeros_like(params)
-    v = state.v
-    if state.mode == "sgd_momentum":
+        state.m = np.zeros_like(params) if adam else None
+        state.scratch = np.empty((1 + adam, *params.shape))
+    v, a = state.v, state.scratch[0]
+    if not adam:
+        # v = momentum * v - lr * g; params += v
         v *= state.momentum
-        v -= lr * grad
+        v -= np.multiply(lr, grad, out=a)
         params += v
         return params
-    if state.m is None:
-        state.m = np.zeros_like(params)
-    m = state.m
+    m, b = state.m, state.scratch[1]
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    m *= b1
-    m += (1.0 - b1) * grad
-    v *= b2
-    v += (1.0 - b2) * grad * grad
     t = state.step_count
-    mhat = m / (1.0 - b1**t)
-    vhat = v / (1.0 - b2**t)
-    params -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    # m = b1 * m + (1 - b1) * g; v = b2 * v + ((1 - b2) * g) * g
+    m *= b1
+    m += np.multiply(1.0 - b1, grad, out=a)
+    v *= b2
+    np.multiply(1.0 - b2, grad, out=a)
+    v += np.multiply(a, grad, out=a)
+    # params -= (lr * (m / (1 - b1**t))) / (sqrt(v / (1 - b2**t)) + eps)
+    np.divide(m, 1.0 - b1**t, out=a)
+    a *= lr
+    np.divide(v, 1.0 - b2**t, out=b)
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    params -= np.divide(a, b, out=a)
     return params
 
 
@@ -362,7 +383,7 @@ def fit(opt: OptimizerState, params: np.ndarray, epochs: int, epoch_steps,
     for epoch in range(epochs):
         losses = []
         for loss, grad in epoch_steps():
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):  # a scalar: no numpy call per step
                 raise TrainingError(f"{stage} loss diverged at epoch {epoch}")
             optimizer_step(opt, params, grad)
             losses.append(loss)

@@ -118,20 +118,22 @@ def train_sof(ds: SplitDataset, cfg: SofConfig) -> tuple[RefinerParams, list[flo
                          momentum=cfg.momentum)
     grad = np.empty_like(params.flat)
     g_views = params.views(grad)
-    n = x_all.shape[0]
+    n, bs = x_all.shape[0], cfg.batch_size
+    # each row's batch start, in the epoch's flat target indices
+    batch_start = np.arange(n) // bs * (bs * k)
 
     def epoch_steps():
         order = rng.permutation(n)
-        # each batch's target indices: the epoch's, less the rows before it
-        at_epoch = target_indices(t_all[order], k)
-        for start in range(0, n, cfg.batch_size):
-            take = order[start:start + cfg.batch_size]
-            xb = x_all[take]
+        # the epoch's rows in order, each batch a contiguous slice, and each
+        # row's target index within its batch's scores
+        x_epoch = x_all[order]
+        at_epoch = target_indices(t_all[order], k) - batch_start
+        for start in range(0, n, bs):
+            xb = x_epoch[start:start + bs]
             refined = xb @ params.f_lin
             sem = refined @ params.w_proj
             loss, g_sem = cosine_cross_entropy(
-                unit_rows(sem), seen_attrs,
-                at_epoch[start:start + cfg.batch_size] - start * k,
+                unit_rows(sem), seen_attrs, at_epoch[start:start + bs],
                 cfg.logit_scale, wrt="queries")
             np.matmul(refined.T, g_sem, out=g_views["w_proj"])
             np.matmul(xb.T, g_sem @ params.w_proj.T, out=g_views["f_lin"])

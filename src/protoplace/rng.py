@@ -56,10 +56,10 @@ class RngStream:
         out = np.arange(n)[None].repeat(rows, axis=0)
         return self._gen.permuted(out, axis=1, out=out)[:, :k]
 
-    def gamma(self, shape, size=None):
+    def gamma(self, shape, size=None, out=None):
         """Gamma draw(s); `shape` may be an array of positive shapes, drawn
-        in order."""
-        return self._gen.standard_gamma(shape, size)
+        in order, into `out` when given (an array of that shape)."""
+        return self._gen.standard_gamma(shape, size, out=out)
 
 
 def check_seed(seed: int) -> None:
@@ -84,12 +84,15 @@ def beta_sample(rng: RngStream, alpha1: float, alpha2: float, size=None):
     m values, bit for bit, as m scalar calls, and leaves the stream in the
     same state.  HalluConfig checks the shapes (check_beta_shapes)."""
     if size is None:
-        x, y = rng.gamma(alpha1), rng.gamma(alpha2)
-        total = x + y
-        return float(x / total) if total > 0 else 0.5
+        return float(gamma_ratio(np.array([rng.gamma(alpha1), rng.gamma(alpha2)])))
     shapes = np.empty((*np.broadcast_shapes(size), 2))
     shapes[...] = (alpha1, alpha2)
-    xy = rng.gamma(shapes)
+    return gamma_ratio(rng.gamma(shapes))
+
+
+def gamma_ratio(xy: np.ndarray) -> np.ndarray:
+    """The Betas x / (x + y) of Gamma(alpha1, alpha2) draw pairs (x, y) on the
+    last axis of xy; 0.5 where both draws underflow to 0."""
     x, y = xy[..., 0], xy[..., 1]
     total = x + y
     return np.where(total > 0, x / np.where(total > 0, total, 1.0), 0.5)

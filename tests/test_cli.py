@@ -736,6 +736,14 @@ class TestEval:
         assert rc == 5
 
 
+def drop_test_seen(data):
+    """Empty the test_seen section of the dataset's split: S and H become
+    undefined."""
+    split = data / "split.txt"
+    split.write_text("".join("test_seen:\n" if line.startswith("test_seen:") else line
+                             for line in split.read_text().splitlines(keepends=True)))
+
+
 class TestAblate:
     def test_ladder_rows_and_stats(self, workdir):
         tmp_path, cfg = workdir
@@ -767,10 +775,7 @@ class TestAblate:
         tmp_path, cfg = workdir
         data = make_data(tmp_path, cfg)
         if empty_test_seen:
-            split = data / "split.txt"
-            split.write_text("".join(
-                "test_seen:\n" if line.startswith("test_seen:") else line
-                for line in split.read_text().splitlines(keepends=True)))
+            drop_test_seen(data)
         out = tmp_path / "ablation"
         assert run("ablate", "--config", cfg, "--data", data, "--out", out,
                    "--seeds", "1") == 0
@@ -781,15 +786,27 @@ class TestAblate:
             assert [m.end() for m in re.finditer(r"[\d.]+(?=±)|--", line)] \
                 == ends[1:], line
 
+    @pytest.mark.parametrize("empty_test_seen", [False, True],
+                             ids=["every cell", "S and H undefined"])
+    def test_no_line_ends_in_a_space(self, workdir, empty_test_seen):
+        # the criterion-8 ablation, whose last std (0.0 with one seed) is
+        # shorter than its column, and whose last cell may be `--`
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        if empty_test_seen:
+            drop_test_seen(data)
+        out = tmp_path / "ablation"
+        assert run("ablate", "--config", cfg, "--data", data, "--out", out,
+                   "--seeds", "1") == 0
+        for line in (out / "ablation.txt").read_text().splitlines():
+            assert line == line.rstrip(), repr(line)
+
     def test_no_seen_test_rows_leaves_cells_empty(self, workdir):
         # with no seen test row S and H are undefined: empty cells, as in
         # eval's report.csv, `--` in the table and null in the manifest
         tmp_path, cfg = workdir
         data = make_data(tmp_path, cfg)
-        split = data / "split.txt"
-        split.write_text("".join("test_seen:\n" if line.startswith("test_seen:")
-                                 else line for line in
-                                 split.read_text().splitlines(keepends=True)))
+        drop_test_seen(data)
         out = tmp_path / "ablation"
         assert run("ablate", "--config", cfg, "--data", data, "--out", out,
                    "--seeds", "1") == 0

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from protoplace.data import Episode, SynthConfig, generate_synthetic, sample_episode
+from protoplace.data import Episode, SynthConfig, class_major_labels, \
+    generate_synthetic, sample_episode
 from protoplace.errors import ParameterError
 from protoplace.hallucinate import (
     HalluConfig,
@@ -13,11 +14,13 @@ from protoplace.hallucinate import (
     class_centroids,
     hallucinate,
     interpolate,
+    placeholder_draws,
     propagate,
     propagation_weights,
 )
-from protoplace.linalg import pairwise_cosine, softmax
-from protoplace.prototypes import EPISODE_BLOCK
+from protoplace.linalg import MappingNet, pairwise_cosine, softmax, target_indices, \
+    unit_rows
+from protoplace.prototypes import EPISODE_BLOCK, stacked_loss
 from protoplace.rng import MAX_BETA_SHAPE, RngStream, beta_sample
 
 
@@ -455,3 +458,45 @@ class TestBlockParity:
         for f in ("visual", "semantic", "betas", "v_prime", "a_prime"):
             assert same_bytes(getattr(single, f), getattr(stacked, f))
         assert same_bytes(single.weights.w, stacked.weights.w)
+
+    @pytest.mark.parametrize("force_beta", (None, 0.0, 1.0))
+    @pytest.mark.parametrize("alphas", ((5.0, 1.0), (0.3, 0.4),
+                                        (MAX_BETA_SHAPE, 1.0)))
+    def test_draws_equal_per_episode_draws(self, alphas, force_beta):
+        # a block draws each episode's neighbours and then its Betas, as
+        # separate calls per episode would, on a continuing stream
+        m, n_neighbors = 6, 3
+        cfg = HalluConfig(n_neighbors=n_neighbors, alpha1=alphas[0], alpha2=alphas[1])
+        rng, ref = RngStream(31), RngStream(31)
+        for episodes in (EPISODE_BLOCK, 3):
+            picks, betas = placeholder_draws(rng, cfg, (episodes, m), force_beta)
+            assert picks.shape == (episodes, m, n_neighbors)
+            for i in range(episodes):
+                assert same_bytes(picks[i],
+                                  ref.choices_without_replacement(m, m - 1, n_neighbors))
+                want = (np.full(m, force_beta) if force_beta is not None
+                        else beta_sample(ref, *alphas, size=m))
+                assert same_bytes(betas[i], want)
+        assert rng.uniform() == ref.uniform()
+
+    def test_stacked_loss_into_a_buffer(self):
+        # a step of train_prototypes on a hallucinated block's episode: the
+        # gradients written into a reused buffer equal freshly made ones
+        ds = generate_synthetic(SynthConfig(seen_count=12, unseen_count=2,
+                                            attr_dim=4, feat_dim=6,
+                                            train_per_class=5, test_per_class=1,
+                                            noise_scale=0.4, seed=3))
+        m, n = 8, 3
+        block = sample_episode(ds, m, n, RngStream(4), episodes=3)
+        passes = (hallucinate(block, HalluConfig(n_neighbors=2), RngStream(5)), block)
+        semantic = np.stack([p.semantic for p in passes], axis=1)
+        qh, qn = unit_rows(np.stack([p.visual for p in passes], axis=1))
+        at = target_indices(np.broadcast_to(class_major_labels(m, n), (2, m * n)), m)
+        net = MappingNet.init(4, 6, rng=RngStream(6))
+        buf = np.full((2, net.flat.size), np.nan)
+        for i in range(3):
+            losses, grads = stacked_loss(net, semantic[i], (qh[i], qn[i]), at, 5.0)
+            got_losses, got = stacked_loss(net, semantic[i], (qh[i], qn[i]), at, 5.0,
+                                           out=buf)
+            assert got is buf
+            assert same_bytes(got_losses, losses) and same_bytes(got, grads)

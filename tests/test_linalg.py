@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -419,6 +420,74 @@ class TestOptimizer:
                     cls(**setting)
                 messages.append(str(info.value))
             assert messages[0] == messages[1], setting
+
+
+def reference_step(state, params, grad):
+    """optimizer_step as the textbook expressions, each temporary a new array:
+    the form the buffered step must equal bit for bit."""
+    state.step_count += 1
+    lr = state.learning_rate
+    if state.v is None:
+        state.v = np.zeros_like(params)
+    if state.mode == "sgd_momentum":
+        state.v *= state.momentum
+        state.v -= lr * grad
+        params += state.v
+        return
+    if state.m is None:
+        state.m = np.zeros_like(params)
+    b1, b2 = 0.9, 0.999
+    state.m *= b1
+    state.m += (1.0 - b1) * grad
+    state.v *= b2
+    state.v += (1.0 - b2) * grad * grad
+    t = state.step_count
+    mhat = state.m / (1.0 - b1**t)
+    vhat = state.v / (1.0 - b2**t)
+    params -= lr * mhat / (np.sqrt(vhat) + 1e-8)
+
+
+class TestBufferedStep:
+    """optimizer_step computes in buffers it keeps, in the order of the
+    textbook expressions of reference_step."""
+
+    @pytest.mark.parametrize("mode", ["sgd_momentum", "adam"])
+    @pytest.mark.parametrize("size, steps", [(1_300, 3_000), (100_000, 60)])
+    def test_equals_textbook_expressions(self, mode, size, steps):
+        rng = np.random.default_rng(size)
+        # five gradients cycled, on scales 1e-3 .. 1e3, one of them all zero
+        grads = rng.normal(size=(5, size)) * 10.0 ** rng.uniform(-3, 3, (5, 1))
+        grads[3] = 0.0
+        start = rng.normal(size=size)
+        state = OptimizerState(mode=mode, learning_rate=0.01, momentum=0.8)
+        ref_state = OptimizerState(mode=mode, learning_rate=0.01, momentum=0.8)
+        p, ref = start.copy(), start.copy()
+        for i in range(steps):
+            optimizer_step(state, p, grads[i % 5])
+            reference_step(ref_state, ref, grads[i % 5])
+        assert p.tobytes() == ref.tobytes()
+        assert state.v.tobytes() == ref_state.v.tobytes()
+        if mode == "adam":
+            assert state.m.tobytes() == ref_state.m.tobytes()
+        assert state.step_count == ref_state.step_count == steps
+
+    @pytest.mark.parametrize("mode", ["sgd_momentum", "adam"])
+    def test_later_steps_allocate_no_parameter_vector(self, mode):
+        size = 100_000
+        rng = np.random.default_rng(7)
+        p, g = rng.normal(size=size), rng.normal(size=size)
+        state = OptimizerState(mode=mode, learning_rate=0.01)
+        tracemalloc.start()
+        try:
+            optimizer_step(state, p, g)  # makes the buffers
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(3):
+                optimizer_step(state, p, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < p.nbytes
 
 
 class TestFit:

@@ -3,9 +3,10 @@
     python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC [--work DIR]
 
 PARENT_SRC and CHANGE_SRC are checkouts of this repository (or their `src`
-directories).  For each of three configurations (the criterion-8 config of
-tests/test_acceptance.py and the benchmark-sized config of
-perfbench/workloads.py at config seeds 0 and 1) the same CLI steps run once
+directories).  For each of four configurations (the criterion-8 config of
+tests/test_acceptance.py, the benchmark-sized config of
+perfbench/workloads.py at config seeds 0 and 1, and a small wide one: 512-d
+features and 85 attributes) the same CLI steps run once
 with each tree: `synth`, `train` in every mode, one `eval` of the four
 models on the config's grid and one on a comma grid, `ablate --seeds 2`,
 one `sweep` over n_neighbors and one `sweep` per sigma value; then a CSV
@@ -67,12 +68,20 @@ MODES = ("s2v", "ep", "ep-ei", "full")
 # neighbour weight of some rows underflows to 0; 1e-310 is below the smallest
 # sigma accepted, 1e-308 just above it.
 SIGMAS = ("1e-310", "1e-308", "0.0001", "0.001", "0.05", "0.2", "1")
+# Widths near the paper's (85 attributes, as AwA2 has, and 512-d features, a
+# quarter of ResNet-101's 2048) with 5 train rows per class, so that each
+# step works on parameter vectors of about 0.3M entries (both stages) and the
+# whole configuration still runs in seconds.
+WIDE = {"synth": {"attr_dim": 85, "feat_dim": 512, "train_per_class": 5,
+                  "test_per_class": 3},
+        "train": {"epochs": 2}, "sof": {"epochs": 1}}
 # Per configuration: its overrides of the defaults and the n_neighbors values
 # swept (the criterion-8 episodes have 4 classes, so at most 3 neighbours).
 CONFIGS = {
     "criterion8": (TINY, "0..3"),
     "bench-seed0": ({**SHORT, "seed": 0}, "0,2,4,8"),
     "bench-seed1": ({**SHORT, "seed": 1}, "0,2,4,8"),
+    "wide": (WIDE, "0,2,4,8"),
 }
 # The comma grid of the second `eval`: negative, off-lattice and huge deltas.
 # The largest delta sets how close two seen scores of a row may lie before
