@@ -155,7 +155,7 @@ def _write_report_files(out: Path, label: str, reports, best, model, eval_ds) ->
               ([f"{r.delta:.6g}", r.U, r.S, r.H] for r in reports))
     write_csv(out / f"report{suffix}.csv", ("T", "U", "S", "H", "delta"),
               [[best.T, best.U, best.S, best.H, f"{best.delta:.6g}"]])
-    with open(out / f"report{suffix}.txt", "w") as f:
+    with open(out / f"report{suffix}.txt", "w", encoding="utf-8") as f:
         f.write(f"T = {_pct(best.T)}  U = {_pct(best.U)}  S = {_pct(best.S)}  "
                 f"H = {_pct(best.H)}  (delta = {best.delta:g})\n")
     for block, ids in (("seen", eval_ds.seen_classes),
@@ -231,7 +231,7 @@ def cmd_ablate(args, cfg, ds, out):
               ([name, *("" if st is None else f"{st[0]:.4f}±{st[1]:.4f}"
                         for st in row)]
                for name, row in rows.items()))
-    with open(out / "ablation.txt", "w") as f:
+    with open(out / "ablation.txt", "w", encoding="utf-8") as f:
         # a cell is 13 characters, its mean the first 8: each name ends
         # where its column's means end; only the cells before the last are
         # padded, so no line ends in a space
@@ -243,7 +243,11 @@ def cmd_ablate(args, cfg, ds, out):
                     f"{cells[-1]}\n")
     metrics = {name: {k: None if st is None else st[0] for k, st in zip(keys, row)}
                for name, row in rows.items()}
-    print((out / "ablation.txt").read_text())
+    table = (out / "ablation.txt").read_text(encoding="utf-8")
+    try:
+        print(table)
+    except UnicodeEncodeError:  # a console without '±', as in an ASCII locale
+        print(table.replace("±", "+/-"))
     return cfg.record, {"table": out / "ablation.csv"}, metrics
 
 

@@ -17,12 +17,15 @@ On-disk formats (DATASET_FILES names each format's files)
   there raise FormatError, and save_dataset will not write one format over
   the other.
 * Split file: five lines ``seen:``, ``unseen:``, ``train:``, ``test_seen:``,
-  ``test_unseen:``, each followed by space-separated ids on the same line;
-  a missing, unknown or repeated section, or a line without its colon,
-  raises FormatError.
+  ``test_unseen:``, each followed by its ids on the same line, one space
+  between two ids; a missing, unknown or repeated section, a line without
+  its colon, or a run of spaces or a tab between two ids raises FormatError.
+* The CSV and split files and the JSON records are UTF-8 text, read with
+  universal newlines; a byte that does not decode raises FormatError.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -273,7 +276,7 @@ def format_number(x) -> str:
 def write_csv(path, header, rows) -> None:
     """A CSV file: the header cells, then one line per row.  A string cell is
     written as it is, any other (a number or None) through format_number."""
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join(c if isinstance(c, str) else format_number(c)
@@ -285,7 +288,7 @@ def write_json(path, record) -> None:
     two-space indent, one trailing newline.  ValueError where it holds NaN or
     an infinity, which are not JSON."""
     Path(path).write_text(json.dumps(record, indent=2, sort_keys=True,
-                                     allow_nan=False) + "\n")
+                                     allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _unique_keys(pairs) -> dict:
@@ -297,10 +300,27 @@ def _unique_keys(pairs) -> dict:
     return record
 
 
+@contextlib.contextmanager
+def _open_text(path):
+    """`path` opened for reading as UTF-8 text with universal newlines; a
+    byte that does not decode raises FormatError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            yield f
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def read_json(path):
-    """The JSON value in a file; a repeated key in any object raises
-    FormatError rather than keeping its last value."""
-    return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+    """The JSON value in a UTF-8 file.  ValueError where it is not JSON; a
+    byte that does not decode, or a repeated key in any object (rather than
+    keeping its last value), raises FormatError.  As JSON's own errors, these
+    leave naming the file to the caller."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text ({exc.reason})") from exc
+    return json.loads(text, object_pairs_hook=_unique_keys)
 
 
 def require_keys(record, names, where: str = "") -> None:
@@ -357,7 +377,7 @@ def _read_table(path, head: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     must have the header's field count, its numbers must read through
     read_ints and read_floats, and the ids must count 0..n-1."""
     k = len(head)
-    with open(path) as f:
+    with _open_text(path) as f:
         header = f.readline().rstrip("\n").split(",")
         if tuple(header[:k]) != head:
             raise FormatError(f"{path}: header must start with {','.join(head)}")
@@ -381,7 +401,7 @@ def _read_table(path, head: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_split(path, splits: dict[str, np.ndarray]) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         for key in SPLIT_KEYS:
             ids = " ".join(str(int(i)) for i in splits[key])
             f.write(f"{key}: {ids}".rstrip() + "\n")
@@ -389,7 +409,7 @@ def write_split(path, splits: dict[str, np.ndarray]) -> None:
 
 def read_split(path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
-    with open(path) as f:
+    with _open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
@@ -403,8 +423,12 @@ def read_split(path) -> dict[str, np.ndarray]:
                 raise FormatError(f"{path}: line {lineno}: unknown section {key!r}")
             if key in out:
                 raise FormatError(f"{path}: line {lineno}: repeated section {key!r}")
+            ids = rest.split()
+            if " ".join(ids) != rest.strip():
+                raise FormatError(f"{path}: line {lineno}: ids must be "
+                                  "separated by one space")
             try:
-                out[key] = read_ints(rest.split())
+                out[key] = read_ints(ids)
             except (ValueError, OverflowError) as exc:
                 raise FormatError(f"{path}: line {lineno}: {exc}") from exc
     missing = [k for k in SPLIT_KEYS if k not in out]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Episode, Stackable
-from .errors import ParameterError, ShapeError, require_ints, require_real
+from .errors import ParameterError, require_ints, require_real
 from .linalg import log_softmax_rows, pairwise_cosine, softmax
 from .rng import RngStream, check_beta_shapes, gamma_ratio
 
@@ -96,9 +96,9 @@ def placeholder_draws(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The neighbour picks (..., M, n_neighbors) and Betas (..., M) of the
     episodes whose class ids have shape `shape`: (M,) for one episode, (E, M)
-    for a block.  Each episode draws its neighbours, then the Gamma pairs of
-    its Betas, in episode order, as rng.beta_sample(..., size=M) would; the
-    block's Betas are then formed at once.  A forced Beta draws nothing.
+    for a block.  Each episode draws its neighbours, then the Gamma pair of
+    each of its M Betas back to back, in episode order; the block's Betas
+    are then formed at once (rng.gamma_ratio).  A forced Beta draws nothing.
     Neighbour k of row i is class k + (k >= i), one of the row's M - 1 other
     classes: TrainConfig bounds n_neighbors by M - 1, and the forced Beta
     comes from prototypes.PLACEHOLDERS."""
@@ -118,16 +118,17 @@ def placeholder_draws(
 
 
 def propagation_weights(
-    ep: Episode, cfg: HalluConfig, picks: np.ndarray
+    centroids: np.ndarray, semantic: np.ndarray, cfg: HalluConfig, picks: np.ndarray
 ) -> PropagationWeights:
-    """Harmonized softmax neighbor weights, masked per row to the neighbours
-    of `picks` (see placeholder_draws).
+    """Harmonized softmax neighbor weights of an episode's class centroids
+    and class semantics (..., M, C) and (..., M, D), masked per row to the
+    neighbours of `picks` (see placeholder_draws).
 
     A row whose chosen weights all underflow to 0 (small sigma) is computed
     in log space instead of dividing 0 by 0."""
-    m = ep.m_classes
-    sim_v = pairwise_cosine(class_centroids(ep))
-    sim_a = pairwise_cosine(ep.semantic)
+    m = semantic.shape[-2]
+    sim_v = pairwise_cosine(centroids)
+    sim_a = pairwise_cosine(semantic)
     w = (_offdiag_softmax(sim_v, cfg.sigma) + _offdiag_softmax(sim_a, cfg.sigma)) / 2.0
     chosen = np.sort(picks + (picks >= np.arange(m)[:, None]), axis=-1)
 
@@ -148,15 +149,14 @@ def propagation_weights(
     return PropagationWeights(w=masked.reshape(w.shape), chosen=chosen)
 
 
-def propagate(ep: Episode, pw: PropagationWeights) -> tuple[np.ndarray, np.ndarray]:
+def propagate(
+    pw: PropagationWeights, centroids: np.ndarray, semantic: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Convex combinations of neighbor class centroids / attributes.
 
     The identical weight matrix drives both spaces (synchronized hallucination).
     """
-    m = ep.m_classes
-    if pw.w.shape != (*ep.class_ids.shape, m):
-        raise ShapeError(f"weight matrix {pw.w.shape} does not match episode M = {m}")
-    return pw.w @ class_centroids(ep), pw.w @ ep.semantic
+    return pw.w @ centroids, pw.w @ semantic
 
 
 def interpolate(
@@ -169,10 +169,6 @@ def interpolate(
     """Mix each class toward its elementary hallucination by its Beta."""
     m, n = ep.m_classes, ep.n_samples
     lead = ep.class_ids.shape[:-1]
-    if v_prime.shape != (*lead, m, ep.visual.shape[-1]) \
-            or a_prime.shape != ep.semantic.shape or betas.shape != (*lead, m):
-        raise ShapeError("elementary hallucination shapes do not match the episode")
-
     # per class b * x + (1 - b) * x'; exactly x at b = 1, x' at b = 0 (but for
     # the sign of a zero)
     b = betas[..., None, None]
@@ -193,6 +189,7 @@ def hallucinate(
     """Full pipeline: neighbor weights -> propagation -> interpolation, for
     one episode or a block (each episode as if hallucinated alone)."""
     picks, betas = placeholder_draws(rng, cfg, ep.class_ids.shape, force_beta)
-    pw = propagation_weights(ep, cfg, picks)
-    v_prime, a_prime = propagate(ep, pw)
+    centroids = class_centroids(ep)
+    pw = propagation_weights(centroids, ep.semantic, cfg, picks)
+    v_prime, a_prime = propagate(pw, centroids, ep.semantic)
     return interpolate(ep, v_prime, a_prime, betas, weights=pw)

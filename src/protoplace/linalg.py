@@ -155,10 +155,6 @@ class MappingNet(FlatParams):
         return self.w1.shape[1]
 
     @property
-    def hidden_dim(self) -> int:
-        return self.w1.shape[0]
-
-    @property
     def out_dim(self) -> int:
         return self.w2.shape[0]
 

@@ -146,18 +146,6 @@ def _accuracy(preds: np.ndarray, index: _LabelIndex) -> tuple[float, np.ndarray]
     return (float(np.mean(acc)) if acc.size else 0.0), acc
 
 
-def per_class_accuracy(preds, labels, class_set) -> tuple[float, dict[int, float]]:
-    """Unweighted mean over classes of within-class top-1 accuracy.
-    ValidationError if a label is outside class_set."""
-    preds = np.asarray(preds, dtype=np.int64).ravel()
-    stray = np.setdiff1d(labels, class_set)
-    if stray.size:
-        raise ValidationError(f"label {stray[0]} outside the evaluated class set")
-    index = _label_index(labels, class_set)
-    mean, acc = _accuracy(preds, index)
-    return mean, dict(zip(index.classes[index.rows > 0].tolist(), acc.tolist()))
-
-
 def harmonic_mean(u: float, s: float) -> float:
     if u + s == 0:
         return 0.0

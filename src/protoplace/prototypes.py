@@ -129,9 +129,6 @@ def place_loss(
     return float(losses[0]), model.net.views(grads[0])
 
 
-real_loss = place_loss
-
-
 def train_prototypes(ds: SplitDataset, cfg: TrainConfig) -> PrototypeModel:
     """Each step is one stacked_loss call over the episode's placeholder and
     real passes, combined as loss p + lambda_real * r and gradient

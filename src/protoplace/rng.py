@@ -77,19 +77,6 @@ def check_beta_shapes(alpha1: float, alpha2: float) -> None:
                              f"{MAX_BETA_SHAPE:g}, got {alpha1!r}, {alpha2!r}")
 
 
-def beta_sample(rng: RngStream, alpha1: float, alpha2: float, size=None):
-    """Beta(alpha1, alpha2) draw(s) in [0, 1] via the ratio of two Gamma draws.
-
-    Each Beta draws its two Gammas back to back, so `size=m` gives the same
-    m values, bit for bit, as m scalar calls, and leaves the stream in the
-    same state.  HalluConfig checks the shapes (check_beta_shapes)."""
-    if size is None:
-        return float(gamma_ratio(np.array([rng.gamma(alpha1), rng.gamma(alpha2)])))
-    shapes = np.empty((*np.broadcast_shapes(size), 2))
-    shapes[...] = (alpha1, alpha2)
-    return gamma_ratio(rng.gamma(shapes))
-
-
 def gamma_ratio(xy: np.ndarray) -> np.ndarray:
     """The Betas x / (x + y) of Gamma(alpha1, alpha2) draw pairs (x, y) on the
     last axis of xy; 0.5 where both draws underflow to 0."""

@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -632,6 +636,20 @@ class TestEval:
         rc = run("eval", "--model", model, "--data", data, "--out", tmp_path / "e")
         assert rc == 5
 
+    @pytest.mark.parametrize("name", ["split.txt", "features.csv", "attributes.csv"])
+    def test_byte_not_utf8_exits_5(self, trained, capsys, name):
+        # a text file that does not decode is a format error naming the file,
+        # not a traceback
+        tmp_path, cfg, _, model = trained
+        data = tmp_path / "csv"
+        assert run("synth", "--config", cfg, "--out", data, "--format", "csv") == 0
+        with open(data / name, "ab") as f:
+            f.write(b"\xff")
+        capsys.readouterr()
+        rc = run("eval", "--model", model, "--data", data, "--out", tmp_path / "e")
+        assert rc == 5
+        assert f"{name}: not UTF-8 text" in capsys.readouterr().err
+
     def test_sof_model_without_refiner_exits_3(self, workdir, capsys):
         # model.json records used_sof, so scoring unrefined features would
         # report another model's numbers
@@ -800,6 +818,23 @@ class TestAblate:
                    "--seeds", "1") == 0
         for line in (out / "ablation.txt").read_text().splitlines():
             assert line == line.rstrip(), repr(line)
+
+    def test_ascii_locale(self, workdir):
+        # the tables hold '±': they are written as UTF-8 whatever the locale,
+        # and a console that cannot encode it shows '+/-'
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        out = tmp_path / "ablation"
+        env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "LC_ALL": "POSIX", "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "protoplace.cli", "ablate", "--config", str(cfg),
+             "--data", str(data), "--out", str(out), "--seeds", "1"],
+            env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        assert "±" in (out / "ablation.csv").read_text(encoding="utf-8")
+        assert "±" in (out / "ablation.txt").read_text(encoding="utf-8")
+        assert b"+/-" in proc.stdout
 
     def test_no_seen_test_rows_leaves_cells_empty(self, workdir):
         # with no seen test row S and H are undefined: empty cells, as in

@@ -139,10 +139,11 @@ class TestDatasetIO:
             load_dataset_dir(tmp_path)
 
     @pytest.mark.parametrize("ids", ["+0 1", "00 1", "-0 1", "0 0_1",
-                                     "0 99999999999999999999"])
+                                     "0 99999999999999999999", "0  1", "0\t1"])
     def test_split_ids_read_as_written(self, tmp_path, ids):
         # int() also reads a sign, leading zeros and '_': each of the first
-        # four lines is 0 1 to it; the last id overflows int64
+        # four lines is 0 1 to it; the fifth id overflows int64; split()
+        # reads the last two as 0 1 too, which write_split saves as "0 1"
         paths = save_dataset(tiny_dataset(), tmp_path, format="csv")
         lines = paths["split"].read_text().splitlines()
         assert lines[0] == "seen: 0 1"

@@ -21,7 +21,7 @@ from protoplace.hallucinate import (
 from protoplace.linalg import MappingNet, pairwise_cosine, softmax, target_indices, \
     unit_rows
 from protoplace.prototypes import EPISODE_BLOCK, stacked_loss
-from protoplace.rng import MAX_BETA_SHAPE, RngStream, beta_sample
+from protoplace.rng import MAX_BETA_SHAPE, RngStream
 
 
 def make_episode(visual_classes, semantic, n=1):
@@ -48,7 +48,8 @@ def drawn_weights(ep, cfg, rng):
     """propagation_weights on one neighbour draw from rng."""
     m = ep.m_classes
     return propagation_weights(
-        ep, cfg, rng.choices_without_replacement(m, m - 1, cfg.n_neighbors))
+        class_centroids(ep), ep.semantic, cfg,
+        rng.choices_without_replacement(m, m - 1, cfg.n_neighbors))
 
 
 class TestPropagationWeights:
@@ -179,8 +180,8 @@ class TestPropagate:
     def test_single_neighbor_copies_it(self):
         ep = random_episode(6, m=4)
         pw = drawn_weights(ep, HalluConfig(n_neighbors=1), RngStream(1))
-        v_prime, a_prime = propagate(ep, pw)
         centroids = class_centroids(ep)
+        v_prime, a_prime = propagate(pw, centroids, ep.semantic)
         for i in range(4):
             j = pw.chosen[i][0]
             assert np.allclose(v_prime[i], centroids[j], atol=1e-15)
@@ -190,8 +191,8 @@ class TestPropagate:
         ep = random_episode(7, m=5)
         pw = drawn_weights(ep, HalluConfig(sigma=1e6, n_neighbors=3),
                                  RngStream(2))
-        v_prime, _ = propagate(ep, pw)
         centroids = class_centroids(ep)
+        v_prime, _ = propagate(pw, centroids, ep.semantic)
         for i in range(5):
             mean = centroids[pw.chosen[i]].mean(axis=0)
             assert np.max(np.abs(v_prime[i] - mean)) < 1e-5
@@ -202,8 +203,8 @@ class TestPropagate:
             ep = random_episode(20 + seed, m=6)
             pw = drawn_weights(ep, HalluConfig(n_neighbors=3),
                                      RngStream(seed))
-            v_prime, _ = propagate(ep, pw)
             centroids = class_centroids(ep)
+            v_prime, _ = propagate(pw, centroids, ep.semantic)
             for i in range(6):
                 verts = centroids[pw.chosen[i]]
                 a = np.vstack([verts.T, np.ones(len(verts))])
@@ -234,7 +235,7 @@ class TestInterpolate:
     def test_midpoint(self):
         ep = random_episode(10, m=4, n=2)
         pw = drawn_weights(ep, HalluConfig(n_neighbors=2), RngStream(5))
-        v_prime, a_prime = propagate(ep, pw)
+        v_prime, a_prime = propagate(pw, class_centroids(ep), ep.semantic)
         hep = interpolate(ep, v_prime, a_prime, np.full(4, 0.5), pw)
         v3 = ep.visual.reshape(4, 2, -1)
         for i in range(4):
@@ -315,14 +316,22 @@ def reference_propagation_weights(ep, cfg, rng):
     return masked, chosen
 
 
+def reference_betas(rng, alpha1, alpha2, m):
+    """m Betas, each x / (x + y) of a Gamma(alpha1), Gamma(alpha2) pair drawn
+    back to back; 0.5 where both draws underflow to 0."""
+    betas = []
+    for _ in range(m):
+        x, y = rng.gamma(alpha1), rng.gamma(alpha2)
+        betas.append(x / (x + y) if x + y > 0 else 0.5)
+    return np.array(betas)
+
+
 def reference_interpolate(ep, v_prime, a_prime, cfg, rng, force_beta):
     m, n = ep.m_classes, ep.n_samples
     if force_beta is not None:
         betas = np.full(m, float(force_beta))
     else:
-        betas = np.asarray(
-            [beta_sample(rng, cfg.alpha1, cfg.alpha2) for _ in range(m)]
-        )
+        betas = reference_betas(rng, cfg.alpha1, cfg.alpha2, m)
     visual = np.empty_like(ep.visual)
     semantic = np.empty_like(ep.semantic)
     v3 = ep.visual.reshape(m, n, -1)
@@ -371,11 +380,11 @@ class TestReferenceParity:
         for seed in range(4):
             ep = random_episode(200 + seed, m=m, n=3)
             pw = drawn_weights(ep, cfg, RngStream(seed))
-            v_prime, a_prime = propagate(ep, pw)
+            v_prime, a_prime = propagate(pw, class_centroids(ep), ep.semantic)
             rng, ref_rng = RngStream(seed), RngStream(seed)
             for _ in range(3):
                 betas = (np.full(m, force_beta) if force_beta is not None
-                         else beta_sample(rng, cfg.alpha1, cfg.alpha2, size=m))
+                         else reference_betas(rng, cfg.alpha1, cfg.alpha2, m))
                 hep = interpolate(ep, v_prime, a_prime, betas, pw)
                 visual, semantic, betas = reference_interpolate(
                     ep, v_prime, a_prime, cfg, ref_rng, force_beta)
@@ -475,7 +484,7 @@ class TestBlockParity:
                 assert same_bytes(picks[i],
                                   ref.choices_without_replacement(m, m - 1, n_neighbors))
                 want = (np.full(m, force_beta) if force_beta is not None
-                        else beta_sample(ref, *alphas, size=m))
+                        else reference_betas(ref, *alphas, m))
                 assert same_bytes(betas[i], want)
         assert rng.uniform() == ref.uniform()
 

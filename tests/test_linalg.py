@@ -549,7 +549,7 @@ class TestFit:
 class TestMappingNetInit:
     def test_default_hidden_width(self):
         net = MappingNet.init(4, 9, rng=RngStream(0))
-        assert net.hidden_dim == 9
+        assert net.w1.shape[0] == 9
         assert net.in_dim == 4 and net.out_dim == 9
 
     def test_inconsistent_shapes_rejected(self):

@@ -12,7 +12,6 @@ from protoplace.metrics import (
     evaluate,
     gzsl_predict,
     harmonic_mean,
-    per_class_accuracy,
     prototype_similarity,
     zsl_predict,
 )
@@ -42,34 +41,37 @@ class TestHarmonicMean:
             assert min(u, s) - 1e-12 <= h <= max(u, s) + 1e-12
 
 
+def accuracy(preds, labels, class_set):
+    """cs_sweep's per-class accuracy of preds: the mean over the classes with
+    rows, and those classes' accuracies in ascending class order."""
+    return metrics._accuracy(np.asarray(preds, dtype=np.int64),
+                             metrics._label_index(labels, class_set))
+
+
 class TestPerClassAccuracy:
     def test_hand_mixed_case(self):
         # class 0: 2/2 right, class 1: 1/3 right -> mean 2/3
         preds = [0, 0, 1, 0, 0]
         labels = [0, 0, 1, 1, 1]
-        mean, per = per_class_accuracy(preds, labels, [0, 1])
+        mean, acc = accuracy(preds, labels, [0, 1])
         assert mean == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert per == {0: 1.0, 1: pytest.approx(1.0 / 3.0)}
+        assert acc.tolist() == [1.0, pytest.approx(1.0 / 3.0)]
 
     def test_unweighted_despite_imbalance(self):
         # 9 samples of class 0 all right, 1 sample of class 1 wrong -> 0.5
         preds = [0] * 10
         labels = [0] * 9 + [1]
-        mean, _ = per_class_accuracy(preds, labels, [0, 1])
+        mean, _ = accuracy(preds, labels, [0, 1])
         assert mean == 0.5
 
     def test_absent_class_excluded_from_mean(self):
-        mean, per = per_class_accuracy([0, 0], [0, 0], [0, 1, 2])
+        mean, acc = accuracy([0, 0], [0, 0], [0, 1, 2])
         assert mean == 1.0
-        assert set(per) == {0}
-
-    def test_stray_label_rejected(self):
-        with pytest.raises(ValidationError, match="5"):
-            per_class_accuracy([0], [5], [0, 1])
+        assert acc.tolist() == [1.0]
 
     def test_no_samples(self):
-        mean, per = per_class_accuracy([], [], [0, 1])
-        assert mean == 0.0 and per == {}
+        mean, acc = accuracy([], [], [0, 1])
+        assert mean == 0.0 and acc.size == 0
 
     def test_bitwise_equal_to_mask_loop(self):
         # per-class hits / rows must equal np.mean of each class's hit mask
@@ -77,14 +79,11 @@ class TestPerClassAccuracy:
         classes = np.array([2, 3, 5, 11, 13, 40])
         labels = rng.choice(classes[:-1], size=997, p=[0.5, 0.2, 0.15, 0.1, 0.05])
         preds = np.where(rng.random(997) < 0.37, labels, rng.choice(classes, 997))
-        ref = {}
-        for c in classes:
-            mask = labels == c
-            if mask.any():
-                ref[int(c)] = float(np.mean(preds[mask] == c))
-        mean, per = per_class_accuracy(preds, labels, classes[::-1])
-        assert list(per.items()) == list(ref.items())
-        assert mean == float(np.mean(list(ref.values())))
+        ref = [float(np.mean(preds[labels == c] == c)) for c in classes
+               if np.any(labels == c)]
+        mean, acc = accuracy(preds, labels, classes[::-1])
+        assert acc.tolist() == ref
+        assert mean == float(np.mean(ref))
 
 
 class TestPredictors:
@@ -372,9 +371,16 @@ def tie_dataset(test_seen=True, test_unseen=True):
     return ds, model, protos
 
 
+def per_class_mean(preds, labels):
+    """The unweighted mean over the classes in labels of each class's top-1
+    accuracy, one hit mask per class; 0.0 without labels."""
+    accs = [np.mean(preds[labels == c] == c) for c in np.unique(labels)]
+    return float(np.mean(accs)) if accs else 0.0
+
+
 def reference_sweep(model, ds, grid):
     """The sweep as independent single calls: one gzsl_predict per split and
-    delta, one zsl_predict for T."""
+    delta, one zsl_predict for T, each scored by per_class_mean."""
     seen, unseen = np.sort(ds.seen_classes), np.sort(ds.unseen_classes)
     union = np.concatenate([seen, unseen])
     mask = np.concatenate([np.ones(seen.size, bool), np.zeros(unseen.size, bool)])
@@ -383,7 +389,7 @@ def reference_sweep(model, ds, grid):
     if ds.test_unseen_idx.size:
         preds = zsl_predict(project_prototypes(model, ds.attributes, unseen),
                             unseen, ds.features[ds.test_unseen_idx])
-        t, _ = per_class_accuracy(preds, ds.labels[ds.test_unseen_idx], unseen)
+        t = per_class_mean(preds, ds.labels[ds.test_unseen_idx])
     rows = []
     for d in grid:
         accs = []
@@ -391,7 +397,7 @@ def reference_sweep(model, ds, grid):
             acc = None
             if idx.size:
                 preds = gzsl_predict(protos, union, mask, ds.features[idx], d)
-                acc, _ = per_class_accuracy(preds, ds.labels[idx], union)
+                acc = per_class_mean(preds, ds.labels[idx])
             accs.append(acc)
         u, s = accs
         h = harmonic_mean(u, s) if u is not None and s is not None else None

@@ -10,7 +10,7 @@ from protoplace.errors import FormatError, ParameterError, TrainingError
 from protoplace.hallucinate import HalluConfig, hallucinate
 from protoplace.linalg import MappingNet, net_forward
 from protoplace.prototypes import PrototypeModel, TrainConfig, load_model, \
-    place_loss, project_prototypes, real_loss, save_model, train_prototypes
+    place_loss, project_prototypes, save_model, train_prototypes
 from protoplace.refine import SofConfig, refine_features, train_sof
 from protoplace.rng import RngStream
 import protoplace.prototypes as prototypes_mod
@@ -43,14 +43,14 @@ class TestLosses:
                          w2=np.zeros((6, 5)), b2=np.ones(6))
         model = PrototypeModel(net=net, config=small_cfg())
         ep = sample_episode(ds, 4, 2, RngStream(1))
-        loss, _ = real_loss(model, ep, 10.0)
+        loss, _ = place_loss(model, ep, 10.0)
         assert loss == pytest.approx(math.log(4), abs=1e-9)
 
     def test_single_class_episode_loss_zero(self):
         ds = bench()
         model = fresh_model(ds)
         ep = sample_episode(ds, 1, 3, RngStream(2))
-        loss, grads = real_loss(model, ep, 10.0)
+        loss, grads = place_loss(model, ep, 10.0)
         assert loss == pytest.approx(0.0, abs=1e-12)
         assert all(np.max(np.abs(g)) < 1e-12 for g in grads.values())
 
@@ -65,7 +65,7 @@ class TestLosses:
         ep = Episode(class_ids=np.array([0, 1]),
                      sample_idx=np.array([[0], [1]]),
                      visual=attrs.copy(), semantic=attrs.copy())
-        loss, _ = real_loss(model, ep, 1.0)
+        loss, _ = place_loss(model, ep, 1.0)
         assert loss == pytest.approx(-math.log(math.e / (math.e + 1)), abs=1e-12)
 
     @pytest.mark.parametrize("trial", range(20))
@@ -77,7 +77,7 @@ class TestLosses:
             hep = hallucinate(ep, HalluConfig(n_neighbors=2), RngStream(trial))
             loss_fn = lambda: place_loss(model, hep, 10.0)
         else:
-            loss_fn = lambda: real_loss(model, ep, 10.0)
+            loss_fn = lambda: place_loss(model, ep, 10.0)
         _, analytic = loss_fn()
 
         step = 1e-6
@@ -104,7 +104,7 @@ class TestLosses:
         hep = hallucinate(ep, HalluConfig(n_neighbors=2), RngStream(3),
                           force_beta=1.0)
         pl, pg = place_loss(model, hep, 10.0)
-        rl, rg = real_loss(model, ep, 10.0)
+        rl, rg = place_loss(model, ep, 10.0)
         assert pl == rl
         for k in pg:
             assert np.array_equal(pg[k], rg[k])
@@ -113,8 +113,8 @@ class TestLosses:
 def reference_train(ds, cfg):
     """train_prototypes one episode and one pass at a time: each episode
     sampled, then hallucinated, just before its optimizer step; its
-    placeholder and real losses from separate place_loss and real_loss calls,
-    their gradients merged name by name and only the result flattened."""
+    placeholder and real losses from separate place_loss calls, their
+    gradients merged name by name and only the result flattened."""
     from protoplace.linalg import OptimizerState, optimizer_step
     rng = RngStream(cfg.seed)
     net = MappingNet.init(ds.attr_dim, ds.feat_dim, cfg.hidden_dim,
@@ -131,12 +131,12 @@ def reference_train(ds, cfg):
                 hep = hallucinate(ep, cfg.hallucination, rng_hal, force_beta=force)
                 total, grads = place_loss(model, hep, cfg.logit_scale)
                 if cfg.lambda_real > 0:
-                    r_loss, r_grads = real_loss(model, ep, cfg.logit_scale)
+                    r_loss, r_grads = place_loss(model, ep, cfg.logit_scale)
                     total = total + cfg.lambda_real * r_loss
                     grads = {k: grads[k] + cfg.lambda_real * r_grads[k]
                              for k in grads}
             else:
-                total, grads = real_loss(model, ep, cfg.logit_scale)
+                total, grads = place_loss(model, ep, cfg.logit_scale)
             optimizer_step(opt, net.flat,
                            np.concatenate([grads[k].ravel() for k in net.params()]))
             losses.append(total)
@@ -293,7 +293,7 @@ class TestModelIO:
         save_model(model, tmp_path, "ep-ei")
         loaded, _ = load_model(tmp_path)
         assert loaded.config == model.config
-        assert loaded.net.hidden_dim == 7
+        assert loaded.net.w1.shape[0] == 7
 
     @pytest.mark.parametrize("edit", [
         lambda m: m.pop("lambda_real"),

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from protoplace.errors import ParameterError
-from protoplace.rng import MAX_BETA_SHAPE, RngStream, beta_sample, \
-    check_beta_shapes, check_seed
+from protoplace.hallucinate import HalluConfig, placeholder_draws
+from protoplace.rng import MAX_BETA_SHAPE, RngStream, check_beta_shapes, check_seed
 
 
 def test_equal_seeds_give_equal_sequences():
@@ -38,29 +38,34 @@ def test_seed_range_validated():
     check_seed(2**64 - 1)
 
 
+# The Betas come from the one place the pipeline draws them: the Gamma pairs
+# of hallucinate.placeholder_draws, formed by rng.gamma_ratio.
+
+
+def betas(seed, a1, a2, episodes, m):
+    """The Betas of a block of episodes of M classes each, flattened."""
+    cfg = HalluConfig(n_neighbors=1, alpha1=a1, alpha2=a2)
+    return placeholder_draws(RngStream(seed), cfg, (episodes, m))[1].ravel()
+
+
 def test_beta_sequence_reproducible():
-    a = RngStream(3)
-    b = RngStream(3)
-    xs = [beta_sample(a, 5.0, 1.0) for _ in range(1000)]
-    ys = [beta_sample(b, 5.0, 1.0) for _ in range(1000)]
-    assert xs == ys
+    xs = betas(3, 5.0, 1.0, 100, 10)
+    assert xs.tobytes() == betas(3, 5.0, 1.0, 100, 10).tobytes()
 
 
 def test_beta_draws_in_unit_interval():
-    rng = RngStream(11)
-    draws = beta_sample(rng, 0.3, 0.4, size=5000)
+    draws = betas(11, 0.3, 0.4, 1000, 5)
     assert np.all(draws >= 0.0) and np.all(draws <= 1.0)
 
 
 @pytest.mark.parametrize("a1,a2", [(1.0, 1.0), (5.0, 1.0), (2.0, 2.0)])
 def test_beta_empirical_mean(a1, a2):
-    rng = RngStream(99)
-    draws = beta_sample(rng, a1, a2, size=100_000)
+    draws = betas(99, a1, a2, 2000, 50)
     assert abs(draws.mean() - a1 / (a1 + a2)) < 0.01
 
 
 def test_beta_rejects_bad_shapes():
-    # HalluConfig's check; beta_sample draws from the shapes it passed
+    # HalluConfig's check; placeholder_draws draws from the shapes it passed
     with pytest.raises(ParameterError):
         check_beta_shapes(0.0, 1.0)
     with pytest.raises(ParameterError):
@@ -77,9 +82,9 @@ def test_beta_rejects_shapes_above_bound(a1, a2):
 
 
 def test_beta_at_shape_bound_is_finite():
-    draws = beta_sample(RngStream(0), MAX_BETA_SHAPE, MAX_BETA_SHAPE, size=5)
+    draws = betas(0, MAX_BETA_SHAPE, MAX_BETA_SHAPE, 1, 5)
     assert np.all(np.abs(draws - 0.5) < 1e-9)
-    draws = beta_sample(RngStream(0), MAX_BETA_SHAPE, 1.0, size=5)
+    draws = betas(0, MAX_BETA_SHAPE, 1.0, 1, 5)
     assert np.all(draws == 1.0)
 
 
@@ -108,10 +113,15 @@ def test_batched_choices_equal_successive_choices(rows, n, k):
 
 @pytest.mark.parametrize("a1,a2", [(5.0, 1.0), (0.3, 0.4), (1.0, 1.0)])
 def test_beta_size_equals_scalar_draws(a1, a2):
+    # one episode's M Betas are M scalar Gamma pairs x / (x + y), drawn back
+    # to back after its neighbour picks
+    cfg = HalluConfig(n_neighbors=2, alpha1=a1, alpha2=a2)
     for seed in range(20):
         batched, single = RngStream(seed), RngStream(seed)
-        draws = beta_sample(batched, a1, a2, size=7)
-        expected = np.asarray([beta_sample(single, a1, a2) for _ in range(7)])
+        _, draws = placeholder_draws(batched, cfg, (7,))
+        single.choices_without_replacement(7, 6, 2)
+        pairs = [(single.gamma(a1), single.gamma(a2)) for _ in range(7)]
+        expected = np.array([x / (x + y) for x, y in pairs])
         assert draws.shape == (7,)
         assert draws.tobytes() == expected.tobytes()
         assert batched.uniform() == single.uniform()
