@@ -163,10 +163,10 @@ def _write_report_files(out: Path, label: str, reports, best, model, eval_ds) ->
         if ids.size == 0:
             continue
         protos = project_prototypes(model, eval_ds.attributes, ids)
-        sim = prototype_similarity(protos)
+        sim = prototype_similarity(protos).matrix.tolist()
         write_csv(out / f"similarity_{block}{suffix}.csv",
                   ["class_id", *(str(int(i)) for i in ids)],
-                  ([str(int(i)), *row] for i, row in zip(ids, sim.matrix)))
+                  ([str(int(i)), *row] for i, row in zip(ids, sim)))
 
 
 def cmd_eval(args, _, ds, out):
@@ -342,12 +342,13 @@ def main(argv=None) -> int:
     started = time.time()
     try:
         cfg = cfgmod.load_config(args.config) if "config" in args else None
-        ds = load_dataset_dir(args.data) if "data" in args else None
+        ds, fingerprint = load_dataset_dir(args.data) if "data" in args \
+            else (None, None)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         record, outputs, metrics = args.func(args, cfg, ds, out)
         if ds is not None:
-            metrics["dataset_fingerprint"] = dataset_fingerprint(args.data)
+            metrics["dataset_fingerprint"] = fingerprint
         write_json(out / "manifest.json", {
             "command": ["protoplace", *argv], "config": record,
             "seed": cfg.record["seed"] if cfg else None,

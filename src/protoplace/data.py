@@ -17,15 +17,18 @@ On-disk formats (DATASET_FILES names each format's files)
   there raise FormatError, and save_dataset will not write one format over
   the other.
 * Split file: five lines ``seen:``, ``unseen:``, ``train:``, ``test_seen:``,
-  ``test_unseen:``, each followed by its ids on the same line, one space
-  between two ids; a missing, unknown or repeated section, a line without
-  its colon, or a run of spaces or a tab between two ids raises FormatError.
+  ``test_unseen:``, each followed on the same line by its ids, one space
+  before each (``seen: 0 1``) and at most 18 digits in each, and by
+  nothing else; a missing, unknown or repeated section, a line without its
+  colon, or any other whitespace (a space before the colon, none or several
+  after it, a tab, a space at either end of the line, a line of whitespace
+  only) raises FormatError.
+  Empty lines are skipped.
 * The CSV and split files and the JSON records are UTF-8 text, read with
   universal newlines; a byte that does not decode raises FormatError.
 """
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import itertools
 import json
@@ -59,20 +62,23 @@ def save_matrix(path, mat) -> None:
         f.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
 
 
-def load_matrix(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
+def parse_matrix(raw: bytes, path) -> np.ndarray:
+    """The float64 matrix of a binary matrix file's bytes; `path` names the
+    file in errors."""
     if raw[:4] != MAGIC:
         raise FormatError(f"{path}: bad magic bytes {raw[:4]!r}")
     if len(raw) < 12:
         raise FormatError(f"{path}: truncated header")
-    rows, cols = struct.unpack("<II", raw[4:12])
-    body = raw[12:]
-    if len(body) != rows * cols * 4:
+    rows, cols = struct.unpack_from("<II", raw, 4)
+    if len(raw) - 12 != rows * cols * 4:
         raise FormatError(
-            f"{path}: expected {rows * cols * 4} data bytes, found {len(body)}"
+            f"{path}: expected {rows * cols * 4} data bytes, found {len(raw) - 12}"
         )
-    a = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(rows, cols)
-    return a
+    return np.frombuffer(raw, "<f4", offset=12).astype(np.float64).reshape(rows, cols)
+
+
+def load_matrix(path) -> np.ndarray:
+    return parse_matrix(Path(path).read_bytes(), path)
 
 
 def save_params(params: FlatParams, out_dir: Path, prefix: str) -> None:
@@ -164,8 +170,8 @@ class SplitDataset:
                 bad = idx[(idx < 0) | (idx >= n)][0]
                 raise ValidationError(f"{name} references sample {bad} of {n}")
             all_idx.append(idx)
-        joined = np.concatenate(all_idx)
-        if np.unique(joined).size != joined.size:
+        # the indices are in [0, n): one count per sample
+        if np.any(np.bincount(np.concatenate(all_idx)) > 1):
             raise ValidationError("train/test index sets are not pairwise disjoint")
         if self.labels.size and self.labels.min() < 0:
             raise ValidationError("negative class label")
@@ -173,18 +179,19 @@ class SplitDataset:
             raise ValidationError(
                 f"label {self.labels.max()} has no attribute row (L = {L})"
             )
-        seen = set(self.seen_classes.tolist())
-        unseen = set(self.unseen_classes.tolist())
+        # the class ids and labels are in [0, L): one flag per class
+        seen, unseen = np.zeros(L, bool), np.zeros(L, bool)
+        seen[self.seen_classes] = unseen[self.unseen_classes] = True
         for name, idx, allowed in (
             ("train", self.train_idx, seen),
             ("test_seen", self.test_seen_idx, seen),
             ("test_unseen", self.test_unseen_idx, unseen),
         ):
-            labels = set(self.labels[idx].tolist())
-            stray = labels - allowed
-            if stray:
+            labels = self.labels[idx]
+            stray = labels[~allowed[labels]]
+            if stray.size:
                 raise ValidationError(
-                    f"{name} split contains class {min(stray)} outside its class set"
+                    f"{name} split contains class {stray.min()} outside its class set"
                 )
 
     @property
@@ -300,15 +307,18 @@ def _unique_keys(pairs) -> dict:
     return record
 
 
-@contextlib.contextmanager
-def _open_text(path):
-    """`path` opened for reading as UTF-8 text with universal newlines; a
-    byte that does not decode raises FormatError naming the file."""
+def _text_lines(raw: bytes, path) -> list[str]:
+    """The lines of UTF-8 text read with universal newlines, without their
+    newline, as iterating over the open file would give them; a byte that
+    does not decode raises FormatError naming the file."""
     try:
-        with open(path, encoding="utf-8") as f:
-            yield f
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:  # the text ends in a newline, or is empty
+        lines.pop()
+    return lines
 
 
 def read_json(path):
@@ -337,8 +347,11 @@ def require_keys(record, names, where: str = "") -> None:
 
 
 # Integers as str(int) writes them (no '+', 0 prefix, '_' or space), one
-# per line.  One pass checks a split line of thousands of ids.
+# per line.  One pass checks the integer cells of a CSV row.
 _INTS = re.compile(r"(?:0|-?[1-9][0-9]*)(?:\n(?:0|-?[1-9][0-9]*))*|")
+# A split line after its colon: nothing, or a space before each id, each id
+# written as str(int) writes it, of at most 18 digits, which int64 holds.
+_SPLIT_IDS = re.compile(r"(?: (?:0|-?[1-9][0-9]{0,17}))*")
 
 
 def read_ints(tokens: list[str]) -> np.ndarray:
@@ -371,31 +384,32 @@ def _write_table(path, head: tuple[str, ...], prefix: str, values, ints=()) -> N
                for i in range(values.shape[0])))
 
 
-def _read_table(path, head: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The float columns (n, C) and integer columns (n, len(head) - 1) of a
-    table _write_table wrote: the header must start with `head`, every row
-    must have the header's field count, its numbers must read through
-    read_ints and read_floats, and the ids must count 0..n-1."""
+def _read_table(raw: bytes, path,
+                head: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The float columns (n, C) and integer columns (n, len(head) - 1) of the
+    bytes of a table _write_table wrote: the header must start with `head`,
+    every row must have the header's field count, its numbers must read
+    through read_ints and read_floats, and the ids must count 0..n-1."""
     k = len(head)
-    with _open_text(path) as f:
-        header = f.readline().rstrip("\n").split(",")
-        if tuple(header[:k]) != head:
-            raise FormatError(f"{path}: header must start with {','.join(head)}")
-        c = len(header) - k
-        ints, rows = [], []
-        for lineno, line in enumerate(f, start=2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != c + k:
-                raise FormatError(f"{path}: row {lineno} has {len(parts)} fields, "
-                                  f"expected {c + k}")
-            if parts[0] != str(len(rows)):
-                raise FormatError(f"{path}: row {lineno} has {head[0]} "
-                                  f"{parts[0]!r}, expected {len(rows)}")
-            try:
-                ints.append(read_ints(parts[1:k]))
-                rows.append(read_floats(parts[k:]))
-            except (ValueError, OverflowError) as exc:
-                raise FormatError(f"{path}: row {lineno}: {exc}") from exc
+    lines = _text_lines(raw, path)
+    header = (lines[0] if lines else "").split(",")
+    if tuple(header[:k]) != head:
+        raise FormatError(f"{path}: header must start with {','.join(head)}")
+    c = len(header) - k
+    ints, rows = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != c + k:
+            raise FormatError(f"{path}: row {lineno} has {len(parts)} fields, "
+                              f"expected {c + k}")
+        if parts[0] != str(len(rows)):
+            raise FormatError(f"{path}: row {lineno} has {head[0]} "
+                              f"{parts[0]!r}, expected {len(rows)}")
+        try:
+            ints.append(read_ints(parts[1:k]))
+            rows.append(read_floats(parts[k:]))
+        except (ValueError, OverflowError) as exc:
+            raise FormatError(f"{path}: row {lineno}: {exc}") from exc
     return (np.asarray(rows, dtype=np.float64).reshape(len(rows), c),
             np.asarray(ints, dtype=np.int64).reshape(len(rows), k - 1))
 
@@ -407,30 +421,26 @@ def write_split(path, splits: dict[str, np.ndarray]) -> None:
             f.write(f"{key}: {ids}".rstrip() + "\n")
 
 
-def read_split(path) -> dict[str, np.ndarray]:
+def read_split(raw: bytes, path) -> dict[str, np.ndarray]:
+    """The id arrays of a split file's bytes by section (SPLIT_KEYS); empty
+    lines are skipped."""
     out: dict[str, np.ndarray] = {}
-    with _open_text(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            key, colon, rest = line.partition(":")
-            key = key.strip()
-            if not colon:
-                raise FormatError(f"{path}: line {lineno}: no ':' after the "
-                                  "section name")
-            if key not in SPLIT_KEYS:
-                raise FormatError(f"{path}: line {lineno}: unknown section {key!r}")
-            if key in out:
-                raise FormatError(f"{path}: line {lineno}: repeated section {key!r}")
-            ids = rest.split()
-            if " ".join(ids) != rest.strip():
-                raise FormatError(f"{path}: line {lineno}: ids must be "
-                                  "separated by one space")
-            try:
-                out[key] = read_ints(ids)
-            except (ValueError, OverflowError) as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+    for lineno, line in enumerate(_text_lines(raw, path), start=1):
+        if not line:
+            continue
+        key, colon, rest = line.partition(":")
+        if not colon:
+            raise FormatError(f"{path}: line {lineno}: no ':' after the "
+                              "section name")
+        if key not in SPLIT_KEYS:
+            raise FormatError(f"{path}: line {lineno}: unknown section {key!r}")
+        if key in out:
+            raise FormatError(f"{path}: line {lineno}: repeated section {key!r}")
+        if not _SPLIT_IDS.fullmatch(rest):
+            raise FormatError(f"{path}: line {lineno}: ids must follow ': ' and "
+                              "be separated by one space, each written as "
+                              "str(int) writes it, of at most 18 digits")
+        out[key] = np.fromstring(rest, dtype=np.int64, sep=" ")
     missing = [k for k in SPLIT_KEYS if k not in out]
     if missing:
         raise FormatError(f"{path}: missing sections {missing}")
@@ -443,8 +453,8 @@ def read_split(path) -> dict[str, np.ndarray]:
 
 # Each format's dataset files by role: the attributes, the features, the
 # labels (binary only: the CSV features hold them) and the split.
-# save_dataset writes them, load_dataset_dir reads them and
-# dataset_fingerprint hashes them; no other module of the package names them.
+# save_dataset writes them, load_dataset_dir reads and hashes them; no other
+# module of the package names them.
 DATASET_FILES = {
     "binary": {"attributes": "attributes.bin", "features": "features.bin",
                "labels": "features.labels.bin", "split": "split.txt"},
@@ -476,23 +486,29 @@ def dataset_files(data_dir) -> tuple[str, dict[str, Path]]:
     return found[0], {role: data_dir / name for role, name in names.items()}
 
 
-def dataset_fingerprint(data_dir) -> str:
-    """sha256 over the name and bytes of each file load_dataset_dir reads
-    from data_dir, in name order: other files there do not count."""
+def _fingerprint(raw: dict[Path, bytes]) -> str:
+    """sha256 over the name and bytes of each file, in name order."""
     h = hashlib.sha256()
-    for path in sorted(dataset_files(data_dir)[1].values()):
+    for path in sorted(raw):
         h.update(path.name.encode())
-        h.update(path.read_bytes())
+        h.update(raw[path])
     return h.hexdigest()
 
 
-def _read_labels(path: Path) -> np.ndarray:
-    raw = load_matrix(path).ravel()
-    bad = ~np.isfinite(raw) | (raw < 0) | (raw != np.floor(raw))
+def dataset_fingerprint(data_dir) -> str:
+    """The fingerprint load_dataset_dir returns for data_dir: other files
+    there do not count."""
+    paths = dataset_files(data_dir)[1].values()
+    return _fingerprint({path: path.read_bytes() for path in paths})
+
+
+def _read_labels(raw: bytes, path: Path) -> np.ndarray:
+    labels = parse_matrix(raw, path).ravel()
+    bad = ~np.isfinite(labels) | (labels < 0) | (labels != np.floor(labels))
     if np.any(bad):
-        raise FormatError(f"{path}: label {raw[bad][0]} is not a nonnegative "
+        raise FormatError(f"{path}: label {labels[bad][0]} is not a nonnegative "
                           "integer")
-    return raw.astype(np.int64)
+    return labels.astype(np.int64)
 
 
 def save_dataset(ds: SplitDataset, out_dir, format: str = "binary") -> dict[str, Path]:
@@ -529,20 +545,28 @@ def save_dataset(ds: SplitDataset, out_dir, format: str = "binary") -> dict[str,
     return {role: paths[role] for role in ("features", "attributes", "split")}
 
 
-def load_dataset_dir(data_dir) -> SplitDataset:
+def load_dataset_dir(data_dir) -> tuple[SplitDataset, str]:
     """The dataset save_dataset wrote to data_dir, in the format
-    dataset_files finds there."""
+    dataset_files finds there, and its fingerprint: sha256 over the name and
+    bytes of each file read, in name order, taken from the bytes parsed.
+    Each file is read once."""
     format, paths = dataset_files(data_dir)
+    raw = {}
+
+    def read(role):
+        raw[paths[role]] = data = paths[role].read_bytes()
+        return data, paths[role]
+
     if format == "binary":
-        features = load_matrix(paths["features"])
-        labels = _read_labels(paths["labels"])
-        attributes = load_matrix(paths["attributes"])
+        features = parse_matrix(*read("features"))
+        labels = _read_labels(*read("labels"))
+        attributes = parse_matrix(*read("attributes"))
     else:
-        features, ints = _read_table(paths["features"], ("id", "label"))
+        features, ints = _read_table(*read("features"), ("id", "label"))
         labels = ints[:, 0]
-        attributes = _read_table(paths["attributes"], ("class_id",))[0]
-    splits = read_split(paths["split"])
-    return SplitDataset(
+        attributes = _read_table(*read("attributes"), ("class_id",))[0]
+    splits = read_split(*read("split"))
+    ds = SplitDataset(
         features=features,
         labels=labels,
         attributes=AttributeTable(attributes),
@@ -552,6 +576,7 @@ def load_dataset_dir(data_dir) -> SplitDataset:
         test_seen_idx=splits["test_seen"],
         test_unseen_idx=splits["test_unseen"],
     )
+    return ds, _fingerprint(raw)
 
 
 # ---------------------------------------------------------------------------

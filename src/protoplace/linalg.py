@@ -204,16 +204,19 @@ def net_forward(net: MappingNet, x: np.ndarray) -> tuple[np.ndarray, ForwardCach
 
 
 def net_backward(net: MappingNet, cache: ForwardCache, g: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 out: tuple[np.ndarray, dict[str, np.ndarray]] | None = None,
+                 ) -> np.ndarray:
     """Exact parameter gradients of the forward map for the output gradient
     g, as a vector of net.flat's layout, or one per matrix of a stacked
-    forward pass (..., net.flat.size), written into `out` when given (a
-    C-contiguous float64 array of that shape, which a training run reuses
-    from step to step).  `cache` is the one net_forward returned for net;
-    the products check g's shape."""
+    forward pass (..., net.flat.size), written into the buffer of `out` when
+    given: a pair of a C-contiguous float64 array of that shape, which a
+    training run reuses from step to step, and its net.views, made once with
+    it.  `cache` is the one net_forward returned for net; the products check
+    g's shape."""
     if out is None:
-        out = np.empty((*g.shape[:-2], net.flat.size))
-    grads = net.views(out)
+        buf = np.empty((*g.shape[:-2], net.flat.size))
+        out = buf, net.views(buf)
+    out, grads = out
     # column sums of each (b, k) matrix add its rows in order, as a 2-D
     # operand's do (tests/test_stacking.py)
     np.matmul(g.swapaxes(-1, -2), cache.hidden, out=grads["w2"])

@@ -47,17 +47,17 @@ class _IdScores(NamedTuple):
 
 
 class _TopScores(NamedTuple):
-    """A split's calibrated-stacking prediction in O(rows) work per delta.
+    """A split's calibrated-stacking prediction as a per-row threshold.
 
     x -> fl(x - delta) is monotone, so the best seen column after the
     subtraction is the first top seen column `js` (score `m`), unless another
     seen score rounds to fl(m - delta) as well; the best unseen column `ju`
     (score `u`) does not move.  So a row predicts js where fl(m - delta) > u,
-    or equals u with js before ju, and ju otherwise: exactly the argmax of
-    _IdScores.predict.  The rows where a merge could decide are scored in
-    full: those with a second seen score within 4 spacings of |m| + the
-    largest |delta| (exact ties included), no seen column or a NaN seen
-    score."""
+    or equals u with js before ju (seen_wins), and ju otherwise: exactly the
+    argmax of _IdScores.predict.  The rows where a merge could decide are
+    scored in full: those with a second seen score within 4 spacings of
+    |m| + the largest |delta| (exact ties included), no seen column or a
+    NaN seen score."""
     top_seen: np.ndarray    # m per row
     top_unseen: np.ndarray  # u per row
     seen_first: np.ndarray  # js < ju: the seen column wins a tie with u
@@ -66,14 +66,27 @@ class _TopScores(NamedTuple):
     unsure: np.ndarray      # positions of the rows scored in full
     full: _IdScores         # those rows' scores
 
-    def predict(self, delta: float) -> np.ndarray:
+    def seen_wins(self, delta) -> np.ndarray:
+        """Per row, whether js wins at delta (a scalar, or one per row)."""
         shifted = self.top_seen - delta
-        seen_wins = (shifted > self.top_unseen) | (
+        return (shifted > self.top_unseen) | (
             (shifted == self.top_unseen) & self.seen_first)
-        preds = np.where(seen_wins, self.seen_id, self.unseen_id)
-        if self.unsure.size:
-            preds[self.unsure] = self.full.predict(delta)
-        return preds
+
+    def switch_points(self, ascending: np.ndarray) -> np.ndarray:
+        """Per row, the number of deltas of the ascending grid at which js
+        wins.  seen_wins can only fall as delta grows, so they are the
+        first ones: one vectorised bisection over the rows, of
+        len(ascending).bit_length() seen_wins calls."""
+        lo = np.zeros(self.top_seen.shape, np.int64)
+        hi = np.full(self.top_seen.shape, ascending.size)
+        for _ in range(ascending.size.bit_length()):
+            # the answer is in [lo, hi]; probe mid where the two differ
+            mid = (lo + hi) // 2
+            open_ = lo < hi
+            wins = self.seen_wins(ascending[np.minimum(mid, ascending.size - 1)])
+            np.copyto(lo, mid + 1, where=open_ & wins)
+            np.copyto(hi, mid, where=open_ & ~wins)
+        return lo
 
 
 @np.errstate(invalid="ignore")  # no seen column: the gap -inf - -inf is NaN
@@ -166,6 +179,46 @@ def _split(features, labels, prototypes, class_ids, seen_mask):
             _label_index(labels, class_ids))
 
 
+# The most deltas _sweep_accuracies counts at once: its per-class counts
+# take (classes, GRID_BLOCK + 1) integers per split.
+GRID_BLOCK = 1024
+
+
+def _sweep_accuracies(top: _TopScores, index: _LabelIndex,
+                      grid: np.ndarray) -> list[float]:
+    """_accuracy's mean of the split's predictions at each delta of the
+    grid, in grid order, from one pass over the rows: each row's switch
+    point on the stably sorted grid, per class the rows whose js (ju) is
+    their label by switch point, and integer cumulative sums of those; the
+    unsure rows are scored in full at every delta."""
+    g, k = grid.size, index.classes.size
+    order = np.argsort(grid, kind="stable")
+    sure = np.ones(index.labels.size, bool)
+    sure[top.unsure] = False
+    at = index.pos * (g + 1) + top.switch_points(grid[order])
+
+    def tally(hit):  # (k, g + 1): the rows of each class by switch point
+        return np.bincount(at[sure & hit], minlength=k * (g + 1)).reshape(k, g + 1)
+
+    # a row with switch point c predicts js at the c smallest deltas and ju
+    # at the others: at the j-th smallest a class has its js hits, less
+    # those with c <= j, and its ju hits with c <= j
+    seen = tally(top.seen_id == index.labels)
+    unseen = tally(top.unseen_id == index.labels)
+    hits = np.empty((g, k), np.int64)
+    hits[order] = (seen.sum(axis=1)[:, None]
+                   + np.cumsum(unseen - seen, axis=1)[:, :g]).T
+    if top.unsure.size:
+        pos, labels = index.pos[top.unsure], index.labels[top.unsure]
+        for row, delta in zip(hits, grid.tolist()):
+            row += np.bincount(pos[top.full.predict(delta) == labels], minlength=k)
+    tested = index.rows > 0
+    acc = np.empty((g, np.count_nonzero(tested)))
+    # per delta, as _accuracy divides and np.mean sums that delta's vector
+    np.divide(hits[:, tested], index.rows[tested], out=acc)
+    return np.mean(acc, axis=1).tolist()
+
+
 def cs_sweep(
     model: PrototypeModel, ds: SplitDataset, delta_grid
 ) -> tuple[list[EvalReport], float]:
@@ -173,8 +226,10 @@ def cs_sweep(
     (the first of a tie).  T is the ZSL accuracy on test_unseen against the
     unseen prototypes alone; U and S come from calibrated stacking over all
     prototypes.  Prototypes are projected and each test split is scored
-    once; a delta then costs O(rows) work per split (_TopScores).  The grid
-    is nonempty, and each test label in its split's class set."""
+    once; the grid then costs one pass over each split's rows per
+    GRID_BLOCK deltas, plus a bisection of O(rows * log(deltas))
+    (_sweep_accuracies).  The grid is nonempty, and each test label in its
+    split's class set."""
     grid = [float(d) for d in delta_grid]
     seen, unseen = ds.seen_classes, ds.unseen_classes
     test_u, test_s = ds.test_unseen_idx, ds.test_seen_idx
@@ -186,25 +241,27 @@ def cs_sweep(
                                unseen, np.zeros(unseen.size, bool))
         t_acc = _accuracy(scores.predict(0.0), index)[0]
 
-    # the GZSL splits: test_unseen (U), then test_seen (S)
-    splits: list[tuple[_TopScores, _LabelIndex] | None] = [None, None]
+    # the GZSL accuracies per delta: test_unseen (U), then test_seen (S)
+    accs: list[list | None] = [None, None]
     if seen.size + unseen.size:
         union = np.concatenate([seen, unseen])
         protos = project_prototypes(model, ds.attributes, union)
         mask = np.concatenate([np.ones(seen.size, bool), np.zeros(unseen.size, bool)])
         reach = float(np.max(np.abs(grid)))
+        deltas = np.array(grid)
         for k, idx in enumerate((test_u, test_s)):
             if idx.size:
                 scores, index = _split(ds.features[idx], ds.labels[idx], protos,
                                        union, mask)
-                splits[k] = (_top_scores(scores, reach), index)
+                top = _top_scores(scores, reach)
+                accs[k] = [a for lo in range(0, deltas.size, GRID_BLOCK)
+                           for a in _sweep_accuracies(
+                               top, index, deltas[lo:lo + GRID_BLOCK])]
 
     reports = []
     best_delta, best_h = grid[0], -1.0
-    for delta in grid:
-        u_acc, s_acc = [None if split is None else
-                        _accuracy(split[0].predict(delta), split[1])[0]
-                        for split in splits]
+    for i, delta in enumerate(grid):
+        u_acc, s_acc = [None if a is None else a[i] for a in accs]
         h = harmonic_mean(u_acc, s_acc) if (u_acc is not None and s_acc is not None) \
             else None
         reports.append(EvalReport(T=t_acc, U=u_acc, S=s_acc, H=h, delta=delta))

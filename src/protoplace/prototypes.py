@@ -100,7 +100,8 @@ class PrototypeModel:
 
 def stacked_loss(
     net: MappingNet, semantic: np.ndarray, queries: tuple[np.ndarray, np.ndarray],
-    at: np.ndarray, logit_scale: float, out: np.ndarray | None = None,
+    at: np.ndarray, logit_scale: float,
+    out: tuple[np.ndarray, dict[str, np.ndarray]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The losses (S,) and flat gradients (S, net.flat.size) of S stacked
     classification passes through one net: the samples of each pass, given
@@ -108,7 +109,7 @@ def stacked_loss(
     projects from the pass's class semantics (S, M, D).  `at` (S, M*N) are
     the target_indices of the samples' local labels.  Each pass's loss and
     gradient equal those of the pass run alone, bit for bit.  The gradients
-    are written into `out` when given (see net_backward)."""
+    are written into `out`'s buffer when given (see net_backward)."""
     prototypes, cache = net_forward(net, semantic)
     losses, g_proto = cosine_cross_entropy(queries, unit_rows(prototypes), at,
                                            logit_scale, wrt="references")
@@ -134,7 +135,8 @@ def train_prototypes(ds: SplitDataset, cfg: TrainConfig) -> PrototypeModel:
     real passes, combined as loss p + lambda_real * r and gradient
     gp + lambda_real * gr, then one optimizer step on the flat parameters.
     A mode without placeholders, or lambda_real = 0, stacks one pass.  Every
-    step writes its gradients into one buffer, made once per run."""
+    step writes its gradients into one buffer, made once per run with its
+    parameter views."""
     rng = RngStream(cfg.seed)
     net = MappingNet.init(ds.attr_dim, ds.feat_dim, cfg.hidden_dim,
                           rng.derive("init"))
@@ -153,6 +155,7 @@ def train_prototypes(ds: SplitDataset, cfg: TrainConfig) -> PrototypeModel:
     # every pass labels its samples class-major, as sample_episode does
     at = target_indices(np.broadcast_to(class_major_labels(m, n), (depth, m * n)), m)
     grad_buf = np.empty((depth, net.flat.size))
+    grad_out = grad_buf, net.views(grad_buf)
 
     def epoch_steps():
         for done in range(0, per_epoch, EPISODE_BLOCK):
@@ -167,7 +170,7 @@ def train_prototypes(ds: SplitDataset, cfg: TrainConfig) -> PrototypeModel:
             qh, qn = unit_rows(np.stack([p.visual for p in passes], axis=1))
             for i in range(size):
                 losses, grads = stacked_loss(net, semantic[i], (qh[i], qn[i]), at,
-                                             cfg.logit_scale, out=grad_buf)
+                                             cfg.logit_scale, out=grad_out)
                 total = losses[0]
                 if depth == 2:
                     total = total + lam * losses[1]

@@ -1,3 +1,6 @@
+import builtins
+import hashlib
+import io
 import json
 import os
 import re
@@ -374,6 +377,45 @@ class TestSynth:
         assert {p.name: p.read_bytes() for p in data.iterdir()} == before
 
 
+class TestDatasetReads:
+    """train and eval read each dataset file once, and fingerprint the bytes
+    they read: sha256 over each file's name and bytes, in name order."""
+
+    NAMES = {"binary": ["attributes.bin", "features.bin", "features.labels.bin",
+                        "split.txt"],
+             "csv": ["attributes.csv", "features.csv", "split.txt"]}
+
+    @pytest.mark.parametrize("format", ["binary", "csv"])
+    def test_each_file_read_once_and_fingerprinted(self, workdir, monkeypatch,
+                                                   format):
+        tmp_path, cfg = workdir
+        data = tmp_path / "data"
+        assert run("synth", "--config", cfg, "--out", data, "--format", format) == 0
+        oracle = hashlib.sha256()
+        for name in self.NAMES[format]:
+            oracle.update(name.encode())
+            oracle.update((data / name).read_bytes())
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file).parent == data:
+                opened.append(Path(file).name)
+            return real_open(file, *args, **kwargs)
+
+        # pathlib opens through io.open, the rest through builtins.open
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        steps = {"train": ["train", "--config", cfg, "--mode", "full"],
+                 "eval": ["eval", "--model", tmp_path / "train" / "model"]}
+        for name, argv in steps.items():
+            opened.clear()
+            assert run(*argv, "--data", data, "--out", tmp_path / name) == 0
+            assert sorted(opened) == self.NAMES[format], name
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            assert manifest["metrics"]["dataset_fingerprint"] == oracle.hexdigest()
+
+
 class TestTrain:
     @pytest.mark.parametrize("mode", ["s2v", "ep", "ep-ei", "full"])
     def test_each_mode_writes_model(self, workdir, mode):
@@ -408,7 +450,7 @@ class TestTrain:
         # a zero feature row reaching the loss is a numeric failure, not a
         # configuration error
         tmp_path, cfg = workdir
-        ds = load_dataset_dir(make_data(tmp_path, cfg))
+        ds, _ = load_dataset_dir(make_data(tmp_path, cfg))
         ds.features[ds.train_idx] = 0.0
         zero = tmp_path / "zero_data"
         save_dataset(ds, zero)

@@ -82,7 +82,7 @@ class TestDatasetIO:
     def test_csv_fixture_counts(self, tmp_path):
         ds = tiny_dataset()
         paths = save_dataset(ds, tmp_path, format="csv")
-        loaded = load_dataset_dir(tmp_path)
+        loaded, _ = load_dataset_dir(tmp_path)
         assert loaded.train_idx.size == 2
         assert loaded.test_seen_idx.size == 1
         assert loaded.test_unseen_idx.size == 1
@@ -96,7 +96,7 @@ class TestDatasetIO:
         d1 = tmp_path / "one"
         d2 = tmp_path / "two"
         save_dataset(ds, d1, format="binary")
-        save_dataset(load_dataset_dir(d1), d2, format="binary")
+        save_dataset(load_dataset_dir(d1)[0], d2, format="binary")
         for name in ("features.bin", "features.labels.bin", "attributes.bin",
                      "split.txt"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
@@ -105,7 +105,7 @@ class TestDatasetIO:
         ds = tiny_dataset()
         ds.features[0, 0] = 0.123456789123
         paths = save_dataset(ds, tmp_path, format="csv")
-        loaded = load_dataset_dir(tmp_path)
+        loaded, _ = load_dataset_dir(tmp_path)
         assert np.max(np.abs(loaded.features - ds.features)) < 1e-7
 
     def test_split_naming_out_of_range_class(self, tmp_path):
@@ -152,6 +152,46 @@ class TestDatasetIO:
         with pytest.raises(FormatError, match="line 1"):
             load_dataset_dir(tmp_path)
 
+    @pytest.mark.parametrize("line", [
+        "seen : 0 1", "seen:0 1", "  seen: 0 1", "seen:   0 1", "seen: 0 1\t",
+        "seen: 0 1 ", "seen:\t0 1", "\tseen: 0 1", " ",
+    ], ids=["space before colon", "no space after colon", "leading spaces",
+            "spaces after colon", "trailing tab", "trailing space",
+            "tab after colon", "leading tab", "blank line of a space"])
+    def test_split_whitespace_outside_the_ids_rejected(self, tmp_path, line):
+        # each reads as "seen: 0 1" once the whitespace is stripped, which
+        # write_split would save in place of the line as written
+        paths = save_dataset(tiny_dataset(), tmp_path, format="csv")
+        lines = paths["split"].read_text().splitlines()
+        assert lines[0] == "seen: 0 1"
+        if line.strip():
+            lines[0] = line
+        else:  # a line of whitespace before the sections
+            lines.insert(0, line)
+        paths["split"].write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="line 1"):
+            load_dataset_dir(tmp_path)
+
+    @pytest.mark.parametrize("section", ["unseen:", "unseen: ", "unseen:  "])
+    def test_split_empty_section_is_only_the_colon(self, tmp_path, section):
+        # an empty section is written "unseen:", and only that reads back
+        ds = tiny_dataset()
+        ds = SplitDataset(features=ds.features[:3], labels=ds.labels[:3],
+                          attributes=ds.attributes, seen_classes=[0, 1],
+                          unseen_classes=[], train_idx=[0, 2], test_seen_idx=[1],
+                          test_unseen_idx=[])
+        paths = save_dataset(ds, tmp_path)
+        text = paths["split"].read_text()
+        assert "\nunseen:\n" in text
+        paths["split"].write_text(text.replace("\nunseen:\n", f"\n{section}\n"))
+        if section != "unseen:":
+            with pytest.raises(FormatError, match="line 2: ids must follow"):
+                load_dataset_dir(tmp_path)
+            return
+        save_dataset(load_dataset_dir(tmp_path)[0], tmp_path / "again")
+        assert (tmp_path / "again" / "split.txt").read_bytes() == \
+            paths["split"].read_bytes()
+
     @pytest.mark.parametrize("column,token", [
         (1, "+0"), (1, "00"), (1, "0_0"), (1, " 0"), (1, "99999999999999999999"),
         (2, "1_0"), (2, " 1"), (2, "1 "),
@@ -178,7 +218,7 @@ class TestDatasetIO:
             test_unseen_idx=[],
         )
         paths = save_dataset(ds2, tmp_path, format="csv")
-        loaded = load_dataset_dir(tmp_path)
+        loaded, _ = load_dataset_dir(tmp_path)
         assert loaded.test_unseen_idx.size == 0
 
     def test_malformed_row_names_location(self, tmp_path):
@@ -239,7 +279,7 @@ class TestDatasetIO:
         for format in ("binary", "csv"):
             save_dataset(ds, tmp_path / format, format=format)
             assert dataset_files(tmp_path / format)[0] == format
-            loaded = load_dataset_dir(tmp_path / format)
+            loaded, _ = load_dataset_dir(tmp_path / format)
             assert np.array_equal(loaded.labels, ds.labels)
             assert np.max(np.abs(loaded.features - ds.features)) < 1e-7
             assert np.max(np.abs(loaded.attributes.values
@@ -299,6 +339,27 @@ class TestValidation:
                          attributes=ds.attributes, seen_classes=[0, 1],
                          unseen_classes=[2], train_idx=train,
                          test_seen_idx=test_seen, test_unseen_idx=test_unseen)
+
+    @pytest.mark.parametrize("classes,splits,message", [
+        (([0, 1], [2]), ([0, 2], [0], [3]),
+         "train/test index sets are not pairwise disjoint"),
+        (([0, 1], [2]), ([0, 2], [1, 3], []),
+         "test_seen split contains class 2 outside its class set"),
+        (([0], [1, 2]), ([0, 2, 3], [1], []),
+         "train split contains class 1 outside its class set"),
+        (([0, 1], [2]), ([0], [1], [2, 3]),
+         "test_unseen split contains class 1 outside its class set"),
+    ], ids=["shared index", "unseen in test_seen", "least of two strays",
+            "seen in test_unseen"])
+    def test_split_rule_messages(self, classes, splits, message):
+        # the least stray class is the one named
+        ds = tiny_dataset()
+        with pytest.raises(ValidationError) as exc:
+            SplitDataset(features=ds.features, labels=ds.labels,
+                         attributes=ds.attributes, seen_classes=classes[0],
+                         unseen_classes=classes[1], train_idx=splits[0],
+                         test_seen_idx=splits[1], test_unseen_idx=splits[2])
+        assert str(exc.value) == message
 
     def test_zero_norm_attribute_row_rejected(self):
         with pytest.raises(ValidationError):

@@ -371,6 +371,13 @@ def tie_dataset(test_seen=True, test_unseen=True):
     return ds, model, protos
 
 
+def union_prototypes(model, ds):
+    """The class ids, seen mask and prototypes of cs_sweep's GZSL scores."""
+    union = np.concatenate([ds.seen_classes, ds.unseen_classes])
+    mask = np.isin(union, ds.seen_classes)
+    return union, mask, project_prototypes(model, ds.attributes, union)
+
+
 def per_class_mean(preds, labels):
     """The unweighted mean over the classes in labels of each class's top-1
     accuracy, one hit mask per class; 0.0 without labels."""
@@ -455,6 +462,35 @@ class TestSweepParity:
         ds, model = trained_setup(seed=8)
         self.assert_parity(ds, model)
 
+    @pytest.mark.parametrize("grid", [
+        [0.5, 0.0, 0.5, -0.2, 1e-17, 0.02, -0.2],
+        [0.3, 1e13, -0.5, 0.0, 0.3],
+    ], ids=["unsorted with repeats", "unsure rows"])
+    def test_unsorted_grid_parity(self, grid):
+        # reports stay in grid order, a repeated delta repeats its report;
+        # at 1e13 some rows, not all, are unsure and scored in full
+        ds, model = trained_setup(seed=8)
+        reports, best = cs_sweep(model, ds, grid)
+        ref_rows, ref_best = reference_sweep(model, ds, grid)
+        assert [(r.T, r.U, r.S, r.H, r.delta) for r in reports] == ref_rows
+        assert best == ref_best
+        reach = float(np.max(np.abs(grid)))
+        union, mask, protos = union_prototypes(model, ds)
+        unsure = [metrics._top_scores(metrics._split(ds.features[idx], ds.labels[idx],
+                                                     protos, union, mask)[0],
+                                      reach).unsure.size
+                  for idx in (ds.test_unseen_idx, ds.test_seen_idx)]
+        rows = ds.test_unseen_idx.size + ds.test_seen_idx.size
+        assert 0 < sum(unsure) < rows if reach > 1 else sum(unsure) == 0
+
+    def test_grid_blocks(self, monkeypatch):
+        # a grid of several blocks reads as the same grid in one block
+        ds, model, _ = tie_dataset()
+        grid = delta_grid(DEFAULTS)[::-1] + [0.37, -0.5]
+        whole = cs_sweep(model, ds, grid)
+        monkeypatch.setattr(metrics, "GRID_BLOCK", 5)
+        assert cs_sweep(model, ds, grid) == whole
+
     def test_wide_grid_parity(self):
         # negative and huge deltas: at 1e20 every seen score rounds to -1e20
         ds, model, _ = tie_dataset()
@@ -492,6 +528,23 @@ def planted_scores(rng, rows, classes, grid):
     return s
 
 
+def top_predictions(top, grid):
+    """The class id per row at each delta of the grid that top's switch
+    points on the stably sorted grid give, its unsure rows scored in full."""
+    grid = np.asarray(grid, dtype=np.float64)
+    order = np.argsort(grid, kind="stable")
+    switch = top.switch_points(grid[order])
+    rank = np.empty(grid.size, np.int64)
+    rank[order] = np.arange(grid.size)
+    out = []
+    for i, delta in enumerate(grid.tolist()):
+        preds = np.where(rank[i] < switch, top.seen_id, top.unseen_id)
+        if top.unsure.size:
+            preds[top.unsure] = top.full.predict(delta)
+        out.append(preds)
+    return out
+
+
 class TestTopScores:
     GRIDS = ([0.0], [-0.5, 0.0, 0.37, 2.0], delta_grid(DEFAULTS),
              [-0.5, 0.98, 1e20], [0.0, 1e6])
@@ -514,10 +567,11 @@ class TestTopScores:
             scores = self.id_scores(planted_scores(rng, rows, classes, grid), seen, rng)
             top = metrics._top_scores(scores, float(np.max(np.abs(grid))))
             naive = top._replace(unsure=np.empty(0, np.int64))
-            for delta in grid:
+            for delta, got, naive_got in zip(grid, top_predictions(top, grid),
+                                             top_predictions(naive, grid)):
                 full = scores.predict(delta)
-                mismatches += int(np.sum(top.predict(delta) != full))
-                naive_mismatches += int(np.sum(naive.predict(delta) != full))
+                mismatches += int(np.sum(got != full))
+                naive_mismatches += int(np.sum(naive_got != full))
             rows_seen += rows
         assert rows_seen >= 90_000
         assert mismatches == 0
@@ -533,9 +587,9 @@ class TestTopScores:
         assert scores.predict(0.98).tolist() == [0]
         top = metrics._top_scores(scores, 0.98)
         assert top.unsure.tolist() == [0]
-        assert top.predict(0.98).tolist() == [0]
+        assert top_predictions(top, [0.98])[0].tolist() == [0]
         naive = top._replace(unsure=np.empty(0, np.int64))
-        assert naive.predict(0.98).tolist() == [1]
+        assert top_predictions(naive, [0.98])[0].tolist() == [1]
 
     def test_clear_rows_skip_the_full_argmax(self):
         # one seen column and well-separated scores: no row is scored in full
@@ -543,8 +597,9 @@ class TestTopScores:
                                    np.arange(3), np.array([False, True, True]))
         top = metrics._top_scores(scores, 1.0)
         assert top.unsure.size == 0
-        for delta in (-0.5, 0.0, 0.3, 0.5, 0.6, 2.0):
-            assert top.predict(delta).tolist() == scores.predict(delta).tolist()
+        grid = (-0.5, 0.0, 0.3, 0.5, 0.6, 2.0)
+        for delta, got in zip(grid, top_predictions(top, grid)):
+            assert got.tolist() == scores.predict(delta).tolist()
 
     @pytest.mark.parametrize("reach", [np.inf, np.nan])
     def test_non_finite_reach_scores_every_row_in_full(self, reach):
@@ -552,5 +607,22 @@ class TestTopScores:
                                    np.arange(2), np.array([True, False]))
         top = metrics._top_scores(scores, reach)
         assert top.unsure.tolist() == [0, 1]
-        for delta in (0.0, 0.3, 0.5):
-            assert top.predict(delta).tolist() == scores.predict(delta).tolist()
+        grid = (0.0, 0.3, 0.5)
+        for delta, got in zip(grid, top_predictions(top, grid)):
+            assert got.tolist() == scores.predict(delta).tolist()
+
+    def test_switch_point_counts_the_leading_wins(self):
+        # seen_wins holds at the first switch_points(grid) deltas of an
+        # ascending grid and at no later one, repeated deltas included
+        rng = np.random.default_rng(12)
+        grid = np.sort(np.concatenate([rng.uniform(-1.5, 1.5, 40), [0.0, 0.0, 0.5]]))
+        for case in range(40):
+            classes = int(rng.integers(2, 9))
+            seen = rng.uniform(size=classes) < 0.5
+            seen[:2] = [True, False]
+            scores = self.id_scores(planted_scores(rng, 300, classes, grid), seen, rng)
+            top = metrics._top_scores(scores, 1.5)
+            wins = np.stack([top.seen_wins(d) for d in grid], axis=1)
+            switch = top.switch_points(grid)
+            assert np.array_equal(wins, np.arange(grid.size) < switch[:, None])
+        assert top.switch_points(grid[:0]).tolist() == [0] * 300

@@ -233,6 +233,25 @@ class TestTrainPrototypes:
         assert model.loss_trace
         assert depths and set(depths) == {1}
 
+    def test_gradient_views_made_once_per_run(self, monkeypatch):
+        # a run of 2 or 8 steps makes the same number of parameter views:
+        # every step writes through the views of the one gradient buffer
+        ds = bench(seed=11)
+        made = []
+        views = MappingNet.views
+
+        def counted(self, vec):
+            made.append(vec.shape)
+            return views(self, vec)
+
+        monkeypatch.setattr(MappingNet, "views", counted)
+        counts = []
+        for episodes in (1, 4):
+            made.clear()
+            train_prototypes(ds, small_cfg(episodes_per_epoch=episodes))
+            counts.append(len(made))
+        assert counts[0] == counts[1]
+
     def test_divergence_raises_training_error(self, monkeypatch):
         ds = bench(seed=12)
 

@@ -8,7 +8,8 @@ tests/test_acceptance.py, the benchmark-sized config of
 perfbench/workloads.py at config seeds 0 and 1, and a small wide one: 512-d
 features and 85 attributes) the same CLI steps run once
 with each tree: `synth`, `train` in every mode, one `eval` of the four
-models on the config's grid and one on a comma grid, `ablate --seeds 2`,
+models on the config's grid, one on a comma grid and one on an unsorted
+comma grid that repeats a delta, `ablate --seeds 2`,
 one `sweep` over n_neighbors and one `sweep` per sigma value; then a CSV
 leg, which checks the CSV table reader and writer:
 `synth --format csv`, `train --mode full` on that data and its `eval`;
@@ -89,6 +90,10 @@ CONFIGS = {
 # row of these configurations is that close, at 1e13 about one row in ten of
 # the benchmark-sized ones is, so both paths run.
 EVAL_GRID = "-0.5,0,0.37,2,1e6,1e13"
+# The grid of the third `eval`: unsorted, with a repeated, a negative and a
+# tiny delta, so that the sweep's per-row thresholds on the sorted grid are
+# mapped back to grid order.
+UNSORTED_GRID = "0.5,0,0.5,-0.2,1e-17"
 # The error leg's steps that read a config: per step, its overrides of the
 # configuration's config, written to `<step>.json`, and the command.
 ERRORS = {
@@ -148,6 +153,8 @@ def steps(n_values: str) -> list[tuple[str, list[str]]]:
     out.append(("eval", ["eval", *models, *data, "--out", "eval"]))
     out.append(("eval_grid", ["eval", *models, *data, "--out", "eval_grid",
                               f"--delta-grid={EVAL_GRID}"]))
+    out.append(("eval_unsorted", ["eval", *models, *data, "--out", "eval_unsorted",
+                                  f"--delta-grid={UNSORTED_GRID}"]))
     out.append(("ablate", ["ablate", *cfg, *data, "--out", "ablate", "--seeds", "2"]))
     out.append(("sweep_n", ["sweep", *cfg, *data, "--out", "sweep_n",
                             "--param", "n_neighbors", "--values", n_values]))
