@@ -282,53 +282,78 @@ def cmd_sweep(args, cfg, ds, out):
 # ---------------------------------------------------------------------------
 
 
+PROG = "protoplace"
+# Per command: its line in the program's help, the flags it shares with other
+# commands (each required, and first) and the function that runs it.
+COMMANDS = {
+    "synth": ("generate a synthetic benchmark dataset", ("--config", "--out"),
+              cmd_synth),
+    "train": ("train a prototype model", ("--config", "--data", "--out"),
+              cmd_train),
+    "eval": ("evaluate trained model(s)", ("--data", "--out"), cmd_eval),
+    "ablate": ("run the five-configuration ablation ladder",
+               ("--config", "--data", "--out"), cmd_ablate),
+    "sweep": ("sweep a hallucination hyper-parameter",
+              ("--config", "--data", "--out"), cmd_sweep),
+}
+
+
+def _command_parser(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """p given the arguments of the command `name`."""
+    _, shared, func = COMMANDS[name]
+    for flag in shared:
+        p.add_argument(flag, required=True)
+    if name == "synth":
+        p.add_argument("--format", choices=("binary", "csv"), default="binary")
+    elif name == "eval":
+        ev = cfgmod.DEFAULTS["eval"]
+        p.add_argument("--model", action="append", required=True,
+                       help="model directory; pass twice for paired similarity "
+                            "output")
+        p.add_argument("--delta-grid",
+                       help="start:stop:step or comma-separated deltas (default: "
+                            f"the config default, {ev['delta_start']:g}:"
+                            f"{ev['delta_stop']:g}:{ev['delta_step']:g})")
+    elif name == "ablate":
+        p.add_argument("--seeds", type=int, default=5)
+    elif name == "sweep":
+        p.add_argument("--param", required=True,
+                       help="n_neighbors (alias n) or sigma")
+        p.add_argument("--values", required=True,
+                       help="comma-separated values and inclusive integer ranges "
+                            "a..b, such as 0..8")
+    if name in ("train", "sweep"):
+        p.add_argument("--mode", choices=tuple(MODES), default="full")
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of the whole program: every command's parser under it."""
     parser = argparse.ArgumentParser(
-        prog="protoplace",
+        prog=PROG,
         description="Placeholder-based prototype learning for zero-shot "
                     "recognition on embedding-level benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # the arguments several commands share, one parent parser each
-    config, data, out = (argparse.ArgumentParser(add_help=False) for _ in range(3))
-    for parent, flag in zip((config, data, out), ("--config", "--data", "--out")):
-        parent.add_argument(flag, required=True)
-
-    p = sub.add_parser("synth", parents=[config, out],
-                       help="generate a synthetic benchmark dataset")
-    p.add_argument("--format", choices=("binary", "csv"), default="binary")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("train", parents=[config, data, out],
-                       help="train a prototype model")
-    p.add_argument("--mode", choices=tuple(MODES), default="full")
-    p.set_defaults(func=cmd_train)
-
-    ev = cfgmod.DEFAULTS["eval"]
-    p = sub.add_parser("eval", parents=[data, out], help="evaluate trained model(s)")
-    p.add_argument("--model", action="append", required=True,
-                   help="model directory; pass twice for paired similarity output")
-    p.add_argument("--delta-grid",
-                   help="start:stop:step or comma-separated deltas (default: the "
-                        f"config default, {ev['delta_start']:g}:{ev['delta_stop']:g}:"
-                        f"{ev['delta_step']:g})")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("ablate", parents=[config, data, out],
-                       help="run the five-configuration ablation ladder")
-    p.add_argument("--seeds", type=int, default=5)
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("sweep", parents=[config, data, out],
-                       help="sweep a hallucination hyper-parameter")
-    p.add_argument("--param", required=True,
-                   help="n_neighbors (alias n) or sigma")
-    p.add_argument("--values", required=True,
-                   help="comma-separated values and inclusive integer ranges "
-                        "a..b, such as 0..8")
-    p.add_argument("--mode", choices=tuple(MODES), default="full")
-    p.set_defaults(func=cmd_sweep)
+    for name, (help_line, _, _) in COMMANDS.items():
+        _command_parser(sub.add_parser(name, help=help_line), name)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The arguments of a command line.  Only the named command's parser is
+    built, as build_parser names it; a line it cannot take whole (help
+    before a command, no or an unknown command, an argument the command
+    does not know) goes to build_parser, so every help, usage and error
+    text is the whole program's."""
+    if argv and argv[0] in COMMANDS:
+        parser = _command_parser(argparse.ArgumentParser(prog=f"{PROG} {argv[0]}"),
+                                 argv[0])
+        args, unknown = parser.parse_known_args(argv[1:])
+        if not unknown:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -338,7 +363,7 @@ def main(argv=None) -> int:
     fingerprint of a command that reads --data, and the wall time.  A command
     that fails writes none."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     started = time.time()
     try:
         cfg = cfgmod.load_config(args.config) if "config" in args else None

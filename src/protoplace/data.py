@@ -16,16 +16,19 @@ On-disk formats (DATASET_FILES names each format's files)
 * A dataset directory holds one format's files: features of both formats
   there raise FormatError, and save_dataset will not write one format over
   the other.
-* Split file: five lines ``seen:``, ``unseen:``, ``train:``, ``test_seen:``,
-  ``test_unseen:``, each followed on the same line by its ids, one space
-  before each (``seen: 0 1``) and at most 18 digits in each, and by
-  nothing else; a missing, unknown or repeated section, a line without its
-  colon, or any other whitespace (a space before the colon, none or several
-  after it, a tab, a space at either end of the line, a line of whitespace
-  only) raises FormatError.
-  Empty lines are skipped.
-* The CSV and split files and the JSON records are UTF-8 text, read with
-  universal newlines; a byte that does not decode raises FormatError.
+* Split file: the five lines ``seen:``, ``unseen:``, ``train:``,
+  ``test_seen:``, ``test_unseen:`` in that order, each followed on the same
+  line by its ids, one space before each (``seen: 0 1``) and at most 18
+  digits in each, and by nothing else, and ending in LF, the last line too;
+  the seen and the unseen class ids ascend.  Anything else raises
+  FormatError: a missing, unknown, repeated or misplaced section, a line
+  without its colon, an empty line, a CR, any other whitespace (a space
+  before the colon, none or several after it, a tab, a space at either end
+  of the line, a line of whitespace only), or a class id out of order or
+  repeated.  So a split file that loads saves back to its bytes.
+* The CSV and split files and the JSON records are UTF-8 text, the CSV
+  files read with universal newlines; a byte that does not decode raises
+  FormatError.
 """
 from __future__ import annotations
 
@@ -275,19 +278,30 @@ class SynthConfig:
 # CSV / split-file formats
 
 
-def format_number(x) -> str:
-    """A number to 9 significant digits; None as an empty cell."""
-    return "" if x is None else format(float(x), ".9g")
+def cell_format(kind: type) -> str:
+    """The %-format of a CSV cell of type `kind`: a string as it is, None as
+    an empty cell, and any other type, a number, as float(x) to 9
+    significant digits."""
+    if issubclass(kind, str):
+        return "%s"
+    return "%.0s" if kind is type(None) else "%.9g"
 
 
 def write_csv(path, header, rows) -> None:
-    """A CSV file: the header cells, then one line per row.  A string cell is
-    written as it is, any other (a number or None) through format_number."""
+    """A CSV file: the header cells, then one line per row, each cell as
+    cell_format gives its type.  Each row is one %-operation, whose template
+    is built once per sequence of cell types."""
+    templates = {}
+    lines = [",".join(header) + "\n"]
+    for row in rows:
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(map(cell_format, kinds)) + "\n"
+        lines.append(template % row)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(c if isinstance(c, str) else format_number(c)
-                             for c in row) + "\n")
+        f.writelines(lines)
 
 
 def write_json(path, record) -> None:
@@ -307,14 +321,19 @@ def _unique_keys(pairs) -> dict:
     return record
 
 
-def _text_lines(raw: bytes, path) -> list[str]:
-    """The lines of UTF-8 text read with universal newlines, without their
-    newline, as iterating over the open file would give them; a byte that
-    does not decode raises FormatError naming the file."""
+def _decode(raw: bytes, path) -> str:
+    """UTF-8 text; a byte that does not decode raises FormatError naming the
+    file."""
     try:
-        text = raw.decode("utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _text_lines(raw: bytes, path) -> list[str]:
+    """The lines of UTF-8 text read with universal newlines, without their
+    newline, as iterating over the open file would give them."""
+    text = _decode(raw, path)
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if not lines[-1]:  # the text ends in a newline, or is empty
         lines.pop()
@@ -380,8 +399,8 @@ def _write_table(path, head: tuple[str, ...], prefix: str, values, ints=()) -> N
     values."""
     values = as_matrix(values, "table")
     write_csv(path, [*head, *(f"{prefix}{j}" for j in range(values.shape[1]))],
-              ([str(i), *(str(int(col[i])) for col in ints), *values[i]]
-               for i in range(values.shape[0])))
+              ([str(i), *(str(int(col[i])) for col in ints), *row]
+               for i, row in enumerate(values.tolist())))
 
 
 def _read_table(raw: bytes, path,
@@ -422,12 +441,18 @@ def write_split(path, splits: dict[str, np.ndarray]) -> None:
 
 
 def read_split(raw: bytes, path) -> dict[str, np.ndarray]:
-    """The id arrays of a split file's bytes by section (SPLIT_KEYS); empty
-    lines are skipped."""
+    """The id arrays of a split file's bytes by section (SPLIT_KEYS), where
+    the bytes are what write_split writes: its lines, in its order, each
+    ending in LF and nothing else, the seen and unseen ids ascending."""
+    text = _decode(raw, path)
+    if "\r" in text:
+        raise FormatError(f"{path}: a line ends in CR; the lines end in LF alone")
+    if text and not text.endswith("\n"):
+        raise FormatError(f"{path}: the last line does not end in LF")
     out: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(_text_lines(raw, path), start=1):
+    for lineno, line in enumerate(text.split("\n")[:-1], start=1):
         if not line:
-            continue
+            raise FormatError(f"{path}: line {lineno} is empty")
         key, colon, rest = line.partition(":")
         if not colon:
             raise FormatError(f"{path}: line {lineno}: no ':' after the "
@@ -436,11 +461,17 @@ def read_split(raw: bytes, path) -> dict[str, np.ndarray]:
             raise FormatError(f"{path}: line {lineno}: unknown section {key!r}")
         if key in out:
             raise FormatError(f"{path}: line {lineno}: repeated section {key!r}")
+        if key != SPLIT_KEYS[len(out)]:
+            raise FormatError(f"{path}: line {lineno}: section {key!r} out of "
+                              f"order, {SPLIT_KEYS[len(out)]!r} comes first")
         if not _SPLIT_IDS.fullmatch(rest):
             raise FormatError(f"{path}: line {lineno}: ids must follow ': ' and "
                               "be separated by one space, each written as "
                               "str(int) writes it, of at most 18 digits")
-        out[key] = np.fromstring(rest, dtype=np.int64, sep=" ")
+        out[key] = ids = np.fromstring(rest, dtype=np.int64, sep=" ")
+        if key in ("seen", "unseen") and np.any(ids[1:] <= ids[:-1]):
+            raise FormatError(f"{path}: line {lineno}: the {key} class ids "
+                              "must ascend, each once")
     missing = [k for k in SPLIT_KEYS if k not in out]
     if missing:
         raise FormatError(f"{path}: missing sections {missing}")

@@ -92,25 +92,32 @@ class _TopScores(NamedTuple):
 @np.errstate(invalid="ignore")  # no seen column: the gap -inf - -inf is NaN
 def _top_scores(scores: _IdScores, reach: float) -> _TopScores:
     """The top seen and top unseen column per row of `scores`, for deltas of
-    magnitude at most `reach` (a NaN reach scores every row in full)."""
+    magnitude at most `reach` (a NaN reach scores every row in full).  Each
+    is the first top column of its block, the seen or the unseen columns in
+    ascending order; a side without a column reads as column 0 scoring
+    -inf."""
     every = np.arange(scores.scores.shape[0])
-    masked = np.full(scores.scores.shape, -np.inf)
-    np.copyto(masked, scores.scores, where=scores.seen)
-    js = np.argmax(masked, axis=1)
-    m = masked[every, js]
-    masked[every, js] = -np.inf
-    gap = m - np.max(masked, axis=1)
-    masked.fill(-np.inf)
-    np.copyto(masked, scores.scores, where=~scores.seen)
-    ju = np.argmax(masked, axis=1)
+    tops = []
+    for pos in (np.flatnonzero(scores.seen), np.flatnonzero(~scores.seen)):
+        if pos.size:
+            block = scores.scores[:, pos]  # a copy: the seen one is written
+        else:
+            pos, block = np.zeros(1, np.int64), np.full((every.size, 1), -np.inf)
+        j = np.argmax(block, axis=1)
+        tops.append((block, j, pos[j], block[every, j]))
+    (seen_block, seen_j, js, m), (_, _, ju, u) = tops
+    seen_block[every, seen_j] = -np.inf
+    gap = m - np.max(seen_block, axis=1)  # to the second seen score
     unsure = np.flatnonzero(~(gap > 4 * np.spacing(np.abs(m) + reach)))
-    return _TopScores(m, masked[every, ju], js < ju, scores.ids[js], scores.ids[ju],
-                      unsure, scores._replace(scores=scores.scores[unsure]))
+    return _TopScores(m, u, js < ju, scores.ids[js], scores.ids[ju], unsure,
+                      scores._replace(scores=scores.scores[unsure]))
 
 
 def _id_scores(features, prototypes, class_ids, seen_mask) -> _IdScores:
-    order = np.argsort(class_ids, kind="stable")
     scores = unit_rows_or_zero(features)[0] @ unit_rows_or_zero(prototypes)[0].T
+    if np.all(class_ids[1:] >= class_ids[:-1]):  # already in id order
+        return _IdScores(scores, class_ids, seen_mask)
+    order = np.argsort(class_ids, kind="stable")
     return _IdScores(scores[:, order], class_ids[order], seen_mask[order])
 
 

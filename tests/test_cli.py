@@ -103,6 +103,130 @@ def training_calls(monkeypatch):
     return calls
 
 
+# What `protoplace --help` and each `protoplace <command> --help` print at 80
+# columns.
+HELP = {
+    None: """\
+usage: protoplace [-h] {synth,train,eval,ablate,sweep} ...
+
+Placeholder-based prototype learning for zero-shot recognition on embedding-
+level benchmarks.
+
+positional arguments:
+  {synth,train,eval,ablate,sweep}
+    synth               generate a synthetic benchmark dataset
+    train               train a prototype model
+    eval                evaluate trained model(s)
+    ablate              run the five-configuration ablation ladder
+    sweep               sweep a hallucination hyper-parameter
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "synth": """\
+usage: protoplace synth [-h] --config CONFIG --out OUT [--format {binary,csv}]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG
+  --out OUT
+  --format {binary,csv}
+""",
+    "train": """\
+usage: protoplace train [-h] --config CONFIG --data DATA --out OUT
+                        [--mode {s2v,ep,ep-ei,full}]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG
+  --data DATA
+  --out OUT
+  --mode {s2v,ep,ep-ei,full}
+""",
+    "eval": """\
+usage: protoplace eval [-h] --data DATA --out OUT --model MODEL
+                       [--delta-grid DELTA_GRID]
+
+options:
+  -h, --help            show this help message and exit
+  --data DATA
+  --out OUT
+  --model MODEL         model directory; pass twice for paired similarity
+                        output
+  --delta-grid DELTA_GRID
+                        start:stop:step or comma-separated deltas (default:
+                        the config default, 0:1:0.02)
+""",
+    "ablate": """\
+usage: protoplace ablate [-h] --config CONFIG --data DATA --out OUT
+                         [--seeds SEEDS]
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG
+  --data DATA
+  --out OUT
+  --seeds SEEDS
+""",
+    "sweep": """\
+usage: protoplace sweep [-h] --config CONFIG --data DATA --out OUT --param
+                        PARAM --values VALUES [--mode {s2v,ep,ep-ei,full}]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG
+  --data DATA
+  --out OUT
+  --param PARAM         n_neighbors (alias n) or sigma
+  --values VALUES       comma-separated values and inclusive integer ranges
+                        a..b, such as 0..8
+  --mode {s2v,ep,ep-ei,full}
+""",
+}
+TOP_USAGE = "usage: protoplace [-h] {synth,train,eval,ablate,sweep} ...\n"
+
+
+class TestUsage:
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        # argparse wraps its text to the terminal's width, read from COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def exit_and_output(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code, *capsys.readouterr()
+
+    @pytest.mark.parametrize("command", HELP)
+    def test_help(self, capsys, command):
+        argv = ["--help"] if command is None else [command, "--help"]
+        code, out, err = self.exit_and_output(capsys, argv)
+        # Python 3.10 heads the options "optional arguments:"
+        assert (code, out.replace("optional arguments:", "options:"), err) == \
+            (0, HELP[command], "")
+
+    @pytest.mark.parametrize("argv,stderr", [
+        (["bogus"], TOP_USAGE + "protoplace: error: argument command: invalid "
+         "choice: 'bogus' (choose from 'synth', 'train', 'eval', 'ablate', "
+         "'sweep')\n"),
+        ([], TOP_USAGE + "protoplace: error: the following arguments are "
+         "required: command\n"),
+        (["eval", "--data", "d", "--out", "o"],
+         HELP["eval"].split("\n\n")[0] + "\nprotoplace eval: error: the "
+         "following arguments are required: --model\n"),
+        (["train", "--config", "c", "--data", "d", "--out", "o", "--mode", "x"],
+         HELP["train"].split("\n\n")[0] + "\nprotoplace train: error: argument "
+         "--mode: invalid choice: 'x' (choose from 's2v', 'ep', 'ep-ei', "
+         "'full')\n"),
+        # an argument no parser knows is the whole program's usage error
+        (["eval", "--model", "m", "--data", "d", "--out", "o", "--bogus", "1"],
+         TOP_USAGE + "protoplace: error: unrecognized arguments: --bogus 1\n"),
+    ], ids=["unknown command", "no command", "eval without --model",
+            "unknown mode", "unknown flag"])
+    def test_usage_errors_exit_2(self, capsys, argv, stderr):
+        assert self.exit_and_output(capsys, argv) == (2, "", stderr)
+
+
 class TestConfig:
     def test_defaults_round_trip(self, tmp_path):
         p = tmp_path / "empty.json"

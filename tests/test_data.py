@@ -13,6 +13,7 @@ from protoplace.data import (
     sample_episode,
     save_dataset,
     save_matrix,
+    write_csv,
     write_json,
 )
 from protoplace.errors import CapacityError, ConfigError, FormatError, \
@@ -66,6 +67,33 @@ class TestBinaryFormat:
         p.write_bytes(p.read_bytes()[:-2])
         with pytest.raises(FormatError):
             load_matrix(p)
+
+
+# Number cells of every kind the writers pass, and the edge values of the
+# 9-digit format: signed zeros and infinities, NaN, the smallest subnormal,
+# a power of ten past 9 digits and a value that rounds at the ninth.
+NUMBER_CELLS = [0.1, 1 / 3, 7, -12, 10 ** 12 + 1, True, False,
+                np.float64(2 / 3), np.float32(0.1), np.float32(-1e-8), 0.0, -0.0,
+                float("inf"), -float("inf"), float("nan"), 5e-324, 1e16,
+                123456789.5]
+
+
+class TestCsvCells:
+    def test_number_cells_read_as_format_9g(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        row = ["label", *NUMBER_CELLS, None, "", "1.50", None]
+        write_csv(path, ["h"], [row, NUMBER_CELLS, [None], ["only", "strings"], []])
+        assert path.read_text(encoding="utf-8").split("\n") == [
+            "h", ",".join(["label", *(format(float(x), ".9g") for x in NUMBER_CELLS),
+                           "", "", "1.50", ""]),
+            ",".join(format(float(x), ".9g") for x in NUMBER_CELLS),
+            "", "only,strings", "", ""]
+
+    def test_string_where_a_number_goes_is_written_as_it_is(self, tmp_path):
+        # rows of one layout share a format; a row of another gets its own
+        path = tmp_path / "cells.csv"
+        write_csv(path, ["a", "b"], [[1.5, 2.0], ["x", 2.0], [1.5, None], [1.5, 2.0]])
+        assert path.read_text(encoding="utf-8") == "a,b\n1.5,2\nx,2\n1.5,\n1.5,2\n"
 
 
 class TestJsonRecord:
@@ -170,6 +198,35 @@ class TestDatasetIO:
             lines.insert(0, line)
         paths["split"].write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match="line 1"):
+            load_dataset_dir(tmp_path)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda t: t.replace("\n", "\r\n"), "line ends in CR"),
+        (lambda t: t.replace("\n", "\r"), "line ends in CR"),
+        (lambda t: t[:-1], "last line does not end in LF"),
+        (lambda t: "\n" + t, "line 1 is empty"),
+        (lambda t: t.replace("\ntrain:", "\n\ntrain:"), "line 3 is empty"),
+        (lambda t: t + "\n", "line 6 is empty"),
+        (lambda t: t.replace("seen: 0 1\nunseen: 2\n", "unseen: 2\nseen: 0 1\n"),
+         "line 1: section 'unseen' out of order, 'seen' comes first"),
+        (lambda t: t.replace("seen: 0 1\n", "seen: 1 0\n", 1),
+         "line 1: the seen class ids must ascend"),
+        (lambda t: t.replace("seen: 0 1\n", "seen: 0 1 1\n", 1),
+         "line 1: the seen class ids must ascend"),
+        (lambda t: t.replace("unseen: 2\n", "unseen: 2 2\n"),
+         "line 2: the unseen class ids must ascend"),
+    ], ids=["CRLF", "CR", "no final LF", "empty first line", "empty line",
+            "empty last line", "sections out of order", "seen ids descend",
+            "seen id repeated", "unseen id repeated"])
+    def test_split_not_as_written_rejected(self, tmp_path, edit, message):
+        # each loaded as the split write_split writes, which would save back
+        # other bytes
+        paths = save_dataset(tiny_dataset(), tmp_path, format="csv")
+        text = paths["split"].read_bytes().decode()
+        assert text == "seen: 0 1\nunseen: 2\ntrain: 0 2\ntest_seen: 1\n" \
+            "test_unseen: 3\n"
+        paths["split"].write_bytes(edit(text).encode())
+        with pytest.raises(FormatError, match=message):
             load_dataset_dir(tmp_path)
 
     @pytest.mark.parametrize("section", ["unseen:", "unseen: ", "unseen:  "])

@@ -462,6 +462,39 @@ class TestSweepParity:
         ds, model = trained_setup(seed=8)
         self.assert_parity(ds, model)
 
+    @pytest.mark.parametrize("seen,unseen", [
+        ([0, 1, 2, 3, 4, 5], []),
+        ([3], [6, 7, 8]),
+        ([4], []),
+        ([0, 1, 2, 3, 4, 5], [6, 7, 8]),
+        ([2, 3, 4, 5, 6, 7], [0, 1, 8]),
+    ], ids=["no unseen class", "one seen class", "one class",
+            "ascending union", "union not ascending"])
+    def test_class_sets(self, seen, unseen):
+        # the synthetic data's classes 0-8, each split holding the test rows
+        # of its class set; the union is seen then unseen, each ascending
+        base = generate_synthetic(SynthConfig(seen_count=6, unseen_count=3,
+                                              attr_dim=4, feat_dim=6,
+                                              train_per_class=4,
+                                              test_per_class=6,
+                                              noise_scale=0.3, seed=7))
+        test = np.concatenate([base.test_seen_idx, base.test_unseen_idx])
+
+        def rows_of(idx, classes):
+            return idx[np.isin(base.labels[idx], classes)]
+
+        ds = SplitDataset(features=base.features, labels=base.labels,
+                          attributes=base.attributes, seen_classes=seen,
+                          unseen_classes=unseen,
+                          train_idx=rows_of(base.train_idx, seen),
+                          test_seen_idx=rows_of(test, seen),
+                          test_unseen_idx=rows_of(test, unseen))
+        model = PrototypeModel(net=MappingNet.init(4, 6, rng=RngStream(11)),
+                               config=TrainConfig(epochs=0))
+        reports = self.assert_parity(ds, model)
+        assert all((r.U is None) == (not unseen) and r.S is not None
+                   for r in reports)
+
     @pytest.mark.parametrize("grid", [
         [0.5, 0.0, 0.5, -0.2, 1e-17, 0.02, -0.2],
         [0.3, 1e13, -0.5, 0.0, 0.3],

@@ -31,7 +31,11 @@ train_full`, the run directory, which holds no model.json) and
 `error_eval_other_pipeline` (`eval` of a copy of the full model whose
 model.json records `"used_sof": false`, a pipeline that does not exist).
 The sweep at sigma 1e-310, below the smallest sigma accepted, is an
-expected failure too: 18 per configuration.
+expected failure too.  Last, a help and usage leg compares what argparse
+prints: `help` (`--help`) and `help_<command>` (`<command> --help`) for each
+of the five commands, and two expected failures, `error_usage_command` (a
+command that does not exist) and `error_usage_flag` (`eval` without
+`--model`): 20 expected failures per configuration.
 Every step runs in its own process with PYTHONPATH set to the tree's `src`
 and one BLAS thread, from the same relative paths, so that its standard
 output, standard error and exit code (kept as `<step>.stdout`,
@@ -65,6 +69,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import SHORT, TINY  # noqa: E402  (stdlib-only module)
 
 MODES = ("s2v", "ep", "ep-ei", "full")
+COMMANDS = ("synth", "train", "eval", "ablate", "sweep")
 # The sigma values swept, one `sweep` each: at 1e-4 and 1e-3 every chosen
 # neighbour weight of some rows underflows to 0; 1e-310 is below the smallest
 # sigma accepted, 1e-308 just above it.
@@ -122,7 +127,8 @@ OTHER_SYNTH = {"seen_count": 4, "unseen_count": 2, "attr_dim": 5, "feat_dim": 7,
                "train_per_class": 4, "test_per_class": 2}
 EXPECTED_FAILURES = ("sweep_sigma_1e-310", *ERRORS, "error_missing_config",
                      "error_delta_grid", "error_eval_dims", "error_no_dataset",
-                     "error_eval_no_model", "error_eval_other_pipeline")
+                     "error_eval_no_model", "error_eval_other_pipeline",
+                     "error_usage_command", "error_usage_flag")
 # The model that `error_eval_other_pipeline` evaluates, copied from train_full
 # just before that step runs.
 OTHER_PIPELINE = "model_other_pipeline"
@@ -183,6 +189,11 @@ def steps(n_values: str) -> list[tuple[str, list[str]]]:
                                      "--out", "error_eval_no_model"]),
             ("error_eval_other_pipeline", ["eval", "--model", OTHER_PIPELINE, *data,
                                            "--out", "error_eval_other_pipeline"])]
+    out.append(("help", ["--help"]))
+    out += [(f"help_{command}", [command, "--help"]) for command in COMMANDS]
+    out += [("error_usage_command", ["evaluate", *full, *data, "--out",
+                                     "error_usage_command"]),
+            ("error_usage_flag", ["eval", *data, "--out", "error_usage_flag"])]
     return out
 
 
@@ -207,8 +218,9 @@ def run_tree(src: Path, work: Path, config: dict, n_values: str) -> None:
                   for name, (overrides, _) in ERRORS.items()}}
     for name, record in configs.items():
         (work / f"{name}.json").write_text(json.dumps(record, indent=2, sort_keys=True))
+    # argparse wraps its help and usage text to COLUMNS
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
-           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", "COLUMNS": "80"}
     for name, argv in steps(n_values):
         if name == "error_eval_other_pipeline":
             copy_full_model_as_other_pipeline(work)
