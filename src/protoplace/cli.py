@@ -22,7 +22,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .data import dataset_fingerprint, episode_classes, generate_synthetic, \
-    load_dataset_dir, read_floats, read_ints, save_dataset, write_csv, write_json
+    load_dataset_dir, save_dataset, write_csv, write_json
 from .errors import CapacityError, ConfigError, FormatError, ParameterError, \
     ShapeError, TrainingError, ValidationError
 from .metrics import cs_sweep, prototype_similarity
@@ -38,14 +38,22 @@ def _pct(x) -> str:
     return "--" if x is None else f"{100.0 * x:.1f}"
 
 
+def _plain(spec: str) -> str:
+    """spec; ValueError where it holds '_' or whitespace, which int() and
+    float() read past: "1_0" as 10, " 1" as 1."""
+    if "_" in spec or spec != "".join(spec.split()):
+        raise ValueError(f"{spec!r} holds '_' or a space")
+    return spec
+
+
 def _parse_delta_grid(spec: str | None) -> list[float]:
-    """`start:stop:step` or comma-separated deltas, each read by
-    data.read_floats; None means the default config's grid."""
+    """`start:stop:step` or comma-separated deltas, each as float() reads
+    it, in a _plain spec; None means the default config's grid."""
     if spec is None:
         return cfgmod.delta_grid(cfgmod.DEFAULTS)
     sep = ":" if ":" in spec else ","
     try:
-        values = read_floats(spec.split(sep))  # "" raises too
+        values = [float(t) for t in _plain(spec).split(sep)]  # "" raises too
     except ValueError as exc:
         raise ConfigError(f"cannot parse delta grid {spec!r}") from exc
     if sep == ":":
@@ -58,24 +66,25 @@ def _parse_delta_grid(spec: str | None) -> list[float]:
 
 
 def _parse_sweep_values(spec: str, param: str) -> list:
-    """Comma-separated values, each read by data.read_floats, and inclusive
-    ranges such as `0..8`, whose ends data.read_ints reads; none twice.  A
-    range that would take the values past config.MAX_SWEEP_VALUES fails
-    before it is expanded."""
-    tokens = []
+    """Comma-separated values, each as float() reads it, in a _plain spec,
+    and inclusive ranges such as `0..8`, whose ends int() reads and str(int)
+    writes back; none twice.  A range that would take the values past
+    config.MAX_SERIES fails before it is expanded."""
+    values = []
     try:
-        for tok in spec.split(","):
+        for tok in _plain(spec).split(","):
             if ".." in tok:
-                lo, hi = read_ints(tok.split("..")).tolist()
+                lo, hi = map(int, tok.split(".."))
+                if f"{lo}..{hi}" != tok:
+                    raise ValueError(f"range {tok!r} is not written {lo}..{hi}")
                 if hi < lo:
                     raise ValueError(f"range {tok!r} ends below its start")
-                if len(tokens) + hi - lo + 1 > cfgmod.MAX_SWEEP_VALUES:
+                if len(values) + hi - lo + 1 > cfgmod.MAX_SERIES:
                     raise ValueError(f"range {tok!r} takes the sweep past "
-                                     f"{cfgmod.MAX_SWEEP_VALUES} values")
-                tokens.extend(str(v) for v in range(lo, hi + 1))
+                                     f"{cfgmod.MAX_SERIES} values")
+                values.extend(map(float, range(lo, hi + 1)))
             else:
-                tokens.append(tok)
-        values = read_floats(tokens)  # an empty value raises
+                values.append(float(tok))  # an empty value raises
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot parse --values {spec!r}: {exc}") from exc
     if len(set(values)) < len(values):
@@ -206,6 +215,9 @@ def cmd_eval(args, _, ds, out):
 def cmd_ablate(args, cfg, ds, out):
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
+    if args.seeds > cfgmod.MAX_SERIES:
+        raise ConfigError(f"--seeds must be at most {cfgmod.MAX_SERIES}, "
+                          f"got {args.seeds}")
     ladder = [(name, mode_name, use_sof)
               for _, name, mode_name, use_sof in PIPELINES if name is not None]
     # every ladder row of every seed, seed by seed; a seed past 2**64 - 1

@@ -93,9 +93,9 @@ def load_config(path) -> RunConfig:
 # The most deltas a delta range may hold; each costs the sweep one pass over
 # the scores.
 MAX_DELTAS = 100_000
-# The most values the ranges of `sweep --values` may expand to; each value
-# trains a model.
-MAX_SWEEP_VALUES = 10_000
+# The most values the ranges of `sweep --values` may expand to, and the most
+# seeds of `ablate --seeds`; each value, or each seed's ladder, trains.
+MAX_SERIES = 10_000
 
 
 def delta_range(start: float, stop: float, step: float) -> list[float]:

@@ -10,25 +10,20 @@ On-disk formats (DATASET_FILES names each format's files)
   loading a value that is not a nonnegative integer, raises FormatError.
 * CSV features: header ``id,label,f0..f{C-1}``, where the ids are the row
   numbers 0..n-1 in order; CSV attributes: header ``class_id,a0..a{D-1}``,
-  where the class ids are 0..L-1 in order.
-  Floats use 9 significant digits; a row holds no '_' or space.  Integers,
-  here and in the split file, must read as str(int) writes them.
+  where the class ids are 0..L-1 in order (CSV_TABLES).  A row loads only
+  if its row_format writes back what int and float read of it.
 * A dataset directory holds one format's files: features of both formats
   there raise FormatError, and save_dataset will not write one format over
   the other.
 * Split file: the five lines ``seen:``, ``unseen:``, ``train:``,
   ``test_seen:``, ``test_unseen:`` in that order, each followed on the same
-  line by its ids, one space before each (``seen: 0 1``) and at most 18
-  digits in each, and by nothing else, and ending in LF, the last line too;
-  the seen and the unseen class ids ascend.  Anything else raises
-  FormatError: a missing, unknown, repeated or misplaced section, a line
-  without its colon, an empty line, a CR, any other whitespace (a space
-  before the colon, none or several after it, a tab, a space at either end
-  of the line, a line of whitespace only), or a class id out of order or
-  repeated.  So a split file that loads saves back to its bytes.
-* The CSV and split files and the JSON records are UTF-8 text, the CSV
-  files read with universal newlines; a byte that does not decode raises
-  FormatError.
+  line by its ids, one space before each (``seen: 0 1``), each as str(int)
+  writes it in at most 18 digits, and by nothing else; the seen and the
+  unseen class ids ascend.
+* The CSV and split files and the JSON records are UTF-8 text.  The lines
+  of the CSV and split files end in LF alone, the last one too, and none is
+  empty (_lines).  Anything else raises FormatError, so a CSV or split file
+  that loads saves back to its bytes.
 """
 from __future__ import annotations
 
@@ -287,10 +282,16 @@ def cell_format(kind: type) -> str:
     return "%.0s" if kind is type(None) else "%.9g"
 
 
+def row_format(kinds) -> str:
+    """The %-format of a CSV line whose cells have the types `kinds`, each
+    as cell_format gives it."""
+    return ",".join(map(cell_format, kinds)) + "\n"
+
+
 def write_csv(path, header, rows) -> None:
-    """A CSV file: the header cells, then one line per row, each cell as
-    cell_format gives its type.  Each row is one %-operation, whose template
-    is built once per sequence of cell types."""
+    """A CSV file: the header cells, then one line per row in its
+    row_format.  Each row is one %-operation, whose template is built once
+    per sequence of cell types."""
     templates = {}
     lines = [",".join(header) + "\n"]
     for row in rows:
@@ -298,7 +299,7 @@ def write_csv(path, header, rows) -> None:
         kinds = tuple(map(type, row))
         template = templates.get(kinds)
         if template is None:
-            template = templates[kinds] = ",".join(map(cell_format, kinds)) + "\n"
+            template = templates[kinds] = row_format(kinds)
         lines.append(template % row)
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(lines)
@@ -321,22 +322,24 @@ def _unique_keys(pairs) -> dict:
     return record
 
 
-def _decode(raw: bytes, path) -> str:
-    """UTF-8 text; a byte that does not decode raises FormatError naming the
-    file."""
+def _lines(raw: bytes, path, unit: str = "line") -> list[str]:
+    """The lines of UTF-8 text without their LF, each of which must end in
+    LF alone, the last one too, and none be empty.  FormatError otherwise,
+    naming the file and the first `unit` (a line, or a CSV row) at fault."""
     try:
-        return raw.decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-
-
-def _text_lines(raw: bytes, path) -> list[str]:
-    """The lines of UTF-8 text read with universal newlines, without their
-    newline, as iterating over the open file would give them."""
-    text = _decode(raw, path)
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if not lines[-1]:  # the text ends in a newline, or is empty
-        lines.pop()
+    lines = text.split("\n")
+    if "\r" in text:
+        at = text.count("\n", 0, text.index("\r")) + 1
+        raise FormatError(f"{path}: {unit} {at} holds a CR; no line ends in CR, "
+                          "only in LF")
+    if lines.pop():
+        raise FormatError(f"{path}: {unit} {len(lines) + 1}: the last line does "
+                          "not end in LF")
+    if "" in lines:
+        raise FormatError(f"{path}: {unit} {lines.index('') + 1} is empty")
     return lines
 
 
@@ -365,70 +368,59 @@ def require_keys(record, names, where: str = "") -> None:
             raise FormatError(f"{what} key '{prefix}{min(keys)}'")
 
 
-# Integers as str(int) writes them (no '+', 0 prefix, '_' or space), one
-# per line.  One pass checks the integer cells of a CSV row.
-_INTS = re.compile(r"(?:0|-?[1-9][0-9]*)(?:\n(?:0|-?[1-9][0-9]*))*|")
 # A split line after its colon: nothing, or a space before each id, each id
 # written as str(int) writes it, of at most 18 digits, which int64 holds.
 _SPLIT_IDS = re.compile(r"(?: (?:0|-?[1-9][0-9]{0,17}))*")
+# Each CSV table of a dataset by role: the names of its integer columns, the
+# row number first, and the prefix of its value columns' names.
+CSV_TABLES = {"features": (("id", "label"), "f"), "attributes": (("class_id",), "a")}
 
 
-def read_ints(tokens: list[str]) -> np.ndarray:
-    """The tokens, split out of one line, as int64; ValueError unless each
-    matches _INTS, and OverflowError past int64."""
-    if not _INTS.fullmatch("\n".join(tokens)):
-        bad = next(t for t in tokens if not t or not _INTS.fullmatch(t))
-        raise ValueError(f"integer {bad!r} is not written as {int(bad)}")
-    return np.array(tokens, dtype=np.int64)
+def _table_header(role: str, cols: int) -> list[str]:
+    head, prefix = CSV_TABLES[role]
+    return [*head, *(f"{prefix}{j}" for j in range(cols))]
 
 
-def read_floats(tokens: list[str]) -> list[float]:
-    """The tokens, split out of one line, as floats; ValueError where float()
-    cannot read one, or where one holds '_' or whitespace, which float()
-    reads past: "1_0" is not read as 10, nor " 1" as 1."""
-    text = ",".join(tokens)  # one pass over the line
-    if "_" in text or text != "".join(text.split()):
-        bad = next(t for t in tokens if "_" in t or t != "".join(t.split()))
-        raise ValueError(f"number {bad!r} holds '_' or a space")
-    return [float(t) for t in tokens]
-
-
-def _write_table(path, head: tuple[str, ...], prefix: str, values, ints=()) -> None:
-    """A CSV table: the header `head`, then `prefix`0..`prefix`{C-1}; row i
-    is i, then its entry of each integer column in `ints`, then its C
-    values."""
+def _write_table(path, role: str, values, ints=()) -> None:
+    """The CSV table `role` (CSV_TABLES) of C value columns: row i is i,
+    then its entry of each integer column in `ints`, then its C values."""
     values = as_matrix(values, "table")
-    write_csv(path, [*head, *(f"{prefix}{j}" for j in range(values.shape[1]))],
+    write_csv(path, _table_header(role, values.shape[1]),
               ([str(i), *(str(int(col[i])) for col in ints), *row]
                for i, row in enumerate(values.tolist())))
 
 
-def _read_table(raw: bytes, path,
-                head: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The float columns (n, C) and integer columns (n, len(head) - 1) of the
-    bytes of a table _write_table wrote: the header must start with `head`,
-    every row must have the header's field count, its numbers must read
-    through read_ints and read_floats, and the ids must count 0..n-1."""
-    k = len(head)
-    lines = _text_lines(raw, path)
-    header = (lines[0] if lines else "").split(",")
-    if tuple(header[:k]) != head:
-        raise FormatError(f"{path}: header must start with {','.join(head)}")
-    c = len(header) - k
+def _read_table(raw: bytes, path, role: str) -> tuple[np.ndarray, np.ndarray]:
+    """The value columns (n, C) and the integer columns after the id of
+    the bytes of a table _write_table wrote, read only as it writes them:
+    each row as int and float read it, which its row_format must write back
+    (ids 0..n-1, integers in int64).  FormatError names the file and row."""
+    lines = _lines(raw, path, "row")
+    k = len(CSV_TABLES[role][0])
+    names = _table_header(role, lines[0].count(",") + 1 - k if lines else 0)
+    if not lines or lines[0] != ",".join(names):
+        raise FormatError(f"{path}: row 1 must be the header {','.join(names)!r}")
+    c = len(names) - k
+    template = row_format((str,) * k + (float,) * c)
     ints, rows = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != c + k:
-            raise FormatError(f"{path}: row {lineno} has {len(parts)} fields, "
-                              f"expected {c + k}")
-        if parts[0] != str(len(rows)):
-            raise FormatError(f"{path}: row {lineno} has {head[0]} "
-                              f"{parts[0]!r}, expected {len(rows)}")
+    for i, line in enumerate(lines[1:]):
+        cells = line.split(",")
+        if len(cells) != k + c:
+            raise FormatError(f"{path}: row {i + 2} has {len(cells)} fields, "
+                              f"expected {k + c}")
         try:
-            ints.append(read_ints(parts[1:k]))
-            rows.append(read_floats(parts[k:]))
+            row_ints = [np.int64(int(t)) for t in cells[1:k]]
+            row = [float(t) for t in cells[k:]]
         except (ValueError, OverflowError) as exc:
-            raise FormatError(f"{path}: row {lineno}: {exc}") from exc
+            raise FormatError(f"{path}: row {i + 2}: {exc}") from exc
+        written = template % (i, *row_ints, *row)
+        if written != line + "\n":
+            j, cell = next((j, w) for j, w in enumerate(written[:-1].split(","))
+                           if w != cells[j])
+            raise FormatError(f"{path}: row {i + 2} has {names[j]} {cells[j]!r} "
+                              f"where the writer writes {cell!r}")
+        ints.append(row_ints)
+        rows.append(row)
     return (np.asarray(rows, dtype=np.float64).reshape(len(rows), c),
             np.asarray(ints, dtype=np.int64).reshape(len(rows), k - 1))
 
@@ -442,17 +434,10 @@ def write_split(path, splits: dict[str, np.ndarray]) -> None:
 
 def read_split(raw: bytes, path) -> dict[str, np.ndarray]:
     """The id arrays of a split file's bytes by section (SPLIT_KEYS), where
-    the bytes are what write_split writes: its lines, in its order, each
-    ending in LF and nothing else, the seen and unseen ids ascending."""
-    text = _decode(raw, path)
-    if "\r" in text:
-        raise FormatError(f"{path}: a line ends in CR; the lines end in LF alone")
-    if text and not text.endswith("\n"):
-        raise FormatError(f"{path}: the last line does not end in LF")
+    the bytes are what write_split writes: its lines as _lines takes them,
+    in its order, the seen and unseen ids ascending."""
     out: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(text.split("\n")[:-1], start=1):
-        if not line:
-            raise FormatError(f"{path}: line {lineno} is empty")
+    for lineno, line in enumerate(_lines(raw, path), start=1):
         key, colon, rest = line.partition(":")
         if not colon:
             raise FormatError(f"{path}: line {lineno}: no ':' after the "
@@ -472,9 +457,8 @@ def read_split(raw: bytes, path) -> dict[str, np.ndarray]:
         if key in ("seen", "unseen") and np.any(ids[1:] <= ids[:-1]):
             raise FormatError(f"{path}: line {lineno}: the {key} class ids "
                               "must ascend, each once")
-    missing = [k for k in SPLIT_KEYS if k not in out]
-    if missing:
-        raise FormatError(f"{path}: missing sections {missing}")
+    if len(out) < len(SPLIT_KEYS):  # in order: the missing ones come last
+        raise FormatError(f"{path}: missing sections {list(SPLIT_KEYS[len(out):])}")
     return out
 
 
@@ -571,8 +555,8 @@ def save_dataset(ds: SplitDataset, out_dir, format: str = "binary") -> dict[str,
         save_matrix(paths["labels"], ds.labels.astype(np.float64)[:, None])
         save_matrix(paths["attributes"], ds.attributes.values)
     else:
-        _write_table(paths["features"], ("id", "label"), "f", ds.features, [ds.labels])
-        _write_table(paths["attributes"], ("class_id",), "a", ds.attributes.values)
+        _write_table(paths["features"], "features", ds.features, [ds.labels])
+        _write_table(paths["attributes"], "attributes", ds.attributes.values)
     return {role: paths[role] for role in ("features", "attributes", "split")}
 
 
@@ -593,9 +577,9 @@ def load_dataset_dir(data_dir) -> tuple[SplitDataset, str]:
         labels = _read_labels(*read("labels"))
         attributes = parse_matrix(*read("attributes"))
     else:
-        features, ints = _read_table(*read("features"), ("id", "label"))
+        features, ints = _read_table(*read("features"), "features")
         labels = ints[:, 0]
-        attributes = _read_table(*read("attributes"), ("class_id",))[0]
+        attributes = _read_table(*read("attributes"), "attributes")[0]
     splits = read_split(*read("split"))
     ds = SplitDataset(
         features=features,

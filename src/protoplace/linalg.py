@@ -171,10 +171,11 @@ class MappingNet(FlatParams):
         Biases get the same spread as their layer's weights; a zero bias on
         the output layer can yield an exactly zero prototype whenever a row
         lands in the dead region of every hidden relu, which the cosine loss
-        rejects.
+        rejects.  `rng`, the caller's stream, is required; its None default
+        only lets hidden_dim before it be left out.
         """
         if rng is None:
-            rng = RngStream(0)
+            raise TypeError("MappingNet.init needs the caller's rng stream")
         hidden = hidden_dim if hidden_dim is not None else max(in_dim, out_dim)
         s1 = 1.0 / np.sqrt(in_dim)
         s2 = 1.0 / np.sqrt(hidden)

@@ -442,6 +442,23 @@ class TestRunConfigsBuiltFirst:
         assert training_calls == {"train_sof": 0, "train_prototypes": 3}
 
 
+    def test_seeds_past_the_bound_exit_2_before_any_config(self, workdir,
+                                                           monkeypatch, capsys):
+        # each seed builds five run configs: past the bound, none is built
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+
+        def built(*args, **kwargs):
+            raise AssertionError("a run config was built")
+
+        monkeypatch.setattr(cli, "replace", built)
+        bound = cfgmod.MAX_SERIES
+        assert run("ablate", "--config", cfg, "--data", data, "--out",
+                   tmp_path / "out", "--seeds", bound + 1) == 2
+        assert f"--seeds must be at most {bound}, got {bound + 1}" in \
+            capsys.readouterr().err
+
+
 class TestStageOnePerSeed:
     """Stage one reads only the data, the `sof` section and the seed, so
     each seed trains one refiner, whatever the number of its models, and a
@@ -1113,7 +1130,7 @@ class TestSweep:
         # the values are counted before a range is expanded, so a huge range
         # costs nothing (it comes last: a parser that expands first fails on
         # the small ones); a sweep of exactly the bound is expanded
-        bound = cfgmod.MAX_SWEEP_VALUES
+        bound = cfgmod.MAX_SERIES
         assert len(cli._parse_sweep_values(f"1..{bound}", "sigma")) == bound
         for spec in (f"0..{bound}", f"0,1..{bound}", "0..999999999999999999"):
             with pytest.raises(ConfigError, match=f"{bound} values") as info:

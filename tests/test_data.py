@@ -129,6 +129,18 @@ class TestDatasetIO:
                      "split.txt"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
+    def test_csv_save_load_save_byte_identical(self, tmp_path):
+        ds = generate_synthetic(SynthConfig(seen_count=4, unseen_count=2,
+                                            attr_dim=3, feat_dim=5,
+                                            train_per_class=6, test_per_class=2,
+                                            noise_scale=0.1, seed=3))
+        d1 = tmp_path / "one"
+        d2 = tmp_path / "two"
+        save_dataset(ds, d1, format="csv")
+        save_dataset(load_dataset_dir(d1)[0], d2, format="csv")
+        for name in ("features.csv", "attributes.csv", "split.txt"):
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
     def test_csv_precision(self, tmp_path):
         ds = tiny_dataset()
         ds.features[0, 0] = 0.123456789123
@@ -249,12 +261,19 @@ class TestDatasetIO:
         assert (tmp_path / "again" / "split.txt").read_bytes() == \
             paths["split"].read_bytes()
 
-    @pytest.mark.parametrize("column,token", [
-        (1, "+0"), (1, "00"), (1, "0_0"), (1, " 0"), (1, "99999999999999999999"),
-        (2, "1_0"), (2, " 1"), (2, "1 "),
+    @pytest.mark.parametrize("column,token,message", [
+        (1, "+0", " has label '+0' where the writer writes '0'"),
+        (1, "00", " has label '00' where the writer writes '0'"),
+        (1, "0_0", " has label '0_0' where the writer writes '0'"),
+        (1, " 0", " has label ' 0' where the writer writes '0'"),
+        (1, "99999999999999999999", ": Python int too large"),
+        (2, "1_0", " has f0 '1_0' where the writer writes '10'"),
+        (2, " 1", " has f0 ' 1' where the writer writes '1'"),
+        (2, "1 ", " has f0 '1 ' where the writer writes '1'"),
+        (2, "1.0", " has f0 '1.0' where the writer writes '1'"),
     ], ids=["label +0", "label 00", "label 0_0", "label space", "label past int64",
-            "float 1_0", "float leading space", "float trailing space"])
-    def test_csv_tokens_read_as_written(self, tmp_path, column, token):
+            "float 1_0", "float leading space", "float trailing space", "float 1.0"])
+    def test_csv_tokens_read_as_written(self, tmp_path, column, token, message):
         # int() and float() read these too, as the label 0 or a feature
         paths = save_dataset(tiny_dataset(), tmp_path, format="csv")
         lines = paths["features"].read_text().splitlines()
@@ -263,8 +282,119 @@ class TestDatasetIO:
         parts[column] = token
         lines[1] = ",".join(parts)
         paths["features"].write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match="row 2"):
+        with pytest.raises(FormatError, match="row 2") as info:
             load_dataset_dir(tmp_path)
+        # past int64, the message goes on in numpy's words
+        assert str(info.value).startswith(f"{paths['features']}: row 2{message}")
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda t: t.replace("\n", "\r\n"), "line ends in CR"),
+        (lambda t: t.replace("\n", "\r"), "line ends in CR"),
+        (lambda t: t[:-1], "last line does not end in LF"),
+        (lambda t: "\n" + t, "line 1 is empty"),
+        (lambda t: t.replace("\ntrain:", "\n\ntrain:"), "line 3 is empty"),
+        (lambda t: t + "\n", "line 6 is empty"),
+        (lambda t: t.replace("seen: 0 1\nunseen: 2\n", "unseen: 2\nseen: 0 1\n"),
+         "line 1: section 'unseen' out of order, 'seen' comes first"),
+        (lambda t: t.replace("seen: 0 1\n", "seen: 1 0\n", 1),
+         "line 1: the seen class ids must ascend"),
+        (lambda t: t.replace("seen: 0 1\n", "seen: 0 1 1\n", 1),
+         "line 1: the seen class ids must ascend"),
+        (lambda t: t.replace("unseen: 2\n", "unseen: 2 2\n"),
+         "line 2: the unseen class ids must ascend"),
+    ], ids=["CRLF", "CR", "no final LF", "empty first line", "empty line",
+            "empty last line", "sections out of order", "seen ids descend",
+            "seen id repeated", "unseen id repeated"])
+    def test_split_not_as_written_rejected(self, tmp_path, edit, message):
+        # each loaded as the split write_split writes, which would save back
+        # other bytes
+        paths = save_dataset(tiny_dataset(), tmp_path, format="csv")
+        text = paths["split"].read_bytes().decode()
+        assert text == "seen: 0 1\nunseen: 2\ntrain: 0 2\ntest_seen: 1\n" \
+            "test_unseen: 3\n"
+        paths["split"].write_bytes(edit(text).encode())
+        with pytest.raises(FormatError, match=message):
+            load_dataset_dir(tmp_path)
+
+    @pytest.mark.parametrize("section", ["unseen:", "unseen: ", "unseen:  "])
+    def test_split_empty_section_is_only_the_colon(self, tmp_path, section):
+        # an empty section is written "unseen:", and only that reads back
+        ds = tiny_dataset()
+        ds = SplitDataset(features=ds.features[:3], labels=ds.labels[:3],
+                          attributes=ds.attributes, seen_classes=[0, 1],
+                          unseen_classes=[], train_idx=[0, 2], test_seen_idx=[1],
+                          test_unseen_idx=[])
+        paths = save_dataset(ds, tmp_path)
+        text = paths["split"].read_text()
+        assert "\nunseen:\n" in text
+        paths["split"].write_text(text.replace("\nunseen:\n", f"\n{section}\n"))
+        if section != "unseen:":
+            with pytest.raises(FormatError, match="line 2: ids must follow"):
+                load_dataset_dir(tmp_path)
+            return
+        save_dataset(load_dataset_dir(tmp_path)[0], tmp_path / "again")
+        assert (tmp_path / "again" / "split.txt").read_bytes() == \
+            paths["split"].read_bytes()
+
+    @pytest.mark.parametrize("column,token,rest", [
+        (1, "+0", " where the writer writes '0'"),
+        (1, "00", " where the writer writes '0'"),
+        (1, "0_0", " where the writer writes '0'"),
+        (1, " 0", " where the writer writes '0'"),
+        (1, "99999999999999999999", ": Python int too large"),
+        (2, "1_0", " where the writer writes '10'"),
+        (2, " 1", " where the writer writes '1'"),
+        (2, "1 ", " where the writer writes '1'"),
+        (2, "1.0", " where the writer writes '1'"),
+    ], ids=["label +0", "label 00", "label 0_0", "label space", "label past int64",
+            "float 1_0", "float leading space", "float trailing space", "float 1.0"])
+    def test_csv_tokens_read_as_written(self, tmp_path, column, token, rest):
+        # int() and float() read these too, as the label 0 or a feature
+        paths = save_dataset(tiny_dataset(), tmp_path, format="csv")
+        lines = paths["features"].read_text().splitlines()
+        parts = lines[1].split(",")
+        assert parts[:3] == ["0", "0", "1"]
+        parts[column] = token
+        lines[1] = ",".join(parts)
+        paths["features"].write_text("\n".join(lines) + "\n")
+        name = ("id", "label", "f0")[column]
+        with pytest.raises(FormatError, match="row 2") as info:
+            load_dataset_dir(tmp_path)
+        message = f" has {name} {token!r}{rest}" if rest[0] == " " else rest
+        assert str(info.value).startswith(f"{paths['features']}: row 2{message}")
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda t: t.replace("\n", "\r\n"),
+         "row 1 holds a CR; no line ends in CR, only in LF"),
+        (lambda t: t[:-1], "row 5: the last line does not end in LF"),
+        (lambda t: t.replace("\n1,", "\n\n1,"), "row 3 is empty"),
+        (lambda t: t.replace("\n0,0,1.5,", "\n0,0,1.50,"),
+         "row 2 has f0 '1.50' where the writer writes '1.5'"),
+        (lambda t: t.replace("id,label,f0,f1,f2", "id,label,x0,x1,x2"),
+         "row 1 must be the header 'id,label,f0,f1,f2'"),
+    ], ids=["CRLF", "no final LF", "empty line", "1.50 for 1.5", "renamed columns"])
+    def test_features_csv_not_as_written_rejected(self, tmp_path, edit, message):
+        # each loaded as the table _write_table writes, which would save back
+        # other bytes
+        ds = tiny_dataset()
+        ds.features[0, 0] = 1.5
+        paths = save_dataset(ds, tmp_path, format="csv")
+        text = paths["features"].read_bytes().decode()
+        assert text.startswith("id,label,f0,f1,f2\n0,0,1.5,0,0\n1,")
+        paths["features"].write_bytes(edit(text).encode())
+        with pytest.raises(FormatError, match="row") as info:
+            load_dataset_dir(tmp_path)
+        assert str(info.value) == f"{paths['features']}: {message}"
+
+    def test_attributes_csv_renamed_column_rejected(self, tmp_path):
+        paths = save_dataset(tiny_dataset(), tmp_path, format="csv")
+        text = paths["attributes"].read_text()
+        assert text.startswith("class_id,a0,a1\n")
+        paths["attributes"].write_text(text.replace("a1", "b1", 1))
+        with pytest.raises(FormatError, match="row 1") as info:
+            load_dataset_dir(tmp_path)
+        assert str(info.value) == \
+            f"{paths['attributes']}: row 1 must be the header 'class_id,a0,a1'"
 
     def test_empty_test_unseen_round_trips(self, tmp_path):
         ds = tiny_dataset()
@@ -287,14 +417,16 @@ class TestDatasetIO:
         with pytest.raises(FormatError, match="row 3"):
             load_dataset_dir(tmp_path)
 
-    @pytest.mark.parametrize("bad_id", ["999", "abc", "1", ""])
+    @pytest.mark.parametrize("bad_id", ["999", "abc", "1", "", "+0", "00"])
     def test_features_csv_ids_are_row_numbers(self, tmp_path, bad_id):
         paths = save_dataset(tiny_dataset(), tmp_path, format="csv")
         lines = paths["features"].read_text().splitlines()
         lines[1] = bad_id + "," + lines[1].split(",", 1)[1]
         paths["features"].write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match="row 2 has id"):
+        with pytest.raises(FormatError, match="row 2 has id") as info:
             load_dataset_dir(tmp_path)
+        assert str(info.value) == f"{paths['features']}: row 2 has id " \
+            f"{bad_id!r} where the writer writes '0'"
 
     @pytest.mark.parametrize("edit", ["abc", "swap"])
     def test_attributes_csv_class_ids_are_row_numbers(self, tmp_path, edit):
@@ -307,8 +439,11 @@ class TestDatasetIO:
             rows[0][0], rows[1][0] = rows[1][0], rows[0][0]
         lines[1:] = [",".join(r) for r in rows]
         paths["attributes"].write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match="row 2 has class_id"):
+        with pytest.raises(FormatError, match="row 2 has class_id") as info:
             load_dataset_dir(tmp_path)
+        bad = "'abc'" if edit == "abc" else "'1'"
+        assert str(info.value) == f"{paths['attributes']}: row 2 has class_id " \
+            f"{bad} where the writer writes '0'"
 
     def test_label_past_float32_precision_rejected_on_save(self, tmp_path):
         ds = tiny_dataset()

@@ -4,9 +4,16 @@ Each input file of a tiny dataset (both formats), of a trained full model
 and of a config is mutated about 25 times with random.Random(0): byte flips,
 deletions, token insertions, duplications and truncations.  Each mutated
 input runs through cli.main, which must return one of the documented exit
-codes and let no exception escape.  A binary matrix or a split file that
-loads without an error must save back to the mutated bytes: nothing is
-silently coerced.
+codes and let no exception escape.  A binary matrix, a split file or a
+CSV table that loads without an error must save back to the mutated bytes:
+nothing is silently coerced.
+
+Byte edits almost never break the layout of lines that the text readers
+check, nor the order of a split's class ids, so the split file and both
+CSV tables also take seeded line edits (a line's LF made CRLF, an empty
+line inserted, the last LF dropped, two lines swapped, a line repeated, two
+fields of a line swapped), through their readers directly, under the same
+rule.
 """
 import json
 import random
@@ -14,8 +21,9 @@ import random
 import pytest
 
 from protoplace.cli import main
-from protoplace.data import load_dataset_dir, load_matrix, save_dataset, \
-    save_matrix
+from protoplace.data import _read_table, _write_table, load_dataset_dir, \
+    load_matrix, save_dataset, save_matrix
+from protoplace.errors import FormatError, ValidationError
 
 CONFIG = {
     "seed": 0,
@@ -33,17 +41,27 @@ EXIT_CODES = {0, 2, 3, 4, 5}
 TOKENS = (b" ", b",", b"\n", b"nan", b"1e999", b"-0", b"\x00", b'"')
 MUTATIONS_PER_FILE = 25
 BINARY = ("features.bin", "features.labels.bin", "attributes.bin", "net_w1.bin")
+# The CSV tables by file name: the role data._read_table and _write_table
+# take.
+TABLES = {"features.csv": "features", "attributes.csv": "attributes"}
+LINE_EDITS = ("crlf", "empty line", "no last LF", "swap", "repeat", "fields")
+LINE_EDITS_PER_FILE = 100
 
 
 def saved_again(name, path, root):
-    """The bytes the loaded file saves back to, for a binary matrix or the
-    split file; None for the others, whose round trip is not exact."""
+    """The bytes the file at path saves back to, for a binary matrix, the
+    split file (through its dataset) or a CSV table; None for the JSON
+    records, whose round trip is not exact."""
     if name in BINARY:
         save_matrix(root / "again.bin", load_matrix(path))
         return (root / "again.bin").read_bytes()
     if name == "split.txt":
         save_dataset(load_dataset_dir(path.parent)[0], root / "again")
         return (root / "again" / "split.txt").read_bytes()
+    if name in TABLES:
+        values, ints = _read_table(path.read_bytes(), path, TABLES[name])
+        _write_table(root / "again.csv", TABLES[name], values, list(ints.T))
+        return (root / "again.csv").read_bytes()
     return None
 
 
@@ -64,6 +82,30 @@ def mutate(data: bytes, rng: random.Random) -> bytes:
     else:
         del out[i:]
     return bytes(out)
+
+
+def edit_lines(data: bytes, rng: random.Random) -> bytes:
+    """data, whose lines each end in LF, with one seeded line edit."""
+    lines = data.split(b"\n")  # the last is the empty text after the last LF
+    i, j = rng.randrange(len(lines) - 1), rng.randrange(len(lines) - 1)
+    kind = rng.choice(LINE_EDITS)
+    if kind == "crlf":
+        lines[i] += b"\r"
+    elif kind == "empty line":
+        lines.insert(i, b"")
+    elif kind == "no last LF":
+        lines.pop()
+    elif kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "repeat":
+        lines.insert(i, lines[i])
+    else:  # two fields of a line swapped: split ids, or cells of a CSV row
+        sep = b"," if b"," in lines[i] else b" "
+        fields = lines[i].split(sep)
+        a, b = rng.randrange(len(fields)), rng.randrange(len(fields))
+        fields[a], fields[b] = fields[b], fields[a]
+        lines[i] = sep.join(fields)
+    return b"\n".join(lines)
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +167,30 @@ def test_mutated_inputs_exit_with_documented_codes(inputs, capsys):
     assert not failures, failures
     # the readers reject most mutations, and no file's are all accepted
     assert all(code_set - {0} for code_set in codes.values()), codes
+
+
+def test_line_edits_rejected_or_saved_again(inputs):
+    rng = random.Random(0)
+    outcomes, failures = {}, []
+    for name in ("split.txt", *TABLES):
+        path = cases(inputs)[name][0]
+        original = path.read_bytes()
+        try:
+            for _ in range(LINE_EDITS_PER_FILE):
+                edited = edit_lines(original, rng)
+                path.write_bytes(edited)
+                try:
+                    again = saved_again(name, path, inputs)
+                except (FormatError, ValidationError):
+                    outcomes.setdefault(name, set()).add("rejected")
+                    continue
+                outcomes.setdefault(name, set()).add("loaded")
+                if again != edited:
+                    failures.append(f"{name}: loaded, but saves back other "
+                                    f"bytes than {edited[:80]!r}")
+        finally:
+            path.write_bytes(original)
+    assert not failures, failures
+    # each file loads some edits (those that leave it as it was, such as two
+    # equal fields swapped) and rejects others
+    assert all(o == {"loaded", "rejected"} for o in outcomes.values()), outcomes

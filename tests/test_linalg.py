@@ -552,6 +552,11 @@ class TestMappingNetInit:
         assert net.w1.shape[0] == 9
         assert net.in_dim == 4 and net.out_dim == 9
 
+    def test_rng_required(self):
+        # no stream of its own: a default seed would draw outside the run's
+        with pytest.raises(TypeError, match="rng stream"):
+            MappingNet.init(4, 9)
+
     def test_inconsistent_shapes_rejected(self):
         with pytest.raises(ShapeError):
             MappingNet(w1=np.zeros((3, 2)), b1=np.zeros(4), w2=np.zeros((2, 3)),

@@ -12,9 +12,11 @@ models on the config's grid, one on a comma grid and one on an unsorted
 comma grid that repeats a delta, `ablate --seeds 2`,
 one `sweep` over n_neighbors and one `sweep` per sigma value; then a CSV
 leg, which checks the CSV table reader and writer:
-`synth --format csv`, `train --mode full` on that data and its `eval`;
-then an error leg, whose steps each break one rule that the program checks
-where the input enters, and so are expected to fail on both sides:
+`synth --format csv`, `train --mode full` on that data and its `eval`,
+and one expected failure, `error_csv_not_as_written` (`eval` on a copy of
+that data whose `features.csv` has CRLF line ends); then an error leg,
+whose steps each break one rule that the program checks where the input
+enters, and so are expected to fail on both sides:
 `error_train_optimizer` and `error_sof_optimizer` (an unknown optimizer),
 `error_alpha1` (a Beta shape of 0), `error_neighbours` (n_neighbors above
 m_classes - 1), `error_seed` (seed -1), `error_capacity` and
@@ -35,7 +37,7 @@ expected failure too.  Last, a help and usage leg compares what argparse
 prints: `help` (`--help`) and `help_<command>` (`<command> --help`) for each
 of the five commands, and two expected failures, `error_usage_command` (a
 command that does not exist) and `error_usage_flag` (`eval` without
-`--model`): 20 expected failures per configuration.
+`--model`): 21 expected failures per configuration.
 Every step runs in its own process with PYTHONPATH set to the tree's `src`
 and one BLAS thread, from the same relative paths, so that its standard
 output, standard error and exit code (kept as `<step>.stdout`,
@@ -47,7 +49,8 @@ Every file that differs, or exists on one side only, is listed, and so is
 every other step that exits non-zero under both trees: equal outputs of
 a step that failed on both sides (a broken command line) are not hidden
 inside `identical`.  An expected failure that exits 0 on
-either side is listed too: the rule it breaks went unchecked.
+either side is listed too: the rule it breaks went unchecked.  Its outputs
+are not compared, as the side that ran it wrote what the other did not.
 Each `manifest.json` is compared as parsed JSON without its
 `duration_seconds`, the one field that holds a wall time.
 Exit status 0: no file differs and every expected failure failed; 1
@@ -125,13 +128,17 @@ ERRORS = {
 # that neither configuration has.
 OTHER_SYNTH = {"seen_count": 4, "unseen_count": 2, "attr_dim": 5, "feat_dim": 7,
                "train_per_class": 4, "test_per_class": 2}
-EXPECTED_FAILURES = ("sweep_sigma_1e-310", *ERRORS, "error_missing_config",
+EXPECTED_FAILURES = ("sweep_sigma_1e-310", "error_csv_not_as_written", *ERRORS,
+                     "error_missing_config",
                      "error_delta_grid", "error_eval_dims", "error_no_dataset",
                      "error_eval_no_model", "error_eval_other_pipeline",
                      "error_usage_command", "error_usage_flag")
 # The model that `error_eval_other_pipeline` evaluates, copied from train_full
 # just before that step runs.
 OTHER_PIPELINE = "model_other_pipeline"
+# The dataset that `error_csv_not_as_written` evaluates on, copied from
+# data_csv just before that step runs.
+CSV_CRLF = "data_csv_crlf"
 
 
 def src_dir(tree: str) -> Path:
@@ -171,7 +178,10 @@ def steps(n_values: str) -> list[tuple[str, list[str]]]:
             ("train_csv", ["train", *cfg, "--data", "data_csv", "--out", "train_csv",
                            "--mode", "full"]),
             ("eval_csv", ["eval", "--model", "train_csv/model", "--data", "data_csv",
-                          "--out", "eval_csv"])]
+                          "--out", "eval_csv"]),
+            ("error_csv_not_as_written", ["eval", "--model", "train_csv/model",
+                                          "--data", CSV_CRLF, "--out",
+                                          "error_csv_not_as_written"])]
     out += [(name, [argv[0], "--config", f"{name}.json", *data, "--out", name,
                     *argv[1:]]) for name, (_, argv) in ERRORS.items()]
     full = ["--model", "train_full/model"]
@@ -209,6 +219,17 @@ def copy_full_model_as_other_pipeline(work: Path) -> None:
                                     "used_sof": False}))
 
 
+def copy_csv_data_with_crlf(work: Path) -> None:
+    """Copy data_csv to CSV_CRLF, its features.csv with CRLF line ends;
+    nothing where synth_csv wrote no data, so that the step fails on a
+    missing dataset instead."""
+    data = work / "data_csv"
+    if data.is_dir():
+        shutil.copytree(data, work / CSV_CRLF)
+        path = work / CSV_CRLF / "features.csv"
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+
+
 def run_tree(src: Path, work: Path, config: dict, n_values: str) -> None:
     work.mkdir(parents=True)
     (work / "data_empty").mkdir()  # the --data of error_no_dataset
@@ -224,6 +245,8 @@ def run_tree(src: Path, work: Path, config: dict, n_values: str) -> None:
     for name, argv in steps(n_values):
         if name == "error_eval_other_pipeline":
             copy_full_model_as_other_pipeline(work)
+        elif name == "error_csv_not_as_written":
+            copy_csv_data_with_crlf(work)
         proc = subprocess.run([sys.executable, "-m", "protoplace.cli", *argv],
                               cwd=work, env=env, capture_output=True, text=True)
         (work / f"{name}.stdout").write_text(proc.stdout)
@@ -242,10 +265,16 @@ def content(path: Path):
     return record
 
 
-def differing(a: Path, b: Path) -> list[str]:
-    """Relative paths, below a and b, of files that differ or exist once."""
+def differing(a: Path, b: Path, skip=()) -> list[str]:
+    """Relative paths, below a and b, of files that differ or exist once,
+    less the outputs of the steps in skip: each one's directory and its
+    .stdout, .stderr and .exit files."""
+    skipped = {f"{name}{suffix}" for name in skip
+               for suffix in ("", ".stdout", ".stderr", ".exit")}
+
     def files(root: Path) -> set[str]:
-        return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
+        rels = (p.relative_to(root) for p in root.rglob("*") if p.is_file())
+        return {str(rel) for rel in rels if rel.parts[0] not in skipped}
     in_a, in_b = files(a), files(b)
     out = [f"{rel}  (parent only)" for rel in sorted(in_a - in_b)]
     out += [f"{rel}  (change only)" for rel in sorted(in_b - in_a)]
@@ -254,15 +283,16 @@ def differing(a: Path, b: Path) -> list[str]:
     return out
 
 
-def unexpected_exits(a: Path, b: Path, n_values: str) -> tuple[list[str], list[str]]:
-    """The steps that exit non-zero under both trees, and the expected
-    failures that exit 0 under either, with their exit codes."""
-    failed, passed = [], []
+def unexpected_exits(a: Path, b: Path, n_values: str) -> tuple[list[str], dict]:
+    """The steps that exit non-zero under both trees, with their exit codes,
+    and the expected failures that exit 0 under either, by name, with
+    theirs."""
+    failed, passed = [], {}
     for name, _ in steps(n_values):
         codes = [(root / f"{name}.exit").read_text().strip() for root in (a, b)]
         step = f"{name} (exit {' / '.join(dict.fromkeys(codes))})"
         if name in EXPECTED_FAILURES and "0" in codes:
-            passed.append(step)
+            passed[name] = step
         elif name not in EXPECTED_FAILURES and "0" not in codes:
             failed.append(step)
     return failed, passed
@@ -285,14 +315,14 @@ def main(argv=None) -> int:
             for side, src in trees.items():
                 run_tree(src, work / side / label, config, n_values)
             a, b = work / "parent" / label, work / "change" / label
-            found = differing(a, b)
             failed_steps, passed_steps = unexpected_exits(a, b, n_values)
+            found = differing(a, b, passed_steps)
             print(f"{label}: {len(found)} differing file(s); "
                   f"{len(EXPECTED_FAILURES) - len(passed_steps)} of "
                   f"{len(EXPECTED_FAILURES)} expected failures failed")
             for step in failed_steps:
                 print(f"  failed on both sides: {step}")
-            for step in passed_steps:
+            for step in passed_steps.values():
                 print(f"  expected failure did not fail: {step}")
             failed += len(failed_steps)
             unfailed += len(passed_steps)
