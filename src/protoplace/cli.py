@@ -382,7 +382,10 @@ def main(argv=None) -> int:
         ds, fingerprint = load_dataset_dir(args.data) if "data" in args \
             else (None, None)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):  # it or a parent is a file
+            raise ConfigError(f"--out {out} is not a directory") from None
         record, outputs, metrics = args.func(args, cfg, ds, out)
         if ds is not None:
             metrics["dataset_fingerprint"] = fingerprint

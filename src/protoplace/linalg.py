@@ -205,18 +205,13 @@ def net_forward(net: MappingNet, x: np.ndarray) -> tuple[np.ndarray, ForwardCach
 
 
 def net_backward(net: MappingNet, cache: ForwardCache, g: np.ndarray,
-                 out: tuple[np.ndarray, dict[str, np.ndarray]] | None = None,
-                 ) -> np.ndarray:
+                 out: tuple[np.ndarray, dict[str, np.ndarray]]) -> np.ndarray:
     """Exact parameter gradients of the forward map for the output gradient
     g, as a vector of net.flat's layout, or one per matrix of a stacked
-    forward pass (..., net.flat.size), written into the buffer of `out` when
-    given: a pair of a C-contiguous float64 array of that shape, which a
-    training run reuses from step to step, and its net.views, made once with
-    it.  `cache` is the one net_forward returned for net; the products check
-    g's shape."""
-    if out is None:
-        buf = np.empty((*g.shape[:-2], net.flat.size))
-        out = buf, net.views(buf)
+    forward pass (..., net.flat.size), written into the buffer of `out`: a
+    pair of a C-contiguous float64 array of that shape, which a training run
+    reuses from step to step, and its net.views, made once with it.  `cache`
+    is the one net_forward returned for net; the products check g's shape."""
     out, grads = out
     # column sums of each (b, k) matrix add its rows in order, as a 2-D
     # operand's do (tests/test_stacking.py)

@@ -1,8 +1,10 @@
-"""ZSL / GZSL inference and evaluation.
+"""Calibrated-stacking evaluation of a trained model.
 
-Per-class top-1 accuracies, the harmonic mean of the seen and unseen GZSL
-accuracies, calibrated-stacking sweeps over the seen-score penalty, and
-prototype-similarity matrices for heat-map emission.
+cs_sweep scores each test split once against the projected prototypes and
+reports, for every delta of the calibration grid (the seen-score penalty),
+the ZSL accuracy T, the GZSL accuracies U and S, each a mean of per-class
+top-1 accuracies, and their harmonic mean H.  prototype_similarity gives
+the pairwise cosine matrices that `eval` writes for heat maps.
 """
 from __future__ import annotations
 
@@ -12,7 +14,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import SplitDataset
-from .errors import ParameterError, ValidationError
 from .linalg import as_matrix, pairwise_cosine, unit_rows_or_zero
 from .prototypes import PrototypeModel, project_prototypes
 
@@ -119,26 +120,6 @@ def _id_scores(features, prototypes, class_ids, seen_mask) -> _IdScores:
         return _IdScores(scores, class_ids, seen_mask)
     order = np.argsort(class_ids, kind="stable")
     return _IdScores(scores[:, order], class_ids[order], seen_mask[order])
-
-
-def zsl_predict(prototypes, class_ids, features) -> np.ndarray:
-    """Nearest-prototype class id per feature row (cosine, deterministic ties):
-    gzsl_predict with no seen class."""
-    seen = np.zeros(np.size(class_ids), dtype=bool)
-    return gzsl_predict(prototypes, class_ids, seen, features, 0.0)
-
-
-def gzsl_predict(prototypes, class_ids, seen_mask, features, delta: float) -> np.ndarray:
-    """Argmax over all classes with seen scores reduced by the calibration factor."""
-    prototypes = as_matrix(prototypes, "prototypes")
-    if prototypes.shape[0] == 0:
-        raise ParameterError("at least one prototype required")
-    class_ids = np.asarray(class_ids, dtype=np.int64).ravel()
-    seen_mask = np.asarray(seen_mask, dtype=bool).ravel()
-    if not (class_ids.shape[0] == prototypes.shape[0] == seen_mask.shape[0]):
-        raise ValidationError("prototypes, class ids, and seen mask must align")
-    features = as_matrix(features, "features")
-    return _id_scores(features, prototypes, class_ids, seen_mask).predict(delta)
 
 
 class _LabelIndex(NamedTuple):
@@ -275,8 +256,3 @@ def cs_sweep(
         if h is not None and h > best_h:
             best_h, best_delta = h, delta
     return reports, best_delta
-
-
-def evaluate(model: PrototypeModel, ds: SplitDataset, delta: float) -> EvalReport:
-    """The report of cs_sweep at the one delta."""
-    return cs_sweep(model, ds, [delta])[0][0]

@@ -12,11 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import AttributeTable, Episode, SplitDataset, class_major_labels, \
-    load_params, read_json, require_keys, sample_episode, save_params, write_json
+from .data import AttributeTable, SplitDataset, class_major_labels, load_params, \
+    read_json, require_keys, sample_episode, save_params, write_json
 from .errors import FormatError, ParameterError, require_ints, require_real, \
     require_trace
-from .hallucinate import HalluConfig, HallucinatedEpisode, hallucinate
+from .hallucinate import HalluConfig, hallucinate
 from .linalg import MappingNet, OptimizerState, check_stage_config, \
     cosine_cross_entropy, fit, net_backward, net_forward, require_finite, \
     target_indices, unit_rows
@@ -101,7 +101,7 @@ class PrototypeModel:
 def stacked_loss(
     net: MappingNet, semantic: np.ndarray, queries: tuple[np.ndarray, np.ndarray],
     at: np.ndarray, logit_scale: float,
-    out: tuple[np.ndarray, dict[str, np.ndarray]] | None = None,
+    out: tuple[np.ndarray, dict[str, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """The losses (S,) and flat gradients (S, net.flat.size) of S stacked
     classification passes through one net: the samples of each pass, given
@@ -109,25 +109,11 @@ def stacked_loss(
     projects from the pass's class semantics (S, M, D).  `at` (S, M*N) are
     the target_indices of the samples' local labels.  Each pass's loss and
     gradient equal those of the pass run alone, bit for bit.  The gradients
-    are written into `out`'s buffer when given (see net_backward)."""
+    are written into `out`'s buffer (see net_backward)."""
     prototypes, cache = net_forward(net, semantic)
     losses, g_proto = cosine_cross_entropy(queries, unit_rows(prototypes), at,
                                            logit_scale, wrt="references")
     return losses, net_backward(net, cache, g_proto, out)
-
-
-def place_loss(
-    model: PrototypeModel, x: HallucinatedEpisode | Episode, logit_scale: float
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Classification of an episode's samples against its prototypes, the
-    placeholder pass (a HallucinatedEpisode) or the real one (an Episode):
-    stacked_loss for a stack of one, the samples class-major.  The loss and
-    the gradient by name."""
-    m = x.semantic.shape[0]
-    at = target_indices(class_major_labels(m, x.visual.shape[0] // m)[None], m)
-    losses, grads = stacked_loss(model.net, x.semantic[None],
-                                 unit_rows(x.visual[None]), at, logit_scale)
-    return float(losses[0]), model.net.views(grads[0])
 
 
 def train_prototypes(ds: SplitDataset, cfg: TrainConfig) -> PrototypeModel:

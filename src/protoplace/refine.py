@@ -13,10 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import AttributeTable, SplitDataset, load_params, read_json, \
-    require_keys, save_params, write_json
-from .errors import FormatError, ParameterError, ShapeError, ValidationError, \
-    require_ints, require_real, require_trace
+from .data import SplitDataset, load_params, read_json, require_keys, \
+    save_params, write_json
+from .errors import FormatError, ParameterError, ShapeError, require_ints, \
+    require_real, require_trace
 from .linalg import FlatParams, OptimizerState, as_matrix, check_stage_config, \
     cosine_cross_entropy, fit, require_finite, target_indices, unit_rows
 from .rng import DEFAULT_SEED, RngStream, check_seed
@@ -63,36 +63,6 @@ class SofConfig:
             raise ParameterError("batch_size must be at least 1")
 
 
-def sof_loss(
-    refined_sem,
-    labels,
-    attributes: AttributeTable,
-    seen_classes,
-    logit_scale: float,
-) -> tuple[float, np.ndarray]:
-    """Cosine cross-entropy of projected features against seen-class attributes.
-
-    Returns the mean loss and its exact gradient w.r.t. refined_sem.
-    ValidationError unless every seen class has an attribute row and every
-    label is a seen class.
-    """
-    seen = np.unique(np.asarray(seen_classes, dtype=np.int64))
-    if seen.size and (seen[0] < 0 or seen[-1] >= attributes.num_classes):
-        bad = seen[0] if seen[0] < 0 else seen[-1]
-        raise ValidationError(f"seen class {bad} has no attribute row "
-                              f"(L = {attributes.num_classes})")
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    stray = labels[~np.isin(labels, seen)]
-    if stray.size:
-        raise ValidationError(f"label {stray[0]} is not a seen class")
-    loss, grad = cosine_cross_entropy(
-        unit_rows(as_matrix(refined_sem, "refined features")),
-        unit_rows(attributes.rows(seen)),
-        target_indices(np.searchsorted(seen, labels), seen.size), logit_scale,
-        wrt="queries")
-    return float(loss), grad
-
-
 def train_sof(ds: SplitDataset, cfg: SofConfig) -> tuple[RefinerParams, list[float]]:
     """Minimize the semantic alignment loss over train minibatches.
 
@@ -107,9 +77,10 @@ def train_sof(ds: SplitDataset, cfg: SofConfig) -> tuple[RefinerParams, list[flo
         w_proj=rng.uniform(-1.0 / np.sqrt(c), 1.0 / np.sqrt(c), (c, d)),
     )
 
-    # the loss of sof_loss, with each train row's target and the unit rows of
-    # the seen-class attributes made once, not per batch; every train label
-    # is a seen class (SplitDataset.validate)
+    # the cosine cross-entropy of each batch's projected rows against the
+    # seen-class attributes, with each train row's target and the unit rows
+    # of those attributes made once, not per batch; every train label is a
+    # seen class (SplitDataset.validate)
     x_all = ds.features[ds.train_idx]
     t_all = np.searchsorted(ds.seen_classes, ds.labels[ds.train_idx])
     seen_attrs = unit_rows(ds.attributes.rows(ds.seen_classes))

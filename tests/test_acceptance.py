@@ -17,18 +17,12 @@ from protoplace.data import AttributeTable, SynthConfig, generate_synthetic, \
     sample_episode
 from protoplace.hallucinate import HalluConfig, class_centroids, hallucinate
 from protoplace.linalg import MappingNet
-from protoplace.metrics import (
-    cs_sweep,
-    evaluate,
-    gzsl_predict,
-    harmonic_mean,
-    prototype_similarity,
-    zsl_predict,
-)
-from protoplace.prototypes import PrototypeModel, TrainConfig, place_loss, \
-    project_prototypes, train_prototypes
-from protoplace.refine import SofConfig, refine_features, sof_loss, train_sof
+from protoplace.metrics import cs_sweep, harmonic_mean, prototype_similarity
+from protoplace.prototypes import PrototypeModel, TrainConfig, project_prototypes, \
+    train_prototypes
+from protoplace.refine import SofConfig, refine_features, train_sof
 from protoplace.rng import RngStream
+from reference import evaluate, gzsl_predict, place_loss, sof_loss, zsl_predict
 
 GRID = delta_grid(DEFAULTS)
 

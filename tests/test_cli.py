@@ -517,6 +517,19 @@ class TestSynth:
         assert "would mix" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in data.iterdir()} == before
 
+    @pytest.mark.parametrize("under", [(), ("sub",)], ids=["a file", "under a file"])
+    def test_out_not_a_directory_exits_2(self, workdir, capsys, under):
+        # --out naming a regular file, or a path below one: a configuration
+        # error before the command runs, and the file is left as it was
+        tmp_path, cfg = workdir
+        notadir = tmp_path / "notadir"
+        notadir.write_bytes(b"kept\n")
+        out = notadir.joinpath(*under)
+        assert run("synth", "--config", cfg, "--out", out) == 2
+        assert capsys.readouterr() == \
+            ("", f"configuration error: --out {out} is not a directory\n")
+        assert notadir.read_bytes() == b"kept\n"
+
 
 class TestDatasetReads:
     """train and eval read each dataset file once, and fingerprint the bytes

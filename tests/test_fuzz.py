@@ -13,7 +13,9 @@ check, nor the order of a split's class ids, so the split file and both
 CSV tables also take seeded line edits (a line's LF made CRLF, an empty
 line inserted, the last LF dropped, two lines swapped, a line repeated, two
 fields of a line swapped), through their readers directly, under the same
-rule.
+rule.  Neither kind renames a CSV column often enough to reach the header
+check, so each table's header also takes every one-cell rename and every
+swap of two cells, deterministically.
 """
 import json
 import random
@@ -21,8 +23,8 @@ import random
 import pytest
 
 from protoplace.cli import main
-from protoplace.data import _read_table, _write_table, load_dataset_dir, \
-    load_matrix, save_dataset, save_matrix
+from protoplace.data import CSV_TABLES, _read_table, _table_header, _write_table, \
+    load_dataset_dir, load_matrix, save_dataset, save_matrix
 from protoplace.errors import FormatError, ValidationError
 
 CONFIG = {
@@ -46,6 +48,8 @@ BINARY = ("features.bin", "features.labels.bin", "attributes.bin", "net_w1.bin")
 TABLES = {"features.csv": "features", "attributes.csv": "attributes"}
 LINE_EDITS = ("crlf", "empty line", "no last LF", "swap", "repeat", "fields")
 LINE_EDITS_PER_FILE = 100
+# What a header rename writes besides the names of both tables' columns.
+HEADER_NAMES = ("x", "")
 
 
 def saved_again(name, path, root):
@@ -194,3 +198,47 @@ def test_line_edits_rejected_or_saved_again(inputs):
     # each file loads some edits (those that leave it as it was, such as two
     # equal fields swapped) and rejects others
     assert all(o == {"loaded", "rejected"} for o in outcomes.values()), outcomes
+
+
+def header_edits(header: str, role: str) -> list[str]:
+    """Every one-cell edit of the header of a CSV table `role`: each cell
+    renamed to every other column name of either table, up to one value
+    column past this table's last (so `f0` to `f1`, the last `f3` to `f4`,
+    `f0` to `a0`), and to HEADER_NAMES; and each pair of cells swapped."""
+    cells = header.split(",")
+    cols = len(cells) - len(CSV_TABLES[role][0])
+    names = {name for other in CSV_TABLES
+             for name in _table_header(other, cols + 1)} | set(HEADER_NAMES)
+    edits = []
+    for j, cell in enumerate(cells):
+        for name in sorted(names - {cell}):
+            edits.append(",".join([*cells[:j], name, *cells[j + 1:]]))
+        for k in range(j + 1, len(cells)):
+            swapped = list(cells)
+            swapped[j], swapped[k] = cells[k], cell
+            edits.append(",".join(swapped))
+    return edits
+
+
+def test_header_edits_rejected_or_saved_again(inputs):
+    failures, tried = [], 0
+    for name in TABLES:
+        path = cases(inputs)[name][0]
+        original = path.read_bytes()
+        header, rest = original.split(b"\n", 1)
+        try:
+            for edit in header_edits(header.decode(), TABLES[name]):
+                edited = edit.encode() + b"\n" + rest
+                path.write_bytes(edited)
+                tried += 1
+                try:
+                    again = saved_again(name, path, inputs)
+                except FormatError:
+                    continue
+                if again != edited:
+                    failures.append(f"{name}: loaded, but saves back other "
+                                    f"bytes than header {edit!r}")
+        finally:
+            path.write_bytes(original)
+    assert not failures, failures
+    assert tried > 100  # renames and swaps of both headers

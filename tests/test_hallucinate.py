@@ -22,6 +22,7 @@ from protoplace.linalg import MappingNet, pairwise_cosine, softmax, target_indic
     unit_rows
 from protoplace.prototypes import EPISODE_BLOCK, stacked_loss
 from protoplace.rng import MAX_BETA_SHAPE, RngStream
+from reference import grad_out
 
 
 def make_episode(visual_classes, semantic, n=1):
@@ -490,7 +491,8 @@ class TestBlockParity:
 
     def test_stacked_loss_into_a_buffer(self):
         # a step of train_prototypes on a hallucinated block's episode: the
-        # gradients written into a reused buffer equal freshly made ones
+        # gradients written into a reused buffer equal those written into a
+        # fresh buffer per call
         ds = generate_synthetic(SynthConfig(seen_count=12, unseen_count=2,
                                             attr_dim=4, feat_dim=6,
                                             train_per_class=5, test_per_class=1,
@@ -505,7 +507,8 @@ class TestBlockParity:
         buf = np.full((2, net.flat.size), np.nan)
         out = buf, net.views(buf)  # made once, as train_prototypes makes them
         for i in range(3):
-            losses, grads = stacked_loss(net, semantic[i], (qh[i], qn[i]), at, 5.0)
+            losses, grads = stacked_loss(net, semantic[i], (qh[i], qn[i]), at, 5.0,
+                                         out=grad_out(net, 2))
             got_losses, got = stacked_loss(net, semantic[i], (qh[i], qn[i]), at, 5.0,
                                            out=out)
             assert got is buf

@@ -10,10 +10,11 @@ from protoplace.errors import FormatError, ParameterError, TrainingError
 from protoplace.hallucinate import HalluConfig, hallucinate
 from protoplace.linalg import MappingNet, net_forward
 from protoplace.prototypes import PrototypeModel, TrainConfig, load_model, \
-    place_loss, project_prototypes, save_model, train_prototypes
+    project_prototypes, save_model, train_prototypes
 from protoplace.refine import SofConfig, refine_features, train_sof
 from protoplace.rng import RngStream
 import protoplace.prototypes as prototypes_mod
+from reference import place_loss
 
 
 def bench(seed=0, noise=0.3, seen=8, unseen=3, d=4, c=6, per=6):

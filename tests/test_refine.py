@@ -9,8 +9,9 @@ from protoplace.errors import FormatError, ParameterError, ShapeError, \
     ValidationError
 from protoplace.linalg import OptimizerState, optimizer_step
 from protoplace.refine import RefinerParams, SofConfig, load_refiner, \
-    refine_features, save_refiner, sof_loss, train_sof
+    refine_features, save_refiner, train_sof
 from protoplace.rng import RngStream
+from reference import sof_loss
 from test_linalg import reference_cosine_cross_entropy
 
 
