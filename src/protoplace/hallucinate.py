@@ -59,18 +59,6 @@ def class_centroids(ep: Episode) -> np.ndarray:
     return v.reshape(*v.shape[:-2], ep.m_classes, ep.n_samples, -1).mean(axis=-2)
 
 
-def _offdiag_softmax(sim: np.ndarray, sigma: float) -> np.ndarray:
-    """Each row's softmax over its M - 1 off-diagonal entries, of each (M, M)
-    matrix of sim; 0 on the diagonal."""
-    m = sim.shape[-1]
-    # the off-diagonal entries of a flattened (M, M) matrix, row by row
-    off = np.flatnonzero(~np.eye(m, dtype=bool))
-    w = np.zeros((*sim.shape[:-2], m * m))
-    rows = softmax(sim.reshape(-1, m * m)[:, off].reshape(-1, m - 1), sigma)  # 2-D
-    w[..., off] = rows.reshape(*sim.shape[:-2], -1)
-    return w.reshape(sim.shape)
-
-
 def _log_space_rows(sim_v, sim_a, rows, chosen, sigma) -> np.ndarray:
     """The listed rows of the masked, renormalised weights, computed in log
     space: over each row's chosen neighbours, the softmax of
@@ -124,21 +112,30 @@ def propagation_weights(
     and class semantics (..., M, C) and (..., M, D), masked per row to the
     neighbours of `picks` (see placeholder_draws).
 
-    A row whose chosen weights all underflow to 0 (small sigma) is computed
-    in log space instead of dividing 0 by 0."""
+    A row's weight on a picked neighbour is the mean of the two graphs'
+    softmaxes over the row's M - 1 other classes, taken at that neighbour;
+    the row is then renormalised over its picks.  A row whose picked
+    weights all underflow to 0 (small sigma) is computed in log space
+    instead of dividing 0 by 0."""
     m = semantic.shape[-2]
     sim_v = pairwise_cosine(centroids)
     sim_a = pairwise_cosine(semantic)
-    w = (_offdiag_softmax(sim_v, cfg.sigma) + _offdiag_softmax(sim_a, cfg.sigma)) / 2.0
-    chosen = np.sort(picks + (picks >= np.arange(m)[:, None]), axis=-1)
+    picks = np.sort(picks, axis=-1)
+    chosen = picks + (picks >= np.arange(m)[:, None])
 
     # every (episode, row) is a row of 2-D views, whose row sums add in the
     # order of one episode's (tests/test_stacking.py)
-    w_rows = w.reshape(-1, m)
-    c_rows = chosen.reshape(-1, chosen.shape[-1])
-    rows = np.arange(w_rows.shape[0])[:, None]
-    masked = np.zeros_like(w_rows)
-    masked[rows, c_rows] = w_rows[rows, c_rows]
+    p_rows = picks.reshape(-1, picks.shape[-1])
+    c_rows = chosen.reshape(p_rows.shape)
+    rows = np.arange(p_rows.shape[0])[:, None]
+    off = np.flatnonzero(~np.eye(m, dtype=bool))  # off-diagonal, row by row
+
+    def at_picks(sim):
+        others = sim.reshape(-1, m * m)[:, off].reshape(-1, m - 1)
+        return softmax(others, cfg.sigma)[rows, p_rows]
+
+    masked = np.zeros((rows.size, m))
+    masked[rows, c_rows] = (at_picks(sim_v) + at_picks(sim_a)) / 2.0
     total = masked.sum(axis=1, keepdims=True)
     zero = np.flatnonzero(total == 0)
     total[zero] = 1.0
@@ -146,7 +143,7 @@ def propagation_weights(
     if zero.size:
         masked[zero[:, None], c_rows[zero]] = _log_space_rows(
             sim_v, sim_a, zero, chosen, cfg.sigma)
-    return PropagationWeights(w=masked.reshape(w.shape), chosen=chosen)
+    return PropagationWeights(w=masked.reshape(sim_v.shape), chosen=chosen)
 
 
 def propagate(

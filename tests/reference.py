@@ -1,11 +1,15 @@
-"""Single-call entry points that tests score and differentiate through.
+"""Single-call entry points that tests score and differentiate through, and
+reference forms that the package's own must equal.
 
 The command line runs none of these: it evaluates through metrics.cs_sweep,
 trains stage two through the stacked step of train_prototypes and stage one
-through the loss inlined in train_sof.  Each function here wraps the package
-function those run (cs_sweep, metrics._id_scores, prototypes.stacked_loss or
-linalg.cosine_cross_entropy), so a test through it still checks the
-program's own scoring and gradients.
+through the loss inlined in train_sof.  Each entry point here wraps the
+package function those run (cs_sweep, metrics._id_scores,
+prototypes.stacked_loss or linalg.cosine_cross_entropy), so a test through
+it still checks the program's own scoring and gradients.
+dense_propagation_weights is the neighbour weights computed through the
+whole (M, M) softmax matrices, which hallucinate.propagation_weights only
+takes at the picks.
 """
 from __future__ import annotations
 
@@ -13,9 +17,10 @@ import numpy as np
 
 from protoplace.data import AttributeTable, Episode, SplitDataset, class_major_labels
 from protoplace.errors import ParameterError, ValidationError
-from protoplace.hallucinate import HallucinatedEpisode
+from protoplace.hallucinate import HalluConfig, HallucinatedEpisode, \
+    PropagationWeights, _log_space_rows
 from protoplace.linalg import MappingNet, as_matrix, cosine_cross_entropy, \
-    target_indices, unit_rows
+    pairwise_cosine, softmax, target_indices, unit_rows
 from protoplace.metrics import EvalReport, _id_scores, cs_sweep
 from protoplace.prototypes import PrototypeModel, stacked_loss
 
@@ -95,3 +100,41 @@ def sof_loss(
         target_indices(np.searchsorted(seen, labels), seen.size), logit_scale,
         wrt="queries")
     return float(loss), grad
+
+
+def offdiag_softmax(sim: np.ndarray, sigma: float) -> np.ndarray:
+    """Each row's softmax over its M - 1 off-diagonal entries, of each (M, M)
+    matrix of sim; 0 on the diagonal."""
+    m = sim.shape[-1]
+    # the off-diagonal entries of a flattened (M, M) matrix, row by row
+    off = np.flatnonzero(~np.eye(m, dtype=bool))
+    w = np.zeros((*sim.shape[:-2], m * m))
+    rows = softmax(sim.reshape(-1, m * m)[:, off].reshape(-1, m - 1), sigma)  # 2-D
+    w[..., off] = rows.reshape(*sim.shape[:-2], -1)
+    return w.reshape(sim.shape)
+
+
+def dense_propagation_weights(
+    centroids: np.ndarray, semantic: np.ndarray, cfg: HalluConfig, picks: np.ndarray
+) -> PropagationWeights:
+    """propagation_weights through the dense form: both graphs' whole
+    off-diagonal softmax matrices, their mean, then the mask to the picks."""
+    m = semantic.shape[-2]
+    sim_v = pairwise_cosine(centroids)
+    sim_a = pairwise_cosine(semantic)
+    w = (offdiag_softmax(sim_v, cfg.sigma) + offdiag_softmax(sim_a, cfg.sigma)) / 2.0
+    chosen = np.sort(picks + (picks >= np.arange(m)[:, None]), axis=-1)
+
+    w_rows = w.reshape(-1, m)
+    c_rows = chosen.reshape(-1, chosen.shape[-1])
+    rows = np.arange(w_rows.shape[0])[:, None]
+    masked = np.zeros_like(w_rows)
+    masked[rows, c_rows] = w_rows[rows, c_rows]
+    total = masked.sum(axis=1, keepdims=True)
+    zero = np.flatnonzero(total == 0)
+    total[zero] = 1.0
+    masked /= total
+    if zero.size:
+        masked[zero[:, None], c_rows[zero]] = _log_space_rows(
+            sim_v, sim_a, zero, chosen, cfg.sigma)
+    return PropagationWeights(w=masked.reshape(w.shape), chosen=chosen)

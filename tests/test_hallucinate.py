@@ -10,7 +10,6 @@ from protoplace.errors import ParameterError
 from protoplace.hallucinate import (
     HalluConfig,
     _log_space_rows,
-    _offdiag_softmax,
     class_centroids,
     hallucinate,
     interpolate,
@@ -22,7 +21,7 @@ from protoplace.linalg import MappingNet, pairwise_cosine, softmax, target_indic
     unit_rows
 from protoplace.prototypes import EPISODE_BLOCK, stacked_loss
 from protoplace.rng import MAX_BETA_SHAPE, RngStream
-from reference import grad_out
+from reference import dense_propagation_weights, grad_out, offdiag_softmax
 
 
 def make_episode(visual_classes, semantic, n=1):
@@ -154,8 +153,8 @@ class TestUnderflowRows:
             np.put_along_axis(on_chosen, pw.chosen, True, axis=1)
             assert np.all(pw.w[~on_chosen] == 0.0)
             assert np.all(pw.w >= 0.0)
-            w = (_offdiag_softmax(pairwise_cosine(class_centroids(ep)), sigma)
-                 + _offdiag_softmax(pairwise_cosine(ep.semantic), sigma))
+            w = (offdiag_softmax(pairwise_cosine(class_centroids(ep)), sigma)
+                 + offdiag_softmax(pairwise_cosine(ep.semantic), sigma))
             underflowed += int(np.any(
                 np.take_along_axis(w, pw.chosen, axis=1).sum(axis=1) == 0))
         if sigma <= 1e-3:
@@ -394,6 +393,36 @@ class TestReferenceParity:
                 assert same_bytes(hep.betas, betas)
 
 
+class TestDenseParity:
+    """propagation_weights takes each graph's softmax only at the picks; the
+    dense form (tests/reference.py) takes it over the whole (M, M) matrices
+    and then masks.  The two must agree bit for bit."""
+
+    @pytest.mark.parametrize("episodes", (1, 8))
+    @pytest.mark.parametrize("sigma", (1e-4, 1e-3, 0.2, 1e6))
+    def test_equals_dense_form(self, sigma, episodes):
+        log_space_rows = 0
+        for m in (2, 5, 20):
+            for n_neighbors in sorted({1, m - 1}):
+                cfg = HalluConfig(sigma=sigma, n_neighbors=n_neighbors)
+                for seed in range(3):
+                    gen = np.random.default_rng(seed)
+                    centroids = gen.normal(size=(episodes, m, 6))
+                    semantic = gen.normal(size=(episodes, m, 4))
+                    picks, _ = placeholder_draws(RngStream(seed), cfg, (episodes, m),
+                                                 force_beta=1.0)
+                    pw = propagation_weights(centroids, semantic, cfg, picks)
+                    ref = dense_propagation_weights(centroids, semantic, cfg, picks)
+                    assert same_bytes(pw.w, ref.w)
+                    assert same_bytes(pw.chosen, ref.chosen)
+                    direct = (offdiag_softmax(pairwise_cosine(centroids), sigma)
+                              + offdiag_softmax(pairwise_cosine(semantic), sigma))
+                    log_space_rows += int(np.sum(np.take_along_axis(
+                        direct, ref.chosen, axis=-1).sum(axis=-1) == 0))
+        if sigma == 1e-4:
+            assert log_space_rows  # the log-space rows are among those compared
+
+
 class TestHalluConfig:
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -448,8 +477,8 @@ class TestBlockParity:
                                   (hep.visual, visual), (hep.semantic, semantic),
                                   (hep.betas, betas)):
                     assert same_bytes(got, want)
-                direct = (_offdiag_softmax(pairwise_cosine(class_centroids(ep)), sigma)
-                          + _offdiag_softmax(pairwise_cosine(ep.semantic), sigma))
+                direct = (offdiag_softmax(pairwise_cosine(class_centroids(ep)), sigma)
+                          + offdiag_softmax(pairwise_cosine(ep.semantic), sigma))
                 log_space_rows += int(np.sum(
                     np.take_along_axis(direct, chosen, axis=1).sum(axis=1) == 0))
         assert rng_ep.uniform() == ref_ep.uniform()

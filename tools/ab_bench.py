@@ -3,7 +3,11 @@
     python3 tools/ab_bench.py PARENT CHANGE --workload W --pairs N \
         [--seed S] [--out BENCH_N.json]
 
-PARENT and CHANGE are checkouts of this repository.  Pair i runs
+PARENT and CHANGE are checkouts of this repository, both made the same way,
+for example each a `git archive` export into sibling directories.  On
+identical code, a checkout against a fresh `git clone` of it read
+`train-full` 3.9% apart (4 of 4 pairs), while two exports read 0.2% apart
+(3 of 6 pairs).  Pair i runs
 `perfbench/run.py --workload W --seed S+i` for BENCHMARK.json's run_seconds
 once in each tree, in its own process and from that tree; the tree that goes
 first alternates from pair to pair, so that a drift of the machine's speed
