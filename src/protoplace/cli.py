@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .data import dataset_fingerprint, episode_classes, generate_synthetic, \
+from .data import check_float32, episode_classes, generate_synthetic, \
     load_dataset_dir, save_dataset, write_csv, write_json
 from .errors import CapacityError, ConfigError, FormatError, ParameterError, \
     ShapeError, TrainingError, ValidationError
@@ -138,10 +138,10 @@ def _eval_model(model: PrototypeModel, eval_ds, grid):
 
 def cmd_synth(args, cfg, _, out):
     ds = generate_synthetic(cfg.synth)
-    paths = save_dataset(ds, out, format=args.format)
+    paths, fingerprint = save_dataset(ds, out, format=args.format)
     print(f"wrote {ds.features.shape[0]} samples to {out}")
     return cfg.record, paths, {"samples": int(ds.features.shape[0]),
-                               "fingerprint": dataset_fingerprint(out)}
+                               "fingerprint": fingerprint}
 
 
 def cmd_train(args, cfg, ds, out):
@@ -149,6 +149,7 @@ def cmd_train(args, cfg, ds, out):
     run = (cfg.sof if use_sof else None, replace(cfg.train, mode=mode_name))
     [(_, stage_one, model)] = _train_runs(ds, [run])
     model_dir = out / "model"
+    check_float32(*[model.net, stage_one[0]] if use_sof else [model.net])
     save_model(model, model_dir, args.mode)
     if use_sof:
         refiner, sof_trace = stage_one

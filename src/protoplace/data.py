@@ -52,12 +52,22 @@ SPLIT_KEYS = ("seen", "unseen", "train", "test_seen", "test_unseen")
 # binary matrix format
 
 
-def save_matrix(path, mat) -> None:
-    a = as_matrix(mat, "matrix")
+def float32_rows(mat, what: str = "matrix") -> np.ndarray:
+    """mat as a binary matrix file's "<f4" rows.  FloatingPointError naming
+    `what` where one overflows: an infinity no reader takes."""
+    with np.errstate(over="ignore"):
+        body = np.ascontiguousarray(a := as_matrix(mat, what), dtype="<f4")
+    if np.any(over := np.isinf(body) & np.isfinite(a)):
+        raise FloatingPointError(f"{what}: {a[over][0]:g} is past the float32 range")
+    return body
+
+
+def save_matrix(path, mat, what: str = "matrix") -> tuple[bytes, np.ndarray]:
+    """mat as a binary matrix file of float32_rows; its header and rows."""
+    body = float32_rows(mat, what)
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<II", a.shape[0], a.shape[1]))
-        f.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
+        f.writelines(pieces := (MAGIC + struct.pack("<II", *body.shape), body))
+    return pieces
 
 
 def parse_matrix(raw: bytes, path) -> np.ndarray:
@@ -83,7 +93,14 @@ def save_params(params: FlatParams, out_dir: Path, prefix: str) -> None:
     """Each array named in params.PARAMS as the binary matrix
     `{prefix}_{name}.bin` in out_dir; a vector as a one-row matrix."""
     for name, a in params.params().items():
-        save_matrix(out_dir / f"{prefix}_{name}.bin", np.atleast_2d(a))
+        save_matrix(out_dir / f"{prefix}_{name}.bin", np.atleast_2d(a),
+                    f"parameter {name}")
+
+
+def check_float32(*params: FlatParams) -> None:
+    """float32_rows of each array of params: save_params would refuse it."""
+    for name, a in ((n, a) for p in params for n, a in p.params().items()):
+        float32_rows(np.atleast_2d(a), f"parameter {name}")
 
 
 def load_params(cls: type[FlatParams], in_dir: Path,
@@ -288,10 +305,10 @@ def row_format(kinds) -> str:
     return ",".join(map(cell_format, kinds)) + "\n"
 
 
-def write_csv(path, header, rows) -> None:
+def write_csv(path, header, rows) -> bytes:
     """A CSV file: the header cells, then one line per row in its
-    row_format.  Each row is one %-operation, whose template is built once
-    per sequence of cell types."""
+    row_format; the bytes written.  Each row is one %-operation, whose
+    template is built once per sequence of cell types."""
     templates = {}
     lines = [",".join(header) + "\n"]
     for row in rows:
@@ -301,8 +318,8 @@ def write_csv(path, header, rows) -> None:
         if template is None:
             template = templates[kinds] = row_format(kinds)
         lines.append(template % row)
-    with open(path, "w", encoding="utf-8") as f:
-        f.writelines(lines)
+    Path(path).write_bytes(raw := "".join(lines).encode("utf-8"))
+    return raw
 
 
 def write_json(path, record) -> None:
@@ -381,13 +398,13 @@ def _table_header(role: str, cols: int) -> list[str]:
     return [*head, *(f"{prefix}{j}" for j in range(cols))]
 
 
-def _write_table(path, role: str, values, ints=()) -> None:
+def _write_table(path, role: str, values, ints=()) -> bytes:
     """The CSV table `role` (CSV_TABLES) of C value columns: row i is i,
     then its entry of each integer column in `ints`, then its C values."""
     values = as_matrix(values, "table")
-    write_csv(path, _table_header(role, values.shape[1]),
-              ([str(i), *(str(int(col[i])) for col in ints), *row]
-               for i, row in enumerate(values.tolist())))
+    return write_csv(path, _table_header(role, values.shape[1]),
+                     ([str(i), *(str(int(col[i])) for col in ints), *row]
+                      for i, row in enumerate(values.tolist())))
 
 
 def _read_table(raw: bytes, path, role: str) -> tuple[np.ndarray, np.ndarray]:
@@ -425,11 +442,12 @@ def _read_table(raw: bytes, path, role: str) -> tuple[np.ndarray, np.ndarray]:
             np.asarray(ints, dtype=np.int64).reshape(len(rows), k - 1))
 
 
-def write_split(path, splits: dict[str, np.ndarray]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for key in SPLIT_KEYS:
-            ids = " ".join(str(int(i)) for i in splits[key])
-            f.write(f"{key}: {ids}".rstrip() + "\n")
+def write_split(path, splits: dict[str, np.ndarray]) -> bytes:
+    """The split file of the id arrays by section; the bytes written."""
+    Path(path).write_bytes(raw := "".join(
+        f"{key}: {' '.join(str(int(i)) for i in splits[key])}".rstrip() + "\n"
+        for key in SPLIT_KEYS).encode("utf-8"))
+    return raw
 
 
 def read_split(raw: bytes, path) -> dict[str, np.ndarray]:
@@ -468,8 +486,8 @@ def read_split(raw: bytes, path) -> dict[str, np.ndarray]:
 
 # Each format's dataset files by role: the attributes, the features, the
 # labels (binary only: the CSV features hold them) and the split.
-# save_dataset writes them, load_dataset_dir reads and hashes them; no other
-# module of the package names them.
+# save_dataset writes and hashes them, load_dataset_dir reads and hashes
+# them; no other module of the package names them.
 DATASET_FILES = {
     "binary": {"attributes": "attributes.bin", "features": "features.bin",
                "labels": "features.labels.bin", "split": "split.txt"},
@@ -501,20 +519,14 @@ def dataset_files(data_dir) -> tuple[str, dict[str, Path]]:
     return found[0], {role: data_dir / name for role, name in names.items()}
 
 
-def _fingerprint(raw: dict[Path, bytes]) -> str:
-    """sha256 over the name and bytes of each file, in name order."""
+def _fingerprint(raw: dict) -> str:
+    """sha256 over the name and bytes (a list of pieces) of each file, in name
+    order."""
     h = hashlib.sha256()
     for path in sorted(raw):
-        h.update(path.name.encode())
-        h.update(raw[path])
+        for piece in (path.name.encode(), *raw[path]):
+            h.update(piece)
     return h.hexdigest()
-
-
-def dataset_fingerprint(data_dir) -> str:
-    """The fingerprint load_dataset_dir returns for data_dir: other files
-    there do not count."""
-    paths = dataset_files(data_dir)[1].values()
-    return _fingerprint({path: path.read_bytes() for path in paths})
 
 
 def _read_labels(raw: bytes, path: Path) -> np.ndarray:
@@ -526,11 +538,14 @@ def _read_labels(raw: bytes, path: Path) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def save_dataset(ds: SplitDataset, out_dir, format: str = "binary") -> dict[str, Path]:
+def save_dataset(ds: SplitDataset, out_dir, format: str = "binary") -> tuple[dict, str]:
     """The dataset as the files DATASET_FILES[format] names in out_dir; the
-    paths of its features, attributes and split files.  ConfigError, before
-    any file is written, where out_dir holds a dataset of the other format:
-    the two would mix (dataset_files)."""
+    paths of its features, attributes and split files, and the fingerprint
+    of the bytes written, as load_dataset_dir takes it.  Before any file is
+    written: ConfigError where out_dir holds a dataset of the other format,
+    as the two would mix (dataset_files), and FloatingPointError where
+    float32 overflows a feature (float32_rows; the features are written
+    first, the labels are exact and the attributes unit rows)."""
     out_dir = Path(out_dir)
     other = [f for f in _formats_in(out_dir) if f != format]
     if other:
@@ -543,21 +558,23 @@ def save_dataset(ds: SplitDataset, out_dir, format: str = "binary") -> dict[str,
                               "for the label sidecar")
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {role: out_dir / name for role, name in DATASET_FILES[format].items()}
-    write_split(paths["split"], {
+    if format == "binary":
+        labels = ds.labels.astype(np.float64)[:, None]
+        raw = {paths[role]: save_matrix(paths[role], a, role) for role, a in (
+            ("features", ds.features), ("labels", labels),
+            ("attributes", ds.attributes.values))}
+    else:
+        raw = {paths[role]: [_write_table(paths[role], role, *args)] for role, args
+               in (("features", (ds.features, [ds.labels])),
+                   ("attributes", (ds.attributes.values,)))}
+    raw[paths["split"]] = [write_split(paths["split"], {
         "seen": ds.seen_classes,
         "unseen": ds.unseen_classes,
         "train": ds.train_idx,
         "test_seen": ds.test_seen_idx,
         "test_unseen": ds.test_unseen_idx,
-    })
-    if format == "binary":
-        save_matrix(paths["features"], ds.features)
-        save_matrix(paths["labels"], ds.labels.astype(np.float64)[:, None])
-        save_matrix(paths["attributes"], ds.attributes.values)
-    else:
-        _write_table(paths["features"], "features", ds.features, [ds.labels])
-        _write_table(paths["attributes"], "attributes", ds.attributes.values)
-    return {role: paths[role] for role in ("features", "attributes", "split")}
+    })]
+    return {r: paths[r] for r in ("features", "attributes", "split")}, _fingerprint(raw)
 
 
 def load_dataset_dir(data_dir) -> tuple[SplitDataset, str]:
@@ -569,7 +586,7 @@ def load_dataset_dir(data_dir) -> tuple[SplitDataset, str]:
     raw = {}
 
     def read(role):
-        raw[paths[role]] = data = paths[role].read_bytes()
+        raw[paths[role]] = [data := paths[role].read_bytes()]
         return data, paths[role]
 
     if format == "binary":

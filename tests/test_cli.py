@@ -517,6 +517,21 @@ class TestSynth:
         assert "would mix" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in data.iterdir()} == before
 
+    @pytest.mark.parametrize("format,rc", [("binary", 4), ("csv", 0)])
+    def test_features_past_float32_exit_4_before_any_file(self, workdir, capsys,
+                                                          format, rc):
+        # noise of 1e39 leaves finite features that float32 would hold as
+        # infinities, which no reader takes; the CSV cells hold them as they are
+        tmp_path, _ = workdir
+        cfg = write_config(tmp_path / "loud.json", synth={"noise_scale": 1e39})
+        data = tmp_path / "data"
+        assert run("synth", "--config", cfg, "--out", data, "--format", format) == rc
+        if rc:
+            assert "numeric failure: features: " in capsys.readouterr().err
+            assert list(data.iterdir()) == []
+        else:
+            assert np.all(np.abs(load_dataset_dir(data)[0].features) < np.inf)
+
     @pytest.mark.parametrize("under", [(), ("sub",)], ids=["a file", "under a file"])
     def test_out_not_a_directory_exits_2(self, workdir, capsys, under):
         # --out naming a regular file, or a path below one: a configuration
@@ -532,42 +547,66 @@ class TestSynth:
 
 
 class TestDatasetReads:
-    """train and eval read each dataset file once, and fingerprint the bytes
-    they read: sha256 over each file's name and bytes, in name order."""
+    """synth opens each dataset file once, to write it, and reads none; train
+    and eval read each once.  Each fingerprints the bytes it wrote or read:
+    sha256 over each file's name and bytes, in name order."""
 
     NAMES = {"binary": ["attributes.bin", "features.bin", "features.labels.bin",
                         "split.txt"],
              "csv": ["attributes.csv", "features.csv", "split.txt"]}
 
-    @pytest.mark.parametrize("format", ["binary", "csv"])
-    def test_each_file_read_once_and_fingerprinted(self, workdir, monkeypatch,
-                                                   format):
-        tmp_path, cfg = workdir
-        data = tmp_path / "data"
-        assert run("synth", "--config", cfg, "--out", data, "--format", format) == 0
-        oracle = hashlib.sha256()
-        for name in self.NAMES[format]:
-            oracle.update(name.encode())
-            oracle.update((data / name).read_bytes())
+    @staticmethod
+    def oracle(data, names) -> str:
+        h = hashlib.sha256()
+        for name in names:
+            h.update(name.encode())
+            h.update((data / name).read_bytes())
+        return h.hexdigest()
+
+    @pytest.fixture
+    def opened(self, workdir, monkeypatch):
+        """The (name, mode) of each file opened in the workdir's data."""
+        data = workdir[0] / "data"
         opened = []
         real_open = io.open
 
         def counting_open(file, *args, **kwargs):
             if isinstance(file, (str, os.PathLike)) and Path(file).parent == data:
-                opened.append(Path(file).name)
+                opened.append((Path(file).name, args[0] if args
+                               else kwargs.get("mode", "r")))
             return real_open(file, *args, **kwargs)
 
         # pathlib opens through io.open, the rest through builtins.open
         monkeypatch.setattr(io, "open", counting_open)
         monkeypatch.setattr(builtins, "open", counting_open)
+        return opened
+
+    @pytest.mark.parametrize("format", ["binary", "csv"])
+    def test_synth_writes_each_file_once_and_reads_none(self, workdir, opened,
+                                                        format):
+        tmp_path, cfg = workdir
+        data = tmp_path / "data"
+        assert run("synth", "--config", cfg, "--out", data, "--format", format) == 0
+        assert sorted(opened) == sorted([(name, "wb") for name in self.NAMES[format]]
+                                        + [("manifest.json", "w")])
+        manifest = json.loads((data / "manifest.json").read_text())
+        assert manifest["metrics"]["fingerprint"] == \
+            self.oracle(data, self.NAMES[format])
+
+    @pytest.mark.parametrize("format", ["binary", "csv"])
+    def test_each_file_read_once_and_fingerprinted(self, workdir, opened, format):
+        tmp_path, cfg = workdir
+        data = tmp_path / "data"
+        assert run("synth", "--config", cfg, "--out", data, "--format", format) == 0
+        oracle = self.oracle(data, self.NAMES[format])
         steps = {"train": ["train", "--config", cfg, "--mode", "full"],
                  "eval": ["eval", "--model", tmp_path / "train" / "model"]}
         for name, argv in steps.items():
             opened.clear()
             assert run(*argv, "--data", data, "--out", tmp_path / name) == 0
-            assert sorted(opened) == self.NAMES[format], name
+            assert sorted(opened) == [(n, "rb") for n in self.NAMES[format]], name
             manifest = json.loads((tmp_path / name / "manifest.json").read_text())
-            assert manifest["metrics"]["dataset_fingerprint"] == oracle.hexdigest()
+            assert manifest["metrics"]["dataset_fingerprint"] == oracle
 
 
 class TestTrain:
@@ -627,6 +666,28 @@ class TestTrain:
                  "--out", tmp_path / "out", "--mode", mode)
         assert rc == 4
         assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,mode,name", [("train", "s2v", "w1"),
+                                                   ("sof", "full", "f_lin")])
+    def test_weights_past_float32_exit_4_before_any_file(self, workdir, capsys,
+                                                         section, mode, name):
+        # a learning rate of 3e38 leaves finite weights past float32's range,
+        # which a weight file would hold as infinities.  Every weight is
+        # checked before the first is written: the refiner's f_lin would be
+        # written after the net's weights and model.json
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        steep = write_config(tmp_path / "steep.json",
+                             **{section: {"learning_rate": 3e38}})
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run("train", "--config", steep, "--data", data, "--out", out,
+                     "--mode", mode)
+        assert rc == 4
+        assert f"numeric failure: parameter {name}: " in capsys.readouterr().err
+        assert not any("cast" in str(w.message) for w in caught)
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("section,mode", [("train", "s2v"), ("train", "full"),
                                               ("sof", "full")])

@@ -5,9 +5,9 @@ from protoplace.data import (
     AttributeTable,
     SplitDataset,
     SynthConfig,
+    check_float32,
     generate_synthetic,
     dataset_files,
-    dataset_fingerprint,
     load_dataset_dir,
     load_matrix,
     sample_episode,
@@ -18,6 +18,7 @@ from protoplace.data import (
 )
 from protoplace.errors import CapacityError, ConfigError, FormatError, \
     ParameterError, ValidationError
+from protoplace.linalg import MappingNet
 from protoplace.rng import RngStream
 
 
@@ -68,6 +69,38 @@ class TestBinaryFormat:
         with pytest.raises(FormatError):
             load_matrix(p)
 
+    def test_returns_the_pieces_written(self, tmp_path):
+        p = tmp_path / "m.bin"
+        pieces = save_matrix(p, np.arange(6.0).reshape(2, 3))
+        assert b"".join(pieces) == p.read_bytes()
+
+    @pytest.mark.parametrize("value", [3.41e38, -1e39, 1e300])
+    def test_finite_value_past_float32_refused_before_the_file(self, tmp_path,
+                                                               value):
+        # float32 would hold it as an infinity, which no reader takes
+        p = tmp_path / "m.bin"
+        with pytest.raises(FloatingPointError, match="past the float32 range"):
+            save_matrix(p, [[0.0, value]])
+        assert not p.exists()
+
+    def test_non_finite_and_float32_max_saved_as_they_are(self, tmp_path):
+        # NaN and the infinities are written as they are; 3.4028235e38 rounds
+        # to the largest float32, not to an infinity
+        p = tmp_path / "m.bin"
+        mat = [[np.nan, np.inf, -np.inf, 3.4028235e38]]
+        save_matrix(p, mat)
+        assert np.array_equal(load_matrix(p), np.float32(mat), equal_nan=True)
+        assert load_matrix(p)[0, 3] == np.finfo(np.float32).max
+
+    def test_check_float32_names_a_later_weight(self):
+        # b2, the last of the net's weights, and of the second set checked
+        fine = MappingNet(w1=np.eye(2), b1=np.zeros(2), w2=np.eye(2), b2=np.zeros(2))
+        loud = MappingNet(w1=np.eye(2), b1=np.zeros(2), w2=np.eye(2),
+                          b2=[0.0, -1e39])
+        check_float32(fine)
+        with pytest.raises(FloatingPointError, match=r"parameter b2: -1e\+39 is past"):
+            check_float32(fine, loud)
+
 
 # Number cells of every kind the writers pass, and the edge values of the
 # 9-digit format: signed zeros and infinities, NaN, the smallest subnormal,
@@ -109,7 +142,7 @@ class TestJsonRecord:
 class TestDatasetIO:
     def test_csv_fixture_counts(self, tmp_path):
         ds = tiny_dataset()
-        paths = save_dataset(ds, tmp_path, format="csv")
+        paths, _ = save_dataset(ds, tmp_path, format="csv")
         loaded, _ = load_dataset_dir(tmp_path)
         assert loaded.train_idx.size == 2
         assert loaded.test_seen_idx.size == 1
@@ -144,13 +177,13 @@ class TestDatasetIO:
     def test_csv_precision(self, tmp_path):
         ds = tiny_dataset()
         ds.features[0, 0] = 0.123456789123
-        paths = save_dataset(ds, tmp_path, format="csv")
+        paths, _ = save_dataset(ds, tmp_path, format="csv")
         loaded, _ = load_dataset_dir(tmp_path)
         assert np.max(np.abs(loaded.features - ds.features)) < 1e-7
 
     def test_split_naming_out_of_range_class(self, tmp_path):
         ds = tiny_dataset()
-        paths = save_dataset(ds, tmp_path, format="csv")
+        paths, _ = save_dataset(ds, tmp_path, format="csv")
         split = paths["split"].read_text().replace("unseen: 2", "unseen: 3")
         paths["split"].write_text(split)
         with pytest.raises(ValidationError, match="3"):
@@ -161,7 +194,7 @@ class TestDatasetIO:
     def test_repeated_split_section_rejected(self, tmp_path, extra):
         # neither copy silently wins
         ds = tiny_dataset()
-        paths = save_dataset(ds, tmp_path, format="csv")
+        paths, _ = save_dataset(ds, tmp_path, format="csv")
         with open(paths["split"], "a") as f:
             f.write(extra)
         with pytest.raises(FormatError, match="repeated section"):
@@ -170,7 +203,7 @@ class TestDatasetIO:
     @pytest.mark.parametrize("line", ["test_seen", "test_seen 1"])
     def test_split_line_without_colon_rejected(self, tmp_path, line):
         # not read as an empty section, nor as a section named `test_seen 1`
-        paths = save_dataset(tiny_dataset(), tmp_path, format="csv")
+        paths, _ = save_dataset(tiny_dataset(), tmp_path, format="csv")
         lines = paths["split"].read_text().splitlines()
         assert lines[3] == "test_seen: 1"
         lines[3] = line
@@ -184,7 +217,7 @@ class TestDatasetIO:
         # int() also reads a sign, leading zeros and '_': each of the first
         # four lines is 0 1 to it; the fifth id overflows int64; split()
         # reads the last two as 0 1 too, which write_split saves as "0 1"
-        paths = save_dataset(tiny_dataset(), tmp_path, format="csv")
+        paths, _ = save_dataset(tiny_dataset(), tmp_path, format="csv")
         lines = paths["split"].read_text().splitlines()
         assert lines[0] == "seen: 0 1"
         lines[0] = f"seen: {ids}"
@@ -201,7 +234,7 @@ class TestDatasetIO:
     def test_split_whitespace_outside_the_ids_rejected(self, tmp_path, line):
         # each reads as "seen: 0 1" once the whitespace is stripped, which
         # write_split would save in place of the line as written
-        paths = save_dataset(tiny_dataset(), tmp_path, format="csv")
+        paths, _ = save_dataset(tiny_dataset(), tmp_path, format="csv")
         lines = paths["split"].read_text().splitlines()
         assert lines[0] == "seen: 0 1"
         if line.strip():
@@ -233,7 +266,7 @@ class TestDatasetIO:
     def test_split_not_as_written_rejected(self, tmp_path, edit, message):
         # each loaded as the split write_split writes, which would save back
         # other bytes
-        paths = save_dataset(tiny_dataset(), tmp_path, format="csv")
+        paths, _ = save_dataset(tiny_dataset(), tmp_path, format="csv")
         text = paths["split"].read_bytes().decode()
         assert text == "seen: 0 1\nunseen: 2\ntrain: 0 2\ntest_seen: 1\n" \
             "test_unseen: 3\n"
@@ -249,7 +282,7 @@ class TestDatasetIO:
                           attributes=ds.attributes, seen_classes=[0, 1],
                           unseen_classes=[], train_idx=[0, 2], test_seen_idx=[1],
                           test_unseen_idx=[])
-        paths = save_dataset(ds, tmp_path)
+        paths, _ = save_dataset(ds, tmp_path)
         text = paths["split"].read_text()
         assert "\nunseen:\n" in text
         paths["split"].write_text(text.replace("\nunseen:\n", f"\n{section}\n"))
@@ -275,7 +308,7 @@ class TestDatasetIO:
             "float 1_0", "float leading space", "float trailing space", "float 1.0"])
     def test_csv_tokens_read_as_written(self, tmp_path, column, token, message):
         # int() and float() read these too, as the label 0 or a feature
-        paths = save_dataset(tiny_dataset(), tmp_path, format="csv")
+        paths, _ = save_dataset(tiny_dataset(), tmp_path, format="csv")
         lines = paths["features"].read_text().splitlines()
         parts = lines[1].split(",")
         assert parts[:3] == ["0", "0", "1"]
@@ -308,7 +341,7 @@ class TestDatasetIO:
     def test_split_not_as_written_rejected(self, tmp_path, edit, message):
         # each loaded as the split write_split writes, which would save back
         # other bytes
-        paths = save_dataset(tiny_dataset(), tmp_path, format="csv")
+        paths, _ = save_dataset(tiny_dataset(), tmp_path, format="csv")
         text = paths["split"].read_bytes().decode()
         assert text == "seen: 0 1\nunseen: 2\ntrain: 0 2\ntest_seen: 1\n" \
             "test_unseen: 3\n"
@@ -324,7 +357,7 @@ class TestDatasetIO:
                           attributes=ds.attributes, seen_classes=[0, 1],
                           unseen_classes=[], train_idx=[0, 2], test_seen_idx=[1],
                           test_unseen_idx=[])
-        paths = save_dataset(ds, tmp_path)
+        paths, _ = save_dataset(ds, tmp_path)
         text = paths["split"].read_text()
         assert "\nunseen:\n" in text
         paths["split"].write_text(text.replace("\nunseen:\n", f"\n{section}\n"))
@@ -350,7 +383,7 @@ class TestDatasetIO:
             "float 1_0", "float leading space", "float trailing space", "float 1.0"])
     def test_csv_tokens_read_as_written(self, tmp_path, column, token, rest):
         # int() and float() read these too, as the label 0 or a feature
-        paths = save_dataset(tiny_dataset(), tmp_path, format="csv")
+        paths, _ = save_dataset(tiny_dataset(), tmp_path, format="csv")
         lines = paths["features"].read_text().splitlines()
         parts = lines[1].split(",")
         assert parts[:3] == ["0", "0", "1"]
@@ -378,7 +411,7 @@ class TestDatasetIO:
         # other bytes
         ds = tiny_dataset()
         ds.features[0, 0] = 1.5
-        paths = save_dataset(ds, tmp_path, format="csv")
+        paths, _ = save_dataset(ds, tmp_path, format="csv")
         text = paths["features"].read_bytes().decode()
         assert text.startswith("id,label,f0,f1,f2\n0,0,1.5,0,0\n1,")
         paths["features"].write_bytes(edit(text).encode())
@@ -387,7 +420,7 @@ class TestDatasetIO:
         assert str(info.value) == f"{paths['features']}: {message}"
 
     def test_attributes_csv_renamed_column_rejected(self, tmp_path):
-        paths = save_dataset(tiny_dataset(), tmp_path, format="csv")
+        paths, _ = save_dataset(tiny_dataset(), tmp_path, format="csv")
         text = paths["attributes"].read_text()
         assert text.startswith("class_id,a0,a1\n")
         paths["attributes"].write_text(text.replace("a1", "b1", 1))
@@ -404,13 +437,13 @@ class TestDatasetIO:
             train_idx=ds.train_idx, test_seen_idx=ds.test_seen_idx,
             test_unseen_idx=[],
         )
-        paths = save_dataset(ds2, tmp_path, format="csv")
+        paths, _ = save_dataset(ds2, tmp_path, format="csv")
         loaded, _ = load_dataset_dir(tmp_path)
         assert loaded.test_unseen_idx.size == 0
 
     def test_malformed_row_names_location(self, tmp_path):
         ds = tiny_dataset()
-        paths = save_dataset(ds, tmp_path, format="csv")
+        paths, _ = save_dataset(ds, tmp_path, format="csv")
         lines = paths["features"].read_text().splitlines()
         lines[2] = lines[2] + ",999"
         paths["features"].write_text("\n".join(lines) + "\n")
@@ -419,7 +452,7 @@ class TestDatasetIO:
 
     @pytest.mark.parametrize("bad_id", ["999", "abc", "1", "", "+0", "00"])
     def test_features_csv_ids_are_row_numbers(self, tmp_path, bad_id):
-        paths = save_dataset(tiny_dataset(), tmp_path, format="csv")
+        paths, _ = save_dataset(tiny_dataset(), tmp_path, format="csv")
         lines = paths["features"].read_text().splitlines()
         lines[1] = bad_id + "," + lines[1].split(",", 1)[1]
         paths["features"].write_text("\n".join(lines) + "\n")
@@ -430,7 +463,7 @@ class TestDatasetIO:
 
     @pytest.mark.parametrize("edit", ["abc", "swap"])
     def test_attributes_csv_class_ids_are_row_numbers(self, tmp_path, edit):
-        paths = save_dataset(tiny_dataset(), tmp_path, format="csv")
+        paths, _ = save_dataset(tiny_dataset(), tmp_path, format="csv")
         lines = paths["attributes"].read_text().splitlines()
         rows = [line.split(",", 1) for line in lines[1:]]
         if edit == "abc":
@@ -466,6 +499,18 @@ class TestDatasetIO:
         with pytest.raises(FormatError, match="not a nonnegative integer"):
             load_dataset_dir(tmp_path)
 
+    @pytest.mark.parametrize("format", ["binary", "csv"])
+    def test_save_and_load_fingerprints_agree(self, tmp_path, format):
+        _, fingerprint = save_dataset(tiny_dataset(), tmp_path, format=format)
+        assert load_dataset_dir(tmp_path)[1] == fingerprint
+
+    def test_features_past_float32_rejected_before_any_file(self, tmp_path):
+        ds = tiny_dataset()
+        ds.features[2, 1] = 1e39
+        with pytest.raises(FloatingPointError, match=r"features: 1e\+39 is past"):
+            save_dataset(ds, tmp_path / "out")
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_dir_format_is_detected(self, tmp_path):
         ds = tiny_dataset()
         for format in ("binary", "csv"):
@@ -490,9 +535,8 @@ class TestDatasetIO:
             save_dataset(tiny_dataset(), tmp_path / format, format=format)
         (tmp_path / "binary" / "features.csv").write_bytes(
             (tmp_path / "csv" / "features.csv").read_bytes())
-        for read in (load_dataset_dir, dataset_fingerprint):
-            with pytest.raises(FormatError, match="more than one dataset format"):
-                read(tmp_path / "binary")
+        with pytest.raises(FormatError, match="more than one dataset format"):
+            load_dataset_dir(tmp_path / "binary")
 
     def test_dir_without_dataset_files(self, tmp_path):
         (tmp_path / "split.txt").write_text("seen:\n")
@@ -775,3 +819,4 @@ class TestGenerateSynthetic:
     def test_narrow_feature_space_warns(self):
         with pytest.warns(UserWarning):
             SynthConfig(attr_dim=8, feat_dim=4)
+
