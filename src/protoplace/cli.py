@@ -13,6 +13,7 @@ Exit codes: 0 ok, 2 configuration, 3 missing input, 4 numeric failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import replace
@@ -244,19 +245,19 @@ def cmd_ablate(args, cfg, ds, out):
               ([name, *("" if st is None else f"{st[0]:.4f}±{st[1]:.4f}"
                         for st in row)]
                for name, row in rows.items()))
-    with open(out / "ablation.txt", "w", encoding="utf-8") as f:
-        # a cell is 13 characters, its mean the first 8: each name ends
-        # where its column's means end; only the cells before the last are
-        # padded, so no line ends in a space
-        f.write(f"{'config':<16}{'T':>8}{'U':>13}{'S':>13}{'H':>13}\n")
-        for name, row in rows.items():
-            cells = [f"{'--':>8}" if st is None else
-                     f"{100 * st[0]:>8.1f}±{100 * st[1]:.1f}" for st in row]
-            f.write(f"{name:<16}{''.join(c.ljust(13) for c in cells[:-1])}"
-                    f"{cells[-1]}\n")
+    # a cell is 13 characters, its mean the first 8: each name ends where its
+    # column's means end; only the cells before the last are padded, so no
+    # line ends in a space
+    lines = [f"{'config':<16}{'T':>8}{'U':>13}{'S':>13}{'H':>13}\n"]
+    for name, row in rows.items():
+        cells = [f"{'--':>8}" if st is None else
+                 f"{100 * st[0]:>8.1f}±{100 * st[1]:.1f}" for st in row]
+        lines.append(f"{name:<16}{''.join(c.ljust(13) for c in cells[:-1])}"
+                     f"{cells[-1]}\n")
+    table = "".join(lines)
+    (out / "ablation.txt").write_text(table, encoding="utf-8")
     metrics = {name: {k: None if st is None else st[0] for k, st in zip(keys, row)}
                for name, row in rows.items()}
-    table = (out / "ablation.txt").read_text(encoding="utf-8")
     try:
         print(table)
     except UnicodeEncodeError:  # a console without '±', as in an ASCII locale
@@ -295,7 +296,6 @@ def cmd_sweep(args, cfg, ds, out):
 # ---------------------------------------------------------------------------
 
 
-PROG = "protoplace"
 # Per command: its line in the program's help, the flags it shares with other
 # commands (each required, and first) and the function that runs it.
 COMMANDS = {
@@ -311,8 +311,8 @@ COMMANDS = {
 }
 
 
-def _command_parser(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """p given the arguments of the command `name`."""
+def _command_parser(p: argparse.ArgumentParser, name: str) -> None:
+    """Give p the arguments of the command `name`."""
     _, shared, func = COMMANDS[name]
     for flag in shared:
         p.add_argument(flag, required=True)
@@ -338,13 +338,14 @@ def _command_parser(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentP
     if name in ("train", "sweep"):
         p.add_argument("--mode", choices=tuple(MODES), default="full")
     p.set_defaults(func=func)
-    return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of the whole program: every command's parser under it."""
+    """The parser of the whole program: every command's parser under it.
+    Built once per process; argparse reads COLUMNS when it prints."""
     parser = argparse.ArgumentParser(
-        prog=PROG,
+        prog="protoplace",
         description="Placeholder-based prototype learning for zero-shot "
                     "recognition on embedding-level benchmarks.",
     )
@@ -354,21 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """The arguments of a command line.  Only the named command's parser is
-    built, as build_parser names it; a line it cannot take whole (help
-    before a command, no or an unknown command, an argument the command
-    does not know) goes to build_parser, so every help, usage and error
-    text is the whole program's."""
-    if argv and argv[0] in COMMANDS:
-        parser = _command_parser(argparse.ArgumentParser(prog=f"{PROG} {argv[0]}"),
-                                 argv[0])
-        args, unknown = parser.parse_known_args(argv[1:])
-        if not unknown:
-            return args
-    return build_parser().parse_args(argv)
-
-
 def main(argv=None) -> int:
     """Open the inputs the command names (the config, then --data, then
     --out), run the command on them, then write its manifest.json: the
@@ -376,7 +362,7 @@ def main(argv=None) -> int:
     fingerprint of a command that reads --data, and the wall time.  A command
     that fails writes none."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = _parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.time()
     try:
         cfg = cfgmod.load_config(args.config) if "config" in args else None

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -819,6 +820,24 @@ class TestEval:
         assert (out / "similarity_unseen_run_s2v.csv").exists()
         assert (out / "similarity_unseen_run_ep.csv").exists()
 
+    def test_two_models_of_one_name_get_numbered_files(self, trained):
+        # a/m and b/m would both be labelled m
+        tmp_path, cfg, data, model = trained
+        dirs = [tmp_path / side / "m" for side in ("a", "b")]
+        for d in dirs:
+            shutil.copytree(model, d)
+        out = tmp_path / "eval2"
+        assert run("eval", "--model", dirs[0], "--model", dirs[1],
+                   "--data", data, "--out", out, "--delta-grid", "0,0.5") == 0
+        for name in ("sweep", "report", "similarity_seen", "similarity_unseen"):
+            assert (out / f"{name}_model1.csv").read_bytes() == \
+                (out / f"{name}_model2.csv").read_bytes(), name
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == {"model1": str(dirs[0]),
+                                       "model2": str(dirs[1])}
+        assert set(manifest["metrics"]) == {"model1", "model2",
+                                            "dataset_fingerprint"}
+
     def test_rerun_metric_files_byte_identical(self, trained):
         tmp_path, cfg, data, model = trained
         e1 = tmp_path / "e1"
@@ -1009,6 +1028,73 @@ class TestEval:
         rc = run("eval", "--model", model, "--data", other_data,
                  "--out", other_root / "e")
         assert rc == 5
+
+
+def set_first_csv_label(label):
+    """An edit of features.csv text: its first row's label set to label."""
+    def edit(text):
+        head, row, rest = text.split("\n", 2)
+        cells = row.split(",")
+        cells[1] = str(label)
+        return "\n".join([head, ",".join(cells), rest])
+    return edit
+
+
+class TestRejections:
+    """Input rules that no other test breaks, each broken once through main."""
+
+    @pytest.fixture
+    def inputs(self, workdir):
+        """A directory of config.json, the binary dataset `data`, the CSV
+        dataset `csv` and the full model `run/model` trained on `data`."""
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        assert run("synth", "--config", cfg, "--out", tmp_path / "csv",
+                   "--format", "csv") == 0
+        assert run("train", "--config", cfg, "--data", data,
+                   "--out", tmp_path / "run", "--mode", "full") == 0
+        return tmp_path
+
+    # Per case: the file edited, the edit (of a .bin file's matrix, else of
+    # the text), the dataset that `eval` of run/model reads (None: `synth`
+    # on config.json), the exit code and a fragment of the message.
+    @pytest.mark.parametrize("name,edit,data,code,message", [
+        ("config.json", lambda _: "[]", None, 2,
+         "config root must be a JSON object"),
+        ("config.json", lambda _: '{"synth": 5}', None, 2,
+         "config key 'synth' must be a section"),
+        ("data/split.txt", lambda t: t[:t.index("test_unseen:")], "data", 5,
+         "missing sections ['test_unseen']"),
+        ("data/features.labels.bin", lambda a: a[:-1], "data", 5,
+         "one label per feature row required"),
+        ("csv/features.csv", set_first_csv_label(-1), "csv", 5,
+         "negative class label"),
+        ("csv/features.csv", set_first_csv_label(11), "csv", 5,
+         "label 11 has no attribute row (L = 11)"),
+        ("run/model/refiner_w_proj.bin", lambda a: a[:-1], "data", 5,
+         "w_proj rows must match the feature dimension"),
+        ("run/model/net_b2.bin", lambda a: a[:, :-1], "data", 5,
+         "output dimensions disagree between w2, b2"),
+        ("run/model/net_w1.bin", lambda a: a[:0], "data", 5,
+         "hidden width must be at least 1"),
+    ], ids=["config root a list", "section a number", "no test_unseen line",
+            "one label short", "csv label -1", "csv label past the classes",
+            "w_proj rows", "b2 length", "hidden width 0"])
+    def test_exit_code_and_message(self, inputs, capsys, name, edit, data,
+                                   code, message):
+        path = inputs / name
+        if path.suffix == ".bin":
+            save_matrix(path, edit(load_matrix(path)))
+        else:
+            path.write_text(edit(path.read_text()))
+        capsys.readouterr()
+        out = inputs / "e"
+        if data is None:
+            assert run("synth", "--config", path, "--out", out) == code
+        else:
+            assert run("eval", "--model", inputs / "run" / "model",
+                       "--data", inputs / data, "--out", out) == code
+        assert message in capsys.readouterr().err
 
 
 def drop_test_seen(data):

@@ -35,9 +35,10 @@ model.json records `"used_sof": false`, a pipeline that does not exist).
 The sweep at sigma 1e-310, below the smallest sigma accepted, is an
 expected failure too.  Last, a help and usage leg compares what argparse
 prints: `help` (`--help`) and `help_<command>` (`<command> --help`) for each
-of the five commands, and two expected failures, `error_usage_command` (a
-command that does not exist) and `error_usage_flag` (`eval` without
-`--model`): 21 expected failures per configuration.
+of the five commands, and three expected failures, `error_usage_command`
+(a command that does not exist), `error_usage_flag` (`eval` without
+`--model`) and `error_usage_unknown` (`eval` with every required flag and
+an unknown one, `--bogus 1`): 22 expected failures per configuration.
 Every step runs in its own process with PYTHONPATH set to the tree's `src`
 and one BLAS thread, from the same relative paths, so that its standard
 output, standard error and exit code (kept as `<step>.stdout`,
@@ -132,7 +133,8 @@ EXPECTED_FAILURES = ("sweep_sigma_1e-310", "error_csv_not_as_written", *ERRORS,
                      "error_missing_config",
                      "error_delta_grid", "error_eval_dims", "error_no_dataset",
                      "error_eval_no_model", "error_eval_other_pipeline",
-                     "error_usage_command", "error_usage_flag")
+                     "error_usage_command", "error_usage_flag",
+                     "error_usage_unknown")
 # The model that `error_eval_other_pipeline` evaluates, copied from train_full
 # just before that step runs.
 OTHER_PIPELINE = "model_other_pipeline"
@@ -203,7 +205,9 @@ def steps(n_values: str) -> list[tuple[str, list[str]]]:
     out += [(f"help_{command}", [command, "--help"]) for command in COMMANDS]
     out += [("error_usage_command", ["evaluate", *full, *data, "--out",
                                      "error_usage_command"]),
-            ("error_usage_flag", ["eval", *data, "--out", "error_usage_flag"])]
+            ("error_usage_flag", ["eval", *data, "--out", "error_usage_flag"]),
+            ("error_usage_unknown", ["eval", *full, *data, "--out",
+                                     "error_usage_unknown", "--bogus", "1"])]
     return out
 
 
