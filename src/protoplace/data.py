@@ -649,7 +649,7 @@ def sample_episode(ds: SplitDataset, m: int, n: int, rng: RngStream,
     chosen = np.empty((e, m), dtype=np.int64)
     picks = np.empty((e, m, n), dtype=np.int64)
     for i in range(e):
-        chosen[i] = eligible[rng.choice_without_replacement(eligible.size, m)]
+        chosen[i] = eligible[rng.permutation(eligible.size)[:m]]
         lo = 0
         for size, run in itertools.groupby(sizes[chosen[i]].tolist()):
             hi = lo + sum(1 for _ in run)

@@ -78,9 +78,9 @@ def pairwise_cosine(x) -> np.ndarray:
         raise ShapeError(f"pairwise input must be at least 2-D, got shape {x.shape}")
     xh, _ = unit_rows_or_zero(x.reshape(-1, x.shape[-1]))  # norms of a 2-D view
     xh = xh.reshape(x.shape)
-    # one operand times its own transpose: numpy's a @ a.T path, per matrix
-    sim = xh @ xh.swapaxes(-1, -2)
-    return np.clip((sim + sim.swapaxes(-1, -2)) / 2.0, -1.0, 1.0)
+    # one operand times its own transpose: numpy's a @ a.T path, per matrix,
+    # gives an exactly symmetric product (tests/test_linalg.py pins this)
+    return np.clip(xh @ xh.swapaxes(-1, -2), -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,6 @@ def train_sof(ds: SplitDataset, cfg: SofConfig) -> tuple[RefinerParams, list[flo
     # seen-class attributes, with each train row's target and the unit rows
     # of those attributes made once, not per batch; every train label is a
     # seen class (SplitDataset.validate)
-    x_all = ds.features[ds.train_idx]
     t_all = np.searchsorted(ds.seen_classes, ds.labels[ds.train_idx])
     seen_attrs = unit_rows(ds.attributes.rows(ds.seen_classes))
     k = ds.seen_classes.size
@@ -89,7 +88,7 @@ def train_sof(ds: SplitDataset, cfg: SofConfig) -> tuple[RefinerParams, list[flo
                          momentum=cfg.momentum)
     grad = np.empty_like(params.flat)
     g_views = params.views(grad)
-    n, bs = x_all.shape[0], cfg.batch_size
+    n, bs = ds.train_idx.size, cfg.batch_size
     # each row's batch start, in the epoch's flat target indices
     batch_start = np.arange(n) // bs * (bs * k)
 
@@ -97,7 +96,7 @@ def train_sof(ds: SplitDataset, cfg: SofConfig) -> tuple[RefinerParams, list[flo
         order = rng.permutation(n)
         # the epoch's rows in order, each batch a contiguous slice, and each
         # row's target index within its batch's scores
-        x_epoch = x_all[order]
+        x_epoch = ds.features[ds.train_idx[order]]
         at_epoch = target_indices(t_all[order], k) - batch_start
         for start in range(0, n, bs):
             xb = x_epoch[start:start + bs]

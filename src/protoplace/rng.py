@@ -45,14 +45,11 @@ class RngStream:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def choice_without_replacement(self, n: int, k: int) -> np.ndarray:
-        return self._gen.permutation(n)[:k]
-
     def choices_without_replacement(self, rows: int, n: int, k: int) -> np.ndarray:
         """(rows, k) draws; row i equals the i-th of `rows` successive
-        choice_without_replacement(n, k) calls, bit for bit, and the stream
-        ends in the same state: `permuted` shuffles the rows in order with
-        the shuffle `permutation` uses."""
+        permutation(n)[:k] draws, bit for bit, and the stream ends in the
+        same state: `permuted` shuffles the rows in order with the shuffle
+        `permutation` uses."""
         out = np.arange(n)[None].repeat(rows, axis=0)
         return self._gen.permuted(out, axis=1, out=out)[:, :k]
 

@@ -613,9 +613,9 @@ def reference_episode(ds, m, n, rng):
     pools = {int(c): np.sort(ds.train_idx[labels == c]) for c in ds.seen_classes}
     eligible = np.asarray([c for c in sorted(pools) if pools[c].size >= n],
                           dtype=np.int64)
-    class_ids = eligible[rng.choice_without_replacement(eligible.size, m)]
+    class_ids = eligible[rng.permutation(eligible.size)[:m]]
     sample_idx = np.stack([
-        pools[int(c)][rng.choice_without_replacement(pools[int(c)].size, n)]
+        pools[int(c)][rng.permutation(pools[int(c)].size)[:n]]
         for c in class_ids])
     return class_ids, sample_idx
 

@@ -304,7 +304,7 @@ def reference_propagation_weights(ep, cfg, rng):
     masked = np.zeros_like(w)
     for i in range(m):
         others = idx[idx != i]
-        pick = others[rng.choice_without_replacement(m - 1, cfg.n_neighbors)]
+        pick = others[rng.permutation(m - 1)[:cfg.n_neighbors]]
         chosen[i] = np.sort(pick)
         total = w[i, chosen[i]].sum()
         if total == 0:  # every chosen weight underflowed: the log-space row

@@ -61,6 +61,28 @@ class TestCosine:
             c = cos(rng.normal(size=4), rng.normal(size=4))
             assert -1.0 <= c <= 1.0
 
+    # pairwise_cosine returns numpy's a @ a.T unaveraged, so its graphs are
+    # symmetric only while numpy computes that product exactly symmetric,
+    # per matrix of a stack; a numpy release that breaks this fails here
+    # first.
+
+    @pytest.mark.parametrize("stack", [(), (1,), (8,)])
+    @pytest.mark.parametrize("m", [1, 2, 20, 50])
+    @pytest.mark.parametrize("d", [1, 6, 32, 512])
+    def test_exactly_symmetric(self, stack, m, d):
+        rng = np.random.default_rng(1000 * len(stack) + 10 * m + d)
+        sim = pairwise_cosine(rng.normal(size=(*stack, m, d)))
+        assert sim.shape == (*stack, m, m)
+        assert sim.tobytes() == sim.swapaxes(-1, -2).tobytes()
+
+    def test_exactly_symmetric_with_zero_rows(self):
+        x = np.random.default_rng(3).normal(size=(8, 20, 32))
+        x[2, 3] = 0.0
+        x[5, 0] = -0.0
+        for sim in (pairwise_cosine(x), pairwise_cosine(x[2])):
+            assert sim.tobytes() == sim.swapaxes(-1, -2).tobytes()
+        assert not pairwise_cosine(x)[2, 3].any()
+
 
 class TestSoftmax:
     def test_uniform_for_equal_scores(self):

@@ -6,11 +6,11 @@ PARENT_SRC and CHANGE_SRC are checkouts of this repository (or their `src`
 directories).  For each of four configurations (the criterion-8 config of
 tests/test_acceptance.py, the benchmark-sized config of
 perfbench/workloads.py at config seeds 0 and 1, and a small wide one: 512-d
-features and 85 attributes) the same CLI steps run once
-with each tree: `synth`, `train` in every mode, one `eval` of the four
-models on the config's grid, one on a comma grid and one on an unsorted
-comma grid that repeats a delta, `ablate --seeds 2`,
-one `sweep` over n_neighbors and one `sweep` per sigma value; then a CSV
+features and 85 attributes) the same CLI steps run once with each tree, the
+two trees at once, one thread each: `synth`, `train` in every mode, one
+`eval` of the four models on the config's grid, one on a comma grid and one
+on an unsorted comma grid that repeats a delta, `ablate --seeds 2`, one
+`sweep` over n_neighbors and one `sweep` per sigma value; then a CSV
 leg, which checks the CSV table reader and writer:
 `synth --format csv`, `train --mode full` on that data and its `eval`,
 and one expected failure, `error_csv_not_as_written` (`eval` on a copy of
@@ -40,11 +40,11 @@ of the five commands, and three expected failures, `error_usage_command`
 `--model`) and `error_usage_unknown` (`eval` with every required flag and
 an unknown one, `--bogus 1`): 22 expected failures per configuration.
 Every step runs in its own process with PYTHONPATH set to the tree's `src`
-and one BLAS thread, from the same relative paths, so that its standard
-output, standard error and exit code (kept as `<step>.stdout`,
-`<step>.stderr` and `<step>.exit`) are compared too.  In the standard error
-the tree's `src` path reads `SRC`, so a warning's source line compares
-equal across checkouts.
+and one BLAS thread, in the tree's own work directory and from the same
+relative paths, so that its standard output, standard error and exit code
+(kept as `<step>.stdout`, `<step>.stderr` and `<step>.exit`) are compared
+too.  In the standard error the tree's `src` path reads `SRC`, so a
+warning's source line compares equal across checkouts.
 
 Every file that differs, or exists on one side only, is listed, and so is
 every other step that exits non-zero under both trees: equal outputs of
@@ -66,6 +66,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -316,8 +317,13 @@ def main(argv=None) -> int:
     failed = unfailed = 0
     try:
         for label, (config, n_values) in CONFIGS.items():
-            for side, src in trees.items():
-                run_tree(src, work / side / label, config, n_values)
+            # each tree's steps in order on its own thread; the steps are
+            # processes, so the trees run side by side
+            with ThreadPoolExecutor(max_workers=len(trees)) as pool:
+                runs = [pool.submit(run_tree, src, work / side / label, config,
+                                    n_values) for side, src in trees.items()]
+            for run in runs:
+                run.result()
             a, b = work / "parent" / label, work / "change" / label
             failed_steps, passed_steps = unexpected_exits(a, b, n_values)
             found = differing(a, b, passed_steps)
