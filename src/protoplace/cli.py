@@ -47,6 +47,13 @@ def _plain(spec: str) -> str:
     return spec
 
 
+def _value_cell(value) -> str:
+    """A swept value as sweep.csv writes it: as %g where float() reads that
+    back as the value, else as repr() writes it."""
+    cell = f"{value:g}"
+    return cell if float(cell) == value else repr(value)
+
+
 def _parse_delta_grid(spec: str | None) -> list[float]:
     """`start:stop:step` or comma-separated deltas, each as float() reads
     it, in a _plain spec; None means the default config's grid."""
@@ -98,36 +105,49 @@ def _parse_sweep_values(spec: str, param: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# pipeline helpers shared by train / ablate / sweep.  Each command builds all
-# its runs' configs (dataclasses.replace checks each) before the first trains,
-# so a bad value fails before any work.
+# pipeline helpers shared by train / ablate / sweep.  _train_runs is the one
+# place that turns a command's runs into seeded configs, all of them
+# (dataclasses.replace checks each) before the first trains, so a bad value
+# fails before any work; _run_grid scores each model for ablate and sweep.
 
 
-def _train_runs(ds, runs):
-    """Train each run, a (SofConfig or None, TrainConfig) pair, in order, and
-    yield its training data, its stage one ((refiner, loss trace) or None)
-    and its model, once the data is checked to hold every run's episodes.
-    Stage one reads only the dataset, the `sof` section and the seed, so it
-    trains once per stretch of runs with equal SofConfigs (runs without stage
-    one between them included)."""
-    for m, n in dict.fromkeys((t.m_classes, t.n_samples) for _, t in runs):
+def _train_runs(ds, cfg, runs, seeds=1):
+    """For each of `seeds` seeds counted up from the config's, seed by seed,
+    train each run, a (name, use_sof, TrainConfig) triple, in order, and
+    yield its name, its seed, its training data, its stage one ((refiner,
+    loss trace) or None) and its model, once the data is checked to hold
+    every run's episodes.  Stage one reads only the dataset, the `sof`
+    section and the seed, so it trains once per stretch of runs with equal
+    SofConfigs (runs without stage one between them included)."""
+    grid = [(name, seed, replace(cfg.sof, seed=seed) if use_sof else None,
+             replace(train, seed=seed))
+            for seed in range(cfg.sof.seed, cfg.sof.seed + seeds)
+            for name, use_sof, train in runs]
+    for m, n in dict.fromkeys((t.m_classes, t.n_samples) for *_, t in grid):
         episode_classes(ds, m, n)
     done = stage_one = refined = None
-    for sof_cfg, train_cfg in runs:
+    for name, seed, sof_cfg, train_cfg in grid:
         if sof_cfg is not None and sof_cfg != done:
             refiner, trace = train_sof(ds, sof_cfg)
             done, stage_one, refined = sof_cfg, (refiner, trace), \
                 refine_features(ds, refiner)
         if sof_cfg is None:
-            yield ds, None, train_prototypes(ds, train_cfg)
+            yield name, seed, ds, None, train_prototypes(ds, train_cfg)
         else:
-            yield refined, stage_one, train_prototypes(refined, train_cfg)
+            yield name, seed, refined, stage_one, train_prototypes(refined, train_cfg)
 
 
 def _eval_model(model: PrototypeModel, eval_ds, grid):
     reports, best_delta = cs_sweep(model, eval_ds, grid)
     best = next(r for r in reports if r.delta == best_delta)
     return reports, best
+
+
+def _run_grid(ds, cfg, runs, seeds=1):
+    """(name, seed, best EvalReport on its training data) of each model
+    _train_runs trains."""
+    for name, seed, train_ds, _, model in _train_runs(ds, cfg, runs, seeds):
+        yield name, seed, _eval_model(model, train_ds, cfg.grid)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +167,8 @@ def cmd_synth(args, cfg, _, out):
 
 def cmd_train(args, cfg, ds, out):
     mode_name, use_sof = MODES[args.mode]
-    run = (cfg.sof if use_sof else None, replace(cfg.train, mode=mode_name))
-    [(_, stage_one, model)] = _train_runs(ds, [run])
+    run = (args.mode, use_sof, replace(cfg.train, mode=mode_name))
+    [(*_, stage_one, model)] = _train_runs(ds, cfg, [run])
     model_dir = out / "model"
     check_float32(*[model.net, stage_one[0]] if use_sof else [model.net])
     save_model(model, model_dir, args.mode)
@@ -188,11 +208,12 @@ def cmd_eval(args, _, ds, out):
     else:
         labels = [p.parent.name if p.name == "model" else p.name
                   for p in model_dirs]
-        if len(set(labels)) != len(labels):
+        if "" in labels or len(set(labels)) != len(labels):
             labels = [f"model{i}" for i in range(1, len(model_dirs) + 1)]
-    metrics = {}
-    outputs = {}
-    for model_dir, label in zip(model_dirs, labels):
+    # every model, its refined features where stage one ran and their
+    # dimensions are checked before the first file is written
+    loaded = []
+    for model_dir in model_dirs:
         if not (model_dir / "model.json").exists():
             raise FileNotFoundError(f"no trained model under {model_dir}")
         model, record = load_model(model_dir)
@@ -201,8 +222,11 @@ def cmd_eval(args, _, ds, out):
                 f"model maps {model.net.in_dim}->{model.net.out_dim}, dataset is "
                 f"{ds.attr_dim}->{ds.feat_dim}"
             )
-        eval_ds = refine_features(ds, load_refiner(model_dir)) if record["used_sof"] \
-            else ds
+        loaded.append((model, refine_features(ds, load_refiner(model_dir))
+                       if record["used_sof"] else ds))
+    metrics = {}
+    outputs = {}
+    for model_dir, label, (model, eval_ds) in zip(model_dirs, labels, loaded):
         reports, best = _eval_model(model, eval_ds, grid)
         _write_report_files(out, label, reports, best, model, eval_ds)
         key = label or "model"
@@ -220,26 +244,16 @@ def cmd_ablate(args, cfg, ds, out):
     if args.seeds > cfgmod.MAX_SERIES:
         raise ConfigError(f"--seeds must be at most {cfgmod.MAX_SERIES}, "
                           f"got {args.seeds}")
-    ladder = [(name, mode_name, use_sof)
+    ladder = [(name, use_sof, replace(cfg.train, mode=mode_name))
               for _, name, mode_name, use_sof in PIPELINES if name is not None]
-    # every ladder row of every seed, seed by seed; a seed past 2**64 - 1
-    # fails here
-    runs = [(replace(cfg.sof, seed=seed) if use_sof else None,
-             replace(cfg.train, mode=mode_name, seed=seed))
-            for seed in range(cfg.sof.seed, cfg.sof.seed + args.seeds)
-            for _, mode_name, use_sof in ladder]
     keys = ("T", "U", "S", "H")
-    per_seed = {name: {k: [] for k in keys} for name, _, _ in ladder}
-    for (name, _, _), (train_ds, _, model) in zip(ladder * args.seeds,
-                                                  _train_runs(ds, runs)):
-        best = _eval_model(model, train_ds, cfg.grid)[1]
-        for key, values in per_seed[name].items():
-            values.append(getattr(best, key))
+    results = list(_run_grid(ds, cfg, ladder, args.seeds))
     # per row, each metric's (mean, standard deviation) over the seeds; None
     # where a seed leaves the metric undefined (a split without test rows)
     rows = {name: [None if None in v else (float(np.mean(v)), float(np.std(v)))
-                   for v in stats.values()]
-            for name, stats in per_seed.items()}
+                   for v in zip(*([getattr(best, k) for k in keys]
+                                  for row, _, best in results if row == name))]
+            for name, _, _ in ladder}
 
     write_csv(out / "ablation.csv", ("config", *keys),
               ([name, *("" if st is None else f"{st[0]:.4f}±{st[1]:.4f}"
@@ -276,21 +290,18 @@ def cmd_sweep(args, cfg, ds, out):
         raise ConfigError(f"--mode {args.mode} never hallucinates, so no run would "
                           f"use {args.param}")
     # n_neighbors = 0 disables hallucination: the config's s2v_baseline run
-    runs = [(cfg.sof if use_sof else None,
+    runs = [(value, use_sof,
              cfg.train if param == "n_neighbors" and value == 0 else
              replace(cfg.train, mode=mode_name, hallucination=replace(
                  cfg.train.hallucination, **{param: value})))
             for value in values]
-    results = []
-    for value, (train_ds, _, model) in zip(values, _train_runs(ds, runs)):
-        best = _eval_model(model, train_ds, cfg.grid)[1]
-        results.append((value, best.T, best.H))
+    results = list(_run_grid(ds, cfg, runs))
 
     write_csv(out / "sweep.csv", ("value", "T", "H"),
-              ([f"{value:g}", t, h] for value, t, h in results))
+              ([_value_cell(value), best.T, best.H] for value, _, best in results))
     print(f"swept {args.param} over {values} -> {out / 'sweep.csv'}")
     return cfg.record, {"sweep": out / "sweep.csv"}, \
-        {str(v): {"T": t, "H": h} for v, t, h in results}
+        {str(v): {"T": best.T, "H": best.H} for v, _, best in results}
 
 
 # ---------------------------------------------------------------------------

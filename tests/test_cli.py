@@ -480,6 +480,58 @@ class TestStageOnePerSeed:
         assert training_calls == dict(zip(("train_sof", "train_prototypes"), calls))
 
 
+class TestRunGrid:
+    """What the run grid hands each row: the model `train` would train for
+    that row's pipeline and seed, scored as `eval` scores it.  With ten test
+    rows per class, the rows, the seeds and the swept values score apart."""
+
+    SYNTH = {"test_per_class": 10}
+
+    def train_and_eval(self, tmp_path, data, mode, **sections):
+        """eval's manifest metrics of `train --mode mode` under the config
+        with these sections, on the config's grid."""
+        cfg = write_config(tmp_path / "run.json", synth=self.SYNTH, **sections)
+        shutil.rmtree(tmp_path / "run", ignore_errors=True)
+        assert run("train", "--config", cfg, "--data", data,
+                   "--out", tmp_path / "run", "--mode", mode) == 0
+        grid = ",".join(map(str, load_config(cfg).grid))
+        assert run("eval", "--model", tmp_path / "run" / "model", "--data", data,
+                   "--out", tmp_path / "run", f"--delta-grid={grid}") == 0
+        return json.loads((tmp_path / "run" / "manifest.json").read_text()
+                          )["metrics"]["model"]
+
+    def test_ablation_rows_are_seed_major_pipelines(self, tmp_path):
+        seed = 3
+        cfg = write_config(tmp_path / "config.json", synth=self.SYNTH, seed=seed)
+        data = make_data(tmp_path, cfg)
+        out = tmp_path / "ablate"
+        assert run("ablate", "--config", cfg, "--data", data, "--out", out,
+                   "--seeds", "2") == 0
+        cells = {line.split(",")[0]: line.split(",")[1:] for line in
+                 (out / "ablation.csv").read_text().splitlines()[1:]}
+        assert cells["s2v"] != cells["s2v+sof+ep_ei"]
+        for row, mode in (("s2v", "s2v"), ("s2v+sof+ep_ei", "full")):
+            per_seed = [self.train_and_eval(tmp_path, data, mode, seed=s)
+                        for s in (seed, seed + 1)]
+            assert per_seed[0] != per_seed[1]
+            want = [f"{np.mean(v):.4f}±{np.std(v):.4f}" for v in
+                    ([m[k] for m in per_seed] for k in ("T", "U", "S", "H"))]
+            assert cells[row] == want, row
+
+    def test_sweep_rows_are_their_train_runs(self, tmp_path):
+        cfg = write_config(tmp_path / "config.json", synth=self.SYNTH)
+        data = make_data(tmp_path, cfg)
+        out = tmp_path / "sweep"
+        assert run("sweep", "--config", cfg, "--data", data, "--out", out,
+                   "--param", "n", "--values", "1,2", "--mode", "ep-ei") == 0
+        swept = json.loads((out / "manifest.json").read_text())["metrics"]
+        assert swept["1"] != swept["2"]
+        for n in (1, 2):
+            got = self.train_and_eval(tmp_path, data, "ep-ei",
+                                      hallucination={"n_neighbors": n})
+            assert swept[str(n)] == {"T": got["T"], "H": got["H"]}, n
+
+
 class TestSynth:
     def test_writes_dataset_and_manifest(self, workdir):
         tmp_path, cfg = workdir
@@ -837,6 +889,44 @@ class TestEval:
                                        "model2": str(dirs[1])}
         assert set(manifest["metrics"]) == {"model1", "model2",
                                             "dataset_fingerprint"}
+
+    def test_empty_label_is_numbered(self, trained, monkeypatch):
+        # `model` is labelled "" (its parent is `.`) and `model/model` is
+        # labelled `model`: two labels, yet "" would share the key `model`
+        tmp_path, cfg, data, model = trained
+        shutil.copytree(model, tmp_path / "model")
+        shutil.copytree(model, tmp_path / "model" / "model")
+        monkeypatch.chdir(tmp_path)
+        assert run("eval", "--model", "model", "--model", "model/model",
+                   "--data", data, "--out", "eval2", "--delta-grid", "0,0.5") == 0
+        out = tmp_path / "eval2"
+        assert (out / "report_model1.csv").read_bytes() == \
+            (out / "report_model2.csv").read_bytes()
+        assert not (out / "report.csv").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == {"model1": "model", "model2": "model/model"}
+        assert set(manifest["metrics"]) == {"model1", "model2",
+                                            "dataset_fingerprint"}
+
+    @pytest.mark.parametrize("second,code", [("missing", 3), ("other_dims", 5)])
+    def test_failing_second_model_writes_no_file(self, trained, tmp_path_factory,
+                                                 second, code):
+        # every model is loaded and checked before the first one's files
+        tmp_path, cfg, data, model = trained
+        other = tmp_path / "ghost" / "model"
+        if second == "other_dims":
+            root = tmp_path_factory.mktemp("other")
+            cfg2 = root / "cfg.json"
+            cfg2.write_text(json.dumps(dict(TINY, synth=dict(
+                TINY["synth"], attr_dim=5, feat_dim=7))))
+            assert run("synth", "--config", cfg2, "--out", root / "data") == 0
+            assert run("train", "--config", cfg2, "--data", root / "data",
+                       "--out", root / "run", "--mode", "s2v") == 0
+            other = root / "run" / "model"
+        out = tmp_path / "e"
+        assert run("eval", "--model", model, "--model", other, "--data", data,
+                   "--out", out) == code
+        assert list(out.iterdir()) == []
 
     def test_rerun_metric_files_byte_identical(self, trained):
         tmp_path, cfg, data, model = trained
@@ -1266,6 +1356,29 @@ class TestSweep:
                  "--out", tmp_path / "out", "--mode", "ep-ei")
         assert rc == 2
         assert "sigma must be at least" in capsys.readouterr().err
+
+    def test_values_apart_below_g_precision_keep_their_cells(self, workdir):
+        # %g writes both as 1: such a value is written as repr() writes it
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        out = tmp_path / "s"
+        assert run("sweep", "--config", cfg, "--data", data, "--out", out,
+                   "--param", "sigma", "--values", "1.0000001,1.0000002",
+                   "--mode", "ep-ei") == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert [l.split(",")[0] for l in lines[1:]] == ["1.0000001", "1.0000002"]
+
+    @pytest.mark.parametrize("value,cell", [
+        # the swept values of tests/golden/ and tools/compare_outputs.py keep
+        # their %g bytes
+        *((n, str(n)) for n in (0, 1, 2, 3, 4, 8)),
+        *((float(v), v) for v in ("1e-310", "1e-308", "0.0001", "0.001", "0.05",
+                                  "0.2", "1")),
+        # %g would write 1.23457e+08 and 0.3
+        (123456789, "123456789"), (0.1 + 0.2, "0.30000000000000004")])
+    def test_value_cell(self, value, cell):
+        assert cli._value_cell(value) == cell
+        assert float(cell) == value
 
     def test_smallest_normal_sigma_trains(self, workdir):
         tmp_path, cfg = workdir

@@ -29,16 +29,18 @@ whose `--config` does not exist), `error_delta_grid` (an empty
 `--delta-grid=`), `error_eval_dims` (`eval` of a model on the data of
 `synth_other`, whose dimensions differ), `error_no_dataset` (`eval` whose
 `--data` is an empty directory), `error_eval_no_model` (`eval --model
-train_full`, the run directory, which holds no model.json) and
+train_full`, the run directory, which holds no model.json),
 `error_eval_other_pipeline` (`eval` of a copy of the full model whose
-model.json records `"used_sof": false`, a pipeline that does not exist).
+model.json records `"used_sof": false`, a pipeline that does not exist) and
+`error_eval_second_model_missing` (`eval` of the full model and of a model
+directory that does not exist).
 The sweep at sigma 1e-310, below the smallest sigma accepted, is an
 expected failure too.  Last, a help and usage leg compares what argparse
 prints: `help` (`--help`) and `help_<command>` (`<command> --help`) for each
 of the five commands, and three expected failures, `error_usage_command`
 (a command that does not exist), `error_usage_flag` (`eval` without
 `--model`) and `error_usage_unknown` (`eval` with every required flag and
-an unknown one, `--bogus 1`): 22 expected failures per configuration.
+an unknown one, `--bogus 1`): 23 expected failures per configuration.
 Every step runs in its own process with PYTHONPATH set to the tree's `src`
 and one BLAS thread, in the tree's own work directory and from the same
 relative paths, so that its standard output, standard error and exit code
@@ -52,10 +54,15 @@ a step that failed on both sides (a broken command line) are not hidden
 inside `identical`.  An expected failure that exits 0 on
 either side is listed too: the rule it breaks went unchecked.  Its outputs
 are not compared, as the side that ran it wrote what the other did not.
+An expected failure that fails writes nothing: each file left in its --out
+directory (named after the step; `main` creates it, so an empty one is
+fine) and its standard output, where not empty, is listed with its side
+instead of compared.
 Each `manifest.json` is compared as parsed JSON without its
 `duration_seconds`, the one field that holds a wall time.
-Exit status 0: no file differs and every expected failure failed; 1
-otherwise.  Standard library only; the CLI processes need numpy.
+Exit status 0: no file differs and every expected failure failed, leaving
+no output under the change; 1 otherwise.  Standard library only; the CLI
+processes need numpy.
 """
 from __future__ import annotations
 
@@ -134,6 +141,7 @@ EXPECTED_FAILURES = ("sweep_sigma_1e-310", "error_csv_not_as_written", *ERRORS,
                      "error_missing_config",
                      "error_delta_grid", "error_eval_dims", "error_no_dataset",
                      "error_eval_no_model", "error_eval_other_pipeline",
+                     "error_eval_second_model_missing",
                      "error_usage_command", "error_usage_flag",
                      "error_usage_unknown")
 # The model that `error_eval_other_pipeline` evaluates, copied from train_full
@@ -201,7 +209,10 @@ def steps(n_values: str) -> list[tuple[str, list[str]]]:
             ("error_eval_no_model", ["eval", "--model", "train_full", *data,
                                      "--out", "error_eval_no_model"]),
             ("error_eval_other_pipeline", ["eval", "--model", OTHER_PIPELINE, *data,
-                                           "--out", "error_eval_other_pipeline"])]
+                                           "--out", "error_eval_other_pipeline"]),
+            ("error_eval_second_model_missing",
+             ["eval", *full, "--model", "absent/model", *data,
+              "--out", "error_eval_second_model_missing"])]
     out.append(("help", ["--help"]))
     out += [(f"help_{command}", [command, "--help"]) for command in COMMANDS]
     out += [("error_usage_command", ["evaluate", *full, *data, "--out",
@@ -270,12 +281,9 @@ def content(path: Path):
     return record
 
 
-def differing(a: Path, b: Path, skip=()) -> list[str]:
+def differing(a: Path, b: Path, skipped: set[str]) -> list[str]:
     """Relative paths, below a and b, of files that differ or exist once,
-    less the outputs of the steps in skip: each one's directory and its
-    .stdout, .stderr and .exit files."""
-    skipped = {f"{name}{suffix}" for name in skip
-               for suffix in ("", ".stdout", ".stderr", ".exit")}
+    less those under the top-level names in skipped."""
 
     def files(root: Path) -> set[str]:
         rels = (p.relative_to(root) for p in root.rglob("*") if p.is_file())
@@ -286,6 +294,17 @@ def differing(a: Path, b: Path, skip=()) -> list[str]:
     out += [rel for rel in sorted(in_a & in_b)
             if content(a / rel) != content(b / rel)]
     return out
+
+
+def left_behind(root: Path, name: str) -> list[str]:
+    """What the expected failure `name` left below root: each file in its
+    --out directory, which has its name, and its standard output where it
+    is not empty."""
+    left = sorted(str(p.relative_to(root)) for p in (root / name).rglob("*")
+                  if p.is_file())
+    if (root / f"{name}.stdout").read_text():
+        left.append(f"{name}.stdout")
+    return left
 
 
 def unexpected_exits(a: Path, b: Path, n_values: str) -> tuple[list[str], dict]:
@@ -315,6 +334,7 @@ def main(argv=None) -> int:
     work = Path(args.work) if args.work else Path(tempfile.mkdtemp(prefix="cmp-"))
     diffs = []
     failed = unfailed = 0
+    written = dict.fromkeys(trees, 0)
     try:
         for label, (config, n_values) in CONFIGS.items():
             # each tree's steps in order on its own thread; the steps are
@@ -326,7 +346,15 @@ def main(argv=None) -> int:
                 run.result()
             a, b = work / "parent" / label, work / "change" / label
             failed_steps, passed_steps = unexpected_exits(a, b, n_values)
-            found = differing(a, b, passed_steps)
+            # an expected failure's outputs are compared only through its
+            # standard error and exit code, and must be empty
+            failing = [name for name in EXPECTED_FAILURES
+                       if name not in passed_steps]
+            found = differing(a, b, {
+                *(f"{name}{suffix}" for name in passed_steps
+                  for suffix in ("", ".stdout", ".stderr", ".exit")),
+                *(f"{name}{suffix}" for name in failing
+                  for suffix in ("", ".stdout"))})
             print(f"{label}: {len(found)} differing file(s); "
                   f"{len(EXPECTED_FAILURES) - len(passed_steps)} of "
                   f"{len(EXPECTED_FAILURES)} expected failures failed")
@@ -334,6 +362,12 @@ def main(argv=None) -> int:
                 print(f"  failed on both sides: {step}")
             for step in passed_steps.values():
                 print(f"  expected failure did not fail: {step}")
+            for side in trees:
+                left = [rel for name in failing
+                        for rel in left_behind(work / side / label, name)]
+                for rel in left:
+                    print(f"  expected failure left output ({side}): {rel}")
+                written[side] += len(left)
             failed += len(failed_steps)
             unfailed += len(passed_steps)
             diffs += [f"{label}/{rel}" for rel in found]
@@ -345,8 +379,11 @@ def main(argv=None) -> int:
     summary = "identical" if not diffs else f"{len(diffs)} differing file(s)"
     if unfailed:
         summary += f"; {unfailed} expected failure(s) did not fail"
+    for side, count in written.items():
+        if count:
+            summary += f"; expected failures left {count} output(s) ({side})"
     print(f"{summary}; {failed} step(s) failed on both sides" if failed else summary)
-    return 1 if diffs or unfailed else 0
+    return 1 if diffs or unfailed or written["change"] else 0
 
 
 if __name__ == "__main__":
