@@ -29,7 +29,8 @@ from .errors import CapacityError, ConfigError, FormatError, ParameterError, \
 from .metrics import cs_sweep, prototype_similarity
 from .prototypes import MODES, PIPELINES, PLACEHOLDERS, PrototypeModel, load_model, \
     project_prototypes, save_model, train_prototypes
-from .refine import load_refiner, refine_features, save_refiner, train_sof
+from .refine import load_refiner, refine_features, refiner_map, save_refiner, \
+    train_sof
 
 # `sweep --param` names: the hallucination config keys, plus `n` for n_neighbors.
 SWEEP_PARAMS = {"n_neighbors": "n_neighbors", "n": "n_neighbors", "sigma": "sigma"}
@@ -137,8 +138,8 @@ def _train_runs(ds, cfg, runs, seeds=1):
             yield name, seed, refined, stage_one, train_prototypes(refined, train_cfg)
 
 
-def _eval_model(model: PrototypeModel, eval_ds, grid):
-    reports, best_delta = cs_sweep(model, eval_ds, grid)
+def _eval_model(model: PrototypeModel, eval_ds, grid, f_lin=None):
+    reports, best_delta = cs_sweep(model, eval_ds, grid, f_lin)
     best = next(r for r in reports if r.delta == best_delta)
     return reports, best
 
@@ -210,8 +211,9 @@ def cmd_eval(args, _, ds, out):
                   for p in model_dirs]
         if "" in labels or len(set(labels)) != len(labels):
             labels = [f"model{i}" for i in range(1, len(model_dirs) + 1)]
-    # every model, its refined features where stage one ran and their
-    # dimensions are checked before the first file is written
+    # every model, and its refiner's map where stage one ran, is loaded and
+    # its dimensions checked before the first file is written; cs_sweep maps
+    # only the test rows it scores
     loaded = []
     for model_dir in model_dirs:
         if not (model_dir / "model.json").exists():
@@ -222,13 +224,13 @@ def cmd_eval(args, _, ds, out):
                 f"model maps {model.net.in_dim}->{model.net.out_dim}, dataset is "
                 f"{ds.attr_dim}->{ds.feat_dim}"
             )
-        loaded.append((model, refine_features(ds, load_refiner(model_dir))
-                       if record["used_sof"] else ds))
+        loaded.append((model, refiner_map(load_refiner(model_dir), ds.feat_dim)
+                       if record["used_sof"] else None))
     metrics = {}
     outputs = {}
-    for model_dir, label, (model, eval_ds) in zip(model_dirs, labels, loaded):
-        reports, best = _eval_model(model, eval_ds, grid)
-        _write_report_files(out, label, reports, best, model, eval_ds)
+    for model_dir, label, (model, f_lin) in zip(model_dirs, labels, loaded):
+        reports, best = _eval_model(model, ds, grid, f_lin)
+        _write_report_files(out, label, reports, best, model, ds)
         key = label or "model"
         metrics[key] = {"T": best.T, "U": best.U, "S": best.S, "H": best.H,
                         "delta": best.delta}

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import SplitDataset
-from .linalg import as_matrix, pairwise_cosine, unit_rows_or_zero
+from .linalg import as_matrix, pairwise_cosine, require_finite, unit_rows_or_zero
 from .prototypes import PrototypeModel, project_prototypes
 
 
@@ -208,7 +208,7 @@ def _sweep_accuracies(top: _TopScores, index: _LabelIndex,
 
 
 def cs_sweep(
-    model: PrototypeModel, ds: SplitDataset, delta_grid
+    model: PrototypeModel, ds: SplitDataset, delta_grid, f_lin=None
 ) -> tuple[list[EvalReport], float]:
     """One report per delta of the calibration grid, and the delta of best H
     (the first of a tie).  T is the ZSL accuracy on test_unseen against the
@@ -217,15 +217,28 @@ def cs_sweep(
     once; the grid then costs one pass over each split's rows per
     GRID_BLOCK deltas, plus a bisection of O(rows * log(deltas))
     (_sweep_accuracies).  The grid is nonempty, and each test label in its
-    split's class set."""
+    split's class set.
+
+    f_lin, a stage-one refiner's map, maps the test rows, and only those,
+    as refine.refine_features maps every row: the rows of test_unseen and
+    test_seen are gathered once and mapped in one product, so that each
+    row takes the same BLAS kernel as in the product over all rows (a
+    one-row product, where the whole test set is one row, need not)."""
     grid = [float(d) for d in delta_grid]
     seen, unseen = ds.seen_classes, ds.unseen_classes
     test_u, test_s = ds.test_unseen_idx, ds.test_seen_idx
+    # each split's rows: gathered where it is scored, so that no copy is
+    # held, or, with f_lin, sliced from the test rows mapped once
+    rows, at_u, at_s = ds.features, test_u, test_s
+    if f_lin is not None:
+        rows = require_finite(rows[np.concatenate([test_u, test_s])] @ f_lin,
+                              "features")
+        at_u, at_s = slice(0, test_u.size), slice(test_u.size, None)
 
     t_acc = None
     if unseen.size and test_u.size:
         protos_u = project_prototypes(model, ds.attributes, unseen)
-        scores, index = _split(ds.features[test_u], ds.labels[test_u], protos_u,
+        scores, index = _split(rows[at_u], ds.labels[test_u], protos_u,
                                unseen, np.zeros(unseen.size, bool))
         t_acc = _accuracy(scores.predict(0.0), index)[0]
 
@@ -237,10 +250,10 @@ def cs_sweep(
         mask = np.concatenate([np.ones(seen.size, bool), np.zeros(unseen.size, bool)])
         reach = float(np.max(np.abs(grid)))
         deltas = np.array(grid)
-        for k, idx in enumerate((test_u, test_s)):
+        for k, (at, idx) in enumerate(((at_u, test_u), (at_s, test_s))):
             if idx.size:
-                scores, index = _split(ds.features[idx], ds.labels[idx], protos,
-                                       union, mask)
+                scores, index = _split(rows[at], ds.labels[idx], protos, union,
+                                       mask)
                 top = _top_scores(scores, reach)
                 accs[k] = [a for lo in range(0, deltas.size, GRID_BLOCK)
                            for a in _sweep_accuracies(

@@ -111,17 +111,24 @@ def train_sof(ds: SplitDataset, cfg: SofConfig) -> tuple[RefinerParams, list[flo
     return params, fit(opt, params.flat, cfg.epochs, epoch_steps, "refinement")
 
 
+def refiner_map(params: RefinerParams, feat_dim: int) -> np.ndarray:
+    """The refiner's f_lin; ShapeError where it does not map feat_dim-
+    dimensional features."""
+    if params.f_lin.shape[0] != feat_dim:
+        raise ShapeError(
+            f"refiner is {params.f_lin.shape[0]}-dimensional, features are "
+            f"{feat_dim}-dimensional"
+        )
+    return params.f_lin
+
+
 def refine_features(ds: SplitDataset, params: RefinerParams) -> SplitDataset:
     """A shallow copy of ds whose features are mapped through the refiner and
     checked finite: the unchanged split, and its train_pools once built, are
     shared, not validated or built again."""
-    if params.f_lin.shape[0] != ds.feat_dim:
-        raise ShapeError(
-            f"refiner is {params.f_lin.shape[0]}-dimensional, features are "
-            f"{ds.feat_dim}-dimensional"
-        )
     out = copy.copy(ds)
-    out.features = require_finite(ds.features @ params.f_lin, "features")
+    out.features = require_finite(ds.features @ refiner_map(params, ds.feat_dim),
+                                  "features")
     return out
 
 

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -908,25 +909,92 @@ class TestEval:
         assert set(manifest["metrics"]) == {"model1", "model2",
                                             "dataset_fingerprint"}
 
-    @pytest.mark.parametrize("second,code", [("missing", 3), ("other_dims", 5)])
+    @pytest.mark.parametrize("second,code", [("missing", 3), ("other_dims", 5),
+                                             ("refiner_dims", 5)])
     def test_failing_second_model_writes_no_file(self, trained, tmp_path_factory,
                                                  second, code):
         # every model is loaded and checked before the first one's files
         tmp_path, cfg, data, model = trained
         other = tmp_path / "ghost" / "model"
-        if second == "other_dims":
+        if second != "missing":
+            # other_dims: a model of 5 attributes and 7 feature dimensions;
+            # refiner_dims: a full model of this data, with the refiner of
+            # a full model of 7 feature dimensions
             root = tmp_path_factory.mktemp("other")
             cfg2 = root / "cfg.json"
             cfg2.write_text(json.dumps(dict(TINY, synth=dict(
                 TINY["synth"], attr_dim=5, feat_dim=7))))
             assert run("synth", "--config", cfg2, "--out", root / "data") == 0
+            mode = "s2v" if second == "other_dims" else "full"
             assert run("train", "--config", cfg2, "--data", root / "data",
-                       "--out", root / "run", "--mode", "s2v") == 0
+                       "--out", root / "run", "--mode", mode) == 0
             other = root / "run" / "model"
+        if second == "refiner_dims":
+            fit = tmp_path / "fit" / "model"
+            assert run("train", "--config", cfg, "--data", data,
+                       "--out", fit.parent, "--mode", "full") == 0
+            for path in other.glob("refiner*"):
+                shutil.copy(path, fit / path.name)
+            other = fit
         out = tmp_path / "e"
         assert run("eval", "--model", model, "--model", other, "--data", data,
                    "--out", out) == code
         assert list(out.iterdir()) == []
+
+    def test_full_model_reads_only_test_rows(self, workdir, monkeypatch):
+        # stage one's map is applied to the test rows alone: train rows that
+        # are not finite change no output
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        model = tmp_path / "run" / "model"
+        assert run("train", "--config", cfg, "--data", data,
+                   "--out", model.parent, "--mode", "full") == 0
+        assert run("eval", "--model", model, "--data", data,
+                   "--out", tmp_path / "clean") == 0
+
+        def poisoned(data_dir):
+            ds, fingerprint = load_dataset_dir(data_dir)
+            ds.features[ds.train_idx] = np.nan
+            return ds, fingerprint
+        monkeypatch.setattr(cli, "load_dataset_dir", poisoned)
+        assert run("eval", "--model", model, "--data", data,
+                   "--out", tmp_path / "poisoned") == 0
+        names = sorted(p.name for p in (tmp_path / "clean").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "poisoned").iterdir())
+        for name in names:
+            clean, dirty = (tmp_path / side / name for side in ("clean", "poisoned"))
+            if name == "manifest.json":
+                assert json.loads(clean.read_text())["metrics"] == \
+                    json.loads(dirty.read_text())["metrics"]
+            else:
+                assert clean.read_bytes() == dirty.read_bytes(), name
+
+    def test_full_model_holds_no_refined_copy(self, tmp_path):
+        # on the benchmark's data (6,500 rows, 2,500 of them test rows) eval
+        # of a full model peaks above eval of an s2v model by far less than
+        # a copy of the features, which mapping every row would hold
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"test_per_class": 50},
+                                   "train": {"epochs": 2}, "sof": {"epochs": 1}}))
+        data = make_data(tmp_path, cfg)
+        peaks = {}
+        for mode in ("s2v", "full"):
+            model = tmp_path / mode / "model"
+            assert run("train", "--config", cfg, "--data", data,
+                       "--out", model.parent, "--mode", mode) == 0
+            argv = ("eval", "--model", model, "--data", data,
+                    "--out", tmp_path / f"eval_{mode}")
+            assert run(*argv) == 0  # the first call's one-off allocations
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                assert run(*argv) == 0
+                peaks[mode] = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        features = load_dataset_dir(data)[0].features
+        assert features.shape[0] == 6500
+        assert peaks["full"] - peaks["s2v"] < features.nbytes / 2
 
     def test_rerun_metric_files_byte_identical(self, trained):
         tmp_path, cfg, data, model = trained

@@ -1,7 +1,12 @@
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from protoplace.config import DEFAULTS, MAX_DELTAS, delta_grid, delta_range
+from protoplace.config import DEFAULTS, MAX_DELTAS, delta_grid, delta_range, \
+    load_config
 from protoplace.data import AttributeTable, SplitDataset, SynthConfig, \
     generate_synthetic
 from protoplace.errors import ConfigError, ParameterError, ValidationError
@@ -10,6 +15,7 @@ from protoplace.linalg import MappingNet
 from protoplace.metrics import cs_sweep, harmonic_mean, prototype_similarity
 from protoplace.prototypes import PrototypeModel, TrainConfig, project_prototypes, \
     train_prototypes
+from protoplace.refine import refine_features, train_sof
 from protoplace.rng import RngStream
 from reference import evaluate, gzsl_predict, zsl_predict
 
@@ -526,6 +532,69 @@ class TestSweepParity:
         ref_rows, ref_best = reference_sweep(model, ds, grid)
         assert [(r.T, r.U, r.S, r.H, r.delta) for r in reports] == ref_rows
         assert best == ref_best
+
+
+# ---------------------------------------------------------------------------
+# cs_sweep's map of the test rows against refine_features' map of every row
+
+
+# Criterion 8's config (tests/test_acceptance.py), and the golden run's.
+CRITERION_8 = {
+    "synth": {"seen_count": 8, "unseen_count": 3, "attr_dim": 4, "feat_dim": 6,
+              "train_per_class": 8, "test_per_class": 3, "noise_scale": 0.3},
+    "sof": {"epochs": 2},
+    "train": {"epochs": 2, "episodes_per_epoch": 3, "m_classes": 4,
+              "n_samples": 2},
+    "hallucination": {"n_neighbors": 2},
+}
+GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "config.json"
+
+
+class TestRefinerMap:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("data", ["criterion 8", "golden",
+                                      "one test_unseen row"])
+    def test_equals_sweep_of_refined_features(self, tmp_path, monkeypatch,
+                                              data, seed):
+        # the test rows, mapped in one product of at least two rows, are
+        # bit for bit the rows of the product over every row; one test_unseen
+        # row is sliced from the product, not mapped alone, which would take
+        # BLAS's matrix-vector code and can differ in the last bit
+        record = json.loads(GOLDEN_CONFIG.read_text()) if data == "golden" \
+            else CRITERION_8
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**record, "seed": seed}))
+        cfg = load_config(path)
+        ds = generate_synthetic(cfg.synth)
+        if data == "one test_unseen row":
+            ds = dataclasses.replace(ds, test_unseen_idx=ds.test_unseen_idx[:1])
+        refiner, _ = train_sof(ds, cfg.sof)
+        refined = refine_features(ds, refiner)
+        model = train_prototypes(refined, dataclasses.replace(cfg.train,
+                                                              mode="full"))
+        scored = []  # the rows of each split that each sweep scores
+
+        def split(features, *args):
+            scored[-1].append(features.tobytes())
+            return split_rows(features, *args)
+        split_rows = metrics._split
+        monkeypatch.setattr(metrics, "_split", split)
+        sweeps = []
+        for args in ((ds, cfg.grid, refiner.f_lin), (refined, cfg.grid)):
+            scored.append([])
+            sweeps.append(cs_sweep(model, *args))
+        (reports, best), (ref_reports, ref_best) = sweeps
+        assert [dataclasses.astuple(r) for r in reports] == \
+            [dataclasses.astuple(r) for r in ref_reports]
+        assert best == ref_best
+        assert len(scored[0]) == 3 and scored[0] == scored[1]
+
+    def test_non_finite_mapped_rows_raise(self):
+        ds, model = trained_setup()
+        ds.features[ds.test_seen_idx[0], 0] = 10.0
+        with np.errstate(over="ignore"), pytest.raises(
+                FloatingPointError, match="non-finite values in features"):
+            cs_sweep(model, ds, [0.0], 1e308 * np.eye(ds.feat_dim))
 
 
 # ---------------------------------------------------------------------------
