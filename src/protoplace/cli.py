@@ -49,8 +49,8 @@ def _plain(spec: str) -> str:
 
 
 def _value_cell(value) -> str:
-    """A swept value as sweep.csv writes it: as %g where float() reads that
-    back as the value, else as repr() writes it."""
+    """A swept value or a delta as the output files write it: as %g where
+    float() reads that back as the value, else as repr() writes it."""
     cell = f"{value:g}"
     return cell if float(cell) == value else repr(value)
 
@@ -184,12 +184,12 @@ def cmd_train(args, cfg, ds, out):
 def _write_report_files(out: Path, label: str, reports, best, model, eval_ds) -> None:
     suffix = f"_{label}" if label else ""
     write_csv(out / f"sweep{suffix}.csv", ("delta", "U", "S", "H"),
-              ([f"{r.delta:.6g}", r.U, r.S, r.H] for r in reports))
+              ([_value_cell(r.delta), r.U, r.S, r.H] for r in reports))
     write_csv(out / f"report{suffix}.csv", ("T", "U", "S", "H", "delta"),
-              [[best.T, best.U, best.S, best.H, f"{best.delta:.6g}"]])
+              [[best.T, best.U, best.S, best.H, _value_cell(best.delta)]])
     with open(out / f"report{suffix}.txt", "w", encoding="utf-8") as f:
         f.write(f"T = {_pct(best.T)}  U = {_pct(best.U)}  S = {_pct(best.S)}  "
-                f"H = {_pct(best.H)}  (delta = {best.delta:g})\n")
+                f"H = {_pct(best.H)}  (delta = {_value_cell(best.delta)})\n")
     for block, ids in (("seen", eval_ds.seen_classes),
                        ("unseen", eval_ds.unseen_classes)):
         if ids.size == 0:
@@ -236,7 +236,7 @@ def cmd_eval(args, _, ds, out):
                         "delta": best.delta}
         outputs[key] = model_dir
         print(f"{key}: T={_pct(best.T)} U={_pct(best.U)} S={_pct(best.S)} "
-              f"H={_pct(best.H)} at delta={best.delta:g}")
+              f"H={_pct(best.H)} at delta={_value_cell(best.delta)}")
     return {"delta_grid": grid}, outputs, metrics
 
 

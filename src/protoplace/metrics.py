@@ -2,9 +2,10 @@
 
 cs_sweep scores each test split once against the projected prototypes and
 reports, for every delta of the calibration grid (the seen-score penalty),
-the ZSL accuracy T, the GZSL accuracies U and S, each a mean of per-class
-top-1 accuracies, and their harmonic mean H.  prototype_similarity gives
-the pairwise cosine matrices that `eval` writes for heat maps.
+the ZSL accuracy T (of each test_unseen row's top unseen class), the GZSL
+accuracies U and S, each a mean of per-class top-1 accuracies, and their
+harmonic mean H.  prototype_similarity gives the pairwise cosine matrices
+that `eval` writes for heat maps.
 """
 from __future__ import annotations
 
@@ -137,14 +138,14 @@ def _label_index(labels, class_set) -> _LabelIndex:
                        np.bincount(pos, minlength=classes.size))
 
 
-def _accuracy(preds: np.ndarray, index: _LabelIndex) -> tuple[float, np.ndarray]:
-    """The mean over the classes with rows of their top-1 accuracies, and
-    those accuracies in ascending class order."""
+def _accuracy(preds: np.ndarray, index: _LabelIndex) -> float:
+    """The mean over the classes with rows of their top-1 accuracies, taken
+    in ascending class order."""
     hits = np.bincount(index.pos[preds == index.labels],
                        minlength=index.classes.size)
     tested = index.rows > 0
     acc = hits[tested] / index.rows[tested]  # equals np.mean of the hit mask
-    return (float(np.mean(acc)) if acc.size else 0.0), acc
+    return float(np.mean(acc)) if acc.size else 0.0
 
 
 def harmonic_mean(u: float, s: float) -> float:
@@ -159,12 +160,6 @@ def prototype_similarity(prototypes) -> SimilarityMatrix:
     m = pairwise_cosine(as_matrix(prototypes, "prototypes"))
     np.fill_diagonal(m, np.diagonal(m) != 0)
     return SimilarityMatrix(matrix=m)
-
-
-def _split(features, labels, prototypes, class_ids, seen_mask):
-    """A test split's cached scores and its label index."""
-    return (_id_scores(features, prototypes, class_ids, seen_mask),
-            _label_index(labels, class_ids))
 
 
 # The most deltas _sweep_accuracies counts at once: its per-class counts
@@ -211,19 +206,20 @@ def cs_sweep(
     model: PrototypeModel, ds: SplitDataset, delta_grid, f_lin=None
 ) -> tuple[list[EvalReport], float]:
     """One report per delta of the calibration grid, and the delta of best H
-    (the first of a tie).  T is the ZSL accuracy on test_unseen against the
-    unseen prototypes alone; U and S come from calibrated stacking over all
-    prototypes.  Prototypes are projected and each test split is scored
-    once; the grid then costs one pass over each split's rows per
-    GRID_BLOCK deltas, plus a bisection of O(rows * log(deltas))
-    (_sweep_accuracies).  The grid is nonempty, and each test label in its
-    split's class set.
+    (the first of a tie).  U and S come from calibrated stacking over all
+    prototypes; T, the ZSL accuracy on test_unseen, from the same scores,
+    each row's top unseen class (ties to the smallest id).  The prototypes
+    of all classes are projected once and each test split is scored once;
+    the grid then costs one pass over each split's rows per GRID_BLOCK
+    deltas, plus a bisection of O(rows * log(deltas)) (_sweep_accuracies).
+    The grid is nonempty, and each test label in its split's class set.
 
     f_lin, a stage-one refiner's map, maps the test rows, and only those,
     as refine.refine_features maps every row: the rows of test_unseen and
     test_seen are gathered once and mapped in one product, so that each
     row takes the same BLAS kernel as in the product over all rows (a
-    one-row product, where the whole test set is one row, need not)."""
+    one-row product, where the whole test set is one row, need not).  T
+    and U share test_unseen's scores, not only its gather."""
     grid = [float(d) for d in delta_grid]
     seen, unseen = ds.seen_classes, ds.unseen_classes
     test_u, test_s = ds.test_unseen_idx, ds.test_seen_idx
@@ -235,14 +231,9 @@ def cs_sweep(
                               "features")
         at_u, at_s = slice(0, test_u.size), slice(test_u.size, None)
 
+    # the GZSL accuracies per delta: test_unseen (U), then test_seen (S);
+    # T is test_unseen's top unseen class, which no delta moves
     t_acc = None
-    if unseen.size and test_u.size:
-        protos_u = project_prototypes(model, ds.attributes, unseen)
-        scores, index = _split(rows[at_u], ds.labels[test_u], protos_u,
-                               unseen, np.zeros(unseen.size, bool))
-        t_acc = _accuracy(scores.predict(0.0), index)[0]
-
-    # the GZSL accuracies per delta: test_unseen (U), then test_seen (S)
     accs: list[list | None] = [None, None]
     if seen.size + unseen.size:
         union = np.concatenate([seen, unseen])
@@ -252,9 +243,10 @@ def cs_sweep(
         deltas = np.array(grid)
         for k, (at, idx) in enumerate(((at_u, test_u), (at_s, test_s))):
             if idx.size:
-                scores, index = _split(rows[at], ds.labels[idx], protos, union,
-                                       mask)
-                top = _top_scores(scores, reach)
+                index = _label_index(ds.labels[idx], union)
+                top = _top_scores(_id_scores(rows[at], protos, union, mask), reach)
+                if k == 0:
+                    t_acc = _accuracy(top.unseen_id, index)
                 accs[k] = [a for lo in range(0, deltas.size, GRID_BLOCK)
                            for a in _sweep_accuracies(
                                top, index, deltas[lo:lo + GRID_BLOCK])]

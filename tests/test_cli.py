@@ -850,6 +850,24 @@ class TestEval:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) == 2 and lines[1].startswith("0.3,")
 
+    def test_close_deltas_keep_their_cells(self, trained, capsys):
+        # %g would write all three as 0.123457; each is written as %g where
+        # float() reads it back, else as repr()
+        tmp_path, cfg, data, model = trained
+        out = tmp_path / "eval_close"
+        assert run("eval", "--model", model, "--data", data, "--out", out,
+                   "--delta-grid", "0.1234567,0.1234568,0.12345671,0.5") == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == \
+            ["0.1234567", "0.1234568", "0.12345671", "0.5"]
+        best = json.loads((out / "manifest.json").read_text())["metrics"][
+            "model"]["delta"]
+        cell = (out / "report.csv").read_text().splitlines()[1].split(",")[-1]
+        assert float(cell) == best and cell in lines[1 + [
+            0.1234567, 0.1234568, 0.12345671, 0.5].index(best)]
+        assert (out / "report.txt").read_text().endswith(f"(delta = {cell})\n")
+        assert capsys.readouterr().out.rstrip().endswith(f"at delta={cell}")
+
     def test_unparsable_grid_exits_2(self, trained):
         tmp_path, cfg, data, model = trained
         for spec in ("0:1", "0.1,x", "1:0:0.1", "nan,0.5", "0:inf:0.1",

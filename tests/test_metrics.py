@@ -43,7 +43,7 @@ class TestHarmonicMean:
 
 def accuracy(preds, labels, class_set):
     """cs_sweep's per-class accuracy of preds: the mean over the classes with
-    rows, and those classes' accuracies in ascending class order."""
+    rows of their accuracies."""
     return metrics._accuracy(np.asarray(preds, dtype=np.int64),
                              metrics._label_index(labels, class_set))
 
@@ -53,37 +53,31 @@ class TestPerClassAccuracy:
         # class 0: 2/2 right, class 1: 1/3 right -> mean 2/3
         preds = [0, 0, 1, 0, 0]
         labels = [0, 0, 1, 1, 1]
-        mean, acc = accuracy(preds, labels, [0, 1])
-        assert mean == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert acc.tolist() == [1.0, pytest.approx(1.0 / 3.0)]
+        assert accuracy(preds, labels, [0, 1]) == pytest.approx(2.0 / 3.0,
+                                                                abs=1e-12)
 
     def test_unweighted_despite_imbalance(self):
         # 9 samples of class 0 all right, 1 sample of class 1 wrong -> 0.5
         preds = [0] * 10
         labels = [0] * 9 + [1]
-        mean, _ = accuracy(preds, labels, [0, 1])
-        assert mean == 0.5
+        assert accuracy(preds, labels, [0, 1]) == 0.5
 
     def test_absent_class_excluded_from_mean(self):
-        mean, acc = accuracy([0, 0], [0, 0], [0, 1, 2])
-        assert mean == 1.0
-        assert acc.tolist() == [1.0]
+        assert accuracy([0, 0], [0, 0], [0, 1, 2]) == 1.0
 
     def test_no_samples(self):
-        mean, acc = accuracy([], [], [0, 1])
-        assert mean == 0.0 and acc.size == 0
+        assert accuracy([], [], [0, 1]) == 0.0
 
     def test_bitwise_equal_to_mask_loop(self):
-        # per-class hits / rows must equal np.mean of each class's hit mask
+        # the mean of per-class hits / rows must equal the mean of np.mean
+        # of each class's hit mask
         rng = np.random.default_rng(6)
         classes = np.array([2, 3, 5, 11, 13, 40])
         labels = rng.choice(classes[:-1], size=997, p=[0.5, 0.2, 0.15, 0.1, 0.05])
         preds = np.where(rng.random(997) < 0.37, labels, rng.choice(classes, 997))
         ref = [float(np.mean(preds[labels == c] == c)) for c in classes
                if np.any(labels == c)]
-        mean, acc = accuracy(preds, labels, classes[::-1])
-        assert acc.tolist() == ref
-        assert mean == float(np.mean(ref))
+        assert accuracy(preds, labels, classes[::-1]) == float(np.mean(ref))
 
 
 class TestPredictors:
@@ -464,15 +458,17 @@ class TestSweepParity:
 
     @pytest.mark.parametrize("seen,unseen", [
         ([0, 1, 2, 3, 4, 5], []),
+        ([], [6, 7, 8]),
         ([3], [6, 7, 8]),
         ([4], []),
         ([0, 1, 2, 3, 4, 5], [6, 7, 8]),
         ([2, 3, 4, 5, 6, 7], [0, 1, 8]),
-    ], ids=["no unseen class", "one seen class", "one class",
+    ], ids=["no unseen class", "no seen class", "one seen class", "one class",
             "ascending union", "union not ascending"])
     def test_class_sets(self, seen, unseen):
         # the synthetic data's classes 0-8, each split holding the test rows
-        # of its class set; the union is seen then unseen, each ascending
+        # of its class set; the union is seen then unseen, each ascending.
+        # Without a seen class every row's top seen score reads -inf
         base = generate_synthetic(SynthConfig(seen_count=6, unseen_count=3,
                                               attr_dim=4, feat_dim=6,
                                               train_per_class=4,
@@ -492,16 +488,18 @@ class TestSweepParity:
         model = PrototypeModel(net=MappingNet.init(4, 6, rng=RngStream(11)),
                                config=TrainConfig(epochs=0))
         reports = self.assert_parity(ds, model)
-        assert all((r.U is None) == (not unseen) and r.S is not None
+        assert all((r.U is None) == (not unseen) and (r.S is None) == (not seen)
                    for r in reports)
 
-    @pytest.mark.parametrize("grid", [
-        [0.5, 0.0, 0.5, -0.2, 1e-17, 0.02, -0.2],
-        [0.3, 1e13, -0.5, 0.0, 0.3],
-    ], ids=["unsorted with repeats", "unsure rows"])
-    def test_unsorted_grid_parity(self, grid):
+    @pytest.mark.parametrize("grid,unsure_rows", [
+        ([0.5, 0.0, 0.5, -0.2, 1e-17, 0.02, -0.2], "none"),
+        ([0.3, 1e13, -0.5, 0.0, 0.3], "some"),
+        ([0.3, -1e16, 0.0, 1e16, 0.3], "all"),
+    ], ids=["unsorted with repeats", "unsure rows", "every row unsure"])
+    def test_unsorted_grid_parity(self, grid, unsure_rows):
         # reports stay in grid order, a repeated delta repeats its report;
-        # at 1e13 some rows, not all, are unsure and scored in full
+        # at 1e13 some rows, not all, are unsure and scored in full, and at
+        # 1e16, where the floats are 2 apart, every row is
         ds, model = trained_setup(seed=8)
         reports, best = cs_sweep(model, ds, grid)
         ref_rows, ref_best = reference_sweep(model, ds, grid)
@@ -509,12 +507,39 @@ class TestSweepParity:
         assert best == ref_best
         reach = float(np.max(np.abs(grid)))
         union, mask, protos = union_prototypes(model, ds)
-        unsure = [metrics._top_scores(metrics._split(ds.features[idx], ds.labels[idx],
-                                                     protos, union, mask)[0],
-                                      reach).unsure.size
-                  for idx in (ds.test_unseen_idx, ds.test_seen_idx)]
+        unsure = sum(metrics._top_scores(metrics._id_scores(
+            ds.features[idx], protos, union, mask), reach).unsure.size
+            for idx in (ds.test_unseen_idx, ds.test_seen_idx))
         rows = ds.test_unseen_idx.size + ds.test_seen_idx.size
-        assert 0 < sum(unsure) < rows if reach > 1 else sum(unsure) == 0
+        if unsure_rows == "none":
+            assert unsure == 0
+        elif unsure_rows == "some":
+            assert 0 < unsure < rows
+        else:
+            assert unsure == rows
+
+    @pytest.mark.parametrize("test_seen,test_unseen", [
+        (True, True), (False, True), (True, False)],
+        ids=["both splits", "no test_seen", "no test_unseen"])
+    def test_one_projection_and_one_scoring_per_split(self, monkeypatch,
+                                                      test_seen, test_unseen):
+        # T is read off test_unseen's GZSL scores: no second projection of
+        # the unseen prototypes and no second scoring of test_unseen
+        ds, model, _ = tie_dataset(test_seen=test_seen, test_unseen=test_unseen)
+        calls = {"project": 0, "score": 0}
+
+        def counted(name, func):
+            def wrapper(*args):
+                calls[name] += 1
+                return func(*args)
+            return wrapper
+        monkeypatch.setattr(metrics, "project_prototypes",
+                            counted("project", metrics.project_prototypes))
+        monkeypatch.setattr(metrics, "_id_scores",
+                            counted("score", metrics._id_scores))
+        reports, _ = cs_sweep(model, ds, self.GRID)
+        assert calls == {"project": 1, "score": test_seen + test_unseen}
+        assert all((r.T is None) == (not test_unseen) for r in reports)
 
     def test_grid_blocks(self, monkeypatch):
         # a grid of several blocks reads as the same grid in one block
@@ -574,11 +599,11 @@ class TestRefinerMap:
                                                               mode="full"))
         scored = []  # the rows of each split that each sweep scores
 
-        def split(features, *args):
+        def id_scores(features, *args):
             scored[-1].append(features.tobytes())
-            return split_rows(features, *args)
-        split_rows = metrics._split
-        monkeypatch.setattr(metrics, "_split", split)
+            return score_rows(features, *args)
+        score_rows = metrics._id_scores
+        monkeypatch.setattr(metrics, "_id_scores", id_scores)
         sweeps = []
         for args in ((ds, cfg.grid, refiner.f_lin), (refined, cfg.grid)):
             scored.append([])
@@ -587,7 +612,7 @@ class TestRefinerMap:
         assert [dataclasses.astuple(r) for r in reports] == \
             [dataclasses.astuple(r) for r in ref_reports]
         assert best == ref_best
-        assert len(scored[0]) == 3 and scored[0] == scored[1]
+        assert len(scored[0]) == 2 and scored[0] == scored[1]
 
     def test_non_finite_mapped_rows_raise(self):
         ds, model = trained_setup()

@@ -16,11 +16,11 @@ does not favour one side.
 For each end-to-end metric that BENCHMARK.json declares, it prints the median
 and quartiles of each side, the relative change of the medians, and the
 number of pairs the change wins.  It names the metrics that meet the claim
-rule (the change wins at least 9 pairs in 10, and its median is better than
-the parent's by more than the parent's interquartile range) and the metrics
-whose median is worse than the parent's by more than the metric's bound, a
-fraction of the parent's median.  Quartiles are `statistics.quantiles(...,
-method="inclusive")`.
+rule (at least 10 pairs, of which the change wins at least 9 in 10, and its
+median is better than the parent's by more than the parent's interquartile
+range) and the metrics whose median is worse than the parent's by more than
+the metric's bound, a fraction of the parent's median.  Quartiles are
+`statistics.quantiles(..., method="inclusive")`.
 
 With --out, the pairs, the summary and perfbench's environment record of
 each side are stored under the workload's name in a JSON file; an existing
@@ -40,6 +40,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 CLAIM_WIN_SHARE = 0.9
+CLAIM_MIN_PAIRS = 10
 ENV_PREFIX = "  environment: "
 
 
@@ -98,7 +99,8 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             "relative_change": ((change_med - parent_med) / abs(parent_med)
                                 if parent_med else 0.0),
             "wins": wins, "pairs": len(both),
-            "claim_met": (wins >= math.ceil(CLAIM_WIN_SHARE * len(both))
+            "claim_met": (len(both) >= CLAIM_MIN_PAIRS
+                          and wins >= math.ceil(CLAIM_WIN_SHARE * len(both))
                           and gain > iqr),
             "past_bound": -gain > spec["bound"] * abs(parent_med),
         }
@@ -119,8 +121,8 @@ def report(workload: str, pairs: list[dict], summary: dict) -> None:
               f"{100 * s['relative_change']:>+8.1f}%{s['wins']:>5}/{s['pairs']}")
     claimed = [n for n, s in summary.items() if s["claim_met"]]
     past = [n for n, s in summary.items() if s["past_bound"]]
-    print(f"claim rule met (>= {CLAIM_WIN_SHARE:.0%} wins, median gain > parent "
-          f"IQR): {', '.join(claimed) or 'none'}")
+    print(f"claim rule met (>= {CLAIM_MIN_PAIRS} pairs, >= {CLAIM_WIN_SHARE:.0%} "
+          f"wins, median gain > parent IQR): {', '.join(claimed) or 'none'}")
     print(f"past their bound: {', '.join(past) or 'none'}")
 
 
