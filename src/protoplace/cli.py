@@ -190,15 +190,16 @@ def _write_report_files(out: Path, label: str, reports, best, model, eval_ds) ->
     with open(out / f"report{suffix}.txt", "w", encoding="utf-8") as f:
         f.write(f"T = {_pct(best.T)}  U = {_pct(best.U)}  S = {_pct(best.S)}  "
                 f"H = {_pct(best.H)}  (delta = {_value_cell(best.delta)})\n")
-    for block, ids in (("seen", eval_ds.seen_classes),
-                       ("unseen", eval_ds.unseen_classes)):
-        if ids.size == 0:
-            continue
-        protos = project_prototypes(model, eval_ds.attributes, ids)
-        sim = prototype_similarity(protos).matrix.tolist()
-        write_csv(out / f"similarity_{block}{suffix}.csv",
-                  ["class_id", *(str(int(i)) for i in ids)],
-                  ([str(int(i)), *row] for i, row in zip(ids, sim)))
+    # each class set's rows of the prototypes cs_sweep scores, seen then unseen
+    cut = eval_ds.seen_classes.size
+    union = np.concatenate([eval_ds.seen_classes, eval_ds.unseen_classes])
+    protos = np.split(project_prototypes(model, eval_ds.attributes, union), [cut])
+    for block, ids, rows in zip(("seen", "unseen"), np.split(union, [cut]), protos):
+        if ids.size:
+            sim = prototype_similarity(rows).matrix.tolist()
+            write_csv(out / f"similarity_{block}{suffix}.csv",
+                      ["class_id", *(str(int(i)) for i in ids)],
+                      ([str(int(i)), *row] for i, row in zip(ids, sim)))
 
 
 def cmd_eval(args, _, ds, out):

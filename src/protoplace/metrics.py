@@ -235,21 +235,20 @@ def cs_sweep(
     # T is test_unseen's top unseen class, which no delta moves
     t_acc = None
     accs: list[list | None] = [None, None]
-    if seen.size + unseen.size:
-        union = np.concatenate([seen, unseen])
-        protos = project_prototypes(model, ds.attributes, union)
-        mask = np.concatenate([np.ones(seen.size, bool), np.zeros(unseen.size, bool)])
-        reach = float(np.max(np.abs(grid)))
-        deltas = np.array(grid)
-        for k, (at, idx) in enumerate(((at_u, test_u), (at_s, test_s))):
-            if idx.size:
-                index = _label_index(ds.labels[idx], union)
-                top = _top_scores(_id_scores(rows[at], protos, union, mask), reach)
-                if k == 0:
-                    t_acc = _accuracy(top.unseen_id, index)
-                accs[k] = [a for lo in range(0, deltas.size, GRID_BLOCK)
-                           for a in _sweep_accuracies(
-                               top, index, deltas[lo:lo + GRID_BLOCK])]
+    union = np.concatenate([seen, unseen])
+    protos = project_prototypes(model, ds.attributes, union)
+    mask = np.concatenate([np.ones(seen.size, bool), np.zeros(unseen.size, bool)])
+    reach = float(np.max(np.abs(grid)))
+    deltas = np.array(grid)
+    for k, (at, idx) in enumerate(((at_u, test_u), (at_s, test_s))):
+        if idx.size:
+            index = _label_index(ds.labels[idx], union)
+            top = _top_scores(_id_scores(rows[at], protos, union, mask), reach)
+            if k == 0:
+                t_acc = _accuracy(top.unseen_id, index)
+            accs[k] = [a for lo in range(0, deltas.size, GRID_BLOCK)
+                       for a in _sweep_accuracies(
+                           top, index, deltas[lo:lo + GRID_BLOCK])]
 
     reports = []
     best_delta, best_h = grid[0], -1.0

@@ -14,14 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from protoplace import cli
+from protoplace import cli, metrics
 from protoplace import config as cfgmod
 from protoplace.cli import main
 from protoplace.config import DEFAULTS, delta_grid, load_config
-from protoplace.data import SynthConfig, load_dataset_dir, load_matrix, \
-    save_dataset, save_matrix
+from protoplace.data import AttributeTable, SplitDataset, SynthConfig, \
+    load_dataset_dir, load_matrix, save_dataset, save_matrix, write_csv
 from protoplace.errors import ConfigError
-from protoplace.prototypes import TrainConfig
+from protoplace.metrics import prototype_similarity
+from protoplace.prototypes import TrainConfig, load_model, project_prototypes
 from protoplace.refine import SofConfig
 
 TINY = {
@@ -841,6 +842,57 @@ class TestEval:
         assert (out / "report.csv").read_text().splitlines()[1].startswith(",,")
         assert (out / "similarity_seen.csv").exists()
         assert not (out / "similarity_unseen.csv").exists()
+
+    def test_full_model_projected_twice(self, workdir, monkeypatch):
+        # once for the sweep and once for both similarity_* files, each
+        # time the union of the seen, then the unseen classes
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        model = tmp_path / "run" / "model"
+        assert run("train", "--config", cfg, "--data", data,
+                   "--out", model.parent, "--mode", "full") == 0
+        projected = []
+
+        def counted(model, attributes, class_ids):
+            projected.append(np.asarray(class_ids).tolist())
+            return project_prototypes(model, attributes, class_ids)
+        monkeypatch.setattr(cli, "project_prototypes", counted)
+        monkeypatch.setattr(metrics, "project_prototypes", counted)
+        assert run("eval", "--model", model, "--data", data,
+                   "--out", tmp_path / "eval") == 0
+        ds = load_dataset_dir(data)[0]
+        union = [*ds.seen_classes.tolist(), *ds.unseen_classes.tolist()]
+        assert projected == [union, union]
+
+    def test_similarity_cut_from_the_union_projection(self, trained):
+        # on data whose class k is renamed L-1-k, so that the unseen ids lie
+        # below the seen ones, each similarity_* file holds the cosines of
+        # its class set's rows of the seen-then-unseen projection
+        tmp_path, cfg, data, model = trained
+        ds = load_dataset_dir(data)[0]
+        last = ds.attributes.num_classes - 1
+        relabelled = SplitDataset(
+            features=ds.features, labels=last - ds.labels,
+            attributes=AttributeTable(ds.attributes.values[::-1]),
+            seen_classes=last - ds.seen_classes,
+            unseen_classes=last - ds.unseen_classes, train_idx=ds.train_idx,
+            test_seen_idx=ds.test_seen_idx, test_unseen_idx=ds.test_unseen_idx)
+        assert relabelled.unseen_classes.max() < relabelled.seen_classes.min()
+        save_dataset(relabelled, tmp_path / "relabelled")
+        out = tmp_path / "eval"
+        assert run("eval", "--model", model, "--data", tmp_path / "relabelled",
+                   "--out", out) == 0
+        seen, unseen = relabelled.seen_classes, relabelled.unseen_classes
+        protos = project_prototypes(load_model(model)[0], relabelled.attributes,
+                                    np.concatenate([seen, unseen]))
+        for block, ids, rows in (("seen", seen, protos[:seen.size]),
+                                 ("unseen", unseen, protos[seen.size:])):
+            sim = prototype_similarity(rows).matrix.tolist()
+            expected = write_csv(tmp_path / f"{block}.csv",
+                                 ["class_id", *map(str, ids.tolist())],
+                                 ([str(i), *row] for i, row in
+                                  zip(ids.tolist(), sim)))
+            assert (out / f"similarity_{block}.csv").read_bytes() == expected
 
     def test_singleton_grid(self, trained):
         tmp_path, cfg, data, model = trained

@@ -463,8 +463,9 @@ class TestSweepParity:
         ([4], []),
         ([0, 1, 2, 3, 4, 5], [6, 7, 8]),
         ([2, 3, 4, 5, 6, 7], [0, 1, 8]),
+        ([], []),
     ], ids=["no unseen class", "no seen class", "one seen class", "one class",
-            "ascending union", "union not ascending"])
+            "ascending union", "union not ascending", "no class"])
     def test_class_sets(self, seen, unseen):
         # the synthetic data's classes 0-8, each split holding the test rows
         # of its class set; the union is seen then unseen, each ascending.

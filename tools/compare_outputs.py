@@ -14,7 +14,13 @@ on an unsorted comma grid that repeats a delta, `ablate --seeds 2`, one
 leg, which checks the CSV table reader and writer:
 `synth --format csv`, `train --mode full` on that data and its `eval`,
 and one expected failure, `error_csv_not_as_written` (`eval` on a copy of
-that data whose `features.csv` has CRLF line ends); then an error leg,
+that data whose `features.csv` has CRLF line ends); then a relabelled leg,
+on a copy of that data whose class k of L is renamed L-1-k, so that the
+unseen class ids lie below the seen ones, which no configuration's own data
+has (the order the sweep sorts its columns into, a seen-unseen tie going to
+the smaller id, and the `similarity_*` files cut from a union that does not
+ascend): `train --mode s2v`, `train --mode full` and one `eval` of both
+models on the comma grid; then an error leg,
 whose steps each break one rule that the program checks where the input
 enters, and so are expected to fail on both sides:
 `error_train_optimizer` and `error_sof_optimizer` (an unknown optimizer),
@@ -40,7 +46,8 @@ prints: `help` (`--help`) and `help_<command>` (`<command> --help`) for each
 of the five commands, and three expected failures, `error_usage_command`
 (a command that does not exist), `error_usage_flag` (`eval` without
 `--model`) and `error_usage_unknown` (`eval` with every required flag and
-an unknown one, `--bogus 1`): 23 expected failures per configuration.
+an unknown one, `--bogus 1`): 52 steps and 23 expected failures per
+configuration.
 Every step runs in its own process with PYTHONPATH set to the tree's `src`
 and one BLAS thread, in the tree's own work directory and from the same
 relative paths, so that its standard output, standard error and exit code
@@ -150,6 +157,9 @@ OTHER_PIPELINE = "model_other_pipeline"
 # The dataset that `error_csv_not_as_written` evaluates on, copied from
 # data_csv just before that step runs.
 CSV_CRLF = "data_csv_crlf"
+# The dataset of the relabelled leg, copied from data_csv with its classes
+# renamed just before that leg's first step runs.
+RELABELLED = "data_relabelled"
 
 
 def src_dir(tree: str) -> Path:
@@ -193,6 +203,13 @@ def steps(n_values: str) -> list[tuple[str, list[str]]]:
             ("error_csv_not_as_written", ["eval", "--model", "train_csv/model",
                                           "--data", CSV_CRLF, "--out",
                                           "error_csv_not_as_written"])]
+    out += [(f"train_relabelled_{mode}",
+             ["train", *cfg, "--data", RELABELLED, "--out",
+              f"train_relabelled_{mode}", "--mode", mode]) for mode in ("s2v", "full")]
+    out.append(("eval_relabelled", ["eval", "--model", "train_relabelled_s2v/model",
+                                    "--model", "train_relabelled_full/model",
+                                    "--data", RELABELLED, "--out", "eval_relabelled",
+                                    f"--delta-grid={EVAL_GRID}"]))
     out += [(name, [argv[0], "--config", f"{name}.json", *data, "--out", name,
                     *argv[1:]]) for name, (_, argv) in ERRORS.items()]
     full = ["--model", "train_full/model"]
@@ -246,6 +263,37 @@ def copy_csv_data_with_crlf(work: Path) -> None:
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
 
 
+def copy_csv_data_relabelled(work: Path) -> None:
+    """Copy data_csv to RELABELLED, each class k of its L renamed L-1-k, so
+    that the unseen class ids lie below the seen ones: the label column of
+    features.csv, the rows of attributes.csv (their ids kept, their values
+    reversed) and the split's seen and unseen ids, ascending again; nothing
+    where synth_csv wrote no data, so that the leg fails on a missing
+    dataset instead."""
+    data = work / "data_csv"
+    if not data.is_dir():
+        return
+    root = work / RELABELLED
+    shutil.copytree(data, root)
+    header, *rows = (root / "attributes.csv").read_text().splitlines(keepends=True)
+    last = len(rows) - 1
+    cells = [row.split(",", 1) for row in rows]
+    (root / "attributes.csv").write_text(header + "".join(
+        f"{class_id},{values}" for (class_id, _), (_, values)
+        in zip(cells, reversed(cells))))
+    header, *rows = (root / "features.csv").read_text().splitlines(keepends=True)
+    cells = [row.split(",", 2) for row in rows]
+    (root / "features.csv").write_text(header + "".join(
+        f"{row_id},{last - int(label)},{values}" for row_id, label, values in cells))
+    lines = (root / "split.txt").read_text().splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        key, _, ids = line.partition(":")
+        if key in ("seen", "unseen"):
+            lines[i] = key + ":" + "".join(
+                f" {k}" for k in sorted(last - int(k) for k in ids.split())) + "\n"
+    (root / "split.txt").write_text("".join(lines))
+
+
 def run_tree(src: Path, work: Path, config: dict, n_values: str) -> None:
     work.mkdir(parents=True)
     (work / "data_empty").mkdir()  # the --data of error_no_dataset
@@ -263,6 +311,8 @@ def run_tree(src: Path, work: Path, config: dict, n_values: str) -> None:
             copy_full_model_as_other_pipeline(work)
         elif name == "error_csv_not_as_written":
             copy_csv_data_with_crlf(work)
+        elif name == "train_relabelled_s2v":
+            copy_csv_data_relabelled(work)
         proc = subprocess.run([sys.executable, "-m", "protoplace.cli", *argv],
                               cwd=work, env=env, capture_output=True, text=True)
         (work / f"{name}.stdout").write_text(proc.stdout)
