@@ -214,7 +214,7 @@ def cmd_eval(args, _, ds, out):
             labels = [f"model{i}" for i in range(1, len(model_dirs) + 1)]
     # every model, and its refiner's map where stage one ran, is loaded and
     # its dimensions checked before the first file is written; cs_sweep maps
-    # only the test rows it scores
+    # only the test rows it scores, a row block at a time
     loaded = []
     for model_dir in model_dirs:
         if not (model_dir / "model.json").exists():

@@ -1,11 +1,11 @@
 """Calibrated-stacking evaluation of a trained model.
 
-cs_sweep scores each test split once against the projected prototypes and
-reports, for every delta of the calibration grid (the seen-score penalty),
-the ZSL accuracy T (of each test_unseen row's top unseen class), the GZSL
-accuracies U and S, each a mean of per-class top-1 accuracies, and their
-harmonic mean H.  prototype_similarity gives the pairwise cosine matrices
-that `eval` writes for heat maps.
+cs_sweep scores each test row once against the projected prototypes, in
+blocks of ROW_BLOCK rows, and reports, for every delta of the calibration
+grid (the seen-score penalty), the ZSL accuracy T (of each test_unseen row's
+top unseen class), the GZSL accuracies U and S, each a mean of per-class
+top-1 accuracies, and their harmonic mean H.  prototype_similarity gives
+the pairwise cosine matrices that `eval` writes for heat maps.
 """
 from __future__ import annotations
 
@@ -202,6 +202,28 @@ def _sweep_accuracies(top: _TopScores, index: _LabelIndex,
     return np.mean(acc, axis=1).tolist()
 
 
+# The most test rows cs_sweep maps and scores at once (one more where the
+# rows would otherwise end in a block of one): each block holds its mapped
+# rows, unit rows and scores, so the sweep's memory does not grow with the
+# test set beyond a few values per row.
+ROW_BLOCK = 512
+
+
+def _stack(tops: list[_TopScores], starts) -> _TopScores:
+    """The _TopScores of consecutive row blocks as one, in block order."""
+    return _TopScores(
+        *(np.concatenate(field) for field in zip(*(top[:5] for top in tops))),
+        np.concatenate([top.unsure + lo for top, lo in zip(tops, starts)]),
+        tops[0].full._replace(scores=np.concatenate([top.full.scores for top in tops])))
+
+
+def _rows(top: _TopScores, lo: int, hi: int) -> _TopScores:
+    """Rows lo to hi of top, their unsure positions counted from lo."""
+    a, b = np.searchsorted(top.unsure, [lo, hi])
+    return _TopScores(*(field[lo:hi] for field in top[:5]), top.unsure[a:b] - lo,
+                      top.full._replace(scores=top.full.scores[a:b]))
+
+
 def cs_sweep(
     model: PrototypeModel, ds: SplitDataset, delta_grid, f_lin=None
 ) -> tuple[list[EvalReport], float]:
@@ -209,41 +231,50 @@ def cs_sweep(
     (the first of a tie).  U and S come from calibrated stacking over all
     prototypes; T, the ZSL accuracy on test_unseen, from the same scores,
     each row's top unseen class (ties to the smallest id).  The prototypes
-    of all classes are projected once and each test split is scored once;
+    of all classes are projected once and each test row is scored once;
     the grid then costs one pass over each split's rows per GRID_BLOCK
     deltas, plus a bisection of O(rows * log(deltas)) (_sweep_accuracies).
     The grid is nonempty, and each test label in its split's class set.
 
-    f_lin, a stage-one refiner's map, maps the test rows, and only those,
-    as refine.refine_features maps every row: the rows of test_unseen and
-    test_seen are gathered once and mapped in one product, so that each
-    row takes the same BLAS kernel as in the product over all rows (a
-    one-row product, where the whole test set is one row, need not).  T
-    and U share test_unseen's scores, not only its gather."""
+    The test rows, test_unseen's then test_seen's, are walked in blocks of
+    ROW_BLOCK rows, a last block of one row joined to the block before it.
+    Each block is gathered, mapped through f_lin (a stage-one refiner's
+    map, as refine.refine_features maps every row) where one is given,
+    scored and reduced to its top scores; each split's top scores are its
+    slice of the blocks' concatenated.  Each mapped row and each score row
+    thus comes from a product of at least two rows, where BLAS takes the
+    same kernel as in the product over all rows (a one-row product, where
+    the whole test set is one row, need not).  T and U share test_unseen's
+    scores."""
     grid = [float(d) for d in delta_grid]
     seen, unseen = ds.seen_classes, ds.unseen_classes
     test_u, test_s = ds.test_unseen_idx, ds.test_seen_idx
-    # each split's rows: gathered where it is scored, so that no copy is
-    # held, or, with f_lin, sliced from the test rows mapped once
-    rows, at_u, at_s = ds.features, test_u, test_s
-    if f_lin is not None:
-        rows = require_finite(rows[np.concatenate([test_u, test_s])] @ f_lin,
-                              "features")
-        at_u, at_s = slice(0, test_u.size), slice(test_u.size, None)
-
-    # the GZSL accuracies per delta: test_unseen (U), then test_seen (S);
-    # T is test_unseen's top unseen class, which no delta moves
-    t_acc = None
-    accs: list[list | None] = [None, None]
     union = np.concatenate([seen, unseen])
     protos = project_prototypes(model, ds.attributes, union)
     mask = np.concatenate([np.ones(seen.size, bool), np.zeros(unseen.size, bool)])
     reach = float(np.max(np.abs(grid)))
     deltas = np.array(grid)
-    for k, (at, idx) in enumerate(((at_u, test_u), (at_s, test_s))):
+    test = np.concatenate([test_u, test_s])
+    # block starts: below the last row, so no block but a whole test set
+    # of one row has a single row
+    starts = range(0, test.size - (test.size > 1), ROW_BLOCK)
+    tops = []
+    for lo, hi in zip(starts, [*starts[1:], test.size]):
+        rows = ds.features[test[lo:hi]]
+        if f_lin is not None:
+            rows = require_finite(rows @ f_lin, "features")
+        tops.append(_top_scores(_id_scores(rows, protos, union, mask), reach))
+
+    # the GZSL accuracies per delta: test_unseen (U), then test_seen (S);
+    # T is test_unseen's top unseen class, which no delta moves
+    t_acc = None
+    accs: list[list | None] = [None, None]
+    whole = _stack(tops, starts) if tops else None
+    del tops  # each row's fields are held once, stacked
+    for k, (at, idx) in enumerate(((0, test_u), (test_u.size, test_s))):
         if idx.size:
             index = _label_index(ds.labels[idx], union)
-            top = _top_scores(_id_scores(rows[at], protos, union, mask), reach)
+            top = _rows(whole, at, at + idx.size)
             if k == 0:
                 t_acc = _accuracy(top.unseen_id, index)
             accs[k] = [a for lo in range(0, deltas.size, GRID_BLOCK)

@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import hashlib
 import io
 import json
@@ -19,11 +20,13 @@ from protoplace import config as cfgmod
 from protoplace.cli import main
 from protoplace.config import DEFAULTS, delta_grid, load_config
 from protoplace.data import AttributeTable, SplitDataset, SynthConfig, \
-    load_dataset_dir, load_matrix, save_dataset, save_matrix, write_csv
+    generate_synthetic, load_dataset_dir, load_matrix, save_dataset, save_matrix, \
+    write_csv
 from protoplace.errors import ConfigError
 from protoplace.metrics import prototype_similarity
-from protoplace.prototypes import TrainConfig, load_model, project_prototypes
-from protoplace.refine import SofConfig
+from protoplace.prototypes import TrainConfig, load_model, project_prototypes, \
+    train_prototypes
+from protoplace.refine import SofConfig, refine_features, train_sof
 
 TINY = {
     "seed": 0,
@@ -1065,6 +1068,33 @@ class TestEval:
         features = load_dataset_dir(data)[0].features
         assert features.shape[0] == 6500
         assert peaks["full"] - peaks["s2v"] < features.nbytes / 2
+
+    @pytest.mark.parametrize("test_per_class", [50, 200])
+    def test_scoring_memory_does_not_grow_with_the_test_set(self, tmp_path,
+                                                            test_per_class):
+        # cs_sweep of a full model on the benchmark's data, 2,500 or 10,000
+        # test rows, maps and scores them in row blocks: it peaks below 2 MB
+        # above what is live at the call, where holding the mapped test rows
+        # and each split's scores took 2.8 and 11.2 MB
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "synth": {"test_per_class": test_per_class},
+            "train": {"epochs": 2}, "sof": {"epochs": 1}}))
+        cfg = load_config(cfg_path)
+        ds = generate_synthetic(cfg.synth)
+        assert ds.test_seen_idx.size + ds.test_unseen_idx.size == 50 * test_per_class
+        refiner, _ = train_sof(ds, cfg.sof)
+        model = train_prototypes(refine_features(ds, refiner),
+                                 dataclasses.replace(cfg.train, mode="full"))
+        sweep = metrics.cs_sweep(model, ds, cfg.grid, refiner.f_lin)
+        tracemalloc.start()  # after a first call's one-off allocations
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert metrics.cs_sweep(model, ds, cfg.grid, refiner.f_lin) == sweep
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_rerun_metric_files_byte_identical(self, trained):
         tmp_path, cfg, data, model = trained

@@ -407,12 +407,36 @@ def reference_sweep(model, ds, grid):
     return rows, grid[hs.index(max(hs))]
 
 
+# The row blocks cs_sweep is also checked at, besides metrics.ROW_BLOCK: a
+# test set of a few dozen rows then spans many blocks.
+SMALL_ROW_BLOCKS = (2, 3, 7)
+
+
+def assert_scored_once(blocks, rows):
+    """blocks, the feature rows of each _id_scores call of one sweep, hold
+    each of rows (the test rows in the sweep's order) once, in order; each
+    but the last has ROW_BLOCK rows, and the last at most one more, and 2 or
+    more unless rows is one row."""
+    sizes = [block.shape[0] for block in blocks]
+    assert sum(sizes) == rows.shape[0]
+    if blocks:
+        assert np.concatenate(blocks).tobytes() == rows.tobytes()
+    assert all(n == metrics.ROW_BLOCK for n in sizes[:-1])
+    assert all(min(2, rows.shape[0]) <= n <= metrics.ROW_BLOCK + 1 for n in sizes)
+
+
 class TestSweepParity:
     GRID = delta_grid(DEFAULTS)
 
-    def assert_parity(self, ds, model):
-        reports, best = cs_sweep(model, ds, self.GRID)
-        ref_rows, ref_best = reference_sweep(model, ds, self.GRID)
+    def assert_parity(self, ds, model, grid=GRID):
+        """cs_sweep equals reference_sweep exactly, at metrics.ROW_BLOCK and
+        at each of SMALL_ROW_BLOCKS; the reports at ROW_BLOCK."""
+        ref_rows, ref_best = reference_sweep(model, ds, grid)
+        reports, best = cs_sweep(model, ds, grid)
+        for block in SMALL_ROW_BLOCKS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(metrics, "ROW_BLOCK", block)
+                assert cs_sweep(model, ds, grid) == (reports, best), block
         got = [(r.T, r.U, r.S, r.H, r.delta) for r in reports]
         assert got == ref_rows  # exact float equality
         assert best == ref_best
@@ -500,24 +524,28 @@ class TestSweepParity:
     def test_unsorted_grid_parity(self, grid, unsure_rows):
         # reports stay in grid order, a repeated delta repeats its report;
         # at 1e13 some rows, not all, are unsure and scored in full, and at
-        # 1e16, where the floats are 2 apart, every row is
+        # 1e16, where the floats are 2 apart, every row is.  With test_unseen
+        # cut to 11 rows the 43 test rows are k * B + 1 at each of
+        # SMALL_ROW_BLOCKS, and the split boundary lies inside a block
         ds, model = trained_setup(seed=8)
-        reports, best = cs_sweep(model, ds, grid)
-        ref_rows, ref_best = reference_sweep(model, ds, grid)
-        assert [(r.T, r.U, r.S, r.H, r.delta) for r in reports] == ref_rows
-        assert best == ref_best
+        cut = dataclasses.replace(ds, test_unseen_idx=ds.test_unseen_idx[:11])
+        assert cut.test_seen_idx.size == 32
+        assert all(43 % block == 1 and 11 % block for block in SMALL_ROW_BLOCKS)
+        for data in (ds, cut):
+            self.assert_parity(data, model, grid)
         reach = float(np.max(np.abs(grid)))
         union, mask, protos = union_prototypes(model, ds)
-        unsure = sum(metrics._top_scores(metrics._id_scores(
-            ds.features[idx], protos, union, mask), reach).unsure.size
-            for idx in (ds.test_unseen_idx, ds.test_seen_idx))
-        rows = ds.test_unseen_idx.size + ds.test_seen_idx.size
+        test = np.concatenate([ds.test_unseen_idx, ds.test_seen_idx])
+        unsure = metrics._top_scores(metrics._id_scores(
+            ds.features[test], protos, union, mask), reach).unsure
         if unsure_rows == "none":
-            assert unsure == 0
+            assert unsure.size == 0
         elif unsure_rows == "some":
-            assert 0 < unsure < rows
+            assert 0 < unsure.size < test.size
+            assert all(np.unique(unsure // block).size > 1  # several blocks
+                       for block in SMALL_ROW_BLOCKS)
         else:
-            assert unsure == rows
+            assert unsure.size == test.size
 
     @pytest.mark.parametrize("test_seen,test_unseen", [
         (True, True), (False, True), (True, False)],
@@ -525,22 +553,31 @@ class TestSweepParity:
     def test_one_projection_and_one_scoring_per_split(self, monkeypatch,
                                                       test_seen, test_unseen):
         # T is read off test_unseen's GZSL scores: no second projection of
-        # the unseen prototypes and no second scoring of test_unseen
+        # the unseen prototypes and no second scoring of test_unseen.  The
+        # test rows, test_unseen's then test_seen's, are each scored once,
+        # in row blocks
         ds, model, _ = tie_dataset(test_seen=test_seen, test_unseen=test_unseen)
-        calls = {"project": 0, "score": 0}
+        test = ds.features[np.concatenate([ds.test_unseen_idx, ds.test_seen_idx])]
+        project, score = metrics.project_prototypes, metrics._id_scores
+        projected, scored = [], []
 
-        def counted(name, func):
-            def wrapper(*args):
-                calls[name] += 1
-                return func(*args)
-            return wrapper
-        monkeypatch.setattr(metrics, "project_prototypes",
-                            counted("project", metrics.project_prototypes))
-        monkeypatch.setattr(metrics, "_id_scores",
-                            counted("score", metrics._id_scores))
-        reports, _ = cs_sweep(model, ds, self.GRID)
-        assert calls == {"project": 1, "score": test_seen + test_unseen}
-        assert all((r.T is None) == (not test_unseen) for r in reports)
+        def counted_project(*args):
+            projected.append(args)
+            return project(*args)
+
+        def counted_score(features, *args):
+            scored.append(features)
+            return score(features, *args)
+        monkeypatch.setattr(metrics, "project_prototypes", counted_project)
+        monkeypatch.setattr(metrics, "_id_scores", counted_score)
+        for block in (metrics.ROW_BLOCK, *SMALL_ROW_BLOCKS):
+            monkeypatch.setattr(metrics, "ROW_BLOCK", block)
+            projected.clear()
+            scored.clear()
+            reports, _ = cs_sweep(model, ds, self.GRID)
+            assert len(projected) == 1
+            assert_scored_once(scored, test)
+            assert all((r.T is None) == (not test_unseen) for r in reports)
 
     def test_grid_blocks(self, monkeypatch):
         # a grid of several blocks reads as the same grid in one block
@@ -553,11 +590,7 @@ class TestSweepParity:
     def test_wide_grid_parity(self):
         # negative and huge deltas: at 1e20 every seen score rounds to -1e20
         ds, model, _ = tie_dataset()
-        grid = [-0.5, 0.0, 0.37, 2.0, 1e6, 1e20]
-        reports, best = cs_sweep(model, ds, grid)
-        ref_rows, ref_best = reference_sweep(model, ds, grid)
-        assert [(r.T, r.U, r.S, r.H, r.delta) for r in reports] == ref_rows
-        assert best == ref_best
+        self.assert_parity(ds, model, [-0.5, 0.0, 0.37, 2.0, 1e6, 1e20])
 
 
 # ---------------------------------------------------------------------------
@@ -582,10 +615,12 @@ class TestRefinerMap:
                                       "one test_unseen row"])
     def test_equals_sweep_of_refined_features(self, tmp_path, monkeypatch,
                                               data, seed):
-        # the test rows, mapped in one product of at least two rows, are
-        # bit for bit the rows of the product over every row; one test_unseen
-        # row is sliced from the product, not mapped alone, which would take
-        # BLAS's matrix-vector code and can differ in the last bit
+        # the test rows, mapped in row blocks of at least two rows, are bit
+        # for bit the rows of the product over every row; one test_unseen row
+        # is mapped inside a block, not alone, which would take BLAS's
+        # matrix-vector code and can differ in the last bit.  Those cases
+        # also run at SMALL_ROW_BLOCKS: their 25 test rows are k * B + 1 at
+        # B = 2 and 3, and the split boundary after row 1 lies inside a block
         record = json.loads(GOLDEN_CONFIG.read_text()) if data == "golden" \
             else CRITERION_8
         path = tmp_path / "config.json"
@@ -594,26 +629,45 @@ class TestRefinerMap:
         ds = generate_synthetic(cfg.synth)
         if data == "one test_unseen row":
             ds = dataclasses.replace(ds, test_unseen_idx=ds.test_unseen_idx[:1])
+            assert ds.test_seen_idx.size == 24
         refiner, _ = train_sof(ds, cfg.sof)
         refined = refine_features(ds, refiner)
         model = train_prototypes(refined, dataclasses.replace(cfg.train,
                                                               mode="full"))
-        scored = []  # the rows of each split that each sweep scores
+        test = refined.features[np.concatenate([ds.test_unseen_idx,
+                                                ds.test_seen_idx])]
+        scored = []  # the row blocks that each sweep scores
 
         def id_scores(features, *args):
-            scored[-1].append(features.tobytes())
+            scored[-1].append(features)
             return score_rows(features, *args)
-        score_rows = metrics._id_scores
+        score_rows, project = metrics._id_scores, metrics.project_prototypes
+        projected = []
+
+        def project_once(*args):
+            projected.append(args)
+            return project(*args)
         monkeypatch.setattr(metrics, "_id_scores", id_scores)
-        sweeps = []
-        for args in ((ds, cfg.grid, refiner.f_lin), (refined, cfg.grid)):
-            scored.append([])
-            sweeps.append(cs_sweep(model, *args))
-        (reports, best), (ref_reports, ref_best) = sweeps
-        assert [dataclasses.astuple(r) for r in reports] == \
-            [dataclasses.astuple(r) for r in ref_reports]
-        assert best == ref_best
-        assert len(scored[0]) == 2 and scored[0] == scored[1]
+        monkeypatch.setattr(metrics, "project_prototypes", project_once)
+        sizes = (metrics.ROW_BLOCK, *SMALL_ROW_BLOCKS) \
+            if data == "one test_unseen row" else (metrics.ROW_BLOCK,)
+        for block in sizes:
+            monkeypatch.setattr(metrics, "ROW_BLOCK", block)
+            scored.clear()
+            projected.clear()
+            sweeps = []
+            for args in ((ds, cfg.grid, refiner.f_lin), (refined, cfg.grid)):
+                scored.append([])
+                sweeps.append(cs_sweep(model, *args))
+            (reports, best), (ref_reports, ref_best) = sweeps
+            assert [dataclasses.astuple(r) for r in reports] == \
+                [dataclasses.astuple(r) for r in ref_reports]
+            assert best == ref_best
+            assert len(projected) == 2  # one per sweep
+            for rows in scored:
+                assert_scored_once(rows, test)
+            as_bytes = [[rows.tobytes() for rows in sweep] for sweep in scored]
+            assert as_bytes[0] == as_bytes[1]
 
     def test_non_finite_mapped_rows_raise(self):
         ds, model = trained_setup()

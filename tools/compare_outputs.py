@@ -12,15 +12,20 @@ two trees at once, one thread each: `synth`, `train` in every mode, one
 on an unsorted comma grid that repeats a delta, `ablate --seeds 2`, one
 `sweep` over n_neighbors and one `sweep` per sigma value; then a CSV
 leg, which checks the CSV table reader and writer:
-`synth --format csv`, `train --mode full` on that data and its `eval`,
-and one expected failure, `error_csv_not_as_written` (`eval` on a copy of
-that data whose `features.csv` has CRLF line ends); then a relabelled leg,
+`synth --format csv`, `train --mode full` and `train --mode s2v` on that
+data and the full model's `eval`, and one expected failure,
+`error_csv_not_as_written` (`eval` on a copy of that data whose
+`features.csv` has CRLF line ends); then a relabelled leg,
 on a copy of that data whose class k of L is renamed L-1-k, so that the
 unseen class ids lie below the seen ones, which no configuration's own data
 has (the order the sweep sorts its columns into, a seen-unseen tie going to
 the smaller id, and the `similarity_*` files cut from a union that does not
 ascend): `train --mode s2v`, `train --mode full` and one `eval` of both
-models on the comma grid; then an error leg,
+models on the comma grid; then a one-row leg, `eval_one_row`: one `eval`
+of the full and the s2v model of the CSV leg on the comma grid, on a copy
+of that data whose `test_unseen` split is cut to its first row, which no
+configuration's own data has (the sweep scores that row in a row block
+with the test_seen rows after it, not alone); then an error leg,
 whose steps each break one rule that the program checks where the input
 enters, and so are expected to fail on both sides:
 `error_train_optimizer` and `error_sof_optimizer` (an unknown optimizer),
@@ -46,7 +51,7 @@ prints: `help` (`--help`) and `help_<command>` (`<command> --help`) for each
 of the five commands, and three expected failures, `error_usage_command`
 (a command that does not exist), `error_usage_flag` (`eval` without
 `--model`) and `error_usage_unknown` (`eval` with every required flag and
-an unknown one, `--bogus 1`): 52 steps and 23 expected failures per
+an unknown one, `--bogus 1`): 54 steps and 23 expected failures per
 configuration.
 Every step runs in its own process with PYTHONPATH set to the tree's `src`
 and one BLAS thread, in the tree's own work directory and from the same
@@ -160,6 +165,9 @@ CSV_CRLF = "data_csv_crlf"
 # The dataset of the relabelled leg, copied from data_csv with its classes
 # renamed just before that leg's first step runs.
 RELABELLED = "data_relabelled"
+# The dataset of the one-row leg, copied from data_csv with one test_unseen
+# row just before that leg's step runs.
+ONE_ROW = "data_one_row"
 
 
 def src_dir(tree: str) -> Path:
@@ -198,6 +206,8 @@ def steps(n_values: str) -> list[tuple[str, list[str]]]:
     out += [("synth_csv", ["synth", *cfg, "--out", "data_csv", "--format", "csv"]),
             ("train_csv", ["train", *cfg, "--data", "data_csv", "--out", "train_csv",
                            "--mode", "full"]),
+            ("train_csv_s2v", ["train", *cfg, "--data", "data_csv", "--out",
+                               "train_csv_s2v", "--mode", "s2v"]),
             ("eval_csv", ["eval", "--model", "train_csv/model", "--data", "data_csv",
                           "--out", "eval_csv"]),
             ("error_csv_not_as_written", ["eval", "--model", "train_csv/model",
@@ -210,6 +220,10 @@ def steps(n_values: str) -> list[tuple[str, list[str]]]:
                                     "--model", "train_relabelled_full/model",
                                     "--data", RELABELLED, "--out", "eval_relabelled",
                                     f"--delta-grid={EVAL_GRID}"]))
+    out.append(("eval_one_row", ["eval", "--model", "train_csv/model",
+                                 "--model", "train_csv_s2v/model", "--data", ONE_ROW,
+                                 "--out", "eval_one_row",
+                                 f"--delta-grid={EVAL_GRID}"]))
     out += [(name, [argv[0], "--config", f"{name}.json", *data, "--out", name,
                     *argv[1:]]) for name, (_, argv) in ERRORS.items()]
     full = ["--model", "train_full/model"]
@@ -294,6 +308,23 @@ def copy_csv_data_relabelled(work: Path) -> None:
     (root / "split.txt").write_text("".join(lines))
 
 
+def copy_csv_data_one_unseen_row(work: Path) -> None:
+    """Copy data_csv to ONE_ROW, the split's test_unseen line cut to its
+    first id; nothing where synth_csv wrote no data, so that the step fails
+    on a missing dataset instead."""
+    data = work / "data_csv"
+    if not data.is_dir():
+        return
+    shutil.copytree(data, work / ONE_ROW)
+    path = work / ONE_ROW / "split.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        key, _, ids = line.partition(":")
+        if key == "test_unseen":
+            lines[i] = f"{key}: {ids.split()[0]}\n"
+    path.write_text("".join(lines))
+
+
 def run_tree(src: Path, work: Path, config: dict, n_values: str) -> None:
     work.mkdir(parents=True)
     (work / "data_empty").mkdir()  # the --data of error_no_dataset
@@ -313,6 +344,8 @@ def run_tree(src: Path, work: Path, config: dict, n_values: str) -> None:
             copy_csv_data_with_crlf(work)
         elif name == "train_relabelled_s2v":
             copy_csv_data_relabelled(work)
+        elif name == "eval_one_row":
+            copy_csv_data_one_unseen_row(work)
         proc = subprocess.run([sys.executable, "-m", "protoplace.cli", *argv],
                               cwd=work, env=env, capture_output=True, text=True)
         (work / f"{name}.stdout").write_text(proc.stdout)
