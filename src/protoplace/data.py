@@ -5,6 +5,8 @@ On-disk formats (DATASET_FILES names each format's files)
 ---------------------------------------------------------
 * Binary matrices: magic ``LPLF``, two little-endian uint32 (rows, cols),
   then rows*cols little-endian float32, row-major.  Bit-exact round trips.
+  Read in slices of whole rows (_read_rows), so no reader holds a file's
+  bytes beside the float64 rows it fills.
 * Labels: a one-column binary matrix beside the binary features.  float32
   holds every id up to 2**24 exactly; saving an id it cannot hold, or
   loading a value that is not a nonnegative integer, raises FormatError.
@@ -27,9 +29,11 @@ On-disk formats (DATASET_FILES names each format's files)
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
+import os
 import re
 import struct
 import warnings
@@ -70,23 +74,56 @@ def save_matrix(path, mat, what: str = "matrix") -> tuple[bytes, np.ndarray]:
     return pieces
 
 
-def parse_matrix(raw: bytes, path) -> np.ndarray:
-    """The float64 matrix of a binary matrix file's bytes; `path` names the
-    file in errors."""
-    if raw[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic bytes {raw[:4]!r}")
-    if len(raw) < 12:
+# Bytes of float32 rows a binary matrix reader converts per read: the one
+# buffer it holds beside the float64 rows it fills.
+READ_BYTES = 1 << 16
+
+
+def _read_header(f, path, hasher=None) -> tuple[int, int]:
+    """The (rows, cols) of the header of the binary matrix file open as f,
+    checked against the file's size; the 12 header bytes go to
+    hasher.update."""
+    head = f.read(12)
+    if head[:4] != MAGIC:
+        raise FormatError(f"{path}: bad magic bytes {head[:4]!r}")
+    if len(head) < 12:
         raise FormatError(f"{path}: truncated header")
-    rows, cols = struct.unpack_from("<II", raw, 4)
-    if len(raw) - 12 != rows * cols * 4:
-        raise FormatError(
-            f"{path}: expected {rows * cols * 4} data bytes, found {len(raw) - 12}"
-        )
-    return np.frombuffer(raw, "<f4", offset=12).astype(np.float64).reshape(rows, cols)
+    rows, cols = struct.unpack_from("<II", head, 4)
+    found = os.fstat(f.fileno()).st_size - 12
+    if found != rows * cols * 4:
+        raise FormatError(f"{path}: expected {rows * cols * 4} data bytes, "
+                          f"found {found}")
+    if hasher is not None:
+        hasher.update(head)
+    return rows, cols
 
 
-def load_matrix(path) -> np.ndarray:
-    return parse_matrix(Path(path).read_bytes(), path)
+def _read_rows(f, path, out: np.ndarray, hasher=None) -> None:
+    """The float32 rows after the header of the file open as f into the
+    float64 matrix out, of the header's shape: read into one reused buffer
+    of whole rows, about READ_BYTES at a time, each piece passed to
+    hasher.update as read."""
+    rows, cols = out.shape
+    step = max(1, READ_BYTES // max(4 * cols, 1))
+    buf = np.empty((min(step, rows), cols), "<f4")
+    for lo in range(0, rows, step):
+        piece = buf[:rows - lo]
+        read = f.readinto(piece)
+        if read != piece.nbytes:  # the file shrank since _read_header
+            raise FormatError(f"{path}: expected {rows * cols * 4} data bytes, "
+                              f"found {lo * cols * 4 + read}")
+        if hasher is not None:
+            hasher.update(piece)
+        out[lo:lo + step] = piece
+
+
+def load_matrix(path, hasher=None) -> np.ndarray:
+    """The float64 matrix of a binary matrix file, streamed (_read_rows);
+    each piece read, the header first, goes to hasher.update."""
+    with open(path, "rb") as f:
+        out = np.empty(_read_header(f, path, hasher))
+        _read_rows(f, path, out, hasher)
+    return out
 
 
 def save_params(params: FlatParams, out_dir: Path, prefix: str) -> None:
@@ -103,11 +140,24 @@ def check_float32(*params: FlatParams) -> None:
         float32_rows(np.atleast_2d(a), f"parameter {name}")
 
 
-def load_params(cls: type[FlatParams], in_dir: Path,
-                prefix: str) -> dict[str, np.ndarray]:
-    """The matrices save_params wrote for a `cls`, by parameter name; the
-    constructor of cls checks their shapes."""
-    return {name: load_matrix(in_dir / f"{prefix}_{name}.bin") for name in cls.PARAMS}
+def load_params(cls: type[FlatParams], in_dir: Path, prefix: str) -> FlatParams:
+    """The `cls` whose matrices save_params wrote, its constructor checking
+    their shapes.  Each file's header is read in PARAMS order, then each
+    file's rows are streamed (_read_rows) into its slot of one vector, which
+    the instance keeps as its flat (FlatParams) rather than a copy."""
+    paths = [in_dir / f"{prefix}_{name}.bin" for name in cls.PARAMS]
+    with contextlib.ExitStack() as stack:
+        files, shapes = [], []
+        for path in paths:
+            files.append(f := stack.enter_context(open(path, "rb")))
+            shapes.append(_read_header(f, path))
+        flat = np.empty(sum(rows * cols for rows, cols in shapes))
+        arrays, lo = {}, 0
+        for name, f, path, shape in zip(cls.PARAMS, files, paths, shapes):
+            arrays[name] = a = flat[lo:lo + shape[0] * shape[1]].reshape(shape)
+            _read_rows(f, path, a)
+            lo += a.size
+    return cls(**arrays, flat=flat)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +437,9 @@ def require_keys(record, names, where: str = "") -> None:
 
 # A split line after its colon: nothing, or a space before each id, each id
 # written as str(int) writes it, of at most 18 digits, which int64 holds.
-_SPLIT_IDS = re.compile(r"(?: (?:0|-?[1-9][0-9]{0,17}))*")
+# The repeat is possessive: an id must be followed by a space or the end,
+# so no backtracking could rescue a failed match, and none is stacked.
+_SPLIT_IDS = re.compile(r"(?: (?:0|-?[1-9][0-9]{0,17}))*+")
 # Each CSV table of a dataset by role: the names of its integer columns, the
 # row number first, and the prefix of its value columns' names.
 CSV_TABLES = {"features": (("id", "label"), "f"), "attributes": (("class_id",), "a")}
@@ -519,18 +571,19 @@ def dataset_files(data_dir) -> tuple[str, dict[str, Path]]:
     return found[0], {role: data_dir / name for role, name in names.items()}
 
 
-def _fingerprint(raw: dict) -> str:
-    """sha256 over the name and bytes (a list of pieces) of each file, in name
-    order."""
+def _fingerprint(paths: dict[str, Path], hash_file) -> str:
+    """sha256 over the name and bytes of each file of `paths` (by role), in
+    name order: hash_file(role, hasher) passes the bytes of that role's file
+    to hasher.update, right after its name."""
     h = hashlib.sha256()
-    for path in sorted(raw):
-        for piece in (path.name.encode(), *raw[path]):
-            h.update(piece)
+    for role in sorted(paths, key=lambda r: paths[r].name):
+        h.update(paths[role].name.encode())
+        hash_file(role, h)
     return h.hexdigest()
 
 
-def _read_labels(raw: bytes, path: Path) -> np.ndarray:
-    labels = parse_matrix(raw, path).ravel()
+def _read_labels(path: Path, hasher) -> np.ndarray:
+    labels = load_matrix(path, hasher).ravel()
     bad = ~np.isfinite(labels) | (labels < 0) | (labels != np.floor(labels))
     if np.any(bad):
         raise FormatError(f"{path}: label {labels[bad][0]} is not a nonnegative "
@@ -560,44 +613,54 @@ def save_dataset(ds: SplitDataset, out_dir, format: str = "binary") -> tuple[dic
     paths = {role: out_dir / name for role, name in DATASET_FILES[format].items()}
     if format == "binary":
         labels = ds.labels.astype(np.float64)[:, None]
-        raw = {paths[role]: save_matrix(paths[role], a, role) for role, a in (
+        written = {role: save_matrix(paths[role], a, role) for role, a in (
             ("features", ds.features), ("labels", labels),
             ("attributes", ds.attributes.values))}
     else:
-        raw = {paths[role]: [_write_table(paths[role], role, *args)] for role, args
-               in (("features", (ds.features, [ds.labels])),
-                   ("attributes", (ds.attributes.values,)))}
-    raw[paths["split"]] = [write_split(paths["split"], {
+        written = {role: [_write_table(paths[role], role, *args)] for role, args
+                   in (("features", (ds.features, [ds.labels])),
+                       ("attributes", (ds.attributes.values,)))}
+    written["split"] = [write_split(paths["split"], {
         "seen": ds.seen_classes,
         "unseen": ds.unseen_classes,
         "train": ds.train_idx,
         "test_seen": ds.test_seen_idx,
         "test_unseen": ds.test_unseen_idx,
     })]
-    return {r: paths[r] for r in ("features", "attributes", "split")}, _fingerprint(raw)
+
+    def hash_written(role, hasher):
+        for piece in written[role]:
+            hasher.update(piece)
+
+    return ({r: paths[r] for r in ("features", "attributes", "split")},
+            _fingerprint(paths, hash_written))
 
 
 def load_dataset_dir(data_dir) -> tuple[SplitDataset, str]:
     """The dataset save_dataset wrote to data_dir, in the format
-    dataset_files finds there, and its fingerprint: sha256 over the name and
-    bytes of each file read, in name order, taken from the bytes parsed.
-    Each file is read once."""
+    dataset_files finds there, and its fingerprint (_fingerprint) of the
+    bytes parsed.  Each file is read once, in name order, and hashed as it
+    is read: a binary matrix slice by slice (load_matrix), a text file
+    whole, its bytes dropped once parsed."""
     format, paths = dataset_files(data_dir)
-    raw = {}
+    got = {}
 
-    def read(role):
-        raw[paths[role]] = [data := paths[role].read_bytes()]
-        return data, paths[role]
+    def read(role, hasher):
+        path = paths[role]
+        if format == "binary" and role != "split":
+            got[role] = (_read_labels if role == "labels" else load_matrix)(path, hasher)
+            return
+        hasher.update(raw := path.read_bytes())
+        got[role] = read_split(raw, path) if role == "split" \
+            else _read_table(raw, path, role)
 
+    fingerprint = _fingerprint(paths, read)
     if format == "binary":
-        features = parse_matrix(*read("features"))
-        labels = _read_labels(*read("labels"))
-        attributes = parse_matrix(*read("attributes"))
+        features, labels, attributes = got["features"], got["labels"], got["attributes"]
     else:
-        features, ints = _read_table(*read("features"), "features")
+        (features, ints), (attributes, _) = got["features"], got["attributes"]
         labels = ints[:, 0]
-        attributes = _read_table(*read("attributes"), "attributes")[0]
-    splits = read_split(*read("split"))
+    splits = got["split"]
     ds = SplitDataset(
         features=features,
         labels=labels,
@@ -608,7 +671,7 @@ def load_dataset_dir(data_dir) -> tuple[SplitDataset, str]:
         test_seen_idx=splits["test_seen"],
         test_unseen_idx=splits["test_unseen"],
     )
-    return ds, _fingerprint(raw)
+    return ds, fingerprint
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ boundary (see data.py).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -27,7 +27,9 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
 
 
 def require_finite(a: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(a)):
+    """a, unless it holds a NaN or an infinity: FloatingPointError naming
+    `what`.  min and max propagate NaN, so no mask the size of a is made."""
+    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise FloatingPointError(f"non-finite values in {what}")
     return a
 
@@ -91,13 +93,16 @@ class FlatParams:
     """Mixin of the parameter dataclasses: the arrays named in PARAMS are
     views of one contiguous float64 vector `flat`, in that order, so that a
     gradient is one vector of the same layout and an optimizer step is one
-    update.  Call `_pack` once the arrays are checked."""
+    update.  Call `_pack` once the arrays are checked.  A constructor's
+    `flat` argument, where given, is such a vector whose views the arrays
+    already are (data.load_params reads them so): it is kept, not copied."""
 
     PARAMS: tuple[str, ...] = ()
 
-    def _pack(self) -> None:
+    def _pack(self, flat: np.ndarray | None = None) -> None:
         arrays = [getattr(self, name) for name in self.PARAMS]
-        self.flat = np.concatenate([a.ravel() for a in arrays])
+        self.flat = np.concatenate([a.ravel() for a in arrays]) if flat is None \
+            else flat
         ends = np.cumsum([a.size for a in arrays]).tolist()
         self._slots = [(name, slice(hi - a.size, hi), a.shape)
                        for name, a, hi in zip(self.PARAMS, arrays, ends)]
@@ -125,7 +130,7 @@ class FlatParams:
 class MappingNet(FlatParams):
     """out = W2 * relu(W1 * x + b1) + b2, applied row-wise.  The weights and
     biases are views of `flat` (see FlatParams); the net keeps its own copy
-    of the arrays it is given."""
+    of the arrays it is given, unless given `flat`."""
 
     PARAMS = ("w1", "b1", "w2", "b2")
 
@@ -133,8 +138,9 @@ class MappingNet(FlatParams):
     b1: np.ndarray  # hidden
     w2: np.ndarray  # out x hidden
     b2: np.ndarray  # out
+    flat: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, flat):
         self.w1 = as_matrix(self.w1, "w1")
         self.w2 = as_matrix(self.w2, "w2")
         self.b1 = np.asarray(self.b1, dtype=np.float64).ravel()
@@ -148,7 +154,7 @@ class MappingNet(FlatParams):
             raise ShapeError("output dimensions disagree between w2, b2")
         for name, p in self.params().items():
             require_finite(p, f"parameter {name}")
-        self._pack()
+        self._pack(flat)
 
     @property
     def in_dim(self) -> int:

@@ -241,11 +241,12 @@ def cs_sweep(
     Each block is gathered, mapped through f_lin (a stage-one refiner's
     map, as refine.refine_features maps every row) where one is given,
     scored and reduced to its top scores; each split's top scores are its
-    slice of the blocks' concatenated.  Each mapped row and each score row
-    thus comes from a product of at least two rows, where BLAS takes the
-    same kernel as in the product over all rows (a one-row product, where
-    the whole test set is one row, need not).  T and U share test_unseen's
-    scores."""
+    slice of the blocks' concatenated.  The bits of each mapped row and
+    score row depend on the BLAS kernel and on the block's shape, so they
+    can differ in the last bits from that row of one product over all rows;
+    the reports were equal in every case measured, as a last-bit change
+    moves an accuracy only where it flips a near-tie (README, `eval`).
+    T and U share test_unseen's scores."""
     grid = [float(d) for d in delta_grid]
     seen, unseen = ds.seen_classes, ds.unseen_classes
     test_u, test_s = ds.test_unseen_idx, ds.test_seen_idx

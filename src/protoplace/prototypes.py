@@ -243,5 +243,5 @@ def load_model(in_dir) -> tuple[PrototypeModel, dict]:
         loss_trace = [float(x) for x in manifest["loss_trace"]]
     except (ValueError, TypeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    net = MappingNet(**load_params(MappingNet, in_dir, "net"))
+    net = load_params(MappingNet, in_dir, "net")
     return PrototypeModel(net=net, config=cfg, loss_trace=loss_trace), manifest

@@ -8,7 +8,7 @@ refined features.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +30,9 @@ class RefinerParams(FlatParams):
 
     f_lin: np.ndarray   # C x C, applied as x @ f_lin
     w_proj: np.ndarray  # C x D
+    flat: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, flat):
         self.f_lin = as_matrix(self.f_lin, "f_lin")
         self.w_proj = as_matrix(self.w_proj, "w_proj")
         if self.f_lin.shape[0] != self.f_lin.shape[1]:
@@ -40,7 +41,7 @@ class RefinerParams(FlatParams):
             raise ShapeError("w_proj rows must match the feature dimension")
         for name, p in self.params().items():
             require_finite(p, f"parameter {name}")
-        self._pack()
+        self._pack(flat)
 
 
 @dataclass
@@ -171,7 +172,7 @@ def load_refiner(in_dir) -> RefinerParams:
         require_trace("loss_trace", record["loss_trace"])
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    params = RefinerParams(**load_params(RefinerParams, in_dir, "refiner"))
+    params = load_params(RefinerParams, in_dir, "refiner")
     for name in RefinerParams.PARAMS:
         key, shape = f"{name}_shape", list(getattr(params, name).shape)
         value = record[key]

@@ -1,6 +1,13 @@
+import hashlib
+import io
+import random
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from protoplace import data
 from protoplace.data import (
     AttributeTable,
     SplitDataset,
@@ -10,6 +17,7 @@ from protoplace.data import (
     dataset_files,
     load_dataset_dir,
     load_matrix,
+    read_split,
     sample_episode,
     save_dataset,
     save_matrix,
@@ -19,6 +27,7 @@ from protoplace.data import (
 from protoplace.errors import CapacityError, ConfigError, FormatError, \
     ParameterError, ValidationError
 from protoplace.linalg import MappingNet
+from protoplace.refine import RefinerParams, load_refiner, save_refiner
 from protoplace.rng import RngStream
 
 
@@ -67,6 +76,57 @@ class TestBinaryFormat:
         save_matrix(p, np.zeros((2, 2)))
         p.write_bytes(p.read_bytes()[:-2])
         with pytest.raises(FormatError):
+            load_matrix(p)
+
+    @pytest.mark.parametrize("shape", [(7, 3), (0, 3), (4, 0)])
+    @pytest.mark.parametrize("slice_rows", [1, 2, 3])
+    def test_streamed_rows_equal_the_whole_conversion(self, tmp_path, monkeypatch,
+                                                      shape, slice_rows):
+        # slices of 1, 2 and 3 rows, the last of 3 ragged on 7 rows; and the
+        # hasher takes exactly the file's bytes
+        p = tmp_path / "m.bin"
+        mat = np.random.default_rng(1).normal(size=shape)
+        if mat.size:  # and NaN, an infinity, -0 and a float32 subnormal
+            mat.flat[:4] = [np.nan, np.inf, -0.0, 1e-40]
+        save_matrix(p, mat)
+        monkeypatch.setattr(data, "READ_BYTES", slice_rows * 4 * shape[1])
+        raw = p.read_bytes()
+        whole = np.frombuffer(raw, "<f4", offset=12).astype(np.float64)
+        hasher = hashlib.sha256()
+        got = load_matrix(p, hasher)
+        assert got.dtype == np.float64 and got.shape == shape
+        assert got.tobytes() == whole.tobytes()
+        assert hasher.digest() == hashlib.sha256(raw).digest()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: b"XXXX" + raw[4:], "bad magic bytes b'XXXX'"),
+        (lambda raw: raw[:2], "bad magic bytes b'LP'"),
+        (lambda raw: raw[:10], "truncated header"),
+        (lambda raw: raw[:-2], "expected 24 data bytes, found 22"),
+        (lambda raw: raw + b"\0", "expected 24 data bytes, found 25"),
+    ], ids=["bad magic", "short magic", "truncated header", "short file",
+            "over-long file"])
+    def test_malformed_file_names_its_fault(self, tmp_path, edit, message):
+        p = tmp_path / "m.bin"
+        save_matrix(p, np.zeros((2, 3)))
+        p.write_bytes(edit(p.read_bytes()))
+        with pytest.raises(FormatError, match=re.escape(f"{p}: {message}")):
+            load_matrix(p)
+
+    def test_file_that_shrinks_while_read(self, tmp_path, monkeypatch):
+        # its size passed the header check, then its last 4 bytes went
+        class Shrunk(io.BufferedReader):
+            def readinto(self, buffer):
+                read = super().readinto(buffer)
+                return read - 4 if self.peek(1) == b"" else read
+
+        p = tmp_path / "m.bin"
+        save_matrix(p, np.ones((3, 2)))
+        monkeypatch.setattr(data, "READ_BYTES", 8)  # one row per slice
+        monkeypatch.setattr(data, "open", lambda path, mode: Shrunk(io.FileIO(path, mode)),
+                            raising=False)
+        with pytest.raises(FormatError,
+                           match=re.escape(f"{p}: expected 24 data bytes, found 20")):
             load_matrix(p)
 
     def test_returns_the_pieces_written(self, tmp_path):
@@ -543,6 +603,76 @@ class TestDatasetIO:
         for path in (tmp_path, tmp_path / "nope"):
             with pytest.raises(FileNotFoundError, match="no dataset files"):
                 load_dataset_dir(path)
+
+
+def traced(fn, *args):
+    """fn(*args), and the bytes of it still live after the call and its
+    peak, both above the memory live at its call, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept - base, peak - base
+
+
+class TestReaderMemory:
+    """The readers hold no file's bytes beside what they return: each peaks
+    within a small margin of what it keeps."""
+
+    def test_dataset_loader_peak(self, tmp_path):
+        # the benchmark's data: 6,500 rows of 32-d features
+        save_dataset(generate_synthetic(SynthConfig(test_per_class=50)), tmp_path)
+        load_dataset_dir(tmp_path)  # first-call costs are not the reader's
+        (ds, _), kept, peak = traced(load_dataset_dir, tmp_path)
+        assert ds.features.shape == (6500, 32) and kept > ds.features.nbytes
+        assert peak < kept + 600_000
+
+    def test_split_reader_peak(self):
+        ids = " ".join(map(str, range(4000)))
+        raw = f"seen: 0 1\nunseen: 2\ntrain: {ids}\ntest_seen:\ntest_unseen:\n"
+        splits, kept, peak = traced(read_split, raw.encode(), "split.txt")
+        assert splits["train"].size == 4000
+        assert peak < kept + 64 * 1024
+
+    def test_refiner_loader_peak(self, tmp_path):
+        # the weights are streamed into the one vector the refiner keeps:
+        # one slice buffer beside it, and the open files' own buffers
+        rng = np.random.default_rng(0)
+        save_refiner(RefinerParams(f_lin=rng.normal(size=(512, 512)),
+                                   w_proj=rng.normal(size=(512, 16))),
+                     tmp_path, seed=0, loss_trace=[])
+        load_refiner(tmp_path)
+        params, kept, peak = traced(load_refiner, tmp_path)
+        assert kept > params.flat.nbytes
+        assert all(np.shares_memory(a, params.flat) for a in params.params().values())
+        assert peak < kept + data.READ_BYTES + 32 * 1024
+
+
+class TestSplitIds:
+    # the pattern before its repeat was possessive: it stacks backtracking
+    # state per id, but accepts the same strings
+    BACKTRACKING = re.compile(r"(?: (?:0|-?[1-9][0-9]{0,17}))*")
+
+    @pytest.mark.parametrize("text, ok", [
+        ("", True), (" 0 7 -12", True),
+        (" " + "9" * 18, True), (" " + "9" * 19, False),
+        (" -0", False), (" 01", False), (" 1  2", False), (" 1 ", False),
+        ("1", False), ("1 2", False),
+    ], ids=["empty", "ids", "18 digits", "19 digits", "-0", "01", "double space",
+            "trailing space", "leading id", "leading id then one"])
+    def test_named_cases(self, text, ok):
+        assert bool(data._SPLIT_IDS.fullmatch(text)) is ok
+        assert bool(self.BACKTRACKING.fullmatch(text)) is ok
+
+    def test_same_strings_as_the_backtracking_pattern(self):
+        rng = random.Random(0)
+        for _ in range(100_000):
+            text = "".join(rng.choices(" 0123456789-x", k=rng.randint(0, 8)))
+            assert bool(data._SPLIT_IDS.fullmatch(text)) == \
+                bool(self.BACKTRACKING.fullmatch(text)), text
 
 
 class TestValidation:
