@@ -30,7 +30,7 @@ from .metrics import cs_sweep, prototype_similarity
 from .prototypes import MODES, PIPELINES, PLACEHOLDERS, PrototypeModel, load_model, \
     project_prototypes, save_model, train_prototypes
 from .refine import load_refiner, refine_features, refiner_map, save_refiner, \
-    train_sof
+    train_rows, train_sof
 
 # `sweep --param` names: the hallucination config keys, plus `n` for n_neighbors.
 SWEEP_PARAMS = {"n_neighbors": "n_neighbors", "n": "n_neighbors", "sigma": "sigma"}
@@ -115,11 +115,12 @@ def _parse_sweep_values(spec: str, param: str) -> list:
 def _train_runs(ds, cfg, runs, seeds=1):
     """For each of `seeds` seeds counted up from the config's, seed by seed,
     train each run, a (name, use_sof, TrainConfig) triple, in order, and
-    yield its name, its seed, its training data, its stage one ((refiner,
-    loss trace) or None) and its model, once the data is checked to hold
-    every run's episodes.  Stage one reads only the dataset, the `sof`
-    section and the seed, so it trains once per stretch of runs with equal
-    SofConfigs (runs without stage one between them included)."""
+    yield its name, its seed, its stage one ((refiner, loss trace) or None)
+    and its model, once the data is checked to hold every run's episodes.
+    Stage one reads only the dataset, the `sof` section and the seed, so it
+    trains once per stretch of runs with equal SofConfigs (runs without
+    stage one between them included); stage two then trains on the refined
+    train rows alone (refine.train_rows)."""
     grid = [(name, seed, replace(cfg.sof, seed=seed) if use_sof else None,
              replace(train, seed=seed))
             for seed in range(cfg.sof.seed, cfg.sof.seed + seeds)
@@ -131,11 +132,11 @@ def _train_runs(ds, cfg, runs, seeds=1):
         if sof_cfg is not None and sof_cfg != done:
             refiner, trace = train_sof(ds, sof_cfg)
             done, stage_one, refined = sof_cfg, (refiner, trace), \
-                refine_features(ds, refiner)
+                refine_features(train_rows(ds), refiner)
         if sof_cfg is None:
-            yield name, seed, ds, None, train_prototypes(ds, train_cfg)
+            yield name, seed, None, train_prototypes(ds, train_cfg)
         else:
-            yield name, seed, refined, stage_one, train_prototypes(refined, train_cfg)
+            yield name, seed, stage_one, train_prototypes(refined, train_cfg)
 
 
 def _eval_model(model: PrototypeModel, eval_ds, grid, f_lin=None):
@@ -145,10 +146,11 @@ def _eval_model(model: PrototypeModel, eval_ds, grid, f_lin=None):
 
 
 def _run_grid(ds, cfg, runs, seeds=1):
-    """(name, seed, best EvalReport on its training data) of each model
-    _train_runs trains."""
-    for name, seed, train_ds, _, model in _train_runs(ds, cfg, runs, seeds):
-        yield name, seed, _eval_model(model, train_ds, cfg.grid)[1]
+    """(name, seed, best EvalReport) of each model _train_runs trains,
+    scored as `eval` scores it: through its stage one's map, if any."""
+    for name, seed, stage_one, model in _train_runs(ds, cfg, runs, seeds):
+        f_lin = None if stage_one is None else stage_one[0].f_lin
+        yield name, seed, _eval_model(model, ds, cfg.grid, f_lin)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -463,7 +463,8 @@ def _read_table(raw: bytes, path, role: str) -> tuple[np.ndarray, np.ndarray]:
     """The value columns (n, C) and the integer columns after the id of
     the bytes of a table _write_table wrote, read only as it writes them:
     each row as int and float read it, which its row_format must write back
-    (ids 0..n-1, integers in int64).  FormatError names the file and row."""
+    (ids 0..n-1, integers in int64), filled into the matrices it returns
+    row by row.  FormatError names the file and row."""
     lines = _lines(raw, path, "row")
     k = len(CSV_TABLES[role][0])
     names = _table_header(role, lines[0].count(",") + 1 - k if lines else 0)
@@ -471,7 +472,8 @@ def _read_table(raw: bytes, path, role: str) -> tuple[np.ndarray, np.ndarray]:
         raise FormatError(f"{path}: row 1 must be the header {','.join(names)!r}")
     c = len(names) - k
     template = row_format((str,) * k + (float,) * c)
-    ints, rows = [], []
+    values = np.empty((len(lines) - 1, c))
+    ints = np.empty((len(lines) - 1, k - 1), np.int64)
     for i, line in enumerate(lines[1:]):
         cells = line.split(",")
         if len(cells) != k + c:
@@ -488,10 +490,8 @@ def _read_table(raw: bytes, path, role: str) -> tuple[np.ndarray, np.ndarray]:
                            if w != cells[j])
             raise FormatError(f"{path}: row {i + 2} has {names[j]} {cells[j]!r} "
                               f"where the writer writes {cell!r}")
-        ints.append(row_ints)
-        rows.append(row)
-    return (np.asarray(rows, dtype=np.float64).reshape(len(rows), c),
-            np.asarray(ints, dtype=np.int64).reshape(len(rows), k - 1))
+        ints[i], values[i] = row_ints, row
+    return values, ints
 
 
 def write_split(path, splits: dict[str, np.ndarray]) -> bytes:

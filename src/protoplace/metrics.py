@@ -239,13 +239,14 @@ def cs_sweep(
     The test rows, test_unseen's then test_seen's, are walked in blocks of
     ROW_BLOCK rows, a last block of one row joined to the block before it.
     Each block is gathered, mapped through f_lin (a stage-one refiner's
-    map, as refine.refine_features maps every row) where one is given,
-    scored and reduced to its top scores; each split's top scores are its
-    slice of the blocks' concatenated.  The bits of each mapped row and
-    score row depend on the BLAS kernel and on the block's shape, so they
-    can differ in the last bits from that row of one product over all rows;
-    the reports were equal in every case measured, as a last-bit change
-    moves an accuracy only where it flips a near-tie (README, `eval`).
+    map, as refine.refine_features maps the train rows stage two trains
+    on) where one is given, scored and reduced to its top scores; each
+    split's top scores are its slice of the blocks' concatenated.  The bits
+    of each mapped row and score row depend on the BLAS kernel and on the
+    block's shape, so they can differ in the last bits from that row of one
+    product over all rows; the reports were equal in every case measured,
+    as a last-bit change moves an accuracy only where it flips a near-tie
+    (README, `eval`).
     T and U share test_unseen's scores."""
     grid = [float(d) for d in delta_grid]
     seen, unseen = ds.seen_classes, ds.unseen_classes

@@ -2,8 +2,9 @@
 
 Each step samples an episode of seen classes, hallucinates placeholder
 classes from it (mode permitting), and takes one optimizer step on a cosine
-cross-entropy over projected prototypes.  Unseen classes and test indices
-are never touched during training.
+cross-entropy over projected prototypes.  Unseen classes are never touched
+during training, and stage two's dataset behind stage one holds no test row
+(refine.train_rows).
 """
 from __future__ import annotations
 

@@ -3,7 +3,7 @@
 A square linear refiner (initialized at identity) and a visual-to-semantic
 projection are trained jointly with a cosine cross-entropy against seen-class
 attributes.  Only the refiner survives stage one; stage two consumes the
-refined features.
+refined train rows (train_rows).
 """
 from __future__ import annotations
 
@@ -130,6 +130,20 @@ def refine_features(ds: SplitDataset, params: RefinerParams) -> SplitDataset:
     out = copy.copy(ds)
     out.features = require_finite(ds.features @ refiner_map(params, ds.feat_dim),
                                   "features")
+    return out
+
+
+def train_rows(ds: SplitDataset) -> SplitDataset:
+    """A shallow copy of ds that holds only its train rows, ascending, and no
+    test split: train_idx gives each train id's position among those rows,
+    so the train ids, and so the train pools, read the same rows in the same
+    order as in ds."""
+    rows = np.sort(ds.train_idx)
+    out = copy.copy(ds)
+    out.__dict__.pop("train_pools", None)  # its flat indexes ds's rows
+    out.features, out.labels = ds.features[rows], ds.labels[rows]
+    out.train_idx = np.searchsorted(rows, ds.train_idx)
+    out.test_seen_idx = out.test_unseen_idx = rows[:0]
     return out
 
 

@@ -24,8 +24,8 @@ from protoplace.data import AttributeTable, SplitDataset, SynthConfig, \
     write_csv
 from protoplace.errors import ConfigError
 from protoplace.metrics import prototype_similarity
-from protoplace.prototypes import TrainConfig, load_model, project_prototypes, \
-    train_prototypes
+from protoplace.prototypes import PIPELINES, TrainConfig, load_model, \
+    project_prototypes, train_prototypes
 from protoplace.refine import SofConfig, refine_features, train_sof
 
 TINY = {
@@ -483,6 +483,42 @@ class TestStageOnePerSeed:
         assert run(argv[0], "--config", cfg, "--data", data,
                    "--out", tmp_path / "out", *argv[1:]) == 0
         assert training_calls == dict(zip(("train_sof", "train_prototypes"), calls))
+
+
+class TestStageTwoData:
+    """Stage one trains on the whole dataset; a model behind it trains on
+    the refined train rows alone, no test row among them."""
+
+    # each command's models in training order, whether each runs behind
+    # stage one, and its refiners
+    @pytest.mark.parametrize("argv,sof_rows,refiners", [
+        (["train", "--mode", "full"], [True], 1),
+        (["ablate", "--seeds", "2"],
+         [sof for _, row, _, sof in PIPELINES if row is not None] * 2, 2),
+    ], ids=["train-full", "ablate"])
+    def test_no_test_row_behind_stage_one(self, workdir, monkeypatch, argv,
+                                          sof_rows, refiners):
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        ds, _ = load_dataset_dir(data)
+        seen = {"train_sof": [], "train_prototypes": []}
+        for name, got in seen.items():
+            def wrapped(d, *args, _got=got, _original=getattr(cli, name)):
+                _got.append(d)
+                return _original(d, *args)
+            monkeypatch.setattr(cli, name, wrapped)
+        assert run(argv[0], "--config", cfg, "--data", data,
+                   "--out", tmp_path / "out", *argv[1:]) == 0
+        assert len(seen["train_sof"]) == refiners
+        for d in seen["train_sof"]:
+            assert np.array_equal(d.features, ds.features)
+            assert np.array_equal(d.test_unseen_idx, ds.test_unseen_idx)
+        assert len(seen["train_prototypes"]) == len(sof_rows)
+        for d, sof in zip(seen["train_prototypes"], sof_rows):
+            if sof:
+                assert d.features.shape[0] == ds.train_idx.size
+                assert d.test_seen_idx.size == d.test_unseen_idx.size == 0
+                assert np.array_equal(d.labels, ds.labels[np.sort(ds.train_idx)])
 
 
 class TestRunGrid:

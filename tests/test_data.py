@@ -630,6 +630,16 @@ class TestReaderMemory:
         assert ds.features.shape == (6500, 32) and kept > ds.features.nbytes
         assert peak < kept + 600_000
 
+    def test_csv_dataset_loader_peak(self, tmp_path):
+        # a text file is held whole while it parses: its bytes, its text and
+        # its lines, about 2.5 times the file, but no Python object per cell
+        save_dataset(generate_synthetic(SynthConfig(test_per_class=50)), tmp_path,
+                     format="csv")
+        load_dataset_dir(tmp_path)
+        (ds, _), kept, peak = traced(load_dataset_dir, tmp_path)
+        assert ds.features.shape == (6500, 32) and kept > ds.features.nbytes
+        assert peak < kept + 3 * (tmp_path / "features.csv").stat().st_size
+
     def test_split_reader_peak(self):
         ids = " ".join(map(str, range(4000)))
         raw = f"seen: 0 1\nunseen: 2\ntrain: {ids}\ntest_seen:\ntest_unseen:\n"

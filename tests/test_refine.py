@@ -1,15 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from protoplace.data import AttributeTable, SplitDataset, SynthConfig, \
-    generate_synthetic
+    generate_synthetic, sample_episode
 from protoplace.errors import FormatError, ParameterError, ShapeError, \
     ValidationError
 from protoplace.linalg import OptimizerState, optimizer_step
+from protoplace.prototypes import EPISODE_BLOCK, TrainConfig
 from protoplace.refine import RefinerParams, SofConfig, load_refiner, \
-    refine_features, save_refiner, train_sof
+    refine_features, save_refiner, train_rows, train_sof
 from protoplace.rng import RngStream
 from reference import sof_loss
 from test_linalg import reference_cosine_cross_entropy
@@ -263,6 +265,57 @@ class TestRefineFeatures:
             return within / total
 
         assert scatter(out) < scatter(ds)
+
+
+class TestTrainRows:
+    """The train-only view reads every train id's row, in the same order,
+    whatever order the split lists the train ids in."""
+
+    @staticmethod
+    def shuffled(ds):
+        perm = np.random.default_rng(0).permutation(ds.train_idx)
+        assert np.any(np.diff(perm) < 0)
+        return dataclasses.replace(ds, train_idx=perm)
+
+    def test_holds_the_train_rows_alone(self):
+        ds = self.shuffled(small_bench(seed=14, noise=0.2))
+        view = train_rows(ds)
+        rows = np.sort(ds.train_idx)
+        assert np.array_equal(view.features, ds.features[rows])
+        assert np.array_equal(view.labels, ds.labels[rows])
+        assert view.test_seen_idx.size == view.test_unseen_idx.size == 0
+        assert view.attributes is ds.attributes
+        assert np.array_equal(view.seen_classes, ds.seen_classes)
+        assert np.array_equal(view.unseen_classes, ds.unseen_classes)
+        assert np.array_equal(view.features[view.train_idx],
+                              ds.features[ds.train_idx])
+
+    def test_train_pools_read_the_same_rows(self):
+        ds = self.shuffled(small_bench(seed=15, noise=0.2))
+        ds.train_pools  # built on ds first: the view must not share its flat
+        view = train_rows(ds)
+        for got, want in zip(view.train_pools[:2], ds.train_pools[:2]):
+            assert np.array_equal(got, want)
+        assert np.array_equal(view.features[view.train_pools[2]],
+                              ds.features[ds.train_pools[2]])
+
+    def test_episodes_draw_the_same_rows(self):
+        ds = self.shuffled(generate_synthetic(SynthConfig(train_per_class=20,
+                                                          test_per_class=5)))
+        view = train_rows(ds)
+        cfg = TrainConfig(mode="ep_only")
+        got, want = (sample_episode(d, cfg.m_classes, cfg.n_samples, RngStream(3),
+                                    episodes=EPISODE_BLOCK) for d in (view, ds))
+        assert np.array_equal(got.class_ids, want.class_ids)
+        assert np.array_equal(got.visual, want.visual)
+
+    def test_stage_one_trains_the_same_refiner(self):
+        # SOF reads train_idx[order]: the view's rows in ds's order
+        ds = self.shuffled(small_bench(seed=16, noise=0.3))
+        cfg = SofConfig(epochs=2, seed=4)
+        p1, t1 = train_sof(ds, cfg)
+        p2, t2 = train_sof(train_rows(ds), cfg)
+        assert np.array_equal(p1.flat, p2.flat) and t1 == t2
 
 
 class TestRefinerIO:
