@@ -193,9 +193,21 @@ class AttributeTable:
         return self.values[np.asarray(class_ids, dtype=np.int64).ravel()]
 
 
+def unique_ids(ids) -> np.ndarray:
+    """np.unique(ids) for integer ids: flat, ascending, deduplicated int64."""
+    ids = np.sort(np.asarray(ids, dtype=np.int64).ravel())
+    keep = np.ones(ids.size, dtype=bool)
+    keep[1:] = ids[1:] != ids[:-1]
+    return ids[keep]
+
+
 @dataclass
 class SplitDataset:
-    """Features + labels + attributes + seen/unseen split + index sets."""
+    """Features + labels + attributes + seen/unseen split + index sets.
+
+    The class sets are stored ascending, deduplicated and int64, by
+    unique_ids: np.unique and numpy's other set routines import numpy.ma
+    (about 1.4 MB resident), which no command otherwise loads."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -212,15 +224,16 @@ class SplitDataset:
         self.labels = np.asarray(self.labels, dtype=np.int64).ravel()
         if self.labels.shape[0] != self.features.shape[0]:
             raise ValidationError("one label per feature row required")
-        self.seen_classes = np.unique(np.asarray(self.seen_classes, dtype=np.int64))
-        self.unseen_classes = np.unique(np.asarray(self.unseen_classes, dtype=np.int64))
+        self.seen_classes = unique_ids(self.seen_classes)
+        self.unseen_classes = unique_ids(self.unseen_classes)
         for name in ("train_idx", "test_seen_idx", "test_unseen_idx"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64).ravel())
         self.validate()
 
     def validate(self) -> None:
         L = self.attributes.num_classes
-        if np.intersect1d(self.seen_classes, self.unseen_classes).size:
+        both = np.concatenate((self.seen_classes, self.unseen_classes))
+        if unique_ids(both).size < both.size:  # each set is deduplicated
             raise ValidationError("seen and unseen class sets overlap")
         for name, ids in (("seen", self.seen_classes), ("unseen", self.unseen_classes)):
             if ids.size and (ids.min() < 0 or ids.max() >= L):

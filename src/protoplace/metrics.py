@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import SplitDataset
+from .data import SplitDataset, unique_ids
 from .linalg import as_matrix, pairwise_cosine, require_finite, unit_rows_or_zero
 from .prototypes import PrototypeModel, project_prototypes
 
@@ -125,14 +125,14 @@ def _id_scores(features, prototypes, class_ids, seen_mask) -> _IdScores:
 
 class _LabelIndex(NamedTuple):
     labels: np.ndarray
-    classes: np.ndarray  # ascending, unique
+    classes: np.ndarray  # ascending, deduplicated int64 (unique_ids)
     pos: np.ndarray      # position of each label in `classes`
     rows: np.ndarray     # rows per class
 
 
 def _label_index(labels, class_set) -> _LabelIndex:
     labels = np.asarray(labels, dtype=np.int64).ravel()
-    classes = np.unique(np.asarray(class_set, dtype=np.int64))
+    classes = unique_ids(class_set)
     pos = np.searchsorted(classes, labels)
     return _LabelIndex(labels, classes, pos,
                        np.bincount(pos, minlength=classes.size))

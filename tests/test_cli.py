@@ -1658,3 +1658,46 @@ class TestSweep:
         rc = run("sweep", "--config", cfg, "--data", data,
                  "--out", tmp_path / "s", "--param", "beta", "--values", "1")
         assert rc == 2
+
+
+# Runs one command in its own interpreter, then prints on its last stdout
+# line which of numpy.ma and numpy.random it loaded.
+IMPORT_PROBE = (
+    "import sys\n"
+    "from protoplace.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(' '.join(m for m in ('numpy.ma', 'numpy.random') if m in sys.modules))\n"
+    "sys.exit(code)\n")
+
+
+class TestImports:
+    """No command loads numpy.ma (about 1.4 MB resident), and eval, which draws
+    nothing, does not load numpy.random (about 2.7 MB)."""
+
+    @pytest.mark.parametrize("command", ["synth", "train", "eval", "ablate", "sweep"])
+    def test_command_leaves_module_unloaded(self, workdir, command):
+        unwanted = {"numpy.ma", "numpy.random"} if command == "eval" else {"numpy.ma"}
+        tmp_path, cfg = workdir
+        data = make_data(tmp_path, cfg)
+        out = tmp_path / "out"
+        if command == "eval":
+            assert run("train", "--config", cfg, "--data", data,
+                       "--out", tmp_path / "run", "--mode", "full") == 0
+        argv = {
+            "synth": ["--config", cfg, "--out", out],
+            "train": ["--config", cfg, "--data", data, "--out", out,
+                      "--mode", "full"],
+            "eval": ["--model", tmp_path / "run" / "model", "--data", data,
+                     "--out", out],
+            "ablate": ["--config", cfg, "--data", data, "--out", out,
+                       "--seeds", "1"],
+            "sweep": ["--config", cfg, "--data", data, "--out", out,
+                      "--param", "n", "--values", "0,2"],
+        }[command]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, command, *map(str, argv)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.splitlines()[-1].split())
+        assert not loaded & unwanted, f"{command} loaded {sorted(loaded & unwanted)}"

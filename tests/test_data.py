@@ -21,6 +21,7 @@ from protoplace.data import (
     sample_episode,
     save_dataset,
     save_matrix,
+    unique_ids,
     write_csv,
     write_json,
 )
@@ -685,6 +686,31 @@ class TestSplitIds:
                 bool(self.BACKTRACKING.fullmatch(text)), text
 
 
+class TestUniqueIds:
+    @pytest.mark.parametrize("ids", [
+        [], [7], [3, 3, 3, 3], [-5, 2, -5, 0, -1], [[4, 1, 4], [-2, 1, 0]],
+        np.array([9, 1, 9, 1], np.int32), np.zeros((0, 3), np.int64),
+    ], ids=["empty", "one", "all equal", "negative", "2-D", "int32", "0x3"])
+    def test_equals_np_unique(self, ids):
+        got, want = unique_ids(ids), np.unique(np.asarray(ids, dtype=np.int64))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_equals_np_unique_on_seeded_ids(self):
+        rng = np.random.default_rng(0)
+        for size in (1, 2, 5, 50, 1000):
+            for high in (1, 3, 100, 2**40):
+                ids = rng.integers(-high, high, size=size)
+                want = np.unique(ids)
+                got = unique_ids(ids)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_returns_a_copy(self):
+        ids = np.arange(4, dtype=np.int64)
+        unique_ids(ids)[0] = 9
+        assert ids[0] == 0
+
+
 class TestValidation:
     def test_overlapping_splits_rejected(self):
         ds = tiny_dataset()
@@ -702,6 +728,16 @@ class TestValidation:
                          unseen_classes=[1, 2], train_idx=[0, 2],
                          test_seen_idx=[1], test_unseen_idx=[3])
 
+    def test_ids_repeated_within_one_set_are_no_overlap(self):
+        ds = tiny_dataset()
+        twice = SplitDataset(features=ds.features, labels=ds.labels,
+                             attributes=ds.attributes, seen_classes=[[1, 0], [1, 0]],
+                             unseen_classes=np.array([2, 2], np.int32),
+                             train_idx=[0, 2], test_seen_idx=[1], test_unseen_idx=[3])
+        for name in ("seen_classes", "unseen_classes"):
+            got, want = getattr(twice, name), getattr(ds, name)
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
     @pytest.mark.parametrize("train,test_seen,test_unseen", [
         ([0, 3], [1], []), ([0, 2], [3], []), ([0, 2], [], [1]),
     ], ids=["unseen in train", "unseen in test_seen", "seen in test_unseen"])
@@ -717,6 +753,10 @@ class TestValidation:
                          test_seen_idx=test_seen, test_unseen_idx=test_unseen)
 
     @pytest.mark.parametrize("classes,splits,message", [
+        (([0, 1, 1], [1, 7]), ([0, 2], [1], [3]),
+         "seen and unseen class sets overlap"),
+        (([-1, 0], [-1, 2]), ([0, 2], [1], [3]),
+         "seen and unseen class sets overlap"),
         (([0, 1], [2]), ([0, 2], [0], [3]),
          "train/test index sets are not pairwise disjoint"),
         (([0, 1], [2]), ([0, 2], [1, 3], []),
@@ -725,10 +765,12 @@ class TestValidation:
          "train split contains class 1 outside its class set"),
         (([0, 1], [2]), ([0], [1], [2, 3]),
          "test_unseen split contains class 1 outside its class set"),
-    ], ids=["shared index", "unseen in test_seen", "least of two strays",
+    ], ids=["overlap and id past the attributes", "overlap of negative ids",
+            "shared index", "unseen in test_seen", "least of two strays",
             "seen in test_unseen"])
     def test_split_rule_messages(self, classes, splits, message):
-        # the least stray class is the one named
+        # an overlap is named before a class id without an attribute row; the
+        # least stray class is the one named
         ds = tiny_dataset()
         with pytest.raises(ValidationError) as exc:
             SplitDataset(features=ds.features, labels=ds.labels,

@@ -593,6 +593,29 @@ class TestSweepParity:
         self.assert_parity(ds, model, [-0.5, 0.0, 0.37, 2.0, 1e6, 1e20])
 
 
+class TestLastBlockAgainstOneBlock:
+    @pytest.mark.parametrize("seed", range(2))
+    def test_reports_equal_to_one_block(self, seed):
+        # at 32-d with 50 classes, a last block of 2-16 rows (test sets of
+        # 514-528 rows) is scored by OpenBLAS's SkylakeX kernel in other bits
+        # than the same rows of one product over all rows; the reports are
+        # what cs_sweep keeps equal
+        block = metrics.ROW_BLOCK
+        ds = generate_synthetic(SynthConfig(seen_count=40, unseen_count=10,
+                                            feat_dim=32,
+                                            test_per_class=(block + 16) // 50 + 1,
+                                            seed=seed))
+        model = train_prototypes(ds, TrainConfig(mode="s2v_baseline", seed=seed))
+        grid = delta_grid(DEFAULTS)
+        for rows in range(block + 2, block + 17):
+            cut = dataclasses.replace(ds, test_seen_idx=ds.test_seen_idx[
+                :rows - ds.test_unseen_idx.size])
+            blocked = cs_sweep(model, cut, grid)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(metrics, "ROW_BLOCK", 10**9)
+                assert cs_sweep(model, cut, grid) == blocked, rows
+
+
 # ---------------------------------------------------------------------------
 # cs_sweep's map of the test rows against refine_features' map of every row
 

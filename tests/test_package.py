@@ -9,6 +9,9 @@ name or attribute it meets reaches every top-level function and class of
 that name, in any module, whose whole definition it then walks.  Matching
 by name can miss an unused definition (one that shares a used name) but
 never flags a used one.
+
+A second walk checks that no module calls a numpy set routine that imports
+numpy.ma, a package no command otherwise loads.
 """
 import ast
 from pathlib import Path
@@ -78,3 +81,35 @@ def test_the_walk_flags_a_definition_only_a_test_could_call():
         "def only_unused(): pass\n"
         "class Orphan: pass\n")}
     assert unreached(trees) == ["cli.unused", "lib.Orphan", "lib.only_unused"]
+
+
+# numpy's set routines whose calls import numpy.ma in numpy 2.4 (np.unique
+# does, and the others go through it); np.isin and np.sort do not.
+MA_IMPORTERS = {"unique", "unique_values", "intersect1d", "union1d",
+                "setdiff1d", "setxor1d"}
+
+
+def ma_importing_calls(trees: dict[str, ast.Module]) -> list[str]:
+    """`module:line name` of each call to an MA_IMPORTERS name, as a bare
+    name or as an attribute of anything."""
+    return [f"{module}:{node.lineno} {name}"
+            for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (name := getattr(node.func, "attr", getattr(node.func, "id", None)))
+            in MA_IMPORTERS]
+
+
+def test_no_numpy_set_routine_that_imports_numpy_ma():
+    calls = ma_importing_calls(package_trees())
+    assert not calls, f"calls that import numpy.ma: {', '.join(calls)}"
+
+
+def test_the_set_routine_check_flags_each_form_of_call():
+    trees = {"m": ast.parse(
+        "a = np.unique(x)\n"
+        "b = numpy.intersect1d(x, y)\n"
+        "c = unique_values(x)\n"
+        "d = np.isin(x, y) & np.sort(x)\n"
+        "e = unique_ids(x) + np.unique\n")}
+    assert ma_importing_calls(trees) == \
+        ["m:1 unique", "m:2 intersect1d", "m:3 unique_values"]
