@@ -1,11 +1,12 @@
 """Calibrated-stacking evaluation of a trained model.
 
-cs_sweep scores each test row once against the projected prototypes, in
-blocks of ROW_BLOCK rows, and reports, for every delta of the calibration
-grid (the seen-score penalty), the ZSL accuracy T (of each test_unseen row's
-top unseen class), the GZSL accuracies U and S, each a mean of per-class
-top-1 accuracies, and their harmonic mean H.  prototype_similarity gives
-the pairwise cosine matrices that `eval` writes for heat maps.
+cs_sweep scores each test row once against the projected prototypes, each
+split in blocks of at most ROW_BLOCK rows, and reports, for every delta of
+the calibration grid (the seen-score penalty), the ZSL accuracy T (of each
+test_unseen row's top unseen class), the GZSL accuracies U and S, each a
+mean of per-class top-1 accuracies, and their harmonic mean H.
+prototype_similarity gives the pairwise cosine matrices that `eval` writes
+for heat maps.
 """
 from __future__ import annotations
 
@@ -202,26 +203,32 @@ def _sweep_accuracies(top: _TopScores, index: _LabelIndex,
     return np.mean(acc, axis=1).tolist()
 
 
-# The most test rows cs_sweep maps and scores at once (one more where the
-# rows would otherwise end in a block of one): each block holds its mapped
+# The most test rows cs_sweep maps and scores at once: each split is walked
+# in ceil(n / ROW_BLOCK) blocks of near-equal size, each holding its mapped
 # rows, unit rows and scores, so the sweep's memory does not grow with the
 # test set beyond a few values per row.
 ROW_BLOCK = 512
 
 
-def _stack(tops: list[_TopScores], starts) -> _TopScores:
-    """The _TopScores of consecutive row blocks as one, in block order."""
+def _split_top(ds: SplitDataset, idx, protos, union, mask, reach,
+               f_lin) -> _TopScores:
+    """The _TopScores of the test rows idx (one split, n > 0 rows), in row
+    order.  Its rows are walked in k = ceil(n / ROW_BLOCK) blocks, block i
+    rows i * n // k to (i + 1) * n // k, so their sizes differ by at most
+    one; each block is gathered, mapped through f_lin where one is given,
+    scored and reduced to its top scores before the next."""
+    k = -(-idx.size // ROW_BLOCK)
+    bounds = [i * idx.size // k for i in range(k + 1)]
+    tops = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows = ds.features[idx[lo:hi]]
+        if f_lin is not None:
+            rows = require_finite(rows @ f_lin, "features")
+        tops.append(_top_scores(_id_scores(rows, protos, union, mask), reach))
     return _TopScores(
         *(np.concatenate(field) for field in zip(*(top[:5] for top in tops))),
-        np.concatenate([top.unsure + lo for top, lo in zip(tops, starts)]),
+        np.concatenate([top.unsure + lo for top, lo in zip(tops, bounds)]),
         tops[0].full._replace(scores=np.concatenate([top.full.scores for top in tops])))
-
-
-def _rows(top: _TopScores, lo: int, hi: int) -> _TopScores:
-    """Rows lo to hi of top, their unsure positions counted from lo."""
-    a, b = np.searchsorted(top.unsure, [lo, hi])
-    return _TopScores(*(field[lo:hi] for field in top[:5]), top.unsure[a:b] - lo,
-                      top.full._replace(scores=top.full.scores[a:b]))
 
 
 def cs_sweep(
@@ -236,47 +243,32 @@ def cs_sweep(
     deltas, plus a bisection of O(rows * log(deltas)) (_sweep_accuracies).
     The grid is nonempty, and each test label in its split's class set.
 
-    The test rows, test_unseen's then test_seen's, are walked in blocks of
-    ROW_BLOCK rows, a last block of one row joined to the block before it.
-    Each block is gathered, mapped through f_lin (a stage-one refiner's
-    map, as refine.refine_features maps the train rows stage two trains
-    on) where one is given, scored and reduced to its top scores; each
-    split's top scores are its slice of the blocks' concatenated.  The bits
-    of each mapped row and score row depend on the BLAS kernel and on the
-    block's shape, so they can differ in the last bits from that row of one
-    product over all rows; the reports were equal in every case measured,
-    as a last-bit change moves an accuracy only where it flips a near-tie
+    Each split, test_unseen then test_seen, is walked on its own in
+    near-equal blocks of at most ROW_BLOCK rows (_split_top), each block
+    gathered, mapped through f_lin (a stage-one refiner's map, as
+    refine.refine_features maps the train rows stage two trains on) where
+    one is given, scored and reduced to its top scores.  The bits of each
+    mapped row and score row depend on the BLAS kernel and on the block's
+    shape, so they can differ in the last bits from that row of one product
+    over all rows; the reports were equal in every case measured, as a
+    last-bit change moves an accuracy only where it flips a near-tie
     (README, `eval`).
     T and U share test_unseen's scores."""
     grid = [float(d) for d in delta_grid]
     seen, unseen = ds.seen_classes, ds.unseen_classes
-    test_u, test_s = ds.test_unseen_idx, ds.test_seen_idx
     union = np.concatenate([seen, unseen])
     protos = project_prototypes(model, ds.attributes, union)
     mask = np.concatenate([np.ones(seen.size, bool), np.zeros(unseen.size, bool)])
     reach = float(np.max(np.abs(grid)))
     deltas = np.array(grid)
-    test = np.concatenate([test_u, test_s])
-    # block starts: below the last row, so no block but a whole test set
-    # of one row has a single row
-    starts = range(0, test.size - (test.size > 1), ROW_BLOCK)
-    tops = []
-    for lo, hi in zip(starts, [*starts[1:], test.size]):
-        rows = ds.features[test[lo:hi]]
-        if f_lin is not None:
-            rows = require_finite(rows @ f_lin, "features")
-        tops.append(_top_scores(_id_scores(rows, protos, union, mask), reach))
-
     # the GZSL accuracies per delta: test_unseen (U), then test_seen (S);
     # T is test_unseen's top unseen class, which no delta moves
     t_acc = None
     accs: list[list | None] = [None, None]
-    whole = _stack(tops, starts) if tops else None
-    del tops  # each row's fields are held once, stacked
-    for k, (at, idx) in enumerate(((0, test_u), (test_u.size, test_s))):
+    for k, idx in enumerate((ds.test_unseen_idx, ds.test_seen_idx)):
         if idx.size:
             index = _label_index(ds.labels[idx], union)
-            top = _rows(whole, at, at + idx.size)
+            top = _split_top(ds, idx, protos, union, mask, reach, f_lin)
             if k == 0:
                 t_acc = _accuracy(top.unseen_id, index)
             accs[k] = [a for lo in range(0, deltas.size, GRID_BLOCK)

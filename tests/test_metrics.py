@@ -1,5 +1,10 @@
+import ctypes
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -410,19 +415,31 @@ def reference_sweep(model, ds, grid):
 # The row blocks cs_sweep is also checked at, besides metrics.ROW_BLOCK: a
 # test set of a few dozen rows then spans many blocks.
 SMALL_ROW_BLOCKS = (2, 3, 7)
+# The one of them that splits are cut to edge sizes around.
+EDGE_BLOCK = 3
 
 
-def assert_scored_once(blocks, rows):
+def assert_scored_once(blocks, splits):
     """blocks, the feature rows of each _id_scores call of one sweep, hold
-    each of rows (the test rows in the sweep's order) once, in order; each
-    but the last has ROW_BLOCK rows, and the last at most one more, and 2 or
-    more unless rows is one row."""
-    sizes = [block.shape[0] for block in blocks]
-    assert sum(sizes) == rows.shape[0]
-    if blocks:
-        assert np.concatenate(blocks).tobytes() == rows.tobytes()
-    assert all(n == metrics.ROW_BLOCK for n in sizes[:-1])
-    assert all(min(2, rows.shape[0]) <= n <= metrics.ROW_BLOCK + 1 for n in sizes)
+    each of splits (test_unseen's rows, then test_seen's) once, in order: a
+    split of n rows in ceil(n / ROW_BLOCK) blocks whose sizes differ by at
+    most one, no block holding rows of two splits."""
+    for rows in splits:
+        k = -(-rows.shape[0] // metrics.ROW_BLOCK)
+        mine, blocks = blocks[:k], blocks[k:]
+        sizes = [block.shape[0] for block in mine]
+        assert sum(sizes) == rows.shape[0]
+        if mine:
+            assert max(sizes) - min(sizes) <= 1
+            assert np.concatenate(mine).tobytes() == rows.tobytes()
+    assert not blocks
+
+
+def block_of(pos, n, block):
+    """The block of each position pos of a split of n rows, walked in
+    ceil(n / block) blocks of near-equal size."""
+    k = -(-n // block)
+    return np.searchsorted([i * n // k for i in range(1, k)], pos, side="right")
 
 
 class TestSweepParity:
@@ -525,39 +542,50 @@ class TestSweepParity:
         # reports stay in grid order, a repeated delta repeats its report;
         # at 1e13 some rows, not all, are unsure and scored in full, and at
         # 1e16, where the floats are 2 apart, every row is.  With test_unseen
-        # cut to 11 rows the 43 test rows are k * B + 1 at each of
-        # SMALL_ROW_BLOCKS, and the split boundary lies inside a block
+        # whole (12 rows) and cut to 11 (blocks of unequal sizes), and
+        # test_seen's 32 rows, each split spans several blocks at each of
+        # SMALL_ROW_BLOCKS
         ds, model = trained_setup(seed=8)
         cut = dataclasses.replace(ds, test_unseen_idx=ds.test_unseen_idx[:11])
-        assert cut.test_seen_idx.size == 32
-        assert all(43 % block == 1 and 11 % block for block in SMALL_ROW_BLOCKS)
+        splits = (ds.test_unseen_idx, ds.test_seen_idx)
+        assert [idx.size for idx in splits] == [12, 32]
+        assert all(11 > block for block in SMALL_ROW_BLOCKS)
         for data in (ds, cut):
             self.assert_parity(data, model, grid)
         reach = float(np.max(np.abs(grid)))
         union, mask, protos = union_prototypes(model, ds)
-        test = np.concatenate([ds.test_unseen_idx, ds.test_seen_idx])
-        unsure = metrics._top_scores(metrics._id_scores(
-            ds.features[test], protos, union, mask), reach).unsure
+        unsure = [metrics._top_scores(metrics._id_scores(
+            ds.features[idx], protos, union, mask), reach).unsure
+            for idx in splits]
+        rows = sum(idx.size for idx in splits)
         if unsure_rows == "none":
-            assert unsure.size == 0
+            assert sum(pos.size for pos in unsure) == 0
         elif unsure_rows == "some":
-            assert 0 < unsure.size < test.size
-            assert all(np.unique(unsure // block).size > 1  # several blocks
+            assert 0 < sum(pos.size for pos in unsure) < rows
+            # in several blocks of one split
+            assert all(any(np.unique(block_of(pos, idx.size, block)).size > 1
+                           for pos, idx in zip(unsure, splits))
                        for block in SMALL_ROW_BLOCKS)
         else:
-            assert unsure.size == test.size
+            assert [pos.size for pos in unsure] == [idx.size for idx in splits]
 
-    @pytest.mark.parametrize("test_seen,test_unseen", [
-        (True, True), (False, True), (True, False)],
-        ids=["both splits", "no test_seen", "no test_unseen"])
-    def test_one_projection_and_one_scoring_per_split(self, monkeypatch,
-                                                      test_seen, test_unseen):
+    @pytest.mark.parametrize("rows", [
+        {}, {"test_seen_idx": 0}, {"test_unseen_idx": 0},
+        *({"test_unseen_idx": n, "test_seen_idx": n}
+          for n in (1, EDGE_BLOCK, EDGE_BLOCK + 1, 2 * EDGE_BLOCK + 1))],
+        ids=["both splits", "no test_seen", "no test_unseen",
+             "1 row each", "B rows each", "B+1 rows each", "2B+1 rows each"])
+    def test_one_projection_and_one_scoring_per_split(self, monkeypatch, rows):
         # T is read off test_unseen's GZSL scores: no second projection of
-        # the unseen prototypes and no second scoring of test_unseen.  The
-        # test rows, test_unseen's then test_seen's, are each scored once,
-        # in row blocks
-        ds, model, _ = tie_dataset(test_seen=test_seen, test_unseen=test_unseen)
-        test = ds.features[np.concatenate([ds.test_unseen_idx, ds.test_seen_idx])]
+        # the unseen prototypes and no second scoring of test_unseen.  Each
+        # split's rows are scored once, in its own row blocks; the splits
+        # cut to n rows give, at ROW_BLOCK = B = EDGE_BLOCK, one row, one
+        # whole block, and one row past one and past two whole blocks
+        base, model, _ = tie_dataset()
+        ds = dataclasses.replace(base, **{name: getattr(base, name)[:n]
+                                          for name, n in rows.items()})
+        self.assert_parity(ds, model)
+        splits = [ds.features[ds.test_unseen_idx], ds.features[ds.test_seen_idx]]
         project, score = metrics.project_prototypes, metrics._id_scores
         projected, scored = [], []
 
@@ -576,8 +604,9 @@ class TestSweepParity:
             scored.clear()
             reports, _ = cs_sweep(model, ds, self.GRID)
             assert len(projected) == 1
-            assert_scored_once(scored, test)
-            assert all((r.T is None) == (not test_unseen) for r in reports)
+            assert_scored_once(scored, splits)
+            assert all((r.T is None) == (not ds.test_unseen_idx.size)
+                       for r in reports)
 
     def test_grid_blocks(self, monkeypatch):
         # a grid of several blocks reads as the same grid in one block
@@ -593,27 +622,100 @@ class TestSweepParity:
         self.assert_parity(ds, model, [-0.5, 0.0, 0.37, 2.0, 1e6, 1e20])
 
 
+# OpenBLAS's x86 kernels, as OPENBLAS_CORETYPE names them, by the
+# /proc/cpuinfo flag of the instruction set each needs.
+OPENBLAS_KERNELS = {"avx512f": "SkylakeX", "avx2": "Haswell", "avx": "Sandybridge"}
+# Run under one kernel: the name of the kernel OpenBLAS runs, then
+# one_block_differences(seed argument).
+KERNEL_PROBE = """
+import sys
+from test_metrics import one_block_differences, openblas_core
+print(openblas_core())
+print(*one_block_differences(int(sys.argv[1])))
+"""
+
+
+def cpu_kernels():
+    """The kernels of OPENBLAS_KERNELS whose flag /proc/cpuinfo lists: none
+    where there is no such file."""
+    try:
+        flags = set(Path("/proc/cpuinfo").read_text().split())
+    except OSError:
+        return []
+    return [kernel for flag, kernel in OPENBLAS_KERNELS.items() if flag in flags]
+
+
+def openblas_core():
+    """The name of the kernel that the OpenBLAS numpy loaded runs, or None
+    where the library or its name cannot be found."""
+    try:
+        with open("/proc/self/maps") as maps:
+            path = next(line.split()[-1] for line in maps if "openblas" in line)
+    except (OSError, StopIteration):
+        return None
+    lib = ctypes.CDLL(path)
+    for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+        corename = getattr(lib, name, None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+def one_block_differences(seed):
+    """The test_seen sizes, ROW_BLOCK + 2 to + 16 rows, at which cs_sweep's
+    reports at ROW_BLOCK (two blocks of that split) differ from those of
+    one block, for a model at 32-d with 50 classes."""
+    block = metrics.ROW_BLOCK
+    ds = generate_synthetic(SynthConfig(seen_count=40, unseen_count=10,
+                                        feat_dim=32,
+                                        test_per_class=(block + 16) // 40 + 1,
+                                        seed=seed))
+    model = train_prototypes(ds, TrainConfig(mode="s2v_baseline", seed=seed))
+    grid = delta_grid(DEFAULTS)
+    differing = []
+    for rows in range(block + 2, block + 17):
+        cut = dataclasses.replace(ds, test_seen_idx=ds.test_seen_idx[:rows])
+        assert cut.test_seen_idx.size == rows
+        blocked = cs_sweep(model, cut, grid)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "ROW_BLOCK", 10**9)
+            if cs_sweep(model, cut, grid) != blocked:
+                differing.append(rows)
+    return differing
+
+
 class TestLastBlockAgainstOneBlock:
     @pytest.mark.parametrize("seed", range(2))
     def test_reports_equal_to_one_block(self, seed):
-        # at 32-d with 50 classes, a last block of 2-16 rows (test sets of
-        # 514-528 rows) is scored by OpenBLAS's SkylakeX kernel in other bits
-        # than the same rows of one product over all rows; the reports are
-        # what cs_sweep keeps equal
-        block = metrics.ROW_BLOCK
-        ds = generate_synthetic(SynthConfig(seen_count=40, unseen_count=10,
-                                            feat_dim=32,
-                                            test_per_class=(block + 16) // 50 + 1,
-                                            seed=seed))
-        model = train_prototypes(ds, TrainConfig(mode="s2v_baseline", seed=seed))
-        grid = delta_grid(DEFAULTS)
-        for rows in range(block + 2, block + 17):
-            cut = dataclasses.replace(ds, test_seen_idx=ds.test_seen_idx[
-                :rows - ds.test_unseen_idx.size])
-            blocked = cs_sweep(model, cut, grid)
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(metrics, "ROW_BLOCK", 10**9)
-                assert cs_sweep(model, cut, grid) == blocked, rows
+        # the bits of a block's scores depend on the BLAS kernel and on the
+        # block's shape (under SkylakeX, a last block of 2-16 rows at 32-d
+        # with 50 classes read other bits than one block did); the reports
+        # are what cs_sweep keeps equal.  Each kernel this CPU can run is
+        # checked in its own process, OPENBLAS_CORETYPE set before OpenBLAS
+        # loads; without one, the default kernel here
+        kernels = cpu_kernels()
+        if not kernels:
+            warnings.warn("no OpenBLAS x86 kernel's flag in /proc/cpuinfo: "
+                          "compared under the default kernel only")
+            assert one_block_differences(seed) == []
+            return
+        path = os.pathsep.join([str(Path(metrics.__file__).parents[1]),
+                                str(Path(__file__).parent)])
+        for kernel in kernels:
+            proc = subprocess.run(
+                [sys.executable, "-c", KERNEL_PROBE, str(seed)],
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
+                     "OPENBLAS_CORETYPE": kernel},
+                capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            core, differing = proc.stdout.splitlines()
+            if core == "None":
+                warnings.warn(f"OPENBLAS_CORETYPE={kernel}: the kernel that "
+                              "ran could not be read")
+            else:
+                assert core == kernel
+            assert differing == "", f"{kernel}: reports differ at {differing} rows"
 
 
 # ---------------------------------------------------------------------------
@@ -638,12 +740,14 @@ class TestRefinerMap:
                                       "one test_unseen row"])
     def test_equals_sweep_of_refined_features(self, tmp_path, monkeypatch,
                                               data, seed):
-        # the test rows, mapped in row blocks of at least two rows, are bit
-        # for bit the rows of the product over every row; one test_unseen row
-        # is mapped inside a block, not alone, which would take BLAS's
-        # matrix-vector code and can differ in the last bit.  Those cases
-        # also run at SMALL_ROW_BLOCKS: their 25 test rows are k * B + 1 at
-        # B = 2 and 3, and the split boundary after row 1 lies inside a block
+        # each split of two or more rows is mapped in row blocks whose rows
+        # are, at this width, bit for bit those of the product over every
+        # row.  A split of one test_unseen row is mapped alone, through
+        # BLAS's matrix-vector code, which can differ in the last bit from
+        # that row of the product over every row: it is checked against its
+        # own product, and the reports against the refined rows' reports.
+        # That case also runs at SMALL_ROW_BLOCKS, test_seen's 24 rows in
+        # several blocks
         record = json.loads(GOLDEN_CONFIG.read_text()) if data == "golden" \
             else CRITERION_8
         path = tmp_path / "config.json"
@@ -657,8 +761,8 @@ class TestRefinerMap:
         refined = refine_features(ds, refiner)
         model = train_prototypes(refined, dataclasses.replace(cfg.train,
                                                               mode="full"))
-        test = refined.features[np.concatenate([ds.test_unseen_idx,
-                                                ds.test_seen_idx])]
+        splits = [refined.features[idx]
+                  for idx in (ds.test_unseen_idx, ds.test_seen_idx)]
         scored = []  # the row blocks that each sweep scores
 
         def id_scores(features, *args):
@@ -687,10 +791,11 @@ class TestRefinerMap:
                 [dataclasses.astuple(r) for r in ref_reports]
             assert best == ref_best
             assert len(projected) == 2  # one per sweep
-            for rows in scored:
-                assert_scored_once(rows, test)
-            as_bytes = [[rows.tobytes() for rows in sweep] for sweep in scored]
-            assert as_bytes[0] == as_bytes[1]
+            assert_scored_once(scored[0], [
+                rows if rows.shape[0] > 1 else ds.features[idx] @ refiner.f_lin
+                for rows, idx in zip(splits, (ds.test_unseen_idx,
+                                              ds.test_seen_idx))])
+            assert_scored_once(scored[1], splits)
 
     def test_non_finite_mapped_rows_raise(self):
         ds, model = trained_setup()

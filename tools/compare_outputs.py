@@ -24,8 +24,8 @@ ascend): `train --mode s2v`, `train --mode full` and one `eval` of both
 models on the comma grid; then a one-row leg, `eval_one_row`: one `eval`
 of the full and the s2v model of the CSV leg on the comma grid, on a copy
 of that data whose `test_unseen` split is cut to its first row, which no
-configuration's own data has (the sweep scores that row in a row block
-with the test_seen rows after it, not alone); then an error leg,
+configuration's own data has (the sweep maps and scores that split of
+one row alone, not in a block with other rows); then an error leg,
 whose steps each break one rule that the program checks where the input
 enters, and so are expected to fail on both sides:
 `error_train_optimizer` and `error_sof_optimizer` (an unknown optimizer),
